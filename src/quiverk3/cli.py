@@ -41,6 +41,7 @@ from .walls import (
     quiver_walls,
     v_walls_bounded_scan,
     verify_correspondence,
+    wall_systems,
     xi_map,
 )
 
@@ -67,6 +68,10 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"cannot parse rational {value!r}: {exc}") from None
     raise SchemaError(f"expected integer or 'p/q' string, got {value!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _require(doc: dict, key: str, typ) -> object:
@@ -117,14 +122,28 @@ def parse_config_document(doc: dict):
     cfg = CurveConfig(
         tuple(tuple(r) for r in gram), tuple(chi), tuple(mult), tuple(h0deg)
     )
+    pols_doc = doc.get("polarizations") or {}
+    if not isinstance(pols_doc, dict):
+        raise SchemaError("polarizations must be an object")
     pols = {}
-    for name, vec in (doc.get("polarizations") or {}).items():
+    for name, vec in pols_doc.items():
         if not isinstance(vec, list) or len(vec) != cfg.s:
             raise SchemaError(f"polarization {name!r} must be a length-{cfg.s} list")
         pols[str(name)] = DegreeVector(tuple(parse_rational(v) for v in vec))
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise SchemaError("options must be an object")
+    for key in ("seed", "ell"):
+        if key in options and not _is_int(options[key]):
+            raise SchemaError(f"options.{key} must be an integer")
+    budget = options.get("budget") or {}
+    if not isinstance(budget, dict):
+        raise SchemaError("options.budget must be an object")
+    for key in ("probes", "restarts", "iters"):
+        if key in budget and not _is_int(budget[key]):
+            raise SchemaError(f"options.budget.{key} must be an integer")
+    if "tol" in budget and type(budget["tol"]) not in (int, float):
+        raise SchemaError("options.budget.tol must be a number")
     return cfg, pols, options, names
 
 
@@ -171,26 +190,50 @@ def rep_to_dict(rep: Representation) -> dict:
     }
 
 
+def _parse_complex(e) -> complex:
+    # exact type tests: bool is an int subclass but not a JSON number
+    if (
+        type(e) is list
+        and len(e) == 2
+        and type(e[0]) in (int, float)
+        and type(e[1]) in (int, float)
+    ):
+        return complex(e[0], e[1])
+    raise SchemaError(f"float entries must be [re, im] number pairs, got {e!r}")
+
+
+def _parse_matrix(m, rows: int, cols: int, entry, where: str) -> tuple[tuple, ...]:
+    if not isinstance(m, list) or len(m) != rows or any(
+        not isinstance(row, list) or len(row) != cols for row in m
+    ):
+        raise SchemaError(f"{where} must be a {rows} x {cols} matrix")
+    return tuple(tuple(entry(e) for e in row) for row in m)
+
+
 def rep_from_dict(quiver, doc: dict) -> Representation:
+    if not isinstance(doc, dict):
+        raise SchemaError("representation document must be a JSON object")
     mode = _require(doc, "mode", str)
     if mode not in (EXACT, FLOAT):
         raise SchemaError(f"unknown representation mode {mode!r}")
     n = tuple(_require(doc, "n", list))
+    if len(n) != quiver.s or not all(_is_int(x) and x >= 0 for x in n):
+        raise SchemaError(
+            f"representation n must be a list of {quiver.s} non-negative integers"
+        )
     mats_doc = _require(doc, "matrices", list)
     if len(mats_doc) != len(quiver.orientation):
         raise SchemaError("matrix list does not match the quiver orientation")
+    entry = parse_rational if mode == EXACT else _parse_complex
     mats = []
-    for (s, t, _), m in zip(quiver.orientation, mats_doc):
-        if mode == EXACT:
-            x = tuple(tuple(parse_rational(e) for e in row) for row in m["x"])
-            y = tuple(tuple(parse_rational(e) for e in row) for row in m["y"])
-        else:
-            x = np.array(
-                [[complex(e[0], e[1]) for e in row] for row in m["x"]], dtype=complex
-            ).reshape(n[t], n[s])
-            y = np.array(
-                [[complex(e[0], e[1]) for e in row] for row in m["y"]], dtype=complex
-            ).reshape(n[s], n[t])
+    for k, ((s, t, _), m) in enumerate(zip(quiver.orientation, mats_doc)):
+        if not isinstance(m, dict) or "x" not in m or "y" not in m:
+            raise SchemaError(f"matrices[{k}] must be an object with 'x' and 'y'")
+        x = _parse_matrix(m["x"], n[t], n[s], entry, f"matrices[{k}].x")
+        y = _parse_matrix(m["y"], n[s], n[t], entry, f"matrices[{k}].y")
+        if mode == FLOAT:
+            x = np.array(x, dtype=complex).reshape(n[t], n[s])
+            y = np.array(y, dtype=complex).reshape(n[s], n[t])
         mats.append((x, y))
     return Representation(quiver, n, mode, tuple(mats))
 
@@ -244,8 +287,11 @@ def _seed_from(args, options) -> int:
         return args.seed
     env = os.environ.get("QRL_SEED")
     if env is not None:
-        return int(env)
-    return int(options.get("seed", 0))
+        try:
+            return int(env)
+        except ValueError:
+            raise SchemaError(f"QRL_SEED must be an integer, got {env!r}") from None
+    return options.get("seed", 0)
 
 
 def _cmd_quiver(cfg, pols, options, args):
@@ -285,16 +331,19 @@ def _cmd_roots(cfg, pols, options, args):
 
 
 def _cmd_walls(cfg, pols, options, args):
-    q = quiver_from_config(cfg)
+    if args.side == "both":
+        qw, aw = wall_systems(cfg)
+    elif args.side == "quiver":
+        qw = quiver_walls(quiver_from_config(cfg), cfg.mult)
+    else:
+        aw = ample_walls_through_h0(cfg)
     payload = {}
     lines = []
     if args.side in ("quiver", "both"):
-        qw = quiver_walls(q, cfg.mult)
         payload["quiver_walls"] = qw
         lines.append(f"quiver walls: {len(qw)}")
         lines += [f"  normal {list(w.normal)} sources {[list(s) for s in w.sources]}" for w in qw]
     if args.side in ("ample", "both"):
-        aw = ample_walls_through_h0(cfg)
         payload["ample_walls"] = aw
         lines.append(f"ample walls through H0: {len(aw)}")
         lines += [
@@ -309,10 +358,6 @@ def _cmd_walls(cfg, pols, options, args):
             ]
             lines.append(f"global scan (|chi_Gamma| <= {args.chi_bound}): {len(scan)} candidate walls")
     if args.side == "both":
-        qw = payload["quiver_walls"]
-        aw = payload["ample_walls"]
-        if len(qw) != len(aw) or [w.normal for w in qw] != [w.beta for w in aw]:
-            raise MathAssertionError("wall systems disagree between the two sides")
         payload["counts_match"] = True
         lines.append("wall systems agree")
     emit(payload, "walls", args.json, lines)
@@ -452,7 +497,9 @@ def _cmd_stability(cfg, pols, options, args):
         raise SchemaError(f"invalid representation JSON: {exc}") from None
     rep = rep_from_dict(q, doc)
     theta = _parse_theta(args.theta, cfg.s)
-    opts = options.get("budget", {}) if isinstance(options.get("budget", {}), dict) else {}
+    if sum(t * x for t, x in zip(theta, rep.n)) != 0:
+        raise SchemaError(f"theta . n != 0 for the representation's n = {list(rep.n)}")
+    opts = options.get("budget") or {}
     budget = SearchBudget(
         probes=args.probes if args.probes is not None else int(opts.get("probes", 4)),
         restarts=args.restarts if args.restarts is not None else int(opts.get("restarts", 6)),

@@ -145,16 +145,25 @@ def boxed_vectors(n: DimVector):
     yield from rec(0, ())
 
 
+# (quiver, n) pairs whose roots _roots_within keeps; bounded so that a process
+# running many configurations holds a fixed amount of memory
+_ROOT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _roots_within(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
+    """Positive roots 0 < alpha <= n in lexicographic order, n included when
+    it is a root. Every root-indexed computation reads this one enumeration."""
+    return tuple(a for a in boxed_vectors(n) if is_positive_root(q, a))
+
+
 def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
     """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n."""
     _check_length(q, n)
     if any(x < 0 for x in n):
         raise ValueError("n must be non-negative")
-    return [
-        alpha
-        for alpha in boxed_vectors(n)
-        if alpha != n and is_positive_root(q, alpha)
-    ]
+    n = tuple(n)
+    return [alpha for alpha in _roots_within(q, n) if alpha != n]
 
 
 @dataclass(frozen=True)
@@ -181,11 +190,6 @@ class Decomposition:
         return self.parts == ((1, tuple(n)),)
 
 
-def _roots_within(q: Quiver, n: DimVector) -> list[DimVector]:
-    """Positive roots 0 < alpha <= n, n included when it is a root."""
-    return [a for a in boxed_vectors(n) if is_positive_root(q, a)]
-
-
 def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
     """All decompositions n = sum k_j beta^(j) into distinct positive roots.
 
@@ -198,7 +202,7 @@ def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
 
     if not is_positive_root(q, n):
         _w.warn(f"n = {n} is not a positive root", stacklevel=2)
-    roots = _roots_within(q, n)
+    roots = _roots_within(q, tuple(n))
     results: list[Decomposition] = []
 
     def rec(idx: int, remaining: DimVector, acc: list[tuple[int, DimVector]]):
@@ -251,7 +255,9 @@ def cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
     _check_length(q, n)
     if not is_positive_root(q, n):
         return SimpleExistence(False, False, None)
-    roots = _roots_within(q, n)
+    n = tuple(n)
+    # without n itself, best(n) ranges over plain sums with r >= 2 parts
+    roots = tuple(r for r in _roots_within(q, n) if r != n)
     proots = {r: p_of(q, r) for r in roots}
 
     @lru_cache(maxsize=None)
@@ -272,17 +278,7 @@ def cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
                 top = cand
         return top
 
-    top: tuple[int, tuple[DimVector, ...]] | None = None
-    for beta in roots:
-        if beta == tuple(n):
-            continue
-        rest = tuple(r - b for r, b in zip(n, beta))
-        sub = best(rest)
-        if sub is None:
-            continue
-        cand = (proots[beta] + sub[0], tuple(sorted((beta,) + sub[1])))
-        if top is None or cand > top:
-            top = cand
+    top = best(n)
     best.cache_clear()
     if top is not None and top[0] >= p_of(q, n):
         return SimpleExistence(False, True, top[1])

@@ -10,6 +10,7 @@ decomposition is a two-part or single-root one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import MathAssertionError
 from .lattice import CurveConfig, MukaiVector, mukai_square, vector_of_beta
@@ -18,6 +19,7 @@ from .quiver import (
     DimVector,
     Quiver,
     SimpleExistence,
+    bounded_roots,
     cb_simple_exists,
     d_form,
     decompositions,
@@ -26,12 +28,7 @@ from .quiver import (
     p_of,
     quiver_from_config,
 )
-from .walls import (
-    QuiverWall,
-    ample_walls_through_h0,
-    enumerate_chambers,
-    quiver_walls,
-)
+from .walls import enumerate_chambers, quiver_walls, wall_systems
 
 
 @dataclass(frozen=True)
@@ -53,15 +50,9 @@ class StratumRecord:
     wall_normal: DimVector | None
 
 
-def _wall_for(decomp: Decomposition, walls: tuple[QuiverWall, ...]) -> DimVector | None:
-    sourcemap = {}
-    for w in walls:
-        for src in w.sources:
-            sourcemap[src] = w.normal
+def _wall_for(decomp: Decomposition, sourcemap: dict[DimVector, DimVector]) -> DimVector | None:
     parts = decomp.parts
-    if len(parts) == 2:
-        return sourcemap.get(parts[0][1])
-    if len(parts) == 1 and parts[0][0] > 1:
+    if len(parts) == 2 or (len(parts) == 1 and parts[0][0] > 1):
         return sourcemap.get(parts[0][1])
     return None
 
@@ -74,30 +65,31 @@ def strata_report(cfg: CurveConfig) -> list[StratumRecord]:
     q = quiver_from_config(cfg)
     n = cfg.mult
     ambient = 2 * p_of(q, n)
-    walls = tuple(quiver_walls(q, n))
+    sourcemap = {src: w.normal for w in quiver_walls(q, n) for src in w.sources}
     simple_at_n = cb_simple_exists(q, n).exists
+
+    @lru_cache(maxsize=None)
+    def part(beta: DimVector) -> StratumPart:
+        """One record per distinct root, shared by every decomposition."""
+        v = vector_of_beta(cfg, beta)
+        if mukai_square(v, cfg) != d_form(q, beta):
+            raise MathAssertionError(
+                f"v(beta)^2 != d(beta) for beta={beta}: lattice/quiver data out of sync"
+            )
+        return StratumPart(
+            beta,
+            v,
+            p_of(q, beta),
+            is_positive_root(q, beta),
+            cb_simple_exists(q, beta).exists,
+        )
+
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for dec in decompositions(q, n):
-            parts = []
-            dim = 0
-            for _, beta in dec.parts:
-                v = vector_of_beta(cfg, beta)
-                if mukai_square(v, cfg) != d_form(q, beta):
-                    raise MathAssertionError(
-                        f"v(beta)^2 != d(beta) for beta={beta}: lattice/quiver data out of sync"
-                    )
-                parts.append(
-                    StratumPart(
-                        beta,
-                        v,
-                        p_of(q, beta),
-                        is_positive_root(q, beta),
-                        cb_simple_exists(q, beta).exists,
-                    )
-                )
-                dim += 2 * p_of(q, beta)
+            parts = tuple(part(beta) for _, beta in dec.parts)
+            dim = sum(2 * pt.p for pt in parts)
             trivial = dec.is_trivial(n)
             # the ambient bound 2 sum p(beta) <= 2p(n) is a theorem only when
             # the simple-existence criterion holds at n (the open stratum is
@@ -107,7 +99,7 @@ def strata_report(cfg: CurveConfig) -> list[StratumRecord]:
                     f"stratum dimension {dim} exceeds ambient {ambient} for {dec.parts}"
                 )
             records.append(
-                StratumRecord(dec, dim, ambient, tuple(parts), trivial, _wall_for(dec, walls))
+                StratumRecord(dec, dim, ambient, parts, trivial, _wall_for(dec, sourcemap))
             )
     return records
 
@@ -137,21 +129,12 @@ class ModelSummary:
 def singular_model_summary(cfg: CurveConfig) -> ModelSummary:
     """Aggregate the lattice, quiver, wall and strata outputs in one record.
 
-    Also asserts the wall-count consistency between the two sides.
+    Also asserts the agreement of the wall systems on the two sides.
     """
-    from .quiver import bounded_roots
-
     q = quiver_from_config(cfg)
     n = cfg.mult
     notes = []
-    qwalls = quiver_walls(q, n)
-    awalls = ample_walls_through_h0(cfg)
-    if len(qwalls) != len(awalls) or [w.normal for w in qwalls] != [
-        w.beta for w in awalls
-    ]:
-        raise MathAssertionError(
-            "quiver-side and ample-side wall systems disagree"
-        )
+    qwalls, awalls = wall_systems(cfg)
     chamber_count: int | None
     reps: tuple = ()
     if cfg.s == 1:

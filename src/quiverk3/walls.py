@@ -24,6 +24,7 @@ from .quiver import (
     DimVector,
     Quiver,
     bounded_roots,
+    boxed_vectors,
     Decomposition,
     quiver_from_config,
 )
@@ -62,32 +63,36 @@ class QuiverWall:
     sources: tuple[DimVector, ...]
 
 
-def _canonical_normal(group: list[DimVector], n: DimVector, roots: set[DimVector]) -> DimVector:
-    cands = []
-    for alpha in group:
-        comp = tuple(x - y for x, y in zip(n, alpha))
-        cands.append(min(alpha, comp) if comp in roots else alpha)
-    return min(cands)
+def _merge_by_hyperplane(
+    roots: list[DimVector], n: DimVector, form
+) -> list[tuple[DimVector, tuple[DimVector, ...]]]:
+    """(canonical normal, sorted sources) per hyperplane {form(alpha) . x = 0}
+    cut by the roots, in normal order; a zero form cuts no proper hyperplane."""
+    rootset = set(roots)
+    groups: dict[IntVector, list[DimVector]] = {}
+    for alpha in roots:
+        key = _sign_insensitive_key(form(alpha))
+        if key is not None:
+            groups.setdefault(key, []).append(alpha)
+    merged = []
+    for group in groups.values():
+        cands = []
+        for alpha in group:
+            comp = tuple(x - y for x, y in zip(n, alpha))
+            cands.append(min(alpha, comp) if comp in rootset else alpha)
+        merged.append((min(cands), tuple(sorted(group))))
+    merged.sort()
+    return merged
 
 
 def quiver_walls(q: Quiver, n: DimVector) -> list[QuiverWall]:
     """One wall per distinct proper hyperplane of n-perp cut by R_+(n)."""
-    roots = bounded_roots(q, n)
-    rootset = set(roots)
     basis = nperp_basis(n)
-    groups: dict[IntVector, list[DimVector]] = {}
-    for alpha in roots:
-        coeffs = tuple(sum(b[i] * alpha[i] for i in range(len(n))) for b in basis)
-        key = _sign_insensitive_key(coeffs)
-        if key is None:
-            continue  # alpha proportional to n: cuts no proper hyperplane
-        groups.setdefault(key, []).append(alpha)
-    walls = [
-        QuiverWall(_canonical_normal(group, tuple(n), rootset), tuple(sorted(group)))
-        for group in groups.values()
-    ]
-    walls.sort(key=lambda w: w.normal)
-    return walls
+
+    def form(alpha):
+        return tuple(sum(x * y for x, y in zip(b, alpha)) for b in basis)
+
+    return [QuiverWall(*wall) for wall in _merge_by_hyperplane(bounded_roots(q, n), n, form)]
 
 
 @dataclass(frozen=True)
@@ -391,28 +396,31 @@ def ample_walls_through_h0(cfg: CurveConfig) -> list[AmpleWall]:
     q = quiver_from_config(cfg)
     n = cfg.mult
     chi = cfg.total_euler
-    roots = bounded_roots(q, n)
-    rootset = set(roots)
-    groups: dict[IntVector, list[DimVector]] = {}
-    for beta in roots:
+
+    def form(beta):
         chi_beta = sum(b * c for b, c in zip(beta, cfg.chi))
-        coeffs = tuple(chi * b - chi_beta * m for b, m in zip(beta, n))
-        key = _sign_insensitive_key(coeffs)
-        if key is None:
-            continue  # beta proportional to n: no proper wall
-        groups.setdefault(key, []).append(beta)
+        return tuple(chi * b - chi_beta * m for b, m in zip(beta, n))
+
     walls = []
-    for group in groups.values():
-        beta = _canonical_normal(group, tuple(n), rootset)
+    for beta, sources in _merge_by_hyperplane(bounded_roots(q, n), n, form):
         chi_beta = sum(b * c for b, c in zip(beta, cfg.chi))
-        coeffs = tuple(chi * b - chi_beta * m for b, m in zip(beta, n))
+        coeffs = form(beta)
         if sum(c * d for c, d in zip(coeffs, cfg.h0deg)) != 0:
             raise MathAssertionError(
                 f"relevant wall for beta={beta} misses h0deg; equal-slope data broken"
             )
-        walls.append(AmpleWall(beta, chi_beta, coeffs, tuple(sorted(group))))
-    walls.sort(key=lambda w: w.beta)
+        walls.append(AmpleWall(beta, chi_beta, coeffs, sources))
     return walls
+
+
+def wall_systems(cfg: CurveConfig) -> tuple[list[QuiverWall], list[AmpleWall]]:
+    """Both wall systems of the configuration, checked to be cut by the same
+    roots: the quiver walls' normals must equal the ample walls' betas."""
+    qwalls = quiver_walls(quiver_from_config(cfg), cfg.mult)
+    awalls = ample_walls_through_h0(cfg)
+    if [w.normal for w in qwalls] != [w.beta for w in awalls]:
+        raise MathAssertionError("quiver-side and ample-side wall systems disagree")
+    return qwalls, awalls
 
 
 def v_walls_bounded_scan(
@@ -429,15 +437,7 @@ def v_walls_bounded_scan(
     chi = cfg.total_euler
     seen: set[IntVector] = set()
     out = []
-
-    def boxed(i, prefix):
-        if i == cfg.s:
-            yield prefix
-            return
-        for b in range(n[i] + 1):
-            yield from boxed(i + 1, prefix + (b,))
-
-    for beta in boxed(0, ()):
+    for beta in boxed_vectors(n):
         if all(b == 0 for b in beta) or beta == tuple(n):
             continue
         for chi_g in range(-chi_bound, chi_bound + 1):
@@ -581,11 +581,7 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
         return CorrespondenceReport((), (), True, "one-vertex configuration: no walls")
     q = quiver_from_config(cfg)
     n = cfg.mult
-    awalls = ample_walls_through_h0(cfg)
-    qwalls = quiver_walls(q, n)
-    counts_match = len(awalls) == len(qwalls) and [w.beta for w in awalls] == [
-        w.normal for w in qwalls
-    ]
+    qwalls, awalls = wall_systems(cfg)
     h0 = tuple(Fraction(d) for d in cfg.h0deg)
     wall_checks = []
     for wall in awalls:
@@ -643,4 +639,4 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
         chamber_checks.append(
             ChamberCheck(a, theta, sig, True, verdict.generic, verdict.violators)
         )
-    return CorrespondenceReport(tuple(wall_checks), tuple(chamber_checks), counts_match)
+    return CorrespondenceReport(tuple(wall_checks), tuple(chamber_checks), True)

@@ -5,6 +5,7 @@ import pytest
 
 from quiverk3 import Representation, quiver_from_config, random_representation
 from quiverk3.cli import (
+    EXIT_ASSERTION,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -291,3 +292,104 @@ def test_moment_verify_command(affine_path, capsys):
     rep = payload["report"]
     assert rep["expected_rank"] == 1 and rep["expected_dim"] == 3
     assert rep["matching_trials"] == 3
+
+
+EXACT_REP = {
+    "schema_version": 1,
+    "mode": "exact",
+    "n": [1, 1],
+    "matrices": [{"x": [[1]], "y": [[0]]}, {"x": [[0]], "y": [[0]]}],
+}
+FLOAT_EDGE = {"x": [[[0.0, 0.0]]], "y": [[[0.0, 0.0]]]}
+STABILITY = ["stability", "--theta=-1,1"]
+
+
+@pytest.mark.parametrize(
+    "config_edit, rep_edit, argv, env, diagnostic",
+    [
+        pytest.param(
+            {"polarizations": ["H"]}, None, ["summary"], {},
+            "polarizations must be an object", id="polarizations-list",
+        ),
+        pytest.param(
+            {"options": {"seed": "x"}}, None, ["summary"], {},
+            "options.seed must be an integer", id="options-seed",
+        ),
+        pytest.param(
+            {}, None, ["moment-verify", "--trials", "1"], {"QRL_SEED": "x"},
+            "QRL_SEED must be an integer", id="env-seed",
+        ),
+        pytest.param(
+            {"options": {"budget": {"probes": "4"}}}, None, ["summary"], {},
+            "options.budget.probes must be an integer", id="budget-probes",
+        ),
+        pytest.param(
+            {"options": {"budget": {"tol": "1e-8"}}}, None, ["summary"], {},
+            "options.budget.tol must be a number", id="budget-tol",
+        ),
+        pytest.param(
+            {}, {"matrices": [[1], EXACT_REP["matrices"][1]]}, STABILITY, {},
+            "matrices[0] must be an object", id="matrix-entry-list",
+        ),
+        pytest.param(
+            {}, {"matrices": [{"x": [[1]]}, EXACT_REP["matrices"][1]]}, STABILITY, {},
+            "matrices[0] must be an object with 'x' and 'y'", id="matrix-entry-no-y",
+        ),
+        pytest.param(
+            {}, {"n": [1]}, STABILITY, {},
+            "n must be a list of 2 non-negative integers", id="rep-n-length",
+        ),
+        pytest.param(
+            {}, {"n": [1, -1]}, STABILITY, {},
+            "n must be a list of 2 non-negative integers", id="rep-n-negative",
+        ),
+        pytest.param(
+            {}, {"n": [1, "1"]}, STABILITY, {},
+            "n must be a list of 2 non-negative integers", id="rep-n-string",
+        ),
+        pytest.param(
+            {}, {"matrices": [{"x": [[1, 0]], "y": [[0]]}, EXACT_REP["matrices"][1]]},
+            STABILITY, {}, "matrices[0].x must be a 1 x 1 matrix", id="exact-shape",
+        ),
+        pytest.param(
+            {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[1.0]]}, FLOAT_EDGE]},
+            STABILITY, {}, "[re, im] number pairs", id="float-entry-scalar",
+        ),
+        pytest.param(
+            {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[[1.0, "i"]]]}, FLOAT_EDGE]},
+            STABILITY, {}, "[re, im] number pairs", id="float-entry-string",
+        ),
+        pytest.param(
+            {}, None, ["stability", "--theta=1,1"], {},
+            "theta . n != 0", id="theta-not-orthogonal",
+        ),
+    ],
+)
+def test_malformed_input_exits_2(
+    tmp_path, capsys, monkeypatch, config_edit, rep_edit, argv, env, diagnostic
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**AFFINE_DOC, **config_edit}))
+    tail = argv[1:]
+    if argv[0] == "stability":
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({**EXACT_REP, **(rep_edit or {})}))
+        tail = ["--rep", str(rep)] + tail
+    assert dispatch([argv[0], str(config)] + tail) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and diagnostic in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["summary"], ["walls", "--side", "both"], ["correspondence"]]
+)
+def test_wall_disagreement_exits_4(elliptic_path, capsys, monkeypatch, argv):
+    from quiverk3 import walls
+
+    ample_walls = walls.ample_walls_through_h0
+    monkeypatch.setattr(walls, "ample_walls_through_h0", lambda cfg: ample_walls(cfg)[1:])
+    assert dispatch([argv[0], elliptic_path, "--json"] + argv[1:]) == EXIT_ASSERTION
+    err = capsys.readouterr().err
+    assert "quiver-side and ample-side wall systems disagree" in err

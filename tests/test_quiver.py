@@ -152,6 +152,45 @@ def test_cb_simple_exists(elliptic_pair, affine_a1, affine_a1_22):
     assert not not_root.exists and not not_root.is_root
 
 
+def test_cb_simple_exists_matches_decomposition_oracle():
+    # a simple representation exists iff n is a root and every nontrivial
+    # decomposition sum k * beta = n has sum k * p(beta) < p(n)
+    rng = random.Random(211)
+    failures = 0
+    for _ in range(40):
+        cfg = random_config(rng, s_max=3)
+        q = quiver_from_config(cfg)
+        n = cfg.mult
+        pn = p_of(q, n)
+        is_root = is_positive_root(q, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            decs = decompositions(q, n)
+        oracle = is_root and all(
+            sum(k * p_of(q, beta) for k, beta in dec.parts) < pn
+            for dec in decs
+            if not dec.is_trivial(n)
+        )
+        verdict = cb_simple_exists(q, n)
+        assert verdict.exists == oracle and verdict.is_root == is_root
+        if is_root and not verdict.exists:
+            failures += 1
+            viol = verdict.violation
+            assert len(viol) >= 2 and all(is_positive_root(q, b) for b in viol)
+            assert tuple(map(sum, zip(*viol))) == n
+            assert sum(p_of(q, b) for b in viol) >= pn
+    assert failures > 0
+
+
+def test_bounded_roots_result_is_not_shared(affine_a1):
+    q = quiver_from_config(affine_a1)
+    roots = bounded_roots(q, (2, 2))
+    roots[0] = (7, 7)
+    roots.append((9, 9))
+    assert bounded_roots(q, (2, 2)) == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
+    assert not cb_simple_exists(q, (2, 2)).exists
+
+
 def test_mu_zero_expected_dim(elliptic_pair, affine_a1, one_loop, ogrady):
     qa = quiver_from_config(affine_a1)
     qe = quiver_from_config(elliptic_pair)
