@@ -149,7 +149,11 @@ def parse_config_document(doc: dict):
 
 def load_config(source: str):
     """Read a config document from a path or stdin ('-')."""
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,23 +169,16 @@ def _frac_to_json(f: Fraction):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _complex_to_json(z) -> list:
+    return [z.real, z.imag]
+
+
 def rep_to_dict(rep: Representation) -> dict:
-    mats = []
-    for x, y in rep.mats:
-        if rep.mode == EXACT:
-            mats.append(
-                {
-                    "x": [[_frac_to_json(e) for e in row] for row in x],
-                    "y": [[_frac_to_json(e) for e in row] for row in y],
-                }
-            )
-        else:
-            mats.append(
-                {
-                    "x": [[[e.real, e.imag] for e in row] for row in np.asarray(x)],
-                    "y": [[[e.real, e.imag] for e in row] for row in np.asarray(y)],
-                }
-            )
+    entry = _frac_to_json if rep.mode == EXACT else _complex_to_json
+    mats = [
+        {key: [[entry(e) for e in row] for row in m] for key, m in zip("xy", pair)}
+        for pair in rep.mats
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": rep.mode,
@@ -231,9 +228,6 @@ def rep_from_dict(quiver, doc: dict) -> Representation:
             raise SchemaError(f"matrices[{k}] must be an object with 'x' and 'y'")
         x = _parse_matrix(m["x"], n[t], n[s], entry, f"matrices[{k}].x")
         y = _parse_matrix(m["y"], n[s], n[t], entry, f"matrices[{k}].y")
-        if mode == FLOAT:
-            x = np.array(x, dtype=complex).reshape(n[t], n[s])
-            y = np.array(y, dtype=complex).reshape(n[s], n[t])
         mats.append((x, y))
     return Representation(quiver, n, mode, tuple(mats))
 
@@ -492,7 +486,8 @@ def _parse_theta(text: str, s: int):
 def _cmd_stability(cfg, pols, options, args):
     q = quiver_from_config(cfg)
     try:
-        doc = json.loads(open(args.rep).read())
+        with open(args.rep) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid representation JSON: {exc}") from None
     rep = rep_from_dict(q, doc)

@@ -1,8 +1,14 @@
 """Small dense exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
-Everything here is immutable and pure. Sizes are desk scale (dims <= ~20),
-so plain Gaussian elimination is more than enough.
+Matrices are tuples of tuples of Fraction (any nested rows of Fraction,
+numpy object arrays included, are accepted as input); vectors are tuples of
+Fraction. Everything here is immutable and pure. Sizes are desk scale
+(dims <= ~20), so plain Gaussian elimination is more than enough.
+
+Representation matrices are numpy arrays and multiply with ``@`` (see
+``reps``). This module keeps what exact mode needs beyond that: incremental
+row spans (``Span``, ``rank``), ``nullspace``, ``mat_vec`` and ``mat_inv``,
+and the tuple ``mat_mul`` that the tests use as an independent reference.
 """
 
 from __future__ import annotations
@@ -14,19 +20,6 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
-def to_vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def to_matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(to_vector(r) for r in rows)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    row = (Fraction(0),) * cols
-    return tuple(row for _ in range(rows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -34,23 +27,11 @@ def identity(n: int) -> Matrix:
 
 
 def shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+    return (len(m), len(m[0]) if len(m) else 0)
 
 
 def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
+    return tuple(zip(*m)) if len(m) else ()
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -62,10 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def mat_inv(a: Matrix) -> Matrix:

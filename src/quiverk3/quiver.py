@@ -145,24 +145,30 @@ def boxed_vectors(n: DimVector):
     yield from rec(0, ())
 
 
-# (quiver, n) pairs whose roots _roots_within keeps; bounded so that a process
-# running many configurations holds a fixed amount of memory
-_ROOT_CACHE_SIZE = 256
+# (quiver, n) pairs whose roots, quiver walls and simple-existence verdicts
+# are kept; bounded so that a process running many configurations holds a
+# fixed amount of memory
+CONFIG_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def _roots_within(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
     """Positive roots 0 < alpha <= n in lexicographic order, n included when
     it is a root. Every root-indexed computation reads this one enumeration."""
     return tuple(a for a in boxed_vectors(n) if is_positive_root(q, a))
 
 
-def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
-    """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n."""
+def check_bound(q: Quiver, n: DimVector) -> DimVector:
+    """n as a tuple, after checking its length and signs."""
     _check_length(q, n)
     if any(x < 0 for x in n):
         raise ValueError("n must be non-negative")
-    n = tuple(n)
+    return tuple(n)
+
+
+def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
+    """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n."""
+    n = check_bound(q, n)
     return [alpha for alpha in _roots_within(q, n) if alpha != n]
 
 
@@ -253,9 +259,13 @@ def cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
     dynamic programming over the box 0 <= r <= n).
     """
     _check_length(q, n)
+    return _cb_simple_exists(q, tuple(n))
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
     if not is_positive_root(q, n):
         return SimpleExistence(False, False, None)
-    n = tuple(n)
     # without n itself, best(n) ranges over plain sums with r >= 2 parts
     roots = tuple(r for r in _roots_within(q, n) if r != n)
     proots = {r: p_of(q, r) for r in roots}

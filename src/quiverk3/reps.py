@@ -8,7 +8,10 @@ checker whose certified verdicts carry explicit witnesses.
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
-representation.
+representation. Matrices are numpy arrays in both modes: dtype ``object``
+holding ``Fraction`` entries in exact mode, dtype ``complex`` in float mode.
+So ``@``, ``+``, ``-``, ``.T`` and slicing serve both, and exact arithmetic
+never passes through a float.
 """
 
 from __future__ import annotations
@@ -27,91 +30,89 @@ from .quiver import DimVector, Quiver, boxed_vectors, mu_zero_expected_dim, rep_
 EXACT = "exact"
 FLOAT = "float"
 
-
-def _zeros(mode: str, r: int, c: int):
-    return linalg.zeros(r, c) if mode == EXACT else np.zeros((r, c), dtype=complex)
-
-
-def _eye(mode: str, k: int):
-    return linalg.identity(k) if mode == EXACT else np.eye(k, dtype=complex)
+# the zero scalar of each mode; np.full infers the matching dtype from it
+_ZERO = {EXACT: Fraction(0), FLOAT: 0j}
+_DTYPE = {EXACT: object, FLOAT: complex}
 
 
-def _mul(mode: str, a, b):
-    return linalg.mat_mul(a, b) if mode == EXACT else a @ b
+def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndarray:
+    """m as a rows x cols array of the mode's dtype. The shape is checked on
+    the nested rows first, so a transposed or ragged input cannot be hidden
+    by a reshape; a matrix with no rows carries no column count."""
+    if isinstance(m, np.ndarray) and m.ndim == 2:
+        ok = m.shape == (rows, cols)
+    else:
+        try:
+            ok = len(m) == rows and all(len(r) == cols for r in m)
+        except TypeError:
+            ok = False
+    if not ok:
+        raise ValueError(f"{what} must be {rows} x {cols}")
+    return np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
 
 
-def _add(mode: str, a, b):
-    return linalg.mat_add(a, b) if mode == EXACT else a + b
+def _eye(k: int, zero) -> np.ndarray:
+    out = np.full((k, k), zero)
+    np.fill_diagonal(out, zero + 1)
+    return out
 
 
-def _sub(mode: str, a, b):
-    return linalg.mat_sub(a, b) if mode == EXACT else a - b
-
-
-def _inv(mode: str, a):
-    return linalg.mat_inv(a) if mode == EXACT else np.linalg.inv(a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Matrices (x_e, y_e) for each oriented edge of the quiver.
 
     x_e maps V_s(e) -> V_t(e) (shape n_t x n_s), y_e goes back.
-    ``mats`` is aligned with ``quiver.orientation``.
+    ``mats`` is aligned with ``quiver.orientation``. Matrices may be given as
+    nested rows or arrays; they are stored as numpy arrays, of ``Fraction``
+    objects in exact mode and of complex doubles in float mode. Equality
+    compares the entries.
     """
 
     quiver: Quiver
     n: DimVector
     mode: str
-    mats: tuple[tuple[object, object], ...]
+    mats: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
+        n = tuple(int(x) for x in self.n)
+        object.__setattr__(self, "n", n)
         if self.mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {self.mode!r}")
         edges = self.quiver.orientation
         if len(self.mats) != len(edges):
             raise ValueError("one (x, y) pair per oriented edge required")
-        for (s, t, _), (x, y) in zip(edges, self.mats):
-            if not _shape_ok(self.mode, x, self.n[t], self.n[s]):
-                raise ValueError(f"x matrix for edge {s}->{t} has wrong shape")
-            if not _shape_ok(self.mode, y, self.n[s], self.n[t]):
-                raise ValueError(f"y matrix for edge {s}->{t} has wrong shape")
+        mats = tuple(
+            (
+                _matrix(x, n[t], n[s], self.mode, f"x matrix for edge {s}->{t}"),
+                _matrix(y, n[s], n[t], self.mode, f"y matrix for edge {s}->{t}"),
+            )
+            for (s, t, _), (x, y) in zip(edges, self.mats)
+        )
+        object.__setattr__(self, "mats", mats)
+
+    def __eq__(self, other):
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return (self.quiver, self.n, self.mode) == (other.quiver, other.n, other.mode) and all(
+            np.array_equal(a, b)
+            for pa, pb in zip(self.mats, other.mats)
+            for a, b in zip(pa, pb)
+        )
+
+    @property
+    def zero(self):
+        """The zero scalar of the mode: Fraction(0) or 0j."""
+        return _ZERO[self.mode]
 
     @property
     def total_dim(self) -> int:
         return sum(self.n)
 
     def to_float(self) -> "Representation":
-        if self.mode == FLOAT:
-            return self
-
-        def conv(mat, rows, cols):
-            out = np.zeros((rows, cols), dtype=complex)
-            for i, row in enumerate(mat):
-                for j, e in enumerate(row):
-                    out[i, j] = complex(e)
-            return out
-
         mats = tuple(
-            (conv(x, self.n[t], self.n[s]), conv(y, self.n[s], self.n[t]))
-            for (s, t, _), (x, y) in zip(self.quiver.orientation, self.mats)
+            (x.astype(complex, copy=False), y.astype(complex, copy=False)) for x, y in self.mats
         )
         return Representation(self.quiver, self.n, FLOAT, mats)
-
-
-def _shape_ok(mode: str, m, rows: int, cols: int) -> bool:
-    """Exact matrices with zero rows carry no column count; accept them."""
-    if mode == FLOAT:
-        return tuple(m.shape) == (rows, cols)
-    return len(m) == rows and all(len(r) == cols for r in m)
-
-
-def _transpose_to(mode: str, m, out_rows: int, out_cols: int):
-    """Shape-aware transpose; exact empty matrices need explicit dimensions."""
-    if mode == FLOAT:
-        return m.T.copy()
-    return tuple(tuple(m[j][i] for j in range(out_cols)) for i in range(out_rows))
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,9 @@ class GroupElement:
 
 
 def zero_representation(q: Quiver, n: DimVector, mode: str = EXACT) -> Representation:
+    zero = _ZERO[mode]
     mats = tuple(
-        (_zeros(mode, n[t], n[s]), _zeros(mode, n[s], n[t]))
+        (np.full((n[t], n[s]), zero), np.full((n[s], n[t]), zero))
         for s, t, _ in q.orientation
     )
     return Representation(q, tuple(n), mode, mats)
@@ -164,36 +166,32 @@ def moment_map(rep: Representation) -> tuple:
 
     The blocks always sum to trace zero.
     """
-    q, n, mode = rep.quiver, rep.n, rep.mode
-    blocks = [_zeros(mode, ni, ni) for ni in n]
-    for (s, t, _), (x, y) in zip(q.orientation, rep.mats):
+    n = rep.n
+    blocks = [np.full((ni, ni), rep.zero) for ni in n]
+    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
         if n[s] == 0 or n[t] == 0:
             continue  # contributions through a zero space vanish
-        blocks[t] = _add(mode, blocks[t], _mul(mode, x, y))
-        blocks[s] = _sub(mode, blocks[s], _mul(mode, y, x))
+        blocks[t] = blocks[t] + x @ y
+        blocks[s] = blocks[s] - y @ x
     return tuple(blocks)
 
 
 def moment_trace(rep: Representation):
-    blocks = moment_map(rep)
-    if rep.mode == EXACT:
-        return sum((linalg.trace(b) for b in blocks), Fraction(0))
-    return sum(np.trace(b) for b in blocks)
+    return sum((np.trace(b) for b in moment_map(rep)), rep.zero)
 
 
 def act(g: GroupElement, rep: Representation) -> Representation:
     """x_e -> g_t x_e g_s^-1, y_e -> g_s y_e g_t^-1."""
-    mode = rep.mode
-    inv = [_inv(mode, b) for b in g.blocks]
-    mats = []
-    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        mats.append(
-            (
-                _mul(mode, _mul(mode, g.blocks[t], x), inv[s]),
-                _mul(mode, _mul(mode, g.blocks[s], y), inv[t]),
-            )
-        )
-    return Representation(rep.quiver, rep.n, mode, tuple(mats))
+    blocks = [_matrix(b, ni, ni, rep.mode) for b, ni in zip(g.blocks, rep.n)]
+    if rep.mode == EXACT:
+        inv = [_matrix(linalg.mat_inv(b), len(b), len(b), EXACT) for b in blocks]
+    else:
+        inv = [np.linalg.inv(b) for b in blocks]
+    mats = tuple(
+        (blocks[t] @ x @ inv[s], blocks[s] @ y @ inv[t])
+        for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats)
+    )
+    return Representation(rep.quiver, rep.n, rep.mode, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +202,22 @@ def act(g: GroupElement, rep: Representation) -> Representation:
 # edges in orientation order, x_e entries row-major then y_e entries.
 
 
-def _block_offsets(n: DimVector) -> list[int]:
+def _offsets(sizes) -> list[int]:
+    """Start of each block when blocks of these sizes are laid end to end,
+    then the total."""
     out = [0]
-    for ni in n:
-        out.append(out[-1] + ni * ni)
+    for k in sizes:
+        out.append(out[-1] + k)
     return out
 
 
-def moment_differential(rep: Representation):
-    """Matrix of (dx, dy) -> sum [dx, y] + [x, dy], assembled exactly from
-    the entries of the representation. Rank is at most n^t n - 1."""
-    q, n, mode = rep.quiver, rep.n, rep.mode
-    row_off = _block_offsets(n)
-    nrows = row_off[-1]
-    ncols = rep_space_dim(q, n)
-    if mode == FLOAT:
-        J = np.zeros((nrows, ncols), dtype=complex)
-
-        def put(r, c, v):
-            J[r, c] += v
-
-        def get_x(mat, i, j):
-            return mat[i, j]
-
-    else:
-        Jrows = [[Fraction(0)] * ncols for _ in range(nrows)]
-
-        def put(r, c, v):
-            Jrows[r][c] += v
-
-        def get_x(mat, i, j):
-            return mat[i][j]
-
+def moment_differential(rep: Representation) -> np.ndarray:
+    """Matrix of (dx, dy) -> sum [dx, y] + [x, dy], assembled from the entries
+    of the representation (exactly in exact mode). Rank is at most
+    n^t n - 1."""
+    q, n = rep.quiver, rep.n
+    row_off = _offsets(ni * ni for ni in n)
+    J = np.full((row_off[-1], rep_space_dim(q, n)), rep.zero)
     col = 0
     for (s, t, _), (x, y) in zip(q.orientation, rep.mats):
         ns, nt = n[s], n[t]
@@ -244,29 +226,24 @@ def moment_differential(rep: Representation):
             for b in range(ns):
                 c = col + a * ns + b
                 for qq in range(nt):  # (E_ab y)[a, qq] = y[b, qq]
-                    put(row_off[t] + a * nt + qq, c, get_x(y, b, qq))
+                    J[row_off[t] + a * nt + qq, c] += y[b, qq]
                 for p in range(ns):  # (-y E_ab)[p, b] = -y[p, a]
-                    put(row_off[s] + p * ns + b, c, -get_x(y, p, a))
+                    J[row_off[s] + p * ns + b, c] -= y[p, a]
         col += nt * ns
         # w.r.t. y entries
         for cc in range(ns):
             for dd in range(nt):
                 c = col + cc * nt + dd
                 for p in range(nt):  # (x E_cd)[p, dd] = x[p, cc]
-                    put(row_off[t] + p * nt + dd, c, get_x(x, p, cc))
+                    J[row_off[t] + p * nt + dd, c] += x[p, cc]
                 for qq in range(ns):  # (-E_cd x)[cc, qq] = -x[dd, qq]
-                    put(row_off[s] + cc * ns + qq, c, -get_x(x, dd, qq))
+                    J[row_off[s] + cc * ns + qq, c] -= x[dd, qq]
         col += ns * nt
-    if mode == FLOAT:
-        return J
-    return tuple(tuple(row) for row in Jrows)
+    return J
 
 
 def _flatten_mats(rep: Representation) -> np.ndarray:
-    parts = []
-    for x, y in rep.mats:
-        parts.append(np.asarray(x, dtype=complex).ravel())
-        parts.append(np.asarray(y, dtype=complex).ravel())
+    parts = [m.ravel() for pair in rep.mats for m in pair]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
@@ -416,22 +393,9 @@ def verify_ci_dim(
 # simplicity, subrepresentations, stability
 
 
-def _embed(mode: str, N: int, offs: list[int], mat, t: int, s: int):
-    if mode == FLOAT:
-        out = np.zeros((N, N), dtype=complex)
-        out[offs[t] : offs[t + 1], offs[s] : offs[s + 1]] = mat
-        return out
-    rows = [[Fraction(0)] * N for _ in range(N)]
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            rows[offs[t] + i][offs[s] + j] = v
-    return tuple(tuple(r) for r in rows)
-
-
-def _vertex_offsets(n: DimVector) -> list[int]:
-    out = [0]
-    for ni in n:
-        out.append(out[-1] + ni)
+def _embed(N: int, offs: list[int], mat: np.ndarray, t: int, s: int, zero) -> np.ndarray:
+    out = np.full((N, N), zero)
+    out[offs[t] : offs[t + 1], offs[s] : offs[s + 1]] = mat
     return out
 
 
@@ -444,59 +408,49 @@ def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
     N = sum(n)
     if N == 0:
         return False
-    offs = _vertex_offsets(n)
-    mode = rep.mode
+    offs = _offsets(n)
+    zero = rep.zero
     gens = []
     for i, ni in enumerate(n):
         if ni > 0:
-            gens.append(_embed(mode, N, offs, _eye(mode, ni), i, i))
+            gens.append(_embed(N, offs, _eye(ni, zero), i, i, zero))
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
         if n[s] > 0 and n[t] > 0:
-            gens.append(_embed(mode, N, offs, x, t, s))
-            gens.append(_embed(mode, N, offs, y, s, t))
+            gens.append(_embed(N, offs, x, t, s, zero))
+            gens.append(_embed(N, offs, y, s, t, zero))
 
-    if mode == EXACT:
+    if rep.mode == EXACT:
         span = linalg.Span()
 
-        def flat(m):
-            return tuple(v for row in m for v in row)
+        def try_add(m) -> bool:
+            return span.add(m.ravel().tolist())
 
-        frontier = []
-        for g in [_eye(mode, N)] + gens:
-            if span.add(flat(g)):
-                frontier.append(g)
-        while frontier and span.dim < N * N:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    p = linalg.mat_mul(g, m)
-                    if span.add(flat(p)):
-                        nxt.append(p)
-            frontier = nxt
-        return span.dim == N * N
+    else:
+        basis: list[np.ndarray] = []
 
-    basis: list[np.ndarray] = []
+        def try_add(m) -> bool:
+            v = m.ravel()
+            for b in basis:
+                v = v - (b.conj() @ v) * b
+            norm = np.linalg.norm(v)
+            if norm > tol * max(1.0, float(np.linalg.norm(m))):
+                basis.append(v / norm)
+                return True
+            return False
 
-    def try_add(m) -> bool:
-        v = m.ravel().astype(complex)
-        for b in basis:
-            v = v - (b.conj() @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > tol * max(1.0, float(np.linalg.norm(m))):
-            basis.append(v / norm)
-            return True
-        return False
-
-    frontier = [g for g in [_eye(mode, N)] + gens if try_add(g)]
-    while frontier and len(basis) < N * N:
+    # try_add is True exactly when the span grew by one
+    frontier = [g for g in [_eye(N, zero)] + gens if try_add(g)]
+    dim = len(frontier)
+    while frontier and dim < N * N:
         nxt = []
         for m in frontier:
             for g in gens:
                 p = g @ m
                 if try_add(p):
                     nxt.append(p)
+        dim += len(nxt)
         frontier = nxt
-    return len(basis) == N * N
+    return dim == N * N
 
 
 class _GradedSpan:
@@ -683,8 +637,8 @@ def _float_defect_and_grad(rep, beta, frames):
             grads[t] += nonlocal_grad_t
 
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        accumulate(np.asarray(x, dtype=complex), s, t)
-        accumulate(np.asarray(y, dtype=complex), t, s)
+        accumulate(x, s, t)
+        accumulate(y, t, s)
     return defect, grads
 
 
@@ -809,22 +763,15 @@ def direct_sum(*reps: Representation) -> Representation:
     if any(r.quiver != q or r.mode != mode for r in reps):
         raise ValueError("direct sum requires a common quiver and scalar mode")
     n = tuple(sum(r.n[i] for r in reps) for i in range(q.s))
-    mats = []
-    for e_idx, (s, t, _) in enumerate(q.orientation):
-        if mode == FLOAT:
-            x = _np_blockdiag([r.mats[e_idx][0] for r in reps])
-            y = _np_blockdiag([r.mats[e_idx][1] for r in reps])
-        else:
-            x = _frac_blockdiag([r.mats[e_idx][0] for r in reps], [r.n[t] for r in reps], [r.n[s] for r in reps])
-            y = _frac_blockdiag([r.mats[e_idx][1] for r in reps], [r.n[s] for r in reps], [r.n[t] for r in reps])
-        mats.append((x, y))
-    return Representation(q, n, mode, tuple(mats))
+    mats = tuple(
+        tuple(_blockdiag([r.mats[e][k] for r in reps], reps[0].zero) for k in (0, 1))
+        for e in range(len(q.orientation))
+    )
+    return Representation(q, n, mode, mats)
 
 
-def _np_blockdiag(blocks):
-    rtot = sum(b.shape[0] for b in blocks)
-    ctot = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rtot, ctot), dtype=complex)
+def _blockdiag(blocks: Sequence[np.ndarray], zero) -> np.ndarray:
+    out = np.full((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), zero)
     r = c = 0
     for b in blocks:
         out[r : r + b.shape[0], c : c + b.shape[1]] = b
@@ -833,33 +780,13 @@ def _np_blockdiag(blocks):
     return out
 
 
-def _frac_blockdiag(blocks, rdims, cdims):
-    rtot, ctot = sum(rdims), sum(cdims)
-    rows = [[Fraction(0)] * ctot for _ in range(rtot)]
-    r = c = 0
-    for b, rd, cd in zip(blocks, rdims, cdims):
-        for i in range(rd):
-            for j in range(cd):
-                rows[r + i][c + j] = b[i][j]
-        r += rd
-        c += cd
-    return tuple(tuple(row) for row in rows)
-
-
 def dual(rep: Representation) -> Representation:
     """Transpose all matrices and swap the roles of x_e and y_e.
 
     An involution; the moment-map blocks of the dual are the transposes of
     the original blocks.
     """
-    n = rep.n
-    mats = tuple(
-        (
-            _transpose_to(rep.mode, y, n[t], n[s]),
-            _transpose_to(rep.mode, x, n[s], n[t]),
-        )
-        for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats)
-    )
+    mats = tuple((y.T, x.T) for x, y in rep.mats)
     return Representation(rep.quiver, rep.n, rep.mode, mats)
 
 

@@ -16,15 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import MathAssertionError
 from .lattice import CurveConfig, DegreeVector, RationalVector
 from .quiver import (
+    CONFIG_CACHE_SIZE,
     DimVector,
     Quiver,
     bounded_roots,
     boxed_vectors,
+    check_bound,
     Decomposition,
     quiver_from_config,
 )
@@ -87,12 +90,17 @@ def _merge_by_hyperplane(
 
 def quiver_walls(q: Quiver, n: DimVector) -> list[QuiverWall]:
     """One wall per distinct proper hyperplane of n-perp cut by R_+(n)."""
+    return list(_quiver_walls(q, check_bound(q, n)))
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _quiver_walls(q: Quiver, n: DimVector) -> tuple[QuiverWall, ...]:
     basis = nperp_basis(n)
 
     def form(alpha):
         return tuple(sum(x * y for x, y in zip(b, alpha)) for b in basis)
 
-    return [QuiverWall(*wall) for wall in _merge_by_hyperplane(bounded_roots(q, n), n, form)]
+    return tuple(QuiverWall(*wall) for wall in _merge_by_hyperplane(bounded_roots(q, n), n, form))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ def _is_zero_matrix(m) -> bool:
 
 
 def _columns(m):
-    if not m:
+    if len(m) == 0:
         return []
     return [tuple(row[j] for row in m) for j in range(len(m[0]))]
 

@@ -393,3 +393,17 @@ def test_wall_disagreement_exits_4(elliptic_path, capsys, monkeypatch, argv):
     assert dispatch([argv[0], elliptic_path, "--json"] + argv[1:]) == EXIT_ASSERTION
     err = capsys.readouterr().err
     assert "quiver-side and ample-side wall systems disagree" in err
+
+
+def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):
+    import gc
+    import warnings
+
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(EXACT_REP))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert dispatch(["cb-check", affine_path]) == EXIT_OK
+        assert dispatch(["stability", affine_path, "--rep", str(rep), "--theta=-1,1"]) == EXIT_OK
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

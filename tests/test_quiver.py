@@ -18,6 +18,7 @@ from quiverk3 import (
     p_of,
     quiver_from_config,
     quiver_to_dot,
+    quiver_walls,
     rep_space_dim,
 )
 from quiverk3.quiver import Quiver
@@ -189,6 +190,11 @@ def test_bounded_roots_result_is_not_shared(affine_a1):
     roots.append((9, 9))
     assert bounded_roots(q, (2, 2)) == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
     assert not cb_simple_exists(q, (2, 2)).exists
+    walls = quiver_walls(q, [2, 2])
+    expected = list(walls)
+    walls[0] = None
+    walls.append(None)
+    assert quiver_walls(q, (2, 2)) == expected
 
 
 def test_mu_zero_expected_dim(elliptic_pair, affine_a1, one_loop, ogrady):

@@ -23,6 +23,7 @@ from quiverk3 import (
     moment_map,
     quiver_from_config,
     random_representation,
+    rep_space_dim,
     slope_theta,
     solve_moment_zero,
     verify_ci_dim,
@@ -82,7 +83,7 @@ def test_moment_map_zero_when_y_zero():
             q,
             rep.n,
             "exact",
-            tuple((x, linalg.zeros(len(y), len(y[0]) if y else 0)) for x, y in rep.mats),
+            tuple((x, 0 * y) for x, y in rep.mats),
         )
         assert all(
             all(all(e == 0 for e in row) for row in block)
@@ -135,7 +136,7 @@ def test_act_equivariance_exact():
             linalg.mat_mul(linalg.mat_mul(g.blocks[i], m), linalg.mat_inv(g.blocks[i]))
             for i, m in enumerate(moment_map(rep))
         )
-        assert lhs == rhs
+        assert all(np.array_equal(a, b) for a, b in zip(lhs, rhs))
 
 
 def test_act_rejects_singular(affine_a1):
@@ -198,6 +199,39 @@ def test_moment_differential_exact_matches_float(affine_a1):
     assert np.allclose(
         np.array([[complex(e) for e in row] for row in exact]), fl
     )
+
+
+def test_moment_differential_matches_polarization():
+    # mu is quadratic, so mu(rep + E) - mu(rep) - mu(E) = d mu_rep(E) exactly;
+    # column c of the differential is that difference for the c-th unit vector
+    rng = random.Random(89)
+    for _ in range(8):
+        cfg = random_config(rng, s_max=3, mult_max=2)
+        q, n = quiver_from_config(cfg), cfg.mult
+        rep = random_representation(q, n, seed=rng.randint(0, 999))
+
+        def unit(c):
+            vec = np.full(rep_space_dim(q, n), F(0))
+            vec[c] = F(1)
+            mats, pos = [], 0
+            for s, t, _ in q.orientation:
+                x = vec[pos : pos + n[t] * n[s]].reshape(n[t], n[s])
+                y = vec[pos + x.size : pos + 2 * x.size].reshape(n[s], n[t])
+                mats.append((x, y))
+                pos += 2 * x.size
+            return Representation(q, n, "exact", tuple(mats))
+
+        columns = []
+        for c in range(rep_space_dim(q, n)):
+            E = unit(c)
+            moved = Representation(q, n, "exact", tuple(
+                (x + ex, y + ey) for (x, y), (ex, ey) in zip(rep.mats, E.mats)
+            ))
+            columns.append(np.concatenate([
+                (a - b - d).ravel()
+                for a, b, d in zip(moment_map(moved), moment_map(rep), moment_map(E))
+            ]))
+        assert np.array_equal(moment_differential(rep), np.stack(columns, axis=1))
 
 
 def test_solver_immediate_on_zero_y(affine_a1):
@@ -344,7 +378,7 @@ def test_direct_sum_properties(affine_a1):
     d = direct_sum(r, r)
     assert d.n == (2, 2)
     m = moment_map(d)
-    assert m[0] == ((F(0), F(0)), (F(0), F(0)))
+    assert m[0].tolist() == [[F(0), F(0)], [F(0), F(0)]]
     assert not is_simple(d)
 
 
@@ -357,7 +391,7 @@ def test_dual_involution_and_moment(affine_a1, elliptic_pair):
         m = moment_map(rep)
         md = moment_map(dual(rep))
         for i in range(q.s):
-            assert md[i] == linalg.transpose(m[i]) or (m[i] == () and md[i] == ())
+            assert np.array_equal(md[i], m[i].T)
 
 
 def test_destabilizer_duality(affine_a1):
@@ -372,3 +406,81 @@ def test_destabilizer_duality(affine_a1):
     from quiverk3.reps import graded_invariance_holds
 
     assert graded_invariance_holds(dual(rep), bases)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_representation_input_normalization(affine_a1, mode):
+    q = quiver_from_config(affine_a1)  # two edges 0 -> 1
+    one = F(1) if mode == "exact" else 1.0 + 0j
+
+    def rows(r, c):
+        return tuple(tuple(one * (i + j) for j in range(c)) for i in range(r))
+
+    # x is n_1 x n_0 = 3 x 2; a 2 x 3 matrix has the same size but not the shape
+    good = (rows(3, 2), rows(2, 3))
+    Representation(q, (2, 3), mode, (good, good))
+    with pytest.raises(ValueError):
+        Representation(q, (2, 3), mode, ((rows(2, 3), rows(2, 3)), good))
+    with pytest.raises(ValueError):
+        Representation(q, (2, 3), mode, ((np.array(rows(2, 3)), rows(2, 3)), good))
+    ragged = (rows(1, 2)[0], rows(1, 2)[0], rows(1, 1)[0])
+    with pytest.raises(ValueError):
+        Representation(q, (2, 3), mode, ((ragged, rows(2, 3)), good))
+    # zero rows carry no column count; zero columns are rows of length 0
+    for n, x, y in (((2, 0), (), ((), ())), ((0, 2), ((), ()), ())):
+        rep = Representation(q, n, mode, ((x, y), (x, y)))
+        assert rep.mats[0][0].shape == (n[1], n[0])
+        assert rep.mats[0][1].shape == (n[0], n[1])
+    # tuple, list and array inputs build equal representations
+    as_list = tuple(tuple([list(r) for r in m] for m in pair) for pair in (good, good))
+    as_array = tuple(tuple(np.array(m) for m in pair) for pair in (good, good))
+    built = [Representation(q, (2, 3), mode, mats) for mats in ((good, good), as_list, as_array)]
+    assert built[0] == built[1] == built[2]
+
+
+def _exact_entries(*mats):
+    return all(type(e) is Fraction for m in mats for e in np.asarray(m).ravel())
+
+
+def _close(a, b):
+    return np.allclose(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["elliptic_pair", "affine_a1", "affine_a1_22", "ogrady", "one_loop"]
+)
+def test_exact_storage_stays_exact_and_commutes_with_to_float(fixture, request):
+    cfg = request.getfixturevalue(fixture)
+    q = quiver_from_config(cfg)
+    rng = random.Random(97)
+    for seed in range(3):
+        rep = random_representation(q, cfg.mult, seed=seed)
+        other = random_representation(q, cfg.mult, seed=seed + 10)
+        blocks = []
+        for ni in cfg.mult:
+            while True:
+                g = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ni))
+                          for _ in range(ni))
+                try:
+                    linalg.mat_inv(g)
+                    break
+                except ZeroDivisionError:
+                    continue
+            blocks.append(g)
+        g = GroupElement(tuple(blocks))
+        g_float = GroupElement(tuple(np.array(b, dtype=complex) for b in blocks), mode="float")
+        pairs = [
+            (rep, rep.to_float()),
+            (act(g, rep), act(g_float, rep.to_float())),
+            (dual(rep), dual(rep.to_float())),
+            (direct_sum(rep, other), direct_sum(rep.to_float(), other.to_float())),
+        ]
+        for exact, fl in pairs:
+            assert exact.mode == "exact" and fl.mode == "float"
+            assert _exact_entries(*(m for pair in exact.mats for m in pair))
+            for pe, pf in zip(exact.to_float().mats, fl.mats):
+                assert all(_close(a, b) for a, b in zip(pe, pf))
+            mu = moment_map(exact)
+            assert _exact_entries(*mu)
+            assert all(_close(a, b) for a, b in zip(mu, moment_map(fl)))
