@@ -309,9 +309,12 @@ def _parse_dimvec(text: str, s: int):
     if len(parts) != s:
         raise SchemaError(f"expected {s} comma-separated entries, got {len(parts)}")
     try:
-        return tuple(int(p) for p in parts)
+        vec = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise SchemaError(f"bad dimension vector {text!r}: {exc}") from None
+    if any(x < 0 for x in vec):
+        raise SchemaError(f"bad dimension vector {text!r}: entries must be non-negative")
+    return vec
 
 
 def _cmd_roots(cfg, pols, options, args):

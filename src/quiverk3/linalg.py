@@ -110,10 +110,9 @@ class Span:
     Burnside closures and graded subspace accumulation.
     """
 
-    def __init__(self, length: int | None = None):
+    def __init__(self):
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
-        self.length = length
 
     @property
     def dim(self) -> int:

@@ -16,6 +16,7 @@ never passes through a float.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,8 @@ _DTYPE = {EXACT: object, FLOAT: complex}
 def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndarray:
     """m as a rows x cols array of the mode's dtype. The shape is checked on
     the nested rows first, so a transposed or ragged input cannot be hidden
-    by a reshape; a matrix with no rows carries no column count."""
+    by a reshape; a matrix with no rows carries no column count. Exact mode
+    refuses entries that are not rational instead of converting them."""
     if isinstance(m, np.ndarray) and m.ndim == 2:
         ok = m.shape == (rows, cols)
     else:
@@ -48,7 +50,10 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
             ok = False
     if not ok:
         raise ValueError(f"{what} must be {rows} x {cols}")
-    return np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
+    out = np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
+    if mode == EXACT and not all(isinstance(e, numbers.Rational) for e in out.flat):
+        raise ValueError(f"{what} must have rational entries")
+    return out
 
 
 def _eye(k: int, zero) -> np.ndarray:

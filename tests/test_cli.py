@@ -363,6 +363,10 @@ STABILITY = ["stability", "--theta=-1,1"]
             {}, None, ["stability", "--theta=1,1"], {},
             "theta . n != 0", id="theta-not-orthogonal",
         ),
+        pytest.param(
+            {}, None, ["roots", "--bound=-1,0"], {},
+            "entries must be non-negative", id="roots-bound-negative",
+        ),
     ],
 )
 def test_malformed_input_exits_2(

@@ -436,6 +436,11 @@ def test_representation_input_normalization(affine_a1, mode):
     as_array = tuple(tuple(np.array(m) for m in pair) for pair in (good, good))
     built = [Representation(q, (2, 3), mode, mats) for mats in ((good, good), as_list, as_array)]
     assert built[0] == built[1] == built[2]
+    # exact mode refuses float and complex entries rather than keeping them
+    if mode == "exact":
+        for bad in (0.5, 1j):
+            with pytest.raises(ValueError, match="x matrix for edge 0->1"):
+                Representation(q, (1, 1), mode, ((((bad,),), ((1,),)), (((F(1, 10),),), ((3,),))))
 
 
 def _exact_entries(*mats):

@@ -294,6 +294,28 @@ def test_verify_correspondence_random():
         assert all(w.all_on_image_wall for w in report.walls)
 
 
+def test_correspondence_chamber_facts_match_per_chamber_oracle(affine_a1_22):
+    """verify_correspondence reads signatures from the chamber set and decides
+    genericity once; recomputing both chamber by chamber must agree. The
+    affine (2,2) fixture has a root proportional to n, violated everywhere."""
+    rng = random.Random(404)
+    draws = [random_config(rng, s_min=2, s_max=4, mult_max=2) for _ in range(10)]
+    with_violators = 0
+    for cfg in [affine_a1_22] + draws:
+        q, n = quiver_from_config(cfg), cfg.mult
+        walls = quiver_walls(q, n)
+        report = verify_correspondence(cfg, samples_per_wall=1)
+        sigs = [c.signature for c in report.chambers]
+        assert len(set(sigs)) == len(sigs)
+        for c in report.chambers:
+            assert c.signature == chamber_signature(c.theta, walls)
+            assert 0 not in c.signature
+            verdict = is_generic(c.theta, q, n)
+            assert (c.generic, c.violators) == (verdict.generic, verdict.violators)
+        with_violators += bool(report.chambers[0].violators)
+    assert with_violators >= 1
+
+
 def test_v_walls_bounded_scan(elliptic_pair):
     scan = v_walls_bounded_scan(elliptic_pair, 3)
     assert all(abs(chi_g) <= 3 for _, chi_g, _, _ in scan)
