@@ -277,15 +277,20 @@ def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
 
 
 def _seed_from(args, options) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
     env = os.environ.get("QRL_SEED")
-    if env is not None:
+    if getattr(args, "seed", None) is not None:
+        seed = args.seed
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise SchemaError(f"QRL_SEED must be an integer, got {env!r}") from None
-    return options.get("seed", 0)
+    else:
+        seed = options.get("seed", 0)
+    # numpy's generators refuse negative seeds
+    if seed < 0:
+        raise SchemaError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cmd_quiver(cfg, pols, options, args):

@@ -14,6 +14,7 @@ Everything is exact rational arithmetic; no floating point anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -150,6 +151,18 @@ def nperp_basis(n: DimVector) -> list[IntVector]:
 Constraint = tuple[tuple[int, ...], int]  # coeffs . x >= rhs, integral
 
 
+def _dot(f: Sequence, v: Sequence):
+    """f . v over the shorter of the two."""
+    return sum(map(operator.mul, f, v))
+
+
+def _cleared(pt: Sequence[Fraction]) -> tuple[int, IntVector]:
+    """(m, m * pt) for m the lcm of pt's denominators: an integer point on
+    pt's ray."""
+    m = math.lcm(*(x.denominator for x in pt))
+    return m, tuple(x.numerator * (m // x.denominator) for x in pt)
+
+
 class _FMBlowup(Exception):
     """Fourier-Motzkin intermediate system exceeded its size budget."""
 
@@ -161,11 +174,11 @@ def _fm_core(
     clean: list[Constraint] = []
     seen = set()
     for coeffs, rhs in cons:
-        if all(x == 0 for x in coeffs):
+        if not any(coeffs):
             if rhs > 0:
                 return None
             continue
-        g = math.gcd(*(abs(x) for x in coeffs), abs(rhs))
+        g = math.gcd(*coeffs, rhs)
         key = (tuple(x // g for x in coeffs), rhs // g)
         if key not in seen:
             seen.add(key)
@@ -192,12 +205,14 @@ def _fm_core(
     sub = _fm_core(rest, nvars - 1, limit)
     if sub is None:
         return None
+    # sub = isub / m, so each bound is one quotient of integers
+    m, isub = _cleared(sub)
     lo = hi = None
     for cl, bl in lowers:
-        v = (Fraction(bl) - sum(x * y for x, y in zip(cl[:-1], sub))) / cl[-1]
+        v = Fraction(bl * m - _dot(cl, isub), cl[-1] * m)
         lo = v if lo is None else max(lo, v)
     for cu, bu in uppers:
-        v = (sum(x * y for x, y in zip(cu[:-1], sub)) - Fraction(bu)) / (-cu[-1])
+        v = Fraction(_dot(cu, isub) - bu * m, -cu[-1] * m)
         hi = v if hi is None else min(hi, v)
     if lo is not None and hi is not None:
         val = (lo + hi) / 2
@@ -318,9 +333,82 @@ class ChamberSet:
     walls: tuple[QuiverWall, ...]
 
 
+def _primitive(v: IntVector) -> IntVector:
+    """v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return v if g == 1 else tuple(x // g for x in v)
+
+
+# A closed polyhedral cone, exactly: integer lineality lines, and primitive
+# extreme rays, each with the bitmask of processed functionals vanishing on it.
+Ray = tuple[IntVector, int]
+Generators = tuple[list[IntVector], list[Ray]]
+
+
+def _cut(
+    f: IntVector, bit: int, lines: list[IntVector], rays: list[Ray]
+) -> tuple[Generators | None, Generators | None]:
+    """Generators of the cone's halves {f >= 0} and {f <= 0}, with None for
+    a half whose open part {f > 0} (resp. {f < 0}) misses the cone.
+
+    This is one double-description step (Fukuda & Prodon 1996). ``bit`` is
+    f's place in the zero masks; all lower bits are the functionals already
+    processed, which vanish on every line.
+    """
+    for k, line in enumerate(lines):
+        a = _dot(f, line)
+        if a:
+            # a line crossing f: it becomes each half's new ray, and the
+            # other generators are projected along it onto ker f
+            l0 = line if a > 0 else tuple(-x for x in line)
+            a = abs(a)
+
+            def along(g):  # a * g - (f . g) * l0, with f . l0 = a > 0
+                b = _dot(f, g)
+                return _primitive(tuple(a * x - b * y for x, y in zip(g, l0))) if b else g
+
+            kept = [along(g) for i, g in enumerate(lines) if i != k]
+            proj = [(along(r), z | bit) for r, z in rays]
+            return ((kept, proj + [(l0, bit - 1)]),
+                    (kept, proj + [(tuple(-x for x in l0), bit - 1)]))
+    pos, neg, zero = [], [], []
+    for r, z in rays:
+        v = _dot(f, r)
+        if v > 0:
+            pos.append((r, z, v))
+        elif v < 0:
+            neg.append((r, z, v))
+        else:
+            zero.append((r, z | bit))
+    if not (pos and neg):
+        return tuple((lines, [(r, z) for r, z, _ in side] + zero) if side else None
+                     for side in (pos, neg))
+    # adjacent (+, -) pairs: no third ray vanishes on all that vanishes on both
+    masks = [z for _, z in rays]
+    crossing = []
+    for rp, zp, vp in pos:
+        for rn, zn, vn in neg:
+            common = zp & zn
+            if sum(common & z == common for z in masks) == 2:
+                ray = _primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+                crossing.append((ray, common | bit))
+    shared = zero + crossing
+    return ((lines, [(r, z) for r, z, _ in pos] + shared),
+            (lines, [(r, z) for r, z, _ in neg] + shared))
+
+
 def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     """Exact enumeration of the full-dimensional sign cells of the wall
     arrangement in n-perp, with one interior rational point per cell.
+
+    Cells are split one wall functional at a time. Each cell carries the
+    exact integer generators of its closed cone, and a side of a split is
+    nonempty iff some generator is strictly on that side: the cell is open
+    and homogeneous, so it meets {sgn f > 0} iff its closure does. The
+    generators decide every split; Fourier-Motzkin (the exact simplex on a
+    blowup) only produces an interior point, for a side proven nonempty
+    whose parent's point fails. A solve that finds no point on such a side
+    is a broken identity and raises ``MathAssertionError``.
 
     Chamber facts are decided here: each representative is certified to
     realize its own sign cell, so ``signatures`` are zero-free and pairwise
@@ -345,37 +433,50 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
         ext = [(tuple(s * x for x in g), 1) for s, g in zip(signs, functionals)]
         ext.append((tuple(sgn * x for x in f), 1))
         try:
-            return _fm_core(ext, d, limit=4000)
+            found = _fm_core(ext, d, limit=4000)
         except _FMBlowup:
-            return lp_feasible_point(ext, d)
+            found = lp_feasible_point(ext, d)
+        if found is None:
+            raise MathAssertionError(
+                f"no interior point found for sign cell {signs + (sgn,)}, "
+                "which its extreme rays prove nonempty"
+            )
+        return found
 
-    # cells: (signs so far, a strictly interior point). By homogeneity a
-    # point with all processed functionals strictly of the right sign
-    # certifies the open cell, so it is reused until it fails.
-    cells: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [((), start)]
-    for f in functionals:
+    # cells: (signs so far, a strictly interior point and its integer
+    # multiple, generators). By homogeneity a point with all processed
+    # functionals strictly of the right sign certifies the open cell, so it
+    # is reused until it fails.
+    axes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    cells = [((), start, _cleared(start)[1], axes, [])]
+    for k, f in enumerate(functionals):
         new_cells = []
-        for signs, pt in cells:
-            val = sum(x * y for x, y in zip(f, pt))
-            for sgn in (1, -1):
-                found = pt if sgn * val > 0 else solve(signs, f, sgn)
-                if found is not None:
-                    new_cells.append((signs + (sgn,), found))
+        for signs, pt, ipt, lines, rays in cells:
+            val = _dot(f, ipt)
+            for sgn, half in zip((1, -1), _cut(f, 1 << k, lines, rays)):
+                if half is None:
+                    continue
+                if sgn * val > 0:
+                    new_cells.append((signs + (sgn,), pt, ipt) + half)
+                else:
+                    found = solve(signs, f, sgn)
+                    new_cells.append((signs + (sgn,), found, _cleared(found)[1]) + half)
         cells = new_cells
     reps = []
-    for signs, u in cells:
+    for signs, u, *_ in cells:
         theta = tuple(
             sum((u[k] * basis[k][i] for k in range(d)), Fraction(0))
             for i in range(len(n))
         )
-        # f . u == theta . normal exactly: the signature test on theta
-        if any(sgn * sum(x * y for x, y in zip(f, u)) <= 0
-               for sgn, f in zip(signs, functionals)):
+        # f . u == theta . normal exactly: the signature test on theta, on a
+        # positive integer multiple of u
+        _, iu = _cleared(u)
+        if any(sgn * _dot(f, iu) <= 0 for sgn, f in zip(signs, functionals)):
             raise MathAssertionError(
                 f"chamber representative {theta} does not realize its sign cell {signs}"
             )
         reps.append(theta)
-    return ChamberSet(len(cells), tuple(reps), tuple(signs for signs, _ in cells), tuple(walls))
+    return ChamberSet(len(cells), tuple(reps), tuple(cell[0] for cell in cells), tuple(walls))
 
 
 # ---------------------------------------------------------------------------

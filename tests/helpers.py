@@ -3,8 +3,11 @@
 These deliberately take different routes from the library code they check:
 the simplicity oracle decides existence of a proper invariant graded subspace
 over the complex numbers by direct case analysis (coordinate subspaces plus
-exact common-invariant-line decisions), and the chamber oracle counts cells
-of a 2-dimensional central arrangement by an exact angular sweep.
+exact common-invariant-line decisions), the sweep oracle counts cells of a
+2-dimensional central arrangement by an exact angular sweep, and the
+Zaslavsky oracle counts chambers in any dimension from the intersection
+lattice of the walls. ``config_document`` is the one builder of CLI config
+documents for the tests.
 """
 
 from __future__ import annotations
@@ -241,3 +244,81 @@ def sweep_chambers(q, n, walls):
             sigs.add(sig)
             count += 1
     return count, sigs
+
+
+# ---------------------------------------------------------------------------
+# chamber-count oracle (Zaslavsky's theorem)
+
+
+def _residual(echelon: list[tuple[int, list[int]]], v) -> list[int]:
+    """v reduced, fraction-free, against echelon rows (pivot, row)."""
+    v = list(v)
+    for p, row in echelon:
+        if v[p]:
+            v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+    return v
+
+
+def _echelon_add(echelon, v) -> None:
+    """Add v, reduced, to the echelon rows; v must not lie in their span."""
+    v = _residual(echelon, v)
+    echelon.append((next(i for i, x in enumerate(v) if x), v))
+
+
+def zaslavsky_chamber_count(n, walls) -> int:
+    """Chambers of the central arrangement {theta . normal = 0} in n-perp,
+    counted by Zaslavsky's theorem as the sum of |mu(0, X)| over the
+    intersection lattice (Zaslavsky 1975, Mem. AMS 154).
+
+    A wall's normal restricts to n-perp with kernel R n, so a set of walls
+    spans the subspace span(n, normals) / R n of the dual of n-perp. A flat
+    is the set of all walls whose normals lie in that span; flats are found
+    rank by rank, each rank-(r+1) flat as the closure of a rank-r flat plus
+    one more wall. Exact integer elimination throughout; no feasibility
+    solve and no cone generators.
+    """
+    normals = [tuple(w.normal) for w in walls]
+    base: list = []
+    _echelon_add(base, n)
+    layer = [(frozenset(), base)]  # (flat, echelon rows of n and its normals)
+    seen = {frozenset()}
+    mu = {frozenset(): 1}
+    while layer:
+        nxt = []
+        for flat, echelon in layer:
+            covered = set(flat)
+            for i, v in enumerate(normals):
+                if i in covered:
+                    continue
+                grown = list(echelon)
+                _echelon_add(grown, v)
+                closure = frozenset(
+                    j for j, w in enumerate(normals) if not any(_residual(grown, w))
+                )
+                covered |= closure
+                if closure not in seen:
+                    seen.add(closure)
+                    nxt.append((closure, grown))
+        for flat, _ in nxt:
+            mu[flat] = -sum(m for below, m in mu.items() if below < flat)
+        layer = nxt
+    return sum(abs(m) for m in mu.values())
+
+
+# ---------------------------------------------------------------------------
+# CLI config documents
+
+
+def config_document(cfg, polarizations=None, options=None) -> dict:
+    """The CLI config document of a CurveConfig: its curves, gram and mult,
+    the base polarization as ``H0`` followed by ``polarizations``, and
+    ``options`` when given."""
+    doc = {
+        "curves": [{"chi": c, "h0deg": d} for c, d in zip(cfg.chi, cfg.h0deg)],
+        "gram": [list(r) for r in cfg.gram],
+        "mult": list(cfg.mult),
+        "polarizations": {"H0": list(cfg.h0deg), **(polarizations or {})},
+    }
+    if options is not None:
+        doc["options"] = options
+    return doc

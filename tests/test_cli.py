@@ -320,6 +320,18 @@ STABILITY = ["stability", "--theta=-1,1"]
             "QRL_SEED must be an integer", id="env-seed",
         ),
         pytest.param(
+            {"options": {"seed": -1}}, None, ["moment-verify", "--trials", "1"], {},
+            "seed must be a non-negative integer, got -1", id="options-seed-negative",
+        ),
+        pytest.param(
+            {}, None, ["moment-verify", "--trials", "1", "--seed", "-2"], {},
+            "seed must be a non-negative integer, got -2", id="flag-seed-negative",
+        ),
+        pytest.param(
+            {}, None, STABILITY, {"QRL_SEED": "-3"},
+            "seed must be a non-negative integer, got -3", id="env-seed-negative",
+        ),
+        pytest.param(
             {"options": {"budget": {"probes": "4"}}}, None, ["summary"], {},
             "options.budget.probes must be an integer", id="budget-probes",
         ),

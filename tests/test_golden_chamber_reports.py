@@ -22,6 +22,7 @@ import pytest
 
 from quiverk3.cli import EXIT_OK, dispatch
 from conftest import random_config
+from helpers import config_document
 
 SEEDS = (0, 1, 4)  # 10, 14 and 14 walls; mult (1,2,1,1), (1,2,2,1), (1,1,2,2)
 COMMANDS = ("chambers", "correspondence", "summary")
@@ -34,12 +35,7 @@ def draw(seed):
 def report_digests(cfg, tmp_dir) -> dict[str, str]:
     """sha256 of the --json stdout of every command in COMMANDS for cfg."""
     cpath = tmp_dir / "config.json"
-    cpath.write_text(json.dumps({
-        "curves": [{"chi": c, "h0deg": d} for c, d in zip(cfg.chi, cfg.h0deg)],
-        "gram": [list(r) for r in cfg.gram],
-        "mult": list(cfg.mult),
-        "polarizations": {"H0": list(cfg.h0deg)},
-    }))
+    cpath.write_text(json.dumps(config_document(cfg)))
     out = {}
     for cmd in COMMANDS:
         buf = io.StringIO()

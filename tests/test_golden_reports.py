@@ -19,6 +19,7 @@ import pytest
 
 from quiverk3 import quiver_from_config, random_representation
 from quiverk3.cli import EXIT_OK, dispatch, rep_to_dict
+from helpers import config_document
 
 FIXTURES = ("elliptic_pair", "affine_a1", "affine_a1_22", "ogrady", "one_loop")
 
@@ -43,13 +44,8 @@ def report_digests(cfg, tmp_dir) -> dict[str, str]:
     """sha256 of the --json stdout of every command in COMMANDS for cfg."""
     n = cfg.mult
     cpath, rpath = tmp_dir / "config.json", tmp_dir / "rep.json"
-    cpath.write_text(json.dumps({
-        "curves": [{"chi": c, "h0deg": d} for c, d in zip(cfg.chi, cfg.h0deg)],
-        "gram": [list(r) for r in cfg.gram],
-        "mult": list(n),
-        "polarizations": {"H0": list(cfg.h0deg), "H1": [d + 1 for d in cfg.h0deg]},
-        "options": {"ell": 3, "seed": 1},
-    }))
+    cpath.write_text(json.dumps(config_document(
+        cfg, {"H1": [d + 1 for d in cfg.h0deg]}, {"ell": 3, "seed": 1})))
     rep = random_representation(quiver_from_config(cfg), n, seed=7)
     rpath.write_text(json.dumps(rep_to_dict(rep)))
     theta = [-n[1], n[0]] + [0] * (cfg.s - 2) if cfg.s >= 2 else [0]

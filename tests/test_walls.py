@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from quiverk3 import walls as walls_module
 from quiverk3 import (
     DegreeVector,
     MathAssertionError,
@@ -23,9 +27,17 @@ from quiverk3 import (
     verify_correspondence,
     xi_map,
 )
-from quiverk3.walls import fm_feasible_point, lp_feasible_point, nperp_basis
+from quiverk3.cli import EXIT_ASSERTION, dispatch
+from quiverk3.walls import (
+    ChamberSet,
+    _FMBlowup,
+    _fm_core,
+    fm_feasible_point,
+    lp_feasible_point,
+    nperp_basis,
+)
 from conftest import random_config
-from helpers import sweep_chambers
+from helpers import config_document, sweep_chambers, zaslavsky_chamber_count
 
 
 def test_quiver_walls_examples(affine_a1, elliptic_pair):
@@ -115,6 +127,117 @@ def test_chambers_match_sweep_oracle():
         ch = enumerate_chambers(q, cfg.mult)
         assert ch.count == count
         assert set(ch.signatures) == sigs
+
+
+def fm_on_every_split(q, n) -> ChamberSet:
+    """Reference enumeration: every split whose reused point fails is decided
+    by a Fourier-Motzkin solve (the exact simplex on a blowup), and a side
+    with no point is dropped. ``enumerate_chambers`` decides splits from
+    extreme rays instead and solves only on sides they prove nonempty."""
+    if len(n) == 1:
+        raise ValueError("no wall structure; non-primitive one-vertex case")
+    walls = quiver_walls(q, n)
+    basis = nperp_basis(n)
+    d = len(basis)
+    functionals = [
+        tuple(sum(b[i] * w.normal[i] for i in range(len(n))) for b in basis)
+        for w in walls
+    ]
+
+    def solve(signs, f, sgn):
+        ext = [(tuple(s * x for x in g), 1) for s, g in zip(signs, functionals)]
+        ext.append((tuple(sgn * x for x in f), 1))
+        try:
+            return _fm_core(ext, d, limit=4000)
+        except _FMBlowup:
+            return lp_feasible_point(ext, d)
+
+    cells = [((), tuple([Fraction(1)] + [Fraction(0)] * (d - 1)))]
+    for f in functionals:
+        new_cells = []
+        for signs, pt in cells:
+            val = sum(x * y for x, y in zip(f, pt))
+            for sgn in (1, -1):
+                found = pt if sgn * val > 0 else solve(signs, f, sgn)
+                if found is not None:
+                    new_cells.append((signs + (sgn,), found))
+        cells = new_cells
+    reps = tuple(
+        tuple(sum((u[k] * basis[k][i] for k in range(d)), Fraction(0)) for i in range(len(n)))
+        for _, u in cells
+    )
+    return ChamberSet(len(cells), reps, tuple(signs for signs, _ in cells), tuple(walls))
+
+
+def _draws_up_to(rng, count, max_walls, **kwargs):
+    """The first ``count`` random_config draws with at most ``max_walls`` walls."""
+    out = []
+    while len(out) < count:
+        cfg = random_config(rng, **kwargs)
+        if len(quiver_walls(quiver_from_config(cfg), cfg.mult)) <= max_walls:
+            out.append(cfg)
+    return out
+
+
+def test_enumerate_chambers_matches_fm_on_every_split(
+    elliptic_pair, affine_a1, affine_a1_22, ogrady, one_loop
+):
+    for cfg in (ogrady, one_loop):
+        q = quiver_from_config(cfg)
+        for enumerate_ in (enumerate_chambers, fm_on_every_split):
+            with pytest.raises(ValueError, match="one-vertex"):
+                enumerate_(q, cfg.mult)
+    rng = random.Random(2026)
+    cases = [elliptic_pair, affine_a1, affine_a1_22]
+    for s in (2, 3, 4):
+        for mult_max in (2, 3):
+            cases += _draws_up_to(rng, 2, 14, s_min=s, s_max=s, gram_bound=4,
+                                  mult_max=mult_max)
+    # dim n-perp = 4; draws this small mostly have n = (1, 1, 1, 1, 1)
+    cases += _draws_up_to(rng, 2, 16, s_min=5, s_max=5, gram_bound=4, mult_max=2)
+    assert max(len(nperp_basis(cfg.mult)) for cfg in cases) == 4
+    for cfg in cases:
+        q = quiver_from_config(cfg)
+        assert enumerate_chambers(q, cfg.mult) == fm_on_every_split(q, cfg.mult), cfg
+
+
+def test_chamber_count_matches_zaslavsky():
+    """The intersection-lattice count is independent of both feasibility
+    and cone generators, and reaches dim n-perp = 3 and 4, where the 2-D
+    sweep oracle cannot go."""
+    rng = random.Random(8)
+    cases = _draws_up_to(rng, 6, 25, s_min=4, s_max=4, gram_bound=4, mult_max=3)
+    cases += _draws_up_to(rng, 2, 22, s_min=5, s_max=5, gram_bound=4, mult_max=2)
+    for cfg in cases:
+        q = quiver_from_config(cfg)
+        walls = quiver_walls(q, cfg.mult)
+        assert enumerate_chambers(q, cfg.mult).count == zaslavsky_chamber_count(cfg.mult, walls)
+
+
+def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_path, capsys):
+    """A side that the extreme rays prove nonempty must get an interior
+    point; a solve that finds none is a broken identity (exit 4), not an
+    empty cell."""
+    q = quiver_from_config(affine_a1)
+    calls = []
+
+    def first_solve_fails(cons, nvars, limit=None):
+        calls.append(nvars)
+        return None if len(calls) == 1 else _fm_core(cons, nvars, limit)
+
+    # one wall in a line: both sides are nonempty, and the start point lies
+    # on one of them, so the first solve is for the other, proven side
+    monkeypatch.setattr(walls_module, "_fm_core", first_solve_fails)
+    with pytest.raises(MathAssertionError, match="extreme rays prove nonempty"):
+        enumerate_chambers(q, (1, 1))
+    calls.clear()
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config_document(affine_a1)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["chambers", str(cpath), "--json"]) == EXIT_ASSERTION
+    assert "internal assertion failed" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert enumerate_chambers(q, (1, 1)).count == 2
 
 
 def test_fm_feasible_point_basics():
