@@ -2,13 +2,13 @@
 
 Matrices are tuples of tuples of Fraction (any nested rows of Fraction,
 numpy object arrays included, are accepted as input); vectors are tuples of
-Fraction. Everything here is immutable and pure. Sizes are desk scale
-(dims <= ~20), so plain Gaussian elimination is more than enough.
+Fraction. Sizes are desk scale (dims <= ~20). ``Span`` is the one exact
+elimination: it keeps a row span in reduced row echelon form (RREF), and
+``rank``, ``nullspace`` and ``mat_inv`` read their answers off that RREF.
 
 Representation matrices are numpy arrays and multiply with ``@`` (see
-``reps``). This module keeps what exact mode needs beyond that: incremental
-row spans (``Span``, ``rank``), ``nullspace``, ``mat_vec`` and ``mat_inv``,
-and the tuple ``mat_mul`` that the tests use as an independent reference.
+``reps``); this module keeps what exact mode needs beyond that, and the
+tuple ``mat_mul`` that the tests use as an independent reference.
 """
 
 from __future__ import annotations
@@ -46,73 +46,47 @@ def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan; raises ZeroDivisionError on a singular matrix."""
+    """The right half of the RREF of [a | I]; raises ZeroDivisionError on a
+    singular matrix, which is exactly when a pivot falls in the right half."""
     n = len(a)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    span = Span(tuple(row) + e for row, e in zip(a, identity(n)))
+    if any(p >= n for p in span.pivots):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n:] for row in span.basis())
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    span = Span()
-    for r in rows:
-        span.add(tuple(r))
-    return span.dim
+    return Span(rows).dim
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel, via reduced row echelon form."""
-    nrows, ncols = shape(a)
-    m = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv_p = Fraction(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right kernel, read off the RREF of a: one vector per
+    non-pivot column, in column order."""
+    span = Span(a)
+    pivots = dict(zip(span.pivots, span.rows))
+    cols = range(shape(a)[1])
+    return [
+        tuple(-pivots[c][fc] if c in pivots else Fraction(int(c == fc)) for c in cols)
+        for fc in cols
+        if fc not in pivots
+    ]
 
 
 class Span:
-    """Incremental row span in reduced echelon form.
+    """Row span in RREF, the package's one exact elimination; ``rows``
+    are absorbed one by one with ``add``.
 
-    ``add`` reduces a vector against the current basis and absorbs it if it
-    is independent, returning True exactly when the dimension grew. Used for
-    Burnside closures and graded subspace accumulation.
+    ``add`` reduces a vector against the basis and, if it is independent,
+    clears its pivot column from the other rows; it returns True exactly
+    when the dimension grew. Used for Burnside closures, graded subspaces,
+    ``rank``, ``nullspace`` and ``mat_inv``.
     """
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[Sequence[Fraction]] = ()):
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
+        for r in rows:
+            self.add(r)
 
     @property
     def dim(self) -> int:
@@ -145,5 +119,6 @@ class Span:
         return True
 
     def basis(self) -> list[Vector]:
+        """The rows of the RREF, by pivot column."""
         order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
         return [tuple(self.rows[i]) for i in order]

@@ -56,6 +56,12 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
     return out
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators refuse negative seeds with a bare ValueError
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _eye(k: int, zero) -> np.ndarray:
     out = np.full((k, k), zero)
     np.fill_diagonal(out, zero + 1)
@@ -171,9 +177,12 @@ def moment_map(rep: Representation) -> tuple:
 
     The blocks always sum to trace zero.
     """
-    n = rep.n
-    blocks = [np.full((ni, ni), rep.zero) for ni in n]
-    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+    return _moment_blocks(rep.quiver, rep.n, rep.mats, rep.zero)
+
+
+def _moment_blocks(q: Quiver, n: DimVector, mats, zero) -> tuple:
+    blocks = [np.full((ni, ni), zero) for ni in n]
+    for (s, t, _), (x, y) in zip(q.orientation, mats):
         if n[s] == 0 or n[t] == 0:
             continue  # contributions through a zero space vanish
         blocks[t] = blocks[t] + x @ y
@@ -252,7 +261,8 @@ def _flatten_mats(rep: Representation) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
-def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> Representation:
+def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> tuple:
+    """The (x_e, y_e) pairs of a flat vector, as views into it."""
     mats = []
     pos = 0
     for s, t, _ in q.orientation:
@@ -261,16 +271,16 @@ def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> Representation:
         y = vec[pos : pos + n[s] * n[t]].reshape(n[s], n[t])
         pos += n[s] * n[t]
         mats.append((x, y))
-    return Representation(q, tuple(n), FLOAT, tuple(mats))
+    return tuple(mats)
 
 
-def _residual(rep: Representation) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in moment_map(rep)])
+def _residual(blocks) -> np.ndarray:
+    return np.concatenate([b.ravel() for b in blocks])
 
 
 def moment_residual_norm(rep: Representation) -> float:
     """Frobenius norm of the moment map over all blocks (float mode)."""
-    return float(np.linalg.norm(_residual(rep)))
+    return float(np.linalg.norm(_residual(moment_map(rep))))
 
 
 def solve_moment_zero(
@@ -284,17 +294,18 @@ def solve_moment_zero(
     """Damped Gauss-Newton search for a point of mu^-1(0), float mode.
 
     Each step solves the complex least-squares linearization and backtracks
-    until the residual drops. Deterministic given the seed. Raises
-    RuntimeError (carrying the final residual) on non-convergence.
+    until the residual drops; a backtracking candidate is judged on its flat
+    vector, and only the accepted iterate becomes a Representation.
+    Deterministic given the seed. Raises RuntimeError (carrying the final
+    residual) on non-convergence.
     """
     if start is not None:
-        rep = start.to_float()
+        z = _flatten_mats(start.to_float())
     else:
-        rep = random_representation(q, n, seed=seed, mode=FLOAT)
         # mild scaling keeps the start in the basin without landing on 0
-        rep = _unflatten_mats(q, tuple(n), _flatten_mats(rep) * 0.5)
-    z = _flatten_mats(rep)
-    r = _residual(rep)
+        z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
+    mats = _unflatten_mats(q, n, z)
+    rep, r = Representation(q, n, FLOAT, mats), _residual(_moment_blocks(q, n, mats, 0j))
     for _ in range(max_iter):
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
@@ -302,19 +313,18 @@ def solve_moment_zero(
         J = moment_differential(rep)
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         step = 1.0
-        improved = False
         while step >= 2.0**-40:
             cand_z = z + step * delta
-            cand = _unflatten_mats(q, tuple(n), cand_z)
-            cand_r = _residual(cand)
+            cand_mats = _unflatten_mats(q, n, cand_z)
+            cand_r = _residual(_moment_blocks(q, n, cand_mats, 0j))
             if np.linalg.norm(cand_r) < rnorm:
-                z, rep, r = cand_z, cand, cand_r
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:  # no step lowered the residual
             break
-    final = float(np.linalg.norm(_residual(rep)))
+        z, r = cand_z, cand_r
+        rep = Representation(q, n, FLOAT, cand_mats)
+    final = float(np.linalg.norm(r))
     if final <= tol:
         return rep
     raise RuntimeError(
@@ -363,6 +373,7 @@ def verify_ci_dim(
     intersection dimension 2p(n) + n^t n - 1."""
     from .quiver import cb_simple_exists
 
+    _check_seed(seed)
     expected_rank = sum(x * x for x in n) - 1
     expected_dim = mu_zero_expected_dim(q, n)
     if rep_space_dim(q, n) - expected_rank != expected_dim:
@@ -458,22 +469,10 @@ def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
     return dim == N * N
 
 
-class _GradedSpan:
-    """Per-vertex span accumulation for graded subspaces (exact mode)."""
-
-    def __init__(self, n: DimVector):
-        self.n = n
-        self.spans = [linalg.Span() for _ in n]
-
-    def add(self, vertex: int, vec: Sequence[Fraction]) -> bool:
-        return self.spans[vertex].add(tuple(Fraction(v) for v in vec))
-
-    @property
-    def dims(self) -> DimVector:
-        return tuple(sp.dim for sp in self.spans)
-
-    def bases(self) -> tuple[tuple[linalg.Vector, ...], ...]:
-        return tuple(tuple(sp.basis()) for sp in self.spans)
+def _graded(spans: Sequence[linalg.Span]) -> tuple[DimVector, tuple]:
+    """Dimension vector and bases of a graded subspace held as one span per
+    vertex."""
+    return tuple(sp.dim for sp in spans), tuple(tuple(sp.basis()) for sp in spans)
 
 
 def cyclic_subrep(
@@ -487,40 +486,30 @@ def cyclic_subrep(
     vec = tuple(Fraction(v) for v in vector)
     if len(vec) != n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
-    gs = _GradedSpan(n)
+    spans = [linalg.Span() for _ in n]
     frontier: list[tuple[int, tuple[Fraction, ...]]] = []
-    if gs.add(vertex, vec):
+    if spans[vertex].add(vec):
         frontier.append((vertex, vec))
     while frontier:
         i, v = frontier.pop()
         for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
             if s == i and n[t] > 0:
                 w = linalg.mat_vec(x, v)
-                if gs.add(t, w):
+                if spans[t].add(w):
                     frontier.append((t, w))
             if t == i and n[s] > 0:
                 w = linalg.mat_vec(y, v)
-                if gs.add(s, w):
+                if spans[s].add(w):
                     frontier.append((s, w))
-    return gs.dims, gs.bases()
+    return _graded(spans)
 
 
-def graded_invariance_holds(
-    rep: Representation, bases: Sequence[Sequence[Sequence]], exact: bool = True
-) -> bool:
+def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequence]]) -> bool:
     """Exact check that the graded spans are stable under every arrow."""
-    spans = []
-    for i, vecs in enumerate(bases):
-        sp = linalg.Span()
-        for v in vecs:
-            sp.add(tuple(Fraction(x) for x in v))
-        spans.append(sp)
+    spans = [linalg.Span(vecs) for vecs in bases]
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        for v in bases[s]:
-            if not spans[t].contains(linalg.mat_vec(x, tuple(Fraction(e) for e in v))):
-                return False
-        for v in bases[t]:
-            if not spans[s].contains(linalg.mat_vec(y, tuple(Fraction(e) for e in v))):
+        for a, src, dst in ((x, s, t), (y, t, s)):
+            if not all(spans[dst].contains(linalg.mat_vec(a, v)) for v in spans[src].rows):
                 return False
     return True
 
@@ -541,6 +530,9 @@ class SearchBudget:
     iters: int = 200
     tol: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -573,13 +565,11 @@ StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilize
 def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     n = rep.n
     rng = random.Random(budget.seed)
-    found: dict[tuple, tuple[DimVector, tuple]] = {}
+    found: dict[tuple[DimVector, tuple], None] = {}  # an ordered set
 
     def record(dims: DimVector, bases):
-        key = (dims, tuple(tuple(v for v in vecs) for vecs in bases))
-        if sum(dims) == 0 or dims == n:
-            return
-        found.setdefault(key, (dims, bases))
+        if sum(dims) != 0 and dims != n:
+            found.setdefault((dims, bases))
 
     probes: list[tuple[int, tuple[Fraction, ...]]] = []
     for i, ni in enumerate(n):
@@ -594,24 +584,19 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     for vertex, vec in probes:
         if all(x == 0 for x in vec):
             continue
-        dims, bases = cyclic_subrep(rep, vertex, vec)
-        record(dims, bases)
+        record(*cyclic_subrep(rep, vertex, vec))
     # sums of invariant spans are invariant: close the found set under
     # pairwise sums until stable (the join-closure of the probe spans)
     while True:
         before = len(found)
-        singles = list(found.values())
+        singles = list(found)
         for a in range(len(singles)):
             for b in range(a + 1, len(singles)):
-                gs = _GradedSpan(n)
-                for src in (singles[a], singles[b]):
-                    for i, vecs in enumerate(src[1]):
-                        for v in vecs:
-                            gs.add(i, v)
-                record(gs.dims, gs.bases())
+                pairs = zip(singles[a][1], singles[b][1])
+                record(*_graded([linalg.Span(va + vb) for va, vb in pairs]))
         if len(found) == before:
             break
-    return list(found.values())
+    return list(found)
 
 
 def _float_defect_and_grad(rep, beta, frames):
@@ -812,8 +797,7 @@ def annihilator_witness(
         if not vecs:
             out_bases.append(tuple(linalg.identity(n[i])))
             continue
-        mat = tuple(tuple(Fraction(x) for x in v) for v in vecs)
-        out_bases.append(tuple(linalg.nullspace(mat)))
+        out_bases.append(tuple(linalg.nullspace(vecs)))
     out_bases = tuple(out_bases)
     dims = tuple(len(b) for b in out_bases)
     if dims != comp:

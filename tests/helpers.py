@@ -6,8 +6,10 @@ over the complex numbers by direct case analysis (coordinate subspaces plus
 exact common-invariant-line decisions), the sweep oracle counts cells of a
 2-dimensional central arrangement by an exact angular sweep, and the
 Zaslavsky oracle counts chambers in any dimension from the intersection
-lattice of the walls. ``config_document`` is the one builder of CLI config
-documents for the tests.
+lattice of the walls. ``reference_nullspace`` and ``reference_mat_inv`` are
+column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``.
+``config_document`` is the one builder of CLI config documents for the
+tests.
 """
 
 from __future__ import annotations
@@ -303,6 +305,60 @@ def zaslavsky_chamber_count(n, walls) -> int:
             mu[flat] = -sum(m for below, m in mu.items() if below < flat)
         layer = nxt
     return sum(abs(m) for m in mu.values())
+
+
+# ---------------------------------------------------------------------------
+# reference eliminations (column by column, independent of linalg.Span)
+
+
+def reference_mat_inv(a):
+    """Inverse by Gauss-Jordan; raises ZeroDivisionError on a singular matrix."""
+    n = len(a)
+    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, linalg.identity(n))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def reference_nullspace(a):
+    """Basis of the right kernel, via reduced row echelon form."""
+    nrows, ncols = linalg.shape(a)
+    m = [list(row) for row in a]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv_p = Fraction(1) / m[r][c]
+        m[r] = [x * inv_p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 # ---------------------------------------------------------------------------

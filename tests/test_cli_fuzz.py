@@ -1,12 +1,15 @@
-"""Mutated config documents never crash the CLI.
+"""Mutated config and representation documents never crash the CLI.
 
-Hypothesis starts from valid config documents and applies a few random
-edits: an integer changed to another small integer, a value replaced by a
-small JSON value, a key or list entry deleted, a list entry duplicated, or
-the serialized text cut short. Every command must
-then exit 0, 2 or 3, and a nonzero exit must name its reason on stderr; a
-traceback, exit 1 or exit 4 fails the test. Mutated integers stay small and
-the documents have at most three curves, so every document stays cheap to
+Hypothesis starts from valid documents and applies a few random edits: an
+integer changed to another small integer, a value replaced by a small JSON
+value, a key or list entry deleted, a list entry duplicated, or the
+serialized text cut short. Config documents go through every command but
+``stability``; representation documents go through ``stability`` with a
+small search budget. Every command must then exit 0, 2 or 3, and a nonzero
+exit must name its reason on stderr; a traceback, exit 1 or exit 4 fails
+the test. Mutated integers stay small, the config documents have at most
+three curves and the representations total dimension at most 4 (a mutated
+``n`` no longer matches its matrices), so every document stays cheap to
 compute, valid or not.
 """
 
@@ -16,14 +19,16 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import sys
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverk3 import CurveConfig
-from quiverk3.cli import EXIT_INVARIANT, EXIT_OK, EXIT_SCHEMA, dispatch
+from quiverk3 import CurveConfig, direct_sum, quiver_from_config, random_representation
+from quiverk3.cli import EXIT_INVARIANT, EXIT_OK, EXIT_SCHEMA, dispatch, rep_to_dict
 from conftest import random_config
 from helpers import config_document
 
@@ -81,8 +86,8 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _mutated_text(data) -> str:
-    doc = copy.deepcopy(data.draw(st.sampled_from(BASES)))
+def _mutated_text(data, bases=BASES) -> str:
+    doc = copy.deepcopy(data.draw(st.sampled_from(bases)))
     for _ in range(data.draw(st.integers(1, 3))):
         # the whole document is the last choice: hypothesis favours the first
         path = data.draw(st.sampled_from(list(_paths(doc))[1:] + [()]))
@@ -128,3 +133,43 @@ def test_mutated_config_documents_exit_cleanly(data):
         assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_INVARIANT), (cmd, code, text, err)
         if code != EXIT_OK:
             assert err.strip(), (cmd, code, text)
+
+
+def _rep_bases():
+    """(config text, theta, representation document): random representations
+    in both modes, one per seed; two seeds make a direct sum, which at theta
+    lies on a wall."""
+    out = []
+    for cfg, seeds in (
+        (CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1)), (7,)),
+        (CurveConfig(((-2, 2), (2, -2)), (1, 1), (2, 2), (1, 1)), (7,)),
+        (CurveConfig(((2,),), (1,), (2,), (1,)), (7,)),
+        (CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1)), (1, 2)),
+    ):
+        q = quiver_from_config(cfg)
+        text = json.dumps(config_document(cfg, options={"seed": 1}))
+        for mode in ("exact", "float"):
+            rep = direct_sum(*(random_representation(q, cfg.mult, seed=k, mode=mode) for k in seeds))
+            theta = [-rep.n[1], rep.n[0]] if cfg.s == 2 else [0]
+            out.append((text, ",".join(map(str, theta)), rep_to_dict(rep)))
+    return out
+
+
+REP_BASES = _rep_bases()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.data())
+def test_mutated_representation_documents_exit_cleanly(data):
+    config, theta, base = data.draw(st.sampled_from(REP_BASES))
+    text = _mutated_text(data, [base])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rep.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["stability", "-", "--json", "--rep", path, "--theta=" + theta,
+                "--probes", "2", "--restarts", "2", "--iters", "50"]
+        code, err = _run(argv, config)
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_INVARIANT), (code, text, err)
+    if code != EXIT_OK:
+        assert err.strip(), (code, text)

@@ -30,6 +30,7 @@ from quiverk3 import (
     zero_representation,
 )
 from quiverk3.reps import (
+    graded_invariance_holds,
     moment_residual_norm,
     moment_trace,
     numeric_rank,
@@ -272,6 +273,22 @@ def test_verify_ci_dim_fixtures(affine_a1, elliptic_pair, ogrady, one_loop):
     assert report.matching_trials == 2
 
 
+def test_verify_ci_dim_names_a_negative_seed(affine_a1):
+    q = quiver_from_config(affine_a1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        verify_ci_dim(q, (1, 1), trials=2, seed=-1)
+
+
+def test_search_budget_names_a_negative_seed(affine_a1):
+    # the float search would otherwise end in numpy's bare "expected
+    # non-negative integer"
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        SearchBudget(seed=-1)
+    rep = simple_affine_rep(affine_a1).to_float()
+    verdict = check_stability(rep, (F(-1), F(1)), SearchBudget(restarts=1, iters=5, seed=0))
+    assert isinstance(verdict, NoDestabilizerFound)
+
+
 def test_is_simple_examples(affine_a1):
     assert is_simple(simple_affine_rep(affine_a1))
     assert not is_simple(unstable_affine_rep(affine_a1))
@@ -303,6 +320,18 @@ def test_cyclic_subrep(affine_a1):
     assert bases[0] == () and len(bases[1]) == 1
     dims, _ = cyclic_subrep(unstable, 0, (F(0),))
     assert dims == (0, 0)
+
+
+def test_graded_invariance_checks_both_arrow_directions(affine_a1):
+    # both arrows run 0 -> 1: x maps V_0 into V_1 and y maps V_1 back
+    v0, v1 = (((F(1),),), ()), ((), ((F(1),),))
+    simple = simple_affine_rep(affine_a1)  # x_1 = 1 and y_2 = 1
+    assert not graded_invariance_holds(simple, v0)  # moved out by x_1
+    assert not graded_invariance_holds(simple, v1)  # moved out by y_2
+    unstable = unstable_affine_rep(affine_a1)  # only x_1 = 1
+    assert not graded_invariance_holds(unstable, v0)
+    assert graded_invariance_holds(unstable, v1)
+    assert graded_invariance_holds(unstable, (((F(2),),), ((F(-3),),)))
 
 
 def test_slope_theta():

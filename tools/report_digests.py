@@ -1,0 +1,69 @@
+"""Digests of the CLI's --json reports, for byte-identity checks between trees.
+
+Usage: ``python tools/report_digests.py <tree>``, where <tree> is a checkout
+of this repository. The script imports quiverk3 from ``<tree>/src`` and the
+test helpers from ``<tree>/tests``, runs 15 invocations covering all 11
+commands on 25 configurations (the five test fixtures and 20
+``random_config(random.Random(2024), s_min=1, s_max=4, mult_max=2)`` draws)
+and prints one line per invocation: case index, command, exit code and the
+first 16 hex digits of the sha256 of stdout. Run it on two trees and
+``diff`` the outputs; identical output means byte-identical reports.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/tests"]
+
+from conftest import random_config  # noqa: E402
+from helpers import config_document  # noqa: E402
+from quiverk3 import CurveConfig, quiver_from_config, random_representation  # noqa: E402
+from quiverk3.cli import dispatch, rep_to_dict  # noqa: E402
+
+
+def commands(rep_path: str, theta: str) -> list[list[str]]:
+    return [
+        ["quiver"], ["roots"], ["walls", "--side", "quiver"], ["walls", "--side", "ample"],
+        ["walls", "--side", "both"], ["walls", "--side", "both", "--chi-bound", "2"],
+        ["chambers"], ["character", "--pol", "H0"], ["character", "--pol", "H1"],
+        ["correspondence"], ["strata"], ["cb-check"], ["moment-verify", "--trials", "2"],
+        ["stability", "--rep", rep_path, "--theta=" + theta,
+         "--probes", "2", "--restarts", "2", "--iters", "50"],
+        ["summary"],
+    ]
+
+
+def main() -> None:
+    cases = [
+        CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1)),
+        CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1)),
+        CurveConfig(((-2, 2), (2, -2)), (1, 1), (2, 2), (1, 1)),
+        CurveConfig(((2,),), (1,), (2,), (1,)),
+        CurveConfig(((0,),), (1,), (1,), (1,)),
+    ]
+    rng = random.Random(2024)
+    cases += [random_config(rng, s_min=1, s_max=4, mult_max=2) for _ in range(20)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, cfg in enumerate(cases):
+            n, cpath, rpath = cfg.mult, f"{tmp}/{i}.json", f"{tmp}/{i}.rep.json"
+            doc = config_document(cfg, {"H1": [d + 1 for d in cfg.h0deg]}, {"ell": 3, "seed": 1})
+            with open(cpath, "w") as fh:
+                json.dump(doc, fh)
+            with open(rpath, "w") as fh:
+                json.dump(rep_to_dict(random_representation(quiver_from_config(cfg), n, seed=7)), fh)
+            theta = [-n[1], n[0]] + [0] * (cfg.s - 2) if cfg.s >= 2 else [0]
+            for cmd in commands(rpath, ",".join(map(str, theta))):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = dispatch([cmd[0], cpath, "--json"] + cmd[1:])
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+                print(i, " ".join(c for c in cmd[:3] if tmp not in c), code, digest)
+
+
+if __name__ == "__main__":
+    main()
