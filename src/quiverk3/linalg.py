@@ -3,8 +3,11 @@
 Matrices are tuples of tuples of Fraction (any nested rows of Fraction,
 numpy object arrays included, are accepted as input); vectors are tuples of
 Fraction. Sizes are desk scale (dims <= ~20). ``Span`` is the one exact
-elimination: it keeps a row span in reduced row echelon form (RREF), and
-``rank``, ``nullspace`` and ``mat_inv`` read their answers off that RREF.
+elimination: it keeps a row span in reduced row echelon form (RREF), each
+row stored as a primitive integer vector with a positive pivot entry, so
+that elimination builds no Fraction. ``basis()`` reads the RREF out as
+Fractions, and ``rank``, ``nullspace`` and ``mat_inv`` take their answers
+from it.
 
 Representation matrices are numpy arrays and multiply with ``@`` (see
 ``reps``); this module keeps what exact mode needs beyond that, and the
@@ -14,6 +17,7 @@ tuple ``mat_mul`` that the tests use as an independent reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -27,6 +31,9 @@ def identity(n: int) -> Matrix:
 
 
 def shape(m: Matrix) -> tuple[int, int]:
+    """Rows and columns; of nested rows, an empty one has no column count."""
+    if getattr(m, "ndim", None) == 2:  # a 2-D array, empty or not
+        return m.shape
     return (len(m), len(m[0]) if len(m) else 0)
 
 
@@ -63,7 +70,7 @@ def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel, read off the RREF of a: one vector per
     non-pivot column, in column order."""
     span = Span(a)
-    pivots = dict(zip(span.pivots, span.rows))
+    pivots = dict(zip(sorted(span.pivots), span.basis()))
     cols = range(shape(a)[1])
     return [
         tuple(-pivots[c][fc] if c in pivots else Fraction(int(c == fc)) for c in cols)
@@ -72,18 +79,26 @@ def nullspace(a: Matrix) -> list[Vector]:
     ]
 
 
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 class Span:
     """Row span in RREF, the package's one exact elimination; ``rows``
     are absorbed one by one with ``add``.
 
-    ``add`` reduces a vector against the basis and, if it is independent,
-    clears its pivot column from the other rows; it returns True exactly
-    when the dimension grew. Used for Burnside closures, graded subspaces,
-    ``rank``, ``nullspace`` and ``mat_inv``.
+    Each of ``rows`` is an RREF row scaled to a primitive integer vector
+    with a positive pivot entry; ``basis()`` gives the RREF in Fractions.
+    ``reduce`` clears an input's denominators, then eliminates with
+    ``c*v - f*row`` and divides out the gcd. ``add`` returns True exactly
+    when the dimension grew, and clears the new pivot column from the
+    other rows. Used for Burnside closures, graded subspaces, ``rank``,
+    ``nullspace`` and ``mat_inv``.
     """
 
     def __init__(self, rows: Iterable[Sequence[Fraction]] = ()):
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         for r in rows:
             self.add(r)
@@ -92,33 +107,41 @@ class Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
+    def reduce(self, vec: Sequence[Fraction]) -> list[int]:
+        """A primitive integer multiple of vec's residue modulo the span:
+        zero exactly when vec lies in the span."""
+        pairs = [(int(x.numerator), int(x.denominator)) for x in vec]
+        d = lcm(*(b for _, b in pairs))
+        v = _primitive([a * (d // b) for a, b in pairs])
         for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
+            f = v[p]
+            if f:
+                g = gcd(row[p], f)
+                v = _primitive([row[p] // g * x - f // g * y for x, y in zip(v, row)])
         return v
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
+        p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        inv_p = Fraction(1) / v[p]
-        v = [x * inv_p for x in v]
+        v = [-x for x in v] if v[p] < 0 else v
+        c = v[p]
         for row in self.rows:
-            if row[p] != 0:
-                f = row[p]
-                row[:] = [x - f * y for x, y in zip(row, v)]
+            f = row[p]
+            if f:
+                g = gcd(c, f)
+                row[:] = _primitive([c // g * x - f // g * y for x, y in zip(row, v)])
         self.rows.append(v)
         self.pivots.append(p)
         return True
 
     def basis(self) -> list[Vector]:
-        """The rows of the RREF, by pivot column."""
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return [tuple(self.rows[i]) for i in order]
+        """The rows of the RREF as Fractions, by pivot column."""
+        return [
+            tuple(Fraction(x, row[p]) for x in row)
+            for p, row in sorted(zip(self.pivots, self.rows))
+        ]

@@ -3,8 +3,8 @@
 Carries the moment map mu = sum [x_e, y_e] (blockwise: forward edges add
 x_e y_e at their target and subtract y_e x_e at their source), its exact
 linearization, a damped Gauss-Newton search for points of mu^-1(0), a
-Burnside-closure simplicity test, and a sound-but-incomplete King stability
-checker whose certified verdicts carry explicit witnesses.
+block-graded Burnside-closure simplicity test, and a sound-but-incomplete
+King stability checker whose certified verdicts carry explicit witnesses.
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
@@ -409,64 +409,62 @@ def verify_ci_dim(
 # simplicity, subrepresentations, stability
 
 
-def _embed(N: int, offs: list[int], mat: np.ndarray, t: int, s: int, zero) -> np.ndarray:
-    out = np.full((N, N), zero)
-    out[offs[t] : offs[t + 1], offs[s] : offs[s + 1]] = mat
-    return out
+def _block_adder(mode: str, tol: float):
+    """A fresh span of flattened matrices and the function that adds one to
+    it, which is True exactly when the span grew. Exact in rational mode;
+    float mode keeps an orthonormal basis and a relative tolerance."""
+    if mode == EXACT:
+        span = linalg.Span()
+        return lambda m: span.add(m.ravel().tolist())
+    basis: list[np.ndarray] = []
+
+    def try_add(m) -> bool:
+        v = m.ravel()
+        for b in basis:
+            v = v - (b.conj() @ v) * b
+        norm = np.linalg.norm(v)
+        if norm > tol * max(1.0, float(np.linalg.norm(m))):
+            basis.append(v / norm)
+            return True
+        return False
+
+    return try_add
 
 
 def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
-    """Burnside/density test: close the span of the vertex idempotents and
-    all arrow matrices under multiplication; the representation is simple
-    exactly when the span fills End of the total space. Exact in rational
-    mode; float mode uses a tolerance-based rank."""
+    """Block-graded Burnside/density test: the image of the path algebra is
+    graded by pairs of vertices, so the representation is simple exactly
+    when, for each vertex i of the support, the paths out of i (the closure
+    of e_i under left multiplication by the arrows) span Hom(V_i, V_j) for
+    every j in the support. Exact in rational mode; float mode uses a
+    tolerance-based rank per block."""
     n = rep.n
     N = sum(n)
     if N == 0:
         return False
-    offs = _offsets(n)
-    zero = rep.zero
-    gens = []
-    for i, ni in enumerate(n):
-        if ni > 0:
-            gens.append(_embed(N, offs, _eye(ni, zero), i, i, zero))
+    support = [i for i, ni in enumerate(n) if ni > 0]
+    arrows: dict[int, list] = {i: [] for i in support}  # j -> [(k, A: V_j -> V_k)]
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
         if n[s] > 0 and n[t] > 0:
-            gens.append(_embed(N, offs, x, t, s, zero))
-            gens.append(_embed(N, offs, y, s, t, zero))
-
-    if rep.mode == EXACT:
-        span = linalg.Span()
-
-        def try_add(m) -> bool:
-            return span.add(m.ravel().tolist())
-
-    else:
-        basis: list[np.ndarray] = []
-
-        def try_add(m) -> bool:
-            v = m.ravel()
-            for b in basis:
-                v = v - (b.conj() @ v) * b
-            norm = np.linalg.norm(v)
-            if norm > tol * max(1.0, float(np.linalg.norm(m))):
-                basis.append(v / norm)
-                return True
+            arrows[s].append((t, x))
+            arrows[t].append((s, y))
+    for i in support:
+        add = {j: _block_adder(rep.mode, tol) for j in support}  # n_j x n_i blocks
+        e_i = _eye(n[i], rep.zero)
+        add[i](e_i)
+        frontier, dim = [(i, e_i)], 1
+        while frontier and dim < n[i] * N:
+            nxt = []
+            for j, m in frontier:
+                for k, a in arrows[j]:
+                    p = a @ m
+                    if add[k](p):
+                        nxt.append((k, p))
+            dim += len(nxt)
+            frontier = nxt
+        if dim < n[i] * N:
             return False
-
-    # try_add is True exactly when the span grew by one
-    frontier = [g for g in [_eye(N, zero)] + gens if try_add(g)]
-    dim = len(frontier)
-    while frontier and dim < N * N:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = g @ m
-                if try_add(p):
-                    nxt.append(p)
-        dim += len(nxt)
-        frontier = nxt
-    return dim == N * N
+    return True
 
 
 def _graded(spans: Sequence[linalg.Span]) -> tuple[DimVector, tuple]:
@@ -586,16 +584,19 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
             continue
         record(*cyclic_subrep(rep, vertex, vec))
     # sums of invariant spans are invariant: close the found set under
-    # pairwise sums until stable (the join-closure of the probe spans)
+    # pairwise sums until stable (the join-closure of the probe spans). A
+    # pass joins only the pairs with an entry new in the previous pass; the
+    # older pairs were joined before, so the order of ``found`` is the same.
+    done = 0
     while True:
-        before = len(found)
         singles = list(found)
         for a in range(len(singles)):
-            for b in range(a + 1, len(singles)):
+            for b in range(max(a + 1, done), len(singles)):
                 pairs = zip(singles[a][1], singles[b][1])
                 record(*_graded([linalg.Span(va + vb) for va, vb in pairs]))
-        if len(found) == before:
+        if len(found) == len(singles):
             break
+        done = len(singles)
     return list(found)
 
 
@@ -789,16 +790,10 @@ def annihilator_witness(
         raise ValueError("annihilator conversion implemented for exact mode")
     n = rep.n
     comp = tuple(ni - bi for ni, bi in zip(n, beta))
-    out_bases = []
-    for i, vecs in enumerate(bases):
-        if n[i] == 0:
-            out_bases.append(())
-            continue
-        if not vecs:
-            out_bases.append(tuple(linalg.identity(n[i])))
-            continue
-        out_bases.append(tuple(linalg.nullspace(vecs)))
-    out_bases = tuple(out_bases)
+    out_bases = tuple(
+        tuple(linalg.nullspace(vecs or np.empty((0, ni), dtype=object)))
+        for ni, vecs in zip(n, bases)
+    )
     dims = tuple(len(b) for b in out_bases)
     if dims != comp:
         raise MathAssertionError("annihilator dimensions disagree with n - beta")

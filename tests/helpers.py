@@ -8,6 +8,9 @@ exact common-invariant-line decisions), the sweep oracle counts cells of a
 Zaslavsky oracle counts chambers in any dimension from the intersection
 lattice of the walls. ``reference_nullspace`` and ``reference_mat_inv`` are
 column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``.
+``reference_is_simple`` is the Burnside closure on the whole of End(V),
+with no grading, and ``reference_invariant_spans`` the exact stability
+search that re-joins every pair of spans until nothing new appears.
 ``config_document`` is the one builder of CLI config documents for the
 tests.
 """
@@ -15,13 +18,15 @@ tests.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from quiverk3 import linalg
 from quiverk3.quiver import boxed_vectors
-from quiverk3.reps import Representation, dual
+from quiverk3.reps import EXACT, Representation, _graded, cyclic_subrep, dual
 from quiverk3.walls import nperp_basis, chamber_signature
 
 # ---------------------------------------------------------------------------
@@ -175,6 +180,105 @@ def proper_invariant_subspace_exists(rep: Representation) -> bool:
         if _invariant_subspace_exists(rep, beta):
             return True
     return False
+
+
+def reference_is_simple(rep: Representation, tol: float = 1e-8) -> bool:
+    """Burnside/density test on End of the total space: close the span of
+    the identity, the vertex idempotents and all arrow matrices, embedded
+    as N x N matrices, under left multiplication by the generators; simple
+    exactly when the span has dimension N^2. Float mode keeps an
+    orthonormal basis and a relative tolerance."""
+    n = rep.n
+    N = sum(n)
+    if N == 0:
+        return False
+    offs = [sum(n[:i]) for i in range(len(n) + 1)]
+    zero = rep.zero
+
+    def embed(mat, t, s):
+        out = np.full((N, N), zero)
+        out[offs[t] : offs[t + 1], offs[s] : offs[s + 1]] = mat
+        return out
+
+    def eye(k):
+        out = np.full((k, k), zero)
+        np.fill_diagonal(out, zero + 1)
+        return out
+
+    gens = [embed(eye(ni), i, i) for i, ni in enumerate(n) if ni > 0]
+    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        if n[s] > 0 and n[t] > 0:
+            gens.append(embed(x, t, s))
+            gens.append(embed(y, s, t))
+
+    if rep.mode == EXACT:
+        span = linalg.Span()
+
+        def try_add(m) -> bool:
+            return span.add(m.ravel().tolist())
+
+    else:
+        basis: list[np.ndarray] = []
+
+        def try_add(m) -> bool:
+            v = m.ravel()
+            for b in basis:
+                v = v - (b.conj() @ v) * b
+            norm = np.linalg.norm(v)
+            if norm > tol * max(1.0, float(np.linalg.norm(m))):
+                basis.append(v / norm)
+                return True
+            return False
+
+    frontier = [g for g in [eye(N)] + gens if try_add(g)]
+    dim = len(frontier)
+    while frontier and dim < N * N:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = g @ m
+                if try_add(p):
+                    nxt.append(p)
+        dim += len(nxt)
+        frontier = nxt
+    return dim == N * N
+
+
+def reference_invariant_spans(rep: Representation, budget) -> list:
+    """The invariant graded subspaces the exact stability search finds, in
+    order: cyclic subrepresentations of the coordinate and seeded random
+    probes, then pairwise sums re-joined over all pairs until a pass adds
+    nothing."""
+    n = rep.n
+    rng = random.Random(budget.seed)
+    found: dict = {}
+
+    def record(dims, bases):
+        if sum(dims) != 0 and dims != n:
+            found.setdefault((dims, bases))
+
+    probes = []
+    for i, ni in enumerate(n):
+        for k in range(ni):
+            probes.append((i, tuple(Fraction(1 if j == k else 0) for j in range(ni))))
+        for _ in range(budget.probes):
+            if ni > 0:
+                probes.append(
+                    (i, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)))
+                )
+    for vertex, vec in probes:
+        if any(x != 0 for x in vec):
+            record(*cyclic_subrep(rep, vertex, vec))
+    while True:
+        before = len(found)
+        singles = list(found)
+        for a in range(len(singles)):
+            for b in range(a + 1, len(singles)):
+                pairs = zip(singles[a][1], singles[b][1])
+                record(*_graded([linalg.Span(va + vb) for va, vb in pairs]))
+        if len(found) == before:
+            break
+    return list(found)
 
 
 # ---------------------------------------------------------------------------

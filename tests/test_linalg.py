@@ -94,7 +94,7 @@ def test_nullspace_and_rank_cover_their_cases():
     mats = _matrices(2024, 2500)
     ranks = [(linalg.shape(a), linalg.rank(a)) for a in mats]
     assert sum(r < min(shape) for shape, r in ranks) >= 500  # rank-deficient
-    assert sum(shape == (0, 0) for shape, _ in ranks) == 500  # 0 x k
+    assert sum(shape[0] == 0 for shape, _ in ranks) == 500  # 0 x k
     assert sum(any(not any(row) for row in a) for a in mats if len(a)) >= 400  # zero rows
 
 
@@ -129,3 +129,84 @@ def test_span_absorbs_initial_rows_like_add():
         if built.dim:
             v = [_entry(rng) for _ in a[0]]
             assert built.contains(v) == (linalg.rank(list(a) + [v]) == built.dim)
+
+
+def test_nullspace_of_a_matrix_with_no_rows_is_everything():
+    # a 2-D array carries its column count even with no rows; nested rows
+    # with no row carry none
+    for k in range(5):
+        a = np.empty((0, k), dtype=object)
+        assert linalg.shape(a) == (0, k)
+        assert linalg.nullspace(a) == list(linalg.identity(k))
+        assert linalg.rank(a) == 0
+    assert linalg.shape(()) == (0, 0) and linalg.nullspace(()) == []
+
+
+def _stress_entry(rng):
+    """Entries with numerators and denominators up to 10^6, as int or
+    Fraction."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-10**6, 10**6)
+    return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def _stress_matrices(seed: int, count: int):
+    """Rows mixing int and Fraction with large entries, rows whose first
+    nonzero entry is negative, and rank-deficient stacks of such rows."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[_stress_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        for row in a:  # make the leading entry negative
+            lead = next((j for j, x in enumerate(row) if x != 0), None)
+            if lead is not None and row[lead] > 0 and rng.random() < 0.7:
+                row[:] = [-x for x in row]
+        if i % 3 == 1 and rows > 1:  # a combination of two rows
+            c = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            a.append([x - c * y for x, y in zip(a[0], a[1])])
+        out.append(tuple(tuple(row) for row in a))
+    return out
+
+
+def test_span_on_large_mixed_and_negative_entries():
+    rng = random.Random(11)
+    mats = _stress_matrices(606, 400)
+    negative_leads = 0
+    for a in mats:
+        span = linalg.Span(a)
+        ns = linalg.nullspace(a)
+        assert ns == reference_nullspace(a)
+        assert span.dim == len(a[0]) - len(ns)
+        rref = span.basis()
+        assert all(type(x) is Fraction for v in rref for x in v)
+        # the RREF: pivot 1, zeros above and below, rows ordered by pivot
+        pivots = [next(j for j, x in enumerate(v) if x != 0) for v in rref]
+        assert pivots == sorted(pivots)
+        for v, p in zip(rref, pivots):
+            assert v[p] == 1
+            assert all(w[p] == 0 for w in rref if w is not v)
+        for row in a:
+            assert span.contains(row)
+            lead = next((x for x in row if x != 0), 0)
+            negative_leads += lead < 0
+        v = [_stress_entry(rng) for _ in a[0]]
+        assert span.contains(v) == (linalg.rank(list(a) + [v]) == span.dim)
+    assert negative_leads >= 300
+
+
+def test_mat_inv_on_large_mixed_entries():
+    rng = random.Random(12)
+    for _ in range(150):
+        k = rng.randint(1, 5)
+        a = tuple(tuple(_stress_entry(rng) for _ in range(k)) for _ in range(k))
+        if linalg.rank(a) < k:
+            with pytest.raises(ZeroDivisionError):
+                linalg.mat_inv(a)
+            continue
+        inv = linalg.mat_inv(a)
+        assert inv == reference_mat_inv(a)
+        assert linalg.mat_mul(inv, a) == linalg.identity(k)
