@@ -144,6 +144,11 @@ def parse_config_document(doc: dict):
             raise SchemaError(f"options.budget.{key} must be an integer")
     if "tol" in budget and type(budget["tol"]) not in (int, float):
         raise SchemaError("options.budget.tol must be a number")
+    try:
+        SearchBudget(**{k: budget[k] for k in ("probes", "restarts", "iters", "tol")
+                        if k in budget})
+    except ValueError as exc:
+        raise SchemaError(f"options.budget.{exc}") from None
     return cfg, pols, options, names
 
 
@@ -503,13 +508,16 @@ def _cmd_stability(cfg, pols, options, args):
     if sum(t * x for t, x in zip(theta, rep.n)) != 0:
         raise SchemaError(f"theta . n != 0 for the representation's n = {list(rep.n)}")
     opts = options.get("budget") or {}
-    budget = SearchBudget(
-        probes=args.probes if args.probes is not None else int(opts.get("probes", 4)),
-        restarts=args.restarts if args.restarts is not None else int(opts.get("restarts", 6)),
-        iters=args.iters if args.iters is not None else int(opts.get("iters", 200)),
-        tol=args.tol if args.tol is not None else float(opts.get("tol", 1e-8)),
-        seed=_seed_from(args, options),
-    )
+    try:
+        budget = SearchBudget(
+            probes=args.probes if args.probes is not None else int(opts.get("probes", 4)),
+            restarts=args.restarts if args.restarts is not None else int(opts.get("restarts", 6)),
+            iters=args.iters if args.iters is not None else int(opts.get("iters", 200)),
+            tol=args.tol if args.tol is not None else float(opts.get("tol", 1e-8)),
+            seed=_seed_from(args, options),
+        )
+    except ValueError as exc:  # a flag out of range; options.budget was checked on load
+        raise SchemaError(str(exc)) from None
     verdict = check_stability(rep, theta, budget)
     kind = type(verdict).__name__
     payload = {"theta": theta, "kind": kind, "verdict": verdict, "seed": budget.seed}

@@ -56,16 +56,11 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
     return out
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's generators refuse negative seeds with a bare ValueError
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
-def _eye(k: int, zero) -> np.ndarray:
-    out = np.full((k, k), zero)
-    np.fill_diagonal(out, zero + 1)
-    return out
+def _check_count(name: str, value) -> None:
+    # numpy's generators refuse negative seeds with a bare ValueError, and a
+    # negative budget would end a search before it starts
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +368,7 @@ def verify_ci_dim(
     intersection dimension 2p(n) + n^t n - 1."""
     from .quiver import cb_simple_exists
 
-    _check_seed(seed)
+    _check_count("seed", seed)
     expected_rank = sum(x * x for x in n) - 1
     expected_dim = mu_zero_expected_dim(q, n)
     if rep_space_dim(q, n) - expected_rank != expected_dim:
@@ -450,7 +445,7 @@ def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
             arrows[t].append((s, y))
     for i in support:
         add = {j: _block_adder(rep.mode, tol) for j in support}  # n_j x n_i blocks
-        e_i = _eye(n[i], rep.zero)
+        e_i = np.where(np.eye(n[i], dtype=bool), rep.zero + 1, rep.zero)
         add[i](e_i)
         frontier, dim = [(i, e_i)], 1
         while frontier and dim < n[i] * N:
@@ -530,7 +525,10 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        for name in ("probes", "restarts", "iters", "seed"):
+            _check_count(name, getattr(self, name))
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -600,82 +598,81 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     return list(found)
 
 
-def _float_defect_and_grad(rep, beta, frames):
-    n = rep.n
-    projs = []
-    for i, ni in enumerate(n):
-        if beta[i] == 0 or ni == 0:
-            projs.append(np.zeros((ni, ni), dtype=complex))
-        elif beta[i] == ni:
-            projs.append(np.eye(ni, dtype=complex))
-        else:
-            U = frames[i]
-            projs.append(U @ U.conj().T)
-    defect = 0.0
-    grads = [np.zeros_like(f) for f in frames]
-
-    def accumulate(A, s, t):
-        nonlocal defect
-        Ps, Pt = projs[s], projs[t]
-        T = (np.eye(len(Pt)) - Pt) @ A @ Ps
-        defect_term = float(np.linalg.norm(T) ** 2)
-        nonlocal_grad_s = (A.conj().T @ (np.eye(len(Pt)) - Pt) @ A) @ frames[s]
-        nonlocal_grad_t = -(A @ Ps @ A.conj().T) @ frames[t]
-        defect += defect_term
-        if 0 < beta[s] < n[s]:
-            grads[s] += nonlocal_grad_s
-        if 0 < beta[t] < n[t]:
-            grads[t] += nonlocal_grad_t
-
+def _arrow_groups(rep: Representation) -> list:
+    """The arrows grouped by (source, target), each group stacked as
+    A[k, n_t, n_s] together with its conjugate transpose."""
+    groups: dict[tuple[int, int], list] = {}
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        accumulate(x, s, t)
-        accumulate(y, t, s)
+        groups.setdefault((s, t), []).append(x)
+        groups.setdefault((t, s), []).append(y)
+    return [(s, t, np.stack(a), np.stack(a).conj().swapaxes(1, 2)) for (s, t), a in groups.items()]
+
+
+def _defect_and_grad(groups, frames):
+    """The defect sum |(1 - P_t) A P_s|^2 over the arrows, P_i = U_i U_i^H,
+    and its gradient in every frame, for R restarts at once: frames[i] is a
+    stack (R, n_i, beta_i) of orthonormal frames. An identity frame (beta_i =
+    n_i) or an empty one (beta_i = 0) needs no special case."""
+    defect = np.zeros(len(frames[0]))
+    grads = [np.zeros_like(u) for u in frames]
+    for s, t, A, AH in groups:
+        B = A @ frames[s][:, None]
+        C = frames[t].conj().swapaxes(1, 2)[:, None] @ B
+        res = B - frames[t][:, None] @ C
+        defect += (res.conj() * res).real.sum(axis=(1, 2, 3))
+        grads[s] += (AH @ res).sum(axis=1)
+        grads[t] -= (B @ C.conj().swapaxes(2, 3)).sum(axis=1)
     return defect, grads
 
 
-def _orthonormal_frames(rep, beta, rng):
-    frames = []
-    for i, ni in enumerate(rep.n):
-        bi = beta[i]
-        if bi == 0 or bi == ni:
-            frames.append(np.zeros((ni, max(bi, 0)), dtype=complex))
-        else:
-            m = rng.standard_normal((ni, bi)) + 1j * rng.standard_normal((ni, bi))
-            q, _ = np.linalg.qr(m)
-            frames.append(q[:, :bi])
-    return frames
-
-
 def _minimize_defect(rep, beta, budget, rng):
-    best = None
-    for _ in range(budget.restarts):
-        frames = _orthonormal_frames(rep, beta, rng)
-        eta = 0.1
-        defect, grads = _float_defect_and_grad(rep, beta, frames)
-        for _ in range(budget.iters):
-            if defect < budget.tol:
-                break
-            cand = []
-            for f, g in zip(frames, grads):
-                if f.shape[1] == 0 or f.shape[0] == f.shape[1]:
-                    cand.append(f)
-                    continue
-                m = f - eta * g
-                qq, _ = np.linalg.qr(m)
-                cand.append(qq[:, : f.shape[1]])
-            cdef, cgrads = _float_defect_and_grad(rep, beta, cand)
-            if cdef < defect:
-                frames, defect, grads = cand, cdef, cgrads
-                eta = min(eta * 1.25, 1.0)
-            else:
-                eta *= 0.5
-                if eta < 1e-12:
-                    break
-        if best is None or defect < best[0]:
-            best = (defect, frames)
-        if best[0] < budget.tol:
+    """Projected gradient descent on the frames from ``budget.restarts``
+    random starts, run as one batch: each restart keeps its own step size
+    and stops at ``tol``, after ``iters`` steps or when its step size
+    underflows. Returns (defect, frames) of the first restart below ``tol``,
+    else of the first with the least defect; None without restarts."""
+    R = budget.restarts
+    if R == 0:
+        return None
+    frames = [np.tile(np.eye(ni, bi, dtype=complex), (R, 1, 1)) for ni, bi in zip(rep.n, beta)]
+    moving = [i for i, (ni, bi) in enumerate(zip(rep.n, beta)) if 0 < bi < ni]
+    shapes = [frames[i].shape[1:] for i in moving]
+    # the draws of one restart after another, as the sequential search made them
+    draws = [[rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in shapes]
+             for _ in range(R)]
+    for k, i in enumerate(moving):
+        frames[i] = np.linalg.qr(np.array([d[k] for d in draws]))[0]
+    groups = _arrow_groups(rep)
+    defect, grads = _defect_and_grad(groups, frames)
+    eta, live = np.full(R, 0.1), np.ones(R, dtype=bool)
+    for _ in range(budget.iters):
+        # a restart below tol is done, and the restarts after it can no longer be chosen
+        live &= np.cumsum(defect < budget.tol) == 0
+        if not live.any():
             break
-    return best
+        cand = list(frames)
+        for i in moving:
+            cand[i] = np.linalg.qr(frames[i] - eta[:, None, None] * grads[i])[0]
+        cdef, cgrads = _defect_and_grad(groups, cand)
+        take = live & (cdef < defect)
+        for i in moving:
+            frames[i][take], grads[i][take] = cand[i][take], cgrads[i][take]
+        defect[take] = cdef[take]
+        eta = np.where(take, np.minimum(eta * 1.25, 1.0), np.where(live, eta * 0.5, eta))
+        live &= eta >= 1e-12
+    r = int(np.argmin(np.where(defect < budget.tol, -1.0, defect)))
+    return defect[r], [f[r] for f in frames]
+
+
+def _projector_defect(rep: Representation, frames) -> float:
+    """Sum over arrows of |(1 - P_t) A P_s|^2 with P_i = U_i U_i^H, computed
+    directly from the frames, independently of the search's kernel."""
+    projs = [u @ u.conj().T for u in frames]
+    return float(sum(
+        np.linalg.norm(a @ projs[s] - projs[t] @ a @ projs[s]) ** 2
+        for (s0, t0, _), (x, y) in zip(rep.quiver.orientation, rep.mats)
+        for a, s, t in ((x, s0, t0), (y, t0, s0))
+    ))
 
 
 def check_stability(
@@ -721,11 +718,7 @@ def check_stability(
 
     # float mode: numeric subspace search per candidate dimension vector
     rng = np.random.default_rng(budget.seed)
-    candidates = [
-        beta
-        for beta in boxed_vectors(n)
-        if any(beta) and beta != n
-    ]
+    candidates = [beta for beta in boxed_vectors(n) if any(beta) and beta != n]
     positive = sorted(
         (b for b in candidates if slope_theta(theta, b) > 0),
         key=lambda b: (-slope_theta(theta, b), b),
@@ -738,10 +731,9 @@ def check_stability(
         for beta in group:
             best = _minimize_defect(rep, beta, budget, rng)
             if best is not None and best[0] < budget.tol:
-                defect, frames = best
-                defect2, _ = _float_defect_and_grad(rep, beta, frames)
-                if defect2 < budget.tol:
-                    return make(beta, tuple(frames), float(defect2))
+                defect = _projector_defect(rep, best[1])  # rechecked without the kernel
+                if defect < budget.tol:
+                    return make(beta, tuple(best[1]), defect)
     return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
 
 

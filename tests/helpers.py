@@ -11,6 +11,9 @@ column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``.
 ``reference_is_simple`` is the Burnside closure on the whole of End(V),
 with no grading, and ``reference_invariant_spans`` the exact stability
 search that re-joins every pair of spans until nothing new appears.
+``reference_float_search`` is the float stability search run one restart
+and one arrow at a time on projector matrices, and
+``reference_defect_and_grad`` its objective and gradient.
 ``config_document`` is the one builder of CLI config documents for the
 tests.
 """
@@ -279,6 +282,101 @@ def reference_invariant_spans(rep: Representation, budget) -> list:
         if len(found) == before:
             break
     return list(found)
+
+
+# ---------------------------------------------------------------------------
+# sequential float stability search
+
+
+def reference_defect_and_grad(rep: Representation, beta, frames):
+    """Sum over arrows of |(1 - P_t) A P_s|^2 for the projectors P = U U^H
+    of the frames, and its gradient in each moving frame (0 < beta_i < n_i),
+    one arrow and one frame at a time. A vertex with beta_i = 0 or n_i takes
+    the zero or identity projector whatever its frame; its gradient is 0."""
+    n = rep.n
+    projs = []
+    for i, ni in enumerate(n):
+        if beta[i] == 0 or ni == 0:
+            projs.append(np.zeros((ni, ni), dtype=complex))
+        elif beta[i] == ni:
+            projs.append(np.eye(ni, dtype=complex))
+        else:
+            projs.append(frames[i] @ frames[i].conj().T)
+    defect = 0.0
+    grads = [np.zeros_like(f) for f in frames]
+    for (s0, t0, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        for A, s, t in ((x, s0, t0), (y, t0, s0)):
+            Ps, Pt = projs[s], projs[t]
+            defect += float(np.linalg.norm((np.eye(len(Pt)) - Pt) @ A @ Ps) ** 2)
+            if 0 < beta[s] < n[s]:
+                grads[s] += (A.conj().T @ (np.eye(len(Pt)) - Pt) @ A) @ frames[s]
+            if 0 < beta[t] < n[t]:
+                grads[t] += -(A @ Ps @ A.conj().T) @ frames[t]
+    return defect, grads
+
+
+def _reference_frames(rep: Representation, beta, rng):
+    frames = []
+    for ni, bi in zip(rep.n, beta):
+        if bi == 0 or bi == ni:
+            frames.append(np.zeros((ni, bi), dtype=complex))
+        else:
+            m = rng.standard_normal((ni, bi)) + 1j * rng.standard_normal((ni, bi))
+            frames.append(np.linalg.qr(m)[0][:, :bi])
+    return frames
+
+
+def _reference_minimize(rep: Representation, beta, budget, rng):
+    best = None
+    for _ in range(budget.restarts):
+        frames = _reference_frames(rep, beta, rng)
+        eta = 0.1
+        defect, grads = reference_defect_and_grad(rep, beta, frames)
+        for _ in range(budget.iters):
+            if defect < budget.tol:
+                break
+            cand = []
+            for f, g in zip(frames, grads):
+                if f.shape[1] == 0 or f.shape[0] == f.shape[1]:
+                    cand.append(f)
+                else:
+                    cand.append(np.linalg.qr(f - eta * g)[0][:, : f.shape[1]])
+            cdef, cgrads = reference_defect_and_grad(rep, beta, cand)
+            if cdef < defect:
+                frames, defect, grads = cand, cdef, cgrads
+                eta = min(eta * 1.25, 1.0)
+            else:
+                eta *= 0.5
+                if eta < 1e-12:
+                    break
+        if best is None or defect < best[0]:
+            best = (defect, frames)
+        if best[0] < budget.tol:
+            break
+    return best
+
+
+def reference_float_search(rep: Representation, theta, budget):
+    """The float half of ``check_stability``, one restart after another: for
+    each candidate beta of positive slope (steepest first), then of slope
+    zero, run gradient descent on the frames from ``budget.restarts`` seeded
+    starts and return (verdict type name, beta) for the first beta whose
+    best defect is below ``budget.tol``, or ("NoDestabilizerFound", None)."""
+    theta = tuple(Fraction(t) for t in theta)
+    rng = np.random.default_rng(budget.seed)
+
+    def slope(b):
+        return sum((t * x for t, x in zip(theta, b)), Fraction(0)) / sum(b)
+
+    cands = [b for b in boxed_vectors(rep.n) if any(b) and b != rep.n]
+    positive = sorted((b for b in cands if slope(b) > 0), key=lambda b: (-slope(b), b))
+    zero = sorted(b for b in cands if slope(b) == 0)
+    for group, kind in ((positive, "CertifiedUnstable"), (zero, "StrictlySemistableWitness")):
+        for beta in group:
+            best = _reference_minimize(rep, beta, budget, rng)
+            if best is not None and best[0] < budget.tol:
+                return kind, beta
+    return "NoDestabilizerFound", None
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,31 @@ STABILITY = ["stability", "--theta=-1,1"]
             "options.budget.tol must be a number", id="budget-tol",
         ),
         pytest.param(
+            {"options": {"budget": {"restarts": -1}}}, None, ["summary"], {},
+            "options.budget.restarts must be a non-negative integer, got -1",
+            id="budget-restarts-negative",
+        ),
+        pytest.param(
+            {"options": {"budget": {"tol": 0}}}, None, STABILITY, {},
+            "options.budget.tol must be a positive finite number, got 0", id="budget-tol-zero",
+        ),
+        pytest.param(
+            {}, None, STABILITY + ["--restarts", "-1"], {},
+            "restarts must be a non-negative integer, got -1", id="flag-restarts-negative",
+        ),
+        pytest.param(
+            {}, None, STABILITY + ["--iters", "-5"], {},
+            "iters must be a non-negative integer, got -5", id="flag-iters-negative",
+        ),
+        pytest.param(
+            {}, None, STABILITY + ["--probes", "-2"], {},
+            "probes must be a non-negative integer, got -2", id="flag-probes-negative",
+        ),
+        pytest.param(
+            {}, None, STABILITY + ["--tol", "nan"], {},
+            "tol must be a positive finite number, got nan", id="flag-tol-nan",
+        ),
+        pytest.param(
             {}, {"matrices": [[1], EXACT_REP["matrices"][1]]}, STABILITY, {},
             "matrices[0] must be an object", id="matrix-entry-list",
         ),

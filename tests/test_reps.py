@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,31 @@ def test_search_budget_names_a_negative_seed(affine_a1):
     rep = simple_affine_rep(affine_a1).to_float()
     verdict = check_stability(rep, (F(-1), F(1)), SearchBudget(restarts=1, iters=5, seed=0))
     assert isinstance(verdict, NoDestabilizerFound)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("probes", -2, "probes must be a non-negative integer, got -2"),
+    ("restarts", -1, "restarts must be a non-negative integer, got -1"),
+    ("iters", -5, "iters must be a non-negative integer, got -5"),
+    ("iters", 2.5, "iters must be a non-negative integer, got 2.5"),
+    ("tol", float("nan"), "tol must be a positive finite number, got nan"),
+    ("tol", 0.0, "tol must be a positive finite number, got 0.0"),
+    ("tol", -1e-8, "tol must be a positive finite number, got -1e-08"),
+    ("tol", float("inf"), "tol must be a positive finite number, got inf"),
+])
+def test_search_budget_names_an_empty_or_vacuous_field(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SearchBudget(**{field: value})
+
+
+def test_search_budget_allows_zero_restarts_and_iters(affine_a1):
+    rep = unstable_affine_rep(affine_a1).to_float()
+    theta = (F(-1), F(1))
+    verdict = check_stability(rep, theta, SearchBudget(restarts=0))
+    assert isinstance(verdict, NoDestabilizerFound) and verdict.restarts == 0
+    # no descent step is needed: (0, 1) has no frame to move
+    verdict = check_stability(rep, theta, SearchBudget(iters=0))
+    assert type(verdict).__name__ == "CertifiedUnstable" and verdict.beta == (0, 1)
 
 
 def test_is_simple_examples(affine_a1):
