@@ -242,27 +242,19 @@ def rep_from_dict(quiver, doc: dict) -> Representation:
 
 
 def jsonable(obj):
+    """The ``default=`` hook of ``json.dumps``: encodes the report values
+    json does not know, and json encodes what they contain."""
     if isinstance(obj, Fraction):
         return _frac_to_json(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _complex_to_json(obj)
     if isinstance(obj, np.ndarray):
-        return [[jsonable(complex(e)) for e in row] for row in obj]
+        return [[_complex_to_json(complex(e)) for e in row] for row in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
@@ -271,7 +263,7 @@ def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
     if as_json:
         doc = {"schema_version": SCHEMA_VERSION, "command": command}
         doc.update(payload)
-        print(json.dumps(jsonable(doc), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, default=jsonable))
     else:
         for line in lines:
             print(line)

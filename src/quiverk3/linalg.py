@@ -10,8 +10,9 @@ Fractions, and ``rank``, ``nullspace`` and ``mat_inv`` take their answers
 from it.
 
 Representation matrices are numpy arrays and multiply with ``@`` (see
-``reps``); this module keeps what exact mode needs beyond that, and the
-tuple ``mat_mul`` that the tests use as an independent reference.
+``reps``); this module keeps what exact mode needs beyond that. The tuple
+products ``mat_mul`` and ``mat_vec`` are not used by the package: the tests
+use them as independent references, and the benchmark's tracer keeps them.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ what ties the two sides of the package together.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,14 +136,7 @@ def is_positive_root(q: Quiver, alpha: DimVector) -> bool:
 
 def boxed_vectors(n: DimVector):
     """All 0 <= alpha <= n componentwise, in lexicographic order."""
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(n):
-            yield prefix
-            return
-        for a in range(n[i] + 1):
-            yield from rec(i + 1, prefix + (a,))
-
-    yield from rec(0, ())
+    return itertools.product(*(range(k + 1) for k in n))
 
 
 # (quiver, n) pairs whose roots, quiver walls and simple-existence verdicts

@@ -5,6 +5,8 @@ x_e y_e at their target and subtract y_e x_e at their source), its exact
 linearization, a damped Gauss-Newton search for points of mu^-1(0), a
 block-graded Burnside-closure simplicity test, and a sound-but-incomplete
 King stability checker whose certified verdicts carry explicit witnesses.
+One graded span closure (``_closure``) serves both of the last two: it
+closes e_i for ``is_simple`` and a probe vector for ``cyclic_subrep``.
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
@@ -404,26 +406,48 @@ def verify_ci_dim(
 # simplicity, subrepresentations, stability
 
 
-def _block_adder(mode: str, tol: float):
-    """A fresh span of flattened matrices and the function that adds one to
-    it, which is True exactly when the span grew. Exact in rational mode;
-    float mode keeps an orthonormal basis and a relative tolerance."""
-    if mode == EXACT:
-        span = linalg.Span()
-        return lambda m: span.add(m.ravel().tolist())
+def _block_adder(tol: float):
+    """The float adder of a fresh span of flattened matrices, True exactly
+    when the span grew: an orthonormal basis and a relative tolerance."""
     basis: list[np.ndarray] = []
 
-    def try_add(m) -> bool:
-        v = m.ravel()
+    def try_add(v) -> bool:
+        w = v
         for b in basis:
-            v = v - (b.conj() @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > tol * max(1.0, float(np.linalg.norm(m))):
-            basis.append(v / norm)
+            w = w - (b.conj() @ w) * b
+        norm = np.linalg.norm(w)
+        if norm > tol * max(1.0, float(np.linalg.norm(v))):
+            basis.append(w / norm)
             return True
         return False
 
     return try_add
+
+
+def _closure(rep: Representation, vertex: int, seed: np.ndarray, adders) -> int:
+    """Close the n_vertex x c block ``seed`` under left multiplication by the
+    arrows of the doubled quiver, level by level. Each image at a vertex k,
+    flattened, goes to ``adders[k]``, which is True exactly when its span
+    grew; only those images are multiplied further. Stops once every span
+    is full and returns the sum of their dimensions."""
+    n = rep.n
+    arrows: list[list] = [[] for _ in n]  # j -> [(k, A: V_j -> V_k)]
+    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        if n[s] > 0 and n[t] > 0:
+            arrows[s].append((t, x))
+            arrows[t].append((s, y))
+    frontier = [(vertex, seed)] if adders[vertex](seed.ravel()) else []
+    dim, full = len(frontier), sum(n) * seed.shape[1]
+    while frontier and dim < full:
+        nxt = []
+        for j, m in frontier:
+            for k, a in arrows[j]:
+                p = a @ m
+                if adders[k](p.ravel()):
+                    nxt.append((k, p))
+        dim += len(nxt)
+        frontier = nxt
+    return dim
 
 
 def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
@@ -437,27 +461,12 @@ def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
     N = sum(n)
     if N == 0:
         return False
-    support = [i for i, ni in enumerate(n) if ni > 0]
-    arrows: dict[int, list] = {i: [] for i in support}  # j -> [(k, A: V_j -> V_k)]
-    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        if n[s] > 0 and n[t] > 0:
-            arrows[s].append((t, x))
-            arrows[t].append((s, y))
-    for i in support:
-        add = {j: _block_adder(rep.mode, tol) for j in support}  # n_j x n_i blocks
-        e_i = np.where(np.eye(n[i], dtype=bool), rep.zero + 1, rep.zero)
-        add[i](e_i)
-        frontier, dim = [(i, e_i)], 1
-        while frontier and dim < n[i] * N:
-            nxt = []
-            for j, m in frontier:
-                for k, a in arrows[j]:
-                    p = a @ m
-                    if add[k](p):
-                        nxt.append((k, p))
-            dim += len(nxt)
-            frontier = nxt
-        if dim < n[i] * N:
+    for i, ni in enumerate(n):
+        if ni == 0:
+            continue
+        adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(tol) for _ in n]
+        e_i = np.where(np.eye(ni, dtype=bool), rep.zero + 1, rep.zero)
+        if _closure(rep, i, e_i, adders) < ni * N:
             return False
     return True
 
@@ -472,28 +481,14 @@ def cyclic_subrep(
     rep: Representation, vertex: int, vector: Sequence
 ) -> tuple[DimVector, tuple[tuple[linalg.Vector, ...], ...]]:
     """Smallest subrepresentation containing the given vector (exact mode):
-    graded span closure under all arrows of the doubled quiver."""
+    the closure of the vector, as an n_vertex x 1 block, under the arrows."""
     if rep.mode != EXACT:
         raise ValueError("cyclic_subrep requires exact mode")
-    n = rep.n
-    vec = tuple(Fraction(v) for v in vector)
-    if len(vec) != n[vertex]:
+    if len(vector) != rep.n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
-    spans = [linalg.Span() for _ in n]
-    frontier: list[tuple[int, tuple[Fraction, ...]]] = []
-    if spans[vertex].add(vec):
-        frontier.append((vertex, vec))
-    while frontier:
-        i, v = frontier.pop()
-        for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-            if s == i and n[t] > 0:
-                w = linalg.mat_vec(x, v)
-                if spans[t].add(w):
-                    frontier.append((t, w))
-            if t == i and n[s] > 0:
-                w = linalg.mat_vec(y, v)
-                if spans[s].add(w):
-                    frontier.append((s, w))
+    spans = [linalg.Span() for _ in rep.n]
+    seed = np.array([Fraction(v) for v in vector], dtype=object).reshape(-1, 1)
+    _closure(rep, vertex, seed, [sp.add for sp in spans])
     return _graded(spans)
 
 
@@ -502,7 +497,8 @@ def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequen
     spans = [linalg.Span(vecs) for vecs in bases]
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
         for a, src, dst in ((x, s, t), (y, t, s)):
-            if not all(spans[dst].contains(linalg.mat_vec(a, v)) for v in spans[src].rows):
+            rows = spans[src].rows
+            if rows and not all(map(spans[dst].contains, np.array(rows, dtype=object) @ a.T)):
                 return False
     return True
 
@@ -644,7 +640,8 @@ def _minimize_defect(rep, beta, budget, rng):
         frames[i] = np.linalg.qr(np.array([d[k] for d in draws]))[0]
     groups = _arrow_groups(rep)
     defect, grads = _defect_and_grad(groups, frames)
-    eta, live = np.full(R, 0.1), np.ones(R, dtype=bool)
+    # with no moving frame every step is rejected: nothing to descend
+    eta, live = np.full(R, 0.1), np.full(R, bool(moving))
     for _ in range(budget.iters):
         # a restart below tol is done, and the restarts after it can no longer be chosen
         live &= np.cumsum(defect < budget.tol) == 0

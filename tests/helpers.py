@@ -9,8 +9,11 @@ Zaslavsky oracle counts chambers in any dimension from the intersection
 lattice of the walls. ``reference_nullspace`` and ``reference_mat_inv`` are
 column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``.
 ``reference_is_simple`` is the Burnside closure on the whole of End(V),
-with no grading, and ``reference_invariant_spans`` the exact stability
-search that re-joins every pair of spans until nothing new appears.
+with no grading, ``reference_cyclic_subrep`` the closure of one vector
+taken depth first with ``linalg.mat_vec``, and ``reference_invariant_spans``
+the exact stability search, built on it, that re-joins every pair of spans
+until nothing new appears. ``unipotent_conjugate`` hides the invariant
+subspaces of an exact representation by a seeded change of basis.
 ``reference_float_search`` is the float stability search run one restart
 and one arrow at a time on projector matrices, and
 ``reference_defect_and_grad`` its objective and gradient.
@@ -29,7 +32,7 @@ import sympy
 
 from quiverk3 import linalg
 from quiverk3.quiver import boxed_vectors
-from quiverk3.reps import EXACT, Representation, _graded, cyclic_subrep, dual
+from quiverk3.reps import EXACT, GroupElement, Representation, _graded, act, dual
 from quiverk3.walls import nperp_basis, chamber_signature
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,44 @@ def reference_is_simple(rep: Representation, tol: float = 1e-8) -> bool:
     return dim == N * N
 
 
+def unipotent_conjugate(rep: Representation, seed: int) -> Representation:
+    """rep conjugated by seeded unipotent blocks (lower times upper
+    triangular), so that its invariant subspaces are not coordinate ones."""
+    rng = random.Random(seed)
+
+    def block(k):
+        lower = np.array([[Fraction(int(i == j)) if i <= j else Fraction(rng.randint(-2, 2))
+                           for j in range(k)] for i in range(k)], dtype=object)
+        upper = np.array([[Fraction(int(i == j)) if i >= j else Fraction(rng.randint(-2, 2))
+                           for j in range(k)] for i in range(k)], dtype=object)
+        return lower @ upper
+
+    return act(GroupElement(tuple(block(k) for k in rep.n)), rep)
+
+
+def reference_cyclic_subrep(rep: Representation, vertex: int, vector) -> tuple:
+    """The smallest subrepresentation containing the vector, closed depth
+    first one arrow and one vector at a time with ``linalg.mat_vec``."""
+    n = rep.n
+    vec = tuple(Fraction(v) for v in vector)
+    spans = [linalg.Span() for _ in n]
+    frontier = []
+    if spans[vertex].add(vec):
+        frontier.append((vertex, vec))
+    while frontier:
+        i, v = frontier.pop()
+        for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+            if s == i and n[t] > 0:
+                w = linalg.mat_vec(x, v)
+                if spans[t].add(w):
+                    frontier.append((t, w))
+            if t == i and n[s] > 0:
+                w = linalg.mat_vec(y, v)
+                if spans[s].add(w):
+                    frontier.append((s, w))
+    return _graded(spans)
+
+
 def reference_invariant_spans(rep: Representation, budget) -> list:
     """The invariant graded subspaces the exact stability search finds, in
     order: cyclic subrepresentations of the coordinate and seeded random
@@ -271,7 +312,7 @@ def reference_invariant_spans(rep: Representation, budget) -> list:
                 )
     for vertex, vec in probes:
         if any(x != 0 for x in vec):
-            record(*cyclic_subrep(rep, vertex, vec))
+            record(*reference_cyclic_subrep(rep, vertex, vec))
     while True:
         before = len(found)
         singles = list(found)

@@ -20,23 +20,20 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from quiverk3 import CurveConfig, quiver_from_config, random_representation
 from quiverk3.reps import (
-    GroupElement,
     NoDestabilizerFound,
     Representation,
     SearchBudget,
     _exact_invariant_spans,
-    act,
     annihilator_witness,
     check_stability,
     direct_sum,
     is_simple,
 )
-from helpers import reference_invariant_spans, reference_is_simple
+from helpers import reference_invariant_spans, reference_is_simple, unipotent_conjugate
 
 F = Fraction
 
@@ -53,21 +50,6 @@ def _zero_y(rep: Representation) -> Representation:
 
 def _rand(cfg, n, seed, mode="exact"):
     return random_representation(quiver_from_config(cfg), n, seed=seed, mode=mode)
-
-
-def _hidden(rep: Representation, seed: int) -> Representation:
-    """rep conjugated by seeded unipotent blocks (lower times upper
-    triangular), so that its invariant subspaces are not coordinate ones."""
-    rng = random.Random(seed)
-
-    def block(k):
-        lower = np.array([[F(int(i == j)) if i <= j else F(rng.randint(-2, 2)) for j in range(k)]
-                          for i in range(k)], dtype=object)
-        upper = np.array([[F(int(i == j)) if i >= j else F(rng.randint(-2, 2)) for j in range(k)]
-                          for i in range(k)], dtype=object)
-        return lower @ upper
-
-    return act(GroupElement(tuple(block(k) for k in rep.n)), rep)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +86,7 @@ def _stability_cases():
         yield f"ogrady5-{seed}", _rand(OGRADY, (5,), seed), (F(0),)
     for seed in range(8):
         wall = direct_sum(_rand(AFFINE, (1, 1), seed), _rand(AFFINE, (2, 2), 100 + seed))
-        yield f"affine-11+22-hidden-{seed}", _hidden(wall, seed), (F(-1), F(1))
+        yield f"affine-11+22-hidden-{seed}", unipotent_conjugate(wall, seed), (F(-1), F(1))
 
 
 def stability_digests() -> dict[str, str]:

@@ -155,6 +155,21 @@ def test_full_vertex_witness_carries_the_identity(affine_a1):
     _assert_orthonormal_witness(verdict, rep.n)
 
 
+def test_descent_skips_a_candidate_with_no_moving_frame(monkeypatch):
+    # beta = (0, 1) at n = (1, 1) fixes both frames: one kernel evaluation
+    # gives the defect, and no step could change it
+    kernel, calls = reps._defect_and_grad, []
+
+    def counted(groups, frames):
+        calls.append(1)
+        return kernel(groups, frames)
+
+    monkeypatch.setattr(reps, "_defect_and_grad", counted)
+    rep = _rand(AFFINE, (1, 1), 0)
+    reps._minimize_defect(rep, (0, 1), SearchBudget(), np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 def test_witness_recheck_does_not_trust_the_kernel(monkeypatch):
     # a kernel that calls every frame invariant must not certify a witness
     # on a representation with no proper subrepresentation

@@ -346,6 +346,46 @@ def test_cyclic_subrep(affine_a1):
     assert bases[0] == () and len(bases[1]) == 1
     dims, _ = cyclic_subrep(unstable, 0, (F(0),))
     assert dims == (0, 0)
+    with pytest.raises(ValueError):
+        cyclic_subrep(simple.to_float(), 0, (F(1),))
+    with pytest.raises(ValueError):
+        cyclic_subrep(simple, 0, (F(1), F(0)))
+    q = quiver_from_config(affine_a1)
+    rep = random_representation(q, (0, 2), seed=1)
+    assert cyclic_subrep(rep, 1, (F(0), F(0))) == ((0, 0), ((), ()))
+    assert cyclic_subrep(rep, 0, ()) == ((0, 0), ((), ()))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cyclic_subrep_matches_reference(affine_a1, ogrady, seed):
+    """Seeded exact representations at total dimension 3-6, also with their
+    invariant subspaces hidden by a change of basis, against the depth-first
+    reference closure."""
+    from helpers import reference_cyclic_subrep, unipotent_conjugate
+
+    rng = random.Random(seed)
+    affine, og = quiver_from_config(affine_a1), quiver_from_config(ogrady)
+    chain = quiver_from_config(random_config(rng, s_min=3, s_max=3, mult_max=1))
+    y_zero = random_representation(affine, (3, 3), seed=seed)
+    reps = [
+        random_representation(affine, (2, 1), seed=seed),
+        random_representation(chain, tuple(rng.randint(1, 2) for _ in range(3)), seed=seed),
+        Representation(affine, (3, 3), "exact", tuple((x, 0 * y) for x, y in y_zero.mats)),
+        direct_sum(random_representation(affine, (1, 1), seed=seed),
+                   random_representation(affine, (2, 2), seed=100 + seed)),
+        direct_sum(random_representation(og, (2,), seed=seed),
+                   random_representation(og, (3,), seed=50 + seed)),
+    ]
+    proper = 0
+    for rep in reps + [unipotent_conjugate(r, seed) for r in reps]:
+        for i, ni in enumerate(rep.n):
+            probes = [tuple(F(int(j == k)) for j in range(ni)) for k in range(ni)]
+            probes.append(tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)))
+            for v in probes:
+                got = cyclic_subrep(rep, i, v)
+                assert got == reference_cyclic_subrep(rep, i, v)
+                proper += 0 < sum(got[0]) < rep.total_dim
+    assert proper > 0
 
 
 def test_graded_invariance_checks_both_arrow_directions(affine_a1):
