@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -241,17 +242,26 @@ def rep_from_dict(quiver, doc: dict) -> Representation:
 # JSON encoding of report objects
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """The field names of a dataclass, None for any other class."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
 def jsonable(obj):
-    """The ``default=`` hook of ``json.dumps``: encodes the report values
-    json does not know, and json encodes what they contain."""
+    """A report value JSON has no type for (``Fraction``, ``complex``,
+    ``ndarray``, dataclass instances, numpy scalars) as one it has;
+    ``_dumps`` then encodes what it contains, as ``json.dumps`` would with
+    ``default=jsonable``. Dataclass field names are cached per class."""
     if isinstance(obj, Fraction):
         return _frac_to_json(obj)
     if isinstance(obj, complex):
         return _complex_to_json(obj)
     if isinstance(obj, np.ndarray):
         return [[_complex_to_json(complex(e)) for e in row] for row in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -259,11 +269,60 @@ def jsonable(obj):
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
+def _key(k) -> str:
+    """json's spelling of a dict key."""
+    if isinstance(k, str):
+        return json.encoder.encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + json.dumps(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=jsonable)`` in one
+    pass, one ``str.join`` per container; ``indent`` starts obj's line.
+
+    A dataclass instance met again at the same depth (the ``StratumPart``s
+    that strata records share) is encoded once: ``memo`` maps its (id,
+    depth) to the instance, which the entry keeps alive so that the id is
+    not reused, and its text.
+    """
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)  # float repr, and json's NaN/Infinity
+    memo = {} if memo is None else memo
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is int for v in obj):  # no bools
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dumps(v, inner, memo) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        # sorted as json sorts: by key, before the keys are spelled
+        items = [_key(k) + ": " + _dumps(v, inner, memo) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if obj else "{}"
+    if _field_names(type(obj)) is None:  # a Fraction, complex, array or numpy scalar
+        return _dumps(jsonable(obj), indent, memo)
+    key = (id(obj), len(indent))
+    if key not in memo:
+        memo[key] = (obj, _dumps(jsonable(obj), indent, memo))
+    return memo[key][1]
+
+
 def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
+    """Print the report: with ``as_json``, the payload under the schema
+    version and command name as indented JSON with sorted keys (``_dumps``),
+    else the text lines."""
     if as_json:
         doc = {"schema_version": SCHEMA_VERSION, "command": command}
         doc.update(payload)
-        print(json.dumps(doc, indent=2, sort_keys=True, default=jsonable))
+        print(_dumps(doc))
     else:
         for line in lines:
             print(line)
@@ -554,7 +613,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: every option default is immutable, so
+    parsing leaves nothing behind for the next call."""
     parser = argparse.ArgumentParser(
         prog="quiverk3",
         description="Local quiver models of singular sheaf moduli on a K3: "

@@ -203,26 +203,26 @@ def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
     if not is_positive_root(q, n):
         _w.warn(f"n = {n} is not a positive root", stacklevel=2)
     roots = _roots_within(q, tuple(n))
-    results: list[Decomposition] = []
 
-    def rec(idx: int, remaining: DimVector, acc: list[tuple[int, DimVector]]):
-        if all(r == 0 for r in remaining):
-            results.append(Decomposition(tuple(acc)))
-            return
+    @lru_cache(maxsize=None)
+    def rec(idx: int, remaining: DimVector) -> tuple[tuple[tuple[int, DimVector], ...], ...]:
+        """The part tuples of the decompositions of ``remaining`` into
+        roots[idx:], each root used at most once with its multiplicity;
+        empty when no such decomposition exists."""
+        if not any(remaining):
+            return ((),)
         if idx == len(roots):
-            return
+            return ()
         beta = roots[idx]
-        kmax = min(
-            (remaining[i] // beta[i] for i in range(len(n)) if beta[i] > 0),
-        )
-        rec(idx + 1, remaining, acc)
+        kmax = min(remaining[i] // b for i, b in enumerate(beta) if b > 0)
+        out = list(rec(idx + 1, remaining))
         for k in range(1, kmax + 1):
-            rest = tuple(remaining[i] - k * beta[i] for i in range(len(n)))
-            acc.append((k, beta))
-            rec(idx + 1, rest, acc)
-            acc.pop()
+            rest = tuple(r - k * b for r, b in zip(remaining, beta))
+            out += [((k, beta),) + tail for tail in rec(idx + 1, rest)]
+        return tuple(out)
 
-    rec(0, tuple(n), [])
+    results = [Decomposition(parts) for parts in rec(0, tuple(n))]
+    rec.cache_clear()
     results.sort(key=lambda dec: (not dec.is_trivial(n), dec.parts))
     return results
 

@@ -557,11 +557,16 @@ StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilize
 def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     n = rep.n
     rng = random.Random(budget.seed)
-    found: dict[tuple[DimVector, tuple], None] = {}  # an ordered set
+    # an ordered set of the found graded subspaces, each held as the RREF
+    # rows of its spans by pivot column: primitive integer vectors, which
+    # determine the subspace, so the joins below build no Fraction
+    found: dict[tuple, None] = {}
 
-    def record(dims: DimVector, bases):
+    def record(spans: list[linalg.Span]):
+        rows = tuple(tuple(tuple(r) for _, r in sorted(zip(sp.pivots, sp.rows))) for sp in spans)
+        dims = tuple(map(len, rows))
         if sum(dims) != 0 and dims != n:
-            found.setdefault((dims, bases))
+            found.setdefault(rows)
 
     probes: list[tuple[int, tuple[Fraction, ...]]] = []
     for i, ni in enumerate(n):
@@ -576,7 +581,7 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     for vertex, vec in probes:
         if all(x == 0 for x in vec):
             continue
-        record(*cyclic_subrep(rep, vertex, vec))
+        record([linalg.Span(basis) for basis in cyclic_subrep(rep, vertex, vec)[1]])
     # sums of invariant spans are invariant: close the found set under
     # pairwise sums until stable (the join-closure of the probe spans). A
     # pass joins only the pairs with an entry new in the previous pass; the
@@ -586,12 +591,11 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
         singles = list(found)
         for a in range(len(singles)):
             for b in range(max(a + 1, done), len(singles)):
-                pairs = zip(singles[a][1], singles[b][1])
-                record(*_graded([linalg.Span(va + vb) for va, vb in pairs]))
+                record([linalg.Span(ra + rb) for ra, rb in zip(singles[a], singles[b])])
         if len(found) == len(singles):
             break
         done = len(singles)
-    return list(found)
+    return [_graded([linalg.Span(r) for r in rows]) for rows in found]
 
 
 def _arrow_groups(rep: Representation) -> list:

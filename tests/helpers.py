@@ -17,6 +17,8 @@ subspaces of an exact representation by a seeded change of basis.
 ``reference_float_search`` is the float stability search run one restart
 and one arrow at a time on projector matrices, and
 ``reference_defect_and_grad`` its objective and gradient.
+``reference_decompositions`` is the root-decomposition recursion without a
+memo: each root in turn is skipped or used k times.
 ``config_document`` is the one builder of CLI config documents for the
 tests.
 """
@@ -31,7 +33,7 @@ import numpy as np
 import sympy
 
 from quiverk3 import linalg
-from quiverk3.quiver import boxed_vectors
+from quiverk3.quiver import Decomposition, boxed_vectors, is_positive_root
 from quiverk3.reps import EXACT, GroupElement, Representation, _graded, act, dual
 from quiverk3.walls import nperp_basis, chamber_signature
 
@@ -323,6 +325,38 @@ def reference_invariant_spans(rep: Representation, budget) -> list:
         if len(found) == before:
             break
     return list(found)
+
+
+# ---------------------------------------------------------------------------
+# root decompositions
+
+
+def reference_decompositions(q, n) -> list[Decomposition]:
+    """All n = sum k_j beta^(j) over distinct positive roots beta^(j) <= n,
+    by a depth-first skip/use recursion over the roots in lexicographic
+    order, trivial decomposition first, then by parts."""
+    n = tuple(n)
+    roots = [r for r in boxed_vectors(n) if is_positive_root(q, r)]
+    results: list[Decomposition] = []
+
+    def rec(idx: int, remaining, acc: list):
+        if all(r == 0 for r in remaining):
+            results.append(Decomposition(tuple(acc)))
+            return
+        if idx == len(roots):
+            return
+        beta = roots[idx]
+        kmax = min(remaining[i] // beta[i] for i in range(len(n)) if beta[i] > 0)
+        rec(idx + 1, remaining, acc)
+        for k in range(1, kmax + 1):
+            rest = tuple(remaining[i] - k * beta[i] for i in range(len(n)))
+            acc.append((k, beta))
+            rec(idx + 1, rest, acc)
+            acc.pop()
+
+    rec(0, n, [])
+    results.sort(key=lambda dec: (not dec.is_trivial(n), dec.parts))
+    return results
 
 
 # ---------------------------------------------------------------------------

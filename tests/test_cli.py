@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from quiverk3 import Representation, quiver_from_config, random_representation
+from quiverk3 import Representation, cli, quiver_from_config, random_representation
 from quiverk3.cli import (
     EXIT_ASSERTION,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_SCHEMA,
+    build_parser,
     dispatch,
     parse_config_document,
     parse_rational,
@@ -281,6 +282,33 @@ def test_stability_command(tmp_path, affine_path, capsys, affine_a1):
     assert payload["kind"] == "CertifiedUnstable"
     assert payload["verdict"]["beta"] == [0, 1]
     assert payload["verdict"]["slope"] == 1
+
+
+def test_shared_parser_keeps_no_flags_between_calls(
+    tmp_path, affine_path, capsys, affine_a1, monkeypatch
+):
+    """The parser is built once per process; a flag given to one call must
+    not become the default of the next."""
+    assert build_parser() is build_parser()
+    rp = tmp_path / "rep.json"
+    rp.write_text(json.dumps(rep_to_dict(random_representation(
+        quiver_from_config(affine_a1), (1, 1), seed=3))))
+    budgets = []
+    real = cli.check_stability
+
+    def recording(rep, theta, budget):
+        budgets.append(budget)
+        return real(rep, theta, budget)
+
+    monkeypatch.setattr(cli, "check_stability", recording)
+    base = ["stability", affine_path, "--rep", str(rp), "--theta=-1,1", "--json"]
+    assert dispatch(base + ["--probes", "2", "--restarts", "1", "--seed", "5"]) == EXIT_OK
+    assert dispatch(base) == EXIT_OK
+    capsys.readouterr()
+    first, second = budgets
+    assert (first.probes, first.restarts, first.seed) == (2, 1, 5)
+    assert (second.probes, second.restarts, second.iters, second.tol, second.seed) == (
+        4, 6, 200, 1e-8, 0)
 
 
 def test_moment_verify_command(affine_path, capsys):

@@ -1,0 +1,174 @@
+"""``cli._dumps`` gives the bytes of ``json.dumps(indent=2, sort_keys=True,
+default=cli.jsonable)`` on seeded random report-like trees.
+
+The trees mix every value kind the reports use and some they do not:
+shared containers (at the same depth and at different depths), the same
+dataclass instance twice, many distinct dataclass instances and arrays whose
+``jsonable`` temporaries are freed and reallocated while one emission runs
+(the id-reuse trap of a memo keyed on ids), empty containers, bools inside
+int lists, numpy scalars, non-finite floats, -0.0 and strings that need
+escaping.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import random
+from contextlib import redirect_stdout
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from quiverk3 import cli
+
+
+@dataclass(frozen=True)
+class Leaf:
+    beta: tuple
+    p: int
+    label: str
+
+
+@dataclass(frozen=True)
+class Node:
+    parts: tuple
+    weight: object
+    note: str | None
+
+
+STRINGS = ("", "plain", "tab\there", 'quote " and \\ backslash', "née", "∂θ",
+           "\U0001d4c0 astral", "line\nbreak\x00\x1f", "</script>")
+
+
+def _scalar(rng: random.Random):
+    kind = rng.randrange(14)
+    if kind == 0:
+        return rng.randint(-10**20, 10**20)
+    if kind == 1:
+        return rng.choice((True, False, None))
+    if kind == 2:
+        return rng.choice((math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 2.5e300,
+                           rng.uniform(-1e6, 1e6)))
+    if kind == 3:
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+    if kind == 4:
+        return complex(rng.uniform(-3, 3), rng.choice((0.0, -0.0, math.nan, 1.5)))
+    if kind == 5:
+        return np.int64(rng.randint(-1000, 1000))
+    if kind == 6:
+        return np.float64(rng.choice((math.nan, -math.inf, -0.0, rng.uniform(-9, 9))))
+    if kind == 7:
+        rows, cols = rng.randint(1, 3), rng.randint(0, 3)
+        return np.array([[complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(cols)]
+                         for _ in range(rows)], dtype=complex).reshape(rows, cols)
+    if kind == 8:
+        return [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+    if kind == 9:
+        return [rng.choice((0, 1, True, False)) for _ in range(rng.randint(1, 4))]
+    if kind == 10:
+        return rng.choice(([], (), {}))
+    if kind == 11:
+        return Leaf(tuple(rng.randint(0, 4) for _ in range(3)), rng.randint(-2, 9),
+                    rng.choice(STRINGS))
+    return rng.choice(STRINGS)
+
+
+def random_tree(rng: random.Random, depth: int, shared: list):
+    """A tree of dicts, lists and tuples over ``_scalar`` leaves; entries of
+    ``shared`` are reused wherever the draw picks them, at any depth."""
+    if depth == 0 or rng.random() < 0.25:
+        if shared and rng.random() < 0.3:
+            return rng.choice(shared)
+        return _scalar(rng)
+    width = rng.randint(0, 5)
+    kind = rng.randrange(4)
+    if kind == 0:
+        keys = rng.sample(STRINGS, min(width, len(STRINGS)))
+        node = {k: random_tree(rng, depth - 1, shared) for k in keys}
+    elif kind == 1:
+        node = [random_tree(rng, depth - 1, shared) for _ in range(width)]
+    elif kind == 2:
+        node = tuple(random_tree(rng, depth - 1, shared) for _ in range(width))
+    else:
+        node = Node(tuple(random_tree(rng, depth - 1, shared) for _ in range(width)),
+                    _scalar(rng), rng.choice((None, "note")))
+    if rng.random() < 0.3:
+        shared.append(node)
+    return node
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=cli.jsonable)
+
+
+def assert_same_text(obj):
+    """``_dumps`` equals the reference; on failure, report the first
+    differing offset instead of a diff of two large documents."""
+    got, want = cli._dumps(obj), reference(obj)
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"differs at offset {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dumps_matches_json_on_random_trees(seed):
+    rng = random.Random(seed)
+    shared: list = []
+    doc = {"schema_version": 1, "command": "test",
+           "tree": random_tree(rng, 5, shared), "again": random_tree(rng, 4, shared)}
+    assert_same_text(doc)
+
+
+def test_shared_objects_at_equal_and_different_depths():
+    part = Leaf((1, 0, 2), 3, "p")
+    inner = [part, {"x": part}]
+    doc = {"a": inner, "b": inner, "c": [inner, [[inner]]], "d": (part, part), "e": [[part]]}
+    assert_same_text(doc)
+
+
+def test_temporaries_of_jsonable_never_alias():
+    """Distinct dataclasses and arrays side by side: each ``jsonable`` dict or
+    list is a temporary, and a memo that let them die would see their ids
+    again on the next sibling and repeat the wrong text."""
+    rng = random.Random(7)
+    same = Leaf((2, 2, 2), 1, "same")
+    items = []
+    for k in range(300):
+        items.append(Leaf((k, k % 3, 1), k, str(k)))
+        items.append(same)
+        items.append(np.array([[complex(k, -k)]]))
+        items.append(Node((Fraction(k, 3), [k, True]), np.float64(k / 7), None))
+    rng.shuffle(items)
+    doc = {"items": items, "nested": [[x] for x in items[:50]]}
+    assert_same_text(doc)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"empty": [[], (), {}]}, [True, 1, False, 0], [1, 2, 3], "solo é",
+    0, -0.0, math.nan, [math.inf, -math.inf], np.int64(-5), np.float64(math.nan),
+    Fraction(7, 1), Fraction(-3, 4), complex(-0.0, math.inf), None, True,
+    {2: "int key", 1.5: "float key", True: "bool key"}, {None: 0},
+])
+def test_edge_values(obj):
+    assert_same_text(obj)
+
+
+def test_unencodable_values_raise_like_json():
+    for obj in ([object()], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            reference(obj)
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+
+
+def test_emit_prints_the_reference_encoding():
+    payload = {"strata": [Leaf((1, 1), 2, "x")] * 3, "theta": (Fraction(-1, 2), Fraction(1, 2))}
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli.emit(payload, "strata", True, [])
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": "strata", **payload}
+    assert buf.getvalue() == reference(doc) + "\n"

@@ -23,6 +23,7 @@ from quiverk3 import (
 )
 from quiverk3.quiver import Quiver
 from conftest import random_config
+from helpers import reference_decompositions
 
 
 def test_quiver_from_config_examples(elliptic_pair, affine_a1):
@@ -133,6 +134,27 @@ def test_decompositions_sum_and_root_parts():
                 for k, beta in dec.parts:
                     assert k > 0 and is_positive_root(q, beta)
                 assert len({b for _, b in dec.parts}) == len(dec.parts)
+
+
+def test_decompositions_match_the_unmemoized_recursion():
+    """Same decompositions in the same order as the plain skip/use recursion,
+    on 60 draws with s = 2..4 and mult_max 2, 3 and 4 in turn; draws with
+    more than 56 roots below n are skipped to bound the reference's time."""
+    rng = random.Random(83)
+    checked = total = 0
+    while checked < 60:
+        cfg = random_config(rng, s_min=2, s_max=4, mult_max=2 + checked % 3)
+        q = quiver_from_config(cfg)
+        if len(bounded_roots(q, cfg.mult)) > 56:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = decompositions(q, cfg.mult)
+            want = reference_decompositions(q, cfg.mult)
+        assert [d.parts for d in got] == [d.parts for d in want], cfg
+        checked += 1
+        total += len(got)
+    assert total > 2500  # the draws include strata-heavy ones, up to 299
 
 
 def test_decompositions_warns_on_non_root():

@@ -3,11 +3,18 @@
 Usage: ``python tools/report_digests.py <tree>``, where <tree> is a checkout
 of this repository. The script imports quiverk3 from ``<tree>/src`` and the
 test helpers from ``<tree>/tests``, runs 15 invocations covering all 11
-commands on 25 configurations (the five test fixtures and 20
-``random_config(random.Random(2024), s_min=1, s_max=4, mult_max=2)`` draws)
-and prints one line per invocation: case index, command, exit code and the
-first 16 hex digits of the sha256 of stdout. Run it on two trees and
-``diff`` the outputs; identical output means byte-identical reports.
+commands on 27 configurations and prints one line per invocation: case
+index, command, exit code and the first 16 hex digits of the sha256 of
+stdout. Run it on two trees and ``diff`` the outputs; identical output means
+byte-identical reports.
+
+The configurations are the five test fixtures, 20
+``random_config(random.Random(2024), s_min=1, s_max=4, mult_max=2)`` draws,
+and then two strata-heavy draws, ``random_config(random.Random(seed),
+s_min=3, s_max=3, mult_max=4)`` for seed 9 and 11 (212 and 269 root
+decompositions, reports of 0.36-0.52 MB whose strata share their parts).
+The first 375 lines are those of the 25-case ladder before the last two
+were appended.
 """
 
 import contextlib
@@ -24,6 +31,10 @@ from conftest import random_config  # noqa: E402
 from helpers import config_document  # noqa: E402
 from quiverk3 import CurveConfig, quiver_from_config, random_representation  # noqa: E402
 from quiverk3.cli import dispatch, rep_to_dict  # noqa: E402
+
+
+# seeds of the strata-heavy draws, after the 25 cases of the original ladder
+STRATA_SEEDS = (9, 11)
 
 
 def commands(rep_path: str, theta: str) -> list[list[str]]:
@@ -48,6 +59,7 @@ def main() -> None:
     ]
     rng = random.Random(2024)
     cases += [random_config(rng, s_min=1, s_max=4, mult_max=2) for _ in range(20)]
+    cases += [random_config(random.Random(seed), 3, 3, mult_max=4) for seed in STRATA_SEEDS]
     with tempfile.TemporaryDirectory() as tmp:
         for i, cfg in enumerate(cases):
             n, cpath, rpath = cfg.mult, f"{tmp}/{i}.json", f"{tmp}/{i}.rep.json"
