@@ -64,6 +64,7 @@ from .walls import (
     ChamberSet,
     CorrespondenceReport,
     GenericityVerdict,
+    LocalModel,
     QuiverWall,
     ample_walls_through_h0,
     chamber_signature,

@@ -22,6 +22,7 @@ from .errors import InvariantError, MathAssertionError, SchemaError
 from .lattice import CurveConfig, DegreeVector
 from .quiver import (
     bounded_roots,
+    cb_simple_exists,
     quiver_from_config,
     quiver_to_dot,
 )
@@ -30,19 +31,18 @@ from .reps import (
     FLOAT,
     Representation,
     SearchBudget,
+    _check_count,
+    _check_tol,
     check_stability,
     verify_ci_dim,
 )
 from .strata import singular_model_summary, strata_report
 from .walls import (
-    ample_walls_through_h0,
+    LocalModel,
     character_general,
     det_weight_vector,
-    enumerate_chambers,
-    quiver_walls,
     v_walls_bounded_scan,
     verify_correspondence,
-    wall_systems,
     xi_map,
 )
 
@@ -349,6 +349,18 @@ def _seed_from(args, options) -> int:
     return seed
 
 
+def _check_flags(args, counts=(), tolerances=()) -> None:
+    """Refuse a negative count flag, or a tolerance flag that is not a
+    positive finite number, as a schema error that names the flag."""
+    try:
+        for dests, check in ((counts, _check_count), (tolerances, _check_tol)):
+            for dest in dests:
+                if getattr(args, dest) is not None:
+                    check("--" + dest.replace("_", "-"), getattr(args, dest))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def _cmd_quiver(cfg, pols, options, args):
     q = quiver_from_config(cfg)
     dot = quiver_to_dot(q)
@@ -389,20 +401,16 @@ def _cmd_roots(cfg, pols, options, args):
 
 
 def _cmd_walls(cfg, pols, options, args):
-    if args.side == "both":
-        qw, aw = wall_systems(cfg)
-    elif args.side == "quiver":
-        qw = quiver_walls(quiver_from_config(cfg), cfg.mult)
-    else:
-        aw = ample_walls_through_h0(cfg)
+    _check_flags(args, counts=("chi_bound",))
+    model = LocalModel(cfg)
     payload = {}
     lines = []
     if args.side in ("quiver", "both"):
-        payload["quiver_walls"] = qw
+        payload["quiver_walls"] = qw = model.quiver_walls
         lines.append(f"quiver walls: {len(qw)}")
         lines += [f"  normal {list(w.normal)} sources {[list(s) for s in w.sources]}" for w in qw]
     if args.side in ("ample", "both"):
-        payload["ample_walls"] = aw
+        payload["ample_walls"] = aw = model.ample_walls
         lines.append(f"ample walls through H0: {len(aw)}")
         lines += [
             f"  beta {list(w.beta)} chi_beta {w.chi_beta} coeffs {list(w.coeffs)}"
@@ -423,9 +431,8 @@ def _cmd_walls(cfg, pols, options, args):
 
 
 def _cmd_chambers(cfg, pols, options, args):
-    q = quiver_from_config(cfg)
     try:
-        ch = enumerate_chambers(q, cfg.mult)
+        ch = LocalModel(cfg).chambers
     except ValueError as exc:
         payload = {"count": None, "note": str(exc)}
         emit(payload, "chambers", args.json, [str(exc)])
@@ -469,6 +476,7 @@ def _cmd_character(cfg, pols, options, args):
 
 
 def _cmd_correspondence(cfg, pols, options, args):
+    _check_flags(args, counts=("samples",))
     report = verify_correspondence(cfg, samples_per_wall=args.samples)
     payload = {"report": report}
     lines = [
@@ -502,8 +510,6 @@ def _cmd_strata(cfg, pols, options, args):
 
 
 def _cmd_cb_check(cfg, pols, options, args):
-    from .quiver import cb_simple_exists
-
     q = quiver_from_config(cfg)
     verdict = cb_simple_exists(q, cfg.mult)
     payload = {"n": list(cfg.mult), "verdict": verdict}
@@ -516,6 +522,7 @@ def _cmd_cb_check(cfg, pols, options, args):
 
 
 def _cmd_moment_verify(cfg, pols, options, args):
+    _check_flags(args, counts=("trials",), tolerances=("tol", "rank_tol"))
     q = quiver_from_config(cfg)
     seed = _seed_from(args, options)
     report = verify_ci_dim(

@@ -10,8 +10,9 @@ what ties the two sides of the package together.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 from .lattice import CurveConfig, IntVector
@@ -70,6 +71,12 @@ class Quiver:
             for i in range(self.s)
         )
 
+    @cached_property
+    def form(self) -> tuple[IntVector, ...]:
+        """D = -C, the matrix of d, built once per quiver; not a field, so
+        equality and hashing are unchanged."""
+        return tuple(tuple(-c for c in row) for row in self.cartan())
+
     def adjacent(self, i: int, j: int) -> bool:
         return self.edges[i][j] > 0
 
@@ -97,10 +104,7 @@ def _check_length(q: Quiver, beta: DimVector):
 def d_form(q: Quiver, beta: DimVector) -> int:
     """d(beta) = beta^t (-C) beta; always even."""
     _check_length(q, beta)
-    c = q.cartan()
-    return -sum(
-        beta[i] * c[i][j] * beta[j] for i in range(q.s) for j in range(q.s)
-    )
+    return sum(b * sum(map(operator.mul, row, beta)) for b, row in zip(beta, q.form))
 
 
 def p_of(q: Quiver, beta: DimVector) -> int:
@@ -139,16 +143,10 @@ def boxed_vectors(n: DimVector):
     return itertools.product(*(range(k + 1) for k in n))
 
 
-# (quiver, n) pairs whose roots, quiver walls and simple-existence verdicts
-# are kept; bounded so that a process running many configurations holds a
-# fixed amount of memory
-CONFIG_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _roots_within(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
+def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
     """Positive roots 0 < alpha <= n in lexicographic order, n included when
-    it is a root. Every root-indexed computation reads this one enumeration."""
+    it is a root: the one box scan that the root-indexed computations of a
+    configuration read."""
     return tuple(a for a in boxed_vectors(n) if is_positive_root(q, a))
 
 
@@ -163,7 +161,7 @@ def check_bound(q: Quiver, n: DimVector) -> DimVector:
 def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
     """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n."""
     n = check_bound(q, n)
-    return [alpha for alpha in _roots_within(q, n) if alpha != n]
+    return [alpha for alpha in _roots_upto(q, n) if alpha != n]
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,12 @@ def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
 
     if not is_positive_root(q, n):
         _w.warn(f"n = {n} is not a positive root", stacklevel=2)
-    roots = _roots_within(q, tuple(n))
+    n = tuple(n)
+    return list(_decompositions(n, _roots_upto(q, n)))
+
+
+def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decomposition, ...]:
+    """``decompositions`` of n, given the roots <= n in lexicographic order."""
 
     @lru_cache(maxsize=None)
     def rec(idx: int, remaining: DimVector) -> tuple[tuple[tuple[int, DimVector], ...], ...]:
@@ -221,10 +224,10 @@ def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
             out += [((k, beta),) + tail for tail in rec(idx + 1, rest)]
         return tuple(out)
 
-    results = [Decomposition(parts) for parts in rec(0, tuple(n))]
+    results = [Decomposition(parts) for parts in rec(0, n)]
     rec.cache_clear()
     results.sort(key=lambda dec: (not dec.is_trivial(n), dec.parts))
-    return results
+    return tuple(results)
 
 
 @dataclass(frozen=True)
@@ -253,40 +256,47 @@ def cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
     dynamic programming over the box 0 <= r <= n).
     """
     _check_length(q, n)
-    return _cb_simple_exists(q, tuple(n))
-
-
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
+    n = tuple(n)
     if not is_positive_root(q, n):
         return SimpleExistence(False, False, None)
-    # without n itself, best(n) ranges over plain sums with r >= 2 parts
-    roots = tuple(r for r in _roots_within(q, n) if r != n)
-    proots = {r: p_of(q, r) for r in roots}
+    return _simple_table(q, n, _roots_upto(q, n))[n]
 
-    @lru_cache(maxsize=None)
-    def best(rem: DimVector) -> tuple[int, tuple[DimVector, ...]] | None:
-        """Max sum of p over decompositions of rem into >= 1 roots."""
-        if all(x == 0 for x in rem):
-            return (0, ())
-        top: tuple[int, tuple[DimVector, ...]] | None = None
-        for beta in roots:
-            if any(b > r for b, r in zip(beta, rem)):
-                continue
-            rest = tuple(r - b for r, b in zip(rem, beta))
-            sub = best(rest)
-            if sub is None:
-                continue
-            cand = (proots[beta] + sub[0], tuple(sorted((beta,) + sub[1])))
-            if top is None or cand > top:
-                top = cand
-        return top
 
-    top = best(n)
-    best.cache_clear()
-    if top is not None and top[0] >= p_of(q, n):
-        return SimpleExistence(False, True, top[1])
-    return SimpleExistence(True, True, None)
+def _simple_table(
+    q: Quiver, n: DimVector, roots: tuple[DimVector, ...]
+) -> dict[DimVector, SimpleExistence]:
+    """``cb_simple_exists`` of every root beta <= n, from one bottom-up
+    dynamic program over the box 0 <= r <= n; ``roots`` are the roots <= n
+    in lexicographic order.
+
+    best[r] is the largest (sum p, sorted parts) over the plain sums
+    r = gamma_1 + ... + gamma_k into roots. The maximum over the gamma <= r,
+    gamma != r, of (p(gamma) + best[r - gamma]) ranges over the sums with
+    k >= 2, which decide a root r's verdict; best[r] also weighs (p(r), (r,)).
+    Lexicographic order visits r - gamma before r, and every r != 0 is a sum
+    of the simple roots e_i.
+    """
+    p = {g: p_of(q, g) for g in roots}
+    best: dict[DimVector, tuple[int, tuple[DimVector, ...]]] = {}
+    table = {}
+    for r in boxed_vectors(n):
+        top = (0, ()) if not any(r) else None
+        for g in roots:
+            if g >= r:  # neither r nor anything after it in lexicographic order is <= r
+                break
+            if any(x > y for x, y in zip(g, r)):
+                continue
+            sub = best[tuple(y - x for x, y in zip(g, r))]
+            total = p[g] + sub[0]
+            if top is None or total >= top[0]:
+                cand = (total, tuple(sorted((g,) + sub[1])))
+                top = cand if top is None or cand > top else top
+        if r in p:
+            violated = top is not None and top[0] >= p[r]
+            table[r] = SimpleExistence(not violated, True, top[1] if violated else None)
+            top = max(top, (p[r], (r,))) if top is not None else (p[r], (r,))
+        best[r] = top
+    return table
 
 
 def mu_zero_expected_dim(q: Quiver, n: DimVector) -> int:

@@ -28,7 +28,9 @@ import numpy as np
 
 from . import linalg
 from .errors import MathAssertionError
-from .quiver import DimVector, Quiver, boxed_vectors, mu_zero_expected_dim, rep_space_dim
+from .quiver import (
+    DimVector, Quiver, boxed_vectors, cb_simple_exists, mu_zero_expected_dim, rep_space_dim
+)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -63,6 +65,11 @@ def _check_count(name: str, value) -> None:
     # negative budget would end a search before it starts
     if not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
+
+
+def _check_tol(name: str, value) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,9 +374,11 @@ def verify_ci_dim(
 ) -> CiDimReport:
     """At seeded solutions of mu = 0, the numerical rank of d(mu) should be
     n^t n - 1, making the local dimension dim Rep - rank the complete
-    intersection dimension 2p(n) + n^t n - 1."""
-    from .quiver import cb_simple_exists
-
+    intersection dimension 2p(n) + n^t n - 1. Refuses a negative ``trials``
+    or ``seed`` and a tolerance that is not positive and finite."""
+    _check_count("trials", trials)
+    _check_tol("rank_tol", rank_tol)
+    _check_tol("residual_tol", residual_tol)
     _check_count("seed", seed)
     expected_rank = sum(x * x for x in n) - 1
     expected_dim = mu_zero_expected_dim(q, n)
@@ -523,8 +532,7 @@ class SearchBudget:
     def __post_init__(self):
         for name in ("probes", "restarts", "iters", "seed"):
             _check_count(name, getattr(self, name))
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        _check_tol("tol", self.tol)
 
 
 @dataclass(frozen=True)

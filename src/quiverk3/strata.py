@@ -19,16 +19,12 @@ from .quiver import (
     DimVector,
     Quiver,
     SimpleExistence,
-    bounded_roots,
-    cb_simple_exists,
     d_form,
-    decompositions,
     is_positive_root,
     mu_zero_expected_dim,
     p_of,
-    quiver_from_config,
 )
-from .walls import enumerate_chambers, quiver_walls, wall_systems
+from .walls import LocalModel
 
 
 @dataclass(frozen=True)
@@ -60,13 +56,17 @@ def _wall_for(decomp: Decomposition, sourcemap: dict[DimVector, DimVector]) -> D
 def strata_report(cfg: CurveConfig) -> list[StratumRecord]:
     """One record per decomposition, open stratum first, each part carrying
     its Mukai vector, p-value, root verdict and local simple-existence."""
+    return _strata(LocalModel(cfg))
+
+
+def _strata(model: LocalModel) -> list[StratumRecord]:
+    """``strata_report`` of the model's configuration."""
     import warnings
 
-    q = quiver_from_config(cfg)
-    n = cfg.mult
+    cfg, q, n = model.cfg, model.quiver, model.n
     ambient = 2 * p_of(q, n)
-    sourcemap = {src: w.normal for w in quiver_walls(q, n) for src in w.sources}
-    simple_at_n = cb_simple_exists(q, n).exists
+    sourcemap = {src: w.normal for w in model.quiver_walls for src in w.sources}
+    simple_at_n = model.simple_exists(n).exists
 
     @lru_cache(maxsize=None)
     def part(beta: DimVector) -> StratumPart:
@@ -81,13 +81,13 @@ def strata_report(cfg: CurveConfig) -> list[StratumRecord]:
             v,
             p_of(q, beta),
             is_positive_root(q, beta),
-            cb_simple_exists(q, beta).exists,
+            model.simple_exists(beta).exists,
         )
 
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for dec in decompositions(q, n):
+        for dec in model.decompositions:
             parts = tuple(part(beta) for _, beta in dec.parts)
             dim = sum(2 * pt.p for pt in parts)
             trivial = dec.is_trivial(n)
@@ -131,10 +131,10 @@ def singular_model_summary(cfg: CurveConfig) -> ModelSummary:
 
     Also asserts the agreement of the wall systems on the two sides.
     """
-    q = quiver_from_config(cfg)
-    n = cfg.mult
+    model = LocalModel(cfg)
+    q, n = model.quiver, model.n
     notes = []
-    qwalls, awalls = wall_systems(cfg)
+    awalls = model.ample_walls
     chamber_count: int | None
     reps: tuple = ()
     if cfg.s == 1:
@@ -143,7 +143,7 @@ def singular_model_summary(cfg: CurveConfig) -> ModelSummary:
             "non-primitive one-vertex case; no adjacent-chamber resolution structure"
         )
     else:
-        chambers = enumerate_chambers(q, n)
+        chambers = model.chambers
         chamber_count = chambers.count
         reps = chambers.representatives
     gcd = cfg.primitivity_gcd()
@@ -162,12 +162,12 @@ def singular_model_summary(cfg: CurveConfig) -> ModelSummary:
         sheaf_side_dim=2 * p_of(q, n),
         mu_zero_dim=mu_zero_expected_dim(q, n),
         primitivity_gcd=gcd,
-        simple=cb_simple_exists(q, n),
-        roots_count=len(bounded_roots(q, n)),
-        quiver_wall_count=len(qwalls),
+        simple=model.simple_exists(n),
+        roots_count=len(model.roots),
+        quiver_wall_count=len(model.quiver_walls),
         ample_wall_count=len(awalls),
         chamber_count=chamber_count,
         chamber_representatives=reps,
-        strata=tuple(strata_report(cfg)),
+        strata=tuple(_strata(model)),
         notes=tuple(notes),
     )

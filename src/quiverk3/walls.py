@@ -6,7 +6,8 @@ hyperplane) merged. Ample side: the relevant walls through the base
 polarization, written on the slice {sum n_i a_i = d_0} of the degree cone.
 The affine map a -> a - d carries one arrangement onto the other; this module
 enumerates both, enumerates chambers exactly, and checks the correspondence
-on exact rational sample points.
+on exact rational sample points. ``LocalModel`` holds all of these, with the
+decompositions and simple-existence verdicts, for one configuration.
 
 Everything is exact rational arithmetic; no floating point anywhere.
 """
@@ -17,21 +18,25 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import MathAssertionError
 from .lattice import CurveConfig, DegreeVector, RationalVector
 from .quiver import (
-    CONFIG_CACHE_SIZE,
     DimVector,
     Quiver,
+    SimpleExistence,
     bounded_roots,
     boxed_vectors,
     check_bound,
     Decomposition,
+    is_positive_root,
     quiver_from_config,
+    _decompositions,
+    _simple_table,
 )
+from .reps import _check_count
 
 IntVector = tuple[int, ...]
 
@@ -91,17 +96,17 @@ def _merge_by_hyperplane(
 
 def quiver_walls(q: Quiver, n: DimVector) -> list[QuiverWall]:
     """One wall per distinct proper hyperplane of n-perp cut by R_+(n)."""
-    return list(_quiver_walls(q, check_bound(q, n)))
+    return list(_nperp_walls(check_bound(q, n), bounded_roots(q, n)))
 
 
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _quiver_walls(q: Quiver, n: DimVector) -> tuple[QuiverWall, ...]:
+def _nperp_walls(n: DimVector, roots: Sequence[DimVector]) -> tuple[QuiverWall, ...]:
+    """``quiver_walls`` of n, given R_+(n)."""
     basis = nperp_basis(n)
 
     def form(alpha):
         return tuple(sum(x * y for x, y in zip(b, alpha)) for b in basis)
 
-    return tuple(QuiverWall(*wall) for wall in _merge_by_hyperplane(bounded_roots(q, n), n, form))
+    return tuple(QuiverWall(*wall) for wall in _merge_by_hyperplane(roots, n, form))
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,15 @@ class GenericityVerdict:
 
 def is_generic(theta: Sequence, q: Quiver, n: DimVector) -> GenericityVerdict:
     """theta is n-generic iff theta . alpha != 0 for every alpha in R_+(n)."""
+    return _genericity(theta, n, bounded_roots(q, n))
+
+
+def _genericity(theta: Sequence, n: DimVector, roots: Sequence[DimVector]) -> GenericityVerdict:
+    """``is_generic`` at n, given R_+(n)."""
     theta = tuple(Fraction(t) for t in theta)
     if theta_dot(theta, n) != 0:
         raise ValueError("theta . n != 0: not a valid stability parameter")
-    violators = tuple(
-        alpha for alpha in bounded_roots(q, n) if theta_dot(theta, alpha) == 0
-    )
+    violators = tuple(alpha for alpha in roots if theta_dot(theta, alpha) == 0)
     return GenericityVerdict(not violators, violators)
 
 
@@ -416,9 +424,13 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     when some root is proportional to n, and no other root vanishes at a
     representative.
     """
+    return _chambers(n, quiver_walls(q, n))
+
+
+def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
+    """``enumerate_chambers`` of n, given its quiver walls."""
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
-    walls = quiver_walls(q, n)
     basis = nperp_basis(n)
     d = len(basis)
     functionals = [
@@ -499,7 +511,11 @@ def ample_walls_through_h0(cfg: CurveConfig) -> list[AmpleWall]:
     """One wall per distinct slice hyperplane, indexed by R_+(n) with beta
     and n - beta (and proportional forms) merged. Every wall passes through
     h0deg; that is asserted, not assumed."""
-    q = quiver_from_config(cfg)
+    return list(_ample_walls(cfg, bounded_roots(quiver_from_config(cfg), cfg.mult)))
+
+
+def _ample_walls(cfg: CurveConfig, roots: Sequence[DimVector]) -> tuple[AmpleWall, ...]:
+    """``ample_walls_through_h0`` of cfg, given R_+(n)."""
     n = cfg.mult
     chi = cfg.total_euler
 
@@ -508,7 +524,7 @@ def ample_walls_through_h0(cfg: CurveConfig) -> list[AmpleWall]:
         return tuple(chi * b - chi_beta * m for b, m in zip(beta, n))
 
     walls = []
-    for beta, sources in _merge_by_hyperplane(bounded_roots(q, n), n, form):
+    for beta, sources in _merge_by_hyperplane(roots, n, form):
         chi_beta = sum(b * c for b, c in zip(beta, cfg.chi))
         coeffs = form(beta)
         if sum(c * d for c, d in zip(coeffs, cfg.h0deg)) != 0:
@@ -516,17 +532,7 @@ def ample_walls_through_h0(cfg: CurveConfig) -> list[AmpleWall]:
                 f"relevant wall for beta={beta} misses h0deg; equal-slope data broken"
             )
         walls.append(AmpleWall(beta, chi_beta, coeffs, sources))
-    return walls
-
-
-def wall_systems(cfg: CurveConfig) -> tuple[list[QuiverWall], list[AmpleWall]]:
-    """Both wall systems of the configuration, checked to be cut by the same
-    roots: the quiver walls' normals must equal the ample walls' betas."""
-    qwalls = quiver_walls(quiver_from_config(cfg), cfg.mult)
-    awalls = ample_walls_through_h0(cfg)
-    if [w.normal for w in qwalls] != [w.beta for w in awalls]:
-        raise MathAssertionError("quiver-side and ample-side wall systems disagree")
-    return qwalls, awalls
+    return tuple(walls)
 
 
 def v_walls_bounded_scan(
@@ -539,6 +545,7 @@ def v_walls_bounded_scan(
     the explicit user bound. Returns (beta, chi_Gamma, coeffs, through_h0)
     with duplicate hyperplanes merged.
     """
+    _check_count("chi_bound", chi_bound)
     n = cfg.mult
     chi = cfg.total_euler
     seen: set[IntVector] = set()
@@ -556,6 +563,70 @@ def v_walls_bounded_scan(
             out.append((beta, chi_g, coeffs, through))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the local model of one configuration
+
+
+@dataclass(frozen=True)
+class LocalModel:
+    """The local model of one configuration (Q, n): the roots R_+(n), both
+    wall systems, the chambers, the decompositions of n and the
+    simple-existence verdicts. Each is computed once, on first read, from
+    one root scan; build one model per configuration and hand it to every
+    report on it. The module-level functions each compute afresh."""
+
+    cfg: CurveConfig
+
+    @cached_property
+    def quiver(self) -> Quiver:
+        return quiver_from_config(self.cfg)
+
+    @property
+    def n(self) -> DimVector:
+        return self.cfg.mult
+
+    @cached_property
+    def roots(self) -> tuple[DimVector, ...]:
+        """R_+(n): the model's one root scan."""
+        return tuple(bounded_roots(self.quiver, self.n))
+
+    @cached_property
+    def roots_upto(self) -> tuple[DimVector, ...]:
+        """The roots 0 < alpha <= n in lexicographic order: R_+(n), then n
+        when it is a root."""
+        return self.roots + ((self.n,) if is_positive_root(self.quiver, self.n) else ())
+
+    @cached_property
+    def quiver_walls(self) -> tuple[QuiverWall, ...]:
+        return _nperp_walls(self.n, self.roots)
+
+    @cached_property
+    def ample_walls(self) -> tuple[AmpleWall, ...]:
+        """The ample walls through h0deg, checked to be cut by the same roots
+        as the quiver walls: their betas must equal the quiver walls' normals."""
+        awalls = _ample_walls(self.cfg, self.roots)
+        if [w.normal for w in self.quiver_walls] != [w.beta for w in awalls]:
+            raise MathAssertionError("quiver-side and ample-side wall systems disagree")
+        return awalls
+
+    @cached_property
+    def chambers(self) -> ChamberSet:
+        return _chambers(self.n, self.quiver_walls)
+
+    @cached_property
+    def decompositions(self) -> tuple[Decomposition, ...]:
+        return _decompositions(self.n, self.roots_upto)
+
+    @cached_property
+    def _simple(self) -> dict[DimVector, SimpleExistence]:
+        return _simple_table(self.quiver, self.n, self.roots_upto)
+
+    def simple_exists(self, beta: DimVector) -> SimpleExistence:
+        """``cb_simple_exists`` at beta <= n, read from one dynamic program
+        over the box 0 <= r <= n."""
+        return self._simple.get(tuple(beta), SimpleExistence(False, False, None))
 
 
 # ---------------------------------------------------------------------------
@@ -687,15 +758,14 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     A probe's character is checked to be d0 * eps * u (d0, eps > 0) for a
     certified representative u, so it has u's signature from the chamber set.
     Only roots proportional to n vanish at a chamber point, and they vanish on
-    all of n-perp, so one ``is_generic`` call decides every chamber."""
+    all of n-perp, so one genericity verdict decides every chamber."""
+    _check_count("samples_per_wall", samples_per_wall)
     if cfg.s == 1:
         return CorrespondenceReport((), (), True, "one-vertex configuration: no walls")
-    q = quiver_from_config(cfg)
-    n = cfg.mult
-    _, awalls = wall_systems(cfg)
+    model = LocalModel(cfg)
     h0 = tuple(Fraction(d) for d in cfg.h0deg)
     wall_checks = []
-    for wall in awalls:
+    for wall in model.ample_walls:
         verts = _wall_slice_vertices(cfg, wall)
         samples: list[RationalVector] = [h0]
         k = 0
@@ -725,8 +795,8 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
             raise MathAssertionError(
                 f"xi image of a sampled point left the quiver wall for beta={wall.beta}"
             )
-    chambers = enumerate_chambers(q, n)
-    verdict = is_generic(chambers.representatives[0], q, n)
+    chambers = model.chambers
+    verdict = _genericity(chambers.representatives[0], cfg.mult, model.roots)
     chamber_checks = []
     d0 = cfg.total_h0deg
     for u, sig in zip(chambers.representatives, chambers.signatures):

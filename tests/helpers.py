@@ -33,7 +33,13 @@ import numpy as np
 import sympy
 
 from quiverk3 import linalg
-from quiverk3.quiver import Decomposition, boxed_vectors, is_positive_root
+from quiverk3.quiver import (
+    Decomposition,
+    SimpleExistence,
+    boxed_vectors,
+    is_positive_root,
+    p_of,
+)
 from quiverk3.reps import EXACT, GroupElement, Representation, _graded, act, dual
 from quiverk3.walls import nperp_basis, chamber_signature
 
@@ -357,6 +363,33 @@ def reference_decompositions(q, n) -> list[Decomposition]:
     rec(0, n, [])
     results.sort(key=lambda dec: (not dec.is_trivial(n), dec.parts))
     return results
+
+
+def reference_simple_exists(q, n) -> SimpleExistence:
+    """Crawley-Boevey's simple-existence test at n alone: a top-down dynamic
+    program of its own over the roots <= n other than n, memoized on the
+    remainder, that keeps the largest (sum p, sorted parts)."""
+    n = tuple(n)
+    if not is_positive_root(q, n):
+        return SimpleExistence(False, False, None)
+    p = {r: p_of(q, r) for r in boxed_vectors(n) if r != n and is_positive_root(q, r)}
+    memo: dict = {}
+
+    def best(rem):
+        if rem not in memo:
+            top = (0, ()) if not any(rem) else None
+            for beta, pb in p.items():
+                if all(b <= r for b, r in zip(beta, rem)):
+                    sub = best(tuple(r - b for r, b in zip(rem, beta)))
+                    cand = (pb + sub[0], tuple(sorted((beta,) + sub[1])))
+                    top = cand if top is None or cand > top else top
+            memo[rem] = top
+        return memo[rem]
+
+    top = best(n)
+    if top is not None and top[0] >= p_of(q, n):
+        return SimpleExistence(False, True, top[1])
+    return SimpleExistence(True, True, None)
 
 
 # ---------------------------------------------------------------------------

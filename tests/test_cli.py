@@ -432,6 +432,26 @@ STABILITY = ["stability", "--theta=-1,1"]
             {}, None, ["roots", "--bound=-1,0"], {},
             "entries must be non-negative", id="roots-bound-negative",
         ),
+        pytest.param(
+            {}, None, ["moment-verify", "--trials", "-3"], {},
+            "--trials must be a non-negative integer, got -3", id="flag-trials-negative",
+        ),
+        pytest.param(
+            {}, None, ["moment-verify", "--tol", "nan"], {},
+            "--tol must be a positive finite number, got nan", id="flag-residual-tol-nan",
+        ),
+        pytest.param(
+            {}, None, ["moment-verify", "--rank-tol", "-1"], {},
+            "--rank-tol must be a positive finite number, got -1.0", id="flag-rank-tol-negative",
+        ),
+        pytest.param(
+            {}, None, ["correspondence", "--samples", "-2"], {},
+            "--samples must be a non-negative integer, got -2", id="flag-samples-negative",
+        ),
+        pytest.param(
+            {}, None, ["walls", "--chi-bound", "-1"], {},
+            "--chi-bound must be a non-negative integer, got -1", id="flag-chi-bound-negative",
+        ),
     ],
 )
 def test_malformed_input_exits_2(
@@ -451,14 +471,46 @@ def test_malformed_input_exits_2(
     assert err.startswith("schema error:") and diagnostic in err
 
 
+def test_no_configuration_state_between_dispatches(tmp_path, capsys):
+    # every configuration fact lives in a LocalModel built per call, so one
+    # process gives the same bytes for A after B as for A alone
+    def summary(doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["summary", str(path), "--json"]) == EXIT_OK
+        return capsys.readouterr().out
+
+    a = {**AFFINE_DOC, "mult": [2, 3]}
+    first = summary(a)
+    assert summary({**AFFINE_DOC, "mult": [3, 2]}) != first
+    assert summary(a) == first
+    import importlib
+    import pkgutil
+
+    import quiverk3
+
+    cached = []
+    for info in pkgutil.iter_modules(quiverk3.__path__):
+        module = importlib.import_module(f"quiverk3.{info.name}")
+        cached += [
+            f"{info.name}.{name}"
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        ]
+    # neither depends on a configuration
+    assert sorted(cached) == ["cli._field_names", "cli.build_parser"]
+
+
 @pytest.mark.parametrize(
     "argv", [["summary"], ["walls", "--side", "both"], ["correspondence"]]
 )
 def test_wall_disagreement_exits_4(elliptic_path, capsys, monkeypatch, argv):
     from quiverk3 import walls
 
-    ample_walls = walls.ample_walls_through_h0
-    monkeypatch.setattr(walls, "ample_walls_through_h0", lambda cfg: ample_walls(cfg)[1:])
+    # a LocalModel builds its ample walls from its own roots, not through
+    # ample_walls_through_h0
+    ample_walls = walls._ample_walls
+    monkeypatch.setattr(walls, "_ample_walls", lambda cfg, roots: ample_walls(cfg, roots)[1:])
     assert dispatch([argv[0], elliptic_path, "--json"] + argv[1:]) == EXIT_ASSERTION
     err = capsys.readouterr().err
     assert "quiver-side and ample-side wall systems disagree" in err

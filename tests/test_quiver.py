@@ -22,8 +22,9 @@ from quiverk3 import (
     rep_space_dim,
 )
 from quiverk3.quiver import Quiver
+from quiverk3.walls import LocalModel
 from conftest import random_config
-from helpers import reference_decompositions
+from helpers import reference_decompositions, reference_simple_exists
 
 
 def test_quiver_from_config_examples(elliptic_pair, affine_a1):
@@ -177,32 +178,54 @@ def test_cb_simple_exists(elliptic_pair, affine_a1, affine_a1_22):
 
 def test_cb_simple_exists_matches_decomposition_oracle():
     # a simple representation exists iff n is a root and every nontrivial
-    # decomposition sum k * beta = n has sum k * p(beta) < p(n)
+    # decomposition sum k * beta = n has sum k * p(beta) < p(n); checked at
+    # n, and at every root beta <= n through the configuration's one table
     rng = random.Random(211)
     failures = 0
     for _ in range(40):
         cfg = random_config(rng, s_max=3)
         q = quiver_from_config(cfg)
-        n = cfg.mult
-        pn = p_of(q, n)
-        is_root = is_positive_root(q, n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            decs = decompositions(q, n)
-        oracle = is_root and all(
-            sum(k * p_of(q, beta) for k, beta in dec.parts) < pn
-            for dec in decs
-            if not dec.is_trivial(n)
-        )
-        verdict = cb_simple_exists(q, n)
-        assert verdict.exists == oracle and verdict.is_root == is_root
-        if is_root and not verdict.exists:
-            failures += 1
-            viol = verdict.violation
-            assert len(viol) >= 2 and all(is_positive_root(q, b) for b in viol)
-            assert tuple(map(sum, zip(*viol))) == n
-            assert sum(p_of(q, b) for b in viol) >= pn
+        model = LocalModel(cfg)
+        cases = [(cfg.mult, cb_simple_exists(q, cfg.mult))] + [
+            (beta, model.simple_exists(beta)) for beta in model.roots_upto
+        ]
+        for n, verdict in cases:
+            pn = p_of(q, n)
+            is_root = is_positive_root(q, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                decs = decompositions(q, n)
+            oracle = is_root and all(
+                sum(k * p_of(q, beta) for k, beta in dec.parts) < pn
+                for dec in decs
+                if not dec.is_trivial(n)
+            )
+            assert verdict.exists == oracle and verdict.is_root == is_root, n
+            if is_root and not verdict.exists:
+                failures += 1
+                viol = verdict.violation
+                assert len(viol) >= 2 and all(is_positive_root(q, b) for b in viol)
+                assert tuple(map(sum, zip(*viol))) == n
+                assert sum(p_of(q, b) for b in viol) >= pn
     assert failures > 0
+
+
+def test_simple_table_matches_the_per_root_dynamic_program():
+    # the shared table keeps each root's verdict and its violating sum: the
+    # same maximum, with the same tie-break, as a program run at that root
+    rng = random.Random(57)
+    checked = violated = 0
+    for _ in range(30):
+        cfg = random_config(rng, s_min=2, s_max=4, mult_max=3)
+        q = quiver_from_config(cfg)
+        model = LocalModel(cfg)
+        for beta in model.roots_upto:
+            verdict = model.simple_exists(beta)
+            assert verdict == reference_simple_exists(q, beta), beta
+            checked += 1
+            violated += verdict.violation is not None
+        assert cb_simple_exists(q, cfg.mult) == reference_simple_exists(q, cfg.mult)
+    assert checked > 1000 and violated > 50
 
 
 def test_bounded_roots_result_is_not_shared(affine_a1):

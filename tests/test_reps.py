@@ -280,6 +280,22 @@ def test_verify_ci_dim_names_a_negative_seed(affine_a1):
         verify_ci_dim(q, (1, 1), trials=2, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": -3}, "trials must be a non-negative integer, got -3"),
+        ({"residual_tol": float("nan")}, "residual_tol must be a positive finite number, got nan"),
+        ({"residual_tol": 0.0}, "residual_tol must be a positive finite number, got 0.0"),
+        ({"rank_tol": -1.0}, "rank_tol must be a positive finite number, got -1.0"),
+        ({"rank_tol": float("inf")}, "rank_tol must be a positive finite number, got inf"),
+    ],
+)
+def test_verify_ci_dim_refuses_a_bad_budget(affine_a1, kwargs, message):
+    q = quiver_from_config(affine_a1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_ci_dim(q, (1, 1), **kwargs)
+
+
 def test_search_budget_names_a_negative_seed(affine_a1):
     # the float search would otherwise end in numpy's bare "expected
     # non-negative integer"

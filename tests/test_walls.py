@@ -439,6 +439,13 @@ def test_correspondence_chamber_facts_match_per_chamber_oracle(affine_a1_22):
     assert with_violators >= 1
 
 
+def test_negative_counts_are_refused(elliptic_pair):
+    with pytest.raises(ValueError, match="chi_bound must be a non-negative integer, got -1"):
+        v_walls_bounded_scan(elliptic_pair, -1)
+    with pytest.raises(ValueError, match="samples_per_wall must be a non-negative integer, got -2"):
+        verify_correspondence(elliptic_pair, samples_per_wall=-2)
+
+
 def test_v_walls_bounded_scan(elliptic_pair):
     scan = v_walls_bounded_scan(elliptic_pair, 3)
     assert all(abs(chi_g) <= 3 for _, chi_g, _, _ in scan)
