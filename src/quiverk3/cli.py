@@ -9,11 +9,13 @@ violation, 4 failed internal mathematical assertion.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +54,9 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
 EXIT_ASSERTION = 4
+
+# the fields of SearchBudget that options.budget and the stability flags set
+BUDGET_FIELDS = ("probes", "restarts", "iters", "tol")
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +105,9 @@ def parse_config_document(doc: dict):
         names.append(str(c.get("name", f"D{i}")))
         if "chi" not in c or "h0deg" not in c:
             raise SchemaError(f"curves[{i}] needs 'chi' and 'h0deg'")
-        if not isinstance(c["chi"], int) or isinstance(c["chi"], bool):
-            raise SchemaError(f"curves[{i}].chi must be an integer")
-        if not isinstance(c["h0deg"], int) or isinstance(c["h0deg"], bool):
-            raise SchemaError(f"curves[{i}].h0deg must be an integer")
+        for key in ("chi", "h0deg"):
+            if not _is_int(c[key]):
+                raise SchemaError(f"curves[{i}].{key} must be an integer")
         chi.append(c["chi"])
         h0deg.append(c["h0deg"])
     gram = _require(doc, "gram", list)
@@ -111,14 +115,10 @@ def parse_config_document(doc: dict):
         not isinstance(r, list) or len(r) != len(curves) for r in gram
     ):
         raise SchemaError("gram must be an s x s integer matrix")
-    for row in gram:
-        for e in row:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise SchemaError("gram entries must be integers")
+    if not all(_is_int(e) for row in gram for e in row):
+        raise SchemaError("gram entries must be integers")
     mult = _require(doc, "mult", list)
-    if len(mult) != len(curves) or any(
-        not isinstance(m, int) or isinstance(m, bool) for m in mult
-    ):
+    if len(mult) != len(curves) or not all(map(_is_int, mult)):
         raise SchemaError("mult must be an integer list matching curves")
     cfg = CurveConfig(
         tuple(tuple(r) for r in gram), tuple(chi), tuple(mult), tuple(h0deg)
@@ -140,14 +140,13 @@ def parse_config_document(doc: dict):
     budget = options.get("budget") or {}
     if not isinstance(budget, dict):
         raise SchemaError("options.budget must be an object")
-    for key in ("probes", "restarts", "iters"):
+    for key in BUDGET_FIELDS[:-1]:  # the counts
         if key in budget and not _is_int(budget[key]):
             raise SchemaError(f"options.budget.{key} must be an integer")
     if "tol" in budget and type(budget["tol"]) not in (int, float):
         raise SchemaError("options.budget.tol must be a number")
     try:
-        SearchBudget(**{k: budget[k] for k in ("probes", "restarts", "iters", "tol")
-                        if k in budget})
+        SearchBudget(**{k: budget[k] for k in BUDGET_FIELDS if k in budget})
     except ValueError as exc:
         raise SchemaError(f"options.budget.{exc}") from None
     return cfg, pols, options, names
@@ -195,14 +194,12 @@ def rep_to_dict(rep: Representation) -> dict:
 
 def _parse_complex(e) -> complex:
     # exact type tests: bool is an int subclass but not a JSON number
-    if (
-        type(e) is list
-        and len(e) == 2
-        and type(e[0]) in (int, float)
-        and type(e[1]) in (int, float)
-    ):
-        return complex(e[0], e[1])
-    raise SchemaError(f"float entries must be [re, im] number pairs, got {e!r}")
+    if type(e) is not list or len(e) != 2 or any(type(x) not in (int, float) for x in e):
+        raise SchemaError(f"float entries must be [re, im] number pairs, got {e!r}")
+    z = complex(e[0], e[1])
+    if not cmath.isfinite(z):  # json reads NaN and Infinity
+        raise SchemaError(f"float entries must be finite, got {e!r}")
+    return z
 
 
 def _parse_matrix(m, rows: int, cols: int, entry, where: str) -> tuple[tuple, ...]:
@@ -329,7 +326,7 @@ def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (cfg, pols, options, args) and returns (payload, lines)
 
 
 def _seed_from(args, options) -> int:
@@ -349,14 +346,15 @@ def _seed_from(args, options) -> int:
     return seed
 
 
-def _check_flags(args, counts=(), tolerances=()) -> None:
+def _check_flags(args, counts, tolerances) -> None:
     """Refuse a negative count flag, or a tolerance flag that is not a
     positive finite number, as a schema error that names the flag."""
     try:
-        for dests, check in ((counts, _check_count), (tolerances, _check_tol)):
-            for dest in dests:
-                if getattr(args, dest) is not None:
-                    check("--" + dest.replace("_", "-"), getattr(args, dest))
+        for flags, check in ((counts, _check_count), (tolerances, _check_tol)):
+            for flag in flags:
+                value = getattr(args, flag[2:].replace("-", "_"))
+                if value is not None:
+                    check(flag, value)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -373,8 +371,7 @@ def _cmd_quiver(cfg, pols, options, args):
     lines = [dot, "", "Cartan matrix:"] + [
         "  " + " ".join(f"{e:4d}" for e in row) for row in q.cartan()
     ]
-    emit(payload, "quiver", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _parse_dimvec(text: str, s: int):
@@ -396,12 +393,10 @@ def _cmd_roots(cfg, pols, options, args):
     roots = bounded_roots(q, n)
     payload = {"n": list(n), "roots": [list(r) for r in roots]}
     lines = [f"R+({list(n)}): {len(roots)} roots"] + [f"  {list(r)}" for r in roots]
-    emit(payload, "roots", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_walls(cfg, pols, options, args):
-    _check_flags(args, counts=("chi_bound",))
     model = LocalModel(cfg)
     payload = {}
     lines = []
@@ -426,17 +421,14 @@ def _cmd_walls(cfg, pols, options, args):
     if args.side == "both":
         payload["counts_match"] = True
         lines.append("wall systems agree")
-    emit(payload, "walls", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_chambers(cfg, pols, options, args):
     try:
         ch = LocalModel(cfg).chambers
     except ValueError as exc:
-        payload = {"count": None, "note": str(exc)}
-        emit(payload, "chambers", args.json, [str(exc)])
-        return EXIT_OK
+        return {"count": None, "note": str(exc)}, [str(exc)]
     payload = {
         "count": ch.count,
         "representatives": ch.representatives,
@@ -447,18 +439,13 @@ def _cmd_chambers(cfg, pols, options, args):
         f"  rep {[str(x) for x in r]} signs {list(s)}"
         for r, s in zip(ch.representatives, ch.signatures)
     ]
-    emit(payload, "chambers", args.json, lines)
-    return EXIT_OK
-
-
-def _get_pol(pols, name: str) -> DegreeVector:
-    if name not in pols:
-        raise SchemaError(f"polarization {name!r} not defined in the document")
-    return pols[name]
+    return payload, lines
 
 
 def _cmd_character(cfg, pols, options, args):
-    a = _get_pol(pols, args.pol)
+    if args.pol not in pols:
+        raise SchemaError(f"polarization {args.pol!r} not defined in the document")
+    a = pols[args.pol]
     theta = character_general(cfg, a)
     ell = args.ell if args.ell is not None else int(options.get("ell", 1))
     payload = {"pol": args.pol, "a": a.a, "theta": theta}
@@ -471,12 +458,10 @@ def _cmd_character(cfg, pols, options, args):
     payload["ell"] = ell
     payload["det_weights"] = weights
     lines.append(f"det weights (ell={ell}) = {[str(w) for w in weights]}")
-    emit(payload, "character", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_correspondence(cfg, pols, options, args):
-    _check_flags(args, counts=("samples",))
     report = verify_correspondence(cfg, samples_per_wall=args.samples)
     payload = {"report": report}
     lines = [
@@ -492,8 +477,7 @@ def _cmd_correspondence(cfg, pols, options, args):
             f"  signature {list(c.signature)} generic: {c.generic}"
             + (f" violators {[list(v) for v in c.violators]}" if c.violators else "")
         )
-    emit(payload, "correspondence", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_strata(cfg, pols, options, args):
@@ -505,8 +489,7 @@ def _cmd_strata(cfg, pols, options, args):
         lines.append(
             f"  dim {r.dim}/{r.ambient_dim}{tag} parts {[(k, list(b)) for k, b in r.decomposition.parts]}"
         )
-    emit(payload, "strata", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_cb_check(cfg, pols, options, args):
@@ -517,12 +500,10 @@ def _cmd_cb_check(cfg, pols, options, args):
         f"simple representation in mu^-1(0) for n={list(cfg.mult)}: {verdict.exists}",
         f"  {verdict.reason}",
     ]
-    emit(payload, "cb-check", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_moment_verify(cfg, pols, options, args):
-    _check_flags(args, counts=("trials",), tolerances=("tol", "rank_tol"))
     q = quiver_from_config(cfg)
     seed = _seed_from(args, options)
     report = verify_ci_dim(
@@ -543,8 +524,7 @@ def _cmd_moment_verify(cfg, pols, options, args):
         lines.append(
             f"  seed {t.seed}: residual {t.residual:.2e} rank {t.rank} dim {t.local_dim}"
         )
-    emit(payload, "moment-verify", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _parse_theta(text: str, s: int):
@@ -565,17 +545,13 @@ def _cmd_stability(cfg, pols, options, args):
     theta = _parse_theta(args.theta, cfg.s)
     if sum(t * x for t, x in zip(theta, rep.n)) != 0:
         raise SchemaError(f"theta . n != 0 for the representation's n = {list(rep.n)}")
-    opts = options.get("budget") or {}
-    try:
-        budget = SearchBudget(
-            probes=args.probes if args.probes is not None else int(opts.get("probes", 4)),
-            restarts=args.restarts if args.restarts is not None else int(opts.get("restarts", 6)),
-            iters=args.iters if args.iters is not None else int(opts.get("iters", 200)),
-            tol=args.tol if args.tol is not None else float(opts.get("tol", 1e-8)),
-            seed=_seed_from(args, options),
-        )
-    except ValueError as exc:  # a flag out of range; options.budget was checked on load
-        raise SchemaError(str(exc)) from None
+    # SearchBudget's defaults, overlaid by options.budget and then by the
+    # flags given; both were range-checked before the command ran
+    fields = {}
+    for given in (options.get("budget") or {}, vars(args)):
+        fields.update((k, given[k]) for k in BUDGET_FIELDS if given.get(k) is not None)
+    fields["tol"] = float(fields.get("tol", SearchBudget.tol))  # options.budget.tol may be an int
+    budget = SearchBudget(**fields, seed=_seed_from(args, options))
     verdict = check_stability(rep, theta, budget)
     kind = type(verdict).__name__
     payload = {"theta": theta, "kind": kind, "verdict": verdict, "seed": budget.seed}
@@ -584,8 +560,7 @@ def _cmd_stability(cfg, pols, options, args):
         lines.append(f"  beta {list(verdict.beta)}")
     if hasattr(verdict, "slope"):
         lines.append(f"  slope {verdict.slope}")
-    emit(payload, "stability", args.json, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _cmd_summary(cfg, pols, options, args):
@@ -598,91 +573,84 @@ def _cmd_summary(cfg, pols, options, args):
         f"walls: {summary.quiver_wall_count} (quiver) / {summary.ample_wall_count} (ample)",
         f"chambers: {summary.chamber_count}",
         f"strata: {len(summary.strata)}",
-    ]
-    for note in summary.notes:
-        lines.append(f"note: {note}")
-    emit(payload, "summary", args.json, lines)
-    return EXIT_OK
+    ] + [f"note: {note}" for note in summary.notes]
+    return payload, lines
 
+
+# a subcommand: its handler, its help, the flags it adds to the config path
+# and --json as (flag, add_argument keywords), and which of those flags
+# dispatch range-checks as counts and as tolerances
+Command = namedtuple("Command", "handler help flags counts tolerances", defaults=((), (), ()))
 
 COMMANDS = {
-    "quiver": _cmd_quiver,
-    "roots": _cmd_roots,
-    "walls": _cmd_walls,
-    "chambers": _cmd_chambers,
-    "character": _cmd_character,
-    "correspondence": _cmd_correspondence,
-    "strata": _cmd_strata,
-    "cb-check": _cmd_cb_check,
-    "moment-verify": _cmd_moment_verify,
-    "stability": _cmd_stability,
-    "summary": _cmd_summary,
+    "quiver": Command(_cmd_quiver, "DOT graph and Cartan matrix"),
+    "roots": Command(_cmd_roots, "bounded positive roots R+(n)", (
+        ("--bound", {"help": "comma-separated bound, defaults to mult"}),
+    )),
+    "walls": Command(_cmd_walls, "wall systems", (
+        ("--side", {"choices": ["quiver", "ample", "both"], "default": "both"}),
+        ("--chi-bound", {"type": int, "help": "optional global v-wall scan bound"}),
+    ), counts=("--chi-bound",)),
+    "chambers": Command(_cmd_chambers, "chamber enumeration in n-perp"),
+    "character": Command(_cmd_character, "character of a named polarization", (
+        ("--pol", {"required": True}),
+        ("--ell", {"type": int}),
+    )),
+    "correspondence": Command(_cmd_correspondence, "verify the wall correspondence", (
+        ("--samples", {"type": int, "default": 3}),
+    ), counts=("--samples",)),
+    "strata": Command(_cmd_strata, "singular-locus stratification"),
+    "cb-check": Command(_cmd_cb_check, "simple-representation existence criterion"),
+    "moment-verify": Command(_cmd_moment_verify, "dimension check at mu = 0 solutions", (
+        ("--trials", {"type": int, "default": 10}),
+        ("--tol", {"type": float, "default": 1e-10, "help": "residual tolerance"}),
+        ("--rank-tol", {"type": float, "default": 1e-8}),
+        ("--seed", {"type": int}),
+    ), counts=("--trials",), tolerances=("--tol", "--rank-tol")),
+    "stability": Command(_cmd_stability, "King stability search for a representation file", (
+        ("--rep", {"required": True}),
+        ("--theta", {"required": True, "help": 'comma-separated rationals, e.g. "-1,1"'}),
+        ("--probes", {"type": int}),
+        ("--restarts", {"type": int}),
+        ("--iters", {"type": int}),
+        ("--tol", {"type": float}),
+        ("--seed", {"type": int}),
+    ), counts=("--probes", "--restarts", "--iters"), tolerances=("--tol",)),
+    "summary": Command(_cmd_summary, "bundled local-model report"),
 }
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: every option default is immutable, so
-    parsing leaves nothing behind for the next call."""
+    """The one parser of the process, built from ``COMMANDS``: every option
+    default is immutable, so parsing leaves nothing behind for the next
+    call."""
     parser = argparse.ArgumentParser(
         prog="quiverk3",
         description="Local quiver models of singular sheaf moduli on a K3: "
         "walls, chambers, characters, moment-map and stability checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("config", help="configuration JSON path, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    p = sub.add_parser("quiver", help="DOT graph and Cartan matrix")
-    common(p)
-    p = sub.add_parser("roots", help="bounded positive roots R+(n)")
-    common(p)
-    p.add_argument("--bound", help="comma-separated bound, defaults to mult")
-    p = sub.add_parser("walls", help="wall systems")
-    common(p)
-    p.add_argument("--side", choices=["quiver", "ample", "both"], default="both")
-    p.add_argument("--chi-bound", type=int, default=None, help="optional global v-wall scan bound")
-    p = sub.add_parser("chambers", help="chamber enumeration in n-perp")
-    common(p)
-    p = sub.add_parser("character", help="character of a named polarization")
-    common(p)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--ell", type=int, default=None)
-    p = sub.add_parser("correspondence", help="verify the wall correspondence")
-    common(p)
-    p.add_argument("--samples", type=int, default=3)
-    p = sub.add_parser("strata", help="singular-locus stratification")
-    common(p)
-    p = sub.add_parser("cb-check", help="simple-representation existence criterion")
-    common(p)
-    p = sub.add_parser("moment-verify", help="dimension check at mu = 0 solutions")
-    common(p)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-    p.add_argument("--rank-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=None)
-    p = sub.add_parser("stability", help="King stability search for a representation file")
-    common(p)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--theta", required=True, help='comma-separated rationals, e.g. "-1,1"')
-    p.add_argument("--probes", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p = sub.add_parser("summary", help="bundled local-model report")
-    common(p)
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load the config (its errors come first), range-check
+    the command's flags, run the handler and emit its report."""
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         cfg, pols, options, _names = load_config(args.config)
-        return COMMANDS[args.command](cfg, pols, options, args)
+        _check_flags(args, command.counts, command.tolerances)
+        payload, lines = command.handler(cfg, pols, options, args)
+        emit(payload, args.command, args.json, lines)
+        return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InvariantError
 from .lattice import CurveConfig, IntVector
 
 DimVector = tuple[int, ...]
@@ -82,12 +81,8 @@ class Quiver:
 
 
 def quiver_from_config(cfg: CurveConfig) -> Quiver:
-    """L_i = g_ii/2 + 1, E_ij = g_ij, so that -C reproduces the gram matrix."""
-    for i in range(cfg.s):
-        if cfg.gram[i][i] % 2 != 0 or cfg.gram[i][i] < -2:
-            raise InvariantError(
-                "gram-diagonal", f"gram[{i}][{i}] = {cfg.gram[i][i]} is odd or < -2"
-            )
+    """L_i = g_ii/2 + 1, E_ij = g_ij, so that -C reproduces the gram matrix.
+    ``CurveConfig`` has checked that each g_ii is even and >= -2."""
     loops = tuple(g // 2 + 1 for g in (cfg.gram[i][i] for i in range(cfg.s)))
     edges = tuple(
         tuple(0 if i == j else cfg.gram[i][j] for j in range(cfg.s))

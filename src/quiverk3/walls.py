@@ -777,7 +777,6 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
             )
             k += 1
         note = "" if verts else "wall meets the slice only at h0deg"
-        ok = True
         for a in samples:
             if any(x < 0 for x in a):
                 raise MathAssertionError("wall sample left the positive cone")
@@ -785,16 +784,13 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
                 # strict positivity fails only for vertex-degenerate samples
                 continue
             theta = xi_map(cfg, DegreeVector(a))
-            for alpha in wall.sources:
-                if theta_dot(theta, alpha) != 0:
-                    ok = False
+            if any(theta_dot(theta, alpha) != 0 for alpha in wall.sources):
+                raise MathAssertionError(
+                    f"xi image of a sampled point left the quiver wall for beta={wall.beta}"
+                )
         wall_checks.append(
-            WallCheck(wall.beta, wall.chi_beta, len(verts), len(samples), ok, False, note)
+            WallCheck(wall.beta, wall.chi_beta, len(verts), len(samples), True, False, note)
         )
-        if not ok:
-            raise MathAssertionError(
-                f"xi image of a sampled point left the quiver wall for beta={wall.beta}"
-            )
     chambers = model.chambers
     verdict = _genericity(chambers.representatives[0], cfg.mult, model.roots)
     chamber_checks = []

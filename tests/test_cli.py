@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -425,6 +426,15 @@ STABILITY = ["stability", "--theta=-1,1"]
             STABILITY, {}, "[re, im] number pairs", id="float-entry-string",
         ),
         pytest.param(
+            {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[[float("nan"), 0.0]]]},
+                                               FLOAT_EDGE]},
+            STABILITY, {}, "float entries must be finite, got [nan, 0.0]", id="float-entry-nan",
+        ),
+        pytest.param(
+            {}, {"mode": "float", "matrices": [FLOAT_EDGE, {**FLOAT_EDGE, "y": [[[0.0, -1e999]]]}]},
+            STABILITY, {}, "float entries must be finite, got [0.0, -inf]", id="float-entry-inf",
+        ),
+        pytest.param(
             {}, None, ["stability", "--theta=1,1"], {},
             "theta . n != 0", id="theta-not-orthogonal",
         ),
@@ -451,6 +461,19 @@ STABILITY = ["stability", "--theta=-1,1"]
         pytest.param(
             {}, None, ["walls", "--chi-bound", "-1"], {},
             "--chi-bound must be a non-negative integer, got -1", id="flag-chi-bound-negative",
+        ),
+        # an error in the configuration comes before one in a flag
+        pytest.param(
+            {"curves": []}, None, ["moment-verify", "--trials", "-1"], {},
+            "curves list is empty", id="config-before-trials",
+        ),
+        pytest.param(
+            {"curves": []}, None, ["walls", "--chi-bound", "-1"], {},
+            "curves list is empty", id="config-before-chi-bound",
+        ),
+        pytest.param(
+            {"curves": []}, None, STABILITY + ["--probes", "-1"], {},
+            "curves list is empty", id="config-before-probes",
         ),
     ],
 )
@@ -528,3 +551,66 @@ def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):
         assert dispatch(["stability", affine_path, "--rep", str(rep), "--theta=-1,1"]) == EXIT_OK
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# every subcommand's arguments, in order, as (option strings, or the dest of
+# a positional; default; required; choices; type); written out so that how
+# the parser is built cannot change what it accepts
+PARSER_CONTRACT = {
+    "quiver": [],
+    "roots": [(("--bound",), None, False, None, None)],
+    "walls": [
+        (("--side",), "both", False, ["quiver", "ample", "both"], None),
+        (("--chi-bound",), None, False, None, int),
+    ],
+    "chambers": [],
+    "character": [(("--pol",), None, True, None, None), (("--ell",), None, False, None, int)],
+    "correspondence": [(("--samples",), 3, False, None, int)],
+    "strata": [],
+    "cb-check": [],
+    "moment-verify": [
+        (("--trials",), 10, False, None, int),
+        (("--tol",), 1e-10, False, None, float),
+        (("--rank-tol",), 1e-08, False, None, float),
+        (("--seed",), None, False, None, int),
+    ],
+    "stability": [
+        (("--rep",), None, True, None, None),
+        (("--theta",), None, True, None, None),
+        (("--probes",), None, False, None, int),
+        (("--restarts",), None, False, None, int),
+        (("--iters",), None, False, None, int),
+        (("--tol",), None, False, None, float),
+        (("--seed",), None, False, None, int),
+    ],
+    "summary": [],
+}
+COMMON_ARGUMENTS = [("config", None, True, None, None), (("--json",), False, False, None, None)]
+
+
+def test_parser_contract():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [
+            (tuple(a.option_strings) or a.dest, a.default, a.required, a.choices, a.type)
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert list(got) == list(PARSER_CONTRACT)
+    assert got == {name: COMMON_ARGUMENTS + args for name, args in PARSER_CONTRACT.items()}
+
+
+def test_integer_budget_tol_reports_a_float(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**AFFINE_DOC, "options": {"budget": {"tol": 1}}}))
+    rep = tmp_path / "rep.json"
+    # x and y both nonzero: the rep is simple, and the search finds nothing
+    simple = [{"x": [[1]], "y": [[1]]}, {"x": [[0]], "y": [[0]]}]
+    rep.write_text(json.dumps({**EXACT_REP, "matrices": simple}))
+    argv = ["stability", str(config), "--rep", str(rep), "--theta=-1,1", "--json"]
+    assert dispatch(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["kind"] == "NoDestabilizerFound"
+    assert '"tolerance": 1.0' in out

@@ -1,6 +1,5 @@
 import random
 import warnings
-from types import SimpleNamespace
 
 import pytest
 
@@ -40,12 +39,12 @@ def test_quiver_from_config_examples(elliptic_pair, affine_a1):
 
 
 def test_quiver_from_config_rejects_bad_diagonal():
-    bad = SimpleNamespace(s=1, gram=((3,),))
-    with pytest.raises(InvariantError):
-        quiver_from_config(bad)
-    bad = SimpleNamespace(s=1, gram=((-4,),))
-    with pytest.raises(InvariantError):
-        quiver_from_config(bad)
+    # quiver_from_config takes a CurveConfig, and no CurveConfig carries an
+    # odd diagonal entry or one below -2
+    for g in (3, -4):
+        with pytest.raises(InvariantError) as e:
+            quiver_from_config(CurveConfig(((g,),), (1,), (1,), (1,)))
+        assert e.value.invariant == "gram-diagonal"
 
 
 def test_orientation_counts(elliptic_pair):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from quiverk3 import walls as walls_module
 from quiverk3 import (
     DegreeVector,
+    LocalModel,
     MathAssertionError,
     ample_walls_through_h0,
     bounded_roots,
@@ -415,6 +417,23 @@ def test_verify_correspondence_random():
         report = verify_correspondence(cfg, samples_per_wall=2)
         assert report.wall_counts_match
         assert all(w.all_on_image_wall for w in report.walls)
+
+
+def test_off_wall_image_is_an_assertion(elliptic_pair, monkeypatch, tmp_path, capsys):
+    """A sampled ample-wall point whose xi image leaves the quiver wall
+    breaks the correspondence: the library raises naming the wall's beta,
+    and the CLI exits 4."""
+    (wall,) = LocalModel(elliptic_pair).ample_walls
+    xi = walls_module.xi_map
+    # shifting by (1, ..., 1) changes theta . alpha by sum(alpha) > 0
+    monkeypatch.setattr(walls_module, "xi_map", lambda cfg, a: tuple(x + 1 for x in xi(cfg, a)))
+    with pytest.raises(MathAssertionError, match=re.escape(f"quiver wall for beta={wall.beta}")):
+        verify_correspondence(elliptic_pair)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config_document(elliptic_pair)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["correspondence", str(cpath), "--json"]) == EXIT_ASSERTION
+    assert f"beta={wall.beta}" in capsys.readouterr().err
 
 
 def test_correspondence_chamber_facts_match_per_chamber_oracle(affine_a1_22):

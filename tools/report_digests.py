@@ -1,12 +1,13 @@
-"""Digests of the CLI's --json reports, for byte-identity checks between trees.
+"""Digests of the CLI's reports, for byte-identity checks between trees.
 
 Usage: ``python tools/report_digests.py <tree>``, where <tree> is a checkout
 of this repository. The script imports quiverk3 from ``<tree>/src`` and the
 test helpers from ``<tree>/tests``, runs 15 invocations covering all 11
 commands on 27 configurations and prints one line per invocation: case
 index, command, exit code and the first 16 hex digits of the sha256 of
-stdout. Run it on two trees and ``diff`` the outputs; identical output means
-byte-identical reports.
+stdout. It runs every invocation first with --json and then again in text
+mode (no --json); a text-mode line starts with ``text``. Run it on two trees
+and ``diff`` the outputs; identical output means byte-identical reports.
 
 The configurations are the five test fixtures, 20
 ``random_config(random.Random(2024), s_min=1, s_max=4, mult_max=2)`` draws,
@@ -14,7 +15,8 @@ and then two strata-heavy draws, ``random_config(random.Random(seed),
 s_min=3, s_max=3, mult_max=4)`` for seed 9 and 11 (212 and 269 root
 decompositions, reports of 0.36-0.52 MB whose strata share their parts).
 The first 375 lines are those of the 25-case ladder before the last two
-were appended.
+were appended; the first 405 lines are the --json digests, the text-mode
+digests follow them.
 """
 
 import contextlib
@@ -61,6 +63,7 @@ def main() -> None:
     cases += [random_config(rng, s_min=1, s_max=4, mult_max=2) for _ in range(20)]
     cases += [random_config(random.Random(seed), 3, 3, mult_max=4) for seed in STRATA_SEEDS]
     with tempfile.TemporaryDirectory() as tmp:
+        invocations = []
         for i, cfg in enumerate(cases):
             n, cpath, rpath = cfg.mult, f"{tmp}/{i}.json", f"{tmp}/{i}.rep.json"
             doc = config_document(cfg, {"H1": [d + 1 for d in cfg.h0deg]}, {"ell": 3, "seed": 1})
@@ -69,12 +72,14 @@ def main() -> None:
             with open(rpath, "w") as fh:
                 json.dump(rep_to_dict(random_representation(quiver_from_config(cfg), n, seed=7)), fh)
             theta = [-n[1], n[0]] + [0] * (cfg.s - 2) if cfg.s >= 2 else [0]
-            for cmd in commands(rpath, ",".join(map(str, theta))):
+            invocations += [(i, cpath, cmd) for cmd in commands(rpath, ",".join(map(str, theta)))]
+        for prefix, flags in (([], ["--json"]), (["text"], [])):
+            for i, cpath, cmd in invocations:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    code = dispatch([cmd[0], cpath, "--json"] + cmd[1:])
+                    code = dispatch([cmd[0], cpath] + flags + cmd[1:])
                 digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
-                print(i, " ".join(c for c in cmd[:3] if tmp not in c), code, digest)
+                print(*prefix, i, " ".join(c for c in cmd[:3] if tmp not in c), code, digest)
 
 
 if __name__ == "__main__":
