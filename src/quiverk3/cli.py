@@ -196,7 +196,10 @@ def _parse_complex(e) -> complex:
     # exact type tests: bool is an int subclass but not a JSON number
     if type(e) is not list or len(e) != 2 or any(type(x) not in (int, float) for x in e):
         raise SchemaError(f"float entries must be [re, im] number pairs, got {e!r}")
-    z = complex(e[0], e[1])
+    try:
+        z = complex(e[0], e[1])
+    except OverflowError:  # an integer part too large for a double
+        raise SchemaError(f"float entries must be finite, got {e!r}") from None
     if not cmath.isfinite(z):  # json reads NaN and Infinity
         raise SchemaError(f"float entries must be finite, got {e!r}")
     return z

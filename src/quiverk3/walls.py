@@ -9,7 +9,11 @@ enumerates both, enumerates chambers exactly, and checks the correspondence
 on exact rational sample points. ``LocalModel`` holds all of these, with the
 decompositions and simple-existence verdicts, for one configuration.
 
-Everything is exact rational arithmetic; no floating point anywhere.
+Everything is exact, and nothing is floating point. The chamber path runs in
+integers over common denominators: the cone cuts, the Fourier-Motzkin and
+simplex points, the sign certificates, the characters and the per-chamber
+probes. It makes a ``Fraction`` only for an output coordinate. Wall samples,
+genericity and block weights are computed with ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -177,8 +181,16 @@ class _FMBlowup(Exception):
 
 def _fm_core(
     cons: list[Constraint], nvars: int, limit: int | None = None
-) -> tuple[Fraction, ...] | None:
-    """Fourier-Motzkin over integer constraints with rational back-substitution."""
+) -> tuple[int, IntVector] | None:
+    """Fourier-Motzkin over integer constraints, with back-substitution in
+    integers: a point ipt / m as (m, ipt), m the lcm of its reduced
+    denominators as ``_cleared`` gives it, or None when there is none.
+
+    Each coordinate is the midpoint of its fiber interval over the point of
+    the eliminated system, lo + 1 or hi - 1 on a half-line, and 0 on the
+    whole line. ``limit`` caps the deduplicated system at every level;
+    exceeding it raises ``_FMBlowup``.
+    """
     clean: list[Constraint] = []
     seen = set()
     for coeffs, rhs in cons:
@@ -187,14 +199,17 @@ def _fm_core(
                 return None
             continue
         g = math.gcd(*coeffs, rhs)
-        key = (tuple(x // g for x in coeffs), rhs // g)
+        if g == 1:
+            key = (tuple(coeffs), rhs)
+        else:
+            key = (tuple([x // g for x in coeffs]), rhs // g)
         if key not in seen:
             seen.add(key)
             clean.append(key)
     if limit is not None and len(clean) > limit:
         raise _FMBlowup
     if nvars == 0:
-        return ()
+        return 1, ()
     lowers, uppers, rest = [], [], []
     for coeffs, rhs in clean:
         a = coeffs[-1]
@@ -204,33 +219,41 @@ def _fm_core(
             uppers.append((coeffs, rhs))
         else:
             rest.append((coeffs[:-1], rhs))
+    heads = [(cu[:-1], -cu[-1], bu) for cu, bu in uppers]
     for cl, bl in lowers:
-        al = cl[-1]
-        for cu, bu in uppers:
-            au = -cu[-1]
-            coeffs = tuple(au * x + al * y for x, y in zip(cl[:-1], cu[:-1]))
+        hl, al = cl[:-1], cl[-1]
+        for hu, au, bu in heads:
+            coeffs = tuple([au * x + al * y for x, y in zip(hl, hu)])
             rest.append((coeffs, au * bl + al * bu))
     sub = _fm_core(rest, nvars - 1, limit)
     if sub is None:
         return None
-    # sub = isub / m, so each bound is one quotient of integers
-    m, isub = _cleared(sub)
+    m, isub = sub
+    # each bound is num / den with den > 0, compared by cross-multiplication
     lo = hi = None
     for cl, bl in lowers:
-        v = Fraction(bl * m - _dot(cl, isub), cl[-1] * m)
-        lo = v if lo is None else max(lo, v)
+        num, den = bl * m - _dot(cl, isub), cl[-1] * m
+        if lo is None or num * lo[1] > lo[0] * den:
+            lo = num, den
     for cu, bu in uppers:
-        v = Fraction(_dot(cu, isub) - bu * m, -cu[-1] * m)
-        hi = v if hi is None else min(hi, v)
+        num, den = _dot(cu, isub) - bu * m, -cu[-1] * m
+        if hi is None or num * hi[1] < hi[0] * den:
+            hi = num, den
     if lo is not None and hi is not None:
-        val = (lo + hi) / 2
+        num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
     elif lo is not None:
-        val = lo + 1
+        num, den = lo[0] + lo[1], lo[1]
     elif hi is not None:
-        val = hi - 1
+        num, den = hi[0] - hi[1], hi[1]
     else:
-        val = Fraction(0)
-    return sub + (val,)
+        return m, isub + (0,)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    lcm = m * den // math.gcd(m, den)
+    if lcm != m:
+        scale = lcm // m
+        isub = tuple([x * scale for x in isub])
+    return lcm, isub + (num * (lcm // den),)
 
 
 def fm_feasible_point(constraints, nvars: int) -> tuple[Fraction, ...] | None:
@@ -241,7 +264,11 @@ def fm_feasible_point(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     doubly exponentially with the variable count, so this route is kept for
     few variables and as an independent cross-check of the simplex below.
     """
-    return _fm_core(_clear_denominators(constraints), nvars)
+    found = _fm_core(_clear_denominators(constraints), nvars)
+    if found is None:
+        return None
+    m, ipt = found
+    return tuple(Fraction(x, m) for x in ipt)
 
 
 def _clear_denominators(constraints) -> list[Constraint]:
@@ -284,24 +311,25 @@ def lp_feasible_point(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     scale = [1] * m  # positive coefficient of each row's basic variable
     while True:
         art_rows = [i for i in range(m) if basis[i] >= nstruct]
+        # reduced costs of the phase-1 objective, times the lcm of the
+        # artificial rows' scales
+        common = math.lcm(*(scale[i] for i in art_rows))
+        weights = [(tableau[i], common // scale[i]) for i in art_rows]
         entering = None
         for j in range(nstruct):
-            if sum(Fraction(tableau[i][j], scale[i]) for i in art_rows) > 0:
+            if sum(row[j] * w for row, w in weights) > 0:
                 entering = j
                 break
         if entering is None:
             if any(rhs[i] != 0 for i in art_rows):
                 return None
             break
+        # Bland's ratio test: the least rhs / t, then the least basic index
         pr = None
-        best = None
         for i in range(m):
             t = tableau[i][entering]
-            if t > 0:
-                key = (Fraction(rhs[i], t), basis[i])
-                if best is None or key < best:
-                    best = key
-                    pr = i
+            if t > 0 and (pr is None or (rhs[i] * tp, basis[i]) < (rhs[pr] * t, basis[pr])):
+                pr, tp = i, t
         if pr is None:
             # the phase-1 objective is bounded below by zero, so a positive
             # reduced cost always admits a blocking row
@@ -418,6 +446,11 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     whose parent's point fails. A solve that finds no point on such a side
     is a broken identity and raises ``MathAssertionError``.
 
+    A cell's point is kept as an integer vector ipt over one denominator m,
+    in the coordinates of ``nperp_basis``; the sign certificate is taken on
+    ipt. Each representative coordinate is one ``Fraction``,
+    (sum_k ipt[k] * basis[k][i]) / m.
+
     Chamber facts are decided here: each representative is certified to
     realize its own sign cell, so ``signatures`` are zero-free and pairwise
     distinct. n-genericity is left to ``is_generic``; it fails identically
@@ -437,53 +470,49 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
         tuple(sum(b[i] * w.normal[i] for i in range(len(n))) for b in basis)
         for w in walls
     ]
-    start = tuple([Fraction(1)] + [Fraction(0)] * (d - 1))
+    # each functional as the constraint row of either side: f . x >= 1 for
+    # sign +1, -f . x >= 1 for sign -1
+    rows = [(g, tuple([-x for x in g])) for g in functionals]
 
-    def solve(signs, f, sgn):
+    def solve(signs):
         # the cell's system, rebuilt in processing order. Fourier-Motzkin with
         # dedup is fast on it; the exact simplex takes over on a blowup
-        ext = [(tuple(s * x for x in g), 1) for s, g in zip(signs, functionals)]
-        ext.append((tuple(sgn * x for x in f), 1))
+        ext = [(pair[s < 0], 1) for s, pair in zip(signs, rows)]
         try:
             found = _fm_core(ext, d, limit=4000)
         except _FMBlowup:
-            found = lp_feasible_point(ext, d)
+            pt = lp_feasible_point(ext, d)
+            found = None if pt is None else _cleared(pt)
         if found is None:
             raise MathAssertionError(
-                f"no interior point found for sign cell {signs + (sgn,)}, "
+                f"no interior point found for sign cell {signs}, "
                 "which its extreme rays prove nonempty"
             )
         return found
 
-    # cells: (signs so far, a strictly interior point and its integer
-    # multiple, generators). By homogeneity a point with all processed
-    # functionals strictly of the right sign certifies the open cell, so it
-    # is reused until it fails.
+    # cells: (signs so far, a strictly interior point ipt / m as m and ipt,
+    # generators). By homogeneity a point with all processed functionals
+    # strictly of the right sign certifies the open cell, so it is reused
+    # until it fails.
     axes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    cells = [((), start, _cleared(start)[1], axes, [])]
+    cells = [((), 1, axes[0], axes, [])]
     for k, f in enumerate(functionals):
         new_cells = []
-        for signs, pt, ipt, lines, rays in cells:
+        for signs, m, ipt, lines, rays in cells:
             val = _dot(f, ipt)
             for sgn, half in zip((1, -1), _cut(f, 1 << k, lines, rays)):
                 if half is None:
                     continue
-                if sgn * val > 0:
-                    new_cells.append((signs + (sgn,), pt, ipt) + half)
-                else:
-                    found = solve(signs, f, sgn)
-                    new_cells.append((signs + (sgn,), found, _cleared(found)[1]) + half)
+                child = signs + (sgn,)
+                point = (m, ipt) if sgn * val > 0 else solve(child)
+                new_cells.append((child, *point, *half))
         cells = new_cells
+    columns = list(zip(*basis))
     reps = []
-    for signs, u, *_ in cells:
-        theta = tuple(
-            sum((u[k] * basis[k][i] for k in range(d)), Fraction(0))
-            for i in range(len(n))
-        )
-        # f . u == theta . normal exactly: the signature test on theta, on a
-        # positive integer multiple of u
-        _, iu = _cleared(u)
-        if any(sgn * _dot(f, iu) <= 0 for sgn, f in zip(signs, functionals)):
+    for signs, m, ipt, *_ in cells:
+        theta = tuple(Fraction(_dot(col, ipt), m) for col in columns)
+        # f . ipt == m * (theta . normal) exactly: the signature test on theta
+        if any(sgn * _dot(f, ipt) <= 0 for sgn, f in zip(signs, functionals)):
             raise MathAssertionError(
                 f"chamber representative {theta} does not realize its sign cell {signs}"
             )
@@ -647,9 +676,16 @@ def character_general(cfg: CurveConfig, a: DegreeVector) -> RationalVector:
     character of a polarization, exact, with theta . n = 0 for every a."""
     if len(a.a) != cfg.s:
         raise ValueError("degree vector has wrong length")
-    d0 = cfg.total_h0deg
-    d = sum((Fraction(n) * x for n, x in zip(cfg.mult, a.a)), Fraction(0))
-    return tuple(d0 * x - d * di for x, di in zip(a.a, cfg.h0deg))
+    den, ia = _cleared(a.a)
+    return tuple(Fraction(x, den) for x in _character(cfg, ia))
+
+
+def _character(cfg: CurveConfig, ia: IntVector) -> IntVector:
+    """``character_general`` at a = ia / den, times den: the character is
+    linear in a, so it maps the numerators over one denominator to those of
+    theta over the same denominator."""
+    d = _dot(cfg.mult, ia)
+    return tuple(cfg.total_h0deg * x - d * di for x, di in zip(ia, cfg.h0deg))
 
 
 def det_weight_vector(cfg: CurveConfig, a: DegreeVector, ell: int) -> RationalVector:
@@ -796,14 +832,21 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     chamber_checks = []
     d0 = cfg.total_h0deg
     for u, sig in zip(chambers.representatives, chambers.signatures):
-        eps = Fraction(1)
-        for ui, di in zip(u, cfg.h0deg):
-            if ui < 0:
-                eps = min(eps, Fraction(di, 2) / -ui)
-        a = tuple(di + eps * ui for di, ui in zip(cfg.h0deg, u))
-        theta = character_general(cfg, DegreeVector(a))
-        if theta != tuple(d0 * eps * ui for ui in u):
+        # u = iu / m. a = h0 + eps * u with eps = en / ed, the least of 1 and
+        # d_i / (2 * -u_i) over u_i < 0, so a >= h0 / 2 > 0; den * a = ia
+        m, iu = _cleared(u)
+        en = ed = 1
+        for x, di in zip(iu, cfg.h0deg):
+            if x < 0 and di * m * ed < -2 * x * en:
+                en, ed = di * m, -2 * x
+        den = ed * m
+        ia = tuple(di * den + en * x for di, x in zip(cfg.h0deg, iu))
+        itheta = _character(cfg, ia)
+        # theta == d0 * eps * u, both over den
+        if itheta != tuple(d0 * en * x for x in iu):
             raise MathAssertionError("character of an on-slice point is not d0 * xi")
+        a = tuple(Fraction(x, den) for x in ia)
+        theta = tuple(Fraction(x, den) for x in itheta)
         chamber_checks.append(
             ChamberCheck(a, theta, sig, True, verdict.generic, verdict.violators)
         )

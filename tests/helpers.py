@@ -19,6 +19,8 @@ and one arrow at a time on projector matrices, and
 ``reference_defect_and_grad`` its objective and gradient.
 ``reference_decompositions`` is the root-decomposition recursion without a
 memo: each root in turn is skipped or used k times.
+``fraction_fm_core`` is Fourier-Motzkin with the back-substitution in
+``Fraction``s that ``walls._fm_core`` had before it ran in integers.
 ``config_document`` is the one builder of CLI config documents for the
 tests.
 """
@@ -41,7 +43,7 @@ from quiverk3.quiver import (
     p_of,
 )
 from quiverk3.reps import EXACT, GroupElement, Representation, _graded, act, dual
-from quiverk3.walls import nperp_basis, chamber_signature
+from quiverk3.walls import Constraint, _FMBlowup, _cleared, _dot, chamber_signature, nperp_basis
 
 # ---------------------------------------------------------------------------
 # simplicity oracle
@@ -556,6 +558,68 @@ def sweep_chambers(q, n, walls):
             sigs.add(sig)
             count += 1
     return count, sigs
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin with rational back-substitution
+
+
+def fraction_fm_core(
+    cons: list[Constraint], nvars: int, limit: int | None = None
+) -> tuple[Fraction, ...] | None:
+    """Fourier-Motzkin over integer constraints with rational back-substitution."""
+    clean: list[Constraint] = []
+    seen = set()
+    for coeffs, rhs in cons:
+        if not any(coeffs):
+            if rhs > 0:
+                return None
+            continue
+        g = math.gcd(*coeffs, rhs)
+        key = (tuple(x // g for x in coeffs), rhs // g)
+        if key not in seen:
+            seen.add(key)
+            clean.append(key)
+    if limit is not None and len(clean) > limit:
+        raise _FMBlowup
+    if nvars == 0:
+        return ()
+    lowers, uppers, rest = [], [], []
+    for coeffs, rhs in clean:
+        a = coeffs[-1]
+        if a > 0:
+            lowers.append((coeffs, rhs))
+        elif a < 0:
+            uppers.append((coeffs, rhs))
+        else:
+            rest.append((coeffs[:-1], rhs))
+    for cl, bl in lowers:
+        al = cl[-1]
+        for cu, bu in uppers:
+            au = -cu[-1]
+            coeffs = tuple(au * x + al * y for x, y in zip(cl[:-1], cu[:-1]))
+            rest.append((coeffs, au * bl + al * bu))
+    sub = fraction_fm_core(rest, nvars - 1, limit)
+    if sub is None:
+        return None
+    # sub = isub / m, so each bound is one quotient of integers
+    m, isub = _cleared(sub)
+    lo = hi = None
+    for cl, bl in lowers:
+        v = Fraction(bl * m - _dot(cl, isub), cl[-1] * m)
+        lo = v if lo is None else max(lo, v)
+    for cu, bu in uppers:
+        v = Fraction(_dot(cu, isub) - bu * m, -cu[-1] * m)
+        hi = v if hi is None else min(hi, v)
+    if lo is not None and hi is not None:
+        val = (lo + hi) / 2
+    elif lo is not None:
+        val = lo + 1
+    elif hi is not None:
+        val = hi - 1
+    else:
+        val = Fraction(0)
+    return sub + (val,)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,11 @@ STABILITY = ["stability", "--theta=-1,1"]
             STABILITY, {}, "float entries must be finite, got [0.0, -inf]", id="float-entry-inf",
         ),
         pytest.param(
+            {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[[10**400, 0]]]}, FLOAT_EDGE]},
+            STABILITY, {}, f"float entries must be finite, got [{10**400}, 0]",
+            id="float-entry-overflow",
+        ),
+        pytest.param(
             {}, None, ["stability", "--theta=1,1"], {},
             "theta . n != 0", id="theta-not-orthogonal",
         ),

@@ -3,7 +3,9 @@
 ``test_golden_reports.py`` pins the small fixtures, whose arrangements have
 at most one wall. This file pins ``chambers``, ``correspondence`` and
 ``summary`` on three seeded s = 4 ``random_config`` draws with 10-14 walls
-and 62-116 chambers, where chamber enumeration splits many cells. Each digest
+and 62-116 chambers, where chamber enumeration splits many cells, and on one
+s = 5 draw with 19 walls and 728 chambers, where Fourier-Motzkin eliminates
+four variables (dim n-perp = 4). Each digest
 is the sha256 of the stdout of one ``dispatch([..., "--json"])`` call. To
 re-record after an intended report change, run
 ``python tests/test_golden_chamber_reports.py`` from the repository root with
@@ -24,12 +26,15 @@ from quiverk3.cli import EXIT_OK, dispatch
 from conftest import random_config
 from helpers import config_document
 
-SEEDS = (0, 1, 4)  # 10, 14 and 14 walls; mult (1,2,1,1), (1,2,2,1), (1,1,2,2)
+# key -> (seed, s). s = 4: 10, 14 and 14 walls; mult (1,2,1,1), (1,2,2,1),
+# (1,1,2,2). s = 5: 19 walls; mult (1,1,2,1,1)
+DRAWS = {"0": (0, 4), "1": (1, 4), "4": (4, 4), "s5-7": (7, 5)}
 COMMANDS = ("chambers", "correspondence", "summary")
 
 
-def draw(seed):
-    return random_config(random.Random(seed), s_min=4, s_max=4, gram_bound=4, mult_max=2)
+def draw(key):
+    seed, s = DRAWS[key]
+    return random_config(random.Random(seed), s_min=s, s_max=s, gram_bound=4, mult_max=2)
 
 
 def report_digests(cfg, tmp_dir) -> dict[str, str]:
@@ -61,13 +66,18 @@ GOLDEN = {
         "chambers": "f39841fb666435398291fcb04467a18ec068313c374be4bbba716603782df946",
         "correspondence": "9bd1c3ba78aa2e3ee7249fa36c56a2b9fe231b0a271b1ff52a2f1012b3ff6154",
         "summary": "000cd7e480ca7caaf4ca64975d1c39532bc778e37c1f2f3b7c8559c9b20c63b9"
+    },
+    "s5-7": {
+        "chambers": "6bda4158b9565e2b7202f8f7f3e48f5896d37315628065a3d2b85957290a81a0",
+        "correspondence": "e49c4a892b60fa064f91452aac06882f71ee45c500de209981557c481e149217",
+        "summary": "9cd6cbff5494d604fbfc0613af0ac6adc465347c145f59cc8cffa3341d10fabd"
     }
 }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_multi_wall_chamber_reports_are_byte_identical(seed, tmp_path):
-    assert report_digests(draw(seed), tmp_path) == GOLDEN[str(seed)]
+@pytest.mark.parametrize("key", DRAWS)
+def test_multi_wall_chamber_reports_are_byte_identical(key, tmp_path):
+    assert report_digests(draw(key), tmp_path) == GOLDEN[key]
 
 
 if __name__ == "__main__":
@@ -75,7 +85,7 @@ if __name__ == "__main__":
     import tempfile
 
     golden = {}
-    for seed in SEEDS:
+    for key in DRAWS:
         with tempfile.TemporaryDirectory() as d:
-            golden[str(seed)] = report_digests(draw(seed), pathlib.Path(d))
+            golden[key] = report_digests(draw(key), pathlib.Path(d))
     print("GOLDEN = " + json.dumps(golden, indent=4))

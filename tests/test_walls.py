@@ -33,13 +33,19 @@ from quiverk3.cli import EXIT_ASSERTION, dispatch
 from quiverk3.walls import (
     ChamberSet,
     _FMBlowup,
+    _cleared,
     _fm_core,
     fm_feasible_point,
     lp_feasible_point,
     nperp_basis,
 )
 from conftest import random_config
-from helpers import config_document, sweep_chambers, zaslavsky_chamber_count
+from helpers import (
+    config_document,
+    fraction_fm_core,
+    sweep_chambers,
+    zaslavsky_chamber_count,
+)
 
 
 def test_quiver_walls_examples(affine_a1, elliptic_pair):
@@ -135,7 +141,9 @@ def fm_on_every_split(q, n) -> ChamberSet:
     """Reference enumeration: every split whose reused point fails is decided
     by a Fourier-Motzkin solve (the exact simplex on a blowup), and a side
     with no point is dropped. ``enumerate_chambers`` decides splits from
-    extreme rays instead and solves only on sides they prove nonempty."""
+    extreme rays instead and solves only on sides they prove nonempty.
+    Points are (m, ipt) for ipt / m, as ``_fm_core`` returns them; both
+    solvers are read from the module, so a test's patch reaches them."""
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
     walls = quiver_walls(q, n)
@@ -150,25 +158,26 @@ def fm_on_every_split(q, n) -> ChamberSet:
         ext = [(tuple(s * x for x in g), 1) for s, g in zip(signs, functionals)]
         ext.append((tuple(sgn * x for x in f), 1))
         try:
-            return _fm_core(ext, d, limit=4000)
+            return walls_module._fm_core(ext, d, limit=4000)
         except _FMBlowup:
-            return lp_feasible_point(ext, d)
+            pt = walls_module.lp_feasible_point(ext, d)
+            return None if pt is None else _cleared(pt)
 
-    cells = [((), tuple([Fraction(1)] + [Fraction(0)] * (d - 1)))]
+    cells = [((), 1, (1,) + (0,) * (d - 1))]
     for f in functionals:
         new_cells = []
-        for signs, pt in cells:
-            val = sum(x * y for x, y in zip(f, pt))
+        for signs, m, ipt in cells:
+            val = sum(x * y for x, y in zip(f, ipt))
             for sgn in (1, -1):
-                found = pt if sgn * val > 0 else solve(signs, f, sgn)
+                found = (m, ipt) if sgn * val > 0 else solve(signs, f, sgn)
                 if found is not None:
-                    new_cells.append((signs + (sgn,), found))
+                    new_cells.append((signs + (sgn,), *found))
         cells = new_cells
     reps = tuple(
-        tuple(sum((u[k] * basis[k][i] for k in range(d)), Fraction(0)) for i in range(len(n)))
-        for _, u in cells
+        tuple(Fraction(sum(ipt[k] * basis[k][i] for k in range(d)), m) for i in range(len(n)))
+        for _, m, ipt in cells
     )
-    return ChamberSet(len(cells), reps, tuple(signs for signs, _ in cells), tuple(walls))
+    return ChamberSet(len(cells), reps, tuple(cell[0] for cell in cells), tuple(walls))
 
 
 def _draws_up_to(rng, count, max_walls, **kwargs):
@@ -201,6 +210,38 @@ def test_enumerate_chambers_matches_fm_on_every_split(
     for cfg in cases:
         q = quiver_from_config(cfg)
         assert enumerate_chambers(q, cfg.mult) == fm_on_every_split(q, cfg.mult), cfg
+
+
+def test_simplex_fallback_inside_enumerate_chambers(monkeypatch):
+    """With the Fourier-Motzkin budget cut to 6 constraints, most interior
+    points of ``enumerate_chambers`` come from the exact simplex. The chamber
+    set must still equal the reference under the same budget, and its count
+    and signatures those of the unpatched enumeration."""
+    real_fm, real_lp = walls_module._fm_core, walls_module.lp_feasible_point
+    lp_calls = []
+
+    def tight_fm(cons, nvars, limit=None):
+        return real_fm(cons, nvars, None if limit is None else 6)
+
+    def counted_lp(constraints, nvars):
+        lp_calls.append(nvars)
+        return real_lp(constraints, nvars)
+
+    rng = random.Random(11)
+    from_enumeration = 0
+    for _ in range(10):
+        cfg = random_config(rng, 3, 4, gram_bound=4, mult_max=2)
+        q = quiver_from_config(cfg)
+        plain = enumerate_chambers(q, cfg.mult)
+        with monkeypatch.context() as patch:
+            patch.setattr(walls_module, "_fm_core", tight_fm)
+            patch.setattr(walls_module, "lp_feasible_point", counted_lp)
+            before = len(lp_calls)
+            patched = enumerate_chambers(q, cfg.mult)
+            from_enumeration += len(lp_calls) - before
+            assert patched == fm_on_every_split(q, cfg.mult), cfg
+        assert (patched.count, patched.signatures) == (plain.count, plain.signatures), cfg
+    assert from_enumeration >= 100, from_enumeration
 
 
 def test_chamber_count_matches_zaslavsky():
@@ -248,6 +289,48 @@ def test_fm_feasible_point_basics():
     assert fm_feasible_point([((one,), one), ((-one,), one)], 1) is None
     pt = fm_feasible_point([((one, one), one), ((one, -one), one)], 2)
     assert pt is not None and pt[0] + pt[1] >= 1 and pt[0] - pt[1] >= 1
+
+
+def test_integer_fm_matches_fraction_fm():
+    """``_fm_core`` back-substitutes in integers. On seeded systems it gives
+    exactly the point of the ``Fraction`` back-substitution it replaced, as
+    (m, ipt) with m the lcm of the point's reduced denominators, and it
+    blows up on the same systems."""
+
+    def outcome(fm, cons, nvars, limit):
+        try:
+            return fm(cons, nvars, limit)
+        except _FMBlowup:
+            return _FMBlowup
+
+    rng = random.Random(97)
+    compared = points = blowups = drawn = 0
+    while compared < 400:
+        drawn += 1
+        nvars = rng.randint(0, 4)
+        cons = [
+            (tuple(rng.randint(-5, 5) for _ in range(nvars)), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 14))
+        ]
+        tight = outcome(fraction_fm_core, cons, nvars, 6) is _FMBlowup
+        assert (outcome(_fm_core, cons, nvars, 6) is _FMBlowup) == tight, cons
+        blowups += tight
+        # systems that grow past 200 constraints are left uncompared, to keep
+        # the test fast; both must blow up on them
+        ref = outcome(fraction_fm_core, cons, nvars, 200)
+        got = outcome(_fm_core, cons, nvars, 200)
+        if ref is _FMBlowup:
+            assert got is _FMBlowup, cons
+            continue
+        compared += 1
+        if ref is None:
+            assert got is None, cons
+            continue
+        points += 1
+        m, ipt = got
+        assert tuple(Fraction(x, m) for x in ipt) == ref, cons
+        assert (m, ipt) == _cleared(ref), cons
+    assert points >= 100 and 100 <= blowups <= drawn - 100, (points, blowups, drawn)
 
 
 def test_lp_matches_fm_on_random_systems():
