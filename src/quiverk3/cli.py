@@ -161,7 +161,7 @@ def load_config(source: str):
             text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     return parse_config_document(doc)
 
@@ -542,7 +542,7 @@ def _cmd_stability(cfg, pols, options, args):
     try:
         with open(args.rep) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # as in load_config
         raise SchemaError(f"invalid representation JSON: {exc}") from None
     rep = rep_from_dict(q, doc)
     theta = _parse_theta(args.theta, cfg.s)

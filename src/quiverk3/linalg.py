@@ -7,7 +7,7 @@ elimination: it keeps a row span in reduced row echelon form (RREF), each
 row stored as a primitive integer vector with a positive pivot entry, so
 that elimination builds no Fraction. ``basis()`` reads the RREF out as
 Fractions, and ``rank``, ``nullspace`` and ``mat_inv`` take their answers
-from it.
+from it. ``cleared`` puts a rational vector on its line's integer points.
 
 Representation matrices are numpy arrays and multiply with ``@`` (see
 ``reps``); this module keeps what exact mode needs beyond that. The tuple
@@ -80,6 +80,14 @@ def nullspace(a: Matrix) -> list[Vector]:
     ]
 
 
+def cleared(vec: Iterable[Fraction]) -> list[int]:
+    """vec times the lcm of its entries' denominators, as Python ints (so a
+    numpy integer entry never meets a fixed-width product)."""
+    pairs = [(int(x.numerator), int(x.denominator)) for x in vec]
+    d = lcm(*(b for _, b in pairs))
+    return [a * (d // b) for a, b in pairs]
+
+
 def _primitive(v: list[int]) -> list[int]:
     g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
@@ -96,6 +104,15 @@ class Span:
     when the dimension grew, and clears the new pivot column from the
     other rows. Used for Burnside closures, graded subspaces, ``rank``,
     ``nullspace`` and ``mat_inv``.
+
+    A span does not change when one of its vectors is scaled by a nonzero
+    number, and neither do these rows: each is the one primitive integer
+    vector with a positive pivot on its line. So callers may hand in any
+    nonzero multiple of a vector, an integer one in particular (``reps``
+    runs its exact closures and checks on arrows and seeds cleared of
+    their denominators), and get the same rows, pivots and verdicts as for
+    the vector itself. ``echelon`` takes rows that are already such an
+    RREF without reducing them again.
     """
 
     def __init__(self, rows: Iterable[Sequence[Fraction]] = ()):
@@ -104,6 +121,15 @@ class Span:
         for r in rows:
             self.add(r)
 
+    @classmethod
+    def echelon(cls, rows: Iterable[Sequence[int]]) -> "Span":
+        """The span of rows that are the ``rows`` of some Span, in any
+        order, taken over as they are."""
+        span = cls()
+        span.rows = [list(r) for r in rows]
+        span.pivots = [next(i for i, x in enumerate(r) if x) for r in span.rows]
+        return span
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -111,9 +137,8 @@ class Span:
     def reduce(self, vec: Sequence[Fraction]) -> list[int]:
         """A primitive integer multiple of vec's residue modulo the span:
         zero exactly when vec lies in the span."""
-        pairs = [(int(x.numerator), int(x.denominator)) for x in vec]
-        d = lcm(*(b for _, b in pairs))
-        v = _primitive([a * (d // b) for a, b in pairs])
+        v = list(vec)
+        v = _primitive(v if all(type(x) is int for x in v) else cleared(v))
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:

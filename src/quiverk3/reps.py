@@ -14,6 +14,14 @@ representation. Matrices are numpy arrays in both modes: dtype ``object``
 holding ``Fraction`` entries in exact mode, dtype ``complex`` in float mode.
 So ``@``, ``+``, ``-``, ``.T`` and slicing serve both, and exact arithmetic
 never passes through a float.
+
+The exact closures and invariance checks multiply no ``Fraction``: each
+arrow is cleared once per ``is_simple`` call or stability search, that is
+multiplied by the lcm of its denominators into an ``object`` array of
+Python ints, and so is each closure seed. A cleared product is a nonzero
+multiple of the true one, which spans the same line, so every
+``linalg.Span`` row, pivot, verdict and basis is the same as with the
+``Fraction`` matrices.
 """
 
 from __future__ import annotations
@@ -433,18 +441,34 @@ def _block_adder(tol: float):
     return try_add
 
 
-def _closure(rep: Representation, vertex: int, seed: np.ndarray, adders) -> int:
-    """Close the n_vertex x c block ``seed`` under left multiplication by the
-    arrows of the doubled quiver, level by level. Each image at a vertex k,
-    flattened, goes to ``adders[k]``, which is True exactly when its span
-    grew; only those images are multiplied further. Stops once every span
-    is full and returns the sum of their dimensions."""
+def _cleared(m: np.ndarray) -> np.ndarray:
+    """The exact matrix m times the lcm of its denominators, as an object
+    array of Python ints."""
+    return np.array(linalg.cleared(m.flat), dtype=object).reshape(m.shape)
+
+
+def _arrows(rep: Representation) -> list[list]:
+    """j -> [(k, A: V_j -> V_k)] over the arrows of the doubled quiver
+    between nonzero spaces; in exact mode each A is ``_cleared``."""
     n = rep.n
-    arrows: list[list] = [[] for _ in n]  # j -> [(k, A: V_j -> V_k)]
+    clear = _cleared if rep.mode == EXACT else (lambda m: m)
+    arrows: list[list] = [[] for _ in n]
     for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
         if n[s] > 0 and n[t] > 0:
-            arrows[s].append((t, x))
-            arrows[t].append((s, y))
+            arrows[s].append((t, clear(x)))
+            arrows[t].append((s, clear(y)))
+    return arrows
+
+
+def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders) -> int:
+    """Close the n_vertex x c block ``seed`` under left multiplication by
+    ``arrows`` (as ``_arrows`` gives them), level by level. Each image at a
+    vertex k, flattened, goes to ``adders[k]``, which is True exactly when
+    its span grew; only those images are multiplied further. Stops once
+    every span is full and returns the sum of their dimensions. In exact
+    mode the arrows and the seed are integer arrays, so every image is an
+    integer multiple of the rational one and the closure does no
+    ``Fraction`` arithmetic; the spans are the same (see ``linalg.Span``)."""
     frontier = [(vertex, seed)] if adders[vertex](seed.ravel()) else []
     dim, full = len(frontier), sum(n) * seed.shape[1]
     while frontier and dim < full:
@@ -470,12 +494,14 @@ def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
     N = sum(n)
     if N == 0:
         return False
+    arrows = _arrows(rep)
     for i, ni in enumerate(n):
         if ni == 0:
             continue
         adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(tol) for _ in n]
-        e_i = np.where(np.eye(ni, dtype=bool), rep.zero + 1, rep.zero)
-        if _closure(rep, i, e_i, adders) < ni * N:
+        # np.eye of dtype object holds the Python ints 0 and 1
+        e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
+        if _closure(n, arrows, i, e_i, adders) < ni * N:
             return False
     return True
 
@@ -487,28 +513,36 @@ def _graded(spans: Sequence[linalg.Span]) -> tuple[DimVector, tuple]:
 
 
 def cyclic_subrep(
-    rep: Representation, vertex: int, vector: Sequence
+    rep: Representation, vertex: int, vector: Sequence, arrows=None
 ) -> tuple[DimVector, tuple[tuple[linalg.Vector, ...], ...]]:
     """Smallest subrepresentation containing the given vector (exact mode):
-    the closure of the vector, as an n_vertex x 1 block, under the arrows."""
+    the closure of the cleared vector, as an n_vertex x 1 block, under the
+    arrows. ``arrows`` are ``_arrows(rep)``, made here when not given."""
     if rep.mode != EXACT:
         raise ValueError("cyclic_subrep requires exact mode")
     if len(vector) != rep.n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
     spans = [linalg.Span() for _ in rep.n]
-    seed = np.array([Fraction(v) for v in vector], dtype=object).reshape(-1, 1)
-    _closure(rep, vertex, seed, [sp.add for sp in spans])
+    seed = np.array(linalg.cleared(map(Fraction, vector)), dtype=object).reshape(-1, 1)
+    _closure(rep.n, arrows or _arrows(rep), vertex, seed, [sp.add for sp in spans])
     return _graded(spans)
 
 
-def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequence]]) -> bool:
-    """Exact check that the graded spans are stable under every arrow."""
+def graded_invariance_holds(
+    rep: Representation, bases: Sequence[Sequence[Sequence]], arrows=None
+) -> bool:
+    """Exact check that the graded spans are stable under every arrow: the
+    integer RREF rows of each span, times each cleared arrow out of its
+    vertex, must lie in the span at the arrow's target. No ``Fraction`` is
+    multiplied. ``arrows`` are ``_arrows(rep)``, made here when not given."""
     spans = [linalg.Span(vecs) for vecs in bases]
-    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        for a, src, dst in ((x, s, t), (y, t, s)):
-            rows = spans[src].rows
-            if rows and not all(map(spans[dst].contains, np.array(rows, dtype=object) @ a.T)):
-                return False
+    for src, outs in enumerate(arrows or _arrows(rep)):
+        rows = spans[src].rows
+        if rows and outs:
+            rows = np.array(rows, dtype=object)
+            for dst, a in outs:
+                if not all(map(spans[dst].contains, rows @ a.T)):
+                    return False
     return True
 
 
@@ -562,8 +596,9 @@ class NoDestabilizerFound:
 StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilizerFound
 
 
-def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
+def _exact_invariant_spans(rep: Representation, budget: SearchBudget, arrows=None):
     n = rep.n
+    arrows = arrows or _arrows(rep)
     rng = random.Random(budget.seed)
     # an ordered set of the found graded subspaces, each held as the RREF
     # rows of its spans by pivot column: primitive integer vectors, which
@@ -589,7 +624,7 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     for vertex, vec in probes:
         if all(x == 0 for x in vec):
             continue
-        record([linalg.Span(basis) for basis in cyclic_subrep(rep, vertex, vec)[1]])
+        record([linalg.Span(basis) for basis in cyclic_subrep(rep, vertex, vec, arrows)[1]])
     # sums of invariant spans are invariant: close the found set under
     # pairwise sums until stable (the join-closure of the probe spans). A
     # pass joins only the pairs with an entry new in the previous pass; the
@@ -599,11 +634,22 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
         singles = list(found)
         for a in range(len(singles)):
             for b in range(max(a + 1, done), len(singles)):
-                record([linalg.Span(ra + rb) for ra, rb in zip(singles[a], singles[b])])
+                record([_join(ra, rb) for ra, rb in zip(singles[a], singles[b])])
         if len(found) == len(singles):
             break
         done = len(singles)
-    return [_graded([linalg.Span(r) for r in rows]) for rows in found]
+    return [_graded([linalg.Span.echelon(r) for r in rows]) for rows in found]
+
+
+def _join(ra, rb) -> linalg.Span:
+    """The sum of two spans given by their RREF rows: the larger side's
+    rows as they are, then the other side's added."""
+    if len(rb) > len(ra):
+        ra, rb = rb, ra
+    span = linalg.Span.echelon(ra)
+    for r in rb:
+        span.add(r)
+    return span
 
 
 def _arrow_groups(rep: Representation) -> list:
@@ -704,11 +750,12 @@ def check_stability(
         raise ValueError("theta . n != 0: not a valid stability parameter")
 
     if rep.mode == EXACT:
-        spans = _exact_invariant_spans(rep, budget)
+        arrows = _arrows(rep)
+        spans = _exact_invariant_spans(rep, budget, arrows)
         unstable = []
         semistable = []
         for dims, bases in spans:
-            if not graded_invariance_holds(rep, bases):
+            if not graded_invariance_holds(rep, bases, arrows):
                 raise MathAssertionError("cyclic span is not arrow-invariant")
             sl = slope_theta(theta, dims)
             if sl > 0:

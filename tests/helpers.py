@@ -10,10 +10,12 @@ lattice of the walls. ``reference_nullspace`` and ``reference_mat_inv`` are
 column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``.
 ``reference_is_simple`` is the Burnside closure on the whole of End(V),
 with no grading, ``reference_cyclic_subrep`` the closure of one vector
-taken depth first with ``linalg.mat_vec``, and ``reference_invariant_spans``
+taken depth first with ``linalg.mat_vec``, ``reference_invariant_spans``
 the exact stability search, built on it, that re-joins every pair of spans
-until nothing new appears. ``unipotent_conjugate`` hides the invariant
-subspaces of an exact representation by a seeded change of basis.
+until nothing new appears, and ``reference_invariance_holds`` the
+invariance check on ``Fraction`` images, one basis vector at a time.
+``unipotent_conjugate`` hides the invariant subspaces of an exact
+representation by a seeded change of basis.
 ``reference_float_search`` is the float stability search run one restart
 and one arrow at a time on projector matrices, and
 ``reference_defect_and_grad`` its objective and gradient.
@@ -296,6 +298,19 @@ def reference_cyclic_subrep(rep: Representation, vertex: int, vector) -> tuple:
                 if spans[s].add(w):
                     frontier.append((s, w))
     return _graded(spans)
+
+
+def reference_invariance_holds(rep: Representation, bases) -> bool:
+    """Each arrow maps each basis vector at its source, as ``linalg.mat_vec``
+    computes it in ``Fraction``s, into the rank of the basis at its target."""
+    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        for a, src, dst in ((x, s, t), (y, t, s)):
+            target = [tuple(v) for v in bases[dst]]
+            for v in bases[src]:
+                w = linalg.mat_vec(a, v)
+                if any(w) and linalg.rank(target + [w]) != linalg.rank(target):
+                    return False
+    return True
 
 
 def reference_invariant_spans(rep: Representation, budget) -> list:

@@ -331,6 +331,13 @@ EXACT_REP = {
 }
 FLOAT_EDGE = {"x": [[[0.0, 0.0]]], "y": [[[0.0, 0.0]]]}
 STABILITY = ["stability", "--theta=-1,1"]
+# written into a document as a 5000-digit integer, past the 4300 digits
+# that Python converts from a string by default
+HUGE = "<a 5000-digit integer>"
+
+
+def _document(doc: dict) -> str:
+    return json.dumps(doc).replace(json.dumps(HUGE), "7" * 5000)
 
 
 @pytest.mark.parametrize(
@@ -440,6 +447,15 @@ STABILITY = ["stability", "--theta=-1,1"]
             id="float-entry-overflow",
         ),
         pytest.param(
+            {"mult": [HUGE, 1]}, None, ["summary", "--json"], {},
+            "invalid JSON: Exceeds the limit (4300 digits)", id="config-huge-integer",
+        ),
+        pytest.param(
+            {}, {"matrices": [{"x": [[HUGE]], "y": [[0]]}, EXACT_REP["matrices"][1]]},
+            STABILITY, {}, "invalid representation JSON: Exceeds the limit (4300 digits)",
+            id="rep-huge-integer",
+        ),
+        pytest.param(
             {}, None, ["stability", "--theta=1,1"], {},
             "theta . n != 0", id="theta-not-orthogonal",
         ),
@@ -488,11 +504,11 @@ def test_malformed_input_exits_2(
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**AFFINE_DOC, **config_edit}))
+    config.write_text(_document({**AFFINE_DOC, **config_edit}))
     tail = argv[1:]
     if argv[0] == "stability":
         rep = tmp_path / "rep.json"
-        rep.write_text(json.dumps({**EXACT_REP, **(rep_edit or {})}))
+        rep.write_text(_document({**EXACT_REP, **(rep_edit or {})}))
         tail = ["--rep", str(rep)] + tail
     assert dispatch([argv[0], str(config)] + tail) == EXIT_SCHEMA
     err = capsys.readouterr().err

@@ -10,6 +10,12 @@ and the sha256 of the exact ``check_stability`` verdicts and of the
 re-record after an intended change, run ``python tests/test_exact_search.py``
 from the repository root with ``src`` and ``tests`` on ``PYTHONPATH`` and
 paste its output into ``GOLDEN``.
+
+The kernel runs on arrows and seeds cleared to integers. The equivalence
+tests below compare it with the ``Fraction`` references of ``helpers`` where
+clearing has work to do: arrows whose denominators differ (3, 5, 7), zero
+vertices, and numpy ``int64`` entries near 2**62, whose products overflow
+64 bits. One test makes ``Fraction`` arithmetic raise around the kernel.
 """
 
 from __future__ import annotations
@@ -20,20 +26,32 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quiverk3 import CurveConfig, quiver_from_config, random_representation
 from quiverk3.reps import (
+    EXACT,
+    GroupElement,
     NoDestabilizerFound,
     Representation,
     SearchBudget,
     _exact_invariant_spans,
+    act,
     annihilator_witness,
     check_stability,
+    cyclic_subrep,
     direct_sum,
+    graded_invariance_holds,
     is_simple,
 )
-from helpers import reference_invariant_spans, reference_is_simple, unipotent_conjugate
+from helpers import (
+    reference_cyclic_subrep,
+    reference_invariance_holds,
+    reference_invariant_spans,
+    reference_is_simple,
+    unipotent_conjugate,
+)
 
 F = Fraction
 
@@ -197,6 +215,147 @@ def test_is_simple_matches_reference_past_dimension_3(mode):
         assert got == reference_is_simple(rep), (rep.n, rep.mats)
         verdicts.append(got)
     assert 8 <= sum(verdicts) <= len(verdicts) - 8  # both verdicts occur
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction references
+
+
+def _diagonal_scaled(rep: Representation, seed: int) -> Representation:
+    """rep conjugated by diagonal blocks whose entries have denominators 3,
+    5 and 7, so that each arrow has its own mix of denominators."""
+    rng = random.Random(seed)
+
+    def block(k):
+        diag = [F(rng.choice([-1, 1]) * rng.randint(1, 4), (3, 5, 7)[rng.randrange(3)])
+                for _ in range(k)]
+        return tuple(tuple(diag[i] if i == j else F(0) for j in range(k)) for i in range(k))
+
+    return act(GroupElement(tuple(block(k) for k in rep.n)), rep)
+
+
+def _int64(cfg, n, seed, zero_y=False) -> tuple[Representation, Representation]:
+    """A representation whose entries are numpy int64 scalars near +-2**62,
+    and its twin with the same entries as Fractions."""
+    rng = random.Random(seed)
+    q = quiver_from_config(cfg)
+
+    def entry():
+        return 0 if rng.random() < 0.2 else rng.choice([-1, 1]) * (2**62 - rng.randint(0, 99))
+
+    mats = [
+        ([[entry() for _ in range(n[s])] for _ in range(n[t])],
+         [[0 if zero_y else entry() for _ in range(n[t])] for _ in range(n[s])])
+        for s, t, _ in q.orientation
+    ]
+
+    def build(scalar):
+        return Representation(q, n, EXACT, tuple(
+            tuple([[scalar(e) for e in row] for row in m] for m in pair) for pair in mats))
+
+    return build(np.int64), build(F)
+
+
+def _kernel_cases():
+    """(representation, Fraction twin for the references) pairs."""
+    rng = random.Random(53)
+    for k in range(3):
+        seed = rng.randrange(10**6)
+        for rep in (
+            _rand(AFFINE, (2, 2), seed),
+            _zero_y(_rand(ELLIPTIC, (2, 1), seed)),
+            _rand(CHAIN, (1, 2, 1), seed),
+            _rand(OGRADY, (3,), seed),
+            direct_sum(_rand(AFFINE, (1, 1), seed), _rand(AFFINE, (1, 2), seed + 1)),
+            # zero vertices: a chain broken at its middle, an empty vertex
+            _rand(CHAIN, (2, 0, 2), seed),
+            _zero_y(_rand(CHAIN, (0, 2, 1), seed)),
+            _rand(AFFINE, (2, 0), seed),
+        ):
+            scaled = _diagonal_scaled(rep, seed)
+            yield scaled, scaled
+        yield _int64(AFFINE, (2, 2), seed)
+        # cyclic subrepresentations of these are proper at the arrows'
+        # targets, so their checks multiply long rows by the entries
+        yield _int64(AFFINE, (2, 3), seed, zero_y=True)
+        yield _int64(CHAIN, (1, 2, 2), seed, zero_y=True)
+        yield _int64(CHAIN, (2, 0, 1), seed)
+        yield _int64(OGRADY, (3,), seed)
+
+
+def _probes(rep: Representation, rng):
+    for i, ni in enumerate(rep.n):
+        for k in range(ni):
+            yield i, tuple(F(int(j == k)) for j in range(ni))
+        yield i, tuple(F(rng.randint(-4, 4), rng.choice([1, 3, 5, 7])) for _ in range(ni))
+
+
+def _random_bases(rep: Representation, rng):
+    """A graded subspace spanned by random vectors, seldom invariant."""
+    return tuple(
+        tuple(tuple(F(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(ni))
+              for _ in range(rng.randint(0, ni)))
+        for ni in rep.n
+    )
+
+
+def test_integer_kernel_matches_the_fraction_references():
+    rng = random.Random(59)
+    simple, invariance, wide = [], [], 0
+    for rep, twin in _kernel_cases():
+        got = is_simple(rep)
+        assert got == reference_is_simple(twin), (rep.n, rep.mats)
+        simple.append(got)
+        for vertex, vec in _probes(rep, rng):
+            assert cyclic_subrep(rep, vertex, vec) == reference_cyclic_subrep(twin, vertex, vec)
+        budget = SearchBudget(probes=2, seed=rng.randrange(100))
+        found = _exact_invariant_spans(rep, budget)
+        assert found == reference_invariant_spans(twin, budget)
+        candidates = [bases for _, bases in found] + [_random_bases(rep, rng) for _ in range(4)]
+        for bases in candidates:
+            held = graded_invariance_holds(rep, bases)
+            assert held == reference_invariance_holds(twin, bases), (rep.n, bases)
+            invariance.append(held)
+        wide += any(abs(int(e)) >= 2**62 - 99 for pair in rep.mats for m in pair for e in m.flat)
+    assert 6 <= sum(simple) <= len(simple) - 6  # both verdicts occur
+    assert 20 <= sum(invariance) <= len(invariance) - 20
+    assert wide >= 12
+
+
+_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+    "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+def test_exact_kernel_does_no_fraction_arithmetic(monkeypatch):
+    reps = [_diagonal_scaled(_zero_y(_rand(AFFINE, (2, 2), 7)), 7),
+            _diagonal_scaled(_rand(CHAIN, (1, 2, 1), 8), 8)]
+    for rep in reps:  # arrows with denominators other than 1 and 2
+        assert {e.denominator for pair in rep.mats for m in pair for e in m.flat} - {1, 2}
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the exact kernel")
+
+    with monkeypatch.context() as patch:
+        for name in _ARITHMETIC:
+            patch.setattr(Fraction, name, forbidden)
+        with pytest.raises(AssertionError, match="Fraction arithmetic"):
+            F(1, 3) * F(3, 5)  # the patch is in force
+        out = []
+        for rep in reps:
+            found = _exact_invariant_spans(rep, SearchBudget(probes=2))
+            out.append((
+                is_simple(rep),
+                cyclic_subrep(rep, 1, (F(1, 3), F(-2, 5))),
+                found,
+                [graded_invariance_holds(rep, bases) for _, bases in found],
+            ))
+    for rep, (simple, sub, found, held) in zip(reps, out):
+        assert simple == reference_is_simple(rep)
+        assert sub == reference_cyclic_subrep(rep, 1, (F(1, 3), F(-2, 5)))
+        assert found and all(held)
 
 
 if __name__ == "__main__":

@@ -131,6 +131,46 @@ def test_span_absorbs_initial_rows_like_add():
             assert built.contains(v) == (linalg.rank(list(a) + [v]) == built.dim)
 
 
+def _rref_rows(span):
+    return [row for _, row in sorted(zip(span.pivots, span.rows))]
+
+
+def test_span_seeded_from_rref_rows_joins_like_a_fresh_span():
+    # the exact stability search joins two spans by taking one side's RREF
+    # rows as they are and adding the other's: the same rows and pivots,
+    # by pivot, as reducing both sides afresh
+    from quiverk3.reps import _join
+
+    rng = random.Random(23)
+    kinds = []
+    for k in range(240):
+        cols = rng.randint(1, 6)
+        ra = _rref_rows(linalg.Span(_random_matrix(rng, rng.randint(1, cols), cols)))
+        kind = k % 4
+        if kind == 0:  # rb inside ra
+            rb_src = linalg.mat_mul(_random_matrix(rng, rng.randint(1, 3), len(ra)), ra) if ra else ()
+        elif kind == 1:  # an empty side
+            rb_src = ()
+        else:
+            rb_src = _random_matrix(rng, rng.randint(1, cols), cols)
+        rb = _rref_rows(linalg.Span(rb_src))
+        if kind == 3:
+            ra, rb = rb, ra
+        span = linalg.Span(ra + rb)
+        fresh = sorted(zip(span.pivots, span.rows))
+        seeded = linalg.Span.echelon(rng.sample(ra, len(ra)))  # in any order
+        for row in rb:
+            seeded.add(row)
+        assert sorted(zip(seeded.pivots, seeded.rows)) == fresh
+        for left, right in ((ra, rb), (rb, ra)):
+            joined = _join(left, right)
+            assert sorted(zip(joined.pivots, joined.rows)) == fresh
+        kinds.append((kind, len(ra), len(rb), len(fresh)))
+    assert sum(1 for kind, a, b, f in kinds if kind == 0 and b and f == a) >= 30
+    assert sum(1 for _, a, b, _ in kinds if a == 0 or b == 0) >= 60
+    assert sum(1 for _, a, b, f in kinds if a and b and f > max(a, b)) >= 30
+
+
 def test_nullspace_of_a_matrix_with_no_rows_is_everything():
     # a 2-D array carries its column count even with no rows; nested rows
     # with no row carry none
