@@ -47,10 +47,11 @@ class Quiver:
     def s(self) -> int:
         return len(self.loops)
 
-    @property
+    @cached_property
     def orientation(self) -> tuple[OrientedEdge, ...]:
         """One fixed orientation per underlying edge: loops first per vertex,
-        then i -> j for i < j. The choice is arbitrary but must be stable."""
+        then i -> j for i < j. The choice is arbitrary but must be stable.
+        Built once per quiver, like ``form``."""
         out: list[OrientedEdge] = []
         for i in range(self.s):
             for k in range(self.loops[i]):

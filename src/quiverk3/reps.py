@@ -22,6 +22,14 @@ Python ints, and so is each closure seed. A cleared product is a nonzero
 multiple of the true one, which spans the same line, so every
 ``linalg.Span`` row, pivot, verdict and basis is the same as with the
 ``Fraction`` matrices.
+
+The linearization d(mu) is assembled by scatter, not entry by entry:
+``_differential_pattern(q, n)`` records once where each entry of the flat
+(x_e, y_e) vector is added or subtracted, and ``moment_differential`` copies
+the vector along it into a matrix of zeros. Each cell takes at most one
+added and one subtracted term, in that order, so the result is bit for bit
+that of the entrywise loop. ``verify_ci_dim`` builds one pattern and passes
+it (``pattern=``) to every Gauss-Newton step of every trial.
 """
 
 from __future__ import annotations
@@ -48,11 +56,24 @@ _ZERO = {EXACT: Fraction(0), FLOAT: 0j}
 _DTYPE = {EXACT: object, FLOAT: complex}
 
 
+def _exact_entry(e, what: str):
+    """e as an exact scalar: an integer of any other type (a numpy integer,
+    a bool) becomes a Python int, so that no product of stored entries runs
+    in fixed width; a non-rational entry is refused."""
+    if isinstance(e, numbers.Integral):
+        return int(e)
+    if isinstance(e, numbers.Rational):
+        return e
+    raise ValueError(f"{what} must have rational entries")
+
+
 def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndarray:
     """m as a rows x cols array of the mode's dtype. The shape is checked on
     the nested rows first, so a transposed or ragged input cannot be hidden
     by a reshape; a matrix with no rows carries no column count. Exact mode
-    refuses entries that are not rational instead of converting them."""
+    refuses entries that are not rational instead of converting them, and
+    stores integers as Python ints; an input holding other integer types is
+    copied, never changed."""
     if isinstance(m, np.ndarray) and m.ndim == 2:
         ok = m.shape == (rows, cols)
     else:
@@ -63,8 +84,10 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
     if not ok:
         raise ValueError(f"{what} must be {rows} x {cols}")
     out = np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
-    if mode == EXACT and not all(isinstance(e, numbers.Rational) for e in out.flat):
-        raise ValueError(f"{what} must have rational entries")
+    if mode == EXACT and not all(type(e) in (Fraction, int) for e in out.flat):
+        entries = [_exact_entry(e, what) for e in out.flat]
+        out = np.empty((rows, cols), dtype=object)
+        out.flat[:] = entries
     return out
 
 
@@ -237,34 +260,67 @@ def _offsets(sizes) -> list[int]:
     return out
 
 
-def moment_differential(rep: Representation) -> np.ndarray:
-    """Matrix of (dx, dy) -> sum [dx, y] + [x, dy], assembled from the entries
-    of the representation (exactly in exact mode). Rank is at most
-    n^t n - 1."""
-    q, n = rep.quiver, rep.n
+def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
+    """Where each entry of the representation lands in d(mu): the shape of
+    the matrix, then (plus_pos, plus_src, minus_pos, minus_src), intp arrays
+    of flat positions in the matrix and of positions in the flat (x_e, y_e)
+    vector, for the terms added and for the terms subtracted. No matrix
+    position appears twice in plus_pos, nor twice in minus_pos."""
     row_off = _offsets(ni * ni for ni in n)
-    J = np.full((row_off[-1], rep_space_dim(q, n)), rep.zero)
+    plus_pos, plus_src, minus_pos, minus_src = [], [], [], []
+    cols = rep_space_dim(q, n)
     col = 0
-    for (s, t, _), (x, y) in zip(q.orientation, rep.mats):
+    for s, t, _ in q.orientation:
         ns, nt = n[s], n[t]
+        ycol = col + nt * ns  # x_e starts at col in the flat vector, y_e here
         # d(x_e y_e) at block t and -d(y_e x_e) at block s, w.r.t. x entries
         for a in range(nt):
             for b in range(ns):
                 c = col + a * ns + b
                 for qq in range(nt):  # (E_ab y)[a, qq] = y[b, qq]
-                    J[row_off[t] + a * nt + qq, c] += y[b, qq]
+                    plus_pos.append((row_off[t] + a * nt + qq) * cols + c)
+                    plus_src.append(ycol + b * nt + qq)
                 for p in range(ns):  # (-y E_ab)[p, b] = -y[p, a]
-                    J[row_off[s] + p * ns + b, c] -= y[p, a]
-        col += nt * ns
+                    minus_pos.append((row_off[s] + p * ns + b) * cols + c)
+                    minus_src.append(ycol + p * nt + a)
         # w.r.t. y entries
         for cc in range(ns):
             for dd in range(nt):
-                c = col + cc * nt + dd
+                c = ycol + cc * nt + dd
                 for p in range(nt):  # (x E_cd)[p, dd] = x[p, cc]
-                    J[row_off[t] + p * nt + dd, c] += x[p, cc]
+                    plus_pos.append((row_off[t] + p * nt + dd) * cols + c)
+                    plus_src.append(col + p * ns + cc)
                 for qq in range(ns):  # (-E_cd x)[cc, qq] = -x[dd, qq]
-                    J[row_off[s] + cc * ns + qq, c] -= x[dd, qq]
-        col += ns * nt
+                    minus_pos.append((row_off[s] + cc * ns + qq) * cols + c)
+                    minus_src.append(col + dd * ns + qq)
+        col += 2 * nt * ns
+    arrays = (np.array(a, dtype=np.intp) for a in (plus_pos, plus_src, minus_pos, minus_src))
+    return ((row_off[-1], cols), *arrays)
+
+
+def moment_differential(rep: Representation, pattern: tuple | None = None) -> np.ndarray:
+    """Matrix of (dx, dy) -> sum [dx, y] + [x, dy], assembled from the entries
+    of the representation (exactly in exact mode). Rank is at most
+    n^t n - 1.
+
+    The matrix is two scatters of the flat (x_e, y_e) vector z into a
+    matrix of zeros, along ``pattern`` (``_differential_pattern`` of the
+    representation's quiver and n, built here when not given): J[plus_pos]
+    += z[plus_src], then J[minus_pos] -= z[minus_src]. A cell gets at most
+    one term of each sign, and only the diagonal cells of a loop's column
+    get both, so every cell is (0 + y) - y' in the order of the entrywise
+    assembly: in float mode the matrix is bit-identical to it, -0.0 entries
+    included, and in exact mode it holds the same ``Fraction``s."""
+    shape, plus_pos, plus_src, minus_pos, minus_src = (
+        pattern or _differential_pattern(rep.quiver, rep.n)
+    )
+    z = _flatten_mats(rep)
+    if shape != (sum(ni * ni for ni in rep.n), z.size):
+        raise ValueError("pattern does not fit the representation")
+    J = np.full(shape, rep.zero)
+    flat = J.reshape(-1)  # a view: J is contiguous
+    flat[plus_pos] += z[plus_src]
+    flat[minus_pos] -= z[minus_src]
     return J
 
 
@@ -302,15 +358,23 @@ def solve_moment_zero(
     tol: float = 1e-12,
     max_iter: int = 100,
     start: Representation | None = None,
+    pattern: tuple | None = None,
 ) -> Representation:
     """Damped Gauss-Newton search for a point of mu^-1(0), float mode.
 
     Each step solves the complex least-squares linearization and backtracks
     until the residual drops; a backtracking candidate is judged on its flat
-    vector, and only the accepted iterate becomes a Representation.
-    Deterministic given the seed. Raises RuntimeError (carrying the final
+    vector, and only the accepted iterate becomes a Representation. Every
+    step assembles d(mu) along one scatter ``pattern`` (see
+    ``moment_differential``), built here when not given. Deterministic given
+    the seed. Refuses a negative ``seed`` or ``max_iter`` and a ``tol`` that
+    is not positive and finite; raises RuntimeError (carrying the final
     residual) on non-convergence.
     """
+    _check_count("seed", seed)
+    _check_tol("tol", tol)
+    _check_count("max_iter", max_iter)
+    pattern = pattern or _differential_pattern(q, n)
     if start is not None:
         z = _flatten_mats(start.to_float())
     else:
@@ -322,7 +386,7 @@ def solve_moment_zero(
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             return rep
-        J = moment_differential(rep)
+        J = moment_differential(rep, pattern)
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         step = 1.0
         while step >= 2.0**-40:
@@ -382,8 +446,10 @@ def verify_ci_dim(
 ) -> CiDimReport:
     """At seeded solutions of mu = 0, the numerical rank of d(mu) should be
     n^t n - 1, making the local dimension dim Rep - rank the complete
-    intersection dimension 2p(n) + n^t n - 1. Refuses a negative ``trials``
-    or ``seed`` and a tolerance that is not positive and finite."""
+    intersection dimension 2p(n) + n^t n - 1. One d(mu) scatter pattern
+    serves every Gauss-Newton step of every trial and each final rank.
+    Refuses a negative ``trials`` or ``seed`` and a tolerance that is not
+    positive and finite."""
     _check_count("trials", trials)
     _check_tol("rank_tol", rank_tol)
     _check_tol("residual_tol", residual_tol)
@@ -392,17 +458,18 @@ def verify_ci_dim(
     expected_dim = mu_zero_expected_dim(q, n)
     if rep_space_dim(q, n) - expected_rank != expected_dim:
         raise MathAssertionError("dim Rep - (n.n - 1) != 2p(n) + n.n - 1")
+    pattern = _differential_pattern(q, n)
     results = []
     failures = []
     for t in range(trials):
         s = seed + t
         try:
-            rep = solve_moment_zero(q, n, seed=s, tol=residual_tol)
+            rep = solve_moment_zero(q, n, seed=s, tol=residual_tol, pattern=pattern)
         except RuntimeError as exc:
             failures.append(f"seed {s}: {exc}")
             continue
         res = moment_residual_norm(rep)
-        rank = numeric_rank(moment_differential(rep), tol=rank_tol)
+        rank = numeric_rank(moment_differential(rep, pattern), tol=rank_tol)
         results.append(CiTrial(s, res, rank, rep_space_dim(q, n) - rank))
     matching = sum(
         1 for r in results if r.rank == expected_rank and r.residual <= residual_tol
@@ -679,12 +746,14 @@ def _defect_and_grad(groups, frames):
     return defect, grads
 
 
-def _minimize_defect(rep, beta, budget, rng):
+def _minimize_defect(rep, beta, budget, rng, groups):
     """Projected gradient descent on the frames from ``budget.restarts``
     random starts, run as one batch: each restart keeps its own step size
     and stops at ``tol``, after ``iters`` steps or when its step size
-    underflows. Returns (defect, frames) of the first restart below ``tol``,
-    else of the first with the least defect; None without restarts."""
+    underflows. ``groups`` are the representation's ``_arrow_groups``, built
+    once per search. Returns (defect, frames) of the first restart below
+    ``tol``, else of the first with the least defect; None without
+    restarts."""
     R = budget.restarts
     if R == 0:
         return None
@@ -696,7 +765,6 @@ def _minimize_defect(rep, beta, budget, rng):
              for _ in range(R)]
     for k, i in enumerate(moving):
         frames[i] = np.linalg.qr(np.array([d[k] for d in draws]))[0]
-    groups = _arrow_groups(rep)
     defect, grads = _defect_and_grad(groups, frames)
     # with no moving frame every step is rejected: nothing to descend
     eta, live = np.full(R, 0.1), np.full(R, bool(moving))
@@ -774,6 +842,7 @@ def check_stability(
 
     # float mode: numeric subspace search per candidate dimension vector
     rng = np.random.default_rng(budget.seed)
+    groups = _arrow_groups(rep)
     candidates = [beta for beta in boxed_vectors(n) if any(beta) and beta != n]
     positive = sorted(
         (b for b in candidates if slope_theta(theta, b) > 0),
@@ -785,7 +854,7 @@ def check_stability(
         (zero, lambda b, fr, d: StrictlySemistableWitness(b, fr, d)),
     ):
         for beta in group:
-            best = _minimize_defect(rep, beta, budget, rng)
+            best = _minimize_defect(rep, beta, budget, rng, groups)
             if best is not None and best[0] < budget.tol:
                 defect = _projector_defect(rep, best[1])  # rechecked without the kernel
                 if defect < budget.tol:

@@ -25,6 +25,9 @@ memo: each root in turn is skipped or used k times.
 ``Fraction``s that ``walls._fm_core`` had before it ran in integers.
 ``config_document`` is the one builder of CLI config documents for the
 tests.
+``reference_moment_differential`` assembles d(mu) one entry at a time, as
+``reps.moment_differential`` did before it became a scatter, and
+``reference_solve_moment_zero`` is the Gauss-Newton solver on it.
 """
 
 from __future__ import annotations
@@ -43,8 +46,23 @@ from quiverk3.quiver import (
     boxed_vectors,
     is_positive_root,
     p_of,
+    rep_space_dim,
 )
-from quiverk3.reps import EXACT, GroupElement, Representation, _graded, act, dual
+from quiverk3.reps import (
+    EXACT,
+    FLOAT,
+    GroupElement,
+    Representation,
+    _flatten_mats,
+    _graded,
+    _moment_blocks,
+    _offsets,
+    _unflatten_mats,
+    act,
+    dual,
+    random_representation,
+)
+from quiverk3.reps import _residual as _moment_residual
 from quiverk3.walls import Constraint, _FMBlowup, _cleared, _dot, chamber_signature, nperp_basis
 
 # ---------------------------------------------------------------------------
@@ -407,6 +425,76 @@ def reference_simple_exists(q, n) -> SimpleExistence:
     if top is not None and top[0] >= p_of(q, n):
         return SimpleExistence(False, True, top[1])
     return SimpleExistence(True, True, None)
+
+
+# ---------------------------------------------------------------------------
+# the moment map's differential, entry by entry
+
+
+def reference_moment_differential(rep: Representation) -> np.ndarray:
+    """d(mu) at rep, one entry at a time: column by column, the term added
+    to each cell, then the term subtracted."""
+    q, n = rep.quiver, rep.n
+    row_off = _offsets(ni * ni for ni in n)
+    J = np.full((row_off[-1], rep_space_dim(q, n)), rep.zero)
+    col = 0
+    for (s, t, _), (x, y) in zip(q.orientation, rep.mats):
+        ns, nt = n[s], n[t]
+        # d(x_e y_e) at block t and -d(y_e x_e) at block s, w.r.t. x entries
+        for a in range(nt):
+            for b in range(ns):
+                c = col + a * ns + b
+                for qq in range(nt):  # (E_ab y)[a, qq] = y[b, qq]
+                    J[row_off[t] + a * nt + qq, c] += y[b, qq]
+                for p in range(ns):  # (-y E_ab)[p, b] = -y[p, a]
+                    J[row_off[s] + p * ns + b, c] -= y[p, a]
+        col += nt * ns
+        # w.r.t. y entries
+        for cc in range(ns):
+            for dd in range(nt):
+                c = col + cc * nt + dd
+                for p in range(nt):  # (x E_cd)[p, dd] = x[p, cc]
+                    J[row_off[t] + p * nt + dd, c] += x[p, cc]
+                for qq in range(ns):  # (-E_cd x)[cc, qq] = -x[dd, qq]
+                    J[row_off[s] + cc * ns + qq, c] -= x[dd, qq]
+        col += ns * nt
+    return J
+
+
+def reference_solve_moment_zero(q, n, seed=0, tol=1e-12, max_iter=100, start=None, **_):
+    """The damped Gauss-Newton search of ``reps.solve_moment_zero`` with
+    d(mu) from ``reference_moment_differential``; a ``pattern`` keyword is
+    accepted and ignored."""
+    if start is not None:
+        z = _flatten_mats(start.to_float())
+    else:
+        z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
+    mats = _unflatten_mats(q, n, z)
+    rep = Representation(q, n, FLOAT, mats)
+    r = _moment_residual(_moment_blocks(q, n, mats, 0j))
+    for _ in range(max_iter):
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
+            return rep
+        delta, *_ = np.linalg.lstsq(reference_moment_differential(rep), -r, rcond=None)
+        step = 1.0
+        while step >= 2.0**-40:
+            cand_z = z + step * delta
+            cand_mats = _unflatten_mats(q, n, cand_z)
+            cand_r = _moment_residual(_moment_blocks(q, n, cand_mats, 0j))
+            if np.linalg.norm(cand_r) < rnorm:
+                break
+            step *= 0.5
+        else:
+            break
+        z, r = cand_z, cand_r
+        rep = Representation(q, n, FLOAT, cand_mats)
+    final = float(np.linalg.norm(r))
+    if final <= tol:
+        return rep
+    raise RuntimeError(
+        f"moment-map solver did not reach tol={tol:g}; final residual {final:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------

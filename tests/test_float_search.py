@@ -166,7 +166,23 @@ def test_descent_skips_a_candidate_with_no_moving_frame(monkeypatch):
 
     monkeypatch.setattr(reps, "_defect_and_grad", counted)
     rep = _rand(AFFINE, (1, 1), 0)
-    reps._minimize_defect(rep, (0, 1), SearchBudget(), np.random.default_rng(0))
+    reps._minimize_defect(rep, (0, 1), SearchBudget(), np.random.default_rng(0),
+                          reps._arrow_groups(rep))
+    assert len(calls) == 1
+
+
+def test_search_groups_the_arrows_once(monkeypatch):
+    # no destabilizer is found, so every candidate beta is descended on, all
+    # on the same arrow groups
+    group, calls = reps._arrow_groups, []
+
+    def counted(r):
+        calls.append(1)
+        return group(r)
+
+    monkeypatch.setattr(reps, "_arrow_groups", counted)
+    verdict = check_stability(_rand(ELLIPTIC, (2, 2), 5), (F(-1), F(1)), SearchBudget())
+    assert isinstance(verdict, NoDestabilizerFound)
     assert len(calls) == 1
 
 

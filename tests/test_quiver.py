@@ -55,6 +55,13 @@ def test_orientation_counts(elliptic_pair):
     assert all(s < t for s, t, _ in edges)
 
 
+def test_orientation_is_built_once(elliptic_pair):
+    # cached like ``form``: not a field, so equality and hashing are unchanged
+    q, twin = quiver_from_config(elliptic_pair), quiver_from_config(elliptic_pair)
+    assert q.orientation is q.orientation
+    assert q == twin and hash(q) == hash(twin) and q.orientation == twin.orientation
+
+
 def test_d_form_examples(elliptic_pair, affine_a1):
     qe = quiver_from_config(elliptic_pair)
     qa = quiver_from_config(affine_a1)

@@ -1,5 +1,6 @@
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,13 +31,17 @@ from quiverk3 import (
     verify_ci_dim,
     zero_representation,
 )
+from quiverk3 import reps
 from quiverk3.reps import (
+    _differential_pattern,
+    _flatten_mats,
     graded_invariance_holds,
     moment_residual_norm,
     moment_trace,
     numeric_rank,
 )
 from conftest import random_config
+from helpers import reference_moment_differential, reference_solve_moment_zero
 
 F = Fraction
 
@@ -294,6 +299,116 @@ def test_verify_ci_dim_refuses_a_bad_budget(affine_a1, kwargs, message):
     q = quiver_from_config(affine_a1)
     with pytest.raises(ValueError, match=re.escape(message)):
         verify_ci_dim(q, (1, 1), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"tol": -1.0}, "tol must be a positive finite number, got -1.0"),
+        ({"tol": float("nan")}, "tol must be a positive finite number, got nan"),
+        ({"max_iter": -2}, "max_iter must be a non-negative integer, got -2"),
+    ],
+)
+def test_solve_moment_zero_refuses_bad_arguments(affine_a1, kwargs, message):
+    q = quiver_from_config(affine_a1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_moment_zero(q, (1, 1), **kwargs)
+
+
+def _differential_cases():
+    """Seeded quivers with loops, multi-edges and zero vertices, and on each
+    a random, a zero and a signed-zero representation in both modes."""
+    rng = random.Random(401)
+    seen = set()
+    for k in range(40):
+        cfg = random_config(rng, s_max=3, gram_bound=4)
+        q = quiver_from_config(cfg)
+        n = tuple(rng.randint(0, 2) for _ in cfg.mult)
+        kinds = {
+            "loop": any(q.loops),
+            "multi-edge": any(e > 1 for row in q.edges for e in row),
+            "zero vertex": 0 in n,
+        }
+        seen.update(kind for kind, present in kinds.items() if present)
+        rep = random_representation(q, n, seed=k, mode="float")
+        signed = Representation(q, n, "float", tuple(
+            tuple(np.where(abs(m.real) < 0.5, -0.0, m.real) + 1j * np.where(m.imag < 0, -0.0, m.imag)
+                  for m in pair)
+            for pair in rep.mats
+        ))
+        yield from (rep, signed, zero_representation(q, n, "float"))
+        yield from (random_representation(q, n, seed=k), zero_representation(q, n))
+    assert seen == {"loop", "multi-edge", "zero vertex"}
+
+
+def test_moment_differential_is_the_entrywise_assembly():
+    # the scatter does the entrywise loop's IEEE operations in its order, so
+    # the float matrix matches it bit for bit (signed zeros included) and
+    # the exact one entry for entry
+    for rep in _differential_cases():
+        want = reference_moment_differential(rep)
+        pattern = _differential_pattern(rep.quiver, rep.n)
+        for got in (moment_differential(rep), moment_differential(rep, pattern)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            if rep.mode == "float":
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert (got == want).all()
+                assert all(type(e) is Fraction for e in got.flat)
+
+
+def test_moment_differential_refuses_a_foreign_pattern(affine_a1):
+    q = quiver_from_config(affine_a1)
+    rep = random_representation(q, (1, 1), seed=3, mode="float")
+    with pytest.raises(ValueError, match="pattern does not fit"):
+        moment_differential(rep, _differential_pattern(q, (2, 1)))
+
+
+def test_solver_trajectory_is_the_reference_one(affine_a1, elliptic_pair, ogrady):
+    for cfg, n in ((affine_a1, (1, 1)), (affine_a1, (2, 2)), (elliptic_pair, (1, 1)),
+                   (ogrady, (2,))):
+        q = quiver_from_config(cfg)
+        pattern = _differential_pattern(q, n)
+        for seed in range(3):
+            want = _flatten_mats(reference_solve_moment_zero(q, n, seed=seed)).tobytes()
+            for kwargs in ({}, {"pattern": pattern}):
+                got = solve_moment_zero(q, n, seed=seed, **kwargs)
+                assert _flatten_mats(got).tobytes() == want
+
+
+def test_verify_ci_dim_is_the_reference_report(affine_a1, elliptic_pair, ogrady, monkeypatch):
+    # the report with one pattern shared by every step equals, residual
+    # floats included, the one whose every d(mu) is assembled entry by entry
+    cases = ((affine_a1, (1, 1)), (elliptic_pair, (1, 1)), (ogrady, (2,)))
+    got = [verify_ci_dim(quiver_from_config(cfg), n, trials=4, seed=5) for cfg, n in cases]
+    monkeypatch.setattr(reps, "solve_moment_zero", reference_solve_moment_zero)
+    monkeypatch.setattr(
+        reps, "moment_differential", lambda rep, pattern=None: reference_moment_differential(rep)
+    )
+    want = [verify_ci_dim(quiver_from_config(cfg), n, trials=4, seed=5) for cfg, n in cases]
+    assert got == want
+    assert all(r.matching_trials == 4 for r in got)
+
+
+def test_exact_rep_stores_numpy_integers_as_python_ints(affine_a1):
+    # 3 * (2**62 - 1) overflows int64: numpy scalars kept in the object
+    # arrays would wrap it with only a RuntimeWarning
+    q = quiver_from_config(affine_a1)
+    big, three, zero = np.int64(2**62 - 1), np.int64(3), np.int64(0)
+    given = np.array([[big]], dtype=object)
+    rep = Representation(q, (1, 1), "exact", ((given, [[three]]), ([[zero]], [[zero]])))
+    twin = Representation(q, (1, 1), "exact", (([[F(2**62 - 1)]], [[F(3)]]), ([[F(0)]], [[F(0)]])))
+    assert type(given[0, 0]) is np.int64  # the caller's array is not changed
+    assert all(type(e) is int for pair in rep.mats for m in pair for e in m.flat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = moment_map(rep)
+        assert mu[1][0, 0] == 13835058055282163709
+        assert all(np.array_equal(a, b) for a, b in zip(mu, moment_map(twin)))
+        assert np.array_equal(moment_differential(rep), moment_differential(twin))
+    with pytest.raises(ValueError, match="must have rational entries"):
+        Representation(q, (1, 1), "exact", (([[1.5]], [[1]]), ([[0]], [[0]])))
 
 
 def test_search_budget_names_a_negative_seed(affine_a1):
