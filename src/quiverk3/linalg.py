@@ -7,7 +7,8 @@ elimination: it keeps a row span in reduced row echelon form (RREF), each
 row stored as a primitive integer vector with a positive pivot entry, so
 that elimination builds no Fraction. ``basis()`` reads the RREF out as
 Fractions, and ``rank``, ``nullspace`` and ``mat_inv`` take their answers
-from it. ``cleared`` puts a rational vector on its line's integer points.
+from it. ``cleared`` puts a rational vector on its line's integer points, and
+``primitive`` divides an integer vector by its gcd.
 
 Representation matrices are numpy arrays and multiply with ``@`` (see
 ``reps``); this module keeps what exact mode needs beyond that. The tuple
@@ -80,15 +81,18 @@ def nullspace(a: Matrix) -> list[Vector]:
     ]
 
 
-def cleared(vec: Iterable[Fraction]) -> list[int]:
-    """vec times the lcm of its entries' denominators, as Python ints (so a
-    numpy integer entry never meets a fixed-width product)."""
+def cleared(vec: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, d * vec) for d the lcm of vec's entries' reduced denominators,
+    as Python ints (so a numpy integer entry never meets a fixed-width
+    product): vec is the integer point d * vec over d."""
     pairs = [(int(x.numerator), int(x.denominator)) for x in vec]
     d = lcm(*(b for _, b in pairs))
-    return [a * (d // b) for a, b in pairs]
+    return d, [a * (d // b) for a, b in pairs]
 
 
-def _primitive(v: list[int]) -> list[int]:
+def primitive(v: Sequence[int]) -> Sequence[int]:
+    """The integer vector v divided by the gcd of its entries, as a list;
+    v itself when that gcd is 1 or v is zero."""
     g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
 
@@ -138,12 +142,12 @@ class Span:
         """A primitive integer multiple of vec's residue modulo the span:
         zero exactly when vec lies in the span."""
         v = list(vec)
-        v = _primitive(v if all(type(x) is int for x in v) else cleared(v))
+        v = primitive(v if all(type(x) is int for x in v) else cleared(v)[1])
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
                 g = gcd(row[p], f)
-                v = _primitive([row[p] // g * x - f // g * y for x, y in zip(v, row)])
+                v = primitive([row[p] // g * x - f // g * y for x, y in zip(v, row)])
         return v
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
@@ -160,7 +164,7 @@ class Span:
             f = row[p]
             if f:
                 g = gcd(c, f)
-                row[:] = _primitive([c // g * x - f // g * y for x, y in zip(row, v)])
+                row[:] = primitive([c // g * x - f // g * y for x, y in zip(row, v)])
         self.rows.append(v)
         self.pivots.append(p)
         return True

@@ -166,7 +166,6 @@ class GroupElement:
     """A tuple of invertible blocks (g_1, ..., g_s) acting by conjugation."""
 
     blocks: tuple[object, ...]
-    mode: str = EXACT
 
 
 def zero_representation(q: Quiver, n: DimVector, mode: str = EXACT) -> Representation:
@@ -261,11 +260,11 @@ def _offsets(sizes) -> list[int]:
 
 
 def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
-    """Where each entry of the representation lands in d(mu): the shape of
-    the matrix, then (plus_pos, plus_src, minus_pos, minus_src), intp arrays
-    of flat positions in the matrix and of positions in the flat (x_e, y_e)
-    vector, for the terms added and for the terms subtracted. No matrix
-    position appears twice in plus_pos, nor twice in minus_pos."""
+    """Where each entry of the representation lands in d(mu): (q, n), then
+    (plus_pos, plus_src, minus_pos, minus_src), intp arrays of flat
+    positions in the matrix and in the flat (x_e, y_e) vector, for the terms
+    added and for the terms subtracted. No matrix position appears twice in
+    plus_pos, nor twice in minus_pos."""
     row_off = _offsets(ni * ni for ni in n)
     plus_pos, plus_src, minus_pos, minus_src = [], [], [], []
     cols = rep_space_dim(q, n)
@@ -295,7 +294,7 @@ def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
                     minus_src.append(col + dd * ns + qq)
         col += 2 * nt * ns
     arrays = (np.array(a, dtype=np.intp) for a in (plus_pos, plus_src, minus_pos, minus_src))
-    return ((row_off[-1], cols), *arrays)
+    return ((q, tuple(n)), *arrays)
 
 
 def moment_differential(rep: Representation, pattern: tuple | None = None) -> np.ndarray:
@@ -305,19 +304,20 @@ def moment_differential(rep: Representation, pattern: tuple | None = None) -> np
 
     The matrix is two scatters of the flat (x_e, y_e) vector z into a
     matrix of zeros, along ``pattern`` (``_differential_pattern`` of the
-    representation's quiver and n, built here when not given): J[plus_pos]
+    representation's quiver and n, built here when not given, and refused
+    when built for others): J[plus_pos]
     += z[plus_src], then J[minus_pos] -= z[minus_src]. A cell gets at most
     one term of each sign, and only the diagonal cells of a loop's column
     get both, so every cell is (0 + y) - y' in the order of the entrywise
     assembly: in float mode the matrix is bit-identical to it, -0.0 entries
     included, and in exact mode it holds the same ``Fraction``s."""
-    shape, plus_pos, plus_src, minus_pos, minus_src = (
+    built_for, plus_pos, plus_src, minus_pos, minus_src = (
         pattern or _differential_pattern(rep.quiver, rep.n)
     )
-    z = _flatten_mats(rep)
-    if shape != (sum(ni * ni for ni in rep.n), z.size):
+    if built_for != (rep.quiver, rep.n):
         raise ValueError("pattern does not fit the representation")
-    J = np.full(shape, rep.zero)
+    z = _flatten_mats(rep)
+    J = np.full((sum(ni * ni for ni in rep.n), z.size), rep.zero)
     flat = J.reshape(-1)  # a view: J is contiguous
     flat[plus_pos] += z[plus_src]
     flat[minus_pos] -= z[minus_src]
@@ -511,7 +511,7 @@ def _block_adder(tol: float):
 def _cleared(m: np.ndarray) -> np.ndarray:
     """The exact matrix m times the lcm of its denominators, as an object
     array of Python ints."""
-    return np.array(linalg.cleared(m.flat), dtype=object).reshape(m.shape)
+    return np.array(linalg.cleared(m.flat)[1], dtype=object).reshape(m.shape)
 
 
 def _arrows(rep: Representation) -> list[list]:
@@ -590,7 +590,7 @@ def cyclic_subrep(
     if len(vector) != rep.n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
     spans = [linalg.Span() for _ in rep.n]
-    seed = np.array(linalg.cleared(map(Fraction, vector)), dtype=object).reshape(-1, 1)
+    seed = np.array(linalg.cleared(map(Fraction, vector))[1], dtype=object).reshape(-1, 1)
     _closure(rep.n, arrows or _arrows(rep), vertex, seed, [sp.add for sp in spans])
     return _graded(spans)
 
@@ -801,15 +801,15 @@ def _projector_defect(rep: Representation, frames) -> float:
 def check_stability(
     rep: Representation, theta: Sequence, budget: SearchBudget | None = None
 ) -> StabilityVerdict:
-    """Two-phase destabilizer search.
+    """Destabilizer search, by scalar mode.
 
-    Exact phase: cyclic subrepresentations from coordinate and seeded random
+    Exact mode: cyclic subrepresentations from coordinate and seeded random
     probe vectors, plus sums of the spans found. A span of positive slope
     certifies instability; a proper span of slope zero certifies strict
-    semistability. Float mode adds a gradient-descent search over graded
-    projection frames for every candidate dimension vector of positive (then
-    zero) slope. Absence of a witness is reported as NoDestabilizerFound and
-    is explicitly not a semistability proof.
+    semistability. Float mode runs only a gradient-descent search over
+    graded projection frames, for every candidate dimension vector of
+    positive (then zero) slope. Absence of a witness is reported as
+    NoDestabilizerFound and is explicitly not a semistability proof.
     """
     budget = budget or SearchBudget()
     theta = tuple(Fraction(t) for t in theta)

@@ -10,9 +10,11 @@ on exact rational sample points. ``LocalModel`` holds all of these, with the
 decompositions and simple-existence verdicts, for one configuration.
 
 Everything is exact, and nothing is floating point. The chamber path runs in
-integers over common denominators: the cone cuts, the Fourier-Motzkin and
-simplex points, the sign certificates, the characters and the per-chamber
-probes. It makes a ``Fraction`` only for an output coordinate. Wall samples,
+integers over common denominators: the cone cuts, the interior points, the
+sign certificates, the characters and the per-chamber probes. Both point
+solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
+return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
+A ``Fraction`` is made only for an output coordinate. Wall samples,
 genericity and block weights are computed with ``Fraction``s.
 """
 
@@ -27,6 +29,7 @@ from typing import Sequence
 
 from .errors import MathAssertionError
 from .lattice import CurveConfig, DegreeVector, RationalVector
+from .linalg import cleared, primitive
 from .quiver import (
     DimVector,
     Quiver,
@@ -168,27 +171,20 @@ def _dot(f: Sequence, v: Sequence):
     return sum(map(operator.mul, f, v))
 
 
-def _cleared(pt: Sequence[Fraction]) -> tuple[int, IntVector]:
-    """(m, m * pt) for m the lcm of pt's denominators: an integer point on
-    pt's ray."""
-    m = math.lcm(*(x.denominator for x in pt))
-    return m, tuple(x.numerator * (m // x.denominator) for x in pt)
-
-
 class _FMBlowup(Exception):
     """Fourier-Motzkin intermediate system exceeded its size budget."""
 
 
-def _fm_core(
-    cons: list[Constraint], nvars: int, limit: int | None = None
-) -> tuple[int, IntVector] | None:
+def _fm_core(cons: list[Constraint], nvars: int, limit: int) -> tuple[int, IntVector] | None:
     """Fourier-Motzkin over integer constraints, with back-substitution in
     integers: a point ipt / m as (m, ipt), m the lcm of its reduced
-    denominators as ``_cleared`` gives it, or None when there is none.
+    denominators, or None when there is none (``lp_feasible_point``'s
+    contract too).
 
     Each coordinate is the midpoint of its fiber interval over the point of
     the eliminated system, lo + 1 or hi - 1 on a half-line, and 0 on the
-    whole line. ``limit`` caps the deduplicated system at every level;
+    whole line. ``limit`` caps the deduplicated system at every level, as
+    elimination grows doubly exponentially with the variable count;
     exceeding it raises ``_FMBlowup``.
     """
     clean: list[Constraint] = []
@@ -206,7 +202,7 @@ def _fm_core(
         if key not in seen:
             seen.add(key)
             clean.append(key)
-    if limit is not None and len(clean) > limit:
+    if len(clean) > limit:
         raise _FMBlowup
     if nvars == 0:
         return 1, ()
@@ -256,44 +252,19 @@ def _fm_core(
     return lcm, isub + (num * (lcm // den),)
 
 
-def fm_feasible_point(constraints, nvars: int) -> tuple[Fraction, ...] | None:
-    """A rational point of {x : coeffs . x >= rhs for all constraints}, or None.
-
-    Accepts integer or rational data; everything is cleared to integers so
-    the elimination runs in pure integer arithmetic. Fourier-Motzkin grows
-    doubly exponentially with the variable count, so this route is kept for
-    few variables and as an independent cross-check of the simplex below.
-    """
-    found = _fm_core(_clear_denominators(constraints), nvars)
-    if found is None:
-        return None
-    m, ipt = found
-    return tuple(Fraction(x, m) for x in ipt)
-
-
-def _clear_denominators(constraints) -> list[Constraint]:
-    out: list[Constraint] = []
-    for coeffs, rhs in constraints:
-        entries = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-        scale = math.lcm(*(e.denominator for e in entries))
-        out.append(
-            (tuple(int(e * scale) for e in entries[:-1]), int(entries[-1] * scale))
-        )
-    return out
-
-
-def lp_feasible_point(constraints, nvars: int) -> tuple[Fraction, ...] | None:
-    """Exact phase-1 simplex for {x free : coeffs . x >= rhs}.
+def lp_feasible_point(cons: list[Constraint], nvars: int) -> tuple[int, IntVector] | None:
+    """Exact phase-1 simplex for {x free : coeffs . x >= rhs} over integer
+    constraints, with ``_fm_core``'s contract: a point ipt / m as (m, ipt),
+    m the lcm of its reduced denominators, or None when there is none.
 
     Writes x = x+ - x- and subtracts slacks, then minimizes the sum of
     artificial variables with Bland's rule (guaranteed termination). The
     tableau stays integral: rows are rescaled rather than normalized, with a
     gcd reduction after each pivot to keep the entries small.
     """
-    cons = _clear_denominators(constraints)
     m = len(cons)
     if m == 0:
-        return (Fraction(0),) * nvars
+        return 1, (0,) * nvars
     nstruct = 2 * nvars + m  # x+, x-, slacks; artificials sit after these
     tableau: list[list[int]] = []
     rhs: list[int] = []
@@ -352,11 +323,15 @@ def lp_feasible_point(constraints, nvars: int) -> tuple[Fraction, ...] | None:
             tableau[pr] = [x // g for x in tableau[pr]]
             rhs[pr] //= g
         scale[pr] = tableau[pr][entering]
-    values = [Fraction(0)] * nstruct
+    # x_j = rhs / scale of x+_j or -rhs / scale of x-_j, whichever is basic:
+    # their columns are opposite, so a basis never holds both
+    coords = [(0, 1)] * nvars
     for i, b in enumerate(basis):
-        if b < nstruct:
-            values[b] = Fraction(rhs[i], scale[i])
-    return tuple(values[j] - values[nvars + j] for j in range(nvars))
+        if b < 2 * nvars:
+            g = math.gcd(rhs[i], scale[i])
+            coords[b % nvars] = ((rhs[i] if b < nvars else -rhs[i]) // g, scale[i] // g)
+    den = math.lcm(*(d for _, d in coords))
+    return den, tuple(x * (den // d) for x, d in coords)
 
 
 @dataclass(frozen=True)
@@ -369,20 +344,15 @@ class ChamberSet:
     walls: tuple[QuiverWall, ...]
 
 
-def _primitive(v: IntVector) -> IntVector:
-    """v divided by the gcd of its entries."""
-    g = math.gcd(*v)
-    return v if g == 1 else tuple(x // g for x in v)
-
-
 # A closed polyhedral cone, exactly: integer lineality lines, and primitive
 # extreme rays, each with the bitmask of processed functionals vanishing on it.
-Ray = tuple[IntVector, int]
-Generators = tuple[list[IntVector], list[Ray]]
+# The axes start as tuples; a generator that a cut makes is a list.
+Ray = tuple[Sequence[int], int]
+Generators = tuple[list[Sequence[int]], list[Ray]]
 
 
 def _cut(
-    f: IntVector, bit: int, lines: list[IntVector], rays: list[Ray]
+    f: IntVector, bit: int, lines: list[Sequence[int]], rays: list[Ray]
 ) -> tuple[Generators | None, Generators | None]:
     """Generators of the cone's halves {f >= 0} and {f <= 0}, with None for
     a half whose open part {f > 0} (resp. {f < 0}) misses the cone.
@@ -401,7 +371,7 @@ def _cut(
 
             def along(g):  # a * g - (f . g) * l0, with f . l0 = a > 0
                 b = _dot(f, g)
-                return _primitive(tuple(a * x - b * y for x, y in zip(g, l0))) if b else g
+                return primitive([a * x - b * y for x, y in zip(g, l0)]) if b else g
 
             kept = [along(g) for i, g in enumerate(lines) if i != k]
             proj = [(along(r), z | bit) for r, z in rays]
@@ -426,7 +396,7 @@ def _cut(
         for rn, zn, vn in neg:
             common = zp & zn
             if sum(common & z == common for z in masks) == 2:
-                ray = _primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+                ray = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
                 crossing.append((ray, common | bit))
     shared = zero + crossing
     return ((lines, [(r, z) for r, z, _ in pos] + shared),
@@ -446,10 +416,10 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     whose parent's point fails. A solve that finds no point on such a side
     is a broken identity and raises ``MathAssertionError``.
 
-    A cell's point is kept as an integer vector ipt over one denominator m,
-    in the coordinates of ``nperp_basis``; the sign certificate is taken on
-    ipt. Each representative coordinate is one ``Fraction``,
-    (sum_k ipt[k] * basis[k][i]) / m.
+    A cell's point is kept as either solver returns it: (m, ipt), an integer
+    vector ipt over one denominator m, in the coordinates of ``nperp_basis``;
+    the sign certificate is taken on ipt. Each representative coordinate is
+    one ``Fraction``, (sum_k ipt[k] * basis[k][i]) / m.
 
     Chamber facts are decided here: each representative is certified to
     realize its own sign cell, so ``signatures`` are zero-free and pairwise
@@ -481,8 +451,7 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
         try:
             found = _fm_core(ext, d, limit=4000)
         except _FMBlowup:
-            pt = lp_feasible_point(ext, d)
-            found = None if pt is None else _cleared(pt)
+            found = lp_feasible_point(ext, d)
         if found is None:
             raise MathAssertionError(
                 f"no interior point found for sign cell {signs}, "
@@ -676,7 +645,7 @@ def character_general(cfg: CurveConfig, a: DegreeVector) -> RationalVector:
     character of a polarization, exact, with theta . n = 0 for every a."""
     if len(a.a) != cfg.s:
         raise ValueError("degree vector has wrong length")
-    den, ia = _cleared(a.a)
+    den, ia = cleared(a.a)
     return tuple(Fraction(x, den) for x in _character(cfg, ia))
 
 
@@ -834,7 +803,7 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     for u, sig in zip(chambers.representatives, chambers.signatures):
         # u = iu / m. a = h0 + eps * u with eps = en / ed, the least of 1 and
         # d_i / (2 * -u_i) over u_i < 0, so a >= h0 / 2 > 0; den * a = ia
-        m, iu = _cleared(u)
+        m, iu = cleared(u)
         en = ed = 1
         for x, di in zip(iu, cfg.h0deg):
             if x < 0 and di * m * ed < -2 * x * en:

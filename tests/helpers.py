@@ -24,7 +24,8 @@ memo: each root in turn is skipped or used k times.
 ``fraction_fm_core`` is Fourier-Motzkin with the back-substitution in
 ``Fraction``s that ``walls._fm_core`` had before it ran in integers.
 ``config_document`` is the one builder of CLI config documents for the
-tests.
+tests, and ``report_digests`` and ``record_golden`` the one harness of the
+``test_golden_*`` files.
 ``reference_moment_differential`` assembles d(mu) one entry at a time, as
 ``reps.moment_differential`` did before it became a scatter, and
 ``reference_solve_moment_zero`` is the Gauss-Newton solver on it.
@@ -32,14 +33,21 @@ tests.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import math
+import pathlib
 import random
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
 from quiverk3 import linalg
+from quiverk3.cli import EXIT_OK, dispatch
 from quiverk3.quiver import (
     Decomposition,
     SimpleExistence,
@@ -63,7 +71,7 @@ from quiverk3.reps import (
     random_representation,
 )
 from quiverk3.reps import _residual as _moment_residual
-from quiverk3.walls import Constraint, _FMBlowup, _cleared, _dot, chamber_signature, nperp_basis
+from quiverk3.walls import Constraint, _FMBlowup, _dot, chamber_signature, nperp_basis
 
 # ---------------------------------------------------------------------------
 # simplicity oracle
@@ -706,7 +714,7 @@ def fraction_fm_core(
     if sub is None:
         return None
     # sub = isub / m, so each bound is one quotient of integers
-    m, isub = _cleared(sub)
+    m, isub = linalg.cleared(sub)
     lo = hi = None
     for cl, bl in lowers:
         v = Fraction(bl * m - _dot(cl, isub), cl[-1] * m)
@@ -839,7 +847,7 @@ def reference_nullspace(a):
 
 
 # ---------------------------------------------------------------------------
-# CLI config documents
+# CLI config documents and golden report digests
 
 
 def config_document(cfg, polarizations=None, options=None) -> dict:
@@ -855,3 +863,33 @@ def config_document(cfg, polarizations=None, options=None) -> dict:
     if options is not None:
         doc["options"] = options
     return doc
+
+
+def report_digests(cfg, tmp_dir, commands, polarizations=None, options=None,
+                   extra=None) -> dict[str, str]:
+    """sha256 of the stdout of ``dispatch([name, CONFIG, "--json", *flags])``
+    for each command line ``"name flags..."`` of ``commands``, keyed by the
+    line. CONFIG is ``config_document(cfg, polarizations, options)``, written
+    to ``tmp_dir``; ``extra`` maps a line to arguments put after its flags.
+    Every call must exit 0."""
+    cpath = tmp_dir / "config.json"
+    cpath.write_text(json.dumps(config_document(cfg, polarizations, options)))
+    out = {}
+    for line in commands:
+        name, *flags = line.split()
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = dispatch([name, str(cpath), "--json", *flags, *(extra or {}).get(line, ())])
+        assert code == EXIT_OK, (line, code)
+        out[line] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
+def record_golden(cases, digests) -> None:
+    """Print the ``GOLDEN`` dict of a golden test: ``digests(cfg, tmp_dir)``
+    for each key -> cfg of ``cases``, each in a fresh temporary directory."""
+    golden = {}
+    for key, cfg in cases.items():
+        with tempfile.TemporaryDirectory() as d:
+            golden[key] = digests(cfg, pathlib.Path(d))
+    print("GOLDEN = " + json.dumps(golden, indent=4))

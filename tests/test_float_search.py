@@ -50,7 +50,7 @@ def _zero_y(rep: Representation) -> Representation:
 def _hidden(rep: Representation, seed: int) -> Representation:
     rng = np.random.default_rng(seed)
     blocks = tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in rep.n)
-    return act(GroupElement(blocks, mode="float"), rep)
+    return act(GroupElement(blocks), rep)
 
 
 def _theta(n):

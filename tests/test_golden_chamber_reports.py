@@ -14,17 +14,13 @@ re-record after an intended report change, run
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import json
+import functools
 import random
 
 import pytest
 
-from quiverk3.cli import EXIT_OK, dispatch
 from conftest import random_config
-from helpers import config_document
+from helpers import record_golden, report_digests
 
 # key -> (seed, s). s = 4: 10, 14 and 14 walls; mult (1,2,1,1), (1,2,2,1),
 # (1,1,2,2). s = 5: 19 walls; mult (1,1,2,1,1)
@@ -35,20 +31,6 @@ COMMANDS = ("chambers", "correspondence", "summary")
 def draw(key):
     seed, s = DRAWS[key]
     return random_config(random.Random(seed), s_min=s, s_max=s, gram_bound=4, mult_max=2)
-
-
-def report_digests(cfg, tmp_dir) -> dict[str, str]:
-    """sha256 of the --json stdout of every command in COMMANDS for cfg."""
-    cpath = tmp_dir / "config.json"
-    cpath.write_text(json.dumps(config_document(cfg)))
-    out = {}
-    for cmd in COMMANDS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = dispatch([cmd, str(cpath), "--json"])
-        assert code == EXIT_OK, (cmd, code)
-        out[cmd] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    return out
 
 
 GOLDEN = {
@@ -77,15 +59,9 @@ GOLDEN = {
 
 @pytest.mark.parametrize("key", DRAWS)
 def test_multi_wall_chamber_reports_are_byte_identical(key, tmp_path):
-    assert report_digests(draw(key), tmp_path) == GOLDEN[key]
+    assert report_digests(draw(key), tmp_path, COMMANDS) == GOLDEN[key]
 
 
 if __name__ == "__main__":
-    import pathlib
-    import tempfile
-
-    golden = {}
-    for key in DRAWS:
-        with tempfile.TemporaryDirectory() as d:
-            golden[key] = report_digests(draw(key), pathlib.Path(d))
-    print("GOLDEN = " + json.dumps(golden, indent=4))
+    record_golden({key: draw(key) for key in DRAWS},
+                  functools.partial(report_digests, commands=COMMANDS))

@@ -10,57 +10,45 @@ repository root with ``src`` on ``PYTHONPATH`` and paste its output into
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
 
 import pytest
 
 from quiverk3 import quiver_from_config, random_representation
-from quiverk3.cli import EXIT_OK, dispatch, rep_to_dict
-from helpers import config_document
+from quiverk3.cli import rep_to_dict
+from helpers import record_golden, report_digests
 
 FIXTURES = ("elliptic_pair", "affine_a1", "affine_a1_22", "ogrady", "one_loop")
 
 COMMANDS = (
-    ("quiver",),
-    ("roots",),
-    ("walls", "--side", "quiver"),
-    ("walls", "--side", "ample"),
-    ("walls", "--side", "both"),
-    ("chambers",),
-    ("character", "--pol", "H0"),
-    ("character", "--pol", "H1"),
-    ("correspondence",),
-    ("strata",),
-    ("cb-check",),
-    ("summary",),
-    ("stability",),
+    "quiver",
+    "roots",
+    "walls --side quiver",
+    "walls --side ample",
+    "walls --side both",
+    "chambers",
+    "character --pol H0",
+    "character --pol H1",
+    "correspondence",
+    "strata",
+    "cb-check",
+    "summary",
+    "stability",
 )
 
 
-def report_digests(cfg, tmp_dir) -> dict[str, str]:
-    """sha256 of the --json stdout of every command in COMMANDS for cfg."""
+def fixture_digests(cfg, tmp_dir) -> dict[str, str]:
+    """sha256 of the --json stdout of every command in COMMANDS for cfg,
+    with a polarization H1 = H0 + (1, ..., 1) and ``stability`` run on a
+    seeded random representation."""
     n = cfg.mult
-    cpath, rpath = tmp_dir / "config.json", tmp_dir / "rep.json"
-    cpath.write_text(json.dumps(config_document(
-        cfg, {"H1": [d + 1 for d in cfg.h0deg]}, {"ell": 3, "seed": 1})))
+    rpath = tmp_dir / "rep.json"
     rep = random_representation(quiver_from_config(cfg), n, seed=7)
     rpath.write_text(json.dumps(rep_to_dict(rep)))
     theta = [-n[1], n[0]] + [0] * (cfg.s - 2) if cfg.s >= 2 else [0]
-    out = {}
-    for cmd in COMMANDS:
-        extra = list(cmd[1:])
-        if cmd[0] == "stability":
-            extra = ["--rep", str(rpath), "--theta=" + ",".join(map(str, theta)),
-                     "--probes", "2"]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = dispatch([cmd[0], str(cpath), "--json"] + extra)
-        assert code == EXIT_OK, (cmd, code)
-        out[" ".join(cmd)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    return out
+    stability = ["--rep", str(rpath), "--theta=" + ",".join(map(str, theta)), "--probes", "2"]
+    return report_digests(cfg, tmp_dir, COMMANDS, {"H1": [d + 1 for d in cfg.h0deg]},
+                          {"ell": 3, "seed": 1}, {"stability": stability})
 
 
 GOLDEN = {
@@ -145,20 +133,11 @@ GOLDEN = {
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_exact_reports_are_byte_identical(fixture, request, tmp_path):
     cfg = request.getfixturevalue(fixture)
-    assert report_digests(cfg, tmp_path) == GOLDEN[fixture]
+    assert fixture_digests(cfg, tmp_path) == GOLDEN[fixture]
 
 
 if __name__ == "__main__":
-    import pathlib
-    import sys
-    import tempfile
-
-    sys.path.insert(0, str(pathlib.Path(__file__).parent))
     import conftest
 
-    golden = {}
-    for name in FIXTURES:
-        cfg = getattr(conftest, name).__wrapped__()
-        with tempfile.TemporaryDirectory() as d:
-            golden[name] = report_digests(cfg, pathlib.Path(d))
-    print("GOLDEN = " + json.dumps(golden, indent=4))
+    record_golden({name: getattr(conftest, name).__wrapped__() for name in FIXTURES},
+                  fixture_digests)

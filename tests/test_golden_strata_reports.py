@@ -14,19 +14,15 @@ re-record after an intended report change, run
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import json
+import functools
 import random
 import warnings
 
 import pytest
 
 from quiverk3 import decompositions, quiver_from_config
-from quiverk3.cli import EXIT_OK, dispatch
 from conftest import random_config
-from helpers import config_document
+from helpers import record_golden, report_digests
 
 SEEDS = (9, 11)  # mult (3, 4, 1) and (2, 2, 4)
 DECOMPOSITIONS = {9: 212, 11: 269}
@@ -35,20 +31,6 @@ COMMANDS = ("strata", "summary")
 
 def draw(seed):
     return random_config(random.Random(seed), s_min=3, s_max=3, mult_max=4)
-
-
-def report_digests(cfg, tmp_dir) -> dict[str, str]:
-    """sha256 of the --json stdout of every command in COMMANDS for cfg."""
-    cpath = tmp_dir / "config.json"
-    cpath.write_text(json.dumps(config_document(cfg)))
-    out = {}
-    for cmd in COMMANDS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = dispatch([cmd, str(cpath), "--json"])
-        assert code == EXIT_OK, (cmd, code)
-        out[cmd] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    return out
 
 
 GOLDEN = {
@@ -69,15 +51,9 @@ def test_strata_heavy_reports_are_byte_identical(seed, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert len(decompositions(quiver_from_config(cfg), cfg.mult)) == DECOMPOSITIONS[seed]
-    assert report_digests(cfg, tmp_path) == GOLDEN[str(seed)]
+    assert report_digests(cfg, tmp_path, COMMANDS) == GOLDEN[str(seed)]
 
 
 if __name__ == "__main__":
-    import pathlib
-    import tempfile
-
-    golden = {}
-    for seed in SEEDS:
-        with tempfile.TemporaryDirectory() as d:
-            golden[str(seed)] = report_digests(draw(seed), pathlib.Path(d))
-    print("GOLDEN = " + json.dumps(golden, indent=4))
+    record_golden({str(seed): draw(seed) for seed in SEEDS},
+                  functools.partial(report_digests, commands=COMMANDS))

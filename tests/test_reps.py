@@ -10,6 +10,7 @@ from quiverk3 import (
     CertifiedUnstable,
     GroupElement,
     NoDestabilizerFound,
+    Quiver,
     Representation,
     SearchBudget,
     StrictlySemistableWitness,
@@ -161,7 +162,7 @@ def test_act_equivariance_float(elliptic_pair):
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         for _ in range(2)
     )
-    g = GroupElement(blocks, mode="float")
+    g = GroupElement(blocks)
     lhs = moment_map(act(g, rep))
     rhs = [
         blocks[i] @ m @ np.linalg.inv(blocks[i])
@@ -363,6 +364,14 @@ def test_moment_differential_refuses_a_foreign_pattern(affine_a1):
     rep = random_representation(q, (1, 1), seed=3, mode="float")
     with pytest.raises(ValueError, match="pattern does not fit"):
         moment_differential(rep, _differential_pattern(q, (2, 1)))
+    # a loop on either vertex: at n = (2, 2) both patterns have shape
+    # (8, 16), but they scatter to different places
+    q0 = Quiver((1, 0), ((0, 1), (1, 0)))
+    q1 = Quiver((0, 1), ((0, 1), (1, 0)))
+    rep = random_representation(q0, (2, 2), seed=3, mode="float")
+    assert moment_differential(rep).shape == (8, 16)
+    with pytest.raises(ValueError, match="pattern does not fit"):
+        moment_differential(rep, _differential_pattern(q1, (2, 2)))
 
 
 def test_solver_trajectory_is_the_reference_one(affine_a1, elliptic_pair, ogrady):
@@ -590,7 +599,7 @@ def test_check_stability_float_finds_hidden_summand(affine_a1):
     for ni in (2, 2):
         m = rng.standard_normal((ni, ni)) + 1j * rng.standard_normal((ni, ni))
         blocks.append(m)
-    hidden = act(GroupElement(tuple(blocks), mode="float"), double)
+    hidden = act(GroupElement(tuple(blocks)), double)
     verdict = check_stability(
         hidden, (F(-1), F(1)), SearchBudget(restarts=5, iters=400, tol=1e-10, seed=3)
     )
@@ -700,7 +709,7 @@ def test_exact_storage_stays_exact_and_commutes_with_to_float(fixture, request):
                     continue
             blocks.append(g)
         g = GroupElement(tuple(blocks))
-        g_float = GroupElement(tuple(np.array(b, dtype=complex) for b in blocks), mode="float")
+        g_float = GroupElement(tuple(np.array(b, dtype=complex) for b in blocks))
         pairs = [
             (rep, rep.to_float()),
             (act(g, rep), act(g_float, rep.to_float())),

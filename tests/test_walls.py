@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from quiverk3 import walls as walls_module
+from quiverk3.linalg import cleared
 from quiverk3 import (
     DegreeVector,
     LocalModel,
@@ -33,9 +35,7 @@ from quiverk3.cli import EXIT_ASSERTION, dispatch
 from quiverk3.walls import (
     ChamberSet,
     _FMBlowup,
-    _cleared,
     _fm_core,
-    fm_feasible_point,
     lp_feasible_point,
     nperp_basis,
 )
@@ -142,7 +142,7 @@ def fm_on_every_split(q, n) -> ChamberSet:
     by a Fourier-Motzkin solve (the exact simplex on a blowup), and a side
     with no point is dropped. ``enumerate_chambers`` decides splits from
     extreme rays instead and solves only on sides they prove nonempty.
-    Points are (m, ipt) for ipt / m, as ``_fm_core`` returns them; both
+    Points are (m, ipt) for ipt / m, as both solvers return them; the
     solvers are read from the module, so a test's patch reaches them."""
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
@@ -160,8 +160,7 @@ def fm_on_every_split(q, n) -> ChamberSet:
         try:
             return walls_module._fm_core(ext, d, limit=4000)
         except _FMBlowup:
-            pt = walls_module.lp_feasible_point(ext, d)
-            return None if pt is None else _cleared(pt)
+            return walls_module.lp_feasible_point(ext, d)
 
     cells = [((), 1, (1,) + (0,) * (d - 1))]
     for f in functionals:
@@ -220,8 +219,8 @@ def test_simplex_fallback_inside_enumerate_chambers(monkeypatch):
     real_fm, real_lp = walls_module._fm_core, walls_module.lp_feasible_point
     lp_calls = []
 
-    def tight_fm(cons, nvars, limit=None):
-        return real_fm(cons, nvars, None if limit is None else 6)
+    def tight_fm(cons, nvars, limit):
+        return real_fm(cons, nvars, 6)
 
     def counted_lp(constraints, nvars):
         lp_calls.append(nvars)
@@ -264,7 +263,7 @@ def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_p
     q = quiver_from_config(affine_a1)
     calls = []
 
-    def first_solve_fails(cons, nvars, limit=None):
+    def first_solve_fails(cons, nvars, limit):
         calls.append(nvars)
         return None if len(calls) == 1 else _fm_core(cons, nvars, limit)
 
@@ -284,11 +283,13 @@ def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_p
 
 
 def test_fm_feasible_point_basics():
-    one = Fraction(1)
+    """``_fm_core`` finds no point of an infeasible system and a feasible
+    point, as (m, ipt) for ipt / m, of a feasible one."""
     # x >= 1, -x >= 1 infeasible
-    assert fm_feasible_point([((one,), one), ((-one,), one)], 1) is None
-    pt = fm_feasible_point([((one, one), one), ((one, -one), one)], 2)
-    assert pt is not None and pt[0] + pt[1] >= 1 and pt[0] - pt[1] >= 1
+    assert _fm_core([((1,), 1), ((-1,), 1)], 1, 4000) is None
+    # x + y >= 1 and x - y >= 1 at the point ipt / m
+    m, ipt = _fm_core([((1, 1), 1), ((1, -1), 1)], 2, 4000)
+    assert m > 0 and ipt[0] + ipt[1] >= m and ipt[0] - ipt[1] >= m
 
 
 def test_integer_fm_matches_fraction_fm():
@@ -329,7 +330,7 @@ def test_integer_fm_matches_fraction_fm():
         points += 1
         m, ipt = got
         assert tuple(Fraction(x, m) for x in ipt) == ref, cons
-        assert (m, ipt) == _cleared(ref), cons
+        assert (m, list(ipt)) == cleared(ref), cons
     assert points >= 100 and 100 <= blowups <= drawn - 100, (points, blowups, drawn)
 
 
@@ -347,17 +348,40 @@ def test_lp_matches_fm_on_random_systems():
             )
             for _ in range(m)
         ]
-        fm = fm_feasible_point(cons, nvars)
+        fm = _fm_core(cons, nvars, 4000)
         lp = lp_feasible_point(cons, nvars)
         assert (fm is None) == (lp is None), cons
-        for pt in (fm, lp):
-            if pt is not None:
+        for found in (fm, lp):
+            if found is not None:
+                # the point ipt / m, checked in integers
+                m, ipt = found
+                assert m > 0, cons
                 for coeffs, rhs in cons:
-                    assert sum(c * x for c, x in zip(coeffs, pt)) >= rhs
+                    assert sum(c * x for c, x in zip(coeffs, ipt)) >= rhs * m
+
+
+def test_lp_points_are_pinned():
+    """The simplex's answers on 600 seeded systems, (m, ipt) for the point
+    ipt / m, m the lcm of its reduced denominators, or None, hash to the
+    digest recorded from the ``Fraction`` points the simplex returned before,
+    each cleared to (m, ipt). Nothing else pins these points: the report
+    ladder never reaches the simplex."""
+    rng = random.Random(1601)
+    outs = []
+    for _ in range(600):
+        nvars = rng.randint(0, 5)
+        cons = [
+            (tuple(rng.randint(-5, 5) for _ in range(nvars)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 14))
+        ]
+        outs.append(lp_feasible_point(cons, nvars))
+    assert sum(o is not None for o in outs) == 279
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == "28d71a5dadc6190d0ac65762f9e5383184d7b98108d41c7679f6100c5e05ec7d"
 
 
 def test_lp_no_constraints():
-    assert lp_feasible_point([], 3) == (0, 0, 0)
+    assert lp_feasible_point([], 3) == (1, (0, 0, 0))
 
 
 def test_ample_walls(elliptic_pair, affine_a1, ogrady):
