@@ -142,9 +142,6 @@ class DegreeVector:
                 "degree-positive", "ample classes have positive degree on every curve"
             )
 
-    def __len__(self) -> int:
-        return len(self.a)
-
 
 def degrees(cfg: CurveConfig) -> DegreeVector:
     """The base polarization H_0 as a degree vector."""

@@ -178,14 +178,14 @@ def zero_representation(q: Quiver, n: DimVector, mode: str = EXACT) -> Represent
 
 
 def random_representation(
-    q: Quiver, n: DimVector, seed: int = 0, mode: str = EXACT, spread: int = 3
+    q: Quiver, n: DimVector, seed: int = 0, mode: str = EXACT
 ) -> Representation:
     """Seeded random representation; exact mode draws small rationals."""
     if mode == EXACT:
         rng = random.Random(seed)
 
         def entry():
-            return Fraction(rng.randint(-spread, spread), rng.randint(1, 2))
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
         mats = tuple(
             (
@@ -222,10 +222,6 @@ def _moment_blocks(q: Quiver, n: DimVector, mats, zero) -> tuple:
         blocks[t] = blocks[t] + x @ y
         blocks[s] = blocks[s] - y @ x
     return tuple(blocks)
-
-
-def moment_trace(rep: Representation):
-    return sum((np.trace(b) for b in moment_map(rep)), rep.zero)
 
 
 def act(g: GroupElement, rep: Representation) -> Representation:
@@ -356,33 +352,30 @@ def solve_moment_zero(
     n: DimVector,
     seed: int = 0,
     tol: float = 1e-12,
-    max_iter: int = 100,
-    start: Representation | None = None,
     pattern: tuple | None = None,
 ) -> Representation:
-    """Damped Gauss-Newton search for a point of mu^-1(0), float mode.
+    """Damped Gauss-Newton search for a point of mu^-1(0), float mode, from
+    a seeded random start, for at most 100 steps.
 
     Each step solves the complex least-squares linearization and backtracks
     until the residual drops; a backtracking candidate is judged on its flat
-    vector, and only the accepted iterate becomes a Representation. Every
-    step assembles d(mu) along one scatter ``pattern`` (see
+    vector. One Representation, built before the first step, views the flat
+    iterate z, and an accepted step overwrites z in place. Every step
+    assembles d(mu) along one scatter ``pattern`` (see
     ``moment_differential``), built here when not given. Deterministic given
-    the seed. Refuses a negative ``seed`` or ``max_iter`` and a ``tol`` that
-    is not positive and finite; raises RuntimeError (carrying the final
-    residual) on non-convergence.
+    the seed. Refuses a negative ``seed`` and a ``tol`` that is not positive
+    and finite; raises RuntimeError (carrying the final residual) on
+    non-convergence.
     """
     _check_count("seed", seed)
     _check_tol("tol", tol)
-    _check_count("max_iter", max_iter)
     pattern = pattern or _differential_pattern(q, n)
-    if start is not None:
-        z = _flatten_mats(start.to_float())
-    else:
-        # mild scaling keeps the start in the basin without landing on 0
-        z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
+    # mild scaling keeps the start in the basin without landing on 0
+    z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
     mats = _unflatten_mats(q, n, z)
+    # the stored matrices are views of z: _matrix keeps a complex array as it is
     rep, r = Representation(q, n, FLOAT, mats), _residual(_moment_blocks(q, n, mats, 0j))
-    for _ in range(max_iter):
+    for _ in range(100):
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             return rep
@@ -398,8 +391,7 @@ def solve_moment_zero(
             step *= 0.5
         else:  # no step lowered the residual
             break
-        z, r = cand_z, cand_r
-        rep = Representation(q, n, FLOAT, cand_mats)
+        z[:], r = cand_z, cand_r
     final = float(np.linalg.norm(r))
     if final <= tol:
         return rep
@@ -550,13 +542,13 @@ def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders) -> int
     return dim
 
 
-def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
+def is_simple(rep: Representation) -> bool:
     """Block-graded Burnside/density test: the image of the path algebra is
     graded by pairs of vertices, so the representation is simple exactly
     when, for each vertex i of the support, the paths out of i (the closure
     of e_i under left multiplication by the arrows) span Hom(V_i, V_j) for
-    every j in the support. Exact in rational mode; float mode uses a
-    tolerance-based rank per block."""
+    every j in the support. Exact in rational mode; float mode takes the
+    rank per block with the relative tolerance 1e-8."""
     n = rep.n
     N = sum(n)
     if N == 0:
@@ -565,7 +557,7 @@ def is_simple(rep: Representation, tol: float = 1e-8) -> bool:
     for i, ni in enumerate(n):
         if ni == 0:
             continue
-        adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(tol) for _ in n]
+        adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
         # np.eye of dtype object holds the Python ints 0 and 1
         e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
         if _closure(n, arrows, i, e_i, adders) < ni * N:

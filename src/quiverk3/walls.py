@@ -731,8 +731,6 @@ def _wall_slice_vertices(
     d0 = cfg.total_h0deg
     verts: list[RationalVector] = []
     seen = set()
-    if s < 2:
-        return verts
     for i in range(s):
         for j in range(i + 1, s):
             # solve on coordinates (i, j), rest zero
@@ -783,11 +781,9 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
             k += 1
         note = "" if verts else "wall meets the slice only at h0deg"
         for a in samples:
-            if any(x < 0 for x in a):
+            # h0 > 0, v >= 0 and lam < 1: every coordinate of a sample is positive
+            if any(x <= 0 for x in a):
                 raise MathAssertionError("wall sample left the positive cone")
-            if any(x == 0 for x in a):
-                # strict positivity fails only for vertex-degenerate samples
-                continue
             theta = xi_map(cfg, DegreeVector(a))
             if any(theta_dot(theta, alpha) != 0 for alpha in wall.sources):
                 raise MathAssertionError(

@@ -7,7 +7,9 @@ exact common-invariant-line decisions), the sweep oracle counts cells of a
 2-dimensional central arrangement by an exact angular sweep, and the
 Zaslavsky oracle counts chambers in any dimension from the intersection
 lattice of the walls. ``reference_nullspace`` and ``reference_mat_inv`` are
-column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``.
+column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``,
+and ``mod_p_is_simple`` and ``mod_p_witness_holds`` decide simplicity and
+the invariance of a witness mod a prime, in plain ints, independent of it.
 ``reference_is_simple`` is the Burnside closure on the whole of End(V),
 with no grading, ``reference_cyclic_subrep`` the closure of one vector
 taken depth first with ``linalg.mat_vec``, ``reference_invariant_spans``
@@ -28,7 +30,9 @@ tests, and ``report_digests`` and ``record_golden`` the one harness of the
 ``test_golden_*`` files.
 ``reference_moment_differential`` assembles d(mu) one entry at a time, as
 ``reps.moment_differential`` did before it became a scatter, and
-``reference_solve_moment_zero`` is the Gauss-Newton solver on it.
+``reference_solve_moment_zero`` is the Gauss-Newton solver on it, which
+builds a new ``Representation`` at every accepted step, and
+``moment_trace`` the trace of the moment map.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from quiverk3.reps import (
     _unflatten_mats,
     act,
     dual,
+    moment_map,
     random_representation,
 )
 from quiverk3.reps import _residual as _moment_residual
@@ -439,6 +444,10 @@ def reference_simple_exists(q, n) -> SimpleExistence:
 # the moment map's differential, entry by entry
 
 
+def moment_trace(rep: Representation):
+    return sum((np.trace(b) for b in moment_map(rep)), rep.zero)
+
+
 def reference_moment_differential(rep: Representation) -> np.ndarray:
     """d(mu) at rep, one entry at a time: column by column, the term added
     to each cell, then the term subtracted."""
@@ -469,18 +478,16 @@ def reference_moment_differential(rep: Representation) -> np.ndarray:
     return J
 
 
-def reference_solve_moment_zero(q, n, seed=0, tol=1e-12, max_iter=100, start=None, **_):
+def reference_solve_moment_zero(q, n, seed=0, tol=1e-12, **_):
     """The damped Gauss-Newton search of ``reps.solve_moment_zero`` with
-    d(mu) from ``reference_moment_differential``; a ``pattern`` keyword is
+    d(mu) from ``reference_moment_differential`` and a new iterate array
+    and ``Representation`` at every accepted step; a ``pattern`` keyword is
     accepted and ignored."""
-    if start is not None:
-        z = _flatten_mats(start.to_float())
-    else:
-        z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
+    z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
     mats = _unflatten_mats(q, n, z)
     rep = Representation(q, n, FLOAT, mats)
     r = _moment_residual(_moment_blocks(q, n, mats, 0j))
-    for _ in range(max_iter):
+    for _ in range(100):
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             return rep
@@ -844,6 +851,113 @@ def reference_nullspace(a):
             v[pc] = -m[i][fc]
         basis.append(tuple(v))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# simplicity and invariance mod a prime (plain ints, no linalg.Span)
+
+# a false verdict or witness must pass mod both to go unseen
+MOD_PRIMES = (2**31 - 1, 2**61 - 1)
+
+
+def mod_p(x, p: int) -> int:
+    """The rational x as an element of Z/p: a * b^-1 for x = a/b."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _mat_mod(m, p: int) -> list[list[int]]:
+    return [[mod_p(e, p) for e in row] for row in m]
+
+
+def _mul_mod(a, b, p: int) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+class ModSpan:
+    """A span of vectors over Z/p. Each row is monic at its pivot, its first
+    nonzero entry, and zero at the pivots of the rows kept before it, so
+    reducing by the rows in order clears every pivot."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict[int, list[int]] = {}
+
+    def reduce(self, v) -> list[int]:
+        p = self.p
+        v = [x % p for x in v]
+        for piv, row in self.rows.items():
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v
+
+    def add(self, v) -> bool:
+        """Add v; True exactly when the span grew."""
+        v = self.reduce(v)
+        piv = next((k for k, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, self.p)
+        self.rows[piv] = [x * inv % self.p for x in v]
+        return True
+
+
+def mod_p_is_simple(rep: Representation, p: int) -> bool:
+    """The graded Burnside closure mod p: for each vertex i of the support,
+    the paths out of i, as n_j x n_i blocks, must span Hom(V_i, V_j) over
+    Z/p for every j. Products of the reduced arrows reduce the products over
+    Q, so a full span mod p means a full span over Q: True implies simple,
+    and a simple representation gives False for finitely many p only."""
+    n, total = rep.n, sum(rep.n)
+    if total == 0:
+        return False
+    arrows: list[list] = [[] for _ in n]
+    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        if n[s] and n[t]:
+            arrows[s].append((t, _mat_mod(x, p)))
+            arrows[t].append((s, _mat_mod(y, p)))
+    for i, ni in enumerate(n):
+        if ni == 0:
+            continue
+        spans = [ModSpan(p) for _ in n]
+        eye = [[int(a == b) for b in range(ni)] for a in range(ni)]
+        spans[i].add([e for row in eye for e in row])
+        frontier, dim = [(i, eye)], 1
+        while frontier and dim < ni * total:
+            nxt = []
+            for j, m in frontier:
+                for k, a in arrows[j]:
+                    image = _mul_mod(a, m, p)
+                    if spans[k].add([e for row in image for e in row]):
+                        nxt.append((k, image))
+            dim += len(nxt)
+            frontier = nxt
+        if dim < ni * total:
+            return False
+    return True
+
+
+def mod_p_witness_holds(rep: Representation, beta, basis, p: int) -> bool:
+    """The graded subspace spanned by ``basis`` (vectors per vertex) has
+    dimension vector beta mod p, and every arrow maps it into itself mod p.
+    Independence mod p implies independence over Q, and a subspace that is
+    invariant over Q is invariant mod p whenever its basis stays independent."""
+    spans = []
+    for bi, vecs in zip(beta, basis):
+        span = ModSpan(p)
+        if len(vecs) != bi or not all(span.add([mod_p(e, p) for e in v]) for v in vecs):
+            return False
+        spans.append(span)
+    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        for a, src, dst in ((x, s, t), (y, t, s)):
+            a = _mat_mod(a, p)
+            for v in basis[src]:
+                image = [sum(r * mod_p(e, p) for r, e in zip(row, v)) for row in a]
+                if any(spans[dst].reduce(image)):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

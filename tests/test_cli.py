@@ -323,6 +323,18 @@ def test_moment_verify_command(affine_path, capsys):
     assert rep["matching_trials"] == 3
 
 
+
+def test_moment_verify_lists_solver_failures(tmp_path, capsys):
+    path = tmp_path / "ogrady.json"
+    path.write_text(json.dumps(OGRADY_DOC))
+    argv = ["moment-verify", str(path), "--tol", "1e-300", "--trials", "1", "--json"]
+    assert dispatch(argv) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["trials"] == [] and rep["matching_trials"] == 0
+    [failure] = rep["failures"]
+    assert failure.startswith("seed 0: moment-map solver did not reach tol=1e-300")
+
+
 EXACT_REP = {
     "schema_version": 1,
     "mode": "exact",
@@ -483,6 +495,42 @@ def _document(doc: dict) -> str:
             {}, None, ["walls", "--chi-bound", "-1"], {},
             "--chi-bound must be a non-negative integer, got -1", id="flag-chi-bound-negative",
         ),
+        pytest.param(
+            {"curves": [1, AFFINE_DOC["curves"][1]]}, None, ["summary"], {},
+            "curves[0] must be an object", id="curve-not-object",
+        ),
+        pytest.param(
+            {"gram": [[-2, 2], [2, "-2"]]}, None, ["summary"], {},
+            "gram entries must be integers", id="gram-entry-string",
+        ),
+        pytest.param(
+            {"mult": [1]}, None, ["summary"], {},
+            "mult must be an integer list matching curves", id="mult-length",
+        ),
+        pytest.param(
+            {"options": [1]}, None, ["summary"], {},
+            "options must be an object", id="options-list",
+        ),
+        pytest.param(
+            {"options": {"budget": [1]}}, None, ["summary"], {},
+            "options.budget must be an object", id="budget-list",
+        ),
+        pytest.param(
+            {}, [EXACT_REP], STABILITY, {},
+            "representation document must be a JSON object", id="rep-list",
+        ),
+        pytest.param(
+            {}, {"mode": "fuzzy"}, STABILITY, {},
+            "unknown representation mode 'fuzzy'", id="rep-mode-unknown",
+        ),
+        pytest.param(
+            {}, None, ["roots", "--bound", "1,x"], {},
+            "bad dimension vector '1,x': invalid literal for int()", id="roots-bound-string",
+        ),
+        pytest.param(
+            {}, None, ["stability", "--theta=1"], {},
+            "theta needs 2 entries, got 1", id="theta-length",
+        ),
         # an error in the configuration comes before one in a flag
         pytest.param(
             {"curves": []}, None, ["moment-verify", "--trials", "-1"], {},
@@ -508,7 +556,9 @@ def test_malformed_input_exits_2(
     tail = argv[1:]
     if argv[0] == "stability":
         rep = tmp_path / "rep.json"
-        rep.write_text(_document({**EXACT_REP, **(rep_edit or {})}))
+        # a list replaces the whole document, a dict edits the exact one
+        doc = rep_edit if isinstance(rep_edit, list) else {**EXACT_REP, **(rep_edit or {})}
+        rep.write_text(_document(doc))
         tail = ["--rep", str(rep)] + tail
     assert dispatch([argv[0], str(config)] + tail) == EXIT_SCHEMA
     err = capsys.readouterr().err

@@ -11,6 +11,11 @@ re-record after an intended change, run ``python tests/test_exact_search.py``
 from the repository root with ``src`` and ``tests`` on ``PYTHONPATH`` and
 paste its output into ``GOLDEN``.
 
+Both are checked again mod two primes, by ``helpers.mod_p_is_simple`` and
+``helpers.mod_p_witness_holds``, in plain ints with no ``linalg.Span``: the
+simplicity verdicts on the cases past dimension 3, and the dimension
+vector and invariance of every exact stability witness.
+
 The kernel runs on arrows and seeds cleared to integers. The equivalence
 tests below compare it with the ``Fraction`` references of ``helpers`` where
 clearing has work to do: arrows whose denominators differ (3, 5, 7), zero
@@ -46,6 +51,11 @@ from quiverk3.reps import (
     is_simple,
 )
 from helpers import (
+    MOD_PRIMES,
+    ModSpan,
+    mod_p,
+    mod_p_is_simple,
+    mod_p_witness_holds,
     reference_cyclic_subrep,
     reference_invariance_holds,
     reference_invariant_spans,
@@ -215,6 +225,43 @@ def test_is_simple_matches_reference_past_dimension_3(mode):
         assert got == reference_is_simple(rep), (rep.n, rep.mats)
         verdicts.append(got)
     assert 8 <= sum(verdicts) <= len(verdicts) - 8  # both verdicts occur
+
+
+def _tilted(rep: Representation, beta, basis, p: int) -> tuple:
+    """basis with the first vector at the first vertex i with 0 < beta_i <
+    n_i plus the first unit vector outside the span there, mod p."""
+    i = next(k for k, (b, m) in enumerate(zip(beta, rep.n)) if 0 < b < m)
+    span = ModSpan(p)
+    for v in basis[i]:
+        span.add([mod_p(x, p) for x in v])
+    units = ([int(j == k) for j in range(rep.n[i])] for k in range(rep.n[i]))
+    unit = next(u for u in units if span.add(u))
+    return (*basis[:i], (tuple(map(sum, zip(basis[i][0], unit))), *basis[i][1:]), *basis[i + 1:])
+
+
+def test_simplicity_and_witnesses_agree_mod_two_primes():
+    # an oracle that shares no code with linalg.Span: the closure and the
+    # invariance checks in Z/p
+    cases = list(_simplicity_cases())
+    verdicts = [is_simple(rep) for rep in cases]
+    witnesses = []
+    for name, rep, theta in _stability_cases():
+        verdict = check_stability(rep, theta)
+        if not isinstance(verdict, NoDestabilizerFound):
+            witnesses.append((name, rep, verdict.beta, verdict.basis))
+    assert len(cases) == 39 and len(witnesses) == 14
+    for p in MOD_PRIMES:
+        assert [mod_p_is_simple(rep, p) for rep in cases] == verdicts
+        for name, rep, beta, basis in witnesses:
+            assert mod_p_witness_holds(rep, beta, basis, p)
+            # the check can fail: on a claimed dimension off by one, and on
+            # a tilted basis, except where y = 0 leaves every subspace at
+            # vertex 1 invariant
+            i = next(k for k, b in enumerate(beta) if b)
+            assert not mod_p_witness_holds(rep, (*beta[:i], beta[i] - 1, *beta[i + 1:]),
+                                           basis, p)
+            tilted = _tilted(rep, beta, basis, p)
+            assert mod_p_witness_holds(rep, beta, tilted, p) == ("-y0-" in name)
 
 
 # ---------------------------------------------------------------------------
