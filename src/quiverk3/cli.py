@@ -520,13 +520,14 @@ def _cmd_moment_verify(cfg, pols, options, args):
     payload = {"seed": seed, "report": report}
     lines = [
         f"expected rank {report.expected_rank}, expected local dim {report.expected_dim}",
-        f"matching trials: {report.matching_trials}/{len(report.trials)}"
+        f"matching trials: {report.matching_trials}/{args.trials}"
         + (" (advisory: simple-existence criterion fails)" if report.advisory else ""),
     ]
     for t in report.trials:
         lines.append(
             f"  seed {t.seed}: residual {t.residual:.2e} rank {t.rank} dim {t.local_dim}"
         )
+    lines += [f"  {failure}" for failure in report.failures]
     return payload, lines
 
 

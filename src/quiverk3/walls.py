@@ -14,8 +14,10 @@ integers over common denominators: the cone cuts, the interior points, the
 sign certificates, the characters and the per-chamber probes. Both point
 solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
 return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
-A ``Fraction`` is made only for an output coordinate. Wall samples,
-genericity and block weights are computed with ``Fraction``s.
+The Fourier-Motzkin solves of one chamber enumeration share one bounded
+row table, which changes no point and no blowup. A ``Fraction`` is made only
+for an output coordinate. Wall samples, genericity and block weights are
+computed with ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -175,7 +177,87 @@ class _FMBlowup(Exception):
     """Fourier-Motzkin intermediate system exceeded its size budget."""
 
 
-def _fm_core(cons: list[Constraint], nvars: int, limit: int) -> tuple[int, IntVector] | None:
+# Fourier-Motzkin's size budget in chamber enumeration: no level of a solve
+# may hold more distinct rows, and no row table more entries between solves
+_FM_LIMIT = 4000
+
+# ids of the zero rows 0 >= rhs: true for rhs <= 0, infeasible for rhs > 0
+_TRIVIAL, _EMPTY = -1, -2
+
+
+class _RowTable:
+    """Fourier-Motzkin rows interned once, for the solves of one enumeration.
+
+    Each gcd-normalized row (coeffs, rhs) gets a small integer id, and the
+    lists indexed by id hold: ``rows`` the row, ``side`` the sign of its
+    last coefficient (+1 a lower bound on the last variable, -1 an upper
+    bound, 0 neither), ``down`` for a side-0 row the id of the row without
+    that coefficient, and ``after`` for a lower bound a map from upper-bound
+    ids to the id of the row that eliminating the last variable from the
+    pair gives. A row's length is its level, so one table serves every
+    level. No entry changes once made.
+    """
+
+    __slots__ = ("ids", "rows", "side", "down", "after", "npairs")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.ids: dict[Constraint, int] = {}
+        self.rows: list[Constraint] = []
+        self.side: list[int] = []
+        self.down: list[int | None] = []
+        self.after: list[dict[int, int]] = []
+        self.npairs = 0
+
+    def __len__(self) -> int:
+        """Rows plus eliminated pairs: the entries that the bound counts."""
+        return len(self.rows) + self.npairs
+
+    def intern(self, coeffs: tuple[int, ...], rhs: int) -> int:
+        """The id of coeffs . x >= rhs, gcd-normalized; ``_TRIVIAL`` or
+        ``_EMPTY`` for a zero row."""
+        key = (coeffs, rhs)
+        i = self.ids.get(key)
+        if i is not None:
+            return i
+        if not any(coeffs):
+            return _EMPTY if rhs > 0 else _TRIVIAL
+        g = math.gcd(*coeffs, rhs)
+        if g != 1:
+            key = (coeffs, rhs) = (tuple([x // g for x in coeffs]), rhs // g)
+            i = self.ids.get(key)
+            if i is not None:
+                return i
+        a = coeffs[-1]
+        # a nonzero row keeps a nonzero entry when a zero last entry is cut
+        down = None if a else self.intern(coeffs[:-1], rhs)
+        i = self.ids[key] = len(self.rows)
+        self.rows.append(key)
+        self.side.append((a > 0) - (a < 0))
+        self.down.append(down)
+        self.after.append({})
+        return i
+
+    def eliminate(self, lower: int, uppers: list[int]) -> dict[int, int]:
+        """``after[lower]``, filled in for every id of ``uppers``."""
+        done = self.after[lower]
+        cl, bl = self.rows[lower]
+        al = cl[-1]
+        for upper in uppers:
+            if upper not in done:
+                cu, bu = self.rows[upper]
+                au = -cu[-1]
+                coeffs = tuple([au * x + al * y for x, y in zip(cl[:-1], cu)])
+                done[upper] = self.intern(coeffs, au * bl + al * bu)
+                self.npairs += 1
+        return done
+
+
+def _fm_core(
+    cons: list[Constraint], nvars: int, limit: int, table: _RowTable | None = None
+) -> tuple[int, IntVector] | None:
     """Fourier-Motzkin over integer constraints, with back-substitution in
     integers: a point ipt / m as (m, ipt), m the lcm of its reduced
     denominators, or None when there is none (``lp_feasible_point``'s
@@ -186,52 +268,67 @@ def _fm_core(cons: list[Constraint], nvars: int, limit: int) -> tuple[int, IntVe
     whole line. ``limit`` caps the deduplicated system at every level, as
     elimination grows doubly exponentially with the variable count;
     exceeding it raises ``_FMBlowup``.
+
+    The rows live in a ``_RowTable``: a fresh one, or ``table``, which the
+    solves of one chamber enumeration share so that each row is normalized,
+    and each pair of rows eliminated, once. A level is the set of its rows'
+    ids, and the point depends only on the set of distinct normalized rows
+    at each level, as the blowup depends only on its size; so a shared table
+    gives every solve the point and the blowup of a fresh one. A table that
+    holds more than ``_FM_LIMIT`` entries after a solve is cleared, which
+    bounds its memory.
     """
-    clean: list[Constraint] = []
-    seen = set()
-    for coeffs, rhs in cons:
-        if not any(coeffs):
-            if rhs > 0:
-                return None
-            continue
-        g = math.gcd(*coeffs, rhs)
-        if g == 1:
-            key = (tuple(coeffs), rhs)
-        else:
-            key = (tuple([x // g for x in coeffs]), rhs // g)
-        if key not in seen:
-            seen.add(key)
-            clean.append(key)
-    if len(clean) > limit:
+    if table is None:
+        table = _RowTable()
+    try:
+        return _fm_level(table, {table.intern(tuple(c), b) for c, b in cons}, nvars, limit)
+    finally:
+        if len(table) > _FM_LIMIT:
+            table.clear()
+
+
+def _fm_level(
+    table: _RowTable, ids: set[int], nvars: int, limit: int
+) -> tuple[int, IntVector] | None:
+    """``_fm_core`` on the rows of ``ids``, a set that it changes."""
+    if _EMPTY in ids:
+        return None
+    ids.discard(_TRIVIAL)
+    if len(ids) > limit:
         raise _FMBlowup
     if nvars == 0:
         return 1, ()
-    lowers, uppers, rest = [], [], []
-    for coeffs, rhs in clean:
-        a = coeffs[-1]
-        if a > 0:
-            lowers.append((coeffs, rhs))
-        elif a < 0:
-            uppers.append((coeffs, rhs))
+    side, down, after = table.side, table.down, table.after
+    lowers, uppers, sub = [], [], set()
+    for i in ids:
+        s = side[i]
+        if s > 0:
+            lowers.append(i)
+        elif s < 0:
+            uppers.append(i)
         else:
-            rest.append((coeffs[:-1], rhs))
-    heads = [(cu[:-1], -cu[-1], bu) for cu, bu in uppers]
-    for cl, bl in lowers:
-        hl, al = cl[:-1], cl[-1]
-        for hu, au, bu in heads:
-            coeffs = tuple([au * x + al * y for x, y in zip(hl, hu)])
-            rest.append((coeffs, au * bl + al * bu))
-    sub = _fm_core(rest, nvars - 1, limit)
-    if sub is None:
+            sub.add(down[i])
+    for lower in lowers:
+        # one C-level pass when every pair was eliminated before
+        done = after[lower]
+        try:
+            sub.update(map(done.__getitem__, uppers))
+        except KeyError:
+            sub.update(map(table.eliminate(lower, uppers).__getitem__, uppers))
+    found = _fm_level(table, sub, nvars - 1, limit)
+    if found is None:
         return None
-    m, isub = sub
+    m, isub = found
+    rows = table.rows
     # each bound is num / den with den > 0, compared by cross-multiplication
     lo = hi = None
-    for cl, bl in lowers:
+    for i in lowers:
+        cl, bl = rows[i]
         num, den = bl * m - _dot(cl, isub), cl[-1] * m
         if lo is None or num * lo[1] > lo[0] * den:
             lo = num, den
-    for cu, bu in uppers:
+    for i in uppers:
+        cu, bu = rows[i]
         num, den = _dot(cu, isub) - bu * m, -cu[-1] * m
         if hi is None or num * hi[1] < hi[0] * den:
             hi = num, den
@@ -416,6 +513,10 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     whose parent's point fails. A solve that finds no point on such a side
     is a broken identity and raises ``MathAssertionError``.
 
+    The solves of one enumeration share one ``_RowTable``, so each row of
+    their systems is normalized, and each pair eliminated, once. The table
+    is bounded, and every point is that of a fresh solve (``_fm_core``).
+
     A cell's point is kept as either solver returns it: (m, ipt), an integer
     vector ipt over one denominator m, in the coordinates of ``nperp_basis``;
     the sign certificate is taken on ipt. Each representative coordinate is
@@ -443,13 +544,14 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
     # each functional as the constraint row of either side: f . x >= 1 for
     # sign +1, -f . x >= 1 for sign -1
     rows = [(g, tuple([-x for x in g])) for g in functionals]
+    table = _RowTable()
 
     def solve(signs):
         # the cell's system, rebuilt in processing order. Fourier-Motzkin with
         # dedup is fast on it; the exact simplex takes over on a blowup
         ext = [(pair[s < 0], 1) for s, pair in zip(signs, rows)]
         try:
-            found = _fm_core(ext, d, limit=4000)
+            found = _fm_core(ext, d, _FM_LIMIT, table)
         except _FMBlowup:
             found = lp_feasible_point(ext, d)
         if found is None:

@@ -24,7 +24,9 @@ and one arrow at a time on projector matrices, and
 ``reference_decompositions`` is the root-decomposition recursion without a
 memo: each root in turn is skipped or used k times.
 ``fraction_fm_core`` is Fourier-Motzkin with the back-substitution in
-``Fraction``s that ``walls._fm_core`` had before it ran in integers.
+``Fraction``s that ``walls._fm_core`` had before it ran in integers, on
+row lists rather than a row table, and ``chamber_set_digest`` the sha256
+of a ``ChamberSet``.
 ``config_document`` is the one builder of CLI config documents for the
 tests, and ``report_digests`` and ``record_golden`` the one harness of the
 ``test_golden_*`` files.
@@ -738,6 +740,14 @@ def fraction_fm_core(
     else:
         val = Fraction(0)
     return sub + (val,)
+
+
+def chamber_set_digest(chambers) -> str:
+    """sha256 of a ``ChamberSet``'s count, representatives (each coordinate
+    as its ``Fraction`` string) and signatures, as JSON."""
+    doc = [chambers.count, [[str(x) for x in theta] for theta in chambers.representatives],
+           [list(sig) for sig in chambers.signatures]]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,17 @@ def test_moment_verify_lists_solver_failures(tmp_path, capsys):
     assert failure.startswith("seed 0: moment-map solver did not reach tol=1e-300")
 
 
+def test_moment_verify_text_lists_solver_failures(tmp_path, capsys):
+    """Text mode counts a failed trial in the denominator and prints it."""
+    path = tmp_path / "ogrady.json"
+    path.write_text(json.dumps(OGRADY_DOC))
+    assert dispatch(["moment-verify", str(path), "--tol", "1e-300", "--trials", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "matching trials: 0/1"
+    assert lines[2].startswith("  seed 0: moment-map solver did not reach tol=1e-300")
+    assert len(lines) == 3
+
+
 EXACT_REP = {
     "schema_version": 1,
     "mode": "exact",

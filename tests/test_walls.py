@@ -34,13 +34,16 @@ from quiverk3 import (
 from quiverk3.cli import EXIT_ASSERTION, dispatch
 from quiverk3.walls import (
     ChamberSet,
+    _FM_LIMIT,
     _FMBlowup,
+    _RowTable,
     _fm_core,
     lp_feasible_point,
     nperp_basis,
 )
 from conftest import random_config
 from helpers import (
+    chamber_set_digest,
     config_document,
     fraction_fm_core,
     sweep_chambers,
@@ -219,8 +222,8 @@ def test_simplex_fallback_inside_enumerate_chambers(monkeypatch):
     real_fm, real_lp = walls_module._fm_core, walls_module.lp_feasible_point
     lp_calls = []
 
-    def tight_fm(cons, nvars, limit):
-        return real_fm(cons, nvars, 6)
+    def tight_fm(cons, nvars, limit, table=None):
+        return real_fm(cons, nvars, 6, table)
 
     def counted_lp(constraints, nvars):
         lp_calls.append(nvars)
@@ -240,7 +243,7 @@ def test_simplex_fallback_inside_enumerate_chambers(monkeypatch):
             from_enumeration += len(lp_calls) - before
             assert patched == fm_on_every_split(q, cfg.mult), cfg
         assert (patched.count, patched.signatures) == (plain.count, plain.signatures), cfg
-    assert from_enumeration >= 100, from_enumeration
+    assert from_enumeration == 606, from_enumeration
 
 
 def test_chamber_count_matches_zaslavsky():
@@ -263,9 +266,9 @@ def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_p
     q = quiver_from_config(affine_a1)
     calls = []
 
-    def first_solve_fails(cons, nvars, limit):
+    def first_solve_fails(cons, nvars, limit, table=None):
         calls.append(nvars)
-        return None if len(calls) == 1 else _fm_core(cons, nvars, limit)
+        return None if len(calls) == 1 else _fm_core(cons, nvars, limit, table)
 
     # one wall in a line: both sides are nonempty, and the start point lies
     # on one of them, so the first solve is for the other, proven side
@@ -332,6 +335,95 @@ def test_integer_fm_matches_fraction_fm():
         assert tuple(Fraction(x, m) for x in ipt) == ref, cons
         assert (m, list(ipt)) == cleared(ref), cons
     assert points >= 100 and 100 <= blowups <= drawn - 100, (points, blowups, drawn)
+
+
+def _sign_cell_systems(cfg, rng, monkeypatch):
+    """The systems that ``enumerate_chambers`` solves on cfg's arrangement,
+    all feasible, and as many systems of random sign vectors on a prefix of
+    its walls, mostly infeasible."""
+    real_fm, systems = walls_module._fm_core, []
+
+    def recorded(cons, nvars, limit, table=None):
+        systems.append((cons, nvars))
+        return real_fm(cons, nvars, limit, table)
+
+    q = quiver_from_config(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(walls_module, "_fm_core", recorded)
+        enumerate_chambers(q, cfg.mult)
+    basis = nperp_basis(cfg.mult)
+    functionals = [tuple(sum(x * y for x, y in zip(b, w.normal)) for b in basis)
+                   for w in quiver_walls(q, cfg.mult)]
+    for _ in range(len(systems)):
+        signs = [rng.choice((1, -1)) for _ in range(rng.randint(1, len(functionals)))]
+        systems.append(([(tuple(sgn * x for x in f), 1) for sgn, f in zip(signs, functionals)],
+                        len(basis)))
+    return systems
+
+
+def test_shared_row_table_matches_fresh_tables(monkeypatch):
+    """Solves on one shared row table, in a shuffled order and across a
+    reset, give the point, the None and the blowup at limit 6 of a fresh
+    table and of ``fraction_fm_core``. A level's row count taken over the
+    whole table rather than the solve's own rows would blow up here."""
+
+    def outcome(fm, cons, nvars, limit, *table):
+        try:
+            return fm(cons, nvars, limit, *table)
+        except _FMBlowup:
+            return _FMBlowup
+
+    rng = random.Random(18)
+    systems = []
+    for seed, s in ((0, 4), (7, 5)):
+        cfg = random_config(random.Random(seed), s, s, gram_bound=4, mult_max=2)
+        systems += _sign_cell_systems(cfg, rng, monkeypatch)
+    rng.shuffle(systems)
+    shared = _RowTable()
+    points = infeasible = blowups = 0
+    for k, (cons, nvars) in enumerate(systems):
+        if k == len(systems) // 2:
+            assert len(shared) > 0
+            shared.clear()
+        got = outcome(_fm_core, cons, nvars, 4000, shared)
+        assert got == outcome(_fm_core, cons, nvars, 4000), cons
+        ref = fraction_fm_core(cons, nvars)
+        if ref is None:
+            assert got is None, cons
+            infeasible += 1
+        else:
+            m, ipt = got
+            assert tuple(Fraction(x, m) for x in ipt) == ref, cons
+            points += 1
+        tight = outcome(_fm_core, cons, nvars, 6, shared)
+        assert tight == outcome(_fm_core, cons, nvars, 6), cons
+        assert (tight is _FMBlowup) == (outcome(fraction_fm_core, cons, nvars, 6) is _FMBlowup)
+        blowups += tight is _FMBlowup
+    assert min(points, infeasible, blowups, len(systems) - blowups) >= 100, (
+        points, infeasible, blowups, len(systems))
+
+
+def test_chamber_set_of_the_3300_chamber_draw_is_pinned(monkeypatch):
+    """The s = 5 draw with 32 walls and 3300 chambers, where the row table
+    saves the most, gives the ``ChamberSet`` recorded before the table, and
+    the table holds at most ``_FM_LIMIT`` entries after every solve, so it
+    is reset on the way."""
+    real_fm, sizes = walls_module._fm_core, []
+
+    def sized(cons, nvars, limit, table=None):
+        try:
+            return real_fm(cons, nvars, limit, table)
+        finally:
+            sizes.append(len(table))
+
+    cfg = random_config(random.Random(5), 5, 5, gram_bound=4, mult_max=2)
+    monkeypatch.setattr(walls_module, "_fm_core", sized)
+    chambers = enumerate_chambers(quiver_from_config(cfg), cfg.mult)
+    assert (chambers.count, len(chambers.walls)) == (3300, 32)
+    digest = "8c90cfda3e4fdee254da99f103bdd10150a9401657c86d8af97161976b14429e"
+    assert chamber_set_digest(chambers) == digest
+    assert max(sizes) <= _FM_LIMIT
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the table was never reset"
 
 
 def test_lp_matches_fm_on_random_systems():
