@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvariantError, MathAssertionError, SchemaError
+from .errors import InvariantError, MathAssertionError, SchemaError, _check_count, _check_tol
 from .lattice import CurveConfig, DegreeVector
 from .quiver import (
     bounded_roots,
@@ -33,8 +33,6 @@ from .reps import (
     FLOAT,
     Representation,
     SearchBudget,
-    _check_count,
-    _check_tol,
     check_stability,
     verify_ci_dim,
 )

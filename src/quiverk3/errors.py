@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the checks
+of count and tolerance options that every layer shares."""
+
+import math
+import numbers
 
 
 class SchemaError(ValueError):
@@ -26,3 +30,15 @@ class MathAssertionError(AssertionError):
 
 class NonPrimitivityWarning(UserWarning):
     """gcd proxy suggests a Mukai vector may be non-primitive."""
+
+
+def _check_count(name: str, value) -> None:
+    # numpy's generators refuse negative seeds with a bare ValueError, and a
+    # negative budget would end a search before it starts
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+
+
+def _check_tol(name: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value}")

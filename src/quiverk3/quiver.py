@@ -110,8 +110,6 @@ def p_of(q: Quiver, beta: DimVector) -> int:
 
 def _support_connected(q: Quiver, alpha: DimVector) -> bool:
     support = [i for i, a in enumerate(alpha) if a != 0]
-    if not support:
-        return False
     seen = {support[0]}
     frontier = [support[0]]
     in_support = set(support)

@@ -13,23 +13,28 @@ Scalars are either exact rationals ("exact" mode) or complex doubles
 representation. Matrices are numpy arrays in both modes: dtype ``object``
 holding ``Fraction`` entries in exact mode, dtype ``complex`` in float mode.
 So ``@``, ``+``, ``-``, ``.T`` and slicing serve both, and exact arithmetic
-never passes through a float.
+never passes through a float. An exact representation holds read-only
+copies of its matrices; a float one views the arrays it was given.
+
+A representation owns the tables derived from it, each built on first use
+and kept: the arrow lists (``Representation._arrows``) and the d(mu)
+scatter pattern (``Representation._pattern``).
 
 The exact closures and invariance checks multiply no ``Fraction``: each
-arrow is cleared once per ``is_simple`` call or stability search, that is
-multiplied by the lcm of its denominators into an ``object`` array of
-Python ints, and so is each closure seed. A cleared product is a nonzero
-multiple of the true one, which spans the same line, so every
-``linalg.Span`` row, pivot, verdict and basis is the same as with the
-``Fraction`` matrices.
+arrow is cleared once per representation, that is multiplied by the lcm of
+its denominators into an ``object`` array of Python ints, and so is each
+closure seed. A cleared product is a nonzero multiple of the true one,
+which spans the same line, so every ``linalg.Span`` row, pivot, verdict and
+basis is the same as with the ``Fraction`` matrices. The matrices are
+read-only, so a cleared arrow cannot go stale.
 
 The linearization d(mu) is assembled by scatter, not entry by entry:
-``_differential_pattern(q, n)`` records once where each entry of the flat
+``_differential_pattern(q, n)`` records where each entry of the flat
 (x_e, y_e) vector is added or subtracted, and ``moment_differential`` copies
 the vector along it into a matrix of zeros. Each cell takes at most one
 added and one subtracted term, in that order, so the result is bit for bit
-that of the entrywise loop. ``verify_ci_dim`` builds one pattern and passes
-it (``pattern=``) to every Gauss-Newton step of every trial.
+that of the entrywise loop. The solver's one representation views its
+iterate, so every Gauss-Newton step of a solve reads one pattern.
 """
 
 from __future__ import annotations
@@ -38,12 +43,13 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import MathAssertionError
+from .errors import MathAssertionError, _check_count, _check_tol
 from .quiver import (
     DimVector, Quiver, boxed_vectors, cb_simple_exists, mu_zero_expected_dim, rep_space_dim
 )
@@ -72,8 +78,9 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
     the nested rows first, so a transposed or ragged input cannot be hidden
     by a reshape; a matrix with no rows carries no column count. Exact mode
     refuses entries that are not rational instead of converting them, and
-    stores integers as Python ints; an input holding other integer types is
-    copied, never changed."""
+    stores integers as Python ints, in a read-only copy that the input can
+    no longer change. Float mode returns a complex array of the right shape
+    as it is."""
     if isinstance(m, np.ndarray) and m.ndim == 2:
         ok = m.shape == (rows, cols)
     else:
@@ -84,23 +91,12 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
     if not ok:
         raise ValueError(f"{what} must be {rows} x {cols}")
     out = np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
-    if mode == EXACT and not all(type(e) in (Fraction, int) for e in out.flat):
-        entries = [_exact_entry(e, what) for e in out.flat]
+    if mode == EXACT:
+        entries = [e if type(e) in (Fraction, int) else _exact_entry(e, what) for e in out.flat]
         out = np.empty((rows, cols), dtype=object)
         out.flat[:] = entries
+        out.flags.writeable = False
     return out
-
-
-def _check_count(name: str, value) -> None:
-    # numpy's generators refuse negative seeds with a bare ValueError, and a
-    # negative budget would end a search before it starts
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
-
-
-def _check_tol(name: str, value) -> None:
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +106,10 @@ class Representation:
     x_e maps V_s(e) -> V_t(e) (shape n_t x n_s), y_e goes back.
     ``mats`` is aligned with ``quiver.orientation``. Matrices may be given as
     nested rows or arrays; they are stored as numpy arrays, of ``Fraction``
-    objects in exact mode and of complex doubles in float mode. Equality
-    compares the entries.
+    objects in exact mode and of complex doubles in float mode. Exact
+    matrices are read-only copies; a complex array is stored as given, so
+    the representation follows later writes into it. Equality compares the
+    entries.
     """
 
     quiver: Quiver
@@ -153,6 +151,25 @@ class Representation:
     @property
     def total_dim(self) -> int:
         return sum(self.n)
+
+    @cached_property
+    def _pattern(self) -> tuple:
+        """``_differential_pattern`` of the quiver and n."""
+        return _differential_pattern(self.quiver, self.n)
+
+    @cached_property
+    def _arrows(self) -> list[list]:
+        """j -> [(k, A: V_j -> V_k)] over the arrows of the doubled quiver
+        between nonzero spaces; in exact mode each A is ``_cleared``, in
+        float mode it is the stored matrix itself."""
+        n = self.n
+        clear = _cleared if self.mode == EXACT else (lambda m: m)
+        arrows: list[list] = [[] for _ in n]
+        for (s, t, _), (x, y) in zip(self.quiver.orientation, self.mats):
+            if n[s] > 0 and n[t] > 0:
+                arrows[s].append((t, clear(x)))
+                arrows[t].append((s, clear(y)))
+        return arrows
 
     def to_float(self) -> "Representation":
         mats = tuple(
@@ -256,11 +273,11 @@ def _offsets(sizes) -> list[int]:
 
 
 def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
-    """Where each entry of the representation lands in d(mu): (q, n), then
-    (plus_pos, plus_src, minus_pos, minus_src), intp arrays of flat
-    positions in the matrix and in the flat (x_e, y_e) vector, for the terms
-    added and for the terms subtracted. No matrix position appears twice in
-    plus_pos, nor twice in minus_pos."""
+    """Where each entry of a representation of q with dimension vector n
+    lands in d(mu): (plus_pos, plus_src, minus_pos, minus_src), intp arrays
+    of flat positions in the matrix and in the flat (x_e, y_e) vector, for
+    the terms added and for the terms subtracted. No matrix position appears
+    twice in plus_pos, nor twice in minus_pos."""
     row_off = _offsets(ni * ni for ni in n)
     plus_pos, plus_src, minus_pos, minus_src = [], [], [], []
     cols = rep_space_dim(q, n)
@@ -289,29 +306,22 @@ def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
                     minus_pos.append((row_off[s] + cc * ns + qq) * cols + c)
                     minus_src.append(col + dd * ns + qq)
         col += 2 * nt * ns
-    arrays = (np.array(a, dtype=np.intp) for a in (plus_pos, plus_src, minus_pos, minus_src))
-    return ((q, tuple(n)), *arrays)
+    return tuple(np.array(a, dtype=np.intp) for a in (plus_pos, plus_src, minus_pos, minus_src))
 
 
-def moment_differential(rep: Representation, pattern: tuple | None = None) -> np.ndarray:
+def moment_differential(rep: Representation) -> np.ndarray:
     """Matrix of (dx, dy) -> sum [dx, y] + [x, dy], assembled from the entries
     of the representation (exactly in exact mode). Rank is at most
     n^t n - 1.
 
     The matrix is two scatters of the flat (x_e, y_e) vector z into a
-    matrix of zeros, along ``pattern`` (``_differential_pattern`` of the
-    representation's quiver and n, built here when not given, and refused
-    when built for others): J[plus_pos]
+    matrix of zeros, along the representation's ``_pattern``: J[plus_pos]
     += z[plus_src], then J[minus_pos] -= z[minus_src]. A cell gets at most
     one term of each sign, and only the diagonal cells of a loop's column
     get both, so every cell is (0 + y) - y' in the order of the entrywise
     assembly: in float mode the matrix is bit-identical to it, -0.0 entries
     included, and in exact mode it holds the same ``Fraction``s."""
-    built_for, plus_pos, plus_src, minus_pos, minus_src = (
-        pattern or _differential_pattern(rep.quiver, rep.n)
-    )
-    if built_for != (rep.quiver, rep.n):
-        raise ValueError("pattern does not fit the representation")
+    plus_pos, plus_src, minus_pos, minus_src = rep._pattern
     z = _flatten_mats(rep)
     J = np.full((sum(ni * ni for ni in rep.n), z.size), rep.zero)
     flat = J.reshape(-1)  # a view: J is contiguous
@@ -352,7 +362,6 @@ def solve_moment_zero(
     n: DimVector,
     seed: int = 0,
     tol: float = 1e-12,
-    pattern: tuple | None = None,
 ) -> Representation:
     """Damped Gauss-Newton search for a point of mu^-1(0), float mode, from
     a seeded random start, for at most 100 steps.
@@ -360,16 +369,14 @@ def solve_moment_zero(
     Each step solves the complex least-squares linearization and backtracks
     until the residual drops; a backtracking candidate is judged on its flat
     vector. One Representation, built before the first step, views the flat
-    iterate z, and an accepted step overwrites z in place. Every step
-    assembles d(mu) along one scatter ``pattern`` (see
-    ``moment_differential``), built here when not given. Deterministic given
-    the seed. Refuses a negative ``seed`` and a ``tol`` that is not positive
-    and finite; raises RuntimeError (carrying the final residual) on
-    non-convergence.
+    iterate z, and an accepted step overwrites z in place, so every step
+    assembles d(mu) along that representation's one scatter pattern (see
+    ``moment_differential``). Deterministic given the seed. Refuses a
+    negative ``seed`` and a ``tol`` that is not positive and finite; raises
+    RuntimeError (carrying the final residual) on non-convergence.
     """
     _check_count("seed", seed)
     _check_tol("tol", tol)
-    pattern = pattern or _differential_pattern(q, n)
     # mild scaling keeps the start in the basin without landing on 0
     z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
     mats = _unflatten_mats(q, n, z)
@@ -379,7 +386,7 @@ def solve_moment_zero(
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             return rep
-        J = moment_differential(rep, pattern)
+        J = moment_differential(rep)
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         step = 1.0
         while step >= 2.0**-40:
@@ -438,8 +445,8 @@ def verify_ci_dim(
 ) -> CiDimReport:
     """At seeded solutions of mu = 0, the numerical rank of d(mu) should be
     n^t n - 1, making the local dimension dim Rep - rank the complete
-    intersection dimension 2p(n) + n^t n - 1. One d(mu) scatter pattern
-    serves every Gauss-Newton step of every trial and each final rank.
+    intersection dimension 2p(n) + n^t n - 1. Each trial's solution keeps
+    the d(mu) scatter pattern of its Gauss-Newton steps for its final rank.
     Refuses a negative ``trials`` or ``seed`` and a tolerance that is not
     positive and finite."""
     _check_count("trials", trials)
@@ -450,18 +457,17 @@ def verify_ci_dim(
     expected_dim = mu_zero_expected_dim(q, n)
     if rep_space_dim(q, n) - expected_rank != expected_dim:
         raise MathAssertionError("dim Rep - (n.n - 1) != 2p(n) + n.n - 1")
-    pattern = _differential_pattern(q, n)
     results = []
     failures = []
     for t in range(trials):
         s = seed + t
         try:
-            rep = solve_moment_zero(q, n, seed=s, tol=residual_tol, pattern=pattern)
+            rep = solve_moment_zero(q, n, seed=s, tol=residual_tol)
         except RuntimeError as exc:
             failures.append(f"seed {s}: {exc}")
             continue
         res = moment_residual_norm(rep)
-        rank = numeric_rank(moment_differential(rep, pattern), tol=rank_tol)
+        rank = numeric_rank(moment_differential(rep), tol=rank_tol)
         results.append(CiTrial(s, res, rank, rep_space_dim(q, n) - rank))
     matching = sum(
         1 for r in results if r.rank == expected_rank and r.residual <= residual_tol
@@ -506,23 +512,10 @@ def _cleared(m: np.ndarray) -> np.ndarray:
     return np.array(linalg.cleared(m.flat)[1], dtype=object).reshape(m.shape)
 
 
-def _arrows(rep: Representation) -> list[list]:
-    """j -> [(k, A: V_j -> V_k)] over the arrows of the doubled quiver
-    between nonzero spaces; in exact mode each A is ``_cleared``."""
-    n = rep.n
-    clear = _cleared if rep.mode == EXACT else (lambda m: m)
-    arrows: list[list] = [[] for _ in n]
-    for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats):
-        if n[s] > 0 and n[t] > 0:
-            arrows[s].append((t, clear(x)))
-            arrows[t].append((s, clear(y)))
-    return arrows
-
-
 def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders) -> int:
     """Close the n_vertex x c block ``seed`` under left multiplication by
-    ``arrows`` (as ``_arrows`` gives them), level by level. Each image at a
-    vertex k, flattened, goes to ``adders[k]``, which is True exactly when
+    ``arrows`` (a ``Representation._arrows``), level by level. Each image at
+    a vertex k, flattened, goes to ``adders[k]``, which is True exactly when
     its span grew; only those images are multiplied further. Stops once
     every span is full and returns the sum of their dimensions. In exact
     mode the arrows and the seed are integer arrays, so every image is an
@@ -553,14 +546,13 @@ def is_simple(rep: Representation) -> bool:
     N = sum(n)
     if N == 0:
         return False
-    arrows = _arrows(rep)
     for i, ni in enumerate(n):
         if ni == 0:
             continue
         adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
         # np.eye of dtype object holds the Python ints 0 and 1
         e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
-        if _closure(n, arrows, i, e_i, adders) < ni * N:
+        if _closure(n, rep._arrows, i, e_i, adders) < ni * N:
             return False
     return True
 
@@ -572,30 +564,28 @@ def _graded(spans: Sequence[linalg.Span]) -> tuple[DimVector, tuple]:
 
 
 def cyclic_subrep(
-    rep: Representation, vertex: int, vector: Sequence, arrows=None
+    rep: Representation, vertex: int, vector: Sequence
 ) -> tuple[DimVector, tuple[tuple[linalg.Vector, ...], ...]]:
     """Smallest subrepresentation containing the given vector (exact mode):
     the closure of the cleared vector, as an n_vertex x 1 block, under the
-    arrows. ``arrows`` are ``_arrows(rep)``, made here when not given."""
+    representation's cleared arrows."""
     if rep.mode != EXACT:
         raise ValueError("cyclic_subrep requires exact mode")
     if len(vector) != rep.n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
     spans = [linalg.Span() for _ in rep.n]
     seed = np.array(linalg.cleared(map(Fraction, vector))[1], dtype=object).reshape(-1, 1)
-    _closure(rep.n, arrows or _arrows(rep), vertex, seed, [sp.add for sp in spans])
+    _closure(rep.n, rep._arrows, vertex, seed, [sp.add for sp in spans])
     return _graded(spans)
 
 
-def graded_invariance_holds(
-    rep: Representation, bases: Sequence[Sequence[Sequence]], arrows=None
-) -> bool:
+def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequence]]) -> bool:
     """Exact check that the graded spans are stable under every arrow: the
     integer RREF rows of each span, times each cleared arrow out of its
-    vertex, must lie in the span at the arrow's target. No ``Fraction`` is
-    multiplied. ``arrows`` are ``_arrows(rep)``, made here when not given."""
+    vertex (``Representation._arrows``), must lie in the span at the arrow's
+    target. No ``Fraction`` is multiplied."""
     spans = [linalg.Span(vecs) for vecs in bases]
-    for src, outs in enumerate(arrows or _arrows(rep)):
+    for src, outs in enumerate(rep._arrows):
         rows = spans[src].rows
         if rows and outs:
             rows = np.array(rows, dtype=object)
@@ -655,9 +645,8 @@ class NoDestabilizerFound:
 StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilizerFound
 
 
-def _exact_invariant_spans(rep: Representation, budget: SearchBudget, arrows=None):
+def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
     n = rep.n
-    arrows = arrows or _arrows(rep)
     rng = random.Random(budget.seed)
     # an ordered set of the found graded subspaces, each held as the RREF
     # rows of its spans by pivot column: primitive integer vectors, which
@@ -683,7 +672,7 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget, arrows=Non
     for vertex, vec in probes:
         if all(x == 0 for x in vec):
             continue
-        record([linalg.Span(basis) for basis in cyclic_subrep(rep, vertex, vec, arrows)[1]])
+        record([linalg.Span(basis) for basis in cyclic_subrep(rep, vertex, vec)[1]])
     # sums of invariant spans are invariant: close the found set under
     # pairwise sums until stable (the join-closure of the probe spans). A
     # pass joins only the pairs with an entry new in the previous pass; the
@@ -810,12 +799,11 @@ def check_stability(
         raise ValueError("theta . n != 0: not a valid stability parameter")
 
     if rep.mode == EXACT:
-        arrows = _arrows(rep)
-        spans = _exact_invariant_spans(rep, budget, arrows)
+        spans = _exact_invariant_spans(rep, budget)
         unstable = []
         semistable = []
         for dims, bases in spans:
-            if not graded_invariance_holds(rep, bases, arrows):
+            if not graded_invariance_holds(rep, bases):
                 raise MathAssertionError("cyclic span is not arrow-invariant")
             sl = slope_theta(theta, dims)
             if sl > 0:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import MathAssertionError
+from .errors import MathAssertionError, _check_count
 from .lattice import CurveConfig, DegreeVector, RationalVector
 from .linalg import cleared, primitive
 from .quiver import (
@@ -45,7 +45,6 @@ from .quiver import (
     _decompositions,
     _simple_table,
 )
-from .reps import _check_count
 
 IntVector = tuple[int, ...]
 

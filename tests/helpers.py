@@ -480,11 +480,10 @@ def reference_moment_differential(rep: Representation) -> np.ndarray:
     return J
 
 
-def reference_solve_moment_zero(q, n, seed=0, tol=1e-12, **_):
+def reference_solve_moment_zero(q, n, seed=0, tol=1e-12):
     """The damped Gauss-Newton search of ``reps.solve_moment_zero`` with
     d(mu) from ``reference_moment_differential`` and a new iterate array
-    and ``Representation`` at every accepted step; a ``pattern`` keyword is
-    accepted and ignored."""
+    and ``Representation`` at every accepted step."""
     z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
     mats = _unflatten_mats(q, n, z)
     rep = Representation(q, n, FLOAT, mats)

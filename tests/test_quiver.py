@@ -47,6 +47,19 @@ def test_quiver_from_config_rejects_bad_diagonal():
         assert e.value.invariant == "gram-diagonal"
 
 
+@pytest.mark.parametrize("loops, edges, message", [
+    ((0, 0), ((0, 1),), "edge matrix must be s x s"),
+    ((0, 0), ((0, 1), (1,)), "edge matrix must be s x s"),
+    ((0, -1), ((0, 1), (1, 0)), "loop counts must be non-negative"),
+    ((0, 0), ((1, 1), (1, 0)), "edge matrix must have zero diagonal"),
+    ((0, 0), ((0, 1), (2, 0)), "edge matrix must be symmetric non-negative"),
+    ((0, 0), ((0, -1), (-1, 0)), "edge matrix must be symmetric non-negative"),
+])
+def test_quiver_refuses_a_malformed_edge_matrix(loops, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Quiver(loops, edges)
+
+
 def test_orientation_counts(elliptic_pair):
     q = quiver_from_config(elliptic_pair)
     loops = [e for e in q.orientation if e[0] == e[1]]
@@ -71,6 +84,8 @@ def test_d_form_examples(elliptic_pair, affine_a1):
     assert p_of(qe, (1, 1)) == 3
     assert p_of(qa, (1, 0)) == 0
     assert p_of(qa, (0, 0)) == 1
+    with pytest.raises(ValueError, match="dimension vector length 3 != s = 2"):
+        d_form(qa, (1, 1, 1))
 
 
 def test_d_form_always_even():
@@ -100,6 +115,8 @@ def test_bounded_roots(affine_a1, elliptic_pair):
     assert bounded_roots(qe, (1, 1)) == [(0, 1), (1, 0)]
     assert bounded_roots(qa, (1, 0)) == []
     assert bounded_roots(qa, (2, 2)) == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        bounded_roots(qa, (1, -1))
 
 
 def test_roots_symmetry_under_complement():

@@ -10,7 +10,6 @@ from quiverk3 import (
     CertifiedUnstable,
     GroupElement,
     NoDestabilizerFound,
-    Quiver,
     Representation,
     SearchBudget,
     StrictlySemistableWitness,
@@ -34,7 +33,6 @@ from quiverk3 import (
 )
 from quiverk3 import reps
 from quiverk3.reps import (
-    _differential_pattern,
     _flatten_mats,
     graded_invariance_holds,
     moment_residual_norm,
@@ -346,11 +344,11 @@ def _differential_cases():
 def test_moment_differential_is_the_entrywise_assembly():
     # the scatter does the entrywise loop's IEEE operations in its order, so
     # the float matrix matches it bit for bit (signed zeros included) and
-    # the exact one entry for entry
+    # the exact one entry for entry; the first call builds the pattern and
+    # the second reads the one the representation kept
     for rep in _differential_cases():
         want = reference_moment_differential(rep)
-        pattern = _differential_pattern(rep.quiver, rep.n)
-        for got in (moment_differential(rep), moment_differential(rep, pattern)):
+        for got in (moment_differential(rep), moment_differential(rep)):
             assert got.shape == want.shape and got.dtype == want.dtype
             if rep.mode == "float":
                 assert got.tobytes() == want.tobytes()
@@ -359,45 +357,74 @@ def test_moment_differential_is_the_entrywise_assembly():
                 assert all(type(e) is Fraction for e in got.flat)
 
 
-def test_moment_differential_refuses_a_foreign_pattern(affine_a1):
-    q = quiver_from_config(affine_a1)
-    rep = random_representation(q, (1, 1), seed=3, mode="float")
-    with pytest.raises(ValueError, match="pattern does not fit"):
-        moment_differential(rep, _differential_pattern(q, (2, 1)))
-    # a loop on either vertex: at n = (2, 2) both patterns have shape
-    # (8, 16), but they scatter to different places
-    q0 = Quiver((1, 0), ((0, 1), (1, 0)))
-    q1 = Quiver((0, 1), ((0, 1), (1, 0)))
-    rep = random_representation(q0, (2, 2), seed=3, mode="float")
-    assert moment_differential(rep).shape == (8, 16)
-    with pytest.raises(ValueError, match="pattern does not fit"):
-        moment_differential(rep, _differential_pattern(q1, (2, 2)))
-
-
 def test_solver_trajectory_is_the_reference_one(affine_a1, elliptic_pair, ogrady):
     for cfg, n in ((affine_a1, (1, 1)), (affine_a1, (2, 2)), (elliptic_pair, (1, 1)),
                    (ogrady, (2,))):
         q = quiver_from_config(cfg)
-        pattern = _differential_pattern(q, n)
         for seed in range(3):
             want = _flatten_mats(reference_solve_moment_zero(q, n, seed=seed)).tobytes()
-            for kwargs in ({}, {"pattern": pattern}):
-                got = solve_moment_zero(q, n, seed=seed, **kwargs)
-                assert _flatten_mats(got).tobytes() == want
+            got = solve_moment_zero(q, n, seed=seed)
+            assert _flatten_mats(got).tobytes() == want
 
 
 def test_verify_ci_dim_is_the_reference_report(affine_a1, elliptic_pair, ogrady, monkeypatch):
-    # the report with one pattern shared by every step equals, residual
-    # floats included, the one whose every d(mu) is assembled entry by entry
+    # the report with one pattern per trial, shared by its every step,
+    # equals, residual floats included, the one whose every d(mu) is
+    # assembled entry by entry
     cases = ((affine_a1, (1, 1)), (elliptic_pair, (1, 1)), (ogrady, (2,)))
     got = [verify_ci_dim(quiver_from_config(cfg), n, trials=4, seed=5) for cfg, n in cases]
     monkeypatch.setattr(reps, "solve_moment_zero", reference_solve_moment_zero)
-    monkeypatch.setattr(
-        reps, "moment_differential", lambda rep, pattern=None: reference_moment_differential(rep)
-    )
+    monkeypatch.setattr(reps, "moment_differential", reference_moment_differential)
     want = [verify_ci_dim(quiver_from_config(cfg), n, trials=4, seed=5) for cfg, n in cases]
     assert got == want
     assert all(r.matching_trials == 4 for r in got)
+
+
+def test_the_pattern_is_built_once_per_solve(affine_a1, monkeypatch):
+    # the solver's one representation keeps its pattern for every step, and
+    # verify_ci_dim's final rank reads the pattern of the trial's solution
+    pattern, differential = reps._differential_pattern, reps.moment_differential
+    built, steps = [], []
+
+    def counted_pattern(q, n):
+        built.append(n)
+        return pattern(q, n)
+
+    def counted_step(rep):
+        steps.append(1)
+        return differential(rep)
+
+    monkeypatch.setattr(reps, "_differential_pattern", counted_pattern)
+    monkeypatch.setattr(reps, "moment_differential", counted_step)
+    q = quiver_from_config(affine_a1)
+    for n in ((1, 1), (2, 2)):
+        built.clear()
+        steps.clear()
+        solve_moment_zero(q, n, seed=2)
+        assert built == [n] and len(steps) > 1
+    built.clear()
+    verify_ci_dim(q, (2, 2), trials=3, seed=4)
+    assert built == [(2, 2)] * 3
+
+
+def test_exact_matrices_are_read_only_copies(affine_a1):
+    q = quiver_from_config(affine_a1)
+    one, zero = np.array([[F(1)]], dtype=object), np.array([[F(0)]], dtype=object)
+    sources = [((one.copy(), zero.copy()), (zero.copy(), one.copy())) for _ in range(2)]
+    queried, fresh = (Representation(q, (1, 1), "exact", mats) for mats in sources)
+    assert is_simple(queried) and cyclic_subrep(queried, 1, (F(1),))[0] == (1, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        queried.mats[1][1][0, 0] = F(0)
+    # zeroing the second y in the caller's arrays would make the
+    # representation unstable; it changes neither one
+    for mats in sources:
+        mats[1][1][0, 0] = F(0)
+    for rep in (queried, fresh):
+        assert rep == simple_affine_rep(affine_a1)
+        assert is_simple(rep) and cyclic_subrep(rep, 1, (F(1),))[0] == (1, 1)
+    # a float representation views the complex arrays it was given
+    x = np.ones((1, 1), dtype=complex)
+    assert np.shares_memory(Representation(q, (1, 1), "float", ((x, x), (x, x))).mats[0][0], x)
 
 
 def test_exact_rep_stores_numpy_integers_as_python_ints(affine_a1):
@@ -462,6 +489,8 @@ def test_is_simple_examples(affine_a1):
     assert not is_simple(direct_sum(rep, rep))
     assert is_simple(rep.to_float())
     assert not is_simple(direct_sum(rep, rep).to_float())
+    empty = zero_representation(quiver_from_config(affine_a1), (0, 0))
+    assert not is_simple(empty) and not is_simple(empty.to_float())
 
 
 def test_is_simple_matches_oracle_sample():
@@ -615,6 +644,10 @@ def test_direct_sum_properties(affine_a1):
     m = moment_map(d)
     assert m[0].tolist() == [[F(0), F(0)], [F(0), F(0)]]
     assert not is_simple(d)
+    with pytest.raises(ValueError, match="need at least one representation"):
+        direct_sum()
+    with pytest.raises(ValueError, match="common quiver and scalar mode"):
+        direct_sum(r, r.to_float())
 
 
 def test_dual_involution_and_moment(affine_a1, elliptic_pair):
@@ -641,6 +674,8 @@ def test_destabilizer_duality(affine_a1):
     from quiverk3.reps import graded_invariance_holds
 
     assert graded_invariance_holds(dual(rep), bases)
+    with pytest.raises(ValueError, match="annihilator conversion implemented for exact mode"):
+        annihilator_witness(rep.to_float(), verdict.beta, verdict.basis)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -661,6 +696,12 @@ def test_representation_input_normalization(affine_a1, mode):
     ragged = (rows(1, 2)[0], rows(1, 2)[0], rows(1, 1)[0])
     with pytest.raises(ValueError):
         Representation(q, (2, 3), mode, ((ragged, rows(2, 3)), good))
+    with pytest.raises(ValueError, match="x matrix for edge 0->1 must be 3 x 2"):
+        Representation(q, (2, 3), mode, ((one, rows(2, 3)), good))
+    with pytest.raises(ValueError, match=r"one \(x, y\) pair per oriented edge required"):
+        Representation(q, (2, 3), mode, (good,))
+    with pytest.raises(ValueError, match="unknown scalar mode 'rational'"):
+        Representation(q, (2, 3), "rational", (good, good))
     # zero rows carry no column count; zero columns are rows of length 0
     for n, x, y in (((2, 0), (), ((), ())), ((0, 2), ((), ()), ())):
         rep = Representation(q, n, mode, ((x, y), (x, y)))
