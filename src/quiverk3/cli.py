@@ -17,6 +17,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -240,26 +241,33 @@ def rep_from_dict(quiver, doc: dict) -> Representation:
 # JSON encoding of report objects
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INT = frozenset((int,))
+
+
 @functools.cache
-def _field_names(cls) -> tuple[str, ...] | None:
-    """The field names of a dataclass, None for any other class."""
-    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+def _field_names(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """A dataclass's sorted field names and their key prefixes ``"name": ``;
+    None for other classes and for dataclasses json encodes by their base."""
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, (str, int, float, list, tuple, dict)):
+        return None
+    names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    return names, tuple(_encode_str(name) + ": " for name in names)
 
 
 def jsonable(obj):
     """A report value JSON has no type for (``Fraction``, ``complex``,
-    ``ndarray``, dataclass instances, numpy scalars) as one it has;
-    ``_dumps`` then encodes what it contains, as ``json.dumps`` would with
-    ``default=jsonable``. Dataclass field names are cached per class."""
+    ``ndarray``, dataclass instances, numpy scalars) as one it has: the
+    ``default=`` that ``_dumps`` matches, and calls for all but dataclasses."""
     if isinstance(obj, Fraction):
         return _frac_to_json(obj)
     if isinstance(obj, complex):
         return _complex_to_json(obj)
     if isinstance(obj, np.ndarray):
         return [[_complex_to_json(complex(e)) for e in row] for row in obj]
-    names = _field_names(type(obj))
-    if names is not None:
-        return {name: getattr(obj, name) for name in names}
+    fields = _field_names(type(obj))
+    if fields is not None:
+        return {name: getattr(obj, name) for name in fields[0]}
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -270,7 +278,7 @@ def jsonable(obj):
 def _key(k) -> str:
     """json's spelling of a dict key."""
     if isinstance(k, str):
-        return json.encoder.encode_basestring_ascii(k)
+        return _encode_str(k)
     if k is None or isinstance(k, (int, float)):
         return '"' + json.dumps(k) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
@@ -280,37 +288,69 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, default=jsonable)`` in one
     pass, one ``str.join`` per container; ``indent`` starts obj's line.
 
+    Exact types are dispatched on first: in a container's loop exact ints,
+    strs, the constants and all-int lists and tuples take no call, and a
+    dataclass is encoded from the fields ``_field_names`` caches. The rest
+    (subclasses, floats, ``Fraction``s, arrays) takes ``isinstance`` tests.
+
     A dataclass instance met again at the same depth (the ``StratumPart``s
     that strata records share) is encoded once: ``memo`` maps its (id,
     depth) to the instance, which the entry keeps alive so that the id is
     not reused, and its text.
     """
-    if isinstance(obj, str):
-        return json.encoder.encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
         return int.__repr__(obj)
-    if isinstance(obj, float):
+    memo, keys, memo_key = {} if memo is None else memo, None, None
+    if t is list or t is tuple:
+        values = obj
+    elif t is dict:  # sorted as json sorts: by key, before the keys are spelled
+        items = sorted(obj.items())
+        keys, values = [_key(k) + ": " for k, _ in items], [v for _, v in items]
+    elif (fields := _field_names(t)) is not None:
+        memo_key = (id(obj), len(indent))
+        hit = memo.get(memo_key)
+        if hit is not None:
+            return hit[1]
+        keys, values = fields[1], list(map(getattr, repeat(obj), fields[0]))
+    elif isinstance(obj, (list, tuple)):  # a namedtuple or another subclass
+        values = obj
+    elif isinstance(obj, dict):
+        return _dumps(dict(obj.items()), indent, memo)
+    elif isinstance(obj, str):
+        return _encode_str(obj)
+    elif obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    elif isinstance(obj, float):
         return json.dumps(obj)  # float repr, and json's NaN/Infinity
-    memo = {} if memo is None else memo
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if all(type(v) is int for v in obj):  # no bools
-            items = map(int.__repr__, obj)
-        else:
-            items = [_dumps(v, inner, memo) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if obj else "[]"
-    if isinstance(obj, dict):
-        # sorted as json sorts: by key, before the keys are spelled
-        items = [_key(k) + ": " + _dumps(v, inner, memo) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if obj else "{}"
-    if _field_names(type(obj)) is None:  # a Fraction, complex, array or numpy scalar
+    else:  # a Fraction, complex, array or numpy scalar
         return _dumps(jsonable(obj), indent, memo)
-    key = (id(obj), len(indent))
-    if key not in memo:
-        memo[key] = (obj, _dumps(jsonable(obj), indent, memo))
-    return memo[key][1]
+    if not values:
+        return "[]" if keys is None else "{}"
+    inner, texts = indent + "  ", []
+    deeper, append = inner + "  ", texts.append
+    for v in values:
+        tv = type(v)
+        if tv is int:
+            append(int.__repr__(v))
+        elif tv is str:
+            append(_encode_str(v))
+        elif v is None or v is True or v is False:
+            append("null" if v is None else "true" if v else "false")
+        elif (tv is tuple or tv is list) and v and _INT.issuperset(map(type, v)):  # no bools
+            append("[" + deeper + ("," + deeper).join(map(int.__repr__, v)) + inner + "]")
+        else:
+            append(_dumps(v, inner, memo))
+    if keys is None:
+        return "[" + inner + ("," + inner).join(texts) + indent + "]"
+    text = "{" + inner + ("," + inner).join(map(str.__add__, keys, texts)) + indent + "}"
+    if memo_key is not None:
+        memo[memo_key] = (obj, text)
+    return text
 
 
 def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:

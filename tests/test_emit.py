@@ -16,13 +16,16 @@ import io
 import json
 import math
 import random
+from collections import namedtuple
 from contextlib import redirect_stdout
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import random_config
 from quiverk3 import cli
 
 
@@ -172,3 +175,136 @@ def test_emit_prints_the_reference_encoding():
         cli.emit(payload, "strata", True, [])
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": "strata", **payload}
     assert buf.getvalue() == reference(doc) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the exact-type fast paths of ``_dumps`` and what must fall off them
+
+
+class Sign(IntEnum):
+    MINUS = -1
+    PLUS = 1
+
+
+@dataclass(frozen=True)
+class Flags:
+    beta: tuple
+    is_root: bool
+    sign: Sign
+    k: int
+
+
+@dataclass(frozen=True)
+class Scalars:
+    x: float
+    nan: float
+    zero: float
+    q: Fraction
+    z: complex
+    none: None
+    i64: np.int64
+    f64: np.float64
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+@dataclass(frozen=True)
+class Holder:
+    inner: object
+    again: tuple
+
+
+Pair = namedtuple("Pair", "k beta")
+
+
+class Vec(tuple):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+class Label(str):
+    pass
+
+
+@dataclass
+class TableRecord(dict):
+    """A dataclass json encodes as the dict it is, not by its fields."""
+    a: int = 1
+
+def test_bools_and_int_enums_inside_int_tuples_and_as_fields():
+    """A tuple with a bool or an ``IntEnum`` member is not all ``int``: the
+    bool spells ``true``/``false`` and the member its value, as json does."""
+    assert_same_text([(1, True, 0), (False,), [0, 1, True], (Sign.PLUS, 2), [[Sign.MINUS, 0]]])
+    assert_same_text({"flags": [Flags((1, True), True, Sign.MINUS, 3),
+                                Flags((Sign.PLUS, 0), False, Sign.PLUS, 0)],
+                      "sign": Sign.PLUS, "key_enum": {Sign.MINUS: True}})
+
+
+def test_float_fraction_complex_none_and_numpy_fields():
+    fields = Scalars(2.5, math.nan, -0.0, Fraction(-7, 3), complex(1.5, -0.0), None,
+                     np.int64(-12), np.float64(-0.0))
+    assert_same_text({"s": fields, "t": [fields, (fields,)], "u": (math.nan, -0.0, 1e300)})
+    assert_same_text(Scalars(-math.inf, math.nan, 0.0, Fraction(4, 1), complex(math.inf, 2), None,
+                             np.int64(0), np.float64(math.nan)))
+
+
+def test_namedtuples_and_tuple_dict_and_str_subclasses():
+    assert_same_text({"pairs": [Pair(2, (1, 0)), Pair(1, Vec((0, 1)))],
+                      "vec": Vec((3, 4)), "empty": Vec(), "table": Table(b=Vec((1,)), a=Pair(1, 2)),
+                      "nested": [Table(), Table(z=[Table(y=1)])], "sub": Pair(Vec(), Table())})
+    assert_same_text(Table(b=1, a=(2, 3)))
+    assert_same_text([Label("tab\t"), {Label("k"): Label("é")}, Pair(Label(""), (Label("x"),))])
+    record = TableRecord()
+    record["k"] = (1, 2)
+    assert_same_text({"record": record, "records": [TableRecord(), record]})
+    assert_same_text(Pair((1, 2), [3]))
+
+
+def test_dataclass_with_no_fields():
+    assert_same_text(Empty())
+    assert_same_text({"e": Empty(), "l": [Empty(), Empty()], "h": Holder(Empty(), (Empty(),))})
+
+
+def test_int_tuples_nested_three_deep_in_lists():
+    assert_same_text([[[(1, 2, 3), (0,)], [(4, 5)]], [[()]], [[[(6, 7), [8, 9]]]]])
+    assert_same_text({"d": [[[(-1, 10**30)]]], "h": Holder([[[(2, 2)]]], ((1,), ((1, 2),)))})
+
+
+def test_one_instance_shared_at_two_depths_inside_a_field():
+    """The memo is keyed on (id, depth): the same part at two depths of one
+    field gets two indentations."""
+    part = Leaf((1, 0, 2), 3, "shared")
+    outer = Holder([part, [part, (part,)]], (part, Holder(part, (part,))))
+    assert_same_text(outer)
+    assert_same_text({"x": outer, "y": [outer, part]})
+
+
+# ---------------------------------------------------------------------------
+# the encoder on real reports
+
+
+FIXTURES = ("elliptic_pair", "affine_a1", "affine_a1_22", "ogrady", "one_loop")
+
+
+def report_document(cfg, command: str) -> dict:
+    """The document ``cli.emit`` encodes for ``command --json`` on ``cfg``."""
+    args = cli.build_parser().parse_args([command, "config.json", "--json"])
+    payload, _lines = cli.COMMANDS[command].handler(cfg, {}, {}, args)
+    return {"schema_version": cli.SCHEMA_VERSION, "command": command, **payload}
+
+
+def test_real_reports_match_the_reference_encoding(request):
+    """``summary``, ``strata``, ``chambers`` and ``correspondence`` of the
+    five fixtures and of the strata-heavy seed-9 draw (212 decompositions),
+    as the CLI builds them, against json's pure-Python encoder."""
+    heavy = random_config(random.Random(9), 3, 3, mult_max=4)
+    assert len(report_document(heavy, "strata")["strata"]) == 212
+    for cfg in [request.getfixturevalue(name) for name in FIXTURES] + [heavy]:
+        for command in ("summary", "strata", "chambers", "correspondence"):
+            assert_same_text(report_document(cfg, command))

@@ -165,6 +165,24 @@ def test_config_invariant_errors():
     assert cfg.s == 2 and cfg.total_euler == 2 and cfg.total_h0deg == 2
 
 
+@pytest.mark.parametrize("args, invariant", [
+    (((), (), (), ()), "size"),
+    ((((0, 2), (2,)), (1, 1), (1, 1), (1, 1)), "gram-shape"),
+    ((((0, 2), (2, 0)), (1, 1), (1,), (1, 1)), "size"),
+    ((((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1, 1)), "size"),
+    ((((0, 2), (2, 0)), (1, 1.0), (1, 1), (1, 1)), "integrality"),
+    ((((0, True), (2, 0)), (1, 1), (1, 1), (1, 1)), "integrality"),
+])
+def test_config_shape_and_entry_errors(args, invariant):
+    with pytest.raises(InvariantError) as e:
+        CurveConfig(*args)
+    assert e.value.invariant == invariant
+
+
+def test_vector_of_beta_length_must_be_s(elliptic_pair):
+    with pytest.raises(ValueError, match="beta length 3 != s = 2"):
+        vector_of_beta(elliptic_pair, (1, 0, 1))
+
 def test_total_euler_zero_rejected():
     with pytest.raises(InvariantError) as e:
         CurveConfig(((0, 2), (2, 0)), (-1, 1), (1, 1), (1, 1))
