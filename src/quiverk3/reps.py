@@ -6,7 +6,7 @@ linearization, a damped Gauss-Newton search for points of mu^-1(0), a
 block-graded Burnside-closure simplicity test, and a sound-but-incomplete
 King stability checker whose certified verdicts carry explicit witnesses.
 One graded span closure (``_closure``) serves both of the last two: it
-closes e_i for ``is_simple`` and a probe vector for ``cyclic_subrep``.
+closes e_i for ``is_simple`` and a probe vector for ``_cyclic_spans``.
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
@@ -563,28 +563,32 @@ def _graded(spans: Sequence[linalg.Span]) -> tuple[DimVector, tuple]:
     return tuple(sp.dim for sp in spans), tuple(tuple(sp.basis()) for sp in spans)
 
 
+def _cyclic_spans(rep: Representation, vertex: int, vector: Sequence) -> list[linalg.Span]:
+    """The spans, one per vertex, of the closure of the cleared vector, as
+    an n_vertex x 1 block, under the representation's cleared arrows."""
+    spans = [linalg.Span() for _ in rep.n]
+    seed = np.array(linalg.cleared(map(Fraction, vector))[1], dtype=object).reshape(-1, 1)
+    _closure(rep.n, rep._arrows, vertex, seed, [sp.add for sp in spans])
+    return spans
+
+
 def cyclic_subrep(
     rep: Representation, vertex: int, vector: Sequence
 ) -> tuple[DimVector, tuple[tuple[linalg.Vector, ...], ...]]:
     """Smallest subrepresentation containing the given vector (exact mode):
-    the closure of the cleared vector, as an n_vertex x 1 block, under the
-    representation's cleared arrows."""
+    ``_graded`` of ``_cyclic_spans``."""
     if rep.mode != EXACT:
         raise ValueError("cyclic_subrep requires exact mode")
     if len(vector) != rep.n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
-    spans = [linalg.Span() for _ in rep.n]
-    seed = np.array(linalg.cleared(map(Fraction, vector))[1], dtype=object).reshape(-1, 1)
-    _closure(rep.n, rep._arrows, vertex, seed, [sp.add for sp in spans])
-    return _graded(spans)
+    return _graded(_cyclic_spans(rep, vertex, vector))
 
 
-def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequence]]) -> bool:
+def _invariance_holds(rep: Representation, spans: Sequence[linalg.Span]) -> bool:
     """Exact check that the graded spans are stable under every arrow: the
     integer RREF rows of each span, times each cleared arrow out of its
     vertex (``Representation._arrows``), must lie in the span at the arrow's
     target. No ``Fraction`` is multiplied."""
-    spans = [linalg.Span(vecs) for vecs in bases]
     for src, outs in enumerate(rep._arrows):
         rows = spans[src].rows
         if rows and outs:
@@ -593,6 +597,11 @@ def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequen
                 if not all(map(spans[dst].contains, rows @ a.T)):
                     return False
     return True
+
+
+def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequence]]) -> bool:
+    """``_invariance_holds`` on the spans of the given bases, one per vertex."""
+    return _invariance_holds(rep, [linalg.Span(vecs) for vecs in bases])
 
 
 def slope_theta(theta: Sequence, beta: Sequence[int]) -> Fraction:
@@ -645,16 +654,17 @@ class NoDestabilizerFound:
 StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilizerFound
 
 
-def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
+def _exact_invariant_spans(rep: Representation, budget: SearchBudget) -> list[tuple]:
+    """The invariant graded subspaces the exact search finds, in order, each
+    as its ``_rows`` per vertex: cyclic subrepresentations of the coordinate
+    and seeded random probes, then pairwise sums until a pass adds nothing."""
     n = rep.n
     rng = random.Random(budget.seed)
-    # an ordered set of the found graded subspaces, each held as the RREF
-    # rows of its spans by pivot column: primitive integer vectors, which
-    # determine the subspace, so the joins below build no Fraction
+    # an ordered set of the found graded subspaces; primitive integer rows
+    # determine a subspace, so the joins below build no Fraction
     found: dict[tuple, None] = {}
 
-    def record(spans: list[linalg.Span]):
-        rows = tuple(tuple(tuple(r) for _, r in sorted(zip(sp.pivots, sp.rows))) for sp in spans)
+    def record(rows: tuple):
         dims = tuple(map(len, rows))
         if sum(dims) != 0 and dims != n:
             found.setdefault(rows)
@@ -670,9 +680,22 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
                     (i, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)))
                 )
     for vertex, vec in probes:
-        if all(x == 0 for x in vec):
-            continue
-        record([linalg.Span(basis) for basis in cyclic_subrep(rep, vertex, vec)[1]])
+        if any(vec):
+            record(tuple(map(_rows, _cyclic_spans(rep, vertex, vec))))
+    # the sum of two spans at a vertex, each unordered pair eliminated once
+    # per search; equal or empty sides need no elimination
+    joins: dict[tuple, tuple] = {}
+
+    def join(ra: tuple, rb: tuple) -> tuple:
+        if ra == rb or not rb:
+            return ra
+        if not ra:
+            return rb
+        key = (ra, rb) if ra < rb else (rb, ra)
+        if key not in joins:
+            joins[key] = _rows(_join(ra, rb))
+        return joins[key]
+
     # sums of invariant spans are invariant: close the found set under
     # pairwise sums until stable (the join-closure of the probe spans). A
     # pass joins only the pairs with an entry new in the previous pass; the
@@ -682,11 +705,17 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget):
         singles = list(found)
         for a in range(len(singles)):
             for b in range(max(a + 1, done), len(singles)):
-                record([_join(ra, rb) for ra, rb in zip(singles[a], singles[b])])
+                record(tuple(map(join, singles[a], singles[b])))
         if len(found) == len(singles):
             break
         done = len(singles)
-    return [_graded([linalg.Span.echelon(r) for r in rows]) for rows in found]
+    return list(found)
+
+
+def _rows(span: linalg.Span) -> tuple:
+    """The RREF rows of a span by pivot column, as tuples: a hashable form
+    that determines the subspace."""
+    return tuple(tuple(r) for _, r in sorted(zip(span.pivots, span.rows)))
 
 
 def _join(ra, rb) -> linalg.Span:
@@ -785,9 +814,12 @@ def check_stability(
     """Destabilizer search, by scalar mode.
 
     Exact mode: cyclic subrepresentations from coordinate and seeded random
-    probe vectors, plus sums of the spans found. A span of positive slope
+    probe vectors, then their closure under pairwise sums, each sum of two
+    spans at a vertex eliminated once per call. Every span found is checked
+    for arrow-invariance on its integer RREF rows. A span of positive slope
     certifies instability; a proper span of slope zero certifies strict
-    semistability. Float mode runs only a gradient-descent search over
+    semistability. Only the returned witness is read out as ``Fraction``
+    bases. Float mode runs only a gradient-descent search over
     graded projection frames, for every candidate dimension vector of
     positive (then zero) slope. Absence of a witness is reported as
     NoDestabilizerFound and is explicitly not a semistability proof.
@@ -795,29 +827,30 @@ def check_stability(
     budget = budget or SearchBudget()
     theta = tuple(Fraction(t) for t in theta)
     n = rep.n
+    if len(theta) != len(n):
+        raise ValueError(f"theta has length {len(theta)}, but n has length {len(n)}")
     if sum((t * x for t, x in zip(theta, n)), Fraction(0)) != 0:
         raise ValueError("theta . n != 0: not a valid stability parameter")
 
     if rep.mode == EXACT:
-        spans = _exact_invariant_spans(rep, budget)
         unstable = []
         semistable = []
-        for dims, bases in spans:
-            if not graded_invariance_holds(rep, bases):
+        for rows in _exact_invariant_spans(rep, budget):
+            spans = [linalg.Span.echelon(r) for r in rows]
+            if not _invariance_holds(rep, spans):
                 raise MathAssertionError("cyclic span is not arrow-invariant")
+            dims = tuple(map(len, rows))
             sl = slope_theta(theta, dims)
             if sl > 0:
-                unstable.append((sl, dims, bases))
+                unstable.append((sl, dims, spans))
             elif sl == 0:
-                semistable.append((dims, bases))
+                semistable.append((dims, spans))
         if unstable:
-            unstable.sort(key=lambda t: (-t[0], t[1]))
-            sl, dims, bases = unstable[0]
-            return CertifiedUnstable(dims, sl, bases)
+            sl, _, spans = min(unstable, key=lambda t: (-t[0], t[1]))
+            beta, basis = _graded(spans)
+            return CertifiedUnstable(beta, sl, basis)
         if semistable:
-            semistable.sort(key=lambda t: t[0])
-            dims, bases = semistable[0]
-            return StrictlySemistableWitness(dims, bases)
+            return StrictlySemistableWitness(*_graded(min(semistable, key=lambda t: t[0])[1]))
         return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
 
     # float mode: numeric subspace search per candidate dimension vector

@@ -125,6 +125,8 @@ class GenericityVerdict:
 
 def is_generic(theta: Sequence, q: Quiver, n: DimVector) -> GenericityVerdict:
     """theta is n-generic iff theta . alpha != 0 for every alpha in R_+(n)."""
+    if len(theta) != len(n):
+        raise ValueError(f"theta has length {len(theta)}, but n has length {len(n)}")
     return _genericity(theta, n, bounded_roots(q, n))
 
 

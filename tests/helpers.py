@@ -14,7 +14,8 @@ the invariance of a witness mod a prime, in plain ints, independent of it.
 with no grading, ``reference_cyclic_subrep`` the closure of one vector
 taken depth first with ``linalg.mat_vec``, ``reference_invariant_spans``
 the exact stability search, built on it, that re-joins every pair of spans
-until nothing new appears, and ``reference_invariance_holds`` the
+until nothing new appears, ``graded_invariant_spans`` the library's search
+in the same form, and ``reference_invariance_holds`` the
 invariance check on ``Fraction`` images, one basis vector at a time.
 ``unipotent_conjugate`` hides the invariant subspaces of an exact
 representation by a seeded change of basis.
@@ -67,6 +68,7 @@ from quiverk3.reps import (
     FLOAT,
     GroupElement,
     Representation,
+    _exact_invariant_spans,
     _flatten_mats,
     _graded,
     _moment_blocks,
@@ -381,6 +383,13 @@ def reference_invariant_spans(rep: Representation, budget) -> list:
         if len(found) == before:
             break
     return list(found)
+
+
+def graded_invariant_spans(rep: Representation, budget) -> list:
+    """``reps._exact_invariant_spans`` with each subspace's integer rows read
+    out by ``reps._graded``: the (dims, bases) of ``reference_invariant_spans``."""
+    return [_graded([linalg.Span.echelon(r) for r in rows])
+            for rows in _exact_invariant_spans(rep, budget)]
 
 
 # ---------------------------------------------------------------------------

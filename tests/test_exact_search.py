@@ -3,10 +3,14 @@
 ``is_simple`` is checked against ``helpers.reference_is_simple``, the
 Burnside closure on the whole of End(V), past the total dimension 3 that
 the invariant-subspace oracle of criterion 6 reaches. The exact stability
-search is pinned twice: ``_exact_invariant_spans`` must return the list of
+search is pinned twice: ``_exact_invariant_spans``, read out as bases by
+``helpers.graded_invariant_spans``, must return the list of
 ``helpers.reference_invariant_spans`` (the same spans, in the same order),
 and the sha256 of the exact ``check_stability`` verdicts and of the
-``annihilator_witness`` outputs built from them must equal ``GOLDEN``. To
+``annihilator_witness`` outputs built from them must equal ``GOLDEN``. Its
+work is pinned too: each sum of two spans at a vertex is eliminated at most
+once per search, only the returned witness is read out as ``Fraction``
+bases, and every span found is checked for arrow-invariance. To
 re-record after an intended change, run ``python tests/test_exact_search.py``
 from the repository root with ``src`` and ``tests`` on ``PYTHONPATH`` and
 paste its output into ``GOLDEN``.
@@ -34,14 +38,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quiverk3 import CurveConfig, quiver_from_config, random_representation
+from quiverk3 import CurveConfig, linalg, quiver_from_config, random_representation, reps
+from quiverk3.errors import MathAssertionError
 from quiverk3.reps import (
     EXACT,
     GroupElement,
     NoDestabilizerFound,
     Representation,
     SearchBudget,
-    _exact_invariant_spans,
     act,
     annihilator_witness,
     check_stability,
@@ -50,9 +54,11 @@ from quiverk3.reps import (
     graded_invariance_holds,
     is_simple,
 )
+from quiverk3.walls import nperp_basis
 from helpers import (
     MOD_PRIMES,
     ModSpan,
+    graded_invariant_spans,
     mod_p,
     mod_p_is_simple,
     mod_p_witness_holds,
@@ -181,11 +187,86 @@ def _search_cases():
 def test_invariant_spans_match_the_reference_join():
     sizes = []
     for rep, budget in _search_cases():
-        found = _exact_invariant_spans(rep, budget)
+        found = graded_invariant_spans(rep, budget)
         assert found == reference_invariant_spans(rep, budget)
         sizes.append(len(found))
     assert len(sizes) >= 30
     assert sum(s >= 4 for s in sizes) >= 15  # the join has pairs to work on
+
+
+def _theta(n, rng) -> tuple:
+    """A seeded integer theta with theta . n = 0."""
+    theta = [0] * len(n)
+    for b in nperp_basis(n):
+        c = rng.randint(-2, 2)
+        theta = [t + c * x for t, x in zip(theta, b)]
+    return tuple(theta)
+
+
+def test_each_join_is_eliminated_once_per_search(monkeypatch):
+    # the closure joins every pair of the subspaces found; per vertex, a
+    # pair with equal or empty sides needs no elimination, and a pair met
+    # again reuses the first one's rows
+    joined = []
+    real = reps._join
+    monkeypatch.setattr(reps, "_join", lambda ra, rb: joined.append((ra, rb)) or real(ra, rb))
+    occurrences = distinct_total = trivial = 0
+    for rep, budget in _search_cases():
+        joined.clear()
+        found = reps._exact_invariant_spans(rep, budget)
+        pairs = [(ra, rb) for a, fa in enumerate(found) for fb in found[a + 1:]
+                 for ra, rb in zip(fa, fb)]
+        nontrivial = [(ra, rb) for ra, rb in pairs if ra and rb and ra != rb]
+        distinct = {frozenset(pair) for pair in nontrivial}
+        assert len(joined) <= len(distinct)
+        assert all(frozenset(pair) in distinct for pair in joined)
+        assert len({frozenset(pair) for pair in joined}) == len(joined)
+        occurrences += len(nontrivial)
+        distinct_total += len(distinct)
+        trivial += len(pairs) - len(nontrivial)
+    assert trivial >= 500 and occurrences >= 2 * distinct_total  # both shortcuts have work
+
+
+def test_only_the_witness_is_read_out_as_fractions(monkeypatch):
+    basis_calls = []
+    real = linalg.Span.basis
+    monkeypatch.setattr(linalg.Span, "basis", lambda sp: basis_calls.append(sp) or real(sp))
+    rng = random.Random(67)
+    kinds = []
+    for rep, budget in _search_cases():
+        basis_calls.clear()
+        verdict = check_stability(rep, _theta(rep.n, rng), budget)
+        witness = not isinstance(verdict, NoDestabilizerFound)
+        assert len(basis_calls) == (len(rep.n) if witness else 0)
+        kinds.append(type(verdict).__name__)
+    assert {"CertifiedUnstable", "StrictlySemistableWitness", "NoDestabilizerFound"} <= set(kinds)
+
+
+def test_every_found_span_is_checked_for_invariance(monkeypatch):
+    real = reps._invariance_holds
+    rng = random.Random(71)
+    for rep, budget in _search_cases():
+        theta = _theta(rep.n, rng)
+        found = reps._exact_invariant_spans(rep, budget)
+        checked = []
+
+        def counting(r, spans):
+            checked.append(tuple(map(reps._rows, spans)))
+            return real(r, spans)
+
+        monkeypatch.setattr(reps, "_invariance_holds", counting)
+        check_stability(rep, theta, budget)
+        assert checked == found  # each span found, in search order
+
+        def failing_last(r, spans):
+            checked.append(None)
+            return len(checked) < len(found) and real(r, spans)
+
+        checked.clear()
+        monkeypatch.setattr(reps, "_invariance_holds", failing_last)
+        with pytest.raises(MathAssertionError, match="not arrow-invariant"):
+            check_stability(rep, theta, budget)
+        assert len(checked) == len(found)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +437,7 @@ def test_integer_kernel_matches_the_fraction_references():
         for vertex, vec in _probes(rep, rng):
             assert cyclic_subrep(rep, vertex, vec) == reference_cyclic_subrep(twin, vertex, vec)
         budget = SearchBudget(probes=2, seed=rng.randrange(100))
-        found = _exact_invariant_spans(rep, budget)
+        found = graded_invariant_spans(rep, budget)
         assert found == reference_invariant_spans(twin, budget)
         candidates = [bases for _, bases in found] + [_random_bases(rep, rng) for _ in range(4)]
         for bases in candidates:
@@ -392,7 +473,7 @@ def test_exact_kernel_does_no_fraction_arithmetic(monkeypatch):
             F(1, 3) * F(3, 5)  # the patch is in force
         out = []
         for rep in reps:
-            found = _exact_invariant_spans(rep, SearchBudget(probes=2))
+            found = graded_invariant_spans(rep, SearchBudget(probes=2))
             out.append((
                 is_simple(rep),
                 cyclic_subrep(rep, 1, (F(1, 3), F(-2, 5))),

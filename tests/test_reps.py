@@ -608,6 +608,17 @@ def test_check_stability_theta_validation(affine_a1):
         check_stability(rep, (F(1), F(1)))
 
 
+@pytest.mark.parametrize("theta", [(0,), (1, -1, 5)])
+def test_check_stability_refuses_theta_of_the_wrong_length(affine_a1, theta):
+    # zipped against n, a short or long theta would be truncated silently
+    rep = simple_affine_rep(affine_a1)
+    message = f"theta has length {len(theta)}, but n has length 2"
+    with pytest.raises(ValueError, match=message):
+        check_stability(rep, theta)
+    with pytest.raises(ValueError, match=message):
+        check_stability(rep.to_float(), theta)
+
+
 def test_check_stability_float_negative(affine_a1):
     rep = simple_affine_rep(affine_a1).to_float()
     verdict = check_stability(rep, (F(-1), F(1)), SearchBudget(restarts=2, iters=50))

@@ -102,6 +102,10 @@ def test_is_generic(affine_a1, elliptic_pair):
     assert is_generic((1, -1), qe, (1, 1)).generic
     with pytest.raises(ValueError):
         is_generic((1, 1), qa, (1, 1))
+    # zipped against n, a short or long theta would be truncated silently
+    for theta in ((0,), (1, -1, 5)):
+        with pytest.raises(ValueError, match=f"theta has length {len(theta)}, but n has length 2"):
+            is_generic(theta, qa, (1, 1))
 
 
 def test_enumerate_chambers_fixtures(affine_a1, elliptic_pair):
