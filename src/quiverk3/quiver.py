@@ -137,6 +137,34 @@ def boxed_vectors(n: DimVector):
     return itertools.product(*(range(k + 1) for k in n))
 
 
+def _packing(n: DimVector) -> tuple[int, int]:
+    """The field width w and guard mask G of the packed vectors 0 <= v <= n.
+
+    ``_pack`` puts each coordinate in a field of w = max(n).bit_length() + 1
+    bits, the first coordinate most significant, so int order is
+    lexicographic order. G holds the top bit of every field, which no
+    coordinate reaches: for packed g, r in the box, (r | G) - g borrows
+    across no field, has every bit of G set exactly when g <= r
+    componentwise, and is then G + (r - g) packed."""
+    w = max(n, default=0).bit_length() + 1
+    return w, sum(1 << (w * i + w - 1) for i in range(len(n)))
+
+
+def _pack(v: DimVector, w: int) -> int:
+    out = 0
+    for x in v:
+        out = (out << w) | x
+    return out
+
+
+def _packed_box(n: DimVector, w: int) -> list[int]:
+    """``boxed_vectors(n)`` packed with field width w, in the same order."""
+    box = [0]
+    for k in n:
+        box = [(x << w) | y for x in box for y in range(k + 1)]
+    return box
+
+
 def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
     """Positive roots 0 < alpha <= n in lexicographic order, n included when
     it is a root: the one box scan that the root-indexed computations of a
@@ -199,29 +227,49 @@ def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
 
 
 def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decomposition, ...]:
-    """``decompositions`` of n, given the roots <= n in lexicographic order."""
+    """``decompositions`` of n, given the roots <= n in lexicographic order.
+
+    Remainders are packed vectors (``_packing``), so each fit test and each
+    subtraction is one int operation. ``rec`` memoizes on (first root index,
+    remainder) and each of its levels takes one part, so its depth is
+    bounded by the number of parts, not of roots."""
+    w, guard = _packing(n)
+    keys = [_pack(g, w) for g in roots]
 
     @lru_cache(maxsize=None)
-    def rec(idx: int, remaining: DimVector) -> tuple[tuple[tuple[int, DimVector], ...], ...]:
-        """The part tuples of the decompositions of ``remaining`` into
-        roots[idx:], each root used at most once with its multiplicity;
-        empty when no such decomposition exists."""
-        if not any(remaining):
-            return ((),)
-        if idx == len(roots):
-            return ()
-        beta = roots[idx]
-        kmax = min(remaining[i] // b for i, b in enumerate(beta) if b > 0)
-        out = list(rec(idx + 1, remaining))
-        for k in range(1, kmax + 1):
-            rest = tuple(r - k * b for r, b in zip(remaining, beta))
-            out += [((k, beta),) + tail for tail in rec(idx + 1, rest)]
-        return tuple(out)
+    def rec(j: int, rem: int) -> list[tuple[tuple[int, DimVector], ...]]:
+        """The part tuples of the decompositions of the nonzero packed
+        ``rem`` into roots[j:], each root used at most once with its
+        multiplicity; empty when no such decomposition exists."""
+        out = []
+        for i in range(j, len(keys)):
+            g = keys[i]
+            if g > rem:  # neither g nor any later root is <= rem
+                break
+            k, d = 1, (rem | guard) - g
+            while d & guard == guard:  # k * roots[i] <= rem
+                rest = d ^ guard
+                part = (k, roots[i])
+                out += [(part,) + tail for tail in rec(i + 1, rest)] if rest else [(part,)]
+                k, d = k + 1, (rest | guard) - g
+        return out
 
-    results = [Decomposition(parts) for parts in rec(0, n)]
+    found = rec(0, _pack(n, w)) if any(n) else [()]
     rec.cache_clear()
-    results.sort(key=lambda dec: (not dec.is_trivial(n), dec.parts))
-    return tuple(results)
+    found.sort()
+    if roots and roots[-1] == n:  # the trivial decomposition goes first
+        trivial = ((1, n),)
+        found.remove(trivial)
+        found.insert(0, trivial)
+    # the parts are canonical already (distinct roots in lexicographic
+    # order), so the normalizing constructor is skipped
+    new = object.__new__
+    out = []
+    for parts in found:
+        dec = new(Decomposition)
+        object.__setattr__(dec, "parts", parts)
+        out.append(dec)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -268,27 +316,35 @@ def _simple_table(
     gamma != r, of (p(gamma) + best[r - gamma]) ranges over the sums with
     k >= 2, which decide a root r's verdict; best[r] also weighs (p(r), (r,)).
     Lexicographic order visits r - gamma before r, and every r != 0 is a sum
-    of the simple roots e_i.
+    of the simple roots e_i. The box vectors are packed (``_packing``) and
+    the parts are root indices, whose order is lexicographic order, until a
+    violation is read out.
     """
-    p = {g: p_of(q, g) for g in roots}
-    best: dict[DimVector, tuple[int, tuple[DimVector, ...]]] = {}
+    w, guard = _packing(n)
+    keys = [_pack(g, w) for g in roots]
+    p = [p_of(q, g) for g in roots]
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}
     table = {}
-    for r in boxed_vectors(n):
-        top = (0, ()) if not any(r) else None
-        for g in roots:
-            if g >= r:  # neither r nor anything after it in lexicographic order is <= r
-                break
-            if any(x > y for x, y in zip(g, r)):
+    nxt = 0  # roots[:nxt] are the roots before r in lexicographic order
+    for r in _packed_box(n, w):
+        top = (0, ()) if not r else None
+        rg = r | guard
+        for j in range(nxt):
+            d = rg - keys[j]
+            if d & guard != guard:  # roots[j] is not <= r
                 continue
-            sub = best[tuple(y - x for x, y in zip(g, r))]
-            total = p[g] + sub[0]
+            sub = best[d ^ guard]
+            total = p[j] + sub[0]
             if top is None or total >= top[0]:
-                cand = (total, tuple(sorted((g,) + sub[1])))
+                cand = (total, tuple(sorted((j,) + sub[1])))
                 top = cand if top is None or cand > top else top
-        if r in p:
-            violated = top is not None and top[0] >= p[r]
-            table[r] = SimpleExistence(not violated, True, top[1] if violated else None)
-            top = max(top, (p[r], (r,))) if top is not None else (p[r], (r,))
+        if nxt < len(keys) and keys[nxt] == r:
+            pr = p[nxt]
+            violated = top is not None and top[0] >= pr
+            violation = tuple(roots[i] for i in top[1]) if violated else None
+            table[roots[nxt]] = SimpleExistence(not violated, True, violation)
+            top = max(top, (pr, (nxt,))) if top is not None else (pr, (nxt,))
+            nxt += 1
         best[r] = top
     return table
 

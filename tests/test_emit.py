@@ -254,6 +254,14 @@ def test_float_fraction_complex_none_and_numpy_fields():
                              np.int64(0), np.float64(math.nan)))
 
 
+def test_numpy_floats_that_are_not_python_floats():
+    # np.float64 is a float subclass and never reaches ``jsonable``; these two
+    # are not, so both encoders spell them through its np.floating branch
+    doc = {"a": [np.float32(0.5), np.float16(1.25)]}
+    assert cli._dumps(doc) == reference(doc)
+    assert cli.jsonable(np.float32(0.5)) == 0.5 and cli.jsonable(np.float16(1.25)) == 1.25
+
+
 def test_namedtuples_and_tuple_dict_and_str_subclasses():
     assert_same_text({"pairs": [Pair(2, (1, 0)), Pair(1, Vec((0, 1)))],
                       "vec": Vec((3, 4)), "empty": Vec(), "table": Table(b=Vec((1,)), a=Pair(1, 2)),

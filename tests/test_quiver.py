@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 
 import pytest
@@ -19,8 +20,9 @@ from quiverk3 import (
     quiver_to_dot,
     quiver_walls,
     rep_space_dim,
+    strata_report,
 )
-from quiverk3.quiver import Quiver
+from quiverk3.quiver import Quiver, _pack, _packed_box, _packing, boxed_vectors
 from quiverk3.walls import LocalModel
 from conftest import random_config
 from helpers import reference_decompositions, reference_simple_exists
@@ -179,6 +181,82 @@ def test_decompositions_match_the_unmemoized_recursion():
         checked += 1
         total += len(got)
     assert total > 2500  # the draws include strata-heavy ones, up to 299
+    # an s = 1 draw (11 decompositions of (6,)), and a bound with a zero
+    # entry (109 decompositions); random_config draws every multiplicity
+    # >= 1, so the zero is set by hand
+    one = random_config(random.Random(5), s_min=1, s_max=1, mult_max=6)
+    many = random_config(random.Random(0), s_min=3, s_max=4, mult_max=3)
+    cases = [(quiver_from_config(one), one.mult),
+             (quiver_from_config(many), many.mult[:1] + (0,) + many.mult[2:])]
+    for q, n in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = decompositions(q, n)
+            want = reference_decompositions(q, n)
+        assert [d.parts for d in got] == [d.parts for d in want], n
+    assert [len(decompositions(q, n)) for q, n in cases] == [11, 109]
+
+
+def _clique(s: int) -> CurveConfig:
+    """s genus-1 curves meeting pairwise once; every nonzero 0/1 vector is a
+    root, so the decompositions of n = (1, ..., 1) are the set partitions."""
+    gram = tuple(tuple(0 if i == j else 1 for j in range(s)) for i in range(s))
+    return CurveConfig(gram, (1,) * s, (1,) * s, (1,) * s)
+
+
+def test_decompositions_recurse_once_per_part_not_per_root():
+    """The 8-curve clique has 255 roots and at most 8 parts per
+    decomposition; its enumeration runs with about 60 frames of headroom,
+    which a recursion taking one frame per skipped root would exceed."""
+    cfg = _clique(8)
+    q = quiver_from_config(cfg)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        decs = decompositions(q, cfg.mult)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(bounded_roots(q, cfg.mult)) == 254
+    assert len(decs) == 4140  # the Bell number B_8
+
+
+def test_nine_curve_clique_strata():
+    # 511 roots, 21147 = B_9 decompositions, one stratum record each
+    cfg = _clique(9)
+    assert len(decompositions(quiver_from_config(cfg), cfg.mult)) == 21147
+    assert len(strata_report(cfg)) == 21147
+
+
+@pytest.mark.parametrize("n", [
+    (1,), (2,), (3,), (4,), (5,),  # the ogrady fixture's vertex, mult 1 to 5
+    (0, 3, 0, 2), (2, 0), (0,),  # zero entries
+    (7, 2, 1), (8, 2, 1), (15, 0, 3), (16, 0, 3),  # max(n) at 2^k - 1 and 2^k
+    (500,), (1, 500, 2),
+])
+def test_packed_vectors_order_and_fit_like_tuples(n):
+    """Int order of packed vectors is tuple order, the guard test is
+    componentwise <=, and the guarded difference is the packed difference:
+    over the whole box when it is small, else on 60 seeded vectors."""
+    w, guard = _packing(n)
+    assert w == max(n).bit_length() + 1
+    box = list(boxed_vectors(n))
+    assert _packed_box(n, w) == [_pack(v, w) for v in box]
+    if len(box) > 400:
+        rng = random.Random(str(n))
+        box = [tuple(rng.randint(0, k) for k in n) for _ in range(60)] + [n, (0,) * len(n)]
+    for g in box:
+        pg = _pack(g, w)
+        for r in box:
+            pr = _pack(r, w)
+            assert (pg < pr) == (g < r) and (pg == pr) == (g == r)
+            d = (pr | guard) - pg
+            fits = all(x <= y for x, y in zip(g, r))
+            assert (d & guard == guard) == fits, (g, r)
+            if fits:
+                assert d ^ guard == _pack(tuple(y - x for x, y in zip(g, r)), w)
 
 
 def test_decompositions_warns_on_non_root():
@@ -285,16 +363,10 @@ def test_square_identity_random():
     for _ in range(30):
         cfg = random_config(rng)
         q = quiver_from_config(cfg)
-        for beta in _boxed(cfg.mult):
+        for beta in boxed_vectors(cfg.mult):
             v = MukaiVector(0, beta, sum(b * c for b, c in zip(beta, cfg.chi)))
             assert mukai_square(v, cfg) == d_form(q, beta)
             assert mukai_square(v, cfg) + 2 == 2 * p_of(q, beta)
-
-
-def _boxed(n):
-    from quiverk3.quiver import boxed_vectors
-
-    return boxed_vectors(n)
 
 
 def test_dot_output(elliptic_pair):
