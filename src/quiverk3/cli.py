@@ -248,55 +248,32 @@ _INT = frozenset((int,))
 @functools.cache
 def _field_names(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """A dataclass's sorted field names and their key prefixes ``"name": ``;
-    None for other classes and for dataclasses json encodes by their base."""
-    if not dataclasses.is_dataclass(cls) or issubclass(cls, (str, int, float, list, tuple, dict)):
+    None for other classes."""
+    if not dataclasses.is_dataclass(cls):
         return None
     names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
     return names, tuple(_encode_str(name) + ": " for name in names)
 
 
-def jsonable(obj):
-    """A report value JSON has no type for (``Fraction``, ``complex``,
-    ``ndarray``, dataclass instances, numpy scalars) as one it has: the
-    ``default=`` that ``_dumps`` matches, and calls for all but dataclasses."""
-    if isinstance(obj, Fraction):
-        return _frac_to_json(obj)
-    if isinstance(obj, complex):
-        return _complex_to_json(obj)
-    if isinstance(obj, np.ndarray):
-        return [[_complex_to_json(complex(e)) for e in row] for row in obj]
-    fields = _field_names(type(obj))
-    if fields is not None:
-        return {name: getattr(obj, name) for name in fields[0]}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot encode {type(obj).__name__}")
-
-
-def _key(k) -> str:
-    """json's spelling of a dict key."""
-    if isinstance(k, str):
-        return _encode_str(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + json.dumps(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+def _frac_text(f: Fraction) -> str:
+    """``_frac_to_json(f)`` as JSON text: an int, or the string ``"p/q"``."""
+    return f"{f.numerator}" if f.denominator == 1 else f'"{f.numerator}/{f.denominator}"'
 
 
 def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=jsonable)`` in one
-    pass, one ``str.join`` per container; ``indent`` starts obj's line.
+    """Report values as JSON text, indented by 2 with sorted keys; ``indent``
+    starts obj's line. Dispatch is on exact type only: ``str``, ``int``,
+    ``list``/``tuple``, ``dict`` with ``str`` keys, dataclasses (by field),
+    then ``Fraction`` (``_frac_to_json``), ``float`` (json's spelling, NaN
+    and Infinity included), ``None``/``True``/``False``, then ``complex``
+    (``[re, im]``) and 2-D arrays (rows of such pairs). Anything else,
+    subclasses included, raises ``TypeError``.
 
-    Exact types are dispatched on first: in a container's loop exact ints,
-    strs, the constants and all-int lists and tuples take no call, and a
-    dataclass is encoded from the fields ``_field_names`` caches. The rest
-    (subclasses, floats, ``Fraction``s, arrays) takes ``isinstance`` tests.
-
-    A dataclass instance met again at the same depth (the ``StratumPart``s
-    that strata records share) is encoded once: ``memo`` maps its (id,
-    depth) to the instance, which the entry keeps alive so that the id is
-    not reused, and its text.
+    In a container's loop exact ints, strs, ``Fraction``s, the constants and
+    all-int lists and tuples take no call. A dataclass instance met again at
+    the same depth (the ``StratumPart``s that strata records share) is
+    encoded once: ``memo`` maps its (id, depth) to the instance, which the
+    entry keeps alive so that the id is not reused, and its text.
     """
     t = type(obj)
     if t is str:
@@ -306,29 +283,28 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
     memo, keys, memo_key = {} if memo is None else memo, None, None
     if t is list or t is tuple:
         values = obj
-    elif t is dict:  # sorted as json sorts: by key, before the keys are spelled
+    elif t is dict:  # sorted as json sorts; a key that is no str raises here
         items = sorted(obj.items())
-        keys, values = [_key(k) + ": " for k, _ in items], [v for _, v in items]
+        keys, values = [_encode_str(k) + ": " for k, _ in items], [v for _, v in items]
     elif (fields := _field_names(t)) is not None:
         memo_key = (id(obj), len(indent))
         hit = memo.get(memo_key)
         if hit is not None:
             return hit[1]
         keys, values = fields[1], list(map(getattr, repeat(obj), fields[0]))
-    elif isinstance(obj, (list, tuple)):  # a namedtuple or another subclass
-        values = obj
-    elif isinstance(obj, dict):
-        return _dumps(dict(obj.items()), indent, memo)
-    elif isinstance(obj, str):
-        return _encode_str(obj)
+    elif t is Fraction:
+        return _frac_text(obj)
+    elif t is float:
+        return json.dumps(obj)  # float repr, and json's NaN/Infinity
     elif obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
-    elif isinstance(obj, int):
-        return int.__repr__(obj)
-    elif isinstance(obj, float):
-        return json.dumps(obj)  # float repr, and json's NaN/Infinity
-    else:  # a Fraction, complex, array or numpy scalar
-        return _dumps(jsonable(obj), indent, memo)
+    elif t is complex:
+        return _dumps(_complex_to_json(obj), indent)
+    elif t is np.ndarray and obj.ndim == 2:
+        rows = [[_complex_to_json(complex(e)) for e in row] for row in obj.tolist()]
+        return _dumps(rows, indent)
+    else:
+        raise TypeError(f"cannot encode {t.__name__}")
     if not values:
         return "[]" if keys is None else "{}"
     inner, texts = indent + "  ", []
@@ -339,6 +315,8 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
             append(int.__repr__(v))
         elif tv is str:
             append(_encode_str(v))
+        elif tv is Fraction:
+            append(_frac_text(v))
         elif v is None or v is True or v is False:
             append("null" if v is None else "true" if v else "false")
         elif (tv is tuple or tv is list) and v and _INT.issuperset(map(type, v)):  # no bools

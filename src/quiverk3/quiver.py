@@ -14,11 +14,17 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .errors import InvariantError
 from .lattice import CurveConfig, IntVector
 
 DimVector = tuple[int, ...]
 # an oriented edge (source, target, copy index); loops have source == target
 OrientedEdge = tuple[int, int, int]
+
+# the most decompositions of n that are enumerated; past it ``decompositions``
+# raises instead of filling memory (one genus-2 curve of multiplicity 500 has
+# as many as there are partitions of 500, about 2.3 * 10^21)
+MAX_DECOMPOSITIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -252,6 +258,13 @@ def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decompo
                 part = (k, roots[i])
                 out += [(part,) + tail for tail in rec(i + 1, rest)] if rest else [(part,)]
                 k, d = k + 1, (rest | guard) - g
+        # each entry completes this call's path to a distinct decomposition
+        # of n, so n has at least len(out) of them
+        if len(out) > MAX_DECOMPOSITIONS:
+            raise InvariantError(
+                "decomposition-count",
+                f"n = {n} has more than {MAX_DECOMPOSITIONS} decompositions into positive roots",
+            )
         return out
 
     found = rec(0, _pack(n, w)) if any(n) else [()]

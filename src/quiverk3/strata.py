@@ -20,7 +20,6 @@ from .quiver import (
     Quiver,
     SimpleExistence,
     d_form,
-    is_positive_root,
     mu_zero_expected_dim,
     p_of,
 )
@@ -80,7 +79,7 @@ def _strata(model: LocalModel) -> list[StratumRecord]:
             beta,
             v,
             p_of(q, beta),
-            is_positive_root(q, beta),
+            True,  # every part is one of model.roots_upto, all positive roots
             model.simple_exists(beta).exists,
         )
 

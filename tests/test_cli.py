@@ -621,6 +621,18 @@ def test_wall_disagreement_exits_4(elliptic_path, capsys, monkeypatch, argv):
     assert "quiver-side and ample-side wall systems disagree" in err
 
 
+@pytest.mark.parametrize("command", ["strata", "summary"])
+def test_too_many_decompositions_exit_3(tmp_path, capsys, command):
+    # one genus-2 curve of multiplicity 500: n = (500,) has as many
+    # decompositions as 500 has partitions, far past the bound
+    path = tmp_path / "mult500.json"
+    path.write_text(json.dumps({"curves": [{"chi": 1, "h0deg": 1}], "gram": [[2]], "mult": [500]}))
+    assert dispatch([command, str(path), "--json"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation [decomposition-count]" in captured.err
+
+
 def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):
     import gc
     import warnings

@@ -230,6 +230,20 @@ def test_nine_curve_clique_strata():
     assert len(strata_report(cfg)) == 21147
 
 
+def test_decomposition_count_is_bounded():
+    # n = (k,) at one vertex with two loops: every multiple of the vertex is
+    # a root, so the decompositions are the partitions of k; 1958 of k = 25
+    # fit under a bound of 2000, and the 2436 of k = 26 do not
+    q = quiver_from_config(CurveConfig(((2,),), (1,), (25,), (1,)))
+    assert len(decompositions(q, (25,))) == 1958
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("quiverk3.quiver.MAX_DECOMPOSITIONS", 2000)
+        assert len(decompositions(q, (25,))) == 1958
+        with pytest.raises(InvariantError) as e:
+            decompositions(q, (26,))
+    assert e.value.invariant == "decomposition-count"
+
+
 @pytest.mark.parametrize("n", [
     (1,), (2,), (3,), (4,), (5,),  # the ogrady fixture's vertex, mult 1 to 5
     (0, 3, 0, 2), (2, 0), (0,),  # zero entries
