@@ -63,13 +63,15 @@ _DTYPE = {EXACT: object, FLOAT: complex}
 
 
 def _exact_entry(e, what: str):
-    """e as an exact scalar: an integer of any other type (a numpy integer,
-    a bool) becomes a Python int, so that no product of stored entries runs
-    in fixed width; a non-rational entry is refused."""
+    """e as an exact scalar, an int or a Fraction: an integer of any other
+    type (a numpy integer, a bool) becomes a Python int, so that no product
+    of stored entries runs in fixed width, and any other rational (a sympy
+    Rational, a Fraction subclass) becomes a Fraction; a non-rational entry
+    is refused."""
     if isinstance(e, numbers.Integral):
         return int(e)
     if isinstance(e, numbers.Rational):
-        return e
+        return Fraction(int(e.numerator), int(e.denominator))
     raise ValueError(f"{what} must have rational entries")
 
 
@@ -105,8 +107,8 @@ class Representation:
 
     x_e maps V_s(e) -> V_t(e) (shape n_t x n_s), y_e goes back.
     ``mats`` is aligned with ``quiver.orientation``. Matrices may be given as
-    nested rows or arrays; they are stored as numpy arrays, of ``Fraction``
-    objects in exact mode and of complex doubles in float mode. Exact
+    nested rows or arrays; they are stored as numpy arrays, of ints and
+    ``Fraction``s in exact mode and of complex doubles in float mode. Exact
     matrices are read-only copies; a complex array is stored as given, so
     the representation follows later writes into it. Equality compares the
     entries.

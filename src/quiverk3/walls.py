@@ -416,10 +416,7 @@ def lp_feasible_point(cons: list[Constraint], nvars: int) -> tuple[int, IntVecto
                 rhs[i] //= g
             scale[i] = tableau[i][basis[i]]
         basis[pr] = entering
-        g = math.gcd(*(abs(x) for x in tableau[pr]), abs(rhs[pr]))
-        if g > 1:
-            tableau[pr] = [x // g for x in tableau[pr]]
-            rhs[pr] //= g
+        # no reduction here: every row starts with gcd 1 and each update keeps it
         scale[pr] = tableau[pr][entering]
     # x_j = rhs / scale of x+_j or -rhs / scale of x-_j, whichever is basic:
     # their columns are opposite, so a basis never holds both

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,19 @@ def test_exit_codes(tmp_path, elliptic_path):
 
     missing = tmp_path / "missing.json"
     assert dispatch(["summary", str(missing)]) == EXIT_SCHEMA
+
+
+def test_console_script_exits_with_the_dispatch_code(tmp_path, elliptic_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"curves": "nope"}')
+    for path, code in ((elliptic_path, EXIT_OK), (str(bad), EXIT_SCHEMA)):
+        monkeypatch.setattr(sys, "argv", ["quiverk3", "quiver", path, "--json"])
+        with pytest.raises(SystemExit) as e:
+            cli.main()
+        assert e.value.code == code
+    out, err = capsys.readouterr()
+    assert json.loads(out)["command"] == "quiver"
+    assert err.startswith("schema error: ")
 
 
 def test_character_command(elliptic_path, capsys):

@@ -68,6 +68,13 @@ def test_is_positive_examples(elliptic_pair):
     assert not is_positive(MukaiVector(0, (-1, 0), 1), elliptic_pair)
 
 
+def test_is_positive_refuses_negative_rank(elliptic_pair):
+    # the negative of the ideal-sheaf type passes the square bound
+    v = MukaiVector(-1, (0, 0), 0)
+    assert mukai_pairing(v, v, elliptic_pair) == 0
+    assert not is_positive(v, elliptic_pair)
+
+
 def test_is_positive_square_bound():
     # two disjoint (-2)-curves: v((1,1))^2 = -4 < -2, so positivity fails
     # even though the effectivity and euler clauses hold

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 from quiverk3 import (
     CertifiedUnstable,
+    CurveConfig,
     GroupElement,
     NoDestabilizerFound,
     Representation,
@@ -31,7 +33,8 @@ from quiverk3 import (
     verify_ci_dim,
     zero_representation,
 )
-from quiverk3 import reps
+from quiverk3 import cli, reps
+from quiverk3.cli import rep_from_dict, rep_to_dict
 from quiverk3.reps import (
     _flatten_mats,
     graded_invariance_holds,
@@ -445,6 +448,54 @@ def test_exact_rep_stores_numpy_integers_as_python_ints(affine_a1):
         assert np.array_equal(moment_differential(rep), moment_differential(twin))
     with pytest.raises(ValueError, match="must have rational entries"):
         Representation(q, (1, 1), "exact", (([[1.5]], [[1]]), ([[0]], [[0]])))
+
+
+def test_exact_rep_stores_other_rationals_as_fractions(affine_a1):
+    # a sympy Rational or a Fraction subclass is stored as a plain Fraction,
+    # so products stay Fractions and the CLI encoder, which refuses
+    # subclasses, can write them
+    import sympy
+
+    class Ratio(Fraction):
+        pass
+
+    def entries(r):
+        return [e for pair in r.mats for m in pair for e in m.flat]
+
+    q = quiver_from_config(affine_a1)
+    given = (([[sympy.Rational(1, 2)]], [[Ratio(-3, 4)]]), ([[sympy.Integer(2)]], [[Ratio(5)]]))
+    rep = Representation(q, (1, 1), "exact", given)
+    twin = Representation(q, (1, 1), "exact", (([[F(1, 2)]], [[F(-3, 4)]]), ([[F(2)]], [[F(5)]])))
+    assert [type(e) for e in entries(rep)] == [Fraction, Fraction, int, Fraction]
+    assert rep == twin and cli._dumps(entries(rep)) == cli._dumps(entries(twin))
+    mu = moment_map(rep)
+    assert all(type(e) is Fraction for b in mu for e in b.flat)
+    assert all(np.array_equal(a, b) for a, b in zip(mu, moment_map(twin)))
+    doc = json.loads(json.dumps(rep_to_dict(rep)))
+    assert doc == rep_to_dict(twin)
+    assert rep_from_dict(q, doc) == rep
+
+
+def test_representation_is_unequal_to_other_objects(affine_a1):
+    rep = simple_affine_rep(affine_a1)
+    assert rep.__eq__(rep.mats) is NotImplemented
+    assert rep != rep.mats and rep != 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_moment_map_and_differential_at_a_zero_vertex(mode):
+    # an A3 chain of (-2)-curves at n = (1, 2, 0): the edge 1-2 meets the
+    # zero space and adds no term; mu is quadratic, so d(mu) at rep maps
+    # rep to 2 mu
+    chain = ((-2, 1, 0), (1, -2, 1), (0, 1, -2))
+    q = quiver_from_config(CurveConfig(chain, (1, 1, 1), (1, 1, 1), (1, 1, 1)))
+    rep = random_representation(q, (1, 2, 0), seed=3, mode=mode)
+    got, want = moment_differential(rep), reference_moment_differential(rep)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    mu = moment_map(rep)
+    assert [b.shape for b in mu] == [(1, 1), (2, 2), (0, 0)]
+    lhs, rhs = want @ _flatten_mats(rep), 2 * np.concatenate([b.ravel() for b in mu])
+    assert np.array_equal(lhs, rhs) if mode == "exact" else np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_search_budget_names_a_negative_seed(affine_a1):

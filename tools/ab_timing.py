@@ -1,0 +1,170 @@
+"""CPU time and digest of fixed inputs on two checkouts in one process.
+
+Usage: ``python tools/ab_timing.py <parent> <change>``, two checkouts of
+this repository. Each tree's quiverk3 (``src``), ``random_config``
+(``tests/conftest.py``) and benchmark inputs (``perfbench/workloads.py``)
+load under the same module names, one tree after the other, and both sets
+stay loaded. Each tree builds every input of a row with its own code; then
+the trees run in turn, the order alternating from run to run, RUNS times
+per input, and each keeps the best CPU time (``time.process_time``) of each
+input. Run against run in one process, a slow stretch of the host falls on
+both trees, which separate runs per tree cannot ensure.
+
+One line per row of ROWS: the layer, the row, the number of inputs, the
+parent's and the change's seconds summed over the inputs, their ratio
+(change over parent), and the first 16 hex digits of the sha256 of the
+results' texts (TEXT). Where the trees disagree both digests print as
+``parent!=change``, and the script exits 1 after the last row. The rows
+time ``enumerate_chambers`` on two s = 5 draws (728 and 3300 chambers; the
+latter's digest is pinned in ``tests/test_walls.py``), ``decompositions``
+and ``_simple`` read from a fresh ``walls.LocalModel`` whose ``roots_upto``
+was read outside the clock (7-, 8- and 9-curve genus-1 cliques and the 80
+``strata`` benchmark configurations at seed 0), and ``cli._dumps`` on
+reports as ``dispatch`` hands them to ``emit`` (two s = 3 strata-heavy
+draws, the 3300-chamber draw, and every document of the ``chambers`` and
+``strata`` workloads at seed 0). A perf change to another layer adds a row.
+
+Noise floor: two runs with one tree on both sides, on a shared 2-vCPU VM,
+read these ratios; a ratio no farther from 1 than its row's shows nothing.
+enumerate_chambers s5-7 0.876-0.934, 3300 0.877-1.014; decompositions /
+_simple clique7 0.962-0.982 / 0.982-1.000, clique8 1.004-1.021 / 0.985-0.999,
+clique9 0.973-0.989 / 1.023, strata-seed0(80) 0.998-1.001 / 1.001-1.011;
+cli._dumps s9 0.992-1.023, s11 0.979-1.001, 3300 0.968-1.004, chambers-seed0
+0.995-0.996, strata-seed0 0.976-1.000.
+"""
+
+import hashlib
+import json
+import os
+import random
+import sys
+import time
+from functools import partial
+from types import SimpleNamespace
+
+RUNS = 15
+OWN_MODULES = ("quiverk3", "conftest", "workloads")
+NEEDED = ("src/quiverk3/__init__.py", "tests/conftest.py", "perfbench/workloads.py")
+
+
+def load(tree: str) -> SimpleNamespace:
+    """The tree's package, ``walls``, ``cli``, ``random_config`` and
+    ``workloads``; its modules leave ``sys.modules`` so that the next tree
+    imports its own."""
+    sys.path[:0] = [tree + "/src", tree + "/tests", tree + "/perfbench"]
+    try:
+        import conftest
+        import quiverk3
+        import workloads
+        from quiverk3 import cli, walls
+
+        return SimpleNamespace(pkg=quiverk3, walls=walls, cli=cli,
+                               random_config=conftest.random_config, workloads=workloads)
+    finally:
+        del sys.path[:3]
+        for name in [m for m in sys.modules if m.split(".")[0] in OWN_MODULES]:
+            del sys.modules[name]
+
+
+def draw(seed: int, s: int, **kw):
+    """The configurations of a row, built by a tree: one random draw."""
+    return lambda t: [t.random_config(random.Random(seed), s, s, **kw)]
+
+
+def clique(s: int):
+    gram = tuple(tuple(0 if i == j else 1 for j in range(s)) for i in range(s))
+    return lambda t: [t.pkg.CurveConfig(gram, (1,) * s, (1,) * s, (1,) * s)]
+
+
+def batch(workload: str):
+    return lambda t: [t.cli.parse_config_document(json.loads(doc))[0]
+                      for doc, _ in t.workloads.build(workload, 0).inputs]
+
+
+def chambers(t, cfg) -> list:
+    """The inputs of a configuration: thunks, each called once per run
+    outside the clock, that return the call to time."""
+    q = t.pkg.quiver_from_config(cfg)
+    return [lambda: partial(t.pkg.enumerate_chambers, q, cfg.mult)]
+
+
+def model(attr: str):
+    def fresh(t, cfg):
+        m = t.walls.LocalModel(cfg)
+        m.roots_upto
+        return partial(getattr, m, attr)
+    return lambda t, cfg: [partial(fresh, t, cfg)]
+
+
+def dumps(*commands: str):
+    def document(t, cfg, command: str) -> dict:
+        args = t.cli.build_parser().parse_args([command, "config.json", "--json"])
+        payload, _lines = t.cli.COMMANDS[command].handler(cfg, {}, {}, args)
+        return {"schema_version": t.cli.SCHEMA_VERSION, "command": command, **payload}
+    return lambda t, cfg: [partial(partial, t.cli._dumps, document(t, cfg, c)) for c in commands]
+
+
+TEXT = {  # layer -> the text of one result, for the digest
+    "enumerate_chambers": lambda c: json.dumps([
+        c.count, [[str(x) for x in theta] for theta in c.representatives],
+        [list(sig) for sig in c.signatures]]),
+    "decompositions": lambda decs: json.dumps([d.parts for d in decs]),
+    "_simple": lambda table: json.dumps([[b, v.exists, v.violation]
+                                         for b, v in sorted(table.items())]),
+    "cli._dumps": str,
+}
+S3, S5 = {"mult_max": 4}, {"gram_bound": 4, "mult_max": 2}
+ROWS = [  # (layer, name, configurations, inputs of one configuration)
+    ("enumerate_chambers", "s5-7", draw(7, 5, **S5), chambers),
+    ("enumerate_chambers", "3300", draw(5, 5, **S5), chambers),
+    *[(layer, name, cfgs, model(layer))
+      for name, cfgs in [("clique7", clique(7)), ("clique8", clique(8)), ("clique9", clique(9)),
+                         ("strata-seed0(80)", batch("strata"))]
+      for layer in ("decompositions", "_simple")],
+    *[("cli._dumps", f"{name}-{command}", draw(seed, s, **kw), dumps(command))
+      for name, seed, s, kw, commands in [("s9", 9, 3, S3, ("summary", "strata")),
+                                          ("s11", 11, 3, S3, ("summary", "strata")),
+                                          ("3300", 5, 5, S5, ("chambers", "correspondence"))]
+      for command in commands],
+    ("cli._dumps", "chambers-seed0", batch("chambers"),
+     dumps("summary", "chambers", "correspondence")),
+    ("cli._dumps", "strata-seed0", batch("strata"), dumps("summary", "strata", "cb-check")),
+]
+
+
+def measure(pairs, text) -> tuple[list[float], list[str]]:
+    """Each tree's summed best time over its inputs, the two run in turn,
+    and each tree's digest of its results."""
+    total, digests = [0.0, 0.0], [hashlib.sha256(), hashlib.sha256()]
+    for pair in pairs:
+        best, values = [float("inf")] * 2, [None, None]
+        for run in range(RUNS):
+            for k in (0, 1) if run % 2 == 0 else (1, 0):
+                call, values[k] = pair[k](), None  # the last result is freed off the clock
+                t0 = time.process_time()
+                values[k] = call()
+                best[k] = min(best[k], time.process_time() - t0)
+        for k in (0, 1):
+            total[k] += best[k]
+            digests[k].update(text(values[k]).encode())
+    return total, [d.hexdigest()[:16] for d in digests]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(os.path.isfile(os.path.join(t, f)) for t in argv for f in NEEDED):
+        print("usage: python tools/ab_timing.py <parent> <change>", file=sys.stderr)
+        return 2
+    trees = [load(tree) for tree in argv]
+    differed = False
+    print("layer name inputs parent_s change_s ratio sha256")
+    for layer, name, cfgs, inputs in ROWS:
+        sides = [[thunk for cfg in cfgs(t) for thunk in inputs(t, cfg)] for t in trees]
+        (tp, tc), (dp, dc) = measure(list(zip(*sides)), TEXT[layer])
+        differed |= dp != dc
+        print(layer, name, len(sides[0]), f"{tp:.4f}", f"{tc:.4f}", f"{tc / tp:.3f}",
+              dp if dp == dc else f"{dp}!={dc}", flush=True)
+    return 1 if differed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
