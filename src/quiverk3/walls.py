@@ -15,18 +15,19 @@ sign certificates, the characters and the per-chamber probes. Both point
 solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
 return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
 The Fourier-Motzkin solves of one chamber enumeration share one bounded
-row table, which changes no point and no blowup. A ``Fraction`` is made only
-for an output coordinate. Wall samples, genericity and block weights are
-computed with ``Fraction``s.
+row table, which changes no point and no blowup. The wall samples of the
+correspondence and the genericity test run in integers over one denominator
+too. A ``Fraction`` is made only for an output coordinate; block weights
+are computed with ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .errors import MathAssertionError, _check_count
@@ -131,11 +132,12 @@ def is_generic(theta: Sequence, q: Quiver, n: DimVector) -> GenericityVerdict:
 
 
 def _genericity(theta: Sequence, n: DimVector, roots: Sequence[DimVector]) -> GenericityVerdict:
-    """``is_generic`` at n, given R_+(n)."""
-    theta = tuple(Fraction(t) for t in theta)
-    if theta_dot(theta, n) != 0:
+    """``is_generic`` at n, given R_+(n): theta cleared to integers once,
+    then one integer dot per root."""
+    _, itheta = cleared([Fraction(t) for t in theta])
+    if sum(map(mul, itheta, n)):
         raise ValueError("theta . n != 0: not a valid stability parameter")
-    violators = tuple(alpha for alpha in roots if theta_dot(theta, alpha) == 0)
+    violators = tuple(alpha for alpha in roots if not sum(map(mul, itheta, alpha)))
     return GenericityVerdict(not violators, violators)
 
 
@@ -171,7 +173,7 @@ Constraint = tuple[tuple[int, ...], int]  # coeffs . x >= rhs, integral
 
 def _dot(f: Sequence, v: Sequence):
     """f . v over the shorter of the two."""
-    return sum(map(operator.mul, f, v))
+    return sum(map(mul, f, v))
 
 
 class _FMBlowup(Exception):
@@ -282,7 +284,12 @@ def _fm_core(
     if table is None:
         table = _RowTable()
     try:
-        return _fm_level(table, {table.intern(tuple(c), b) for c, b in cons}, nvars, limit)
+        # rows seen before cost one dict lookup each; a new row takes ``intern``
+        keys = [(tuple(c), b) for c, b in cons]
+        ids = set(map(table.ids.get, keys))
+        if None in ids:
+            ids = {table.intern(*key) for key in keys}
+        return _fm_level(table, ids, nvars, limit)
     finally:
         if len(table) > _FM_LIMIT:
             table.clear()
@@ -325,12 +332,12 @@ def _fm_level(
     lo = hi = None
     for i in lowers:
         cl, bl = rows[i]
-        num, den = bl * m - _dot(cl, isub), cl[-1] * m
+        num, den = bl * m - sum(map(mul, cl, isub)), cl[-1] * m
         if lo is None or num * lo[1] > lo[0] * den:
             lo = num, den
     for i in uppers:
         cu, bu = rows[i]
-        num, den = _dot(cu, isub) - bu * m, -cu[-1] * m
+        num, den = sum(map(mul, cu, isub)) - bu * m, -cu[-1] * m
         if hi is None or num * hi[1] < hi[0] * den:
             hi = num, den
     if lo is not None and hi is not None:
@@ -472,30 +479,31 @@ def _cut(
             proj = [(along(r), z | bit) for r, z in rays]
             return ((kept, proj + [(l0, bit - 1)]),
                     (kept, proj + [(tuple(-x for x in l0), bit - 1)]))
-    pos, neg, zero = [], [], []
-    for r, z in rays:
-        v = _dot(f, r)
+    # the rays strictly on each side, with their values of f in pv and nv
+    pos, neg, zero, pv, nv = [], [], [], [], []
+    for ray in rays:
+        v = sum(map(mul, f, ray[0]))
         if v > 0:
-            pos.append((r, z, v))
+            pos.append(ray)
+            pv.append(v)
         elif v < 0:
-            neg.append((r, z, v))
+            neg.append(ray)
+            nv.append(v)
         else:
-            zero.append((r, z | bit))
+            zero.append((ray[0], ray[1] | bit))
     if not (pos and neg):
-        return tuple((lines, [(r, z) for r, z, _ in side] + zero) if side else None
-                     for side in (pos, neg))
+        return (lines, pos + zero) if pos else None, (lines, neg + zero) if neg else None
     # adjacent (+, -) pairs: no third ray vanishes on all that vanishes on both
     masks = [z for _, z in rays]
     crossing = []
-    for rp, zp, vp in pos:
-        for rn, zn, vn in neg:
+    for (rp, zp), vp in zip(pos, pv):
+        for (rn, zn), vn in zip(neg, nv):
             common = zp & zn
             if sum(common & z == common for z in masks) == 2:
                 ray = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
                 crossing.append((ray, common | bit))
     shared = zero + crossing
-    return ((lines, [(r, z) for r, z, _ in pos] + shared),
-            (lines, [(r, z) for r, z, _ in neg] + shared))
+    return (lines, pos + shared), (lines, neg + shared)
 
 
 def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
@@ -568,7 +576,7 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
     for k, f in enumerate(functionals):
         new_cells = []
         for signs, m, ipt, lines, rays in cells:
-            val = _dot(f, ipt)
+            val = sum(map(mul, f, ipt))
             for sgn, half in zip((1, -1), _cut(f, 1 << k, lines, rays)):
                 if half is None:
                     continue
@@ -581,7 +589,7 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
     for signs, m, ipt, *_ in cells:
         theta = tuple(Fraction(_dot(col, ipt), m) for col in columns)
         # f . ipt == m * (theta . normal) exactly: the signature test on theta
-        if any(sgn * _dot(f, ipt) <= 0 for sgn, f in zip(signs, functionals)):
+        if any(sgn * sum(map(mul, f, ipt)) <= 0 for sgn, f in zip(signs, functionals)):
             raise MathAssertionError(
                 f"chamber representative {theta} does not realize its sign cell {signs}"
             )
@@ -746,15 +754,20 @@ def character_general(cfg: CurveConfig, a: DegreeVector) -> RationalVector:
     if len(a.a) != cfg.s:
         raise ValueError("degree vector has wrong length")
     den, ia = cleared(a.a)
-    return tuple(Fraction(x, den) for x in _character(cfg, ia))
+    return tuple(Fraction(x, den) for x in _character(cfg.total_h0deg, cfg.mult, cfg.h0deg, ia))
 
 
-def _character(cfg: CurveConfig, ia: IntVector) -> IntVector:
+def _character(d0: int, n: DimVector, h0deg: IntVector, ia: Sequence[int]) -> IntVector:
     """``character_general`` at a = ia / den, times den: the character is
     linear in a, so it maps the numerators over one denominator to those of
     theta over the same denominator."""
-    d = _dot(cfg.mult, ia)
-    return tuple(cfg.total_h0deg * x - d * di for x, di in zip(ia, cfg.h0deg))
+    d = _dot(n, ia)
+    return tuple(d0 * x - d * di for x, di in zip(ia, h0deg))
+
+
+def _xi(h0deg: IntVector, den: int, ia: Sequence[int]) -> IntVector:
+    """``xi_map`` at a = ia / den, times den."""
+    return tuple(x - den * d for x, d in zip(ia, h0deg))
 
 
 def det_weight_vector(cfg: CurveConfig, a: DegreeVector, ell: int) -> RationalVector:
@@ -853,6 +866,20 @@ def _wall_slice_vertices(
     return verts
 
 
+def _wall_samples(h0deg: IntVector, verts: Sequence, count: int) -> list[tuple[int, IntVector]]:
+    """Samples a = ia / den of a wall as (den, ia), den > 0: h0deg, then, if
+    there are vertices, ``count`` points lam * v + (1 - lam) * h0deg over
+    them in turn, lam = (j + 1) / (j + 2) on pass j; for v = iv / vm that is
+    ((j + 1) * iv + vm * h0deg) / ((j + 2) * vm)."""
+    cverts = [cleared(v) for v in verts]
+    samples = [(1, h0deg)]
+    for k in range(count if cverts else 0):
+        vm, iv = cverts[k % len(cverts)]
+        j = k // len(cverts)
+        samples.append(((j + 2) * vm, tuple((j + 1) * x + vm * d for x, d in zip(iv, h0deg))))
+    return samples
+
+
 def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> CorrespondenceReport:
     """Check, exactly, that the degree-to-character map carries every relevant
     ample wall onto its quiver wall, and probe one polarization per adjacent
@@ -866,26 +893,20 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     if cfg.s == 1:
         return CorrespondenceReport((), (), True, "one-vertex configuration: no walls")
     model = LocalModel(cfg)
-    h0 = tuple(Fraction(d) for d in cfg.h0deg)
+    d0, n, h0 = cfg.total_h0deg, cfg.mult, cfg.h0deg
     wall_checks = []
     for wall in model.ample_walls:
         verts = _wall_slice_vertices(cfg, wall)
-        samples: list[RationalVector] = [h0]
-        k = 0
-        while verts and len(samples) - 1 < samples_per_wall:
-            v = verts[k % len(verts)]
-            lam = Fraction(k // len(verts) + 1, k // len(verts) + 2)
-            samples.append(
-                tuple(lam * x + (1 - lam) * y for x, y in zip(v, h0))
-            )
-            k += 1
+        samples = _wall_samples(h0, verts, samples_per_wall)
         note = "" if verts else "wall meets the slice only at h0deg"
-        for a in samples:
+        for den, ia in samples:
             # h0 > 0, v >= 0 and lam < 1: every coordinate of a sample is positive
-            if any(x <= 0 for x in a):
+            if any(x <= 0 for x in ia):
                 raise MathAssertionError("wall sample left the positive cone")
-            theta = xi_map(cfg, DegreeVector(a))
-            if any(theta_dot(theta, alpha) != 0 for alpha in wall.sources):
+            if sum(map(mul, n, ia)) != d0 * den:
+                raise MathAssertionError(f"wall sample for beta={wall.beta} is off the slice")
+            theta = _xi(h0, den, ia)
+            if any(sum(map(mul, alpha, theta)) for alpha in wall.sources):
                 raise MathAssertionError(
                     f"xi image of a sampled point left the quiver wall for beta={wall.beta}"
                 )
@@ -895,18 +916,17 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     chambers = model.chambers
     verdict = _genericity(chambers.representatives[0], cfg.mult, model.roots)
     chamber_checks = []
-    d0 = cfg.total_h0deg
     for u, sig in zip(chambers.representatives, chambers.signatures):
         # u = iu / m. a = h0 + eps * u with eps = en / ed, the least of 1 and
         # d_i / (2 * -u_i) over u_i < 0, so a >= h0 / 2 > 0; den * a = ia
         m, iu = cleared(u)
         en = ed = 1
-        for x, di in zip(iu, cfg.h0deg):
+        for x, di in zip(iu, h0):
             if x < 0 and di * m * ed < -2 * x * en:
                 en, ed = di * m, -2 * x
         den = ed * m
-        ia = tuple(di * den + en * x for di, x in zip(cfg.h0deg, iu))
-        itheta = _character(cfg, ia)
+        ia = tuple(di * den + en * x for di, x in zip(h0, iu))
+        itheta = _character(d0, n, h0, ia)
         # theta == d0 * eps * u, both over den
         if itheta != tuple(d0 * en * x for x in iu):
             raise MathAssertionError("character of an on-slice point is not d0 * xi")

@@ -28,6 +28,10 @@ memo: each root in turn is skipped or used k times.
 ``Fraction``s that ``walls._fm_core`` had before it ran in integers, on
 row lists rather than a row table, and ``chamber_set_digest`` the sha256
 of a ``ChamberSet``.
+``reference_wall_samples`` is the ``Fraction`` wall-sample loop of
+``verify_correspondence`` before its samples ran in integers, with its
+checks through ``DegreeVector``, ``xi_map`` and ``theta_dot``, and
+``reference_genericity`` the ``Fraction`` genericity test of that time.
 ``config_document`` is the one builder of CLI config documents for the
 tests, and ``report_digests`` and ``record_golden`` the one harness of the
 ``test_golden_*`` files.
@@ -80,7 +84,18 @@ from quiverk3.reps import (
     random_representation,
 )
 from quiverk3.reps import _residual as _moment_residual
-from quiverk3.walls import Constraint, _FMBlowup, _dot, chamber_signature, nperp_basis
+from quiverk3.lattice import DegreeVector
+from quiverk3.walls import (
+    Constraint,
+    GenericityVerdict,
+    _FMBlowup,
+    _dot,
+    _wall_slice_vertices,
+    chamber_signature,
+    nperp_basis,
+    theta_dot,
+    xi_map,
+)
 
 # ---------------------------------------------------------------------------
 # simplicity oracle
@@ -756,6 +771,41 @@ def chamber_set_digest(chambers) -> str:
     doc = [chambers.count, [[str(x) for x in theta] for theta in chambers.representatives],
            [list(sig) for sig in chambers.signatures]]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the correspondence's checks in Fractions
+
+
+def reference_wall_samples(cfg, wall, samples_per_wall: int) -> list[tuple[Fraction, ...]]:
+    """The samples of one ample wall in ``Fraction``s: h0deg, then lam * v +
+    (1 - lam) * h0deg over the wall's slice vertices v in turn, lam = (j + 1)
+    / (j + 2) on pass j. Each must be positive, and its xi image (``xi_map``
+    raises ``ValueError`` off the slice) on the quiver wall of every source;
+    a failed check is an ``AssertionError``."""
+    verts = _wall_slice_vertices(cfg, wall)
+    h0 = tuple(Fraction(d) for d in cfg.h0deg)
+    samples = [h0]
+    k = 0
+    while verts and len(samples) - 1 < samples_per_wall:
+        v = verts[k % len(verts)]
+        lam = Fraction(k // len(verts) + 1, k // len(verts) + 2)
+        samples.append(tuple(lam * x + (1 - lam) * y for x, y in zip(v, h0)))
+        k += 1
+    for a in samples:
+        assert all(x > 0 for x in a), a
+        theta = xi_map(cfg, DegreeVector(a))
+        assert all(theta_dot(theta, alpha) == 0 for alpha in wall.sources), a
+    return samples
+
+
+def reference_genericity(theta, n, roots) -> GenericityVerdict:
+    """``walls._genericity`` with every dot product in ``Fraction``s."""
+    theta = tuple(Fraction(t) for t in theta)
+    if theta_dot(theta, n) != 0:
+        raise ValueError("theta . n != 0: not a valid stability parameter")
+    violators = tuple(alpha for alpha in roots if theta_dot(theta, alpha) == 0)
+    return GenericityVerdict(not violators, violators)
 
 
 # ---------------------------------------------------------------------------

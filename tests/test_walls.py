@@ -38,6 +38,9 @@ from quiverk3.walls import (
     _FMBlowup,
     _RowTable,
     _fm_core,
+    _genericity,
+    _wall_samples,
+    _wall_slice_vertices,
     lp_feasible_point,
     nperp_basis,
 )
@@ -46,6 +49,8 @@ from helpers import (
     chamber_set_digest,
     config_document,
     fraction_fm_core,
+    reference_genericity,
+    reference_wall_samples,
     sweep_chambers,
     zaslavsky_chamber_count,
 )
@@ -633,9 +638,9 @@ def test_off_wall_image_is_an_assertion(elliptic_pair, monkeypatch, tmp_path, ca
     breaks the correspondence: the library raises naming the wall's beta,
     and the CLI exits 4."""
     (wall,) = LocalModel(elliptic_pair).ample_walls
-    xi = walls_module.xi_map
-    # shifting by (1, ..., 1) changes theta . alpha by sum(alpha) > 0
-    monkeypatch.setattr(walls_module, "xi_map", lambda cfg, a: tuple(x + 1 for x in xi(cfg, a)))
+    xi = walls_module._xi
+    # shifting the numerators by (1, ..., 1) changes theta . alpha by sum(alpha) / den > 0
+    monkeypatch.setattr(walls_module, "_xi", lambda h0, den, a: tuple(x + 1 for x in xi(h0, den, a)))
     with pytest.raises(MathAssertionError, match=re.escape(f"quiver wall for beta={wall.beta}")):
         verify_correspondence(elliptic_pair)
     cpath = tmp_path / "config.json"
@@ -643,6 +648,113 @@ def test_off_wall_image_is_an_assertion(elliptic_pair, monkeypatch, tmp_path, ca
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(["correspondence", str(cpath), "--json"]) == EXIT_ASSERTION
     assert f"beta={wall.beta}" in capsys.readouterr().err
+
+
+def _assert_correspondence_assertion(cfg, match, tmp_path, capsys):
+    """verify_correspondence raises ``MathAssertionError`` matching ``match``,
+    and the CLI's ``correspondence`` exits 4 naming it."""
+    with pytest.raises(MathAssertionError, match=re.escape(match)):
+        verify_correspondence(cfg)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config_document(cfg)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["correspondence", str(cpath), "--json"]) == EXIT_ASSERTION
+    assert match in capsys.readouterr().err
+
+
+def test_off_slice_wall_sample_is_an_assertion(elliptic_pair, monkeypatch, tmp_path, capsys):
+    """Doubled slice vertices put every sample after h0deg off the slice
+    sum n_i a_i = d_0: a broken identity that names the wall's beta and
+    exits 4, not a ``ValueError`` and a traceback."""
+    (wall,) = LocalModel(elliptic_pair).ample_walls
+    verts = walls_module._wall_slice_vertices
+    monkeypatch.setattr(walls_module, "_wall_slice_vertices",
+                        lambda cfg, w: [tuple(2 * x for x in v) for v in verts(cfg, w)])
+    _assert_correspondence_assertion(
+        elliptic_pair, f"wall sample for beta={wall.beta} is off the slice", tmp_path, capsys)
+
+
+def test_wall_sample_outside_the_positive_cone_is_an_assertion(
+        elliptic_pair, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(walls_module, "_wall_slice_vertices",
+                        lambda cfg, w: [(Fraction(-5), Fraction(-5))])
+    _assert_correspondence_assertion(
+        elliptic_pair, "wall sample left the positive cone", tmp_path, capsys)
+
+
+def test_probe_character_off_d0_xi_is_an_assertion(elliptic_pair, monkeypatch, tmp_path, capsys):
+    character = walls_module._character
+    monkeypatch.setattr(walls_module, "_character",
+                        lambda d0, n, h0, ia: tuple(x + 1 for x in character(d0, n, h0, ia)))
+    _assert_correspondence_assertion(
+        elliptic_pair, "character of an on-slice point is not d0 * xi", tmp_path, capsys)
+
+
+def test_integer_wall_samples_match_the_fraction_loop():
+    """Every wall's integer samples, each over its denominator, are the
+    samples of the ``Fraction`` loop, in order; that loop's checks pass on
+    them, and so does verify_correspondence on the same counts."""
+    rng = random.Random(2501)
+    walls_seen = passes = 0
+    for _ in range(12):
+        cfg = random_config(rng, s_min=2, s_max=4, mult_max=2, gram_bound=4)
+        for wall in LocalModel(cfg).ample_walls:
+            verts = _wall_slice_vertices(cfg, wall)
+            for count in (0, 1, 5):
+                samples = _wall_samples(cfg.h0deg, verts, count)
+                assert all(den > 0 for den, _ in samples)
+                got = [tuple(Fraction(x, den) for x in ia) for den, ia in samples]
+                assert got == reference_wall_samples(cfg, wall, count), (cfg, wall.beta, count)
+            walls_seen += 1
+            passes += 0 < len(verts) < 5
+        report = verify_correspondence(cfg, samples_per_wall=5)
+        assert [w.sample_count for w in report.walls] == [
+            len(reference_wall_samples(cfg, w, 5)) for w in LocalModel(cfg).ample_walls]
+    # the draws reach walls whose five samples take a second pass over the vertices
+    assert walls_seen >= 40 and passes >= 40, (walls_seen, passes)
+
+
+def test_genericity_matches_the_fraction_reference():
+    """``_genericity`` clears theta to integers once; on seeded thetas with
+    int, ``Fraction``, float and "p/q" entries, on walls, off them and off
+    n-perp, it gives the verdict, or the ``ValueError``, of the ``Fraction``
+    reference."""
+    rng = random.Random(2502)
+    spellings = [lambda x: x, str, lambda x: float(x) if x.denominator in (1, 2, 4, 8) else x]
+    verdicts = raised = with_violators = 0
+    for _ in range(8):
+        cfg = random_config(rng, s_min=2, s_max=4, mult_max=2, gram_bound=4)
+        n, roots = cfg.mult, LocalModel(cfg).roots
+        basis = nperp_basis(n)
+        thetas = []
+        for _ in range(12):
+            coeffs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 8))) for _ in basis]
+            theta = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(len(n))]
+            thetas.append(theta)
+            if roots:  # onto the wall of a root: theta - (theta . alpha / u . alpha) u
+                alpha = rng.choice(roots)
+                u = next((b for b in basis if walls_module._dot(b, alpha)), None)
+                if u is not None:
+                    t = sum(x * a for x, a in zip(theta, alpha)) / walls_module._dot(u, alpha)
+                    thetas.append([x - t * y for x, y in zip(theta, u)])
+            off = list(theta)
+            off[0] += Fraction(1, rng.choice((1, 3)))
+            thetas.append(off)
+        thetas.append([Fraction(1, 10)] * len(n))
+        for theta in thetas:
+            spelled = [rng.choice(spellings)(Fraction(x)) for x in theta]
+            try:
+                want = reference_genericity(spelled, n, roots)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    _genericity(spelled, n, roots)
+                raised += 1
+                continue
+            assert _genericity(spelled, n, roots) == want, (cfg, spelled)
+            verdicts += 1
+            with_violators += bool(want.violators)
+    assert verdicts >= 150 and raised >= 100 and with_violators >= 100, (
+        verdicts, raised, with_violators)
 
 
 def test_correspondence_chamber_facts_match_per_chamber_oracle(affine_a1_22):

@@ -16,7 +16,10 @@ parent's and the change's seconds summed over the inputs, their ratio
 results' texts (TEXT). Where the trees disagree both digests print as
 ``parent!=change``, and the script exits 1 after the last row. The rows
 time ``enumerate_chambers`` on two s = 5 draws (728 and 3300 chambers; the
-latter's digest is pinned in ``tests/test_walls.py``), ``decompositions``
+latter's digest is pinned in ``tests/test_walls.py``) and on the 32
+``chambers`` benchmark configurations at seed 0, ``verify_correspondence``
+on the 3300-chamber draw and on those 32 (its TEXT is ``cli._dumps`` of
+the report), ``decompositions``
 and ``_simple`` read from a fresh ``walls.LocalModel`` whose ``roots_upto``
 was read outside the clock (7-, 8- and 9-curve genus-1 cliques and the 80
 ``strata`` benchmark configurations at seed 0), and ``cli._dumps`` on
@@ -30,7 +33,9 @@ enumerate_chambers s5-7 0.876-0.934, 3300 0.877-1.014; decompositions /
 _simple clique7 0.962-0.982 / 0.982-1.000, clique8 1.004-1.021 / 0.985-0.999,
 clique9 0.973-0.989 / 1.023, strata-seed0(80) 0.998-1.001 / 1.001-1.011;
 cli._dumps s9 0.992-1.023, s11 0.979-1.001, 3300 0.968-1.004, chambers-seed0
-0.995-0.996, strata-seed0 0.976-1.000.
+0.995-0.996, strata-seed0 0.976-1.000. One such run of the rows added with
+them read enumerate_chambers chambers-seed0 0.993, verify_correspondence
+3300 1.026 and chambers-seed0 1.005.
 """
 
 import hashlib
@@ -88,6 +93,10 @@ def chambers(t, cfg) -> list:
     return [lambda: partial(t.pkg.enumerate_chambers, q, cfg.mult)]
 
 
+def correspondence(t, cfg) -> list:
+    return [lambda: partial(t.pkg.verify_correspondence, cfg)]
+
+
 def model(attr: str):
     def fresh(t, cfg):
         m = t.walls.LocalModel(cfg)
@@ -104,19 +113,23 @@ def dumps(*commands: str):
     return lambda t, cfg: [partial(partial, t.cli._dumps, document(t, cfg, c)) for c in commands]
 
 
-TEXT = {  # layer -> the text of one result, for the digest
-    "enumerate_chambers": lambda c: json.dumps([
+TEXT = {  # layer -> the text of one result of a tree, for the digest
+    "enumerate_chambers": lambda t, c: json.dumps([
         c.count, [[str(x) for x in theta] for theta in c.representatives],
         [list(sig) for sig in c.signatures]]),
-    "decompositions": lambda decs: json.dumps([d.parts for d in decs]),
-    "_simple": lambda table: json.dumps([[b, v.exists, v.violation]
-                                         for b, v in sorted(table.items())]),
-    "cli._dumps": str,
+    "decompositions": lambda t, decs: json.dumps([d.parts for d in decs]),
+    "_simple": lambda t, table: json.dumps([[b, v.exists, v.violation]
+                                            for b, v in sorted(table.items())]),
+    "verify_correspondence": lambda t, report: t.cli._dumps(report),
+    "cli._dumps": lambda t, text: text,
 }
 S3, S5 = {"mult_max": 4}, {"gram_bound": 4, "mult_max": 2}
 ROWS = [  # (layer, name, configurations, inputs of one configuration)
     ("enumerate_chambers", "s5-7", draw(7, 5, **S5), chambers),
     ("enumerate_chambers", "3300", draw(5, 5, **S5), chambers),
+    ("enumerate_chambers", "chambers-seed0", batch("chambers"), chambers),
+    ("verify_correspondence", "3300", draw(5, 5, **S5), correspondence),
+    ("verify_correspondence", "chambers-seed0", batch("chambers"), correspondence),
     *[(layer, name, cfgs, model(layer))
       for name, cfgs in [("clique7", clique(7)), ("clique8", clique(8)), ("clique9", clique(9)),
                          ("strata-seed0(80)", batch("strata"))]
@@ -132,9 +145,10 @@ ROWS = [  # (layer, name, configurations, inputs of one configuration)
 ]
 
 
-def measure(pairs, text) -> tuple[list[float], list[str]]:
+def measure(pairs, texts) -> tuple[list[float], list[str]]:
     """Each tree's summed best time over its inputs, the two run in turn,
-    and each tree's digest of its results."""
+    and each tree's digest of its results, ``texts[k]`` the text of a
+    result of tree k."""
     total, digests = [0.0, 0.0], [hashlib.sha256(), hashlib.sha256()]
     for pair in pairs:
         best, values = [float("inf")] * 2, [None, None]
@@ -146,7 +160,7 @@ def measure(pairs, text) -> tuple[list[float], list[str]]:
                 best[k] = min(best[k], time.process_time() - t0)
         for k in (0, 1):
             total[k] += best[k]
-            digests[k].update(text(values[k]).encode())
+            digests[k].update(texts[k](values[k]).encode())
     return total, [d.hexdigest()[:16] for d in digests]
 
 
@@ -159,7 +173,8 @@ def main(argv: list[str]) -> int:
     print("layer name inputs parent_s change_s ratio sha256")
     for layer, name, cfgs, inputs in ROWS:
         sides = [[thunk for cfg in cfgs(t) for thunk in inputs(t, cfg)] for t in trees]
-        (tp, tc), (dp, dc) = measure(list(zip(*sides)), TEXT[layer])
+        texts = [partial(TEXT[layer], t) for t in trees]
+        (tp, tc), (dp, dc) = measure(list(zip(*sides)), texts)
         differed |= dp != dc
         print(layer, name, len(sides[0]), f"{tp:.4f}", f"{tc:.4f}", f"{tc / tp:.3f}",
               dp if dp == dc else f"{dp}!={dc}", flush=True)
