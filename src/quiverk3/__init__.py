@@ -1,7 +1,16 @@
 """Local quiver-variety models of singular moduli of pure-dimension-one
 sheaves on a K3 surface: exact Mukai-lattice arithmetic, root combinatorics,
 wall-and-chamber structures on both sides of the correspondence, moment-map
-numerics and King stability search."""
+numerics and King stability search.
+
+The names of the representation layer, the one layer that needs numpy, are
+served from ``quiverk3.reps`` on first access (module ``__getattr__``), so
+``import quiverk3`` loads neither: CertifiedUnstable, GroupElement,
+NoDestabilizerFound, Representation, SearchBudget, StrictlySemistableWitness,
+act, annihilator_witness, check_stability, cyclic_subrep, direct_sum, dual,
+is_simple, moment_differential, moment_map, random_representation,
+slope_theta, solve_moment_zero, verify_ci_dim and zero_representation.
+"""
 
 from .errors import (
     InvariantError,
@@ -36,28 +45,6 @@ from .quiver import (
     quiver_to_dot,
     rep_space_dim,
 )
-from .reps import (
-    CertifiedUnstable,
-    GroupElement,
-    NoDestabilizerFound,
-    Representation,
-    SearchBudget,
-    StrictlySemistableWitness,
-    act,
-    annihilator_witness,
-    check_stability,
-    cyclic_subrep,
-    direct_sum,
-    dual,
-    is_simple,
-    moment_differential,
-    moment_map,
-    random_representation,
-    slope_theta,
-    solve_moment_zero,
-    verify_ci_dim,
-    zero_representation,
-)
 from .strata import ModelSummary, StratumRecord, singular_model_summary, strata_report
 from .walls import (
     AmpleWall,
@@ -81,3 +68,18 @@ from .walls import (
 )
 
 __version__ = "0.1.0"
+_REPS_NAMES = frozenset("""CertifiedUnstable GroupElement NoDestabilizerFound Representation
+    SearchBudget StrictlySemistableWitness act annihilator_witness check_stability cyclic_subrep
+    direct_sum dual is_simple moment_differential moment_map random_representation slope_theta
+    solve_moment_zero verify_ci_dim zero_representation""".split())
+
+
+def __getattr__(name: str):
+    if name in _REPS_NAMES:
+        from . import reps
+        return getattr(reps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_REPS_NAMES})

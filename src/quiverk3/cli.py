@@ -19,8 +19,6 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 
-import numpy as np
-
 from .errors import InvariantError, MathAssertionError, SchemaError, _check_count, _check_tol
 from .lattice import CurveConfig, DegreeVector
 from .quiver import (
@@ -28,14 +26,6 @@ from .quiver import (
     cb_simple_exists,
     quiver_from_config,
     quiver_to_dot,
-)
-from .reps import (
-    EXACT,
-    FLOAT,
-    Representation,
-    SearchBudget,
-    check_stability,
-    verify_ci_dim,
 )
 from .strata import singular_model_summary, strata_report
 from .walls import (
@@ -144,10 +134,12 @@ def parse_config_document(doc: dict):
             raise SchemaError(f"options.budget.{key} must be an integer")
     if "tol" in budget and type(budget["tol"]) not in (int, float):
         raise SchemaError("options.budget.tol must be a number")
-    try:
-        SearchBudget(**{k: budget[k] for k in BUDGET_FIELDS if k in budget})
-    except ValueError as exc:
-        raise SchemaError(f"options.budget.{exc}") from None
+    if budget:  # the representation layer validates it, and loads only then
+        from .reps import SearchBudget
+        try:
+            SearchBudget(**{k: budget[k] for k in BUDGET_FIELDS if k in budget})
+        except ValueError as exc:
+            raise SchemaError(f"options.budget.{exc}") from None
     return cfg, pols, options, names
 
 
@@ -177,7 +169,8 @@ def _complex_to_json(z) -> list:
     return [z.real, z.imag]
 
 
-def rep_to_dict(rep: Representation) -> dict:
+def rep_to_dict(rep) -> dict:
+    from .reps import EXACT
     entry = _frac_to_json if rep.mode == EXACT else _complex_to_json
     mats = [
         {key: [[entry(e) for e in row] for row in m] for key, m in zip("xy", pair)}
@@ -212,7 +205,8 @@ def _parse_matrix(m, rows: int, cols: int, entry, where: str) -> tuple[tuple, ..
     return tuple(tuple(entry(e) for e in row) for row in m)
 
 
-def rep_from_dict(quiver, doc: dict) -> Representation:
+def rep_from_dict(quiver, doc: dict):
+    from .reps import EXACT, FLOAT, Representation
     if not isinstance(doc, dict):
         raise SchemaError("representation document must be a JSON object")
     mode = _require(doc, "mode", str)
@@ -300,7 +294,8 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
         return "null" if obj is None else "true" if obj else "false"
     elif t is complex:
         return _dumps(_complex_to_json(obj), indent)
-    elif t is np.ndarray and obj.ndim == 2:
+    elif (np := sys.modules.get("numpy")) and t is np.ndarray and obj.ndim == 2:
+        # an array exists only once numpy is loaded, so the test loads nothing
         rows = [[_complex_to_json(complex(e)) for e in row] for row in obj.tolist()]
         return _dumps(rows, indent)
     else:
@@ -523,6 +518,7 @@ def _cmd_cb_check(cfg, pols, options, args):
 
 
 def _cmd_moment_verify(cfg, pols, options, args):
+    from .reps import verify_ci_dim
     q = quiver_from_config(cfg)
     seed = _seed_from(args, options)
     report = verify_ci_dim(
@@ -555,6 +551,7 @@ def _parse_theta(text: str, s: int):
 
 
 def _cmd_stability(cfg, pols, options, args):
+    from .reps import SearchBudget, check_stability
     q = quiver_from_config(cfg)
     try:
         with open(args.rep) as fh:

@@ -15,10 +15,12 @@ sign certificates, the characters and the per-chamber probes. Both point
 solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
 return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
 The Fourier-Motzkin solves of one chamber enumeration share one bounded
-row table, which changes no point and no blowup. The wall samples of the
-correspondence and the genericity test run in integers over one denominator
-too. A ``Fraction`` is made only for an output coordinate; block weights
-are computed with ``Fraction``s.
+row table, which changes no point and no blowup. A ``ChamberSet`` keeps its
+points, and a wall slice its vertices, in integers over one denominator, and
+the correspondence's samples, probes and genericity test run on them. A
+``Fraction`` is made only where a report spells a value (representatives,
+characters, a probe's a and theta), or where a public function reads
+rational input (``theta_dot``, ``is_generic``, ``restrict_weights_to_type``).
 """
 
 from __future__ import annotations
@@ -438,12 +440,17 @@ def lp_feasible_point(cons: list[Constraint], nvars: int) -> tuple[int, IntVecto
 
 @dataclass(frozen=True)
 class ChamberSet:
-    """Chambers of the quiver wall arrangement restricted to n-perp."""
+    """Chambers of the quiver wall arrangement restricted to n-perp; each
+    representative itheta / m as its point (m, itheta), m > 0 and minimal."""
 
     count: int
-    representatives: tuple[RationalVector, ...]
+    points: tuple[tuple[int, IntVector], ...]
     signatures: tuple[tuple[int, ...], ...]
     walls: tuple[QuiverWall, ...]
+
+    @cached_property
+    def representatives(self) -> tuple[RationalVector, ...]:
+        return tuple(tuple(Fraction(x, m) for x in itheta) for m, itheta in self.points)
 
 
 # A closed polyhedral cone, exactly: integer lineality lines, and primitive
@@ -525,8 +532,8 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
 
     A cell's point is kept as either solver returns it: (m, ipt), an integer
     vector ipt over one denominator m, in the coordinates of ``nperp_basis``;
-    the sign certificate is taken on ipt. Each representative coordinate is
-    one ``Fraction``, (sum_k ipt[k] * basis[k][i]) / m.
+    the sign certificate is taken on ipt. The chamber's point is theta =
+    (sum_k ipt[k] * basis[k]) / m, over n's coordinates, in lowest terms.
 
     Chamber facts are decided here: each representative is certified to
     realize its own sign cell, so ``signatures`` are zero-free and pairwise
@@ -585,16 +592,15 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
                 new_cells.append((child, *point, *half))
         cells = new_cells
     columns = list(zip(*basis))
-    reps = []
+    points = []
     for signs, m, ipt, *_ in cells:
-        theta = tuple(Fraction(_dot(col, ipt), m) for col in columns)
+        den, *itheta = primitive([m, *(_dot(col, ipt) for col in columns)])
         # f . ipt == m * (theta . normal) exactly: the signature test on theta
         if any(sgn * sum(map(mul, f, ipt)) <= 0 for sgn, f in zip(signs, functionals)):
             raise MathAssertionError(
-                f"chamber representative {theta} does not realize its sign cell {signs}"
-            )
-        reps.append(theta)
-    return ChamberSet(len(cells), tuple(reps), tuple(cell[0] for cell in cells), tuple(walls))
+                f"chamber point {itheta} / {den} does not realize its sign cell {signs}")
+        points.append((den, tuple(itheta)))
+    return ChamberSet(len(cells), tuple(points), tuple(cell[0] for cell in cells), tuple(walls))
 
 
 # ---------------------------------------------------------------------------
@@ -835,15 +841,14 @@ class CorrespondenceReport:
     note: str = ""
 
 
-def _wall_slice_vertices(
-    cfg: CurveConfig, wall: AmpleWall
-) -> list[RationalVector]:
+def _wall_slice_vertices(cfg: CurveConfig, wall: AmpleWall) -> list[tuple[int, IntVector]]:
     """Vertices of {coeffs . a = 0, sum n_i a_i = d_0, a >= 0}, by scanning
-    basic solutions (all but two coordinates zeroed)."""
+    basic solutions (all but two coordinates zeroed). A vertex v = iv / vm
+    is (vm, iv) with vm > 0 and the gcd divided out, so equal vertices have
+    equal pairs."""
     s = cfg.s
     d0 = cfg.total_h0deg
-    verts: list[RationalVector] = []
-    seen = set()
+    verts: dict[tuple[int, IntVector], None] = {}
     for i in range(s):
         for j in range(i + 1, s):
             # solve on coordinates (i, j), rest zero
@@ -853,29 +858,25 @@ def _wall_slice_vertices(
             if det == 0:
                 continue
             # Cramer for (coeffs . a, n . a) = (0, d0) on the two free coords
-            ai = Fraction(-a12 * d0, det)
-            aj = Fraction(a11 * d0, det)
+            sign = 1 if det > 0 else -1
+            ai, aj = -sign * a12 * d0, sign * a11 * d0
             if ai < 0 or aj < 0:
                 continue
-            v = [Fraction(0)] * s
-            v[i], v[j] = ai, aj
-            key = tuple(v)
-            if key not in seen:
-                seen.add(key)
-                verts.append(key)
-    return verts
+            v = [0] * s
+            vm, v[i], v[j] = primitive([sign * det, ai, aj])
+            verts.setdefault((vm, tuple(v)))
+    return list(verts)
 
 
 def _wall_samples(h0deg: IntVector, verts: Sequence, count: int) -> list[tuple[int, IntVector]]:
     """Samples a = ia / den of a wall as (den, ia), den > 0: h0deg, then, if
-    there are vertices, ``count`` points lam * v + (1 - lam) * h0deg over
-    them in turn, lam = (j + 1) / (j + 2) on pass j; for v = iv / vm that is
-    ((j + 1) * iv + vm * h0deg) / ((j + 2) * vm)."""
-    cverts = [cleared(v) for v in verts]
+    there are vertices (vm, iv), ``count`` points lam * v + (1 - lam) *
+    h0deg over them in turn, lam = (j + 1) / (j + 2) on pass j; for v = iv /
+    vm that is ((j + 1) * iv + vm * h0deg) / ((j + 2) * vm)."""
     samples = [(1, h0deg)]
-    for k in range(count if cverts else 0):
-        vm, iv = cverts[k % len(cverts)]
-        j = k // len(cverts)
+    for k in range(count if verts else 0):
+        vm, iv = verts[k % len(verts)]
+        j = k // len(verts)
         samples.append(((j + 2) * vm, tuple((j + 1) * x + vm * d for x, d in zip(iv, h0deg))))
     return samples
 
@@ -914,12 +915,11 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
             WallCheck(wall.beta, wall.chi_beta, len(verts), len(samples), True, False, note)
         )
     chambers = model.chambers
-    verdict = _genericity(chambers.representatives[0], cfg.mult, model.roots)
+    verdict = _genericity(chambers.points[0][1], cfg.mult, model.roots)
     chamber_checks = []
-    for u, sig in zip(chambers.representatives, chambers.signatures):
+    for (m, iu), sig in zip(chambers.points, chambers.signatures):
         # u = iu / m. a = h0 + eps * u with eps = en / ed, the least of 1 and
         # d_i / (2 * -u_i) over u_i < 0, so a >= h0 / 2 > 0; den * a = ia
-        m, iu = cleared(u)
         en = ed = 1
         for x, di in zip(iu, h0):
             if x < 0 and di * m * ed < -2 * x * en:

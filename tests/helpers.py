@@ -28,9 +28,12 @@ memo: each root in turn is skipped or used k times.
 ``Fraction``s that ``walls._fm_core`` had before it ran in integers, on
 row lists rather than a row table, and ``chamber_set_digest`` the sha256
 of a ``ChamberSet``.
-``reference_wall_samples`` is the ``Fraction`` wall-sample loop of
-``verify_correspondence`` before its samples ran in integers, with its
-checks through ``DegreeVector``, ``xi_map`` and ``theta_dot``, and
+``reference_wall_slice_vertices`` is the ``Fraction`` vertex scan that
+``walls._wall_slice_vertices`` ran before it returned integer points,
+``reference_wall_samples`` the ``Fraction`` wall-sample loop of
+``verify_correspondence`` before its samples ran in integers, on those
+vertices, with its checks through ``DegreeVector``, ``xi_map`` and
+``theta_dot``, and
 ``reference_genericity`` the ``Fraction`` genericity test of that time.
 ``config_document`` is the one builder of CLI config documents for the
 tests, and ``report_digests`` and ``record_golden`` the one harness of the
@@ -55,7 +58,10 @@ import tempfile
 from fractions import Fraction
 
 import numpy as np
-import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.groebnertools import groebner
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import ring
 
 from quiverk3 import linalg
 from quiverk3.cli import EXIT_OK, dispatch
@@ -90,7 +96,6 @@ from quiverk3.walls import (
     GenericityVerdict,
     _FMBlowup,
     _dot,
-    _wall_slice_vertices,
     chamber_signature,
     nperp_basis,
     theta_dot,
@@ -155,39 +160,36 @@ def _line_exists(forced, kernel_rows, loop_mats, dim) -> bool:
     if k == 1:
         v = kbasis[0]
         return all(linalg.rank([v, linalg.mat_vec(A, v)]) <= 1 for A in loop_mats)
-    # parametrize v = sum w_m K_m and demand wedge(v, A v) = 0 for all loops
-    ws = sympy.symbols(f"w0:{k}")
-    vsym = [
-        sum(sympy.Rational(kbasis[m][i]) * ws[m] for m in range(k))
-        for i in range(dim)
-    ]
+    # parametrize v = sum w_m K_m and demand wedge(v, A v) = 0 for all
+    # loops, in a polynomial ring over QQ with the grevlex order
+    R, *ws = ring(",".join(f"w{m}" for m in range(k)), QQ, grevlex)
+
+    def qq(x):
+        x = Fraction(x)
+        return QQ(x.numerator, x.denominator)
+
+    vsym = [sum((qq(kbasis[m][i]) * ws[m] for m in range(k)), R.zero) for i in range(dim)]
     polys = []
     for A in loop_mats:
-        av = [
-            sum(sympy.Rational(A[i][j]) * vsym[j] for j in range(dim))
-            for i in range(dim)
-        ]
+        av = [sum((qq(A[i][j]) * vsym[j] for j in range(dim)), R.zero) for i in range(dim)]
         for p in range(dim):
             for q in range(p + 1, dim):
-                cond = sympy.expand(vsym[p] * av[q] - vsym[q] * av[p])
-                if cond != 0:
+                cond = vsym[p] * av[q] - vsym[q] * av[p]
+                if cond:
                     polys.append(cond)
     if not polys:
         return True
     if k == 2:
         g = polys[0]
         for p in polys[1:]:
-            g = sympy.gcd(g, p)
-        return sympy.total_degree(g, *ws) >= 1
+            g = g.gcd(p)
+        return not g.is_ground
     if k == 3:
         # V(I) = {0} iff the leading-term ideal contains a pure power of
         # every variable (finiteness criterion for the homogeneous quotient)
-        basis = sympy.groebner(polys, *ws, order="grevlex")
         pure = [False] * k
-        for expr in basis.exprs:
-            lm = sympy.LM(expr, *ws, order="grevlex")
-            exps = sympy.Poly(lm, *ws).monoms()[0]
-            nz = [i for i, e in enumerate(exps) if e > 0]
+        for poly in groebner(polys, R):
+            nz = [i for i, e in enumerate(poly.LM) if e > 0]
             if len(nz) == 1:
                 pure[nz[0]] = True
         only_origin = all(pure)
@@ -777,13 +779,36 @@ def chamber_set_digest(chambers) -> str:
 # the correspondence's checks in Fractions
 
 
+def reference_wall_slice_vertices(cfg, wall) -> list[tuple[Fraction, ...]]:
+    """The vertices of {coeffs . a = 0, sum n_i a_i = d_0, a >= 0} in
+    ``Fraction``s: Cramer's rule on each pair of coordinates (i, j) with the
+    rest zero, kept when both are non-negative, the first of equal vertices
+    only."""
+    d0, verts = cfg.total_h0deg, []
+    for i in range(cfg.s):
+        for j in range(i + 1, cfg.s):
+            a11, a12 = wall.coeffs[i], wall.coeffs[j]
+            a21, a22 = cfg.mult[i], cfg.mult[j]
+            det = a11 * a22 - a12 * a21
+            if det == 0:
+                continue
+            ai, aj = Fraction(-a12 * d0, det), Fraction(a11 * d0, det)
+            if ai < 0 or aj < 0:
+                continue
+            v = [Fraction(0)] * cfg.s
+            v[i], v[j] = ai, aj
+            if tuple(v) not in verts:
+                verts.append(tuple(v))
+    return verts
+
+
 def reference_wall_samples(cfg, wall, samples_per_wall: int) -> list[tuple[Fraction, ...]]:
     """The samples of one ample wall in ``Fraction``s: h0deg, then lam * v +
     (1 - lam) * h0deg over the wall's slice vertices v in turn, lam = (j + 1)
     / (j + 2) on pass j. Each must be positive, and its xi image (``xi_map``
     raises ``ValueError`` off the slice) on the quiver wall of every source;
     a failed check is an ``AssertionError``."""
-    verts = _wall_slice_vertices(cfg, wall)
+    verts = reference_wall_slice_vertices(cfg, wall)
     h0 = tuple(Fraction(d) for d in cfg.h0deg)
     samples = [h0]
     k = 0

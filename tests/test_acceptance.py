@@ -70,7 +70,8 @@ def test_criterion_2_wall_correspondence():
         h0 = tuple(F(d) for d in cfg.h0deg)
         for wall in qk.ample_walls_through_h0(cfg):
             samples = [h0]
-            for k, v in enumerate(_wall_slice_vertices(cfg, wall)):
+            for k, (vm, iv) in enumerate(_wall_slice_vertices(cfg, wall)):
+                v = tuple(F(x, vm) for x in iv)
                 lam = F(k + 1, k + 2)
                 samples.append(tuple(lam * a + (1 - lam) * b for a, b in zip(v, h0)))
             for a in samples:

@@ -1,11 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quiverk3 import Representation, cli, quiver_from_config, random_representation
+import quiverk3
+from quiverk3 import Representation, cli, quiver_from_config, random_representation, reps
 from quiverk3.cli import (
     EXIT_ASSERTION,
     EXIT_INVARIANT,
@@ -309,13 +313,14 @@ def test_shared_parser_keeps_no_flags_between_calls(
     rp.write_text(json.dumps(rep_to_dict(random_representation(
         quiver_from_config(affine_a1), (1, 1), seed=3))))
     budgets = []
-    real = cli.check_stability
+    real = reps.check_stability
 
     def recording(rep, theta, budget):
         budgets.append(budget)
         return real(rep, theta, budget)
 
-    monkeypatch.setattr(cli, "check_stability", recording)
+    # _cmd_stability reads check_stability from reps when it runs
+    monkeypatch.setattr(reps, "check_stability", recording)
     base = ["stability", affine_path, "--rep", str(rp), "--theta=-1,1", "--json"]
     assert dispatch(base + ["--probes", "2", "--restarts", "1", "--seed", "5"]) == EXIT_OK
     assert dispatch(base) == EXIT_OK
@@ -722,3 +727,75 @@ def test_integer_budget_tol_reports_a_float(tmp_path, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["kind"] == "NoDestabilizerFound"
     assert '"tolerance": 1.0' in out
+
+
+# the names that quiverk3 serves from quiverk3.reps
+REPS_NAMES = (
+    "CertifiedUnstable", "GroupElement", "NoDestabilizerFound", "Representation",
+    "SearchBudget", "StrictlySemistableWitness", "act", "annihilator_witness",
+    "check_stability", "cyclic_subrep", "direct_sum", "dual", "is_simple",
+    "moment_differential", "moment_map", "random_representation", "slope_theta",
+    "solve_moment_zero", "verify_ci_dim", "zero_representation",
+)
+
+# run in a fresh interpreter: each argv list of stdin's JSON in turn, then
+# print, after each, its exit code and whether numpy and quiverk3.reps are loaded
+LOADS_CHILD = """
+import contextlib, io, json, sys
+import quiverk3
+rows = [["import quiverk3", 0, "numpy" in sys.modules, "quiverk3.reps" in sys.modules]]
+from quiverk3.cli import dispatch
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(argv)
+    rows.append([argv[0], code, "numpy" in sys.modules, "quiverk3.reps" in sys.modules])
+print(json.dumps(rows))
+"""
+
+
+def _loads_in_a_fresh_interpreter(argvs) -> list:
+    env = dict(os.environ, PYTHONPATH=str(Path(quiverk3.__file__).parents[1]))
+    env.pop("QRL_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", LOADS_CHILD], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_commands_without_a_representation_load_neither_numpy_nor_reps(
+        tmp_path, elliptic_path, elliptic_pair):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(rep_to_dict(random_representation(
+        quiver_from_config(elliptic_pair), (1, 1), seed=3))))
+    exact = [
+        [name, elliptic_path, "--json", *extra]
+        for name, extra in (
+            ("quiver", ()), ("roots", ()), ("walls", ()), ("chambers", ()),
+            ("character", ("--pol", "H")), ("correspondence", ()), ("strata", ()),
+            ("cb-check", ()), ("summary", ()),
+        )
+    ]
+    numeric = [
+        ["stability", elliptic_path, "--json", "--rep", str(rep), "--theta=-1,1"],
+        ["moment-verify", elliptic_path, "--json", "--trials", "1"],
+    ]
+    rows = _loads_in_a_fresh_interpreter(exact + numeric)
+    assert [row[0] for row in rows[1:]] == [argv[0] for argv in exact + numeric]
+    assert all(code == EXIT_OK for _, code, *_ in rows)
+    assert rows[:10] == [[name, 0, False, False] for name, *_ in rows[:10]]
+    assert rows[10:] == [["stability", 0, True, True], ["moment-verify", 0, True, True]]
+
+
+def test_a_budget_in_the_options_loads_reps_to_validate_it(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**AFFINE_DOC, "options": {"budget": {"probes": 2}}}))
+    rows = _loads_in_a_fresh_interpreter([["quiver", str(config), "--json"]])
+    assert rows == [["import quiverk3", 0, False, False], ["quiver", 0, True, True]]
+
+
+def test_the_package_serves_the_representation_names_from_reps():
+    for name in REPS_NAMES:
+        assert getattr(quiverk3, name) is getattr(reps, name), name
+        assert name in dir(quiverk3)
+    assert {"cli", "LocalModel", "__version__"} <= set(dir(quiverk3))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quiverk3.no_such_name  # noqa: B018

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import warnings
@@ -51,6 +52,7 @@ from helpers import (
     fraction_fm_core,
     reference_genericity,
     reference_wall_samples,
+    reference_wall_slice_vertices,
     sweep_chambers,
     zaslavsky_chamber_count,
 )
@@ -155,7 +157,8 @@ def fm_on_every_split(q, n) -> ChamberSet:
     with no point is dropped. ``enumerate_chambers`` decides splits from
     extreme rays instead and solves only on sides they prove nonempty.
     Points are (m, ipt) for ipt / m, as both solvers return them; the
-    solvers are read from the module, so a test's patch reaches them."""
+    solvers are read from the module, so a test's patch reaches them. Each
+    chamber's point is its representative in ``Fraction``s, cleared."""
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
     walls = quiver_walls(q, n)
@@ -184,11 +187,12 @@ def fm_on_every_split(q, n) -> ChamberSet:
                 if found is not None:
                     new_cells.append((signs + (sgn,), *found))
         cells = new_cells
-    reps = tuple(
-        tuple(Fraction(sum(ipt[k] * basis[k][i] for k in range(d)), m) for i in range(len(n)))
-        for _, m, ipt in cells
-    )
-    return ChamberSet(len(cells), reps, tuple(cell[0] for cell in cells), tuple(walls))
+    points = []
+    for _, m, ipt in cells:
+        den, itheta = cleared(
+            [Fraction(sum(ipt[k] * basis[k][i] for k in range(d)), m) for i in range(len(n))])
+        points.append((den, tuple(itheta)))
+    return ChamberSet(len(cells), tuple(points), tuple(cell[0] for cell in cells), tuple(walls))
 
 
 def _draws_up_to(rng, count, max_walls, **kwargs):
@@ -669,7 +673,7 @@ def test_off_slice_wall_sample_is_an_assertion(elliptic_pair, monkeypatch, tmp_p
     (wall,) = LocalModel(elliptic_pair).ample_walls
     verts = walls_module._wall_slice_vertices
     monkeypatch.setattr(walls_module, "_wall_slice_vertices",
-                        lambda cfg, w: [tuple(2 * x for x in v) for v in verts(cfg, w)])
+                        lambda cfg, w: [(vm, tuple(2 * x for x in iv)) for vm, iv in verts(cfg, w)])
     _assert_correspondence_assertion(
         elliptic_pair, f"wall sample for beta={wall.beta} is off the slice", tmp_path, capsys)
 
@@ -677,7 +681,7 @@ def test_off_slice_wall_sample_is_an_assertion(elliptic_pair, monkeypatch, tmp_p
 def test_wall_sample_outside_the_positive_cone_is_an_assertion(
         elliptic_pair, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(walls_module, "_wall_slice_vertices",
-                        lambda cfg, w: [(Fraction(-5), Fraction(-5))])
+                        lambda cfg, w: [(1, (-5, -5))])
     _assert_correspondence_assertion(
         elliptic_pair, "wall sample left the positive cone", tmp_path, capsys)
 
@@ -688,6 +692,23 @@ def test_probe_character_off_d0_xi_is_an_assertion(elliptic_pair, monkeypatch, t
                         lambda d0, n, h0, ia: tuple(x + 1 for x in character(d0, n, h0, ia)))
     _assert_correspondence_assertion(
         elliptic_pair, "character of an on-slice point is not d0 * xi", tmp_path, capsys)
+
+
+def test_integer_wall_slice_vertices_match_the_fraction_scan():
+    """Every wall's vertices (vm, iv) are those of the ``Fraction`` scan,
+    in order and in number, each with vm > 0 and no common factor."""
+    rng = random.Random(2601)
+    walls_seen = vertices = 0
+    for _ in range(16):
+        cfg = random_config(rng, s_min=2, s_max=5, mult_max=3, gram_bound=4)
+        for wall in LocalModel(cfg).ample_walls:
+            got = _wall_slice_vertices(cfg, wall)
+            assert all(vm > 0 and math.gcd(vm, *iv) == 1 for vm, iv in got)
+            assert [tuple(Fraction(x, vm) for x in iv) for vm, iv in got] == (
+                reference_wall_slice_vertices(cfg, wall)), (cfg, wall.beta)
+            walls_seen += 1
+            vertices += len(got)
+    assert walls_seen >= 40 and vertices >= 80, (walls_seen, vertices)
 
 
 def test_integer_wall_samples_match_the_fraction_loop():

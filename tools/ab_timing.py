@@ -27,15 +27,20 @@ reports as ``dispatch`` hands them to ``emit`` (two s = 3 strata-heavy
 draws, the 3300-chamber draw, and every document of the ``chambers`` and
 ``strata`` workloads at seed 0). A perf change to another layer adds a row.
 
-Noise floor: two runs with one tree on both sides, on a shared 2-vCPU VM,
-read these ratios; a ratio no farther from 1 than its row's shows nothing.
-enumerate_chambers s5-7 0.876-0.934, 3300 0.877-1.014; decompositions /
-_simple clique7 0.962-0.982 / 0.982-1.000, clique8 1.004-1.021 / 0.985-0.999,
-clique9 0.973-0.989 / 1.023, strata-seed0(80) 0.998-1.001 / 1.001-1.011;
-cli._dumps s9 0.992-1.023, s11 0.979-1.001, 3300 0.968-1.004, chambers-seed0
-0.995-0.996, strata-seed0 0.976-1.000. One such run of the rows added with
-them read enumerate_chambers chambers-seed0 0.993, verify_correspondence
-3300 1.026 and chambers-seed0 1.005.
+Noise floor: a quoted A/B needs beside it a same-tree run from the same
+session (``python tools/ab_timing.py T T``, T one checkout on both sides):
+a ratio no farther from 1 than that run reads on its row shows nothing.
+Floors measured on a quiet host do not carry over to a busy one. Two
+same-tree runs in one session on a shared 2-vCPU VM (Python 3.11.7) read:
+enumerate_chambers s5-7 0.814-1.019, 3300 0.990-1.013, chambers-seed0
+1.007-1.015; verify_correspondence 3300 0.948-1.007, chambers-seed0
+0.995-1.021; decompositions / _simple clique7 1.014-1.049 / 0.995-1.359,
+clique8 1.001-1.002 / 0.937-1.006, clique9 0.912-0.991 / 0.977-1.014,
+strata-seed0(80) 1.005-1.010 / 1.001-1.004; cli._dumps s9-summary
+0.779-0.947, s9-strata 0.889-1.023, s11-summary 0.976-1.104, s11-strata
+0.972-1.088, 3300-chambers 0.996-1.027, 3300-correspondence 1.028-1.274,
+chambers-seed0 0.987-1.000, strata-seed0 0.995-0.997. Rows whose best
+times sum to under about 0.1 s of CPU swing the most.
 """
 
 import hashlib
