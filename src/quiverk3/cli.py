@@ -13,11 +13,12 @@ import cmath
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import InvariantError, MathAssertionError, SchemaError, _check_count, _check_tol
 from .lattice import CurveConfig, DegreeVector
@@ -239,19 +240,41 @@ _encode_str = json.encoder.encode_basestring_ascii
 _INT = frozenset((int,))
 
 
-@functools.cache
-def _field_names(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """A dataclass's sorted field names and their key prefixes ``"name": ``;
-    None for other classes."""
-    if not dataclasses.is_dataclass(cls):
-        return None
-    names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
-    return names, tuple(_encode_str(name) + ": " for name in names)
-
-
 def _frac_text(f: Fraction) -> str:
     """``_frac_to_json(f)`` as JSON text: an int, or the string ``"p/q"``."""
     return f"{f.numerator}" if f.denominator == 1 else f'"{f.numerator}/{f.denominator}"'
+
+
+# the text of each scalar type; bools and None by value
+_SCALAR = {
+    str: _encode_str,
+    int: int.__repr__,
+    Fraction: _frac_text,
+    float: json.dumps,  # float repr, and json's NaN/Infinity
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_SCALARS = frozenset(_SCALAR)
+
+
+def _prefixes(inner: str, keys) -> tuple[str, ...]:
+    """Each value's prefix in an object whose lines ``inner`` starts: ``{``
+    or ``,``, ``inner``, ``"key": ``."""
+    return tuple(("," if i else "{") + inner + _encode_str(k) + ": " for i, k in enumerate(keys))
+
+
+@functools.cache
+def _layout(cls, inner: str) -> tuple[operator.attrgetter | None, tuple[str, ...]] | None:
+    """A dataclass's getter of its field values in sorted name order, and
+    their ``_prefixes``; None for other classes."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    # attrgetter of one name returns the bare value, and of none raises: a
+    # lone field is named twice (zip with its one prefix drops the copy),
+    # and a class with no fields, spelled {}, needs no getter
+    get = operator.attrgetter(*(names * 2 if len(names) == 1 else names)) if names else None
+    return get, _prefixes(inner, names)
 
 
 def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
@@ -263,67 +286,82 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
     (``[re, im]``) and 2-D arrays (rows of such pairs). Anything else,
     subclasses included, raises ``TypeError``.
 
-    In a container's loop exact ints, strs, ``Fraction``s, the constants and
-    all-int lists and tuples take no call. A dataclass instance met again at
-    the same depth (the ``StratumPart``s that strata records share) is
-    encoded once: ``memo`` maps its (id, depth) to the instance, which the
-    entry keeps alive so that the id is not reused, and its text.
+    The text is written in one pass onto one list of pieces, joined once.
+    In a container's loop scalars, lists and tuples of scalars (one piece
+    each) and memo hits take no call. Two memos work per depth. A
+    dataclass instance met again at the same depth (the ``StratumPart``s
+    that strata records share) is encoded once: ``memo`` maps its (id,
+    depth) to the instance, which the entry keeps alive so that the id is
+    not reused, and its text. A decomposition part ``(k, beta)`` is encoded
+    once per value and depth; that memo admits only exact ints, since
+    ``1 == True == 1.0`` spell differently.
     """
-    t = type(obj)
-    if t is str:
-        return _encode_str(obj)
-    if t is int:
-        return int.__repr__(obj)
-    memo, keys, memo_key = {} if memo is None else memo, None, None
-    if t is list or t is tuple:
-        values = obj
-    elif t is dict:  # sorted as json sorts; a key that is no str raises here
-        items = sorted(obj.items())
-        keys, values = [_encode_str(k) + ": " for k, _ in items], [v for _, v in items]
-    elif (fields := _field_names(t)) is not None:
-        memo_key = (id(obj), len(indent))
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit[1]
-        keys, values = fields[1], list(map(getattr, repeat(obj), fields[0]))
-    elif t is Fraction:
-        return _frac_text(obj)
-    elif t is float:
-        return json.dumps(obj)  # float repr, and json's NaN/Infinity
-    elif obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    elif t is complex:
-        return _dumps(_complex_to_json(obj), indent)
-    elif (np := sys.modules.get("numpy")) and t is np.ndarray and obj.ndim == 2:
-        # an array exists only once numpy is loaded, so the test loads nothing
-        rows = [[_complex_to_json(complex(e)) for e in row] for row in obj.tolist()]
-        return _dumps(rows, indent)
-    else:
-        raise TypeError(f"cannot encode {t.__name__}")
-    if not values:
-        return "[]" if keys is None else "{}"
-    inner, texts = indent + "  ", []
-    deeper, append = inner + "  ", texts.append
-    for v in values:
-        tv = type(v)
-        if tv is int:
-            append(int.__repr__(v))
-        elif tv is str:
-            append(_encode_str(v))
-        elif tv is Fraction:
-            append(_frac_text(v))
-        elif v is None or v is True or v is False:
-            append("null" if v is None else "true" if v else "false")
-        elif (tv is tuple or tv is list) and v and _INT.issuperset(map(type, v)):  # no bools
-            append("[" + deeper + ("," + deeper).join(map(int.__repr__, v)) + inner + "]")
+    memo = {} if memo is None else memo
+    pairs = defaultdict(dict)  # depth -> {(k, beta): text}
+    out = []
+    append = out.append
+
+    def write(obj, indent: str) -> None:
+        """Append obj's text; the loop below reads the memos' hits."""
+        t, inner, layout = type(obj), indent + "  ", None
+        if t is list or t is tuple:
+            pre, values, close = chain(("[" + inner,), repeat("," + inner)), obj, indent + "]"
+        elif t is dict:  # sorted as json sorts; a key that is no str raises here
+            keys = sorted(obj)
+            pre, values, close = _prefixes(inner, keys), [obj[k] for k in keys], indent + "}"
+        elif (layout := _layout(t, inner)) is not None:
+            get, pre = layout
+            values, close = get(obj) if get else (), indent + "}"
+        elif t is complex:
+            write(_complex_to_json(obj), indent)
+            return
+        elif (np := sys.modules.get("numpy")) and t is np.ndarray and obj.ndim == 2:
+            # an array exists only once numpy is loaded, so the test loads nothing
+            write([[_complex_to_json(complex(e)) for e in row] for row in obj.tolist()], indent)
+            return
+        elif (spell := _SCALAR.get(t)) is not None:
+            append(spell(obj))
+            return
         else:
-            append(_dumps(v, inner, memo))
-    if keys is None:
-        return "[" + inner + ("," + inner).join(texts) + indent + "]"
-    text = "{" + inner + ("," + inner).join(map(str.__add__, keys, texts)) + indent + "}"
-    if memo_key is not None:
-        memo[memo_key] = (obj, text)
-    return text
+            raise TypeError(f"cannot encode {t.__name__}")
+        if not values:
+            append("[]" if t is list or t is tuple else "{}")
+            return
+        start, depth, deeper = len(out), len(inner), inner + "  "
+        isep, memo_d = "," + deeper, pairs[depth]
+        for p, v in zip(pre, values):
+            tv = type(v)
+            if (spell := _SCALAR.get(tv)) is not None:
+                append(p + spell(v))
+            elif (tv is tuple and len(v) == 2 and type(v[1]) is tuple and type(v[0]) is int
+                    and _INT.issuperset(map(type, v[1]))):  # a part (k, beta)
+                text = memo_d.get(v)
+                if text is None:
+                    at = len(out)
+                    write(v, inner)
+                    text = memo_d[v] = "".join(out[at:])
+                    del out[at:]
+                append(p + text)
+            elif (tv is tuple or tv is list) and v and _INT.issuperset(map(type, v)):  # no bools
+                append(p + "[" + deeper + isep.join(map(int.__repr__, v)) + inner + "]")
+            elif (tv is tuple or tv is list) and v and _SCALARS.issuperset(map(type, v)):
+                append(p + "[" + deeper + isep.join([_SCALAR[type(x)](x) for x in v]) + inner + "]")
+            elif (hit := memo.get((id(v), depth))) is not None:
+                append(p + hit[1])
+            else:
+                append(p)
+                write(v, inner)
+        append(close)
+        if layout is not None:
+            text = "".join(out[start:])
+            out[start:] = (text,)
+            memo[id(obj), len(indent)] = (obj, text)
+
+    try:
+        write(obj, indent)
+        return "".join(out)
+    finally:
+        del write  # its cell refers to it: free the pieces now, not at a collection
 
 
 def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
@@ -441,6 +479,8 @@ def _cmd_walls(cfg, pols, options, args):
 def _cmd_chambers(cfg, pols, options, args):
     try:
         ch = LocalModel(cfg).chambers
+    except InvariantError:  # a ValueError too, but no chamber note
+        raise
     except ValueError as exc:
         return {"count": None, "note": str(exc)}, [str(exc)]
     payload = {

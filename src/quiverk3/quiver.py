@@ -10,6 +10,7 @@ what ties the two sides of the package together.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,6 +26,12 @@ OrientedEdge = tuple[int, int, int]
 # raises instead of filling memory (one genus-2 curve of multiplicity 500 has
 # as many as there are partitions of 500, about 2.3 * 10^21)
 MAX_DECOMPOSITIONS = 100_000
+# the most vectors 0 <= alpha <= n that a root scan visits, eight times the
+# largest box of any test or benchmark input (the 9-curve clique's 2^9); past
+# it ``_roots_upto`` raises instead of running for hours (each vector costs
+# a root test, and the simple-existence table of n costs one step per box
+# vector and root)
+MAX_ROOT_BOX = 4096
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,12 @@ def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
     """Positive roots 0 < alpha <= n in lexicographic order, n included when
     it is a root: the one box scan that the root-indexed computations of a
     configuration read."""
+    box = math.prod(k + 1 for k in n)
+    if box > MAX_ROOT_BOX:
+        raise InvariantError(
+            "root-box",
+            f"the box 0 <= alpha <= n = {n} holds {box} vectors, more than {MAX_ROOT_BOX}",
+        )
     return tuple(a for a in boxed_vectors(n) if is_positive_root(q, a))
 
 
@@ -187,7 +200,9 @@ def check_bound(q: Quiver, n: DimVector) -> DimVector:
 
 
 def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
-    """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n."""
+    """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n.
+    Raises ``InvariantError("root-box")`` when the box 0 <= alpha <= n holds
+    more than ``MAX_ROOT_BOX`` vectors."""
     n = check_bound(q, n)
     return [alpha for alpha in _roots_upto(q, n) if alpha != n]
 

@@ -622,7 +622,7 @@ def test_no_configuration_state_between_dispatches(tmp_path, capsys):
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
         ]
     # neither depends on a configuration
-    assert sorted(cached) == ["cli._field_names", "cli.build_parser"]
+    assert sorted(cached) == ["cli._layout", "cli.build_parser"]
 
 
 @pytest.mark.parametrize(
@@ -650,6 +650,37 @@ def test_too_many_decompositions_exit_3(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invariant violation [decomposition-count]" in captured.err
+
+
+def test_root_box_past_the_bound_exits_3(elliptic_path, tmp_path, capsys):
+    """A root scan visits every vector of the box 0 <= alpha <= n; past
+    ``quiver.MAX_ROOT_BOX`` of them, ``roots --bound`` and every command
+    that builds a local model from the configuration's mult stop at once.
+    On the elliptic pair every box vector is a root, so 3000 x 3000 would
+    list 9 * 10^6 of them."""
+    from quiverk3 import quiver
+
+    side = int(quiver.MAX_ROOT_BOX ** 0.5)  # the box side * side is the bound itself
+    assert side * side == quiver.MAX_ROOT_BOX
+    square = f"{side - 1},{side - 1}"
+    assert dispatch(["roots", elliptic_path, "--json", "--bound", square]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["roots"]) == quiver.MAX_ROOT_BOX - 2
+    for bound in (f"{side - 1},{side}", "3000,3000"):
+        assert dispatch(["roots", elliptic_path, "--json", "--bound", bound]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invariant violation [root-box]" in captured.err
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**ELLIPTIC_DOC, "mult": [side - 1, side]}))
+    for command in ("summary", "strata", "chambers", "walls", "correspondence", "cb-check"):
+        assert dispatch([command, str(path), "--json"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invariant violation [root-box]" in captured.err
+    with pytest.raises(InvariantError) as e:
+        quiver.bounded_roots(quiver_from_config(cli.parse_config_document(
+            {**ELLIPTIC_DOC, "mult": [side, side]})[0]), (side, side))
+    assert e.value.invariant == "root-box"
 
 
 def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):

@@ -1,11 +1,21 @@
+import contextlib
+import io
+import json
 import random
+import re
+
+import pytest
 
 from quiverk3 import (
+    MathAssertionError,
     quiver_from_config,
     singular_model_summary,
     strata_report,
 )
+from quiverk3 import strata as strata_module
+from quiverk3.cli import EXIT_ASSERTION, dispatch
 from conftest import random_config
+from helpers import config_document
 
 
 def test_strata_elliptic(elliptic_pair):
@@ -96,3 +106,36 @@ def test_summary_wall_consistency_random():
         cfg = random_config(rng, s_min=2, s_max=3, mult_max=2, gram_bound=4)
         s = singular_model_summary(cfg)
         assert s.quiver_wall_count == s.ample_wall_count
+
+
+def _assert_strata_assertion(cfg, match, tmp_path, capsys):
+    """strata_report raises ``MathAssertionError`` matching ``match``, and
+    the CLI's ``strata`` exits 4 naming it."""
+    with pytest.raises(MathAssertionError, match=re.escape(match)):
+        strata_report(cfg)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config_document(cfg)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["strata", str(cpath), "--json"]) == EXIT_ASSERTION
+    assert match in capsys.readouterr().err
+
+
+def test_lattice_and_quiver_out_of_sync_is_an_assertion(
+        elliptic_pair, monkeypatch, tmp_path, capsys):
+    """v(beta)^2 = d(beta) holds part by part by construction; a Mukai
+    square off by one breaks it (exit 4)."""
+    square = strata_module.mukai_square
+    monkeypatch.setattr(strata_module, "mukai_square", lambda v, cfg: square(v, cfg) + 1)
+    _assert_strata_assertion(elliptic_pair, "v(beta)^2 != d(beta)", tmp_path, capsys)
+
+
+def test_stratum_past_the_ambient_dimension_is_an_assertion(
+        elliptic_pair, monkeypatch, tmp_path, capsys):
+    """Where simple representations of dimension n exist, no stratum but
+    the open one reaches 2p(n); a p inflated for every part but n puts the
+    two-part stratum of the elliptic pair past it (exit 4)."""
+    n = elliptic_pair.mult
+    p_of = strata_module.p_of
+    monkeypatch.setattr(strata_module, "p_of",
+                        lambda q, beta: p_of(q, beta) + (tuple(beta) != n))
+    _assert_strata_assertion(elliptic_pair, "exceeds ambient", tmp_path, capsys)

@@ -637,6 +637,22 @@ def test_verify_correspondence_random():
         assert all(w.all_on_image_wall for w in report.walls)
 
 
+def test_chamber_point_off_its_sign_cell_is_an_assertion(affine_a1, monkeypatch, tmp_path, capsys):
+    """Each chamber's point must realize the chamber's signs; a solve that
+    hands back the origin, which lies on every wall, breaks that certificate
+    (exit 4)."""
+    q = quiver_from_config(affine_a1)
+    monkeypatch.setattr(walls_module, "_fm_core",
+                        lambda cons, nvars, limit, table=None: (1, (0,) * nvars))
+    with pytest.raises(MathAssertionError, match="does not realize its sign cell"):
+        enumerate_chambers(q, (1, 1))
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config_document(affine_a1)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["chambers", str(cpath), "--json"]) == EXIT_ASSERTION
+    assert "does not realize its sign cell" in capsys.readouterr().err
+
+
 def test_off_wall_image_is_an_assertion(elliptic_pair, monkeypatch, tmp_path, capsys):
     """A sampled ample-wall point whose xi image leaves the quiver wall
     breaks the correspondence: the library raises naming the wall's beta,

@@ -24,8 +24,11 @@ and ``_simple`` read from a fresh ``walls.LocalModel`` whose ``roots_upto``
 was read outside the clock (7-, 8- and 9-curve genus-1 cliques and the 80
 ``strata`` benchmark configurations at seed 0), and ``cli._dumps`` on
 reports as ``dispatch`` hands them to ``emit`` (two s = 3 strata-heavy
-draws, the 3300-chamber draw, and every document of the ``chambers`` and
-``strata`` workloads at seed 0). A perf change to another layer adds a row.
+draws, the 3300-chamber draw, every document of the ``chambers`` and
+``strata`` workloads at seed 0, and the 12.8 MB ``strata`` report of the
+8-curve clique's 4140 decompositions, where a cost that grows with the
+nesting or the size of a report shows most). A perf change to another
+layer adds a row.
 
 Noise floor: a quoted A/B needs beside it a same-tree run from the same
 session (``python tools/ab_timing.py T T``, T one checkout on both sides):
@@ -36,10 +39,12 @@ enumerate_chambers s5-7 0.814-1.019, 3300 0.990-1.013, chambers-seed0
 1.007-1.015; verify_correspondence 3300 0.948-1.007, chambers-seed0
 0.995-1.021; decompositions / _simple clique7 1.014-1.049 / 0.995-1.359,
 clique8 1.001-1.002 / 0.937-1.006, clique9 0.912-0.991 / 0.977-1.014,
-strata-seed0(80) 1.005-1.010 / 1.001-1.004; cli._dumps s9-summary
-0.779-0.947, s9-strata 0.889-1.023, s11-summary 0.976-1.104, s11-strata
-0.972-1.088, 3300-chambers 0.996-1.027, 3300-correspondence 1.028-1.274,
-chambers-seed0 0.987-1.000, strata-seed0 0.995-0.997. Rows whose best
+strata-seed0(80) 1.005-1.010 / 1.001-1.004. Two later same-tree runs of
+the one-pass encoder, in one session on the same VM, read for the
+cli._dumps rows: s9-summary 0.986-1.023, s9-strata 0.968-0.982,
+s11-summary 1.007-1.020, s11-strata 0.988-1.002, 3300-chambers
+0.999-1.001, 3300-correspondence 0.928-0.971, chambers-seed0 0.978-1.032,
+strata-seed0 0.987-0.997, clique8-strata 0.989-0.992. Rows whose best
 times sum to under about 0.1 s of CPU swing the most.
 """
 
@@ -147,6 +152,7 @@ ROWS = [  # (layer, name, configurations, inputs of one configuration)
     ("cli._dumps", "chambers-seed0", batch("chambers"),
      dumps("summary", "chambers", "correspondence")),
     ("cli._dumps", "strata-seed0", batch("strata"), dumps("summary", "strata", "cb-check")),
+    ("cli._dumps", "clique8-strata", clique(8), dumps("strata")),
 ]
 
 
