@@ -7,6 +7,10 @@ block-graded Burnside-closure simplicity test, and a sound-but-incomplete
 King stability checker whose certified verdicts carry explicit witnesses.
 One graded span closure (``_closure``) serves both of the last two: it
 closes e_i for ``is_simple`` and a probe vector for ``_cyclic_spans``.
+It takes one adder per vertex, of three kinds: ``linalg.Span().add``, the
+exact span; ``_block_adder``, float mode's orthonormal basis; and
+``_mod_adder``, a span over Z/P in int64 arrays for ``is_simple``'s
+modular pass.
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
@@ -26,7 +30,12 @@ its denominators into an ``object`` array of Python ints, and so is each
 closure seed. A cleared product is a nonzero multiple of the true one,
 which spans the same line, so every ``linalg.Span`` row, pivot, verdict and
 basis is the same as with the ``Fraction`` matrices. The matrices are
-read-only, so a cleared arrow cannot go stale.
+read-only, so a cleared arrow cannot go stale. Exact ``is_simple`` first
+closes each vertex on the cleared arrows reduced mod a prime P < 2**25:
+a closure that is full mod P certifies the vertex, since a rank over Z/P
+is never above the rank over Q, and every other vertex, so every False
+verdict, is decided by the exact closure. The pass runs only where no
+int64 sum of its products can wrap around (max(n)**2 <= 2**13).
 
 The linearization d(mu) is assembled by scatter, not entry by entry:
 ``_differential_pattern(q, n)`` records where each entry of the flat
@@ -514,22 +523,63 @@ def _cleared(m: np.ndarray) -> np.ndarray:
     return np.array(linalg.cleared(m.flat)[1], dtype=object).reshape(m.shape)
 
 
-def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders) -> int:
+# The modular pass of ``is_simple`` runs mod _P, a prime below 2**25: a
+# product of two residues is below 2**50, so a sum of at most _MOD_TERMS =
+# 2**13 such products fits in int64. The pass sums at most max(n)**2 of them
+# (a ``_mod_adder`` reduction against the rows of a span of n_k x n_i
+# blocks; an arrow times a block sums max(n)), so it runs only when
+# max(n)**2 <= _MOD_TERMS.
+_P = 33554393
+_MOD_TERMS = 2**13
+
+
+def _mod_adder(width: int, mod: int):
+    """The adder of a fresh span of int64 vectors of this width over Z/mod,
+    True exactly when the span grew: RREF rows with unit pivots, each zero
+    at the other rows' pivots, in rows preallocated for a full span. So a
+    vector's residue is v - v[pivots] @ rows, one sum of at most ``width``
+    products of residues."""
+    rows = np.zeros((width, width), dtype=np.int64)
+    pivots = np.zeros(width, dtype=np.intp)
+    r = 0
+
+    def try_add(v) -> bool:
+        nonlocal r
+        if r:
+            v = (v - v[pivots[:r]] @ rows[:r]) % mod
+        nonzero = v.nonzero()[0]
+        if not len(nonzero):
+            return False
+        p = nonzero[0]
+        v = v * pow(int(v[p]), -1, mod) % mod
+        if r:
+            rows[:r] -= rows[:r, p, None] * v
+            rows[:r] %= mod
+        rows[r], pivots[r] = v, p
+        r += 1
+        return True
+
+    return try_add
+
+
+def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders, mod=None) -> int:
     """Close the n_vertex x c block ``seed`` under left multiplication by
-    ``arrows`` (a ``Representation._arrows``), level by level. Each image at
-    a vertex k, flattened, goes to ``adders[k]``, which is True exactly when
-    its span grew; only those images are multiplied further. Stops once
-    every span is full and returns the sum of their dimensions. In exact
-    mode the arrows and the seed are integer arrays, so every image is an
-    integer multiple of the rational one and the closure does no
-    ``Fraction`` arithmetic; the spans are the same (see ``linalg.Span``)."""
+    ``arrows`` (a ``Representation._arrows``, or those arrows mod ``mod``),
+    level by level. Each image at a vertex k, flattened, goes to
+    ``adders[k]``, which is True exactly when its span grew; only those
+    images are multiplied further. Stops once every span is full and
+    returns the sum of their dimensions. In exact mode the arrows and the
+    seed are integer arrays, so every image is an integer multiple of the
+    rational one and the closure does no ``Fraction`` arithmetic; the spans
+    are the same (see ``linalg.Span``). With ``mod`` each image is reduced
+    mod it, so that int64 arrays hold it."""
     frontier = [(vertex, seed)] if adders[vertex](seed.ravel()) else []
     dim, full = len(frontier), sum(n) * seed.shape[1]
     while frontier and dim < full:
         nxt = []
         for j, m in frontier:
             for k, a in arrows[j]:
-                p = a @ m
+                p = a @ m if mod is None else a @ m % mod
                 if adders[k](p.ravel()):
                     nxt.append((k, p))
         dim += len(nxt)
@@ -542,16 +592,32 @@ def is_simple(rep: Representation) -> bool:
     graded by pairs of vertices, so the representation is simple exactly
     when, for each vertex i of the support, the paths out of i (the closure
     of e_i under left multiplication by the arrows) span Hom(V_i, V_j) for
-    every j in the support. Exact in rational mode; float mode takes the
-    rank per block with the relative tolerance 1e-8."""
+    every j in the support. Float mode takes the rank per block with the
+    relative tolerance 1e-8.
+
+    Exact mode first closes e_i mod the prime ``_P``, on the cleared arrows
+    reduced mod ``_P`` in int64 arrays, when max(n)**2 <= ``_MOD_TERMS``
+    (the overflow bound above ``_mod_adder``). Each vector of that pass is
+    the reduction of an integer path product, and a rank over Z/P is never
+    above the rank over Q, so a closure that is full mod P certifies vertex
+    i. Any other vertex runs the exact ``linalg.Span`` closure, which
+    decides: every False verdict comes from it."""
     n = rep.n
     N = sum(n)
     if N == 0:
         return False
+    exact = rep.mode == EXACT
+    mod_arrows = None
+    if exact and max(n) ** 2 <= _MOD_TERMS:
+        mod_arrows = [[(k, (a % _P).astype(np.int64)) for k, a in outs] for outs in rep._arrows]
     for i, ni in enumerate(n):
         if ni == 0:
             continue
-        adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
+        if mod_arrows is not None:
+            adders = [_mod_adder(nk * ni, _P) for nk in n]
+            if _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P) == ni * N:
+                continue
+        adders = [linalg.Span().add if exact else _block_adder(1e-8) for _ in n]
         # np.eye of dtype object holds the Python ints 0 and 1
         e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
         if _closure(n, rep._arrows, i, e_i, adders) < ni * N:

@@ -32,10 +32,11 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .errors import MathAssertionError, _check_count
+from .errors import InvariantError, MathAssertionError, _check_count
 from .lattice import CurveConfig, DegreeVector, RationalVector
 from .linalg import cleared, primitive
 from .quiver import (
+    MAX_ROOT_BOX,
     DimVector,
     Quiver,
     SimpleExistence,
@@ -647,6 +648,15 @@ def _ample_walls(cfg: CurveConfig, roots: Sequence[DimVector]) -> tuple[AmpleWal
     return tuple(walls)
 
 
+# the most pairs (beta, chi_Gamma) that ``v_walls_bounded_scan`` visits:
+# sixteen times the largest root box (``MAX_ROOT_BOX``), so that every
+# configuration whose roots can be scanned can take |chi_Gamma| <= 7; the
+# largest scan of any test or of the report ladder visits 260. Past it the
+# scan raises instead of running for minutes (each pair keeps at most one
+# wall: --chi-bound 1000000 on the elliptic pair ran 58 s and wrote 342 MB)
+MAX_V_WALL_SCAN = 16 * MAX_ROOT_BOX
+
+
 def v_walls_bounded_scan(
     cfg: CurveConfig, chi_bound: int
 ) -> list[tuple[DimVector, int, IntVector, bool]]:
@@ -655,10 +665,19 @@ def v_walls_bounded_scan(
 
     The finite admissible range of chi_Gamma is not pinned down here, hence
     the explicit user bound. Returns (beta, chi_Gamma, coeffs, through_h0)
-    with duplicate hyperplanes merged.
+    with duplicate hyperplanes merged. Raises ``InvariantError("v-wall-scan")``
+    before scanning when the scan would visit more than ``MAX_V_WALL_SCAN``
+    pairs (beta, chi_Gamma).
     """
     _check_count("chi_bound", chi_bound)
     n = cfg.mult
+    pairs = (math.prod(k + 1 for k in n) - 2) * (2 * chi_bound + 1)
+    if pairs > MAX_V_WALL_SCAN:
+        raise InvariantError(
+            "v-wall-scan",
+            f"the scan of |chi_Gamma| <= {chi_bound} over the subcurves of n = {n} visits "
+            f"{pairs} pairs, more than {MAX_V_WALL_SCAN}",
+        )
     chi = cfg.total_euler
     seen: set[IntVector] = set()
     out = []

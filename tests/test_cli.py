@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -681,6 +682,34 @@ def test_root_box_past_the_bound_exits_3(elliptic_path, tmp_path, capsys):
         quiver.bounded_roots(quiver_from_config(cli.parse_config_document(
             {**ELLIPTIC_DOC, "mult": [side, side]})[0]), (side, side))
     assert e.value.invariant == "root-box"
+
+
+def test_v_wall_scan_past_the_bound_exits_3(elliptic_path, capsys, monkeypatch):
+    """``walls --chi-bound B`` scans every proper box vector against 2B + 1
+    values of chi_Gamma; past ``walls.MAX_V_WALL_SCAN`` pairs it stops
+    before the scan. The elliptic pair has two proper box vectors, so
+    --chi-bound 1000000 would visit 4000002 pairs (it ran 58 s and wrote
+    342 MB before the bound)."""
+    from quiverk3 import walls
+
+    argv = ["walls", elliptic_path, "--json", "--chi-bound"]
+    started = time.process_time()
+    assert dispatch(argv + ["1000000"]) == EXIT_INVARIANT
+    assert time.process_time() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation [v-wall-scan]" in captured.err
+    assert "4000002 pairs" in captured.err
+    monkeypatch.setattr(walls, "MAX_V_WALL_SCAN", 10)  # 2 x (2B + 1) <= 10 for B <= 2
+    assert dispatch(argv + ["2"]) == EXIT_OK
+    cfg = parse_config_document(ELLIPTIC_DOC)[0]
+    scan = json.loads(capsys.readouterr().out)["global_scan"]
+    assert [w["chi_gamma"] for w in scan] == [c for _, c, _, _ in walls.v_walls_bounded_scan(cfg, 2)]
+    assert dispatch(argv + ["3"]) == EXIT_INVARIANT
+    assert "invariant violation [v-wall-scan]" in capsys.readouterr().err
+    with pytest.raises(InvariantError) as e:
+        walls.v_walls_bounded_scan(cfg, 3)
+    assert e.value.invariant == "v-wall-scan"
 
 
 def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):

@@ -1,0 +1,89 @@
+"""Equivariance oracles: answers that must not change under a relabelling
+of the curves or under duality.
+
+A relabelling of the vertices permutes the gram matrix, the multiplicities
+and the matrices together. The quiver's fixed orientation (edges i -> j for
+i < j) may then run an edge the other way, and such an edge's x and y
+change places. Duality transposes every matrix and swaps x and y. Neither
+changes the image of the path algebra, so ``is_simple`` must give the same
+verdict on both sides. The draws are seeded exact representations: random
+ones, y = 0 ones and direct sums, on the fixtures and on ``random_config``
+draws with two to four curves.
+"""
+
+from __future__ import annotations
+
+import random
+
+from conftest import random_config
+from quiverk3 import CurveConfig, quiver_from_config, random_representation
+from quiverk3.reps import Representation, direct_sum, dual, is_simple
+
+AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))
+ELLIPTIC = CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1))
+CHAIN = CurveConfig(((-2, 1, 0), (1, -2, 1), (0, 1, -2)), (1, 1, 1), (1, 1, 1), (1, 1, 1))
+
+
+def relabelled(cfg: CurveConfig, rep: Representation, perm) -> tuple[CurveConfig, Representation]:
+    """The configuration and representation with curve i renamed perm[i]."""
+    inv = sorted(range(cfg.s), key=perm.__getitem__)
+    pcfg = CurveConfig(
+        tuple(tuple(cfg.gram[inv[a]][inv[b]] for b in range(cfg.s)) for a in range(cfg.s)),
+        tuple(cfg.chi[i] for i in inv), tuple(cfg.mult[i] for i in inv),
+        tuple(cfg.h0deg[i] for i in inv),
+    )
+    mats = {}
+    for (s, t, k), (x, y) in zip(rep.quiver.orientation, rep.mats):
+        ps, pt = perm[s], perm[t]
+        mats[(ps, pt, k) if ps <= pt else (pt, ps, k)] = (x, y) if ps <= pt else (y, x)
+    q = quiver_from_config(pcfg)
+    n = tuple(rep.n[i] for i in inv)
+    return pcfg, Representation(q, n, rep.mode, tuple(mats[e] for e in q.orientation))
+
+
+def _draws():
+    """(configuration, representation) pairs of total dimension 1-7."""
+    rng = random.Random(83)
+    configs = [AFFINE, ELLIPTIC, CHAIN]
+    configs += [random_config(random.Random(seed), 2, 4, gram_bound=3, mult_max=2)
+                for seed in range(6)]
+    for cfg in configs:
+        q = quiver_from_config(cfg)
+        for _ in range(3):
+            n = tuple(rng.randint(0 if cfg.s > 2 else 1, 2) for _ in range(cfg.s))
+            rep = random_representation(q, n, seed=rng.randrange(10**6))
+            yield cfg, rep
+            yield cfg, Representation(q, n, rep.mode, tuple((x, 0 * y) for x, y in rep.mats))
+        one = tuple(int(i == 0) for i in range(cfg.s))
+        rest = tuple(1 - x for x in one)
+        yield cfg, direct_sum(random_representation(q, one, seed=rng.randrange(10**6)),
+                              random_representation(q, rest, seed=rng.randrange(10**6)))
+
+
+def test_is_simple_is_invariant_under_duality_and_relabelling():
+    rng = random.Random(89)
+    verdicts = []
+    for cfg, rep in _draws():
+        got = is_simple(rep)
+        assert is_simple(dual(rep)) == got, (rep.n, rep.mats)
+        for _ in range(2):
+            perm = list(range(cfg.s))
+            rng.shuffle(perm)
+            pcfg, prep = relabelled(cfg, rep, perm)
+            assert is_simple(prep) == got, (perm, rep.n, rep.mats)
+            assert is_simple(dual(prep)) == got
+        verdicts.append(got)
+    assert 8 <= sum(verdicts) <= len(verdicts) - 8  # both verdicts occur
+
+
+def test_relabelling_maps_the_quiver_and_the_arrows_back():
+    # the inverse relabelling returns the configuration and the matrices
+    rng = random.Random(97)
+    for cfg, rep in _draws():
+        perm = list(range(cfg.s))
+        rng.shuffle(perm)
+        pcfg, prep = relabelled(cfg, rep, perm)
+        assert pcfg.mult == tuple(cfg.mult[perm.index(a)] for a in range(cfg.s))
+        inv = sorted(range(cfg.s), key=perm.__getitem__)
+        back_cfg, back = relabelled(pcfg, prep, inv)
+        assert back_cfg == cfg and back == rep

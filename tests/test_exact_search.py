@@ -20,6 +20,13 @@ Both are checked again mod two primes, by ``helpers.mod_p_is_simple`` and
 simplicity verdicts on the cases past dimension 3, and the dimension
 vector and invariance of every exact stability witness.
 
+``is_simple`` first closes each vertex mod a prime and falls back to the
+exact closure where that pass falls short. On seeded draws up to total
+dimension 8 its verdicts equal those with the pass switched off and those
+of the reference; with the prime set to 2, which misses simple
+representations, and with the int64 bound lowered below a draw's max(n)**2,
+the exact closure decides.
+
 The kernel runs on arrows and seeds cleared to integers. The equivalence
 tests below compare it with the ``Fraction`` references of ``helpers`` where
 clearing has work to do: arrows whose denominators differ (3, 5, 7), zero
@@ -343,6 +350,128 @@ def test_simplicity_and_witnesses_agree_mod_two_primes():
                                            basis, p)
             tilted = _tilted(rep, beta, basis, p)
             assert mod_p_witness_holds(rep, beta, tilted, p) == ("-y0-" in name)
+
+
+# ---------------------------------------------------------------------------
+# the modular pass of is_simple
+
+
+def _triangular(rep: Representation) -> Representation:
+    """rep with every matrix made upper triangular: the span of the first
+    basis vector of each vertex is then invariant."""
+    def cut(m):
+        return [[e if r <= c else 0 for c, e in enumerate(row)] for r, row in enumerate(m)]
+
+    return Representation(rep.quiver, rep.n, rep.mode,
+                          tuple((cut(x), cut(y)) for x, y in rep.mats))
+
+
+def _mod_pass_cases():
+    """Seeded exact draws of total dimension 2-8: random representations,
+    y = 0 and triangular ones, disconnected support and direct sums."""
+    rng = random.Random(61)
+    for k in range(2):
+        seed = rng.randrange(10**6)
+        yield _rand(OGRADY, (5 + 3 * k,), seed)
+        yield _rand(AFFINE, ((3, 2), (4, 4))[k], seed)
+        yield _rand(ELLIPTIC, ((2, 3), (1, 2))[k], seed)
+        yield _rand(CHAIN, ((1, 2, 1), (2, 1, 2))[k], seed)
+        yield _rand(DISJOINT, (2, 2), seed)
+        yield _zero_y(_rand(AFFINE, (2, 3), seed))
+        # the pass certifies vertex 0; vertex 1 is left to the exact closure
+        yield _zero_y(_rand(ELLIPTIC, (1, 3), seed))
+        # closures one short of full: at vertex 1, and the triangular 2 x 2
+        # matrices of the upper triangular algebra
+        yield _zero_y(_rand(AFFINE, (1, 1), seed))
+        yield _triangular(_rand(OGRADY, (2 + k,), seed))
+        yield direct_sum(_rand(OGRADY, (2,), seed), _rand(OGRADY, (3 + k,), seed + 1))
+        yield direct_sum(_rand(AFFINE, (1, 1), seed), _rand(AFFINE, (2, 2), seed + 1))
+
+
+def _spied_closures(monkeypatch) -> list:
+    """Patch ``reps._closure`` to record (modular, dimension, full
+    dimension) for each closure it runs."""
+    closures = []
+    real = reps._closure
+
+    def spy(n, arrows, vertex, seed, adders, mod=None):
+        dim = real(n, arrows, vertex, seed, adders, mod)
+        closures.append((mod is not None, dim, sum(n) * seed.shape[1]))
+        return dim
+
+    monkeypatch.setattr(reps, "_closure", spy)
+    return closures
+
+
+def _passes(closures) -> list[bool]:
+    """Whether each modular pass was full."""
+    return [dim == full for modular, dim, full in closures if modular]
+
+
+def test_modular_pass_keeps_every_verdict(monkeypatch):
+    cases = list(_mod_pass_cases())
+    assert max(rep.total_dim for rep in cases) == 8
+    closures = _spied_closures(monkeypatch)
+    verdicts, short = [], []
+    for rep in cases:
+        closures.clear()
+        verdicts.append(is_simple(rep))
+        short.append(not all(_passes(closures)))
+        # each exact closure follows a pass that fell short, and the prime
+        # lost no rank on these draws
+        for before, (modular, dim, full) in zip(closures, closures[1:]):
+            assert modular or (before[0] and before[1] == dim < full)
+        deficits = [full - dim for modular, dim, full in closures if not modular]
+        assert verdicts[-1] == (not deficits)
+    assert 6 <= sum(verdicts) <= len(verdicts) - 6  # both verdicts occur
+    # the prime certifies every simple draw, and each False verdict has a
+    # pass that fell short
+    assert short == [not v for v in verdicts]
+    with monkeypatch.context() as patch:
+        patch.setattr(reps, "_MOD_TERMS", 0)  # no representation is within the bound
+        closures.clear()
+        assert [is_simple(rep) for rep in cases] == verdicts
+        assert _passes(closures) == []
+    assert verdicts == [reference_is_simple(rep) for rep in cases]
+    closures.clear()  # a vertex certified, then one the exact closure decides
+    assert not is_simple(_zero_y(_rand(ELLIPTIC, (1, 3), 5)))
+    assert _passes(closures) == [True, False]
+    closures.clear()  # one short at vertex 1
+    assert not is_simple(_zero_y(_rand(AFFINE, (1, 1), 5)))
+    assert closures == [(True, 2, 2), (True, 1, 2), (False, 1, 2)]
+
+
+def test_a_simple_representation_the_prime_misses_is_decided_exactly(monkeypatch):
+    monkeypatch.setattr(reps, "_P", 2)
+    closures = _spied_closures(monkeypatch)
+    rep = _rand(OGRADY, (3,), 17)
+    # even integer arrows vanish mod 2: the pass reaches only e_i itself
+    even = Representation(rep.quiver, rep.n, EXACT,
+                          tuple((2 * reps._cleared(x), 2 * reps._cleared(y)) for x, y in rep.mats))
+    assert is_simple(even) and reference_is_simple(even)
+    assert closures == [(True, 1, 9), (False, 9, 9)]
+    outcomes = []
+    for rep in [_rand(AFFINE, (2, 2), seed) for seed in range(6)]:
+        closures.clear()
+        got = is_simple(rep)
+        assert got == reference_is_simple(rep)
+        outcomes.append((got, all(_passes(closures))))
+    assert {(True, True), (True, False)} <= set(outcomes)
+
+
+def test_representations_past_the_int64_bound_skip_the_pass(monkeypatch):
+    monkeypatch.setattr(reps, "_MOD_TERMS", 8)  # max(n) = 2 passes, 3 does not
+    widths = []
+    real = reps._mod_adder
+    monkeypatch.setattr(reps, "_mod_adder", lambda w, mod: widths.append(w) or real(w, mod))
+    verdicts = []
+    for rep in (_rand(AFFINE, (2, 2), 3), _rand(AFFINE, (3, 2), 3), _rand(OGRADY, (3,), 3),
+                _zero_y(_rand(AFFINE, (3, 1), 3)), _zero_y(_rand(AFFINE, (2, 1), 3))):
+        widths.clear()
+        verdicts.append(is_simple(rep))
+        assert verdicts[-1] == reference_is_simple(rep)
+        assert bool(widths) == (max(rep.n) <= 2)
+    assert verdicts == [True, True, True, False, False]
 
 
 # ---------------------------------------------------------------------------

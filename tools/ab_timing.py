@@ -27,7 +27,12 @@ reports as ``dispatch`` hands them to ``emit`` (two s = 3 strata-heavy
 draws, the 3300-chamber draw, every document of the ``chambers`` and
 ``strata`` workloads at seed 0, and the 12.8 MB ``strata`` report of the
 8-curve clique's 4140 decompositions, where a cost that grows with the
-nesting or the size of a report shows most). A perf change to another
+nesting or the size of a report shows most), and ``is_simple`` on a fresh
+copy of each representation per run (three seeded exact
+``random_representation``s each of one genus-2 curve, two loops, at mult
+5, 6, 7 and 8 and of the affine pair at (4, 4) and (5, 5), and the 418
+representations of the ``is_simple`` operations of the ``reps-exact``
+benchmark at seed 0; its TEXT is the verdict). A perf change to another
 layer adds a row.
 
 Noise floor: a quoted A/B needs beside it a same-tree run from the same
@@ -49,6 +54,7 @@ times sum to under about 0.1 s of CPU swing the most.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -56,6 +62,7 @@ import sys
 import time
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 RUNS = 15
 OWN_MODULES = ("quiverk3", "conftest", "workloads")
@@ -63,18 +70,22 @@ NEEDED = ("src/quiverk3/__init__.py", "tests/conftest.py", "perfbench/workloads.
 
 
 def load(tree: str) -> SimpleNamespace:
-    """The tree's package, ``walls``, ``cli``, ``random_config`` and
-    ``workloads``; its modules leave ``sys.modules`` so that the next tree
-    imports its own."""
+    """The tree's package, ``walls``, ``reps``, ``cli``, ``random_config``
+    and ``workloads``, and ``modules``, the tree's entries of
+    ``sys.modules``; they leave ``sys.modules`` so that the next tree
+    imports its own, and code that imports inside a function runs under
+    ``mock.patch.dict(sys.modules, t.modules)``."""
     sys.path[:0] = [tree + "/src", tree + "/tests", tree + "/perfbench"]
     try:
         import conftest
         import quiverk3
         import workloads
-        from quiverk3 import cli, walls
+        from quiverk3 import cli, reps, walls
 
-        return SimpleNamespace(pkg=quiverk3, walls=walls, cli=cli,
-                               random_config=conftest.random_config, workloads=workloads)
+        return SimpleNamespace(pkg=quiverk3, walls=walls, reps=reps, cli=cli,
+                               random_config=conftest.random_config, workloads=workloads,
+                               modules={name: mod for name, mod in sys.modules.items()
+                                        if name.split(".")[0] in OWN_MODULES})
     finally:
         del sys.path[:3]
         for name in [m for m in sys.modules if m.split(".")[0] in OWN_MODULES]:
@@ -115,6 +126,33 @@ def model(attr: str):
     return lambda t, cfg: [partial(fresh, t, cfg)]
 
 
+def drawn(gram, n, seeds=range(3)):
+    """The representations of a row, built by a tree: seeded exact
+    ``random_representation``s of dimension n on the quiver of ``gram``."""
+    def build(t):
+        s = len(gram)
+        q = t.pkg.quiver_from_config(t.pkg.CurveConfig(gram, (1,) * s, n, (1,) * s))
+        return [t.reps.random_representation(q, n, seed=seed) for seed in seeds]
+    return build
+
+
+def bench_simple(t) -> list:
+    """The representations of the ``is_simple`` operations of the
+    ``reps-exact`` benchmark at seed 0, in batch order; a wall operation's
+    direct sum is built here, outside the clock."""
+    with mock.patch.dict(sys.modules, t.modules):  # cli.rep_from_dict imports reps
+        rounds = t.workloads.build("reps-exact", 0).rounds
+    return [inspect.getclosurevars(op.call).nonlocals["make_rep"]()
+            for ops in rounds for op in ops if op.kind == "reps.is_simple.exact"]
+
+
+def simple(t, rep) -> list:
+    """A fresh copy of the representation per run, so that no run reads
+    the cleared arrows an earlier one kept."""
+    return [lambda: partial(t.reps.is_simple, t.reps.Representation(rep.quiver, rep.n, rep.mode,
+                                                                    rep.mats))]
+
+
 def dumps(*commands: str):
     def document(t, cfg, command: str) -> dict:
         args = t.cli.build_parser().parse_args([command, "config.json", "--json"])
@@ -132,9 +170,11 @@ TEXT = {  # layer -> the text of one result of a tree, for the digest
                                             for b, v in sorted(table.items())]),
     "verify_correspondence": lambda t, report: t.cli._dumps(report),
     "cli._dumps": lambda t, text: text,
+    "is_simple": lambda t, verdict: json.dumps(verdict),
 }
 S3, S5 = {"mult_max": 4}, {"gram_bound": 4, "mult_max": 2}
-ROWS = [  # (layer, name, configurations, inputs of one configuration)
+GENUS2, AFFINE = ((2,),), ((-2, 2), (2, -2))
+ROWS = [  # (layer, name, configurations or representations, inputs of one of them)
     ("enumerate_chambers", "s5-7", draw(7, 5, **S5), chambers),
     ("enumerate_chambers", "3300", draw(5, 5, **S5), chambers),
     ("enumerate_chambers", "chambers-seed0", batch("chambers"), chambers),
@@ -153,6 +193,9 @@ ROWS = [  # (layer, name, configurations, inputs of one configuration)
      dumps("summary", "chambers", "correspondence")),
     ("cli._dumps", "strata-seed0", batch("strata"), dumps("summary", "strata", "cb-check")),
     ("cli._dumps", "clique8-strata", clique(8), dumps("strata")),
+    *[("is_simple", f"genus2-{m}", drawn(GENUS2, (m,)), simple) for m in (5, 6, 7, 8)],
+    *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
+    ("is_simple", "reps-exact-seed0", bench_simple, simple),
 ]
 
 
