@@ -20,9 +20,8 @@ So ``@``, ``+``, ``-``, ``.T`` and slicing serve both, and exact arithmetic
 never passes through a float. An exact representation holds read-only
 copies of its matrices; a float one views the arrays it was given.
 
-A representation owns the tables derived from it, each built on first use
-and kept: the arrow lists (``Representation._arrows``) and the d(mu)
-scatter pattern (``Representation._pattern``).
+A representation owns the arrow lists derived from it
+(``Representation._arrows``), built on first use and kept.
 
 The exact closures and invariance checks multiply no ``Fraction``: each
 arrow is cleared once per representation, that is multiplied by the lcm of
@@ -42,8 +41,9 @@ The linearization d(mu) is assembled by scatter, not entry by entry:
 (x_e, y_e) vector is added or subtracted, and ``moment_differential`` copies
 the vector along it into a matrix of zeros. Each cell takes at most one
 added and one subtracted term, in that order, so the result is bit for bit
-that of the entrywise loop. The solver's one representation views its
-iterate, so every Gauss-Newton step of a solve reads one pattern.
+that of the entrywise loop. The Gauss-Newton search (``_gauss_newton``)
+runs on flat vectors and on one pattern, built per call of
+``solve_moment_zero`` or ``verify_ci_dim`` and dropped with it.
 """
 
 from __future__ import annotations
@@ -164,11 +164,6 @@ class Representation:
         return sum(self.n)
 
     @cached_property
-    def _pattern(self) -> tuple:
-        """``_differential_pattern`` of the quiver and n."""
-        return _differential_pattern(self.quiver, self.n)
-
-    @cached_property
     def _arrows(self) -> list[list]:
         """j -> [(k, A: V_j -> V_k)] over the arrows of the doubled quiver
         between nonzero spaces; in exact mode each A is ``_cleared``, in
@@ -223,15 +218,7 @@ def random_representation(
             for s, t, _ in q.orientation
         )
         return Representation(q, tuple(n), EXACT, mats)
-    rng = np.random.default_rng(seed)
-
-    def block(r, c):
-        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
-
-    mats = tuple(
-        (block(n[t], n[s]), block(n[s], n[t])) for s, t, _ in q.orientation
-    )
-    return Representation(q, tuple(n), FLOAT, mats)
+    return Representation(q, tuple(n), FLOAT, _unflatten_mats(q, n, _float_draw(q, n, seed)))
 
 
 def moment_map(rep: Representation) -> tuple:
@@ -285,10 +272,11 @@ def _offsets(sizes) -> list[int]:
 
 def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
     """Where each entry of a representation of q with dimension vector n
-    lands in d(mu): (plus_pos, plus_src, minus_pos, minus_src), intp arrays
-    of flat positions in the matrix and in the flat (x_e, y_e) vector, for
-    the terms added and for the terms subtracted. No matrix position appears
-    twice in plus_pos, nor twice in minus_pos."""
+    lands in d(mu): (plus_pos, plus_src, minus_pos, minus_src, shape), intp
+    arrays of flat positions in the matrix and in the flat (x_e, y_e) vector,
+    for the terms added and for the terms subtracted, then the shape of the
+    matrix. No matrix position appears twice in plus_pos, nor twice in
+    minus_pos."""
     row_off = _offsets(ni * ni for ni in n)
     plus_pos, plus_src, minus_pos, minus_src = [], [], [], []
     cols = rep_space_dim(q, n)
@@ -317,7 +305,8 @@ def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
                     minus_pos.append((row_off[s] + cc * ns + qq) * cols + c)
                     minus_src.append(col + dd * ns + qq)
         col += 2 * nt * ns
-    return tuple(np.array(a, dtype=np.intp) for a in (plus_pos, plus_src, minus_pos, minus_src))
+    arrays = (np.array(a, dtype=np.intp) for a in (plus_pos, plus_src, minus_pos, minus_src))
+    return (*arrays, (row_off[-1], cols))
 
 
 def moment_differential(rep: Representation) -> np.ndarray:
@@ -326,15 +315,20 @@ def moment_differential(rep: Representation) -> np.ndarray:
     n^t n - 1.
 
     The matrix is two scatters of the flat (x_e, y_e) vector z into a
-    matrix of zeros, along the representation's ``_pattern``: J[plus_pos]
-    += z[plus_src], then J[minus_pos] -= z[minus_src]. A cell gets at most
-    one term of each sign, and only the diagonal cells of a loop's column
-    get both, so every cell is (0 + y) - y' in the order of the entrywise
+    matrix of zeros, along ``_differential_pattern``: J[plus_pos] +=
+    z[plus_src], then J[minus_pos] -= z[minus_src]. A cell gets at most one
+    term of each sign, and only the diagonal cells of a loop's column get
+    both, so every cell is (0 + y) - y' in the order of the entrywise
     assembly: in float mode the matrix is bit-identical to it, -0.0 entries
     included, and in exact mode it holds the same ``Fraction``s."""
-    plus_pos, plus_src, minus_pos, minus_src = rep._pattern
-    z = _flatten_mats(rep)
-    J = np.full((sum(ni * ni for ni in rep.n), z.size), rep.zero)
+    return _scatter(_differential_pattern(rep.quiver, rep.n), _flatten_mats(rep), rep.zero)
+
+
+def _scatter(pattern: tuple, z: np.ndarray, zero) -> np.ndarray:
+    """d(mu) at the flat vector z: a matrix of ``zero``s, the shape the
+    pattern gives, with z scattered in along it."""
+    plus_pos, plus_src, minus_pos, minus_src, shape = pattern
+    J = np.full(shape, zero)
     flat = J.reshape(-1)  # a view: J is contiguous
     flat[plus_pos] += z[plus_src]
     flat[minus_pos] -= z[minus_src]
@@ -359,6 +353,15 @@ def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> tuple:
     return tuple(mats)
 
 
+def _float_draw(q: Quiver, n: DimVector, seed: int) -> np.ndarray:
+    """The flat vector of ``random_representation(q, n, seed, "float")``:
+    block by block, standard normal real parts, then imaginary parts."""
+    rng = np.random.default_rng(seed)
+    parts = [rng.standard_normal(k) + 1j * rng.standard_normal(k)
+             for s, t, _ in q.orientation for k in (n[s] * n[t],) * 2]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+
+
 def _residual(blocks) -> np.ndarray:
     return np.concatenate([b.ravel() for b in blocks])
 
@@ -366,6 +369,36 @@ def _residual(blocks) -> np.ndarray:
 def moment_residual_norm(rep: Representation) -> float:
     """Frobenius norm of the moment map over all blocks (float mode)."""
     return float(np.linalg.norm(_residual(moment_map(rep))))
+
+
+def _gauss_newton(q: Quiver, n: DimVector, pattern: tuple, seed: int, tol: float) -> tuple:
+    """The search of ``solve_moment_zero`` on the d(mu) ``pattern`` of (q,
+    n): the final flat iterate and its residual norm, a float. Each of 101
+    passes checks the residual, and the first 100 take a step."""
+    # mild scaling keeps the start in the basin without landing on 0
+    z = _float_draw(q, n, seed) * 0.5
+    r = _residual(_moment_blocks(q, n, _unflatten_mats(q, n, z), 0j))
+    for k in range(101):
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
+            return z, float(rnorm)
+        if k == 100:
+            break
+        J = _scatter(pattern, z, 0j)
+        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step = 1.0
+        while step >= 2.0**-40:
+            cand_z = z + step * delta
+            cand_r = _residual(_moment_blocks(q, n, _unflatten_mats(q, n, cand_z), 0j))
+            if np.linalg.norm(cand_r) < rnorm:
+                break
+            step *= 0.5
+        else:  # no step lowered the residual
+            break
+        z, r = cand_z, cand_r
+    raise RuntimeError(
+        f"moment-map solver did not reach tol={tol:g}; final residual {float(rnorm):.3e}"
+    )
 
 
 def solve_moment_zero(
@@ -379,43 +412,17 @@ def solve_moment_zero(
 
     Each step solves the complex least-squares linearization and backtracks
     until the residual drops; a backtracking candidate is judged on its flat
-    vector. One Representation, built before the first step, views the flat
-    iterate z, and an accepted step overwrites z in place, so every step
-    assembles d(mu) along that representation's one scatter pattern (see
-    ``moment_differential``). Deterministic given the seed. Refuses a
-    negative ``seed`` and a ``tol`` that is not positive and finite; raises
-    RuntimeError (carrying the final residual) on non-convergence.
+    vector. The search runs on flat vectors alone: the d(mu) scatter
+    pattern of (q, n) is built once per call and serves every step, and
+    one Representation, viewing the final iterate, is built at the end.
+    Deterministic given the seed. Refuses a negative ``seed`` and a ``tol``
+    that is not positive and finite; raises RuntimeError (carrying the
+    final residual) on non-convergence.
     """
     _check_count("seed", seed)
     _check_tol("tol", tol)
-    # mild scaling keeps the start in the basin without landing on 0
-    z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
-    mats = _unflatten_mats(q, n, z)
-    # the stored matrices are views of z: _matrix keeps a complex array as it is
-    rep, r = Representation(q, n, FLOAT, mats), _residual(_moment_blocks(q, n, mats, 0j))
-    for _ in range(100):
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol:
-            return rep
-        J = moment_differential(rep)
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        step = 1.0
-        while step >= 2.0**-40:
-            cand_z = z + step * delta
-            cand_mats = _unflatten_mats(q, n, cand_z)
-            cand_r = _residual(_moment_blocks(q, n, cand_mats, 0j))
-            if np.linalg.norm(cand_r) < rnorm:
-                break
-            step *= 0.5
-        else:  # no step lowered the residual
-            break
-        z[:], r = cand_z, cand_r
-    final = float(np.linalg.norm(r))
-    if final <= tol:
-        return rep
-    raise RuntimeError(
-        f"moment-map solver did not reach tol={tol:g}; final residual {final:.3e}"
-    )
+    z, _ = _gauss_newton(q, n, _differential_pattern(q, n), seed, tol)
+    return Representation(q, n, FLOAT, _unflatten_mats(q, n, z))
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
@@ -456,10 +463,10 @@ def verify_ci_dim(
 ) -> CiDimReport:
     """At seeded solutions of mu = 0, the numerical rank of d(mu) should be
     n^t n - 1, making the local dimension dim Rep - rank the complete
-    intersection dimension 2p(n) + n^t n - 1. Each trial's solution keeps
-    the d(mu) scatter pattern of its Gauss-Newton steps for its final rank.
-    Refuses a negative ``trials`` or ``seed`` and a tolerance that is not
-    positive and finite."""
+    intersection dimension 2p(n) + n^t n - 1. One d(mu) scatter pattern,
+    built per call, serves every trial's steps and final rank; a trial's
+    residual is its search's last norm. Refuses a negative ``trials`` or
+    ``seed`` and a tolerance that is not positive and finite."""
     _check_count("trials", trials)
     _check_tol("rank_tol", rank_tol)
     _check_tol("residual_tol", residual_tol)
@@ -468,17 +475,15 @@ def verify_ci_dim(
     expected_dim = mu_zero_expected_dim(q, n)
     if rep_space_dim(q, n) - expected_rank != expected_dim:
         raise MathAssertionError("dim Rep - (n.n - 1) != 2p(n) + n.n - 1")
-    results = []
-    failures = []
+    pattern, results, failures = _differential_pattern(q, n), [], []
     for t in range(trials):
         s = seed + t
         try:
-            rep = solve_moment_zero(q, n, seed=s, tol=residual_tol)
+            z, res = _gauss_newton(q, n, pattern, s, residual_tol)
         except RuntimeError as exc:
             failures.append(f"seed {s}: {exc}")
             continue
-        res = moment_residual_norm(rep)
-        rank = numeric_rank(moment_differential(rep), tol=rank_tol)
+        rank = numeric_rank(_scatter(pattern, z, 0j), tol=rank_tol)
         results.append(CiTrial(s, res, rank, rep_space_dim(q, n) - rank))
     matching = sum(
         1 for r in results if r.rank == expected_rank and r.residual <= residual_tol
@@ -809,18 +814,22 @@ def _arrow_groups(rep: Representation) -> list:
 
 def _defect_and_grad(groups, frames):
     """The defect sum |(1 - P_t) A P_s|^2 over the arrows, P_i = U_i U_i^H,
-    and its gradient in every frame, for R restarts at once: frames[i] is a
-    stack (R, n_i, beta_i) of orthonormal frames. An identity frame (beta_i =
-    n_i) or an empty one (beta_i = 0) needs no special case."""
+    and its gradient in every moving frame (None in the others), for R
+    restarts at once: frames[i] is a stack (R, n_i, beta_i) of orthonormal
+    frames. An identity frame (beta_i = n_i) or an empty one (beta_i = 0)
+    needs no special case in the defect."""
     defect = np.zeros(len(frames[0]))
-    grads = [np.zeros_like(u) for u in frames]
+    grads = [np.zeros_like(u) if 0 < u.shape[2] < u.shape[1] else None for u in frames]
+    heads = [u.conj().swapaxes(1, 2)[:, None] for u in frames]
     for s, t, A, AH in groups:
         B = A @ frames[s][:, None]
-        C = frames[t].conj().swapaxes(1, 2)[:, None] @ B
+        C = heads[t] @ B
         res = B - frames[t][:, None] @ C
         defect += (res.conj() * res).real.sum(axis=(1, 2, 3))
-        grads[s] += (AH @ res).sum(axis=1)
-        grads[t] -= (B @ C.conj().swapaxes(2, 3)).sum(axis=1)
+        if grads[s] is not None:
+            grads[s] += (AH @ res).sum(axis=1)
+        if grads[t] is not None:
+            grads[t] -= (B @ C.conj().swapaxes(2, 3)).sum(axis=1)
     return defect, grads
 
 

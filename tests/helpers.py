@@ -39,9 +39,10 @@ vertices, with its checks through ``DegreeVector``, ``xi_map`` and
 tests, and ``report_digests`` and ``record_golden`` the one harness of the
 ``test_golden_*`` files.
 ``reference_moment_differential`` assembles d(mu) one entry at a time, as
-``reps.moment_differential`` did before it became a scatter, and
-``reference_solve_moment_zero`` is the Gauss-Newton solver on it, which
-builds a new ``Representation`` at every accepted step, and
+``reps.moment_differential`` did before it became a scatter,
+``reference_random_float`` draws a float representation one matrix at a
+time, and ``reference_solve_moment_zero`` is the Gauss-Newton solver on
+both, which builds a new ``Representation`` at every accepted step, and
 ``moment_trace`` the trace of the moment map.
 """
 
@@ -87,7 +88,6 @@ from quiverk3.reps import (
     act,
     dual,
     moment_map,
-    random_representation,
 )
 from quiverk3.reps import _residual as _moment_residual
 from quiverk3.lattice import DegreeVector
@@ -506,11 +506,25 @@ def reference_moment_differential(rep: Representation) -> np.ndarray:
     return J
 
 
+def reference_random_float(q, n, seed=0) -> Representation:
+    """``random_representation(q, n, seed, "float")`` drawn one matrix at a
+    time: for each edge x_e, then y_e, a matrix of standard normal real
+    parts plus i times one of imaginary parts."""
+    rng = np.random.default_rng(seed)
+
+    def block(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    mats = tuple((block(n[t], n[s]), block(n[s], n[t])) for s, t, _ in q.orientation)
+    return Representation(q, tuple(n), FLOAT, mats)
+
+
 def reference_solve_moment_zero(q, n, seed=0, tol=1e-12):
-    """The damped Gauss-Newton search of ``reps.solve_moment_zero`` with
-    d(mu) from ``reference_moment_differential`` and a new iterate array
-    and ``Representation`` at every accepted step."""
-    z = _flatten_mats(random_representation(q, n, seed=seed, mode=FLOAT)) * 0.5
+    """The damped Gauss-Newton search of ``reps.solve_moment_zero`` from
+    ``reference_random_float``, with d(mu) from
+    ``reference_moment_differential`` and a new iterate array and
+    ``Representation`` at every accepted step."""
+    z = _flatten_mats(reference_random_float(q, n, seed=seed)) * 0.5
     mats = _unflatten_mats(q, n, z)
     rep = Representation(q, n, FLOAT, mats)
     r = _moment_residual(_moment_blocks(q, n, mats, 0j))

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import random
 import re
 import warnings
@@ -35,14 +37,19 @@ from quiverk3 import (
 )
 from quiverk3 import cli, reps
 from quiverk3.cli import rep_from_dict, rep_to_dict
+from quiverk3.quiver import cb_simple_exists, mu_zero_expected_dim
 from quiverk3.reps import (
+    CiDimReport,
+    CiTrial,
     _flatten_mats,
     graded_invariance_holds,
     moment_residual_norm,
     numeric_rank,
 )
 from conftest import random_config
-from helpers import moment_trace, reference_moment_differential, reference_solve_moment_zero
+from helpers import (
+    moment_trace, reference_moment_differential, reference_random_float, reference_solve_moment_zero
+)
 
 F = Fraction
 
@@ -370,35 +377,89 @@ def test_solver_trajectory_is_the_reference_one(affine_a1, elliptic_pair, ogrady
             assert _flatten_mats(got).tobytes() == want
 
 
-def test_verify_ci_dim_is_the_reference_report(affine_a1, elliptic_pair, ogrady, monkeypatch):
-    # the report with one pattern per trial, shared by its every step,
-    # equals, residual floats included, the one whose every d(mu) is
-    # assembled entry by entry
-    cases = ((affine_a1, (1, 1)), (elliptic_pair, (1, 1)), (ogrady, (2,)))
-    got = [verify_ci_dim(quiver_from_config(cfg), n, trials=4, seed=5) for cfg, n in cases]
-    monkeypatch.setattr(reps, "solve_moment_zero", reference_solve_moment_zero)
-    monkeypatch.setattr(reps, "moment_differential", reference_moment_differential)
-    want = [verify_ci_dim(quiver_from_config(cfg), n, trials=4, seed=5) for cfg, n in cases]
-    assert got == want
-    assert all(r.matching_trials == 4 for r in got)
+def _float_cases():
+    """The eight (configuration, n) cases of the ``reps-float`` benchmark:
+    ``FIXTURES`` and ``FLOAT_CASES`` read from the source of
+    ``perfbench/workloads.py``, which is not run."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("FIXTURES", "FLOAT_CASES")}
+    cases = []
+    for fixture, n, _ in tables["FLOAT_CASES"]:
+        f = tables["FIXTURES"][fixture]
+        cases.append((CurveConfig(tuple(map(tuple, f["gram"])), tuple(f["chi"]), n,
+                                  tuple(f["h0deg"])), n))
+    assert len(cases) == 8
+    return cases
+
+
+def _reference_ci_report(q, n, trials, seed, residual_tol=1e-10):
+    """``verify_ci_dim``'s report from the reference solver: each trial's
+    residual from ``moment_residual_norm`` and its rank from the entrywise
+    d(mu) at the solution."""
+    expected_rank, results, failures = sum(x * x for x in n) - 1, [], []
+    for s in range(seed, seed + trials):
+        try:
+            rep = reference_solve_moment_zero(q, n, seed=s, tol=residual_tol)
+        except RuntimeError as exc:
+            failures.append(f"seed {s}: {exc}")
+            continue
+        rank = numeric_rank(reference_moment_differential(rep))
+        results.append(CiTrial(s, moment_residual_norm(rep), rank, rep_space_dim(q, n) - rank))
+    matching = sum(r.rank == expected_rank and r.residual <= residual_tol for r in results)
+    return CiDimReport(tuple(n), seed, expected_rank, mu_zero_expected_dim(q, n), tuple(results),
+                       matching, advisory=not cb_simple_exists(q, n).exists,
+                       failures=tuple(failures))
+
+
+def test_verify_ci_dim_is_the_reference_report(ogrady):
+    # the report on one pattern per call equals, residual floats included
+    # (compared with ==), the one whose solutions come from the reference
+    # solver and whose residuals and ranks are computed afresh from them
+    for cfg, n in _float_cases():
+        q = quiver_from_config(cfg)
+        got = verify_ci_dim(q, n, trials=4, seed=5)
+        assert got == _reference_ci_report(q, n, trials=4, seed=5)
+        assert len(got.trials) == 4 and (got.advisory or got.matching_trials == 4)
+    # every trial fails, so the failures' texts are compared too
+    q = quiver_from_config(ogrady)
+    got = verify_ci_dim(q, (2,), trials=2, seed=3, residual_tol=1e-300)
+    assert got == _reference_ci_report(q, (2,), trials=2, seed=3, residual_tol=1e-300)
+    assert len(got.failures) == 2 and not got.trials
+
+
+def test_float_draws_are_the_blockwise_draws():
+    # the flat start draw is the one matrix-by-matrix draw, bit for bit
+    for cfg, n in _float_cases():
+        q = quiver_from_config(cfg)
+        for seed in range(3):
+            got = random_representation(q, n, seed=seed, mode="float")
+            want = reference_random_float(q, n, seed=seed)
+            for pair, ref in zip(got.mats, want.mats):
+                for m, r in zip(pair, ref):
+                    assert m.shape == r.shape and m.tobytes() == r.tobytes()
 
 
 def test_the_pattern_is_built_once_per_solve(affine_a1, monkeypatch):
-    # the solver's one representation keeps its pattern for every step, and
-    # verify_ci_dim's final rank reads the pattern of the trial's solution
-    pattern, differential = reps._differential_pattern, reps.moment_differential
-    built, steps = [], []
+    # one pattern per call of solve_moment_zero or verify_ci_dim serves
+    # every step of every trial and each trial's final rank; a second call
+    # builds its own, so no pattern outlives the call that built it
+    pattern, scatter = reps._differential_pattern, reps._scatter
+    built, steps, made = [], [], []
 
     def counted_pattern(q, n):
         built.append(n)
-        return pattern(q, n)
+        made.append(pattern(q, n))
+        return made[-1]
 
-    def counted_step(rep):
+    def counted_scatter(*args):
         steps.append(1)
-        return differential(rep)
+        return scatter(*args)
 
     monkeypatch.setattr(reps, "_differential_pattern", counted_pattern)
-    monkeypatch.setattr(reps, "moment_differential", counted_step)
+    monkeypatch.setattr(reps, "_scatter", counted_scatter)
     q = quiver_from_config(affine_a1)
     for n in ((1, 1), (2, 2)):
         built.clear()
@@ -406,8 +467,30 @@ def test_the_pattern_is_built_once_per_solve(affine_a1, monkeypatch):
         solve_moment_zero(q, n, seed=2)
         assert built == [n] and len(steps) > 1
     built.clear()
+    steps.clear()
     verify_ci_dim(q, (2, 2), trials=3, seed=4)
-    assert built == [(2, 2)] * 3
+    assert built == [(2, 2)] and len(steps) > 3
+    verify_ci_dim(q, (2, 2), trials=3, seed=4)
+    assert built == [(2, 2)] * 2
+    # and built afresh, not read from a cache below the counter
+    assert not any(a is b for a, b in zip(made[-2], made[-1]))
+
+
+def test_the_solver_steps_at_most_100_times(ogrady, monkeypatch):
+    # a tenth of each least-squares step lowers the residual every time but
+    # never to tol: the 101st residual check ends the search with the error
+    lstsq, calls = np.linalg.lstsq, []
+
+    def short(a, b, rcond=None):
+        calls.append(1)
+        delta, *rest = lstsq(a, b, rcond=rcond)
+        return (delta * 0.1, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", short)
+    q = quiver_from_config(ogrady)
+    with pytest.raises(RuntimeError, match="did not reach tol=1e-300; final residual"):
+        solve_moment_zero(q, (2,), seed=1, tol=1e-300)
+    assert len(calls) == 100
 
 
 def test_exact_matrices_are_read_only_copies(affine_a1):

@@ -32,8 +32,11 @@ copy of each representation per run (three seeded exact
 ``random_representation``s each of one genus-2 curve, two loops, at mult
 5, 6, 7 and 8 and of the affine pair at (4, 4) and (5, 5), and the 418
 representations of the ``is_simple`` operations of the ``reps-exact``
-benchmark at seed 0; its TEXT is the verdict). A perf change to another
-layer adds a row.
+benchmark at seed 0; its TEXT is the verdict), and ``verify_ci_dim`` at
+20 trials and seed 0 on the eight (fixture, n) cases of the ``reps-float``
+benchmark (its TEXT is each trial's seed, ``repr`` of its residual and
+rank, so the digest also covers the residual floats). A perf change to
+another layer adds a row.
 
 Noise floor: a quoted A/B needs beside it a same-tree run from the same
 session (``python tools/ab_timing.py T T``, T one checkout on both sides):
@@ -49,8 +52,10 @@ the one-pass encoder, in one session on the same VM, read for the
 cli._dumps rows: s9-summary 0.986-1.023, s9-strata 0.968-0.982,
 s11-summary 1.007-1.020, s11-strata 0.988-1.002, 3300-chambers
 0.999-1.001, 3300-correspondence 0.928-0.971, chambers-seed0 0.978-1.032,
-strata-seed0 0.987-0.997, clique8-strata 0.989-0.992. Rows whose best
-times sum to under about 0.1 s of CPU swing the most.
+strata-seed0 0.987-0.997, clique8-strata 0.989-0.992. Two same-tree runs
+of the one-plan Gauss-Newton search, in one session on the same VM, read
+0.981 and 1.001 on the verify_ci_dim row. Rows whose best times sum to
+under about 0.1 s of CPU swing the most.
 """
 
 import hashlib
@@ -153,6 +158,19 @@ def simple(t, rep) -> list:
                                                                     rep.mats))]
 
 
+def float_cases(t) -> list:
+    """The configurations of the eight (fixture, n) cases of the
+    ``reps-float`` benchmark, each with its n as mult."""
+    w = t.workloads
+    return [t.cli.parse_config_document(json.loads(w.config_doc(dict(w.FIXTURES[f], mult=list(n)))))[0]
+            for f, n, _ in w.FLOAT_CASES]
+
+
+def ci_dim(t, cfg) -> list:
+    q = t.pkg.quiver_from_config(cfg)
+    return [lambda: partial(t.reps.verify_ci_dim, q, cfg.mult, trials=20, seed=0)]
+
+
 def dumps(*commands: str):
     def document(t, cfg, command: str) -> dict:
         args = t.cli.build_parser().parse_args([command, "config.json", "--json"])
@@ -171,6 +189,8 @@ TEXT = {  # layer -> the text of one result of a tree, for the digest
     "verify_correspondence": lambda t, report: t.cli._dumps(report),
     "cli._dumps": lambda t, text: text,
     "is_simple": lambda t, verdict: json.dumps(verdict),
+    "verify_ci_dim": lambda t, report: json.dumps([[c.seed, repr(c.residual), c.rank]
+                                                   for c in report.trials]),
 }
 S3, S5 = {"mult_max": 4}, {"gram_bound": 4, "mult_max": 2}
 GENUS2, AFFINE = ((2,),), ((-2, 2), (2, -2))
@@ -196,6 +216,7 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     *[("is_simple", f"genus2-{m}", drawn(GENUS2, (m,)), simple) for m in (5, 6, 7, 8)],
     *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
+    ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
 ]
 
 
