@@ -135,25 +135,23 @@ def parse_config_document(doc: dict):
             raise SchemaError(f"options.budget.{key} must be an integer")
     if "tol" in budget and type(budget["tol"]) not in (int, float):
         raise SchemaError("options.budget.tol must be a number")
-    if budget:  # the representation layer validates it, and loads only then
-        from .reps import SearchBudget
-        try:
-            SearchBudget(**{k: budget[k] for k in BUDGET_FIELDS if k in budget})
-        except ValueError as exc:
-            raise SchemaError(f"options.budget.{exc}") from None
+    try:  # SearchBudget's range checks, without loading the representation layer
+        for key in (k for k in BUDGET_FIELDS if k in budget):
+            (_check_tol if key == "tol" else _check_count)(key, budget[key])
+    except ValueError as exc:
+        raise SchemaError(f"options.budget.{exc}") from None
     return cfg, pols, options, names
 
 
 def load_config(source: str):
     """Read a config document from a path or stdin ('-')."""
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        if source == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(source) as fh:
+                doc = json.load(fh)
+    except ValueError as exc:  # bad JSON, too many digits, or a file that is not UTF-8
         raise SchemaError(f"invalid JSON: {exc}") from None
     return parse_config_document(doc)
 
@@ -277,12 +275,12 @@ def _layout(cls, inner: str) -> tuple[operator.attrgetter | None, tuple[str, ...
     return get, _prefixes(inner, names)
 
 
-def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
-    """Report values as JSON text, indented by 2 with sorted keys; ``indent``
-    starts obj's line. Dispatch is on exact type only: ``str``, ``int``,
-    ``list``/``tuple``, ``dict`` with ``str`` keys, dataclasses (by field),
-    then ``Fraction`` (``_frac_to_json``), ``float`` (json's spelling, NaN
-    and Infinity included), ``None``/``True``/``False``, then ``complex``
+def _dumps(obj) -> str:
+    """Report values as JSON text, indented by 2 from column 0 with sorted
+    keys. Dispatch is on exact type only: ``str``, ``int``, ``list``/
+    ``tuple``, ``dict`` with ``str`` keys, dataclasses (by field), then
+    ``Fraction`` (``_frac_to_json``), ``float`` (json's spelling, NaN and
+    Infinity included), ``None``/``True``/``False``, then ``complex``
     (``[re, im]``) and 2-D arrays (rows of such pairs). Anything else,
     subclasses included, raises ``TypeError``.
 
@@ -290,13 +288,13 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
     In a container's loop scalars, lists and tuples of scalars (one piece
     each) and memo hits take no call. Two memos work per depth. A
     dataclass instance met again at the same depth (the ``StratumPart``s
-    that strata records share) is encoded once: ``memo`` maps its (id,
+    that strata records share) is encoded once: one memo maps its (id,
     depth) to the instance, which the entry keeps alive so that the id is
     not reused, and its text. A decomposition part ``(k, beta)`` is encoded
     once per value and depth; that memo admits only exact ints, since
     ``1 == True == 1.0`` spell differently.
     """
-    memo = {} if memo is None else memo
+    memo = {}  # (id, depth) -> (dataclass instance, text)
     pairs = defaultdict(dict)  # depth -> {(k, beta): text}
     out = []
     append = out.append
@@ -358,7 +356,7 @@ def _dumps(obj, indent: str = "\n", memo: dict | None = None) -> str:
             memo[id(obj), len(indent)] = (obj, text)
 
     try:
-        write(obj, indent)
+        write(obj, "\n")
         return "".join(out)
     finally:
         del write  # its cell refers to it: free the pieces now, not at a collection

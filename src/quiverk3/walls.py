@@ -14,6 +14,8 @@ integers over common denominators: the cone cuts, the interior points, the
 sign certificates, the characters and the per-chamber probes. Both point
 solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
 return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
+The simplex takes over only from an elimination past its row bound; it
+pivots fraction-free, every tableau entry over one positive denominator.
 The Fourier-Motzkin solves of one chamber enumeration share one bounded
 row table, which changes no point and no blowup. A ``ChamberSet`` keeps its
 points, and a wall slice its vertices, in integers over one denominator, and
@@ -366,77 +368,63 @@ def lp_feasible_point(cons: list[Constraint], nvars: int) -> tuple[int, IntVecto
     m the lcm of its reduced denominators, or None when there is none.
 
     Writes x = x+ - x- and subtracts slacks, then minimizes the sum of
-    artificial variables with Bland's rule (guaranteed termination). The
-    tableau stays integral: rows are rescaled rather than normalized, with a
-    gcd reduction after each pivot to keep the entries small.
+    artificials with Bland's rule, which terminates. The artificials start
+    basic and never enter, so their columns are not kept. The tableau is
+    fraction-free (Edmonds 1967, Bareiss 1968): each entry, right-hand sides
+    included, is d times its rational value, d > 0 the last pivot (1 at the
+    start). A pivot p > 0 becomes the new d; its row stays, and each other
+    row becomes (p * row - f * pivot_row) // d, f its entry in the pivot
+    column. That division is exact: by Cramer's rule each new entry is, up
+    to sign, a minor of the starting integer tableau, artificial columns
+    included.
+
+    Scaling all rows by d > 0 changes none of Bland's choices: a column
+    enters when its sum over the artificial rows is positive, a sign that d
+    keeps, and d cancels in the ratio test's rhs / t. So the bases and
+    points are those of the rational tableau.
     """
     m = len(cons)
-    if m == 0:
-        return 1, (0,) * nvars
-    nstruct = 2 * nvars + m  # x+, x-, slacks; artificials sit after these
-    tableau: list[list[int]] = []
-    rhs: list[int] = []
+    nstruct = 2 * nvars + m  # x+, x-, slacks; then each row's right-hand side
+    rows: list[list[int]] = []
     for i, (coeffs, b) in enumerate(cons):
-        sign = 1 if b >= 0 else -1
-        row = [0] * (nstruct + m)
-        for j in range(nvars):
-            row[j] = sign * coeffs[j]
-            row[nvars + j] = -sign * coeffs[j]
-        row[2 * nvars + i] = -sign
-        row[nstruct + i] = 1
-        tableau.append(row)
-        rhs.append(abs(b))
-    basis = [nstruct + i for i in range(m)]
-    scale = [1] * m  # positive coefficient of each row's basic variable
+        row = [c if b >= 0 else -c for c in coeffs]
+        row += [-c for c in row] + [0] * m + [abs(b)]
+        row[2 * nvars + i] = -1 if b >= 0 else 1
+        rows.append(row)
+    basis = list(range(nstruct, nstruct + m))  # artificial i is basic in row i
+    d = 1
     while True:
-        art_rows = [i for i in range(m) if basis[i] >= nstruct]
-        # reduced costs of the phase-1 objective, times the lcm of the
-        # artificial rows' scales
-        common = math.lcm(*(scale[i] for i in art_rows))
-        weights = [(tableau[i], common // scale[i]) for i in art_rows]
-        entering = None
-        for j in range(nstruct):
-            if sum(row[j] * w for row, w in weights) > 0:
-                entering = j
-                break
+        art_rows = [row for row, b in zip(rows, basis) if b >= nstruct]
+        costs = zip(range(nstruct), map(sum, zip(*art_rows)))  # minus the reduced costs, times d
+        entering = next((j for j, c in costs if c > 0), None)
         if entering is None:
-            if any(rhs[i] != 0 for i in art_rows):
+            if any(row[-1] for row in art_rows):
                 return None
             break
         # Bland's ratio test: the least rhs / t, then the least basic index
         pr = None
-        for i in range(m):
-            t = tableau[i][entering]
-            if t > 0 and (pr is None or (rhs[i] * tp, basis[i]) < (rhs[pr] * t, basis[pr])):
-                pr, tp = i, t
+        for i, row in enumerate(rows):
+            t = row[entering]
+            if t > 0 and (pr is None or (row[-1] * p, basis[i]) < (rows[pr][-1] * t, basis[pr])):
+                pr, p = i, t
         if pr is None:
             # the phase-1 objective is bounded below by zero, so a positive
             # reduced cost always admits a blocking row
             raise MathAssertionError("phase-1 simplex lost its lower bound")
-        p = tableau[pr][entering]
-        for i in range(m):
-            f = tableau[i][entering]
-            if i == pr or f == 0:
-                continue
-            tableau[i] = [p * x - f * y for x, y in zip(tableau[i], tableau[pr])]
-            rhs[i] = p * rhs[i] - f * rhs[pr]
-            g = math.gcd(*(abs(x) for x in tableau[i]), abs(rhs[i]))
-            if g > 1:
-                tableau[i] = [x // g for x in tableau[i]]
-                rhs[i] //= g
-            scale[i] = tableau[i][basis[i]]
-        basis[pr] = entering
-        # no reduction here: every row starts with gcd 1 and each update keeps it
-        scale[pr] = tableau[pr][entering]
-    # x_j = rhs / scale of x+_j or -rhs / scale of x-_j, whichever is basic:
-    # their columns are opposite, so a basis never holds both
-    coords = [(0, 1)] * nvars
-    for i, b in enumerate(basis):
+        pivot = rows[pr]
+        for i, row in enumerate(rows):
+            if i != pr:
+                f = row[entering]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot)]
+        basis[pr], d = entering, p
+    # x_j = rhs / d if x+_j is basic, -rhs / d if x-_j is: their columns are
+    # opposite, so a basis never holds both
+    coords = [0] * nvars
+    for row, b in zip(rows, basis):
         if b < 2 * nvars:
-            g = math.gcd(rhs[i], scale[i])
-            coords[b % nvars] = ((rhs[i] if b < nvars else -rhs[i]) // g, scale[i] // g)
-    den = math.lcm(*(d for _, d in coords))
-    return den, tuple(x * (den // d) for x, d in coords)
+            coords[b % nvars] = row[-1] if b < nvars else -row[-1]
+    den, *ipt = primitive([d, *coords])
+    return den, tuple(ipt)
 
 
 @dataclass(frozen=True)

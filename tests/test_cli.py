@@ -596,6 +596,28 @@ def test_malformed_input_exits_2(
     assert err.startswith("schema error:") and diagnostic in err
 
 
+def test_bytes_that_are_not_utf8_exit_2(tmp_path, capsys, monkeypatch):
+    """A configuration that is not UTF-8, from a file or from a strict
+    stdin, is a schema error like a representation file of the same bytes,
+    not a traceback."""
+    import io
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"curves": [\xff\xfe]}')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(AFFINE_DOC))
+    strict = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", strict)
+    for argv, diagnostic in (
+        (["summary", str(bad), "--json"], "schema error: invalid JSON: "),
+        (["summary", "-", "--json"], "schema error: invalid JSON: "),
+        (["stability", str(config), "--rep", str(bad), "--theta=-1,1"],
+         "schema error: invalid representation JSON: "),
+    ):
+        assert dispatch(argv) == EXIT_SCHEMA, argv
+        assert capsys.readouterr().err.startswith(diagnostic), argv
+
+
 def test_no_configuration_state_between_dispatches(tmp_path, capsys):
     # every configuration fact lives in a LocalModel built per call, so one
     # process gives the same bytes for A after B as for A alone
@@ -845,11 +867,12 @@ def test_commands_without_a_representation_load_neither_numpy_nor_reps(
     assert rows[10:] == [["stability", 0, True, True], ["moment-verify", 0, True, True]]
 
 
-def test_a_budget_in_the_options_loads_reps_to_validate_it(tmp_path):
+def test_a_budget_in_the_options_is_validated_without_loading_reps(tmp_path):
+    # its range checks are SearchBudget's, run without the representation layer
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**AFFINE_DOC, "options": {"budget": {"probes": 2}}}))
     rows = _loads_in_a_fresh_interpreter([["quiver", str(config), "--json"]])
-    assert rows == [["import quiverk3", 0, False, False], ["quiver", 0, True, True]]
+    assert rows == [["import quiverk3", 0, False, False], ["quiver", 0, False, False]]
 
 
 def test_the_package_serves_the_representation_names_from_reps():

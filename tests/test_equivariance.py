@@ -16,22 +16,35 @@ from __future__ import annotations
 import random
 
 from conftest import random_config
-from quiverk3 import CurveConfig, quiver_from_config, random_representation
+from quiverk3 import (
+    CurveConfig,
+    LocalModel,
+    chamber_signature,
+    quiver_from_config,
+    random_representation,
+)
 from quiverk3.reps import Representation, direct_sum, dual, is_simple
+from quiverk3.strata import _strata
 
 AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))
 ELLIPTIC = CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1))
 CHAIN = CurveConfig(((-2, 1, 0), (1, -2, 1), (0, 1, -2)), (1, 1, 1), (1, 1, 1), (1, 1, 1))
 
 
-def relabelled(cfg: CurveConfig, rep: Representation, perm) -> tuple[CurveConfig, Representation]:
-    """The configuration and representation with curve i renamed perm[i]."""
+def relabelled_config(cfg: CurveConfig, perm) -> CurveConfig:
+    """The configuration with curve i renamed perm[i]."""
     inv = sorted(range(cfg.s), key=perm.__getitem__)
-    pcfg = CurveConfig(
+    return CurveConfig(
         tuple(tuple(cfg.gram[inv[a]][inv[b]] for b in range(cfg.s)) for a in range(cfg.s)),
         tuple(cfg.chi[i] for i in inv), tuple(cfg.mult[i] for i in inv),
         tuple(cfg.h0deg[i] for i in inv),
     )
+
+
+def relabelled(cfg: CurveConfig, rep: Representation, perm) -> tuple[CurveConfig, Representation]:
+    """The configuration and representation with curve i renamed perm[i]."""
+    inv = sorted(range(cfg.s), key=perm.__getitem__)
+    pcfg = relabelled_config(cfg, perm)
     mats = {}
     for (s, t, k), (x, y) in zip(rep.quiver.orientation, rep.mats):
         ps, pt = perm[s], perm[t]
@@ -87,3 +100,47 @@ def test_relabelling_maps_the_quiver_and_the_arrows_back():
         inv = sorted(range(cfg.s), key=perm.__getitem__)
         back_cfg, back = relabelled(pcfg, prep, inv)
         assert back_cfg == cfg and back == rep
+
+
+def _walled_draws(seed: int, count: int, max_walls: int, gram_bound: int) -> list[CurveConfig]:
+    """The first ``count`` draws of ``random_config(Random(seed), 2, 4)``
+    with at most ``max_walls`` quiver walls."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        cfg = random_config(rng, 2, 4, gram_bound=gram_bound, mult_max=2)
+        if len(LocalModel(cfg).quiver_walls) <= max_walls:
+            out.append(cfg)
+    return out
+
+
+def test_relabelled_configurations_give_the_same_answers():
+    """Under a random permutation of the curves: the roots (mapped back),
+    both wall counts, the chamber count, simple_exists(n) and the multiset
+    of strata dimensions agree, and the relabelled chambers' representatives,
+    mapped back, have the signatures against the original walls of distinct
+    original chambers, all of them. Representatives and wall normals are
+    never compared: ``nperp_basis`` depends on the curve order, and a normal
+    is defined only modulo n."""
+    rng = random.Random(103)
+    configs = [AFFINE, ELLIPTIC, CHAIN] + _walled_draws(1, 60, 16, 3) + _walled_draws(3, 20, 19, 4)
+    for cfg in configs:
+        perm = list(range(cfg.s))
+        rng.shuffle(perm)
+        model, pmodel = LocalModel(cfg), LocalModel(relabelled_config(cfg, perm))
+
+        def back(v):
+            return tuple(v[perm[i]] for i in range(cfg.s))
+
+        assert sorted(map(back, pmodel.roots)) == sorted(model.roots), (cfg, perm)
+        assert len(pmodel.quiver_walls) == len(model.quiver_walls), (cfg, perm)
+        assert len(pmodel.ample_walls) == len(model.ample_walls), (cfg, perm)
+        chambers = model.chambers
+        assert pmodel.chambers.count == chambers.count, (cfg, perm)
+        signatures = [chamber_signature(back(theta), chambers.walls)
+                      for theta in pmodel.chambers.representatives]
+        assert len(set(signatures)) == len(signatures), (cfg, perm)
+        assert set(signatures) == set(chambers.signatures), (cfg, perm)
+        simple, psimple = model.simple_exists(model.n), pmodel.simple_exists(pmodel.n)
+        assert (psimple.exists, psimple.is_root) == (simple.exists, simple.is_root), (cfg, perm)
+        dims = sorted(r.dim for r in _strata(model))
+        assert sorted(r.dim for r in _strata(pmodel)) == dims, (cfg, perm)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import random
 import re
 import warnings
@@ -483,6 +484,42 @@ def test_lp_points_are_pinned():
     assert sum(o is not None for o in outs) == 279
     digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
     assert digest == "28d71a5dadc6190d0ac65762f9e5383184d7b98108d41c7679f6100c5e05ec7d"
+
+
+def chamber_like_systems(seed: int, count: int) -> list:
+    """``count`` seeded feasible systems shaped like those a Fourier-Motzkin
+    blowup hands to the simplex: 15-32 rows in 3 or 4 variables, each a
+    random integer functional signed to be positive at one random nonzero
+    integer point, with right-hand side 1 to 3, so a multiple of that point
+    satisfies them all."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        nvars = rng.randint(3, 4)
+        point = [0] * nvars
+        while not any(point):
+            point = [rng.randint(-5, 5) for _ in range(nvars)]
+        rows, cons = rng.randint(15, 32), []
+        while len(cons) < rows:
+            coeffs = [rng.randint(-4, 4) for _ in range(nvars)]
+            dot = sum(map(operator.mul, coeffs, point))
+            if dot:
+                cons.append((tuple(c if dot > 0 else -c for c in coeffs), rng.randint(1, 3)))
+        systems.append((cons, nvars))
+    return systems
+
+
+def test_lp_points_are_pinned_on_chamber_like_systems():
+    """The simplex's answers on 200 seeded systems of the size a blowup
+    hands over, recorded before the simplex went fraction-free; each
+    point is checked against its system."""
+    outs = []
+    for cons, nvars in chamber_like_systems(3001, 200):
+        m, ipt = lp_feasible_point(cons, nvars)
+        assert m > 0 and all(sum(map(operator.mul, c, ipt)) >= b * m for c, b in cons)
+        outs.append((m, ipt))
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == "1c7dfcae5b36996bab22d1dd759526ee783e26a634b473d0e0830935518b8f17"
 
 
 def test_lp_no_constraints():

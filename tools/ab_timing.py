@@ -35,8 +35,11 @@ representations of the ``is_simple`` operations of the ``reps-exact``
 benchmark at seed 0; its TEXT is the verdict), and ``verify_ci_dim`` at
 20 trials and seed 0 on the eight (fixture, n) cases of the ``reps-float``
 benchmark (its TEXT is each trial's seed, ``repr`` of its residual and
-rank, so the digest also covers the residual floats). A perf change to
-another layer adds a row.
+rank, so the digest also covers the residual floats), and
+``lp_feasible_point`` on the 600 systems of ``test_lp_points_are_pinned``
+and the 200 of ``test_lp_points_are_pinned_on_chamber_like_systems`` (its
+TEXT is the JSON of the point; no benchmark workload runs the simplex, so
+this row is its only A/B). A perf change to another layer adds a row.
 
 Noise floor: a quoted A/B needs beside it a same-tree run from the same
 session (``python tools/ab_timing.py T T``, T one checkout on both sides):
@@ -54,7 +57,10 @@ s11-summary 1.007-1.020, s11-strata 0.988-1.002, 3300-chambers
 0.999-1.001, 3300-correspondence 0.928-0.971, chambers-seed0 0.978-1.032,
 strata-seed0 0.987-0.997, clique8-strata 0.989-0.992. Two same-tree runs
 of the one-plan Gauss-Newton search, in one session on the same VM, read
-0.981 and 1.001 on the verify_ci_dim row. Rows whose best times sum to
+0.981 and 1.001 on the verify_ci_dim row. Two same-tree runs of the
+fraction-free simplex on the same VM, one per tree, beside its A/B, read
+1.001 and 0.998 on lp_feasible_point pinned600 and 1.011 and 1.002 on
+chamber-like200. Rows whose best times sum to
 under about 0.1 s of CPU swing the most.
 """
 
@@ -171,6 +177,43 @@ def ci_dim(t, cfg) -> list:
     return [lambda: partial(t.reps.verify_ci_dim, q, cfg.mult, trials=20, seed=0)]
 
 
+def lp_pinned(t) -> list:
+    """The 600 systems of ``test_lp_points_are_pinned`` in
+    ``tests/test_walls.py``, as (constraints, nvars); the same data for
+    both trees."""
+    rng = random.Random(1601)
+    systems = []
+    for _ in range(600):
+        nvars = rng.randint(0, 5)
+        systems.append(([(tuple(rng.randint(-5, 5) for _ in range(nvars)), rng.randint(-3, 3))
+                         for _ in range(rng.randint(0, 14))], nvars))
+    return systems
+
+
+def lp_chamber_like(t) -> list:
+    """The 200 systems of ``chamber_like_systems(3001, 200)`` in
+    ``tests/test_walls.py``, the size a Fourier-Motzkin blowup hands over."""
+    rng = random.Random(3001)
+    systems = []
+    for _ in range(200):
+        nvars = rng.randint(3, 4)
+        point = [0] * nvars
+        while not any(point):
+            point = [rng.randint(-5, 5) for _ in range(nvars)]
+        rows, cons = rng.randint(15, 32), []
+        while len(cons) < rows:
+            coeffs = [rng.randint(-4, 4) for _ in range(nvars)]
+            dot = sum(c * x for c, x in zip(coeffs, point))
+            if dot:
+                cons.append((tuple(c if dot > 0 else -c for c in coeffs), rng.randint(1, 3)))
+        systems.append((cons, nvars))
+    return systems
+
+
+def lp(t, system) -> list:
+    return [lambda: partial(t.walls.lp_feasible_point, *system)]
+
+
 def dumps(*commands: str):
     def document(t, cfg, command: str) -> dict:
         args = t.cli.build_parser().parse_args([command, "config.json", "--json"])
@@ -189,6 +232,7 @@ TEXT = {  # layer -> the text of one result of a tree, for the digest
     "verify_correspondence": lambda t, report: t.cli._dumps(report),
     "cli._dumps": lambda t, text: text,
     "is_simple": lambda t, verdict: json.dumps(verdict),
+    "lp_feasible_point": lambda t, point: json.dumps(point),
     "verify_ci_dim": lambda t, report: json.dumps([[c.seed, repr(c.residual), c.rank]
                                                    for c in report.trials]),
 }
@@ -217,6 +261,8 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
     ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
+    ("lp_feasible_point", "pinned600", lp_pinned, lp),
+    ("lp_feasible_point", "chamber-like200", lp_chamber_like, lp),
 ]
 
 
