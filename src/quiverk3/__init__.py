@@ -62,7 +62,7 @@ from .walls import (
     quiver_walls,
     restrict_weights_to_type,
     theta_dot,
-    v_walls_bounded_scan,
+    v_walls,
     verify_correspondence,
     xi_map,
 )

@@ -33,7 +33,7 @@ from .walls import (
     LocalModel,
     character_general,
     det_weight_vector,
-    v_walls_bounded_scan,
+    v_walls,
     verify_correspondence,
     xi_map,
 )
@@ -461,13 +461,13 @@ def _cmd_walls(cfg, pols, options, args):
             f"  beta {list(w.beta)} chi_beta {w.chi_beta} coeffs {list(w.coeffs)}"
             for w in aw
         ]
-        if args.chi_bound is not None:
-            scan = v_walls_bounded_scan(cfg, args.chi_bound)
-            payload["global_scan"] = [
-                {"beta": list(b), "chi_gamma": c, "coeffs": list(co), "through_h0": th}
-                for b, c, co, th in scan
-            ]
-            lines.append(f"global scan (|chi_Gamma| <= {args.chi_bound}): {len(scan)} candidate walls")
+    if args.global_walls:
+        scan = v_walls(cfg)
+        payload["global_scan"] = [
+            {"beta": list(b), "chi_gamma": c, "coeffs": list(co), "through_h0": th}
+            for b, c, co, th in scan
+        ]
+        lines.append(f"v-walls meeting the degree cone: {len(scan)}")
     if args.side == "both":
         payload["counts_match"] = True
         lines.append("wall systems agree")
@@ -644,8 +644,9 @@ COMMANDS = {
     )),
     "walls": Command(_cmd_walls, "wall systems", (
         ("--side", {"choices": ["quiver", "ample", "both"], "default": "both"}),
-        ("--chi-bound", {"type": int, "help": "optional global v-wall scan bound"}),
-    ), counts=("--chi-bound",)),
+        ("--global", {"action": "store_true", "dest": "global_walls",
+                      "help": "add every v-wall that meets the degree cone a > 0"}),
+    )),
     "chambers": Command(_cmd_chambers, "chamber enumeration in n-perp"),
     "character": Command(_cmd_character, "character of a named polarization", (
         ("--pol", {"required": True}),

@@ -26,11 +26,11 @@ OrientedEdge = tuple[int, int, int]
 # raises instead of filling memory (one genus-2 curve of multiplicity 500 has
 # as many as there are partitions of 500, about 2.3 * 10^21)
 MAX_DECOMPOSITIONS = 100_000
-# the most vectors 0 <= alpha <= n that a root scan visits, eight times the
-# largest box of any test or benchmark input (the 9-curve clique's 2^9); past
-# it ``_roots_upto`` raises instead of running for hours (each vector costs
-# a root test, and the simple-existence table of n costs one step per box
-# vector and root)
+# the most vectors 0 <= alpha <= n that a root scan or the v-wall list visits,
+# eight times the largest box of any test or benchmark input (the 9-curve
+# clique's 2^9); past it ``checked_box`` raises instead of running for hours
+# (each vector costs a root test, and the simple-existence table of n costs
+# one step per box vector and root)
 MAX_ROOT_BOX = 4096
 
 
@@ -178,17 +178,23 @@ def _packed_box(n: DimVector, w: int) -> list[int]:
     return box
 
 
-def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
-    """Positive roots 0 < alpha <= n in lexicographic order, n included when
-    it is a root: the one box scan that the root-indexed computations of a
-    configuration read."""
+def checked_box(n: DimVector):
+    """``boxed_vectors(n)``, once the box 0 <= alpha <= n is known to hold at
+    most ``MAX_ROOT_BOX`` vectors; past that, ``InvariantError("root-box")``."""
     box = math.prod(k + 1 for k in n)
     if box > MAX_ROOT_BOX:
         raise InvariantError(
             "root-box",
             f"the box 0 <= alpha <= n = {n} holds {box} vectors, more than {MAX_ROOT_BOX}",
         )
-    return tuple(a for a in boxed_vectors(n) if is_positive_root(q, a))
+    return boxed_vectors(n)
+
+
+def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
+    """Positive roots 0 < alpha <= n in lexicographic order, n included when
+    it is a root: the one box scan that the root-indexed computations of a
+    configuration read."""
+    return tuple(a for a in checked_box(n) if is_positive_root(q, a))
 
 
 def check_bound(q: Quiver, n: DimVector) -> DimVector:

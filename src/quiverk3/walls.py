@@ -43,8 +43,8 @@ from .quiver import (
     Quiver,
     SimpleExistence,
     bounded_roots,
-    boxed_vectors,
     check_bound,
+    checked_box,
     Decomposition,
     is_positive_root,
     quiver_from_config,
@@ -502,6 +502,16 @@ def _cut(
     return (lines, pos + shared), (lines, neg + shared)
 
 
+# the most chambers that an enumeration may meet, by the Buck-Zaslavsky bound:
+# m central hyperplanes in dimension d cut at most 2 sum_(i<d) C(m-1, i)
+# chambers (Buck 1943, Amer. Math. Monthly 50; Zaslavsky 1975, Mem. AMS 154).
+# Past it enumeration raises before the first split instead of running for
+# hours: the 7-curve clique, 63 walls in dimension 6, has a bound of 14137242.
+# The largest bound of any test, ladder or benchmark input is 9984, and 2^17
+# also keeps the 65-wall s = 5 draw (87490)
+MAX_CHAMBERS = 1 << 17
+
+
 def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     """Exact enumeration of the full-dimensional sign cells of the wall
     arrangement in n-perp, with one interior rational point per cell.
@@ -524,6 +534,9 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     the sign certificate is taken on ipt. The chamber's point is theta =
     (sum_k ipt[k] * basis[k]) / m, over n's coordinates, in lowest terms.
 
+    Past ``MAX_CHAMBERS`` on the Buck-Zaslavsky bound of the walls it raises
+    ``InvariantError("chamber-count")`` before the first split.
+
     Chamber facts are decided here: each representative is certified to
     realize its own sign cell, so ``signatures`` are zero-free and pairwise
     distinct. n-genericity is left to ``is_generic``; it fails identically
@@ -539,6 +552,13 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
         raise ValueError("no wall structure; non-primitive one-vertex case")
     basis = nperp_basis(n)
     d = len(basis)
+    bound = 2 * sum(math.comb(len(walls) - 1, i) for i in range(d)) if walls else 1
+    if bound > MAX_CHAMBERS:
+        raise InvariantError(
+            "chamber-count",
+            f"{len(walls)} walls in dimension {d} may cut up to {bound} chambers, "
+            f"more than {MAX_CHAMBERS}",
+        )
     functionals = [
         tuple(sum(b[i] * w.normal[i] for i in range(len(n))) for b in basis)
         for w in walls
@@ -636,51 +656,44 @@ def _ample_walls(cfg: CurveConfig, roots: Sequence[DimVector]) -> tuple[AmpleWal
     return tuple(walls)
 
 
-# the most pairs (beta, chi_Gamma) that ``v_walls_bounded_scan`` visits:
-# sixteen times the largest root box (``MAX_ROOT_BOX``), so that every
-# configuration whose roots can be scanned can take |chi_Gamma| <= 7; the
-# largest scan of any test or of the report ladder visits 260. Past it the
-# scan raises instead of running for minutes (each pair keeps at most one
-# wall: --chi-bound 1000000 on the elliptic pair ran 58 s and wrote 342 MB)
+# the most pairs (beta, chi_Gamma) that ``v_walls`` lists, sixteen times the
+# largest root box; their count grows with |chi| (chi = (20000, 20000) on the
+# elliptic pair gives 79998)
 MAX_V_WALL_SCAN = 16 * MAX_ROOT_BOX
 
 
-def v_walls_bounded_scan(
-    cfg: CurveConfig, chi_bound: int
-) -> list[tuple[DimVector, int, IntVector, bool]]:
-    """Optional global scan of candidate v-walls chi (Gamma . x) = chi_Gamma (D . x)
-    over subcurves Gamma = sum beta_i D_i and |chi_Gamma| <= chi_bound.
+def v_walls(cfg: CurveConfig) -> list[tuple[DimVector, int, IntVector, bool]]:
+    """The v-walls chi (beta . a) = chi_Gamma (n . a), over subcurves Gamma =
+    sum beta_i D_i with 0 <= beta <= n, that meet the open degree cone a > 0.
 
-    The finite admissible range of chi_Gamma is not pinned down here, hence
-    the explicit user bound. Returns (beta, chi_Gamma, coeffs, through_h0)
-    with duplicate hyperplanes merged. Raises ``InvariantError("v-wall-scan")``
-    before scanning when the scan would visit more than ``MAX_V_WALL_SCAN``
-    pairs (beta, chi_Gamma).
+    Over that cone (beta . a) / (n . a) fills the open interval between
+    min_i beta_i / n_i and max_i beta_i / n_i, so chi_Gamma runs over the
+    integers strictly between chi times its ends; a beta proportional to n
+    has none. Returns (beta, chi_Gamma, coeffs, through_h0) per hyperplane
+    coeffs . a = 0, coeffs = chi * beta - chi_Gamma * n, with the first pair
+    in box order and ascending chi_Gamma. Past ``MAX_V_WALL_SCAN`` pairs it
+    raises ``InvariantError("v-wall-scan")`` before building a wall.
     """
-    _check_count("chi_bound", chi_bound)
-    n = cfg.mult
-    pairs = (math.prod(k + 1 for k in n) - 2) * (2 * chi_bound + 1)
+    n, chi = cfg.mult, cfg.total_euler
+    ranges = []
+    for beta in checked_box(n):
+        ratios = [Fraction(b, m) for b, m in zip(beta, n)]
+        lo, hi = sorted((chi * min(ratios), chi * max(ratios)))
+        ranges.append((beta, range(math.floor(lo) + 1, math.ceil(hi))))
+    pairs = sum(len(chis) for _, chis in ranges)
     if pairs > MAX_V_WALL_SCAN:
         raise InvariantError(
             "v-wall-scan",
-            f"the scan of |chi_Gamma| <= {chi_bound} over the subcurves of n = {n} visits "
-            f"{pairs} pairs, more than {MAX_V_WALL_SCAN}",
+            f"the v-walls of n = {n}, chi = {chi} take {pairs} pairs, more than {MAX_V_WALL_SCAN}",
         )
-    chi = cfg.total_euler
-    seen: set[IntVector] = set()
-    out = []
-    for beta in boxed_vectors(n):
-        if all(b == 0 for b in beta) or beta == tuple(n):
-            continue
-        for chi_g in range(-chi_bound, chi_bound + 1):
+    seen, out = set(), []
+    for beta, chis in ranges:
+        for chi_g in chis:
             coeffs = tuple(chi * b - chi_g * m for b, m in zip(beta, n))
             key = _sign_insensitive_key(coeffs)
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            through = sum(c * d for c, d in zip(coeffs, cfg.h0deg)) == 0
-            out.append((beta, chi_g, coeffs, through))
-    out.sort(key=lambda t: (t[0], t[1]))
+            if key not in seen:
+                seen.add(key)
+                out.append((beta, chi_g, coeffs, _dot(coeffs, cfg.h0deg) == 0))
     return out
 
 
@@ -888,6 +901,12 @@ def _wall_samples(h0deg: IntVector, verts: Sequence, count: int) -> list[tuple[i
     return samples
 
 
+# the most wall samples, walls times ``samples_per_wall``, that
+# ``verify_correspondence`` builds; past it it raises instead of filling
+# memory (10^6 samples on the elliptic pair took 5.9 s and 240 MB)
+MAX_WALL_SAMPLES = 1 << 16
+
+
 def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> CorrespondenceReport:
     """Check, exactly, that the degree-to-character map carries every relevant
     ample wall onto its quiver wall, and probe one polarization per adjacent
@@ -896,14 +915,23 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     A probe's character is checked to be d0 * eps * u (d0, eps > 0) for a
     certified representative u, so it has u's signature from the chamber set.
     Only roots proportional to n vanish at a chamber point, and they vanish on
-    all of n-perp, so one genericity verdict decides every chamber."""
+    all of n-perp, so one genericity verdict decides every chamber. Past
+    ``MAX_WALL_SAMPLES`` samples it raises ``InvariantError("wall-samples")``
+    before building one."""
     _check_count("samples_per_wall", samples_per_wall)
     if cfg.s == 1:
         return CorrespondenceReport((), (), True, "one-vertex configuration: no walls")
     model = LocalModel(cfg)
     d0, n, h0 = cfg.total_h0deg, cfg.mult, cfg.h0deg
+    awalls = model.ample_walls
+    if len(awalls) * samples_per_wall > MAX_WALL_SAMPLES:
+        raise InvariantError(
+            "wall-samples",
+            f"{samples_per_wall} samples on each of {len(awalls)} walls make "
+            f"{len(awalls) * samples_per_wall}, more than {MAX_WALL_SAMPLES}",
+        )
     wall_checks = []
-    for wall in model.ample_walls:
+    for wall in awalls:
         verts = _wall_slice_vertices(cfg, wall)
         samples = _wall_samples(h0, verts, samples_per_wall)
         note = "" if verts else "wall meets the slice only at h0deg"

@@ -35,6 +35,8 @@ of a ``ChamberSet``.
 vertices, with its checks through ``DegreeVector``, ``xi_map`` and
 ``theta_dot``, and
 ``reference_genericity`` the ``Fraction`` genericity test of that time.
+``v_walls_bounded_scan`` is the candidate v-wall scan over |chi_Gamma| <= B
+that ``walls.v_walls`` replaced, with no bound on its work.
 ``config_document`` is the one builder of CLI config documents for the
 tests, and ``report_digests`` and ``record_golden`` the one harness of the
 ``test_golden_*`` files.
@@ -96,6 +98,7 @@ from quiverk3.walls import (
     GenericityVerdict,
     _FMBlowup,
     _dot,
+    _sign_insensitive_key,
     chamber_signature,
     nperp_basis,
     theta_dot,
@@ -845,6 +848,32 @@ def reference_genericity(theta, n, roots) -> GenericityVerdict:
         raise ValueError("theta . n != 0: not a valid stability parameter")
     violators = tuple(alpha for alpha in roots if theta_dot(theta, alpha) == 0)
     return GenericityVerdict(not violators, violators)
+
+
+# ---------------------------------------------------------------------------
+# v-walls by a bounded scan
+
+
+def v_walls_bounded_scan(cfg, chi_bound: int) -> list:
+    """Candidate v-walls chi (beta . a) = chi_Gamma (n . a) over the proper
+    box vectors beta and every |chi_Gamma| <= chi_bound, merged by hyperplane
+    as ``walls.v_walls`` merges them: (beta, chi_Gamma, coeffs, through_h0),
+    sorted by (beta, chi_Gamma). Its hyperplanes may miss the degree cone
+    a > 0; at chi_bound = |chi| those that meet it are ``v_walls``'s."""
+    n, chi = cfg.mult, cfg.total_euler
+    seen, out = set(), []
+    for beta in boxed_vectors(n):
+        if not any(beta) or beta == tuple(n):
+            continue
+        for chi_g in range(-chi_bound, chi_bound + 1):
+            coeffs = tuple(chi * b - chi_g * m for b, m in zip(beta, n))
+            key = _sign_insensitive_key(coeffs)
+            if key is None or key in seen:
+                continue
+            seen.add(key)
+            out.append((beta, chi_g, coeffs, _dot(coeffs, cfg.h0deg) == 0))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

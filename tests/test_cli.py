@@ -185,12 +185,18 @@ def test_walls_one_vertex(tmp_path, capsys):
 
 
 def test_walls_global_scan(elliptic_path, capsys):
-    assert (
-        dispatch(["walls", elliptic_path, "--side", "ample", "--chi-bound", "2", "--json"])
-        == EXIT_OK
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert all(abs(w["chi_gamma"]) <= 2 for w in payload["global_scan"])
+    """``walls --global`` adds the v-walls that meet the degree cone, on any
+    side, and only with the flag."""
+    for side in ("quiver", "ample", "both"):
+        assert dispatch(["walls", elliptic_path, "--side", side, "--global", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["global_scan"] == [
+            {"beta": [0, 1], "chi_gamma": 1, "coeffs": [-1, 1], "through_h0": True}
+        ]
+        assert dispatch(["walls", elliptic_path, "--side", side, "--json"]) == EXIT_OK
+        assert "global_scan" not in json.loads(capsys.readouterr().out)
+    assert dispatch(["walls", elliptic_path, "--global"]) == EXIT_OK
+    assert "v-walls meeting the degree cone: 1" in capsys.readouterr().out
 
 
 def test_roots_command(affine_path, capsys):
@@ -523,10 +529,6 @@ def _document(doc: dict) -> str:
             "--samples must be a non-negative integer, got -2", id="flag-samples-negative",
         ),
         pytest.param(
-            {}, None, ["walls", "--chi-bound", "-1"], {},
-            "--chi-bound must be a non-negative integer, got -1", id="flag-chi-bound-negative",
-        ),
-        pytest.param(
             {"curves": [1, AFFINE_DOC["curves"][1]]}, None, ["summary"], {},
             "curves[0] must be an object", id="curve-not-object",
         ),
@@ -568,8 +570,8 @@ def _document(doc: dict) -> str:
             "curves list is empty", id="config-before-trials",
         ),
         pytest.param(
-            {"curves": []}, None, ["walls", "--chi-bound", "-1"], {},
-            "curves list is empty", id="config-before-chi-bound",
+            {"curves": []}, None, ["correspondence", "--samples", "-1"], {},
+            "curves list is empty", id="config-before-samples",
         ),
         pytest.param(
             {"curves": []}, None, STABILITY + ["--probes", "-1"], {},
@@ -680,8 +682,9 @@ def test_root_box_past_the_bound_exits_3(elliptic_path, tmp_path, capsys):
     ``quiver.MAX_ROOT_BOX`` of them, ``roots --bound`` and every command
     that builds a local model from the configuration's mult stop at once.
     On the elliptic pair every box vector is a root, so 3000 x 3000 would
-    list 9 * 10^6 of them."""
-    from quiverk3 import quiver
+    list 9 * 10^6 of them. The v-wall list visits the same box, under the
+    same bound."""
+    from quiverk3 import quiver, walls
 
     side = int(quiver.MAX_ROOT_BOX ** 0.5)  # the box side * side is the bound itself
     assert side * side == quiver.MAX_ROOT_BOX
@@ -700,38 +703,117 @@ def test_root_box_past_the_bound_exits_3(elliptic_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invariant violation [root-box]" in captured.err
-    with pytest.raises(InvariantError) as e:
-        quiver.bounded_roots(quiver_from_config(cli.parse_config_document(
-            {**ELLIPTIC_DOC, "mult": [side, side]})[0]), (side, side))
-    assert e.value.invariant == "root-box"
+    cfg = cli.parse_config_document({**ELLIPTIC_DOC, "mult": [side, side]})[0]
+    for scan in (lambda: quiver.bounded_roots(quiver_from_config(cfg), (side, side)),
+                 lambda: walls.v_walls(cfg)):
+        with pytest.raises(InvariantError) as e:
+            scan()
+        assert e.value.invariant == "root-box"
 
 
-def test_v_wall_scan_past_the_bound_exits_3(elliptic_path, capsys, monkeypatch):
-    """``walls --chi-bound B`` scans every proper box vector against 2B + 1
-    values of chi_Gamma; past ``walls.MAX_V_WALL_SCAN`` pairs it stops
-    before the scan. The elliptic pair has two proper box vectors, so
-    --chi-bound 1000000 would visit 4000002 pairs (it ran 58 s and wrote
-    342 MB before the bound)."""
+def test_v_wall_scan_past_the_bound_exits_3(tmp_path, capsys, monkeypatch):
+    """The v-walls of the cone take, for each box vector, the integers
+    strictly inside an interval of length up to |chi|; past
+    ``walls.MAX_V_WALL_SCAN`` such pairs ``walls --global`` stops before it
+    builds a wall. With chi = (20000, 20000) the elliptic pair's two proper
+    box vectors take 39999 pairs each."""
     from quiverk3 import walls
 
-    argv = ["walls", elliptic_path, "--json", "--chi-bound"]
+    def walls_global(chi):
+        path = tmp_path / f"chi{chi}.json"
+        path.write_text(json.dumps({**ELLIPTIC_DOC, "curves": [
+            {"name": "E1", "chi": chi, "h0deg": 1}, {"name": "E2", "chi": chi, "h0deg": 1}]}))
+        return dispatch(["walls", str(path), "--json", "--global"])
+
     started = time.process_time()
-    assert dispatch(argv + ["1000000"]) == EXIT_INVARIANT
+    assert walls_global(20000) == EXIT_INVARIANT
     assert time.process_time() - started < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invariant violation [v-wall-scan]" in captured.err
-    assert "4000002 pairs" in captured.err
-    monkeypatch.setattr(walls, "MAX_V_WALL_SCAN", 10)  # 2 x (2B + 1) <= 10 for B <= 2
-    assert dispatch(argv + ["2"]) == EXIT_OK
-    cfg = parse_config_document(ELLIPTIC_DOC)[0]
+    assert "79998 pairs" in captured.err
+    monkeypatch.setattr(walls, "MAX_V_WALL_SCAN", 6)  # chi = 4: 0 < chi_Gamma < 4, twice
+    assert walls_global(2) == EXIT_OK
     scan = json.loads(capsys.readouterr().out)["global_scan"]
-    assert [w["chi_gamma"] for w in scan] == [c for _, c, _, _ in walls.v_walls_bounded_scan(cfg, 2)]
-    assert dispatch(argv + ["3"]) == EXIT_INVARIANT
+    assert [(w["beta"], w["chi_gamma"]) for w in scan] == [([0, 1], 1), ([0, 1], 2), ([0, 1], 3)]
+    monkeypatch.setattr(walls, "MAX_V_WALL_SCAN", 5)
+    assert walls_global(2) == EXIT_INVARIANT
     assert "invariant violation [v-wall-scan]" in capsys.readouterr().err
+    cfg = parse_config_document({**ELLIPTIC_DOC, "curves": [
+        {"chi": 2, "h0deg": 1}, {"chi": 2, "h0deg": 1}]})[0]
     with pytest.raises(InvariantError) as e:
-        walls.v_walls_bounded_scan(cfg, 3)
+        walls.v_walls(cfg)
     assert e.value.invariant == "v-wall-scan"
+
+
+def _clique_doc(k: int) -> dict:
+    """k genus-1 curves meeting pairwise once, each of multiplicity 1."""
+    return {"curves": [{"chi": 1, "h0deg": 1}] * k,
+            "gram": [[0 if i == j else 1 for j in range(k)] for i in range(k)], "mult": [1] * k}
+
+
+def test_chamber_count_past_the_bound_exits_3(tmp_path, capsys, monkeypatch):
+    """Chamber enumeration refuses, before its first split, walls whose
+    Buck-Zaslavsky bound 2 sum_(i<d) C(m - 1, i) on the chamber count passes
+    ``walls.MAX_CHAMBERS``. The k-curve clique's walls are its subset sums:
+    63 in dimension 6 at k = 7, 511 in dimension 9 at k = 10. The A3 chain
+    has 3 walls in a plane, and their bound 6 is its chamber count."""
+    from quiverk3 import enumerate_chambers, walls
+
+    commands = ("summary", "chambers", "correspondence")
+    for k, bound in ((7, 14137242), (10, 218302137855193226)):
+        path = tmp_path / f"clique{k}.json"
+        path.write_text(json.dumps(_clique_doc(k)))
+        for command in commands:
+            started = time.process_time()
+            assert dispatch([command, str(path), "--json"]) == EXIT_INVARIANT
+            assert time.process_time() - started < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "invariant violation [chamber-count]" in captured.err
+            assert f"up to {bound} chambers" in captured.err
+    chain = {"curves": [{"chi": 1, "h0deg": 1}] * 3, "mult": [1, 1, 1],
+             "gram": [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    monkeypatch.setattr(walls, "MAX_CHAMBERS", 6)
+    for command in commands:
+        assert dispatch([command, str(path), "--json"]) == EXIT_OK
+        capsys.readouterr()
+    assert dispatch(["chambers", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["count"] == 6
+    monkeypatch.setattr(walls, "MAX_CHAMBERS", 5)
+    for command in commands:
+        assert dispatch([command, str(path), "--json"]) == EXIT_INVARIANT
+        assert "invariant violation [chamber-count]" in capsys.readouterr().err
+    cfg = parse_config_document(chain)[0]
+    with pytest.raises(InvariantError) as e:
+        enumerate_chambers(quiver_from_config(cfg), cfg.mult)
+    assert e.value.invariant == "chamber-count"
+
+
+def test_wall_samples_past_the_bound_exit_3(elliptic_path, capsys, monkeypatch):
+    """``correspondence --samples`` builds walls x samples points; past
+    ``walls.MAX_WALL_SAMPLES`` it stops before building one. 10^8 samples
+    on the elliptic pair's one wall would need about 20 GB."""
+    from quiverk3 import walls
+
+    argv = ["correspondence", elliptic_path, "--json", "--samples"]
+    started = time.process_time()
+    assert dispatch(argv + [str(10**8)]) == EXIT_INVARIANT
+    assert time.process_time() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation [wall-samples]" in captured.err
+    monkeypatch.setattr(walls, "MAX_WALL_SAMPLES", 4)
+    assert dispatch(argv + ["4"]) == EXIT_OK
+    (wall,) = json.loads(capsys.readouterr().out)["report"]["walls"]
+    assert wall["sample_count"] == 5  # h0deg and the four
+    assert dispatch(argv + ["5"]) == EXIT_INVARIANT
+    assert "invariant violation [wall-samples]" in capsys.readouterr().err
+    with pytest.raises(InvariantError) as e:
+        walls.verify_correspondence(parse_config_document(ELLIPTIC_DOC)[0], samples_per_wall=5)
+    assert e.value.invariant == "wall-samples"
 
 
 def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):
@@ -756,7 +838,7 @@ PARSER_CONTRACT = {
     "roots": [(("--bound",), None, False, None, None)],
     "walls": [
         (("--side",), "both", False, ["quiver", "ample", "both"], None),
-        (("--chi-bound",), None, False, None, int),
+        (("--global",), False, False, None, None),
     ],
     "chambers": [],
     "character": [(("--pol",), None, True, None, None), (("--ell",), None, False, None, int)],

@@ -22,9 +22,11 @@ from quiverk3 import (
     chamber_signature,
     quiver_from_config,
     random_representation,
+    v_walls,
 )
 from quiverk3.reps import Representation, direct_sum, dual, is_simple
 from quiverk3.strata import _strata
+from quiverk3.walls import _sign_insensitive_key
 
 AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))
 ELLIPTIC = CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1))
@@ -144,3 +146,24 @@ def test_relabelled_configurations_give_the_same_answers():
         assert (psimple.exists, psimple.is_root) == (simple.exists, simple.is_root), (cfg, perm)
         dims = sorted(r.dim for r in _strata(model))
         assert sorted(r.dim for r in _strata(pmodel)) == dims, (cfg, perm)
+
+
+def test_relabelling_keeps_the_v_walls_of_the_degree_cone():
+    """The v-walls that meet the cone are hyperplanes of degree vectors, so a
+    relabelling permutes their coefficients and keeps ``through_h0``. Each
+    is compared as the sign-insensitive key of its coefficients, mapped back,
+    with its flag; the (beta, chi_Gamma) that names it depends on the box
+    order, and is never compared."""
+    rng = random.Random(107)
+    configs = [AFFINE, ELLIPTIC, CHAIN] + [
+        random_config(random.Random(seed), 2, 4, gram_bound=4, mult_max=3) for seed in range(20)]
+    for cfg in configs:
+        perm = list(range(cfg.s))
+        rng.shuffle(perm)
+
+        def hyperplanes(walls, order):
+            return sorted((_sign_insensitive_key([coeffs[k] for k in order]), through)
+                          for _, _, coeffs, through in walls)
+
+        got = hyperplanes(v_walls(relabelled_config(cfg, perm)), perm)
+        assert got == hyperplanes(v_walls(cfg), range(cfg.s)), (cfg, perm)

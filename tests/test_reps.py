@@ -13,6 +13,7 @@ from quiverk3 import (
     CertifiedUnstable,
     CurveConfig,
     GroupElement,
+    MathAssertionError,
     NoDestabilizerFound,
     Representation,
     SearchBudget,
@@ -48,7 +49,11 @@ from quiverk3.reps import (
 )
 from conftest import random_config
 from helpers import (
-    moment_trace, reference_moment_differential, reference_random_float, reference_solve_moment_zero
+    config_document,
+    moment_trace,
+    reference_moment_differential,
+    reference_random_float,
+    reference_solve_moment_zero,
 )
 
 F = Fraction
@@ -287,6 +292,23 @@ def test_verify_ci_dim_fixtures(affine_a1, elliptic_pair, ogrady, one_loop):
     report = verify_ci_dim(ql, (1,), trials=2, seed=0)
     assert report.expected_rank == 0 and report.expected_dim == 2
     assert report.matching_trials == 2
+
+
+def test_broken_ci_dimension_identity_is_an_assertion(affine_a1, monkeypatch, tmp_path, capsys):
+    """dim Rep - (n.n - 1) = 2p(n) + n.n - 1 holds by construction; a broken
+    expected dimension is an internal assertion, in the library and as the
+    CLI's exit 4, before any trial runs."""
+    q = quiver_from_config(affine_a1)
+    monkeypatch.setattr(reps, "mu_zero_expected_dim", lambda q, n: mu_zero_expected_dim(q, n) + 1)
+    with pytest.raises(MathAssertionError, match=re.escape("dim Rep - (n.n - 1)")):
+        verify_ci_dim(q, (1, 1), trials=2)
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(config_document(affine_a1)))
+    argv = ["moment-verify", str(path), "--json", "--trials", "2"]
+    assert cli.dispatch(argv) == cli.EXIT_ASSERTION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal assertion failed: dim Rep - (n.n - 1)" in captured.err
 
 
 def test_verify_ci_dim_names_a_negative_seed(affine_a1):

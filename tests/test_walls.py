@@ -14,7 +14,9 @@ import pytest
 from quiverk3 import walls as walls_module
 from quiverk3.linalg import cleared
 from quiverk3 import (
+    CurveConfig,
     DegreeVector,
+    InvariantError,
     LocalModel,
     MathAssertionError,
     ample_walls_through_h0,
@@ -29,7 +31,7 @@ from quiverk3 import (
     quiver_walls,
     restrict_weights_to_type,
     theta_dot,
-    v_walls_bounded_scan,
+    v_walls,
     verify_correspondence,
     xi_map,
 )
@@ -41,6 +43,7 @@ from quiverk3.walls import (
     _RowTable,
     _fm_core,
     _genericity,
+    _sign_insensitive_key,
     _wall_samples,
     _wall_slice_vertices,
     lp_feasible_point,
@@ -55,6 +58,7 @@ from helpers import (
     reference_wall_samples,
     reference_wall_slice_vertices,
     sweep_chambers,
+    v_walls_bounded_scan,
     zaslavsky_chamber_count,
 )
 
@@ -260,17 +264,25 @@ def test_simplex_fallback_inside_enumerate_chambers(monkeypatch):
     assert from_enumeration == 606, from_enumeration
 
 
-def test_chamber_count_matches_zaslavsky():
+def test_chamber_count_matches_zaslavsky(monkeypatch):
     """The intersection-lattice count is independent of both feasibility
     and cone generators, and reaches dim n-perp = 3 and 4, where the 2-D
-    sweep oracle cannot go."""
+    sweep oracle cannot go. The Buck-Zaslavsky bound that enumeration
+    checks against ``MAX_CHAMBERS`` is at least that count: a bound set one
+    below it is refused."""
     rng = random.Random(8)
     cases = _draws_up_to(rng, 6, 25, s_min=4, s_max=4, gram_bound=4, mult_max=3)
     cases += _draws_up_to(rng, 2, 22, s_min=5, s_max=5, gram_bound=4, mult_max=2)
     for cfg in cases:
         q = quiver_from_config(cfg)
         walls = quiver_walls(q, cfg.mult)
-        assert enumerate_chambers(q, cfg.mult).count == zaslavsky_chamber_count(cfg.mult, walls)
+        count = zaslavsky_chamber_count(cfg.mult, walls)
+        assert enumerate_chambers(q, cfg.mult).count == count
+        with monkeypatch.context() as m:
+            m.setattr(walls_module, "MAX_CHAMBERS", count - 1)
+            with pytest.raises(InvariantError) as e:
+                enumerate_chambers(q, cfg.mult)
+        assert e.value.invariant == "chamber-count"
 
 
 def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_path, capsys):
@@ -537,6 +549,17 @@ def test_ample_walls(elliptic_pair, affine_a1, ogrady):
     assert sum(c * d for c, d in zip(w.coeffs, elliptic_pair.h0deg)) == 0
     assert len(ample_walls_through_h0(affine_a1)) == 1
     assert ample_walls_through_h0(ogrady) == []
+
+
+def test_ample_wall_off_h0deg_is_an_assertion(elliptic_pair):
+    """Equal slopes put every ample wall through h0deg. A configuration whose
+    chi is changed to unequal slopes after validation breaks that, and the
+    wall check is an internal assertion, not a wall."""
+    cfg = CurveConfig(elliptic_pair.gram, elliptic_pair.chi, elliptic_pair.mult,
+                      elliptic_pair.h0deg)
+    object.__setattr__(cfg, "chi", (1, 2))
+    with pytest.raises(MathAssertionError, match="misses h0deg; equal-slope data broken"):
+        ample_walls_through_h0(cfg)
 
 
 def test_wall_counts_agree_random():
@@ -854,15 +877,38 @@ def test_correspondence_chamber_facts_match_per_chamber_oracle(affine_a1_22):
 
 
 def test_negative_counts_are_refused(elliptic_pair):
-    with pytest.raises(ValueError, match="chi_bound must be a non-negative integer, got -1"):
-        v_walls_bounded_scan(elliptic_pair, -1)
     with pytest.raises(ValueError, match="samples_per_wall must be a non-negative integer, got -2"):
         verify_correspondence(elliptic_pair, samples_per_wall=-2)
 
 
-def test_v_walls_bounded_scan(elliptic_pair):
-    scan = v_walls_bounded_scan(elliptic_pair, 3)
-    assert all(abs(chi_g) <= 3 for _, chi_g, _, _ in scan)
-    through = [(b, c) for b, c, _, th in scan if th]
-    # the relevant wall chi_beta = 1 for beta = (1,0)/(0,1) shows up
-    assert ((1, 0), 1) in through or ((0, 1), 1) in through
+def _both_signs(coeffs) -> bool:
+    """The hyperplane coeffs . a = 0 meets the open cone a > 0."""
+    return any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs)
+
+
+def test_v_walls_match_the_bounded_scan_in_the_cone():
+    """chi_Gamma of a wall that meets the cone lies strictly between 0 and
+    chi, so the unbounded scan at B = |chi|, cut to the hyperplanes with
+    coefficients of both signs, is the exact list, entry for entry. Every
+    ample wall through h0deg is in it, flagged so."""
+    rng = random.Random(3)
+    nonempty = 0
+    for _ in range(100):
+        cfg = random_config(rng, 2, 4, gram_bound=4, mult_max=3)
+        exact = v_walls(cfg)
+        scan = v_walls_bounded_scan(cfg, abs(cfg.total_euler))
+        assert exact == [w for w in scan if _both_signs(w[2])], cfg
+        assert all(_both_signs(coeffs) for _, _, coeffs, _ in exact), cfg
+        through = {_sign_insensitive_key(co): th for _, _, co, th in exact}
+        for wall in ample_walls_through_h0(cfg):
+            assert through[_sign_insensitive_key(wall.coeffs)] is True, (cfg, wall)
+        nonempty += bool(exact)
+    assert nonempty >= 90, nonempty
+
+
+def test_v_walls_of_the_elliptic_pair(elliptic_pair):
+    """beta = (0, 1) and (1, 0) cut the one hyperplane a_1 = a_2 at chi_Gamma
+    = 1, strictly inside (0, chi) = (0, 2); the first in box order stays."""
+    assert v_walls(elliptic_pair) == [((0, 1), 1, (-1, 1), True)]
+    # the scan at B = 2 lists six more, all missing the cone
+    assert len(v_walls_bounded_scan(elliptic_pair, 2)) == 7

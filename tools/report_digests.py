@@ -59,7 +59,7 @@ def stability(rep_path: str, theta: str) -> list[str]:
 def commands(rep_path: str, theta: str) -> list[list[str]]:
     return [
         ["quiver"], ["roots"], ["walls", "--side", "quiver"], ["walls", "--side", "ample"],
-        ["walls", "--side", "both"], ["walls", "--side", "both", "--chi-bound", "2"],
+        ["walls", "--side", "both"], ["walls", "--side", "both", "--global"],
         ["chambers"], ["character", "--pol", "H0"], ["character", "--pol", "H1"],
         ["correspondence"], ["strata"], ["cb-check"], ["moment-verify", "--trials", "2"],
         stability(rep_path, theta),
