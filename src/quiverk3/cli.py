@@ -475,12 +475,10 @@ def _cmd_walls(cfg, pols, options, args):
 
 
 def _cmd_chambers(cfg, pols, options, args):
-    try:
-        ch = LocalModel(cfg).chambers
-    except InvariantError:  # a ValueError too, but no chamber note
-        raise
-    except ValueError as exc:
-        return {"count": None, "note": str(exc)}, [str(exc)]
+    ch = LocalModel(cfg).chambers
+    if ch is None:
+        note = "no wall structure; non-primitive one-vertex case"
+        return {"count": None, "note": note}, [note]
     payload = {
         "count": ch.count,
         "representatives": ch.representatives,

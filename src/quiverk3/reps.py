@@ -48,6 +48,7 @@ runs on flat vectors and on one pattern, built per call of
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import random
 from dataclasses import dataclass
@@ -58,9 +59,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import MathAssertionError, _check_count, _check_tol
+from .errors import InvariantError, MathAssertionError, _check_count, _check_tol
 from .quiver import (
-    DimVector, Quiver, boxed_vectors, cb_simple_exists, mu_zero_expected_dim, rep_space_dim
+    DimVector, Quiver, cb_simple_exists, checked_box, mu_zero_expected_dim, rep_space_dim
 )
 
 EXACT = "exact"
@@ -270,16 +271,31 @@ def _offsets(sizes) -> list[int]:
     return out
 
 
+# the most entries of a d(mu) that is built; past it ``_differential_pattern``
+# raises before building one (n = (100,) on one loop asks for 2 * 10^8
+# complex entries, 3.2 GB). The largest of any test, ladder or benchmark
+# input has 9024
+MAX_DIFFERENTIAL = 1 << 20
+
+
 def _differential_pattern(q: Quiver, n: DimVector) -> tuple:
     """Where each entry of a representation of q with dimension vector n
     lands in d(mu): (plus_pos, plus_src, minus_pos, minus_src, shape), intp
     arrays of flat positions in the matrix and in the flat (x_e, y_e) vector,
     for the terms added and for the terms subtracted, then the shape of the
     matrix. No matrix position appears twice in plus_pos, nor twice in
-    minus_pos."""
+    minus_pos. Past ``MAX_DIFFERENTIAL`` entries of d(mu) it raises
+    ``InvariantError("differential-size")``, so every caller refuses before
+    building the pattern or the matrix."""
     row_off = _offsets(ni * ni for ni in n)
-    plus_pos, plus_src, minus_pos, minus_src = [], [], [], []
     cols = rep_space_dim(q, n)
+    if row_off[-1] * cols > MAX_DIFFERENTIAL:
+        raise InvariantError(
+            "differential-size",
+            f"d(mu) at n = {tuple(n)} has {row_off[-1]} x {cols} entries, "
+            f"more than {MAX_DIFFERENTIAL}",
+        )
+    plus_pos, plus_src, minus_pos, minus_src = [], [], [], []
     col = 0
     for s, t, _ in q.orientation:
         ns, nt = n[s], n[t]
@@ -686,8 +702,19 @@ def slope_theta(theta: Sequence, beta: Sequence[int]) -> Fraction:
     return num / tot
 
 
+# the most restarts of the float stability search: it tiles restarts x n_i x
+# beta_i complex frames before its first step. The default is 6, and no test
+# or tool asks for more than 5
+MAX_RESTARTS = 64
+
+
 @dataclass(frozen=True)
 class SearchBudget:
+    """The stability search's budget. Refuses a count that is not a
+    non-negative integer and a ``tol`` that is not positive and finite
+    (``ValueError``), and more than ``MAX_RESTARTS`` restarts
+    (``InvariantError("search-restarts")``)."""
+
     probes: int = 4
     restarts: int = 6
     iters: int = 200
@@ -698,6 +725,10 @@ class SearchBudget:
         for name in ("probes", "restarts", "iters", "seed"):
             _check_count(name, getattr(self, name))
         _check_tol("tol", self.tol)
+        if self.restarts > MAX_RESTARTS:
+            raise InvariantError(
+                "search-restarts", f"{self.restarts} restarts, more than {MAX_RESTARTS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -727,10 +758,19 @@ class NoDestabilizerFound:
 StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilizerFound
 
 
+# the most invariant graded subspaces the exact stability search records;
+# past it the search raises instead of running for minutes (the zero
+# representation of the elliptic pair at n = (4, 4) reaches 6628 in 55 s).
+# The most any test, ladder or benchmark input reaches is 59
+MAX_INVARIANT_SPANS = 1024
+
+
 def _exact_invariant_spans(rep: Representation, budget: SearchBudget) -> list[tuple]:
     """The invariant graded subspaces the exact search finds, in order, each
     as its ``_rows`` per vertex: cyclic subrepresentations of the coordinate
-    and seeded random probes, then pairwise sums until a pass adds nothing."""
+    and seeded random probes, then pairwise sums until a pass adds nothing.
+    Past ``MAX_INVARIANT_SPANS`` subspaces it raises
+    ``InvariantError("invariant-spans")``."""
     n = rep.n
     rng = random.Random(budget.seed)
     # an ordered set of the found graded subspaces; primitive integer rows
@@ -741,20 +781,20 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget) -> list[tu
         dims = tuple(map(len, rows))
         if sum(dims) != 0 and dims != n:
             found.setdefault(rows)
-
-    probes: list[tuple[int, tuple[Fraction, ...]]] = []
-    for i, ni in enumerate(n):
-        for k in range(ni):
-            e = tuple(Fraction(1 if j == k else 0) for j in range(ni))
-            probes.append((i, e))
-        for _ in range(budget.probes):
-            if ni > 0:
-                probes.append(
-                    (i, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)))
+            if len(found) > MAX_INVARIANT_SPANS:
+                raise InvariantError(
+                    "invariant-spans",
+                    f"the exact stability search at n = {n} found more than "
+                    f"{MAX_INVARIANT_SPANS} invariant subspaces",
                 )
-    for vertex, vec in probes:
-        if any(vec):
-            record(tuple(map(_rows, _cyclic_spans(rep, vertex, vec))))
+
+    for i, ni in enumerate(n):
+        coordinate = ([int(j == k) for j in range(ni)] for k in range(ni))
+        seeded = ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)]
+                  for _ in range(budget.probes if ni else 0))
+        for vec in itertools.chain(coordinate, seeded):
+            if any(vec):
+                record(tuple(map(_rows, _cyclic_spans(rep, i, vec))))
     # the sum of two spans at a vertex, each unordered pair eliminated once
     # per search; equal or empty sides need no elimination
     joins: dict[tuple, tuple] = {}
@@ -888,18 +928,23 @@ def _projector_defect(rep: Representation, frames) -> float:
 def check_stability(
     rep: Representation, theta: Sequence, budget: SearchBudget | None = None
 ) -> StabilityVerdict:
-    """Destabilizer search, by scalar mode.
+    """Destabilizer search, by scalar mode, with one verdict rule.
+
+    Both modes rank the candidate subrepresentations of slope >= 0 by
+    (-slope, dimension vector). The best one certified gives the verdict:
+    ``CertifiedUnstable`` when its slope is positive, else
+    ``StrictlySemistableWitness``. Absence of a witness is reported as
+    NoDestabilizerFound and is explicitly not a semistability proof.
 
     Exact mode: cyclic subrepresentations from coordinate and seeded random
     probe vectors, then their closure under pairwise sums, each sum of two
-    spans at a vertex eliminated once per call. Every span found is checked
-    for arrow-invariance on its integer RREF rows. A span of positive slope
-    certifies instability; a proper span of slope zero certifies strict
-    semistability. Only the returned witness is read out as ``Fraction``
-    bases. Float mode runs only a gradient-descent search over
-    graded projection frames, for every candidate dimension vector of
-    positive (then zero) slope. Absence of a witness is reported as
-    NoDestabilizerFound and is explicitly not a semistability proof.
+    spans at a vertex eliminated once per call (``_exact_invariant_spans``).
+    Every span found is checked for arrow-invariance on its integer RREF
+    rows, and the best-ranked one wins, the first found among equal ranks.
+    Only the winner is read out as ``Fraction`` bases. Float mode runs a
+    gradient-descent search over graded projection frames for each
+    dimension vector of the box 0 <= beta <= n (``checked_box``) in rank
+    order, and the first it certifies wins.
     """
     budget = budget or SearchBudget()
     theta = tuple(Fraction(t) for t in theta)
@@ -909,46 +954,37 @@ def check_stability(
     if sum((t * x for t, x in zip(theta, n)), Fraction(0)) != 0:
         raise ValueError("theta . n != 0: not a valid stability parameter")
 
+    def ranked(candidates):
+        """The (slope, beta, x) of the candidates (beta, x) of slope >= 0, by
+        (-slope, beta); candidates of equal rank keep their order."""
+        slopes = ((slope_theta(theta, beta), beta, x) for beta, x in candidates)
+        return sorted((c for c in slopes if c[0] >= 0), key=lambda c: (-c[0], c[1]))
+
+    def verdict(sl, beta, basis, defect=0.0):
+        if sl > 0:
+            return CertifiedUnstable(beta, sl, basis, defect)
+        return StrictlySemistableWitness(beta, basis, defect)
+
     if rep.mode == EXACT:
-        unstable = []
-        semistable = []
+        found = []
         for rows in _exact_invariant_spans(rep, budget):
             spans = [linalg.Span.echelon(r) for r in rows]
             if not _invariance_holds(rep, spans):
                 raise MathAssertionError("cyclic span is not arrow-invariant")
-            dims = tuple(map(len, rows))
-            sl = slope_theta(theta, dims)
-            if sl > 0:
-                unstable.append((sl, dims, spans))
-            elif sl == 0:
-                semistable.append((dims, spans))
-        if unstable:
-            sl, _, spans = min(unstable, key=lambda t: (-t[0], t[1]))
-            beta, basis = _graded(spans)
-            return CertifiedUnstable(beta, sl, basis)
-        if semistable:
-            return StrictlySemistableWitness(*_graded(min(semistable, key=lambda t: t[0])[1]))
-        return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
-
-    # float mode: numeric subspace search per candidate dimension vector
-    rng = np.random.default_rng(budget.seed)
-    groups = _arrow_groups(rep)
-    candidates = [beta for beta in boxed_vectors(n) if any(beta) and beta != n]
-    positive = sorted(
-        (b for b in candidates if slope_theta(theta, b) > 0),
-        key=lambda b: (-slope_theta(theta, b), b),
-    )
-    zero = sorted(b for b in candidates if slope_theta(theta, b) == 0)
-    for group, make in (
-        (positive, lambda b, fr, d: CertifiedUnstable(b, slope_theta(theta, b), fr, d)),
-        (zero, lambda b, fr, d: StrictlySemistableWitness(b, fr, d)),
-    ):
-        for beta in group:
+            found.append((tuple(map(len, rows)), spans))
+        best = ranked(found)
+        if best:
+            sl, _, spans = best[0]
+            return verdict(sl, *_graded(spans))
+    else:  # a numeric subspace search per candidate dimension vector
+        rng = np.random.default_rng(budget.seed)
+        groups = _arrow_groups(rep)
+        for sl, beta, _ in ranked((b, None) for b in checked_box(n) if any(b) and b != n):
             best = _minimize_defect(rep, beta, budget, rng, groups)
             if best is not None and best[0] < budget.tol:
                 defect = _projector_defect(rep, best[1])  # rechecked without the kernel
                 if defect < budget.tol:
-                    return make(beta, tuple(best[1]), defect)
+                    return verdict(sl, beta, tuple(best[1]), defect)
     return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
 
 
@@ -992,7 +1028,9 @@ def annihilator_witness(
     rep: Representation, beta: DimVector, bases
 ) -> tuple[DimVector, tuple]:
     """Convert an invariant graded subspace of rep into the annihilator
-    witness for dual(rep): dimension vector n - beta, verified invariant."""
+    witness for dual(rep): dimension vector n - beta, verified invariant.
+    Raises ValueError when the bases do not have dimension vector beta or
+    do not span an invariant subspace of rep."""
     if rep.mode != EXACT:
         raise ValueError("annihilator conversion implemented for exact mode")
     n = rep.n
@@ -1003,7 +1041,7 @@ def annihilator_witness(
     )
     dims = tuple(len(b) for b in out_bases)
     if dims != comp:
-        raise MathAssertionError("annihilator dimensions disagree with n - beta")
+        raise ValueError("annihilator dimensions disagree with n - beta")
     if not graded_invariance_holds(dual(rep), out_bases):
-        raise MathAssertionError("annihilator of an invariant subspace is not invariant")
+        raise ValueError("annihilator of an invariant subspace is not invariant")
     return comp, out_bases

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import MathAssertionError
-from .lattice import CurveConfig, MukaiVector, mukai_square, vector_of_beta
+from .lattice import CurveConfig, MukaiVector, mukai_square
 from .quiver import (
     Decomposition,
     DimVector,
@@ -60,8 +61,6 @@ def strata_report(cfg: CurveConfig) -> list[StratumRecord]:
 
 def _strata(model: LocalModel) -> list[StratumRecord]:
     """``strata_report`` of the model's configuration."""
-    import warnings
-
     cfg, q, n = model.cfg, model.quiver, model.n
     ambient = 2 * p_of(q, n)
     sourcemap = {src: w.normal for w in model.quiver_walls for src in w.sources}
@@ -70,7 +69,9 @@ def _strata(model: LocalModel) -> list[StratumRecord]:
     @lru_cache(maxsize=None)
     def part(beta: DimVector) -> StratumPart:
         """One record per distinct root, shared by every decomposition."""
-        v = vector_of_beta(cfg, beta)
+        # v(beta) built directly: ``vector_of_beta`` would warn on every
+        # part whose gcd with its Euler characteristic is > 1
+        v = MukaiVector(0, beta, sum(map(mul, beta, cfg.chi)))
         if mukai_square(v, cfg) != d_form(q, beta):
             raise MathAssertionError(
                 f"v(beta)^2 != d(beta) for beta={beta}: lattice/quiver data out of sync"
@@ -84,22 +85,20 @@ def _strata(model: LocalModel) -> list[StratumRecord]:
         )
 
     records = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for dec in model.decompositions:
-            parts = tuple(part(beta) for _, beta in dec.parts)
-            dim = sum(2 * pt.p for pt in parts)
-            trivial = dec.is_trivial(n)
-            # the ambient bound 2 sum p(beta) <= 2p(n) is a theorem only when
-            # the simple-existence criterion holds at n (the open stratum is
-            # then dense); without it the moduli can be larger than 2p(n)
-            if simple_at_n and (dim > ambient or (dim == ambient and not trivial)):
-                raise MathAssertionError(
-                    f"stratum dimension {dim} exceeds ambient {ambient} for {dec.parts}"
-                )
-            records.append(
-                StratumRecord(dec, dim, ambient, parts, trivial, _wall_for(dec, sourcemap))
+    for dec in model.decompositions:
+        parts = tuple(part(beta) for _, beta in dec.parts)
+        dim = sum(2 * pt.p for pt in parts)
+        trivial = dec.is_trivial(n)
+        # the ambient bound 2 sum p(beta) <= 2p(n) is a theorem only when
+        # the simple-existence criterion holds at n (the open stratum is
+        # then dense); without it the moduli can be larger than 2p(n)
+        if simple_at_n and (dim > ambient or (dim == ambient and not trivial)):
+            raise MathAssertionError(
+                f"stratum dimension {dim} exceeds ambient {ambient} for {dec.parts}"
             )
+        records.append(
+            StratumRecord(dec, dim, ambient, parts, trivial, _wall_for(dec, sourcemap))
+        )
     return records
 
 
@@ -136,13 +135,13 @@ def singular_model_summary(cfg: CurveConfig) -> ModelSummary:
     awalls = model.ample_walls
     chamber_count: int | None
     reps: tuple = ()
-    if cfg.s == 1:
+    chambers = model.chambers
+    if chambers is None:
         chamber_count = None
         notes.append(
             "non-primitive one-vertex case; no adjacent-chamber resolution structure"
         )
     else:
-        chambers = model.chambers
         chamber_count = chambers.count
         reps = chambers.representatives
     gcd = cfg.primitivity_gcd()

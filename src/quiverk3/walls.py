@@ -542,14 +542,18 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     distinct. n-genericity is left to ``is_generic``; it fails identically
     when some root is proportional to n, and no other root vanishes at a
     representative.
+
+    A one-vertex n has no wall structure: it raises ``ValueError``, where
+    ``LocalModel.chambers`` is None.
     """
+    if len(n) == 1:
+        raise ValueError("no wall structure; non-primitive one-vertex case")
     return _chambers(n, quiver_walls(q, n))
 
 
 def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
-    """``enumerate_chambers`` of n, given its quiver walls."""
-    if len(n) == 1:
-        raise ValueError("no wall structure; non-primitive one-vertex case")
+    """``enumerate_chambers`` of n, of two or more vertices, given its quiver
+    walls."""
     basis = nperp_basis(n)
     d = len(basis)
     bound = 2 * sum(math.comb(len(walls) - 1, i) for i in range(d)) if walls else 1
@@ -744,8 +748,10 @@ class LocalModel:
         return awalls
 
     @cached_property
-    def chambers(self) -> ChamberSet:
-        return _chambers(self.n, self.quiver_walls)
+    def chambers(self) -> ChamberSet | None:
+        """The chambers of n-perp, or None for a one-vertex configuration,
+        which has no wall structure."""
+        return None if len(self.n) == 1 else _chambers(self.n, self.quiver_walls)
 
     @cached_property
     def decompositions(self) -> tuple[Decomposition, ...]:
@@ -919,9 +925,10 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
     ``MAX_WALL_SAMPLES`` samples it raises ``InvariantError("wall-samples")``
     before building one."""
     _check_count("samples_per_wall", samples_per_wall)
-    if cfg.s == 1:
-        return CorrespondenceReport((), (), True, "one-vertex configuration: no walls")
     model = LocalModel(cfg)
+    chambers = model.chambers
+    if chambers is None:
+        return CorrespondenceReport((), (), True, "one-vertex configuration: no walls")
     d0, n, h0 = cfg.total_h0deg, cfg.mult, cfg.h0deg
     awalls = model.ample_walls
     if len(awalls) * samples_per_wall > MAX_WALL_SAMPLES:
@@ -949,7 +956,6 @@ def verify_correspondence(cfg: CurveConfig, samples_per_wall: int = 3) -> Corres
         wall_checks.append(
             WallCheck(wall.beta, wall.chi_beta, len(verts), len(samples), True, False, note)
         )
-    chambers = model.chambers
     verdict = _genericity(chambers.points[0][1], cfg.mult, model.roots)
     chamber_checks = []
     for (m, iu), sig in zip(chambers.points, chambers.signatures):

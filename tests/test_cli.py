@@ -181,7 +181,22 @@ def test_walls_one_vertex(tmp_path, capsys):
     assert payload["counts_match"] is True
     assert dispatch(["chambers", str(p), "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] is None and "one-vertex" in payload["note"]
+    assert payload["count"] is None
+    assert payload["note"] == "no wall structure; non-primitive one-vertex case"
+
+
+def test_a_value_error_of_the_chamber_stage_is_not_a_note(affine_path, monkeypatch):
+    """Only a one-vertex configuration reports chambers as a note; any other
+    ``ValueError`` of the chamber stage is not turned into one."""
+    from quiverk3 import walls
+
+    def broken(n, walls):
+        raise ValueError("not a one-vertex case")
+
+    monkeypatch.setattr(walls, "_chambers", broken)
+    for command in ("chambers", "summary", "correspondence"):
+        with pytest.raises(ValueError, match="not a one-vertex case"):
+            dispatch([command, affine_path, "--json"])
 
 
 def test_walls_global_scan(elliptic_path, capsys):
@@ -814,6 +829,72 @@ def test_wall_samples_past_the_bound_exit_3(elliptic_path, capsys, monkeypatch):
     with pytest.raises(InvariantError) as e:
         walls.verify_correspondence(parse_config_document(ELLIPTIC_DOC)[0], samples_per_wall=5)
     assert e.value.invariant == "wall-samples"
+
+
+def test_stability_searches_past_their_bounds_exit_3(elliptic_path, tmp_path, capsys, monkeypatch):
+    """The exact search's join closure stops once it has found more than
+    ``reps.MAX_INVARIANT_SPANS`` subspaces: on the elliptic pair's zero
+    representation it finds 46 at (2, 2) and 6628 at (4, 4), which took
+    55 s unbounded. The float search walks the box 0 <= beta <= n under
+    ``quiver.MAX_ROOT_BOX``, and n comes from the representation file: at a
+    vertex with no arrow a huge n costs one line of JSON. More than
+    ``reps.MAX_RESTARTS`` restarts are refused before a frame is tiled."""
+
+    def stability(rep, theta, *flags, config=elliptic_path):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(rep if isinstance(rep, dict) else rep_to_dict(rep)))
+        return dispatch(["stability", config, "--rep", str(path), f"--theta={theta}", "--json",
+                         *flags])
+
+    def refused(invariant):
+        captured = capsys.readouterr()
+        return captured.out == "" and f"invariant violation [{invariant}]" in captured.err
+
+    q = quiver_from_config(parse_config_document(ELLIPTIC_DOC)[0])
+    started = time.process_time()
+    assert stability(reps.zero_representation(q, (4, 4)), "-1,1") == EXIT_INVARIANT
+    assert time.process_time() - started < 2.0
+    assert refused("invariant-spans")
+    small = reps.zero_representation(q, (2, 2))
+    found = len(reps._exact_invariant_spans(small, reps.SearchBudget()))
+    assert found == 46
+    monkeypatch.setattr(reps, "MAX_INVARIANT_SPANS", found)
+    assert stability(small, "-1,1") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["kind"] == "CertifiedUnstable"
+    monkeypatch.setattr(reps, "MAX_INVARIANT_SPANS", found - 1)
+    assert stability(small, "-1,1") == EXIT_INVARIANT
+    assert refused("invariant-spans")
+
+    # curve 0 has no loop and meets nothing; curve 1 has one loop
+    disjoint = tmp_path / "disjoint.json"
+    disjoint.write_text(json.dumps({**ELLIPTIC_DOC, "gram": [[-2, 0], [0, 0]]}))
+    huge = {"schema_version": 1, "mode": "float", "n": [5000, 1],
+            "matrices": [{"x": [[[0.0, 0.0]]], "y": [[[0.0, 0.0]]]}]}
+    started = time.process_time()
+    assert stability(huge, "1,-5000", config=str(disjoint)) == EXIT_INVARIANT
+    assert time.process_time() - started < 1.0
+    assert refused("root-box")
+
+    rep = random_representation(q, (1, 1), seed=3, mode="float")
+    monkeypatch.setattr(reps, "MAX_RESTARTS", 2)
+    assert stability(rep, "-1,1", "--restarts", "2", "--iters", "5") == EXIT_OK
+    capsys.readouterr()
+    assert stability(rep, "-1,1", "--restarts", "3") == EXIT_INVARIANT
+    assert refused("search-restarts")
+
+
+def test_moment_verify_past_the_differential_bound_exits_3(tmp_path, capsys):
+    """n = (100,) on one loop asks for a d(mu) of 10^4 x 2 * 10^4 complex
+    entries (3.2 GB); ``moment-verify`` refuses before its first trial."""
+    path = tmp_path / "loop100.json"
+    path.write_text(json.dumps({"curves": [{"chi": 1, "h0deg": 1}], "gram": [[0]], "mult": [100]}))
+    started = time.process_time()
+    assert dispatch(["moment-verify", str(path), "--json"]) == EXIT_INVARIANT
+    assert time.process_time() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation [differential-size]" in captured.err
+    assert "10000 x 20000 entries" in captured.err
 
 
 def test_cli_closes_the_files_it_reads(affine_path, tmp_path, capsys):

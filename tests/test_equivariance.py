@@ -6,13 +6,15 @@ and the matrices together. The quiver's fixed orientation (edges i -> j for
 i < j) may then run an edge the other way, and such an edge's x and y
 change places. Duality transposes every matrix and swaps x and y. Neither
 changes the image of the path algebra, so ``is_simple`` must give the same
-verdict on both sides. The draws are seeded exact representations: random
-ones, y = 0 ones and direct sums, on the fixtures and on ``random_config``
-draws with two to four curves.
+verdict on both sides, and ``check_stability`` the same verdict kind and
+slope under a relabelling. The draws are seeded exact representations:
+random ones, y = 0 ones and direct sums, on the fixtures and on
+``random_config`` draws with two to four curves.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from conftest import random_config
@@ -24,7 +26,7 @@ from quiverk3 import (
     random_representation,
     v_walls,
 )
-from quiverk3.reps import Representation, direct_sum, dual, is_simple
+from quiverk3.reps import Representation, check_stability, direct_sum, dual, is_simple
 from quiverk3.strata import _strata
 from quiverk3.walls import _sign_insensitive_key
 
@@ -89,6 +91,34 @@ def test_is_simple_is_invariant_under_duality_and_relabelling():
             assert is_simple(dual(prep)) == got
         verdicts.append(got)
     assert 8 <= sum(verdicts) <= len(verdicts) - 8  # both verdicts occur
+
+
+def test_stability_verdicts_are_invariant_under_relabelling():
+    """A relabelling maps subrepresentations to subrepresentations with
+    permuted dimension vectors and the same slope at the permuted theta, so
+    ``check_stability`` must give the same verdict kind and slope. The
+    witness's beta is not compared: among subspaces of equal slope the
+    least dimension vector wins, and that order depends on the labels (at
+    theta = 0 one side may pick (0, 1) and the other (1, 0))."""
+    rng = random.Random(109)
+    kinds = set()
+    for cfg, rep in _draws():
+        n = rep.n
+        thetas = [(0,) * cfg.s]
+        for _ in range(3):
+            r = [rng.randint(-3, 3) for _ in n]
+            dot = sum(map(operator.mul, r, n))
+            thetas.append(tuple(sum(n) * x - dot for x in r))  # theta . n = 0
+        perm = list(range(cfg.s))
+        rng.shuffle(perm)
+        _, prep = relabelled(cfg, rep, perm)
+        for theta in thetas:
+            ptheta = tuple(theta[perm.index(a)] for a in range(cfg.s))
+            got, pgot = check_stability(rep, theta), check_stability(prep, ptheta)
+            assert type(pgot) is type(got), (perm, theta, rep.n, rep.mats)
+            assert getattr(pgot, "slope", None) == getattr(got, "slope", None), (perm, theta)
+            kinds.add(type(got).__name__)
+    assert len(kinds) == 3  # every verdict kind occurs
 
 
 def test_relabelling_maps_the_quiver_and_the_arrows_back():

@@ -37,6 +37,7 @@ from quiverk3 import (
     zero_representation,
 )
 from quiverk3 import cli, reps
+from quiverk3.errors import InvariantError
 from quiverk3.cli import rep_from_dict, rep_to_dict
 from quiverk3.quiver import cb_simple_exists, mu_zero_expected_dim
 from quiverk3.reps import (
@@ -628,6 +629,38 @@ def test_search_budget_names_an_empty_or_vacuous_field(field, value, message):
         SearchBudget(**{field: value})
 
 
+def test_search_budget_refuses_restarts_past_the_bound(affine_a1, monkeypatch):
+    """The float search tiles restarts x n_i x beta_i frames before its
+    first step; past ``reps.MAX_RESTARTS`` restarts the budget is refused."""
+    assert SearchBudget(restarts=reps.MAX_RESTARTS).restarts == reps.MAX_RESTARTS
+    with pytest.raises(InvariantError) as e:
+        SearchBudget(restarts=reps.MAX_RESTARTS + 1)
+    assert e.value.invariant == "search-restarts"
+    monkeypatch.setattr(reps, "MAX_RESTARTS", 2)
+    rep, theta = unstable_affine_rep(affine_a1).to_float(), (F(-1), F(1))
+    verdict = check_stability(rep, theta, SearchBudget(restarts=2, iters=5))
+    assert isinstance(verdict, CertifiedUnstable) and verdict.beta == (0, 1)
+    with pytest.raises(InvariantError, match="3 restarts, more than 2"):
+        SearchBudget(restarts=3)
+
+
+def test_differential_past_the_bound_is_refused_before_it_is_built(affine_a1, monkeypatch):
+    """d(mu) has (n . n) x dim Rep entries; past ``reps.MAX_DIFFERENTIAL``
+    the pattern, and so every caller, refuses before building either. The
+    affine (1, 1) has a 2 x 4 differential."""
+    q = quiver_from_config(affine_a1)
+    rep = random_representation(q, (1, 1), seed=1)
+    monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", 8)
+    assert moment_differential(rep).shape == (2, 4)
+    assert verify_ci_dim(q, (1, 1), trials=1).expected_rank == 1
+    monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", 7)
+    for call in (lambda: moment_differential(rep), lambda: solve_moment_zero(q, (1, 1)),
+                 lambda: verify_ci_dim(q, (1, 1), trials=1)):
+        with pytest.raises(InvariantError, match="has 2 x 4 entries, more than 7") as e:
+            call()
+        assert e.value.invariant == "differential-size"
+
+
 def test_search_budget_allows_zero_restarts_and_iters(affine_a1):
     rep = unstable_affine_rep(affine_a1).to_float()
     theta = (F(-1), F(1))
@@ -843,6 +876,11 @@ def test_destabilizer_duality(affine_a1):
     assert graded_invariance_holds(dual(rep), bases)
     with pytest.raises(ValueError, match="annihilator conversion implemented for exact mode"):
         annihilator_witness(rep.to_float(), verdict.beta, verdict.basis)
+    # bases that are no witness are the caller's error, not a broken identity
+    with pytest.raises(ValueError, match="annihilator dimensions disagree with n - beta"):
+        annihilator_witness(rep, (1, 1), verdict.basis)
+    with pytest.raises(ValueError, match="annihilator of an invariant subspace is not invariant"):
+        annihilator_witness(rep, (1, 0), (((F(1),),), ()))  # x_1 leaves V_0
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

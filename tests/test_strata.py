@@ -3,14 +3,17 @@ import io
 import json
 import random
 import re
+import warnings
 
 import pytest
 
 from quiverk3 import (
     MathAssertionError,
+    NonPrimitivityWarning,
     quiver_from_config,
     singular_model_summary,
     strata_report,
+    vector_of_beta,
 )
 from quiverk3 import strata as strata_module
 from quiverk3.cli import EXIT_ASSERTION, dispatch
@@ -41,6 +44,19 @@ def test_strata_ogrady(ogrady):
     deep = records[1]
     assert deep.decomposition.parts == ((2, (1,)),)
     assert deep.parts[0].p == 2
+
+
+def test_strata_neither_warn_nor_silence_warnings(ogrady):
+    """O'Grady's part (2,) has gcd(2, chi) = 2, so ``vector_of_beta`` warns
+    on it; the strata build its Mukai vector directly, with no warning to
+    silence."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = {p.beta: p.mukai for r in strata_report(ogrady) for p in r.parts}
+    assert set(parts) == {(1,), (2,)}
+    with pytest.warns(NonPrimitivityWarning, match="gcd 2"):
+        assert vector_of_beta(ogrady, (2,)) == parts[(2,)]
+    assert vector_of_beta(ogrady, (1,)) == parts[(1,)]
 
 
 def test_strata_dims_decrease_when_simple_exists():

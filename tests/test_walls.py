@@ -133,9 +133,12 @@ def test_enumerate_chambers_fixtures(affine_a1, elliptic_pair):
 
 
 def test_enumerate_chambers_one_vertex(ogrady):
+    """A one-vertex n has no wall structure: ``enumerate_chambers`` refuses
+    it, and the model's chamber stage is None."""
     q = quiver_from_config(ogrady)
     with pytest.raises(ValueError, match="one-vertex"):
         enumerate_chambers(q, (2,))
+    assert LocalModel(ogrady).chambers is None
 
 
 def test_enumerate_chambers_no_walls(affine_a1):

@@ -5,10 +5,13 @@ of this repository. The script imports quiverk3 from ``<tree>/src`` and the
 test helpers from ``<tree>/tests``, runs 15 invocations covering all 11
 commands on 27 configurations, then the extra invocations below, and prints
 one line per invocation: case index, command, exit code and the first 16
-hex digits of the sha256 of stdout. It runs every invocation first with
---json and then again in text mode (no --json); a text-mode line starts
-with ``text``. Run it on two trees and ``diff`` the outputs; identical
-output means byte-identical reports.
+hex digits of the sha256 of stdout. The command is the whole invocation
+with its temporary directory left out of the paths, so each label names
+one invocation (``walls --side both`` and ``walls --side both --global``,
+or the seed-7 and the y = 0 representation, differ). It runs every
+invocation first with --json and then again in text mode (no --json); a
+text-mode line starts with ``text``. Run it on two trees and ``diff`` the
+outputs; identical output means byte-identical reports.
 
 The configurations are the five test fixtures, 20
 ``random_config(random.Random(2024), s_min=1, s_max=4, mult_max=2)`` draws,
@@ -109,7 +112,7 @@ def main() -> None:
                 with contextlib.redirect_stdout(out):
                     code = dispatch([cmd[0], cpath] + flags + cmd[1:])
                 digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
-                print(*prefix, i, " ".join(c for c in cmd[:3] if tmp not in c), code, digest)
+                print(*prefix, i, " ".join(c.replace(tmp + "/", "") for c in cmd), code, digest)
 
 
 if __name__ == "__main__":
