@@ -19,6 +19,7 @@ import sys
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
+from typing import Iterable
 
 from .errors import InvariantError, MathAssertionError, SchemaError, _check_count, _check_tol
 from .lattice import CurveConfig, DegreeVector
@@ -362,10 +363,11 @@ def _dumps(obj) -> str:
         del write  # its cell refers to it: free the pieces now, not at a collection
 
 
-def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
+def emit(payload: dict, command: str, as_json: bool, lines: Iterable[str]) -> None:
     """Print the report: with ``as_json``, the payload under the schema
     version and command name as indented JSON with sorted keys (``_dumps``),
-    else the text lines."""
+    else the text lines. Handlers whose lines grow with the report yield
+    them lazily, so that JSON mode formats none of them."""
     if as_json:
         doc = {"schema_version": SCHEMA_VERSION, "command": command}
         doc.update(payload)
@@ -376,7 +378,8 @@ def emit(payload: dict, command: str, as_json: bool, lines: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes (cfg, pols, options, args) and returns (payload, lines)
+# commands: each takes (cfg, pols, options, args) and returns (payload, lines),
+# the lines an iterable of text lines
 
 
 def _seed_from(args, options) -> int:
@@ -442,36 +445,40 @@ def _cmd_roots(cfg, pols, options, args):
     n = _parse_dimvec(args.bound, cfg.s) if args.bound else cfg.mult
     roots = bounded_roots(q, n)
     payload = {"n": list(n), "roots": [list(r) for r in roots]}
-    lines = [f"R+({list(n)}): {len(roots)} roots"] + [f"  {list(r)}" for r in roots]
+    lines = chain([f"R+({list(n)}): {len(roots)} roots"], (f"  {list(r)}" for r in roots))
     return payload, lines
 
 
 def _cmd_walls(cfg, pols, options, args):
     model = LocalModel(cfg)
     payload = {}
-    lines = []
     if args.side in ("quiver", "both"):
-        payload["quiver_walls"] = qw = model.quiver_walls
-        lines.append(f"quiver walls: {len(qw)}")
-        lines += [f"  normal {list(w.normal)} sources {[list(s) for s in w.sources]}" for w in qw]
+        payload["quiver_walls"] = model.quiver_walls
     if args.side in ("ample", "both"):
-        payload["ample_walls"] = aw = model.ample_walls
-        lines.append(f"ample walls through H0: {len(aw)}")
-        lines += [
-            f"  beta {list(w.beta)} chi_beta {w.chi_beta} coeffs {list(w.coeffs)}"
-            for w in aw
-        ]
+        payload["ample_walls"] = model.ample_walls
     if args.global_walls:
-        scan = v_walls(cfg)
         payload["global_scan"] = [
             {"beta": list(b), "chi_gamma": c, "coeffs": list(co), "through_h0": th}
-            for b, c, co, th in scan
+            for b, c, co, th in v_walls(cfg)
         ]
-        lines.append(f"v-walls meeting the degree cone: {len(scan)}")
     if args.side == "both":
         payload["counts_match"] = True
-        lines.append("wall systems agree")
-    return payload, lines
+
+    def lines():
+        if "quiver_walls" in payload:
+            yield f"quiver walls: {len(payload['quiver_walls'])}"
+            for w in payload["quiver_walls"]:
+                yield f"  normal {list(w.normal)} sources {[list(s) for s in w.sources]}"
+        if "ample_walls" in payload:
+            yield f"ample walls through H0: {len(payload['ample_walls'])}"
+            for w in payload["ample_walls"]:
+                yield f"  beta {list(w.beta)} chi_beta {w.chi_beta} coeffs {list(w.coeffs)}"
+        if "global_scan" in payload:
+            yield f"v-walls meeting the degree cone: {len(payload['global_scan'])}"
+        if "counts_match" in payload:
+            yield "wall systems agree"
+
+    return payload, lines()
 
 
 def _cmd_chambers(cfg, pols, options, args):
@@ -485,10 +492,10 @@ def _cmd_chambers(cfg, pols, options, args):
         "signatures": [list(s) for s in ch.signatures],
         "walls": ch.walls,
     }
-    lines = [f"chambers: {ch.count}"] + [
+    lines = chain([f"chambers: {ch.count}"], (
         f"  rep {[str(x) for x in r]} signs {list(s)}"
         for r, s in zip(ch.representatives, ch.signatures)
-    ]
+    ))
     return payload, lines
 
 
@@ -514,32 +521,32 @@ def _cmd_character(cfg, pols, options, args):
 def _cmd_correspondence(cfg, pols, options, args):
     report = verify_correspondence(cfg, samples_per_wall=args.samples)
     payload = {"report": report}
-    lines = [
-        f"walls checked: {len(report.walls)} (counts match: {report.wall_counts_match})",
-    ]
-    for w in report.walls:
-        lines.append(
-            f"  beta {list(w.beta)}: {w.sample_count} samples, on image wall: {w.all_on_image_wall}"
-        )
-    lines.append(f"adjacent chambers probed: {len(report.chambers)}")
-    for c in report.chambers:
-        lines.append(
-            f"  signature {list(c.signature)} generic: {c.generic}"
-            + (f" violators {[list(v) for v in c.violators]}" if c.violators else "")
-        )
-    return payload, lines
+
+    def lines():
+        yield f"walls checked: {len(report.walls)} (counts match: {report.wall_counts_match})"
+        for w in report.walls:
+            yield (f"  beta {list(w.beta)}: {w.sample_count} samples, "
+                   f"on image wall: {w.all_on_image_wall}")
+        yield f"adjacent chambers probed: {len(report.chambers)}"
+        for c in report.chambers:
+            yield (f"  signature {list(c.signature)} generic: {c.generic}"
+                   + (f" violators {[list(v) for v in c.violators]}" if c.violators else ""))
+
+    return payload, lines()
 
 
 def _cmd_strata(cfg, pols, options, args):
     records = strata_report(cfg)
     payload = {"strata": records}
-    lines = [f"strata: {len(records)}"]
-    for r in records:
-        tag = " (open)" if r.is_open_stratum else ""
-        lines.append(
-            f"  dim {r.dim}/{r.ambient_dim}{tag} parts {[(k, list(b)) for k, b in r.decomposition.parts]}"
-        )
-    return payload, lines
+
+    def lines():
+        yield f"strata: {len(records)}"
+        for r in records:
+            tag = " (open)" if r.is_open_stratum else ""
+            parts = [(k, list(b)) for k, b in r.decomposition.parts]
+            yield f"  dim {r.dim}/{r.ambient_dim}{tag} parts {parts}"
+
+    return payload, lines()
 
 
 def _cmd_cb_check(cfg, pols, options, args):

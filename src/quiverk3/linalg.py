@@ -103,8 +103,12 @@ class Span:
 
     Each of ``rows`` is an RREF row scaled to a primitive integer vector
     with a positive pivot entry; ``basis()`` gives the RREF in Fractions.
-    ``reduce`` clears an input's denominators, then eliminates with
-    ``c*v - f*row`` and divides out the gcd. ``add`` returns True exactly
+    ``reduce`` clears an input's denominators once, eliminates fraction-free
+    with ``c*v - f*row`` (c and f divided by their gcd), and divides out
+    the gcd of the residue once, at the end (Bareiss 1968): each step
+    scales the running residue by a positive integer, so the primitive
+    residue and its signs are those of a per-step normalization. ``contains``
+    skips that last gcd. ``add`` returns True exactly
     when the dimension grew, and clears the new pivot column from the
     other rows. Used for Burnside closures, graded subspaces, ``rank``,
     ``nullspace`` and ``mat_inv``.
@@ -138,20 +142,25 @@ class Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[int]:
-        """A primitive integer multiple of vec's residue modulo the span:
-        zero exactly when vec lies in the span."""
+    def _residue(self, vec: Sequence[Fraction]) -> list[int]:
+        """A positive integer multiple of vec's residue modulo the span."""
         v = list(vec)
-        v = primitive(v if all(type(x) is int for x in v) else cleared(v)[1])
+        if not all(type(x) is int for x in v):
+            v = cleared(v)[1]
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
                 g = gcd(row[p], f)
-                v = primitive([row[p] // g * x - f // g * y for x, y in zip(v, row)])
+                v = [row[p] // g * x - f // g * y for x, y in zip(v, row)]
         return v
 
+    def reduce(self, vec: Sequence[Fraction]) -> list[int]:
+        """The primitive integer multiple of vec's residue modulo the span
+        with the residue's signs: zero exactly when vec lies in the span."""
+        return primitive(self._residue(vec))
+
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._residue(vec))
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         v = self.reduce(vec)

@@ -9,8 +9,8 @@ One graded span closure (``_closure``) serves both of the last two: it
 closes e_i for ``is_simple`` and a probe vector for ``_cyclic_spans``.
 It takes one adder per vertex, of three kinds: ``linalg.Span().add``, the
 exact span; ``_block_adder``, float mode's orthonormal basis; and
-``_mod_adder``, a span over Z/P in int64 arrays for ``is_simple``'s
-modular pass.
+``_mod_adder``, a span over Z/P in int64 arrays for the modular pass
+(``_uncertified``) that ``is_simple`` and exact ``check_stability`` share.
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
@@ -34,7 +34,9 @@ closes each vertex on the cleared arrows reduced mod a prime P < 2**25:
 a closure that is full mod P certifies the vertex, since a rank over Z/P
 is never above the rank over Q, and every other vertex, so every False
 verdict, is decided by the exact closure. The pass runs only where no
-int64 sum of its products can wrap around (max(n)**2 <= 2**13).
+int64 sum of its products can wrap around (max(n)**2 <= 2**13). Exact
+``check_stability`` runs the same pass first: a representation it
+certifies at every vertex is simple, so the search is skipped.
 
 The linearization d(mu) is assembled by scatter, not entry by entry:
 ``_differential_pattern(q, n)`` records where each entry of the flat
@@ -608,6 +610,29 @@ def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders, mod=No
     return dim
 
 
+def _uncertified(rep: Representation):
+    """The support vertices whose closure of e_i the modular pass does not
+    find full, lazily, one vertex's pass at a time: in exact mode with
+    max(n)**2 <= ``_MOD_TERMS`` (the overflow bound above ``_mod_adder``),
+    e_i is closed mod the prime ``_P`` on the cleared arrows reduced mod
+    ``_P`` in int64 arrays; in float mode, or past that bound, every
+    support vertex. Each vector of the pass is the reduction of an integer
+    path product, and a rank over Z/P is never above the rank over Q, so a
+    closure that is full mod P certifies vertex i exactly."""
+    n = rep.n
+    mod_arrows = None
+    if rep.mode == EXACT and max(n) ** 2 <= _MOD_TERMS:
+        mod_arrows = [[(k, (a % _P).astype(np.int64)) for k, a in outs] for outs in rep._arrows]
+    for i, ni in enumerate(n):
+        if ni == 0:
+            continue
+        if mod_arrows is not None:
+            adders = [_mod_adder(nk * ni, _P) for nk in n]
+            if _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P) == ni * sum(n):
+                continue
+        yield i
+
+
 def is_simple(rep: Representation) -> bool:
     """Block-graded Burnside/density test: the image of the path algebra is
     graded by pairs of vertices, so the representation is simple exactly
@@ -616,29 +641,17 @@ def is_simple(rep: Representation) -> bool:
     every j in the support. Float mode takes the rank per block with the
     relative tolerance 1e-8.
 
-    Exact mode first closes e_i mod the prime ``_P``, on the cleared arrows
-    reduced mod ``_P`` in int64 arrays, when max(n)**2 <= ``_MOD_TERMS``
-    (the overflow bound above ``_mod_adder``). Each vector of that pass is
-    the reduction of an integer path product, and a rank over Z/P is never
-    above the rank over Q, so a closure that is full mod P certifies vertex
-    i. Any other vertex runs the exact ``linalg.Span`` closure, which
-    decides: every False verdict comes from it."""
+    Exact mode first runs the modular pass (``_uncertified``) on each
+    vertex, and any vertex it does not certify runs the exact
+    ``linalg.Span`` closure, which decides: every False verdict comes from
+    it."""
     n = rep.n
     N = sum(n)
     if N == 0:
         return False
-    exact = rep.mode == EXACT
-    mod_arrows = None
-    if exact and max(n) ** 2 <= _MOD_TERMS:
-        mod_arrows = [[(k, (a % _P).astype(np.int64)) for k, a in outs] for outs in rep._arrows]
-    for i, ni in enumerate(n):
-        if ni == 0:
-            continue
-        if mod_arrows is not None:
-            adders = [_mod_adder(nk * ni, _P) for nk in n]
-            if _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P) == ni * N:
-                continue
-        adders = [linalg.Span().add if exact else _block_adder(1e-8) for _ in n]
+    for i in _uncertified(rep):
+        ni = n[i]
+        adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
         # np.eye of dtype object holds the Python ints 0 and 1
         e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
         if _closure(n, rep._arrows, i, e_i, adders) < ni * N:
@@ -706,14 +719,26 @@ def slope_theta(theta: Sequence, beta: Sequence[int]) -> Fraction:
 # beta_i complex frames before its first step. The default is 6, and no test
 # or tool asks for more than 5
 MAX_RESTARTS = 64
+# the most probes per vertex of the exact stability search: it closes the
+# span of each probe, so its time grows with them (10000 probes took 1.32 s
+# on one affine (2, 2) representation). The default is 4, no test or tool
+# asks for more, and 200 settled every search found to miss a destabilizer
+MAX_PROBES = 1024
+# the largest total dimension sum(n) of the exact stability search, checked
+# before its first probe: the coordinate probes alone grow with it (the
+# zero representation of the disjoint pair at n = (800, 1) ran 0.95 s, at
+# (20000, 1) 29.5 s, before finding too many subspaces). The largest of any
+# test, ladder or benchmark search is 8
+MAX_SEARCH_SIZE = 64
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """The stability search's budget. Refuses a count that is not a
     non-negative integer and a ``tol`` that is not positive and finite
-    (``ValueError``), and more than ``MAX_RESTARTS`` restarts
-    (``InvariantError("search-restarts")``)."""
+    (``ValueError``), more than ``MAX_PROBES`` probes
+    (``InvariantError("search-probes")``) and more than ``MAX_RESTARTS``
+    restarts (``InvariantError("search-restarts")``)."""
 
     probes: int = 4
     restarts: int = 6
@@ -725,6 +750,10 @@ class SearchBudget:
         for name in ("probes", "restarts", "iters", "seed"):
             _check_count(name, getattr(self, name))
         _check_tol("tol", self.tol)
+        if self.probes > MAX_PROBES:
+            raise InvariantError(
+                "search-probes", f"{self.probes} probes, more than {MAX_PROBES}"
+            )
         if self.restarts > MAX_RESTARTS:
             raise InvariantError(
                 "search-restarts", f"{self.restarts} restarts, more than {MAX_RESTARTS}"
@@ -748,7 +777,9 @@ class StrictlySemistableWitness:
 
 @dataclass(frozen=True)
 class NoDestabilizerFound:
-    """Not a proof of semistability: records the search budget only."""
+    """Records the search budget only. Not a proof of semistability, except
+    from exact ``check_stability`` on a representation that the modular
+    pass certifies simple, which has no destabilizer."""
 
     probes: int
     restarts: int
@@ -833,11 +864,15 @@ def _rows(span: linalg.Span) -> tuple:
 
 def _join(ra, rb) -> linalg.Span:
     """The sum of two spans given by their RREF rows: the larger side's
-    rows as they are, then the other side's added."""
+    rows as they are, then the other side's added until the span is full.
+    A full span of such rows is the identity, in which every row left
+    would reduce to zero."""
     if len(rb) > len(ra):
         ra, rb = rb, ra
     span = linalg.Span.echelon(ra)
     for r in rb:
+        if span.dim == len(r):
+            break
         span.add(r)
     return span
 
@@ -934,14 +969,19 @@ def check_stability(
     (-slope, dimension vector). The best one certified gives the verdict:
     ``CertifiedUnstable`` when its slope is positive, else
     ``StrictlySemistableWitness``. Absence of a witness is reported as
-    NoDestabilizerFound and is explicitly not a semistability proof.
+    NoDestabilizerFound and is in general not a semistability proof.
 
-    Exact mode: cyclic subrepresentations from coordinate and seeded random
-    probe vectors, then their closure under pairwise sums, each sum of two
-    spans at a vertex eliminated once per call (``_exact_invariant_spans``).
-    Every span found is checked for arrow-invariance on its integer RREF
-    rows, and the best-ranked one wins, the first found among equal ranks.
-    Only the winner is read out as ``Fraction`` bases. Float mode runs a
+    Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE`` before any probe
+    (``InvariantError("search-size")``). A representation that the modular
+    pass of ``is_simple`` (``_uncertified``) certifies simple has no proper
+    subrepresentation, so the search, which would find nothing, is skipped
+    and ``NoDestabilizerFound`` is exact there. Otherwise it searches: cyclic
+    subrepresentations from coordinate and seeded random probe vectors,
+    then their closure under pairwise sums, each sum of two spans at a
+    vertex eliminated once per call (``_exact_invariant_spans``). Every
+    span found is checked for arrow-invariance on its integer RREF rows,
+    and the best-ranked one wins, the first found among equal ranks. Only
+    the winner is read out as ``Fraction`` bases. Float mode runs a
     gradient-descent search over graded projection frames for each
     dimension vector of the box 0 <= beta <= n (``checked_box``) in rank
     order, and the first it certifies wins.
@@ -966,6 +1006,14 @@ def check_stability(
         return StrictlySemistableWitness(beta, basis, defect)
 
     if rep.mode == EXACT:
+        if sum(n) > MAX_SEARCH_SIZE:
+            raise InvariantError(
+                "search-size",
+                f"the exact stability search at n = {n} has total dimension "
+                f"{sum(n)}, more than {MAX_SEARCH_SIZE}",
+            )
+        if sum(n) and next(_uncertified(rep), None) is None:  # simple: nothing to find
+            return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
         found = []
         for rows in _exact_invariant_spans(rep, budget):
             spans = [linalg.Span.echelon(r) for r in rows]

@@ -10,6 +10,9 @@ lattice of the walls. ``reference_nullspace`` and ``reference_mat_inv`` are
 column-by-column Gauss-Jordan eliminations, independent of ``linalg.Span``,
 and ``mod_p_is_simple`` and ``mod_p_witness_holds`` decide simplicity and
 the invariance of a witness mod a prime, in plain ints, independent of it.
+``reference_reduce`` is ``Span.reduce`` with the gcd divided out at every
+step, as it was before it ran fraction-free, and ``reference_span`` the
+span built on it.
 ``reference_is_simple`` is the Burnside closure on the whole of End(V),
 with no grading, ``reference_cyclic_subrep`` the closure of one vector
 taken depth first with ``linalg.mat_vec``, ``reference_invariant_spans``
@@ -987,6 +990,42 @@ def reference_nullspace(a):
             v[pc] = -m[i][fc]
         basis.append(tuple(v))
     return basis
+
+
+def reference_reduce(rows, pivots, vec) -> list[int]:
+    """``linalg.Span.reduce`` as it was before it ran fraction-free: the
+    input cleared and made primitive, then the residue made primitive again
+    after every elimination step, against the span's ``rows`` and
+    ``pivots``."""
+    v = list(vec)
+    v = list(linalg.primitive(v if all(type(x) is int for x in v) else linalg.cleared(v)[1]))
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            g = math.gcd(row[p], f)
+            v = list(linalg.primitive([row[p] // g * x - f // g * y for x, y in zip(v, row)]))
+    return v
+
+
+def reference_span(vectors) -> tuple[list[list[int]], list[int]]:
+    """The rows and pivots of ``linalg.Span(vectors)``, each vector reduced
+    by ``reference_reduce`` and added as ``Span.add`` adds it."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = reference_reduce(rows, pivots, vec)
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        v = [-x for x in v] if v[p] < 0 else v
+        for row in rows:
+            f = row[p]
+            if f:
+                g = math.gcd(v[p], f)
+                row[:] = linalg.primitive([v[p] // g * x - f // g * y for x, y in zip(row, v)])
+        rows.append(v)
+        pivots.append(p)
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -883,6 +883,42 @@ def test_stability_searches_past_their_bounds_exit_3(elliptic_path, tmp_path, ca
     assert refused("search-restarts")
 
 
+def test_exact_stability_past_its_size_and_probes_exits_3(tmp_path, capsys, monkeypatch):
+    """The exact search refuses a total dimension sum(n) past
+    ``reps.MAX_SEARCH_SIZE`` before its first probe: the zero representation
+    of the disjoint pair puts n_0 = 2000 at a vertex with no arrow for one
+    line of JSON, and its coordinate probes ran 3.8 s unbounded. More than
+    ``reps.MAX_PROBES`` probes are refused before the search."""
+    disjoint = tmp_path / "disjoint.json"
+    disjoint.write_text(json.dumps({**ELLIPTIC_DOC, "gram": [[-2, 0], [0, 0]]}))
+
+    def stability(n, theta, *flags, config=str(disjoint)):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"schema_version": 1, "mode": "exact", "n": list(n),
+                                    "matrices": [{"x": [[0]], "y": [[0]]}]}))
+        return dispatch(["stability", config, "--rep", str(path), f"--theta={theta}", "--json",
+                         *flags])
+
+    def refused(invariant):
+        captured = capsys.readouterr()
+        return captured.out == "" and f"invariant violation [{invariant}]" in captured.err
+
+    started = time.process_time()
+    assert stability((2000, 1), "1,-2000") == EXIT_INVARIANT
+    assert time.process_time() - started < 0.1
+    assert refused("search-size")
+    monkeypatch.setattr(reps, "MAX_SEARCH_SIZE", 3)
+    assert stability((2, 1), "1,-2") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["kind"] == "CertifiedUnstable"
+    assert stability((3, 1), "1,-3") == EXIT_INVARIANT
+    assert refused("search-size")
+
+    assert stability((2, 1), "1,-2", "--probes", str(reps.MAX_PROBES)) == EXIT_OK
+    capsys.readouterr()
+    assert stability((2, 1), "1,-2", "--probes", str(reps.MAX_PROBES + 1)) == EXIT_INVARIANT
+    assert refused("search-probes")
+
+
 def test_moment_verify_past_the_differential_bound_exits_3(tmp_path, capsys):
     """n = (100,) on one loop asks for a d(mu) of 10^4 x 2 * 10^4 complex
     entries (3.2 GB); ``moment-verify`` refuses before its first trial."""

@@ -20,6 +20,10 @@ Both are checked again mod two primes, by ``helpers.mod_p_is_simple`` and
 simplicity verdicts on the cases past dimension 3, and the dimension
 vector and invariance of every exact stability witness.
 
+Exact ``check_stability`` runs the modular pass of ``is_simple`` first and
+skips the search on a representation it certifies simple, where the search
+finds nothing; its verdicts are those with the pass switched off.
+
 ``is_simple`` first closes each vertex mod a prime and falls back to the
 exact closure where that pass falls short. On seeded draws up to total
 dimension 8 its verdicts equal those with the pass switched off and those
@@ -274,6 +278,65 @@ def test_every_found_span_is_checked_for_invariance(monkeypatch):
         with pytest.raises(MathAssertionError, match="not arrow-invariant"):
             check_stability(rep, theta, budget)
         assert len(checked) == len(found)
+
+
+# ---------------------------------------------------------------------------
+# the search skipped on representations certified simple
+
+
+RANDOM_SHORTCUT_CASES = 28
+
+
+def _shortcut_cases():
+    """(representation, budget): ``RANDOM_SHORTCUT_CASES`` seeded random
+    representations on five quivers, most of them simple, then the y = 0
+    representations and direct sums of ``_search_cases``, none simple."""
+    rng = random.Random(73)
+    for k in range(4):
+        seed = rng.randrange(10**6)
+        budget = SearchBudget(probes=rng.randint(1, 3), seed=seed)
+        for cfg, n in ((AFFINE, (2, 2)), (AFFINE, (2, 3)), (ELLIPTIC, (2, 3)), (OGRADY, (4,)),
+                       (CHAIN, (1, 1, 1)), (CHAIN, (1, 2, 1)), (DISJOINT, (0, 2))):
+            yield _rand(cfg, n, seed), budget
+    yield from _search_cases()
+
+
+def test_the_search_finds_nothing_on_simple_representations():
+    # the premise of the shortcut: on a simple representation every probe's
+    # cyclic span is all of it, so the search records nothing to join
+    simple = []
+    for rep, budget in _shortcut_cases():
+        certified = next(reps._uncertified(rep), None) is None
+        assert certified == is_simple(rep) == reference_is_simple(rep)
+        if certified:
+            assert reps._exact_invariant_spans(rep, budget) == []
+        simple.append(certified)
+    assert 18 <= sum(simple) == sum(simple[:RANDOM_SHORTCUT_CASES]) < RANDOM_SHORTCUT_CASES
+
+
+def test_check_stability_skips_the_search_on_simple_representations(monkeypatch):
+    searched = []
+    real = reps._exact_invariant_spans
+    monkeypatch.setattr(reps, "_exact_invariant_spans",
+                        lambda rep, budget: searched.append(rep) or real(rep, budget))
+    rng = random.Random(79)
+    cases = [(rep, _theta(rep.n, rng), budget) for rep, budget in _shortcut_cases()]
+    verdicts, simple = [], []
+    for rep, theta, budget in cases:
+        searched.clear()
+        verdicts.append(check_stability(rep, theta, budget))
+        simple.append(is_simple(rep))
+        assert searched == ([] if simple[-1] else [rep])
+        if simple[-1]:
+            assert verdicts[-1] == NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
+    # the y = 0 representations and direct sums are searched
+    assert 18 <= sum(simple) == sum(simple[:RANDOM_SHORTCUT_CASES])
+    kinds = {type(v).__name__ for v in verdicts[RANDOM_SHORTCUT_CASES:]}
+    assert {"CertifiedUnstable", "StrictlySemistableWitness", "NoDestabilizerFound"} <= kinds
+    monkeypatch.setattr(reps, "_MOD_TERMS", 0)  # no modular pass, so no shortcut
+    searched.clear()
+    assert [check_stability(rep, theta, budget) for rep, theta, budget in cases] == verdicts
+    assert len(searched) == len(cases)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 The references are the column-by-column Gauss-Jordan loops in
 ``helpers``; since the RREF of a matrix is unique, both must agree entry
 for entry, in the same order. sympy's rank is a third, independent count.
+``Span.reduce`` divides out the gcd once per vector; its residues, rows and
+pivots must equal those of ``helpers.reference_reduce``, which divides it
+out at every step.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import pytest
 import sympy
 
 from quiverk3 import linalg
-from helpers import reference_mat_inv, reference_nullspace
+from helpers import reference_mat_inv, reference_nullspace, reference_reduce, reference_span
 
 F = Fraction
 
@@ -169,6 +172,86 @@ def test_span_seeded_from_rref_rows_joins_like_a_fresh_span():
     assert sum(1 for kind, a, b, f in kinds if kind == 0 and b and f == a) >= 30
     assert sum(1 for _, a, b, _ in kinds if a == 0 or b == 0) >= 60
     assert sum(1 for _, a, b, f in kinds if a and b and f > max(a, b)) >= 30
+
+
+def _full_join(ra, rb):
+    """``reps._join`` without its early exit: every row of the smaller side
+    added."""
+    if len(rb) > len(ra):
+        ra, rb = rb, ra
+    span = linalg.Span.echelon(ra)
+    for row in rb:
+        span.add(row)
+    return span
+
+
+def test_join_that_stops_once_full_is_the_full_join(monkeypatch):
+    from quiverk3 import reps
+
+    rng = random.Random(29)
+    adds = []
+    real = linalg.Span.add
+    monkeypatch.setattr(linalg.Span, "add", lambda sp, v: adds.append(v) or real(sp, v))
+    kinds = []
+    for k in range(320):
+        cols = rng.randint(1, 5)
+        kind = k % 4
+        if kind == 0:  # an empty side
+            ra, rb = _rref_rows(linalg.Span(_random_matrix(rng, rng.randint(0, cols), cols))), []
+        elif kind == 1:  # a full side
+            ra = _rref_rows(linalg.Span(_random_matrix(rng, rng.randint(1, cols), cols)))
+            rb = _rref_rows(linalg.Span(linalg.identity(cols)))
+        elif kind == 2:  # one short of full, so full after one row
+            ra = _rref_rows(linalg.Span(_random_matrix(rng, cols - 1, cols))) if cols > 1 else []
+            rb = _rref_rows(linalg.Span(_random_matrix(rng, rng.randint(1, cols), cols)))
+        else:
+            ra, rb = (_rref_rows(linalg.Span(_random_matrix(rng, rng.randint(1, cols), cols)))
+                      for _ in range(2))
+        for left, right in ((ra, rb), (rb, ra)):
+            adds.clear()
+            joined = reps._join(left, right)
+            stopped = len(adds)
+            full = _full_join(left, right)
+            assert sorted(zip(joined.pivots, joined.rows)) == sorted(zip(full.pivots, full.rows))
+            kinds.append((kind, stopped < len(adds) - stopped, full.dim == cols))
+    assert sum(1 for kind, skipped, _ in kinds if kind == 1 and skipped) >= 120
+    assert sum(1 for kind, skipped, _ in kinds if kind == 2 and skipped) >= 60
+    assert sum(1 for kind, skipped, full in kinds if kind == 3 and full and skipped) >= 20
+
+
+def _reduce_cases(seed: int):
+    """(rows to span, vectors to reduce against them): small integer
+    matrices with negative entries, the seeded rational matrices above and
+    the large mixed ones of ``_stress_matrices``, each with a zero vector,
+    a vector of negative integers and random vectors to reduce."""
+    rng = random.Random(seed)
+    ints = [tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rng.randint(1, 6)))
+            for cols in (rng.randint(1, 6) for _ in range(200))]
+    for a in ints + [a for a in _matrices(seed, 300) if len(a)] + _stress_matrices(seed, 200):
+        cols = len(a[0])
+        probes = [(0,) * cols, tuple(-rng.randint(1, 10**6) for _ in range(cols)),
+                  tuple(_entry(rng) for _ in range(cols)),
+                  tuple(_stress_entry(rng) for _ in range(cols))]
+        yield a, probes
+
+
+def test_span_residues_rows_and_pivots_match_the_per_step_reduce():
+    residues = []
+    for a, probes in _reduce_cases(41):
+        span = linalg.Span()
+        for vec in list(a) + probes:
+            expected = reference_reduce(span.rows, span.pivots, vec)
+            assert span.reduce(vec) == expected, (span.rows, vec)
+            assert span.contains(vec) == (not any(expected))
+            span.add(vec)
+            residues.append(expected)
+        assert (span.rows, span.pivots) == reference_span(list(a) + probes)
+        assert all(r == list(linalg.primitive(r)) and r[p] > 0
+                   for r, p in zip(span.rows, span.pivots))
+    zero = sum(not any(r) for r in residues)
+    assert zero >= 1000 and len(residues) - zero >= 1000
+    assert sum(any(x < 0 for x in r) for r in residues) >= 500
+    assert sum(max(map(abs, r)) >= 10**12 for r in residues) >= 100
 
 
 def test_nullspace_of_a_matrix_with_no_rows_is_everything():

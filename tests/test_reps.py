@@ -644,6 +644,19 @@ def test_search_budget_refuses_restarts_past_the_bound(affine_a1, monkeypatch):
         SearchBudget(restarts=3)
 
 
+def test_search_budget_refuses_probes_past_the_bound(affine_a1):
+    """The exact search closes a cyclic span per probe and vertex; past
+    ``reps.MAX_PROBES`` probes the budget is refused. At the bound the
+    search runs every probe."""
+    rep, theta = unstable_affine_rep(affine_a1), (F(-1), F(1))
+    budget = SearchBudget(probes=reps.MAX_PROBES)
+    verdict = check_stability(rep, theta, budget)
+    assert isinstance(verdict, CertifiedUnstable) and verdict.beta == (0, 1)
+    with pytest.raises(InvariantError, match=f"{reps.MAX_PROBES + 1} probes, more than") as e:
+        SearchBudget(probes=reps.MAX_PROBES + 1)
+    assert e.value.invariant == "search-probes"
+
+
 def test_differential_past_the_bound_is_refused_before_it_is_built(affine_a1, monkeypatch):
     """d(mu) has (n . n) x dim Rep entries; past ``reps.MAX_DIFFERENTIAL``
     the pattern, and so every caller, refuses before building either. The

@@ -32,7 +32,11 @@ copy of each representation per run (three seeded exact
 ``random_representation``s each of one genus-2 curve, two loops, at mult
 5, 6, 7 and 8 and of the affine pair at (4, 4) and (5, 5), and the 418
 representations of the ``is_simple`` operations of the ``reps-exact``
-benchmark at seed 0; its TEXT is the verdict), and ``verify_ci_dim`` at
+benchmark at seed 0; its TEXT is the verdict), exact ``check_stability``
+on a fresh copy of the representation of each of the 418 exact
+``check_stability`` operations of ``reps-exact`` at seed 0, with the
+operation's theta (its TEXT is the verdict's ``repr``), and
+``verify_ci_dim`` at
 20 trials and seed 0 on the eight (fixture, n) cases of the ``reps-float``
 benchmark (its TEXT is each trial's seed, ``repr`` of its residual and
 rank, so the digest also covers the residual floats), and
@@ -147,14 +151,20 @@ def drawn(gram, n, seeds=range(3)):
     return build
 
 
-def bench_simple(t) -> list:
-    """The representations of the ``is_simple`` operations of the
-    ``reps-exact`` benchmark at seed 0, in batch order; a wall operation's
-    direct sum is built here, outside the clock."""
+def bench_cells(t, kind: str) -> list[dict]:
+    """The closure variables of the ``reps-exact`` benchmark's operations of
+    this kind at seed 0, in batch order."""
     with mock.patch.dict(sys.modules, t.modules):  # cli.rep_from_dict imports reps
         rounds = t.workloads.build("reps-exact", 0).rounds
-    return [inspect.getclosurevars(op.call).nonlocals["make_rep"]()
-            for ops in rounds for op in ops if op.kind == "reps.is_simple.exact"]
+    return [inspect.getclosurevars(op.call).nonlocals
+            for ops in rounds for op in ops if op.kind == kind]
+
+
+def bench_simple(t) -> list:
+    """The representations of the ``is_simple`` operations of the
+    ``reps-exact`` benchmark at seed 0; a wall operation's direct sum is
+    built here, outside the clock."""
+    return [cell["make_rep"]() for cell in bench_cells(t, "reps.is_simple.exact")]
 
 
 def simple(t, rep) -> list:
@@ -162,6 +172,20 @@ def simple(t, rep) -> list:
     the cleared arrows an earlier one kept."""
     return [lambda: partial(t.reps.is_simple, t.reps.Representation(rep.quiver, rep.n, rep.mode,
                                                                     rep.mats))]
+
+
+def bench_stability(t) -> list:
+    """(representation, theta) of the exact ``check_stability`` operations
+    of the ``reps-exact`` benchmark at seed 0, built as in ``bench_simple``."""
+    return [(cell["make_rep"](), cell["theta"])
+            for cell in bench_cells(t, "reps.check_stability.exact")]
+
+
+def stability(t, case) -> list:
+    """As ``simple``, a fresh copy of the representation per run."""
+    rep, theta = case
+    return [lambda: partial(t.reps.check_stability,
+                            t.reps.Representation(rep.quiver, rep.n, rep.mode, rep.mats), theta)]
 
 
 def float_cases(t) -> list:
@@ -232,6 +256,7 @@ TEXT = {  # layer -> the text of one result of a tree, for the digest
     "verify_correspondence": lambda t, report: t.cli._dumps(report),
     "cli._dumps": lambda t, text: text,
     "is_simple": lambda t, verdict: json.dumps(verdict),
+    "check_stability": lambda t, verdict: repr(verdict),
     "lp_feasible_point": lambda t, point: json.dumps(point),
     "verify_ci_dim": lambda t, report: json.dumps([[c.seed, repr(c.residual), c.rank]
                                                    for c in report.trials]),
@@ -260,6 +285,7 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     *[("is_simple", f"genus2-{m}", drawn(GENUS2, (m,)), simple) for m in (5, 6, 7, 8)],
     *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
+    ("check_stability", "reps-exact-seed0", bench_stability, stability),
     ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
     ("lp_feasible_point", "pinned600", lp_pinned, lp),
     ("lp_feasible_point", "chamber-like200", lp_chamber_like, lp),
