@@ -21,7 +21,9 @@ never passes through a float. An exact representation holds read-only
 copies of its matrices; a float one views the arrays it was given.
 
 A representation owns the arrow lists derived from it
-(``Representation._arrows``), built on first use and kept.
+(``Representation._arrows``) and, in exact mode, the modular pass's
+outcome per vertex (``Representation._mod_passes``), both built on first
+use and kept.
 
 The exact closures and invariance checks multiply no ``Fraction``: each
 arrow is cleared once per representation, that is multiplied by the lcm of
@@ -32,11 +34,14 @@ basis is the same as with the ``Fraction`` matrices. The matrices are
 read-only, so a cleared arrow cannot go stale. Exact ``is_simple`` first
 closes each vertex on the cleared arrows reduced mod a prime P < 2**25:
 a closure that is full mod P certifies the vertex, since a rank over Z/P
-is never above the rank over Q, and every other vertex, so every False
-verdict, is decided by the exact closure. The pass runs only where no
-int64 sum of its products can wrap around (max(n)**2 <= 2**13). Exact
-``check_stability`` runs the same pass first: a representation it
-certifies at every vertex is simple, so the search is skipped.
+is never above the rank over Q. At every other vertex the cyclic spans of
+the coordinate vectors come first: a proper one makes the verdict False.
+Only where none is proper does the exact closure of e_i decide. The pass
+runs only where no int64 sum of its products can wrap around (max(n)**2
+<= 2**13). Exact ``check_stability`` runs the same pass first: a
+representation it certifies at every vertex is simple, so the search is
+skipped. The pass's outcome per vertex is kept on the representation
+(``Representation._mod_passes``), so it runs once per representation.
 
 The linearization d(mu) is assembled by scatter, not entry by entry:
 ``_differential_pattern(q, n)`` records where each entry of the flat
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,6 +185,14 @@ class Representation:
                 arrows[s].append((t, clear(x)))
                 arrows[t].append((s, clear(y)))
         return arrows
+
+    @cached_property
+    def _mod_passes(self) -> dict[tuple[int, int], bool]:
+        """(vertex, prime) -> whether the modular pass (``_uncertified``)
+        found the closure of e_vertex full mod that prime, filled lazily;
+        only an exact representation within the pass's bound fills it. Its
+        matrices are read-only, so no entry can go stale."""
+        return {}
 
     def to_float(self) -> "Representation":
         mats = tuple(
@@ -618,19 +632,27 @@ def _uncertified(rep: Representation):
     ``_P`` in int64 arrays; in float mode, or past that bound, every
     support vertex. Each vector of the pass is the reduction of an integer
     path product, and a rank over Z/P is never above the rank over Q, so a
-    closure that is full mod P certifies vertex i exactly."""
+    closure that is full mod P certifies vertex i exactly. Each vertex's
+    outcome is kept in ``Representation._mod_passes`` under (i, ``_P``), so
+    the pass runs once per vertex and representation, whichever of
+    ``is_simple`` and ``check_stability`` asks first."""
     n = rep.n
-    mod_arrows = None
-    if rep.mode == EXACT and max(n) ** 2 <= _MOD_TERMS:
-        mod_arrows = [[(k, (a % _P).astype(np.int64)) for k, a in outs] for outs in rep._arrows]
+    if rep.mode != EXACT or max(n) ** 2 > _MOD_TERMS:
+        yield from (i for i, ni in enumerate(n) if ni)
+        return
+    passes, mod_arrows = rep._mod_passes, None
     for i, ni in enumerate(n):
         if ni == 0:
             continue
-        if mod_arrows is not None:
+        if (i, _P) not in passes:
+            if mod_arrows is None:
+                mod_arrows = [[(k, (a % _P).astype(np.int64)) for k, a in outs]
+                              for outs in rep._arrows]
             adders = [_mod_adder(nk * ni, _P) for nk in n]
-            if _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P) == ni * sum(n):
-                continue
-        yield i
+            dim = _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P)
+            passes[i, _P] = dim == ni * sum(n)
+        if not passes[i, _P]:
+            yield i
 
 
 def is_simple(rep: Representation) -> bool:
@@ -641,16 +663,24 @@ def is_simple(rep: Representation) -> bool:
     every j in the support. Float mode takes the rank per block with the
     relative tolerance 1e-8.
 
-    Exact mode first runs the modular pass (``_uncertified``) on each
-    vertex, and any vertex it does not certify runs the exact
-    ``linalg.Span`` closure, which decides: every False verdict comes from
-    it."""
+    Exact mode first runs the modular pass (``_uncertified``), which
+    certifies vertices. At a vertex it leaves uncertified with n_i > 1, the
+    cyclic span (``_cyclic_spans``) of each coordinate vector of V_i is
+    closed first: one whose dimension vector is not n is a proper nonzero
+    subrepresentation, and the verdict is False. Only then does the vertex
+    run the exact ``linalg.Span`` closure of e_i, which decides (at n_i = 1
+    it is the closure of the one coordinate vector)."""
     n = rep.n
     N = sum(n)
     if N == 0:
         return False
     for i in _uncertified(rep):
         ni = n[i]
+        if rep.mode == EXACT and ni > 1:
+            for k in range(ni):
+                spans = _cyclic_spans(rep, i, [int(j == k) for j in range(ni)])
+                if any(sp.dim != nj for sp, nj in zip(spans, n)):
+                    return False
         adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
         # np.eye of dtype object holds the Python ints 0 and 1
         e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
@@ -971,11 +1001,17 @@ def check_stability(
     ``StrictlySemistableWitness``. Absence of a witness is reported as
     NoDestabilizerFound and is in general not a semistability proof.
 
+    Both modes clear theta to integers once, so each candidate's slope is
+    one ``Fraction``, equal to ``slope_theta``'s.
+
     Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE`` before any probe
     (``InvariantError("search-size")``). A representation that the modular
     pass of ``is_simple`` (``_uncertified``) certifies simple has no proper
     subrepresentation, so the search, which would find nothing, is skipped
-    and ``NoDestabilizerFound`` is exact there. Otherwise it searches: cyclic
+    and ``NoDestabilizerFound`` is exact there. The pass runs once per
+    representation: a vertex that ``is_simple`` already passed or failed
+    on the same representation is read from its record, not closed again.
+    Otherwise it searches: cyclic
     subrepresentations from coordinate and seeded random probe vectors,
     then their closure under pairwise sums, each sum of two spans at a
     vertex eliminated once per call (``_exact_invariant_spans``). Every
@@ -991,13 +1027,15 @@ def check_stability(
     n = rep.n
     if len(theta) != len(n):
         raise ValueError(f"theta has length {len(theta)}, but n has length {len(n)}")
-    if sum((t * x for t, x in zip(theta, n)), Fraction(0)) != 0:
+    den, itheta = linalg.cleared(theta)
+    if sum(map(operator.mul, itheta, n)) != 0:
         raise ValueError("theta . n != 0: not a valid stability parameter")
 
     def ranked(candidates):
         """The (slope, beta, x) of the candidates (beta, x) of slope >= 0, by
         (-slope, beta); candidates of equal rank keep their order."""
-        slopes = ((slope_theta(theta, beta), beta, x) for beta, x in candidates)
+        slopes = ((Fraction(sum(map(operator.mul, itheta, beta)), den * sum(beta)), beta, x)
+                  for beta, x in candidates)
         return sorted((c for c in slopes if c[0] >= 0), key=lambda c: (-c[0], c[1]))
 
     def verdict(sl, beta, basis, defect=0.0):

@@ -147,8 +147,10 @@ def _walled_draws(seed: int, count: int, max_walls: int, gram_bound: int) -> lis
 
 def test_relabelled_configurations_give_the_same_answers():
     """Under a random permutation of the curves: the roots (mapped back),
-    both wall counts, the chamber count, simple_exists(n) and the multiset
-    of strata dimensions agree, and the relabelled chambers' representatives,
+    both wall counts, the chamber count, simple_exists(n), simple_exists
+    at every root (mapped back), the multiset of strata dimensions and the
+    multiset of each stratum's parts (k, beta) (mapped back) agree, and the
+    relabelled chambers' representatives,
     mapped back, have the signatures against the original walls of distinct
     original chambers, all of them. Representatives and wall normals are
     never compared: ``nperp_basis`` depends on the curve order, and a normal
@@ -174,8 +176,15 @@ def test_relabelled_configurations_give_the_same_answers():
         assert set(signatures) == set(chambers.signatures), (cfg, perm)
         simple, psimple = model.simple_exists(model.n), pmodel.simple_exists(pmodel.n)
         assert (psimple.exists, psimple.is_root) == (simple.exists, simple.is_root), (cfg, perm)
-        dims = sorted(r.dim for r in _strata(model))
-        assert sorted(r.dim for r in _strata(pmodel)) == dims, (cfg, perm)
+        for beta in pmodel.roots_upto:
+            got, want = pmodel.simple_exists(beta), model.simple_exists(back(beta))
+            assert (got.exists, got.is_root) == (want.exists, want.is_root), (cfg, perm, beta)
+        strata, pstrata = _strata(model), _strata(pmodel)
+        assert sorted(r.dim for r in pstrata) == sorted(r.dim for r in strata), (cfg, perm)
+        parts = sorted(sorted(r.decomposition.parts) for r in strata)
+        pparts = sorted(sorted((k, back(beta)) for k, beta in r.decomposition.parts)
+                        for r in pstrata)
+        assert pparts == parts, (cfg, perm)
 
 
 def test_relabelling_keeps_the_v_walls_of_the_degree_cone():

@@ -24,12 +24,21 @@ Exact ``check_stability`` runs the modular pass of ``is_simple`` first and
 skips the search on a representation it certifies simple, where the search
 finds nothing; its verdicts are those with the pass switched off.
 
-``is_simple`` first closes each vertex mod a prime and falls back to the
-exact closure where that pass falls short. On seeded draws up to total
-dimension 8 its verdicts equal those with the pass switched off and those
-of the reference; with the prime set to 2, which misses simple
-representations, and with the int64 bound lowered below a draw's max(n)**2,
-the exact closure decides.
+``is_simple`` first closes each vertex mod a prime. Where that pass falls
+short it closes the cyclic span of each coordinate vector (a probe), and a
+proper one decides False; only then does the exact closure decide. On
+seeded draws up to total dimension 8 its verdicts equal those with the
+pass switched off and those of the reference; with the prime set to 2,
+which misses simple representations, and with the int64 bound lowered
+below a draw's max(n)**2, the exact closure decides. Every False verdict a
+probe decides carries a proper invariant span, and on the ``reps-exact``
+benchmark's inputs at seed 0 the verdicts equal those with every probe's
+span made full.
+
+The pass runs once per representation: its outcome per vertex is recorded
+on it, so ``check_stability`` after ``is_simple`` passes no vertex again,
+a new prime passes them again, and with the int64 bound at 0 the record
+is not read.
 
 The kernel runs on arrows and seeds cleared to integers. The equivalence
 tests below compare it with the ``Fraction`` references of ``helpers`` where
@@ -42,8 +51,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
+import inspect
 import json
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -452,14 +465,17 @@ def _mod_pass_cases():
 
 
 def _spied_closures(monkeypatch) -> list:
-    """Patch ``reps._closure`` to record (modular, dimension, full
-    dimension) for each closure it runs."""
+    """Patch ``reps._closure`` to record (modular, vertex, seed width,
+    dimension, full dimension) for each closure it runs. The modular pass
+    and the exact closure of e_i have width n_i; a probe of ``is_simple``,
+    the cyclic span of one coordinate vector at a vertex with n_i > 1, has
+    width 1."""
     closures = []
     real = reps._closure
 
     def spy(n, arrows, vertex, seed, adders, mod=None):
         dim = real(n, arrows, vertex, seed, adders, mod)
-        closures.append((mod is not None, dim, sum(n) * seed.shape[1]))
+        closures.append((mod is not None, vertex, seed.shape[1], dim, sum(n) * seed.shape[1]))
         return dim
 
     monkeypatch.setattr(reps, "_closure", spy)
@@ -468,40 +484,78 @@ def _spied_closures(monkeypatch) -> list:
 
 def _passes(closures) -> list[bool]:
     """Whether each modular pass was full."""
-    return [dim == full for modular, dim, full in closures if modular]
+    return [dim == full for modular, _, _, dim, full in closures if modular]
+
+
+def _exact_closure(rep: Representation, vertex: int) -> int:
+    """The dimension of the exact closure of e_vertex, as ``is_simple``
+    runs it."""
+    e_i = np.eye(rep.n[vertex], dtype=object)
+    return reps._closure(rep.n, rep._arrows, vertex, e_i, [linalg.Span().add for _ in rep.n])
+
+
+def _check_closure_sequence(rep: Representation, closures, exact: dict) -> bool:
+    """Check the closures of one ``is_simple`` call against the exact
+    closures ``exact`` (vertex -> dimension) and return whether a probe
+    decided the verdict. Each pass reaches the exact closure's dimension
+    (the prime lost no rank). Probes and exact closures run only at the
+    vertex of the last pass, which fell short; an exact closure at a vertex
+    with n_i > 1 follows its n_i probes, each of which spanned everything;
+    only the last closure of the call can be short, a proper probe or a
+    short exact closure, and it makes the verdict False."""
+    passed, probes = {}, 0
+    for k, (modular, i, width, dim, full) in enumerate(closures):
+        assert dim <= full and (dim == full or k == len(closures) - 1 or modular)
+        if modular:
+            assert width == rep.n[i] and dim == exact[i]
+            passed[i], probes = dim == full, 0
+            continue
+        assert list(passed)[-1] == i and not passed[i]
+        if width == 1 and rep.n[i] > 1:
+            probes += 1
+        else:  # the exact closure, after a probe per coordinate when n_i > 1
+            assert width == rep.n[i] and dim == exact[i]
+            assert probes == (width if width > 1 else 0)
+    last = closures[-1] if closures else (True,)
+    return not last[0] and last[2] == 1 < rep.n[last[1]] and last[3] < last[4]
 
 
 def test_modular_pass_keeps_every_verdict(monkeypatch):
     cases = list(_mod_pass_cases())
     assert max(rep.total_dim for rep in cases) == 8
+    # the exact closure at every support vertex, run before the spy goes in
+    exact = [{i: _exact_closure(rep, i) for i, ni in enumerate(rep.n) if ni} for rep in cases]
     closures = _spied_closures(monkeypatch)
-    verdicts, short = [], []
-    for rep in cases:
+    verdicts, short, probed = [], [], []
+    for rep, dims in zip(cases, exact):
         closures.clear()
         verdicts.append(is_simple(rep))
         short.append(not all(_passes(closures)))
-        # each exact closure follows a pass that fell short, and the prime
-        # lost no rank on these draws
-        for before, (modular, dim, full) in zip(closures, closures[1:]):
-            assert modular or (before[0] and before[1] == dim < full)
-        deficits = [full - dim for modular, dim, full in closures if not modular]
+        # the prime lost no rank on these draws, and the closures ran in order
+        probed.append(_check_closure_sequence(rep, closures, dims))
+        deficits = [full - dim for modular, _, _, dim, full in closures if not modular]
         assert verdicts[-1] == (not deficits)
     assert 6 <= sum(verdicts) <= len(verdicts) - 6  # both verdicts occur
     # the prime certifies every simple draw, and each False verdict has a
-    # pass that fell short
+    # pass that fell short; a probe decides some of them, not all
     assert short == [not v for v in verdicts]
+    assert 0 < sum(probed) < len(verdicts) - sum(verdicts)
     with monkeypatch.context() as patch:
         patch.setattr(reps, "_MOD_TERMS", 0)  # no representation is within the bound
         closures.clear()
         assert [is_simple(rep) for rep in cases] == verdicts
         assert _passes(closures) == []
     assert verdicts == [reference_is_simple(rep) for rep in cases]
-    closures.clear()  # a vertex certified, then one the exact closure decides
+    closures.clear()  # a vertex certified, then a probe at the next one
     assert not is_simple(_zero_y(_rand(ELLIPTIC, (1, 3), 5)))
-    assert _passes(closures) == [True, False]
-    closures.clear()  # one short at vertex 1
+    assert closures == [(True, 0, 1, 4, 4), (True, 1, 3, 3, 12), (False, 1, 1, 3, 4)]
+    closures.clear()  # one short at vertex 1, where n_1 = 1 needs no probe
     assert not is_simple(_zero_y(_rand(AFFINE, (1, 1), 5)))
-    assert closures == [(True, 2, 2), (True, 1, 2), (False, 1, 2)]
+    assert closures == [(True, 0, 1, 2, 2), (True, 1, 1, 1, 2), (False, 1, 1, 1, 2)]
+    closures.clear()  # both probes span everything; the exact closure decides
+    assert not is_simple(_zero_y(_rand(ELLIPTIC, (2, 2), 5)))
+    assert closures == [(True, 0, 2, 6, 8), (False, 0, 1, 4, 4), (False, 0, 1, 4, 4),
+                        (False, 0, 2, 6, 8)]
 
 
 def test_a_simple_representation_the_prime_misses_is_decided_exactly(monkeypatch):
@@ -512,7 +566,8 @@ def test_a_simple_representation_the_prime_misses_is_decided_exactly(monkeypatch
     even = Representation(rep.quiver, rep.n, EXACT,
                           tuple((2 * reps._cleared(x), 2 * reps._cleared(y)) for x, y in rep.mats))
     assert is_simple(even) and reference_is_simple(even)
-    assert closures == [(True, 1, 9), (False, 9, 9)]
+    # three probes span everything, then the exact closure is full
+    assert closures == [(True, 0, 3, 1, 9), *[(False, 0, 1, 3, 3)] * 3, (False, 0, 3, 9, 9)]
     outcomes = []
     for rep in [_rand(AFFINE, (2, 2), seed) for seed in range(6)]:
         closures.clear()
@@ -535,6 +590,168 @@ def test_representations_past_the_int64_bound_skip_the_pass(monkeypatch):
         assert verdicts[-1] == reference_is_simple(rep)
         assert bool(widths) == (max(rep.n) <= 2)
     assert verdicts == [True, True, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# the modular pass recorded on the representation
+
+
+def _spied_passes(monkeypatch) -> list:
+    """Patch ``reps._mod_adder`` to record the width of each adder it makes;
+    the pass at one vertex makes one per vertex of the quiver."""
+    widths = []
+    real = reps._mod_adder
+    monkeypatch.setattr(reps, "_mod_adder", lambda w, mod: widths.append(w) or real(w, mod))
+    return widths
+
+
+def test_is_simple_and_check_stability_share_one_pass(monkeypatch):
+    widths = _spied_passes(monkeypatch)
+    rng = random.Random(113)
+    kinds = set()
+    for rep, budget in _shortcut_cases():
+        theta, support = _theta(rep.n, rng), [i for i, ni in enumerate(rep.n) if ni]
+        widths.clear()
+        simple = is_simple(rep)
+        passed = len(widths)
+        assert passed == len(rep._mod_passes) * len(rep.n) > 0
+        assert {i for i, _ in rep._mod_passes} <= set(support)
+        assert all(p == reps._P for _, p in rep._mod_passes)
+        assert all(rep._mod_passes.values()) == simple
+        verdict = check_stability(rep, theta, budget)
+        assert is_simple(rep) == simple
+        assert len(widths) == passed  # neither call passed a vertex again
+        # stability first on a fresh copy: the same verdicts, one pass per vertex
+        fresh = Representation(rep.quiver, rep.n, rep.mode, rep.mats)
+        widths.clear()
+        assert check_stability(fresh, theta, budget) == verdict and is_simple(fresh) == simple
+        assert len(widths) == len(fresh._mod_passes) * len(rep.n) <= len(support) * len(rep.n)
+        kinds.add(type(verdict).__name__)
+    assert len(kinds) == 3
+
+
+def test_a_new_prime_runs_the_pass_again(monkeypatch):
+    widths = _spied_passes(monkeypatch)
+    searched = []
+    real = reps._exact_invariant_spans
+    monkeypatch.setattr(reps, "_exact_invariant_spans",
+                        lambda rep, budget: searched.append(rep) or real(rep, budget))
+    rep = _rand(OGRADY, (3,), 17)
+    # even integer arrows: the default prime certifies the vertex, 2 does not
+    even = Representation(rep.quiver, rep.n, EXACT,
+                          tuple((2 * reps._cleared(x), 2 * reps._cleared(y)) for x, y in rep.mats))
+    assert is_simple(even) and even._mod_passes == {(0, reps._P): True}
+    nothing = NoDestabilizerFound(4, 6, 1e-8)
+    assert check_stability(even, (0,)) == nothing and searched == [] and len(widths) == 1
+    monkeypatch.setattr(reps, "_P", 2)
+    assert check_stability(even, (0,)) == nothing and searched == [even] and len(widths) == 2
+    assert even._mod_passes == {(0, 33554393): True, (0, 2): False}
+    assert is_simple(even) and len(widths) == 2  # the record of the prime 2 is read
+
+
+def test_the_bound_turns_a_recorded_pass_off(monkeypatch):
+    widths = _spied_passes(monkeypatch)
+    searched = []
+    real = reps._exact_invariant_spans
+    monkeypatch.setattr(reps, "_exact_invariant_spans",
+                        lambda rep, budget: searched.append(rep) or real(rep, budget))
+    rep = _rand(AFFINE, (2, 2), 3)
+    nothing = NoDestabilizerFound(4, 6, 1e-8)
+    assert is_simple(rep) and all(rep._mod_passes.values()) and len(widths) == 4
+    assert check_stability(rep, (1, -1)) == nothing and searched == []
+    monkeypatch.setattr(reps, "_MOD_TERMS", 0)  # no pass, so no shortcut
+    assert list(reps._uncertified(rep)) == [0, 1]
+    assert check_stability(rep, (1, -1)) == nothing and searched == [rep]
+    assert is_simple(rep) and len(widths) == 4
+
+
+def test_the_recorded_pass_cannot_go_stale():
+    source = np.array([[F(1), F(2)], [F(0), F(1)]], dtype=object)
+    q = quiver_from_config(AFFINE)
+    rep = Representation(q, (2, 2), EXACT, ((source, source), (source, source.T)))
+    simple = is_simple(rep)
+    record = dict(rep._mod_passes)
+    for pair in rep.mats:
+        for m in pair:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = F(7)
+    source[1, 0] = F(5)  # the arrays it was built from no longer reach it
+    assert rep.mats[0][0][1, 0] == 0 and is_simple(rep) == simple and rep._mod_passes == record
+    float_rep = rep.to_float()  # float mode has no pass and keeps no record
+    assert is_simple(float_rep) == simple and "_mod_passes" not in vars(float_rep)
+
+
+# ---------------------------------------------------------------------------
+# the probes of is_simple
+
+
+def _spied_probes(monkeypatch) -> list:
+    """Patch ``reps._cyclic_spans`` to record (vertex, vector, spans) of
+    each call."""
+    probes = []
+    real = reps._cyclic_spans
+
+    def spy(rep, vertex, vector):
+        spans = real(rep, vertex, vector)
+        probes.append((vertex, tuple(vector), spans))
+        return spans
+
+    monkeypatch.setattr(reps, "_cyclic_spans", spy)
+    return probes
+
+
+def test_a_probe_decides_false_only_on_a_proper_subrepresentation(monkeypatch):
+    probes = _spied_probes(monkeypatch)
+    by_probe = by_closure = 0
+    for rep in [*_simplicity_cases(), *_mod_pass_cases()]:
+        probes.clear()
+        got = is_simple(rep)
+        assert got == reference_is_simple(rep), (rep.n, rep.mats)
+        graded = [(vertex, vec, *reps._graded(spans)) for vertex, vec, spans in probes]
+        # the call ends at the first proper span
+        assert all(dims == rep.n for _, _, dims, _ in graded[:-1])
+        if graded and graded[-1][2] != rep.n:
+            vertex, vec, dims, bases = graded[-1]
+            assert not got and 0 < sum(dims) and rep.n[vertex] > 1
+            assert graded_invariance_holds(rep, bases)
+            assert (dims, bases) == reference_cyclic_subrep(rep, vertex, vec)
+            by_probe += 1
+        else:
+            by_closure += not got
+    assert by_probe >= 30 and by_closure >= 3  # probes decide most, not all
+
+
+def _reps_exact_inputs() -> list[Representation]:
+    """The representations of the ``is_simple`` operations of the
+    ``reps-exact`` benchmark at seed 0, in batch order; a wall operation's
+    direct sum is built here."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [inspect.getclosurevars(op.call).nonlocals["make_rep"]()
+            for ops in workloads.build("reps-exact", 0).rounds for op in ops
+            if op.kind == "reps.is_simple.exact"]
+
+
+def test_the_probes_keep_every_benchmark_verdict(monkeypatch):
+    inputs = _reps_exact_inputs()
+    probes = _spied_probes(monkeypatch)
+    verdicts, decided = [], 0
+    for rep in inputs:
+        probes.clear()
+        verdicts.append(is_simple(rep))
+        decided += bool(probes) and reps._graded(probes[-1][2])[0] != rep.n
+    assert (len(verdicts), sum(verdicts), decided) == (418, 176, 207)
+    # with every probe's span made full, the exact closure decides each vertex
+    monkeypatch.setattr(reps, "_cyclic_spans",
+                        lambda rep, vertex, vector: [linalg.Span(np.eye(k, dtype=object))
+                                                     for k in rep.n])
+    assert [is_simple(rep) for rep in inputs] == verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """CPU time and digest of fixed inputs on two checkouts in one process.
 
-Usage: ``python tools/ab_timing.py <parent> <change>``, two checkouts of
-this repository. Each tree's quiverk3 (``src``), ``random_config``
+Usage: ``python tools/ab_timing.py <parent> <change> [ROW ...]``, two
+checkouts of this repository, then optionally the rows to run: a ROW is a
+layer, a row name or ``layer/name`` (``is_simple/genus2-5``), and selects
+every row it names; with none every row runs. A ROW that names no row
+exits 2 and lists them. Each tree's quiverk3 (``src``), ``random_config``
 (``tests/conftest.py``) and benchmark inputs (``perfbench/workloads.py``)
 load under the same module names, one tree after the other, and both sets
 stay loaded. Each tree builds every input of a row with its own code; then
@@ -35,8 +38,11 @@ representations of the ``is_simple`` operations of the ``reps-exact``
 benchmark at seed 0; its TEXT is the verdict), exact ``check_stability``
 on a fresh copy of the representation of each of the 418 exact
 ``check_stability`` operations of ``reps-exact`` at seed 0, with the
-operation's theta (its TEXT is the verdict's ``repr``), and
-``verify_ci_dim`` at
+operation's theta (its TEXT is the verdict's ``repr``), the same 418
+as a pair, ``is_simple`` and then exact ``check_stability`` on one fresh
+copy per run, as a ``reps-exact`` round calls them (its TEXT is the
+``repr`` of both verdicts; the ``check_stability`` row alone cannot show
+what the second call reuses from the first), and ``verify_ci_dim`` at
 20 trials and seed 0 on the eight (fixture, n) cases of the ``reps-float``
 benchmark (its TEXT is each trial's seed, ``repr`` of its residual and
 rank, so the digest also covers the residual floats), and
@@ -188,6 +194,18 @@ def stability(t, case) -> list:
                             t.reps.Representation(rep.quiver, rep.n, rep.mode, rep.mats), theta)]
 
 
+def simple_then_stability(t, case) -> list:
+    """``is_simple``, then exact ``check_stability`` with the operation's
+    theta, on one fresh copy of the representation per run, as a
+    ``reps-exact`` round calls them: the second call may reuse what the
+    first kept on the representation."""
+    rep, theta = case
+
+    def call(fresh):
+        return t.reps.is_simple(fresh), t.reps.check_stability(fresh, theta)
+    return [lambda: partial(call, t.reps.Representation(rep.quiver, rep.n, rep.mode, rep.mats))]
+
+
 def float_cases(t) -> list:
     """The configurations of the eight (fixture, n) cases of the
     ``reps-float`` benchmark, each with its n as mult."""
@@ -257,6 +275,7 @@ TEXT = {  # layer -> the text of one result of a tree, for the digest
     "cli._dumps": lambda t, text: text,
     "is_simple": lambda t, verdict: json.dumps(verdict),
     "check_stability": lambda t, verdict: repr(verdict),
+    "is_simple+check_stability": lambda t, verdicts: repr(verdicts),
     "lp_feasible_point": lambda t, point: json.dumps(point),
     "verify_ci_dim": lambda t, report: json.dumps([[c.seed, repr(c.residual), c.rank]
                                                    for c in report.trials]),
@@ -286,6 +305,7 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
     ("check_stability", "reps-exact-seed0", bench_stability, stability),
+    ("is_simple+check_stability", "reps-exact-seed0", bench_stability, simple_then_stability),
     ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
     ("lp_feasible_point", "pinned600", lp_pinned, lp),
     ("lp_feasible_point", "chamber-like200", lp_chamber_like, lp),
@@ -311,14 +331,30 @@ def measure(pairs, texts) -> tuple[list[float], list[str]]:
     return total, [d.hexdigest()[:16] for d in digests]
 
 
+def selected(names: list[str]) -> list | None:
+    """The rows of ROWS that the names select, in ROWS order: every row
+    when there are none; None when a name selects no row."""
+    keys = [{layer, name, f"{layer}/{name}"} for layer, name, _, _ in ROWS]
+    if any(not any(x in k for k in keys) for x in names):
+        return None
+    return [row for row, k in zip(ROWS, keys) if not names or k & set(names)]
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not all(os.path.isfile(os.path.join(t, f)) for t in argv for f in NEEDED):
-        print("usage: python tools/ab_timing.py <parent> <change>", file=sys.stderr)
+    trees, rows = argv[:2], selected(argv[2:])
+    if len(trees) != 2 or not all(os.path.isfile(os.path.join(t, f))
+                                  for t in trees for f in NEEDED):
+        print("usage: python tools/ab_timing.py <parent> <change> [ROW ...]", file=sys.stderr)
         return 2
-    trees = [load(tree) for tree in argv]
+    if rows is None:
+        print("unknown row; a ROW is a layer, a name or layer/name of:", file=sys.stderr)
+        for layer, name, _, _ in ROWS:
+            print(f"  {layer}/{name}", file=sys.stderr)
+        return 2
+    trees = [load(tree) for tree in trees]
     differed = False
     print("layer name inputs parent_s change_s ratio sha256")
-    for layer, name, cfgs, inputs in ROWS:
+    for layer, name, cfgs, inputs in rows:
         sides = [[thunk for cfg in cfgs(t) for thunk in inputs(t, cfg)] for t in trees]
         texts = [partial(TEXT[layer], t) for t in trees]
         (tp, tc), (dp, dc) = measure(list(zip(*sides)), texts)
