@@ -22,8 +22,9 @@ copies of its matrices; a float one views the arrays it was given.
 
 A representation owns the arrow lists derived from it
 (``Representation._arrows``) and, in exact mode, the modular pass's
-outcome per vertex (``Representation._mod_passes``), both built on first
-use and kept.
+outcome per vertex (``Representation._mod_passes``) and the cyclic spans
+of its coordinate vectors (``Representation._probe_spans``), all built on
+first use and kept.
 
 The exact closures and invariance checks multiply no ``Fraction``: each
 arrow is cleared once per representation, that is multiplied by the lcm of
@@ -55,13 +56,13 @@ runs on flat vectors and on one pattern, built per call of
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -192,6 +193,14 @@ class Representation:
         found the closure of e_vertex full mod that prime, filled lazily;
         only an exact representation within the pass's bound fills it. Its
         matrices are read-only, so no entry can go stale."""
+        return {}
+
+    @cached_property
+    def _probe_spans(self) -> dict[tuple[int, int], list]:
+        """(vertex, k) -> ``_cyclic_spans`` of the k-th coordinate vector
+        of V_vertex, filled lazily by ``_coordinate_spans`` (exact mode);
+        read-only matrices keep it current, as ``_mod_passes``, and nothing
+        adds to a kept span."""
         return {}
 
     def to_float(self) -> "Representation":
@@ -678,8 +687,7 @@ def is_simple(rep: Representation) -> bool:
         ni = n[i]
         if rep.mode == EXACT and ni > 1:
             for k in range(ni):
-                spans = _cyclic_spans(rep, i, [int(j == k) for j in range(ni)])
-                if any(sp.dim != nj for sp, nj in zip(spans, n)):
+                if tuple(sp.dim for sp in _coordinate_spans(rep, i, k)) != n:
                     return False
         adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
         # np.eye of dtype object holds the Python ints 0 and 1
@@ -826,22 +834,114 @@ StabilityVerdict = CertifiedUnstable | StrictlySemistableWitness | NoDestabilize
 MAX_INVARIANT_SPANS = 1024
 
 
+class _Subspaces:
+    """The subspaces of Q^width that one exact search meets, interned: each
+    distinct ``_rows`` tuple gets a small int id, kept with its rows, and
+    the sum of two ids is worked out once per search (``join``). The zero
+    subspace and the whole space are interned first (at width 0 they are
+    one). A sum with a full side is full, and a sum with a hyperplane side
+    H needs no elimination: H + B is H when B lies in H, which the integer
+    dot product of each row of B with H's normal decides, and the whole
+    space otherwise. Only the other sums run ``_join``."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.sums: dict[tuple[int, int], int] = {}
+        self.normals: dict[int, tuple] = {}
+        self.zero = self.intern(())
+        self.full = self.intern(tuple(tuple(int(i == j) for j in range(width))
+                                      for i in range(width)))
+
+    def intern(self, rows: tuple) -> int:
+        k = self.ids.get(rows)
+        if k is None:
+            k = self.ids[rows] = len(self.rows)
+            self.rows.append(rows)
+        return k
+
+    def join(self, a: int, b: int) -> int:
+        """The id of the sum of the subspaces a and b."""
+        if a == b or b == self.zero:
+            return a
+        if a == self.zero:
+            return b
+        if a == self.full or b == self.full:
+            return self.full
+        key = (a, b) if a < b else (b, a)
+        s = self.sums.get(key)
+        if s is None:
+            s = self.sums[key] = self._sum(*key)
+        return s
+
+    def _sum(self, a: int, b: int) -> int:
+        ra, rb = self.rows[a], self.rows[b]
+        if len(rb) == self.width - 1:
+            a, ra, rb = b, rb, ra
+        if len(ra) == self.width - 1:
+            normal = self._normal(a)
+            inside = not any(sum(map(operator.mul, normal, r)) for r in rb)
+            return a if inside else self.full
+        return self.intern(_rows(_join(ra, rb)))
+
+    def _normal(self, h: int) -> tuple:
+        """An integer normal of the hyperplane h, kept per id. Each RREF
+        row k of a hyperplane is c_k at its pivot p_k and a_k at the one
+        free column f, so the normal is L at f and -a_k * L / c_k at p_k,
+        with L the lcm of the c_k."""
+        normal = self.normals.get(h)
+        if normal is None:
+            rows = self.rows[h]
+            pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+            f = next(j for j in range(self.width) if j not in pivots)
+            L = lcm(*(r[p] for r, p in zip(rows, pivots)))
+            entries = [0] * self.width
+            entries[f] = L
+            for r, p in zip(rows, pivots):
+                entries[p] = -r[f] * (L // r[p])
+            normal = self.normals[h] = tuple(entries)
+        return normal
+
+
+def _coordinate_spans(rep: Representation, vertex: int, k: int) -> list[linalg.Span]:
+    """``_cyclic_spans`` of the k-th coordinate vector of V_vertex, kept in
+    ``Representation._probe_spans``, so that ``is_simple``'s probes and the
+    exact search close each one once per representation."""
+    spans = rep._probe_spans.get((vertex, k))
+    if spans is None:
+        unit = [int(j == k) for j in range(rep.n[vertex])]
+        spans = rep._probe_spans[vertex, k] = _cyclic_spans(rep, vertex, unit)
+    return spans
+
+
 def _exact_invariant_spans(rep: Representation, budget: SearchBudget) -> list[tuple]:
     """The invariant graded subspaces the exact search finds, in order, each
     as its ``_rows`` per vertex: cyclic subrepresentations of the coordinate
     and seeded random probes, then pairwise sums until a pass adds nothing.
-    Past ``MAX_INVARIANT_SPANS`` subspaces it raises
+    The coordinate probes are read from ``_coordinate_spans``, so those that
+    ``is_simple`` closed on the same representation are not closed again.
+    The search runs on interned subspaces (``_Subspaces``, one table per
+    width, shared by the vertices of that n_i): a graded subspace is a
+    tuple of ids, and each sum of two subspaces at a vertex is worked out
+    once per search, most of them off a full side or a hyperplane's normal
+    with no elimination. Rows are read back once, at the return. Past
+    ``MAX_INVARIANT_SPANS`` subspaces it raises
     ``InvariantError("invariant-spans")``."""
     n = rep.n
     rng = random.Random(budget.seed)
-    # an ordered set of the found graded subspaces; primitive integer rows
-    # determine a subspace, so the joins below build no Fraction
+    tables = {ni: _Subspaces(ni) for ni in set(n)}
+    vtables = [tables[ni] for ni in n]
+    zero = tuple(t.zero for t in vtables)
+    full = tuple(t.full for t in vtables)
+    # an ordered set of the found graded subspaces, as tuples of ids;
+    # primitive integer rows determine a subspace, so equal ids are equal
+    # subspaces and the joins below build no Fraction
     found: dict[tuple, None] = {}
 
-    def record(rows: tuple):
-        dims = tuple(map(len, rows))
-        if sum(dims) != 0 and dims != n:
-            found.setdefault(rows)
+    def record(ids: tuple):
+        if ids not in found and ids != zero and ids != full:
+            found[ids] = None
             if len(found) > MAX_INVARIANT_SPANS:
                 raise InvariantError(
                     "invariant-spans",
@@ -850,26 +950,14 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget) -> list[tu
                 )
 
     for i, ni in enumerate(n):
-        coordinate = ([int(j == k) for j in range(ni)] for k in range(ni))
-        seeded = ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)]
-                  for _ in range(budget.probes if ni else 0))
-        for vec in itertools.chain(coordinate, seeded):
+        for k in range(ni):
+            rows = map(_rows, _coordinate_spans(rep, i, k))
+            record(tuple(map(_Subspaces.intern, vtables, rows)))
+        for _ in range(budget.probes if ni else 0):
+            vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ni)]
             if any(vec):
-                record(tuple(map(_rows, _cyclic_spans(rep, i, vec))))
-    # the sum of two spans at a vertex, each unordered pair eliminated once
-    # per search; equal or empty sides need no elimination
-    joins: dict[tuple, tuple] = {}
-
-    def join(ra: tuple, rb: tuple) -> tuple:
-        if ra == rb or not rb:
-            return ra
-        if not ra:
-            return rb
-        key = (ra, rb) if ra < rb else (rb, ra)
-        if key not in joins:
-            joins[key] = _rows(_join(ra, rb))
-        return joins[key]
-
+                rows = map(_rows, _cyclic_spans(rep, i, vec))
+                record(tuple(map(_Subspaces.intern, vtables, rows)))
     # sums of invariant spans are invariant: close the found set under
     # pairwise sums until stable (the join-closure of the probe spans). A
     # pass joins only the pairs with an entry new in the previous pass; the
@@ -878,12 +966,13 @@ def _exact_invariant_spans(rep: Representation, budget: SearchBudget) -> list[tu
     while True:
         singles = list(found)
         for a in range(len(singles)):
+            sa = singles[a]
             for b in range(max(a + 1, done), len(singles)):
-                record(tuple(map(join, singles[a], singles[b])))
+                record(tuple(map(_Subspaces.join, vtables, sa, singles[b])))
         if len(found) == len(singles):
             break
         done = len(singles)
-    return list(found)
+    return [tuple(map(lambda t, k: t.rows[k], vtables, ids)) for ids in found]
 
 
 def _rows(span: linalg.Span) -> tuple:
@@ -1011,10 +1100,13 @@ def check_stability(
     and ``NoDestabilizerFound`` is exact there. The pass runs once per
     representation: a vertex that ``is_simple`` already passed or failed
     on the same representation is read from its record, not closed again.
-    Otherwise it searches: cyclic
+    Otherwise it searches (``_exact_invariant_spans``): cyclic
     subrepresentations from coordinate and seeded random probe vectors,
-    then their closure under pairwise sums, each sum of two spans at a
-    vertex eliminated once per call (``_exact_invariant_spans``). Every
+    the coordinate ones read from the record ``is_simple``'s probes left
+    on the representation, then their closure under pairwise sums on
+    interned subspaces, each sum of two subspaces at a vertex worked out
+    once per call, and eliminated only when neither side is full or a
+    hyperplane, whose sums one integer normal decides. Every
     span found is checked for arrow-invariance on its integer RREF rows,
     and the best-ranked one wins, the first found among equal ranks. Only
     the winner is read out as ``Fraction`` bases. Float mode runs a

@@ -38,7 +38,14 @@ span made full.
 The pass runs once per representation: its outcome per vertex is recorded
 on it, so ``check_stability`` after ``is_simple`` passes no vertex again,
 a new prime passes them again, and with the int64 bound at 0 the record
-is not read.
+is not read. So are the spans of each probe: on the benchmark's
+``check_stability`` inputs the search after ``is_simple`` closes no
+coordinate vector again and finds the same spans.
+
+The search interns its subspaces and decides a sum with a full or a
+hyperplane side without elimination: on seeded RREF pairs at widths 1-5
+that sum equals the eliminated one, and on the benchmark's inputs the
+shortcut decides most sums, leaving ``_join`` only pairs with neither.
 
 The kernel runs on arrows and seeds cleared to integers. The equivalence
 tests below compare it with the ``Fraction`` references of ``helpers`` where
@@ -721,10 +728,9 @@ def test_a_probe_decides_false_only_on_a_proper_subrepresentation(monkeypatch):
     assert by_probe >= 30 and by_closure >= 3  # probes decide most, not all
 
 
-def _reps_exact_inputs() -> list[Representation]:
-    """The representations of the ``is_simple`` operations of the
-    ``reps-exact`` benchmark at seed 0, in batch order; a wall operation's
-    direct sum is built here."""
+def _reps_exact_cells(kind: str) -> list[dict]:
+    """The closure variables of the ``reps-exact`` benchmark's operations of
+    this kind at seed 0, in batch order."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -733,9 +739,28 @@ def _reps_exact_inputs() -> list[Representation]:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    return [inspect.getclosurevars(op.call).nonlocals["make_rep"]()
-            for ops in workloads.build("reps-exact", 0).rounds for op in ops
-            if op.kind == "reps.is_simple.exact"]
+    return [inspect.getclosurevars(op.call).nonlocals
+            for ops in workloads.build("reps-exact", 0).rounds for op in ops if op.kind == kind]
+
+
+def _reps_exact_inputs() -> list[Representation]:
+    """The representations of the ``is_simple`` operations of the
+    ``reps-exact`` benchmark at seed 0, in batch order; a wall operation's
+    direct sum is built here."""
+    return [cell["make_rep"]() for cell in _reps_exact_cells("reps.is_simple.exact")]
+
+
+def _reps_exact_stability_inputs() -> list[tuple[Representation, tuple]]:
+    """(representation, theta) of the exact ``check_stability`` operations
+    of the ``reps-exact`` benchmark at seed 0, built as in
+    ``_reps_exact_inputs``."""
+    return [(cell["make_rep"](), cell["theta"])
+            for cell in _reps_exact_cells("reps.check_stability.exact")]
+
+
+def _fresh(rep: Representation) -> Representation:
+    """A copy of rep that keeps nothing an earlier call recorded on rep."""
+    return Representation(rep.quiver, rep.n, rep.mode, rep.mats)
 
 
 def test_the_probes_keep_every_benchmark_verdict(monkeypatch):
@@ -747,11 +772,155 @@ def test_the_probes_keep_every_benchmark_verdict(monkeypatch):
         verdicts.append(is_simple(rep))
         decided += bool(probes) and reps._graded(probes[-1][2])[0] != rep.n
     assert (len(verdicts), sum(verdicts), decided) == (418, 176, 207)
-    # with every probe's span made full, the exact closure decides each vertex
+    # with every probe's span made full, the exact closure decides each
+    # vertex; on fresh copies, which have no probe recorded
+    made_full = []
     monkeypatch.setattr(reps, "_cyclic_spans",
-                        lambda rep, vertex, vector: [linalg.Span(np.eye(k, dtype=object))
-                                                     for k in rep.n])
-    assert [is_simple(rep) for rep in inputs] == verdicts
+                        lambda rep, vertex, vector: made_full.append(vertex) or
+                        [linalg.Span(np.eye(k, dtype=object)) for k in rep.n])
+    assert [is_simple(_fresh(rep)) for rep in inputs] == verdicts
+    assert len(made_full) >= decided
+
+
+def test_the_search_reads_the_probes_is_simple_closed(monkeypatch):
+    # is_simple records each probe's spans on the representation, and the
+    # search after it reads them: no coordinate vector is closed twice on
+    # one representation, and the search finds the same spans in the same
+    # order as on a fresh copy
+    probes = _spied_probes(monkeypatch)
+    budget = SearchBudget()
+    reused = searched = 0
+    for rep, theta in _reps_exact_stability_inputs():
+        alone, after = _fresh(rep), _fresh(rep)
+        probes.clear()
+        spans = reps._exact_invariant_spans(alone, budget)
+        closed_alone = len(probes)
+        probes.clear()
+        simple = is_simple(after)
+        by_is_simple = [(vertex, vec) for vertex, vec, _ in probes]
+        assert set(by_is_simple) <= {(i, tuple(int(j == k) for j in range(rep.n[i])))
+                                     for i, k in after._probe_spans}
+        verdict = check_stability(after, theta, budget)
+        calls = [(vertex, vec) for vertex, vec, _ in probes]
+        assert len(set(calls)) == len(calls)
+        assert verdict == check_stability(_fresh(rep), theta, budget)
+        if not simple:  # both calls together close what the search alone does
+            assert len(calls) == closed_alone
+            probes.clear()
+            assert reps._exact_invariant_spans(after, budget) == spans
+            assert len(probes) == closed_alone - len(after._probe_spans)
+            reused += len(by_is_simple)
+            searched += 1
+    assert (searched, reused) == (242, 303)
+
+
+# ---------------------------------------------------------------------------
+# the interned subspaces of the search
+
+
+def _rref_rows(vectors) -> tuple:
+    return reps._rows(linalg.Span(vectors))
+
+
+def _hyperplane(rng, width: int) -> tuple[tuple, list[int]]:
+    """The rows of the kernel of a seeded integer normal with some zero
+    entries, so that its free column falls anywhere, and the normal."""
+    normal = [0] * width
+    while not any(normal):
+        normal = [rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(width)]
+    return _rref_rows(linalg.nullspace([normal])), normal
+
+
+def _combinations(rng, rows, count: int) -> list:
+    return [[sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0]))]
+            for coeffs in ([rng.randint(-3, 3) for _ in rows] for _ in range(count))]
+
+
+def _sum_cases():
+    """(kind, width, ra, rb): seeded RREF pairs at widths 1-5."""
+    rng = random.Random(131)
+
+    def anything(width, lo=1, hi=None):
+        rows = rng.randint(lo, width if hi is None else hi)
+        return _rref_rows([[rng.randint(-4, 4) for _ in range(width)] for _ in range(rows)])
+
+    for _ in range(30):
+        for width in range(1, 6):
+            identity = _rref_rows(np.eye(width, dtype=object))
+            yield "full", width, identity, anything(width)
+            if width < 2:
+                continue
+            h, normal = _hyperplane(rng, width)
+            inside = _rref_rows(_combinations(rng, h, rng.randint(1, width - 1)))
+            if inside and inside != h:
+                yield "inside", width, h, inside
+            outside = [rng.randint(-4, 4) for _ in range(width)]
+            if sum(map(lambda a, b: a * b, normal, outside)):
+                yield "outside", width, h, _rref_rows([outside])
+            other, _ = _hyperplane(rng, width)
+            if other != h:
+                yield "hyperplanes", width, h, other
+            if width >= 3:
+                ra, rb = anything(width, 1, width - 2), anything(width, 1, width - 2)
+                if ra and rb and ra != rb:
+                    yield "elimination", width, ra, rb
+
+
+def test_the_shortcut_sum_equals_the_eliminated_sum(monkeypatch):
+    joined = []
+    real = reps._join
+    monkeypatch.setattr(reps, "_join", lambda ra, rb: joined.append((ra, rb)) or real(ra, rb))
+    kinds = {}
+    for kind, width, ra, rb in _sum_cases():
+        want = reps._rows(real(ra, rb))
+        table = reps._Subspaces(width)
+        a, b = table.intern(ra), table.intern(rb)
+        joined.clear()
+        assert table.rows[table.join(a, b)] == table.rows[table.join(b, a)] == want
+        # a sum with a full or hyperplane side runs no elimination; another
+        # one is eliminated once for both orders
+        shortcut = width in (len(ra), len(rb)) or width - 1 in (len(ra), len(rb))
+        assert len(joined) == (0 if shortcut else 1)
+        assert shortcut == (kind != "elimination")
+        full = len(want) == width
+        if kind in ("full", "outside", "hyperplanes"):
+            assert full
+        if full:  # a full sum's rows are the identity, the table's full subspace
+            assert want == tuple(tuple(int(i == j) for j in range(width)) for i in range(width))
+            assert table.join(a, b) == table.full
+        if kind == "inside":
+            assert want == ra and table.join(a, b) == a
+        for h in {a, b}:
+            if len(table.rows[h]) == width - 1:
+                normal = table._normal(h)
+                assert any(normal) and not any(sum(map(lambda x, y: x * y, normal, r))
+                                               for r in table.rows[h])
+        kinds[kind, width] = kinds.get((kind, width), 0) + 1
+    assert all(kinds.get(("full", w), 0) >= 20 for w in range(1, 6))
+    # at width 2 a hyperplane is a line, and holds no other nonzero subspace
+    assert all(kinds.get(("inside", w), 0) >= 10 for w in range(3, 6))
+    assert all(kinds.get((k, w), 0) >= 20 for k in ("outside", "hyperplanes")
+               for w in range(2, 6))
+    assert all(kinds.get(("elimination", w), 0) >= 20 for w in range(3, 6))
+
+
+def test_the_shortcut_decides_most_benchmark_sums(monkeypatch):
+    # over the exact check_stability inputs of the reps-exact benchmark at
+    # seed 0, the pair sums the search works out (one per distinct pair of
+    # subspaces per search with no full side) mostly come off a hyperplane's
+    # normal; every one left to _join has neither a full nor a hyperplane side
+    joined, sums = [], []
+    real_join, real_sum = reps._join, reps._Subspaces._sum
+    monkeypatch.setattr(reps, "_join", lambda ra, rb: joined.append((ra, rb)) or
+                        real_join(ra, rb))
+    monkeypatch.setattr(reps._Subspaces, "_sum", lambda table, a, b: sums.append(table.width) or
+                        real_sum(table, a, b))
+    for rep, theta in _reps_exact_stability_inputs():
+        check_stability(rep, theta)
+    assert 10 * len(joined) < len(sums)
+    for ra, rb in joined:
+        width = len((ra or rb)[0])
+        assert {len(ra), len(rb)}.isdisjoint({width, width - 1})
 
 
 # ---------------------------------------------------------------------------

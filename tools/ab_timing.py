@@ -38,9 +38,11 @@ representations of the ``is_simple`` operations of the ``reps-exact``
 benchmark at seed 0; its TEXT is the verdict), exact ``check_stability``
 on a fresh copy of the representation of each of the 418 exact
 ``check_stability`` operations of ``reps-exact`` at seed 0, with the
-operation's theta (its TEXT is the verdict's ``repr``), the same 418
-as a pair, ``is_simple`` and then exact ``check_stability`` on one fresh
-copy per run, as a ``reps-exact`` round calls them (its TEXT is the
+operation's theta (its TEXT is the verdict's ``repr``), and on the 242
+of them that reach the search (``reps-exact-search``: the y = 0 and wall
+direct-sum operations; the other 176 are certified simple and skip it,
+so this row's ratio is the search's own), the same 418 as a pair,
+``is_simple`` and then exact ``check_stability`` on one fresh copy per run, as a ``reps-exact`` round calls them (its TEXT is the
 ``repr`` of both verdicts; the ``check_stability`` row alone cannot show
 what the second call reuses from the first), and ``verify_ci_dim`` at
 20 trials and seed 0 on the eight (fixture, n) cases of the ``reps-float``
@@ -51,7 +53,12 @@ and the 200 of ``test_lp_points_are_pinned_on_chamber_like_systems`` (its
 TEXT is the JSON of the point; no benchmark workload runs the simplex, so
 this row is its only A/B). A perf change to another layer adds a row.
 
-Noise floor: a quoted A/B needs beside it a same-tree run from the same
+Rows compare only by their ratios. A row's absolute seconds swing with
+the host's load from row to row and from run to run: two runs of one
+tree in one session read its ``check_stability/reps-exact-seed0`` row at
+0.7457 s and 1.0287 s, and its ``is_simple+check_stability`` row below
+the ``check_stability`` row alone, which cannot hold on a quiet host.
+Noise floor: a quoted ratio needs beside it a same-tree run from the same
 session (``python tools/ab_timing.py T T``, T one checkout on both sides):
 a ratio no farther from 1 than that run reads on its row shows nothing.
 Floors measured on a quiet host do not carry over to a busy one. Two
@@ -70,7 +77,10 @@ of the one-plan Gauss-Newton search, in one session on the same VM, read
 0.981 and 1.001 on the verify_ci_dim row. Two same-tree runs of the
 fraction-free simplex on the same VM, one per tree, beside its A/B, read
 1.001 and 0.998 on lp_feasible_point pinned600 and 1.011 and 1.002 on
-chamber-like200. Rows whose best times sum to
+chamber-like200. One same-tree run of the interned exact search on the
+same VM read 0.992 on check_stability reps-exact-seed0, 0.994 on
+reps-exact-search, 1.004 on is_simple+check_stability and 1.004 on
+is_simple reps-exact-seed0. Rows whose best times sum to
 under about 0.1 s of CPU swing the most.
 """
 
@@ -157,13 +167,14 @@ def drawn(gram, n, seeds=range(3)):
     return build
 
 
-def bench_cells(t, kind: str) -> list[dict]:
+def bench_cells(t, kind: str, suffixes=("",)) -> list[dict]:
     """The closure variables of the ``reps-exact`` benchmark's operations of
-    this kind at seed 0, in batch order."""
+    this kind at seed 0 whose id ends in one of ``suffixes``, in batch
+    order."""
     with mock.patch.dict(sys.modules, t.modules):  # cli.rep_from_dict imports reps
         rounds = t.workloads.build("reps-exact", 0).rounds
     return [inspect.getclosurevars(op.call).nonlocals
-            for ops in rounds for op in ops if op.kind == kind]
+            for ops in rounds for op in ops if op.kind == kind and op.id.endswith(suffixes)]
 
 
 def bench_simple(t) -> list:
@@ -180,11 +191,18 @@ def simple(t, rep) -> list:
                                                                     rep.mats))]
 
 
-def bench_stability(t) -> list:
+def bench_stability(t, suffixes=("",)) -> list:
     """(representation, theta) of the exact ``check_stability`` operations
     of the ``reps-exact`` benchmark at seed 0, built as in ``bench_simple``."""
     return [(cell["make_rep"](), cell["theta"])
-            for cell in bench_cells(t, "reps.check_stability.exact")]
+            for cell in bench_cells(t, "reps.check_stability.exact", suffixes)]
+
+
+def bench_search(t) -> list:
+    """The 242 of ``bench_stability`` that reach the search, none of them
+    simple: the y = 0 (``.unstable``) and wall direct-sum (``.wall``)
+    operations."""
+    return bench_stability(t, (".unstable", ".wall"))
 
 
 def stability(t, case) -> list:
@@ -305,6 +323,7 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
     ("check_stability", "reps-exact-seed0", bench_stability, stability),
+    ("check_stability", "reps-exact-search", bench_search, stability),
     ("is_simple+check_stability", "reps-exact-seed0", bench_stability, simple_then_stability),
     ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
     ("lp_feasible_point", "pinned600", lp_pinned, lp),
