@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import json
 import operator
-import os
 import sys
 from collections import defaultdict, namedtuple
 from fractions import Fraction
@@ -45,9 +44,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
 EXIT_ASSERTION = 4
-
-# the fields of SearchBudget that options.budget and the stability flags set
-BUDGET_FIELDS = ("probes", "restarts", "iters", "tol")
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +124,9 @@ def parse_config_document(doc: dict):
     for key in ("seed", "ell"):
         if key in options and not _is_int(options[key]):
             raise SchemaError(f"options.{key} must be an integer")
-    budget = options.get("budget") or {}
-    if not isinstance(budget, dict):
-        raise SchemaError("options.budget must be an object")
-    for key in BUDGET_FIELDS[:-1]:  # the counts
-        if key in budget and not _is_int(budget[key]):
-            raise SchemaError(f"options.budget.{key} must be an integer")
-    if "tol" in budget and type(budget["tol"]) not in (int, float):
-        raise SchemaError("options.budget.tol must be a number")
-    try:  # SearchBudget's range checks, without loading the representation layer
-        for key in (k for k in BUDGET_FIELDS if k in budget):
-            (_check_tol if key == "tol" else _check_count)(key, budget[key])
-    except ValueError as exc:
-        raise SchemaError(f"options.budget.{exc}") from None
+    if "budget" in options:
+        raise SchemaError("options.budget is not read: "
+                          "pass --probes, --restarts, --iters and --tol to stability")
     return cfg, pols, options, names
 
 
@@ -383,16 +369,7 @@ def emit(payload: dict, command: str, as_json: bool, lines: Iterable[str]) -> No
 
 
 def _seed_from(args, options) -> int:
-    env = os.environ.get("QRL_SEED")
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    elif env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise SchemaError(f"QRL_SEED must be an integer, got {env!r}") from None
-    else:
-        seed = options.get("seed", 0)
+    seed = args.seed if args.seed is not None else options.get("seed", 0)
     # numpy's generators refuse negative seeds
     if seed < 0:
         raise SchemaError(f"seed must be a non-negative integer, got {seed}")
@@ -504,7 +481,7 @@ def _cmd_character(cfg, pols, options, args):
         raise SchemaError(f"polarization {args.pol!r} not defined in the document")
     a = pols[args.pol]
     theta = character_general(cfg, a)
-    ell = args.ell if args.ell is not None else int(options.get("ell", 1))
+    ell = args.ell if args.ell is not None else options.get("ell", 1)
     payload = {"pol": args.pol, "a": a.a, "theta": theta}
     lines = [f"theta = {[str(t) for t in theta]}"]
     on_slice = sum(n * x for n, x in zip(cfg.mult, a.a)) == cfg.total_h0deg
@@ -605,13 +582,11 @@ def _cmd_stability(cfg, pols, options, args):
     theta = _parse_theta(args.theta, cfg.s)
     if sum(t * x for t, x in zip(theta, rep.n)) != 0:
         raise SchemaError(f"theta . n != 0 for the representation's n = {list(rep.n)}")
-    # SearchBudget's defaults, overlaid by options.budget and then by the
-    # flags given; both were range-checked before the command ran
-    fields = {}
-    for given in (options.get("budget") or {}, vars(args)):
-        fields.update((k, given[k]) for k in BUDGET_FIELDS if given.get(k) is not None)
-    fields["tol"] = float(fields.get("tol", SearchBudget.tol))  # options.budget.tol may be an int
-    budget = SearchBudget(**fields, seed=_seed_from(args, options))
+    # SearchBudget's defaults, overridden by the flags given; dispatch
+    # range-checked those before the command ran
+    given = {k: getattr(args, k) for k in ("probes", "restarts", "iters", "tol")}
+    budget = SearchBudget(**{k: v for k, v in given.items() if v is not None},
+                          seed=_seed_from(args, options))
     verdict = check_stability(rep, theta, budget)
     kind = type(verdict).__name__
     payload = {"theta": theta, "kind": kind, "verdict": verdict, "seed": budget.seed}

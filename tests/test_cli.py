@@ -268,18 +268,21 @@ def test_stdin_config(capsys, monkeypatch):
     assert payload["count"] == 2
 
 
-def test_qrl_seed_env(elliptic_path, capsys, monkeypatch):
+def test_qrl_seed_env(tmp_path, capsys, monkeypatch):
+    """The seed is --seed, else options.seed, else 0; a QRL_SEED in the
+    environment changes nothing."""
     monkeypatch.setenv("QRL_SEED", "42")
-    assert dispatch(["moment-verify", elliptic_path, "--trials", "1", "--json"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["seed"] == 42
-    # explicit flag wins over the environment
-    assert (
-        dispatch(["moment-verify", elliptic_path, "--trials", "1", "--seed", "7", "--json"])
-        == EXIT_OK
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["seed"] == 7
+    config = tmp_path / "config.json"
+    for options, flags, seed in (
+        ({}, [], 0),
+        ({"seed": 3}, [], 3),
+        ({"seed": 3}, ["--seed", "7"], 7),
+        ({}, ["--seed", "7"], 7),
+    ):
+        config.write_text(json.dumps({**AFFINE_DOC, "options": options}))
+        argv = ["moment-verify", str(config), "--trials", "1", "--json", *flags]
+        assert dispatch(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == seed, (options, flags)
 
 
 def test_rep_roundtrip_exact(affine_a1):
@@ -395,6 +398,8 @@ EXACT_REP = {
 }
 FLOAT_EDGE = {"x": [[[0.0, 0.0]]], "y": [[[0.0, 0.0]]]}
 STABILITY = ["stability", "--theta=-1,1"]
+BUDGET_REFUSAL = ("options.budget is not read: "
+                  "pass --probes, --restarts, --iters and --tol to stability")
 # written into a document as a 5000-digit integer, past the 4300 digits
 # that Python converts from a string by default
 HUGE = "<a 5000-digit integer>"
@@ -405,200 +410,176 @@ def _document(doc: dict) -> str:
 
 
 @pytest.mark.parametrize(
-    "config_edit, rep_edit, argv, env, diagnostic",
+    "config_edit, rep_edit, argv, diagnostic",
     [
         pytest.param(
-            {"polarizations": ["H"]}, None, ["summary"], {},
+            {"polarizations": ["H"]}, None, ["summary"],
             "polarizations must be an object", id="polarizations-list",
         ),
         pytest.param(
-            {"options": {"seed": "x"}}, None, ["summary"], {},
+            {"options": {"seed": "x"}}, None, ["summary"],
             "options.seed must be an integer", id="options-seed",
         ),
         pytest.param(
-            {}, None, ["moment-verify", "--trials", "1"], {"QRL_SEED": "x"},
-            "QRL_SEED must be an integer", id="env-seed",
-        ),
-        pytest.param(
-            {"options": {"seed": -1}}, None, ["moment-verify", "--trials", "1"], {},
+            {"options": {"seed": -1}}, None, ["moment-verify", "--trials", "1"],
             "seed must be a non-negative integer, got -1", id="options-seed-negative",
         ),
         pytest.param(
-            {}, None, ["moment-verify", "--trials", "1", "--seed", "-2"], {},
+            {}, None, ["moment-verify", "--trials", "1", "--seed", "-2"],
             "seed must be a non-negative integer, got -2", id="flag-seed-negative",
         ),
+        # a budget in the options is refused, valid or not
         pytest.param(
-            {}, None, STABILITY, {"QRL_SEED": "-3"},
-            "seed must be a non-negative integer, got -3", id="env-seed-negative",
+            {"options": {"budget": {"probes": 4}}}, None, ["summary"],
+            BUDGET_REFUSAL, id="budget-probes",
         ),
         pytest.param(
-            {"options": {"budget": {"probes": "4"}}}, None, ["summary"], {},
-            "options.budget.probes must be an integer", id="budget-probes",
+            {"options": {"budget": {"tol": 0}}}, None, STABILITY,
+            BUDGET_REFUSAL, id="budget-tol-zero",
         ),
         pytest.param(
-            {"options": {"budget": {"tol": "1e-8"}}}, None, ["summary"], {},
-            "options.budget.tol must be a number", id="budget-tol",
-        ),
-        pytest.param(
-            {"options": {"budget": {"restarts": -1}}}, None, ["summary"], {},
-            "options.budget.restarts must be a non-negative integer, got -1",
-            id="budget-restarts-negative",
-        ),
-        pytest.param(
-            {"options": {"budget": {"tol": 0}}}, None, STABILITY, {},
-            "options.budget.tol must be a positive finite number, got 0", id="budget-tol-zero",
-        ),
-        pytest.param(
-            {}, None, STABILITY + ["--restarts", "-1"], {},
+            {}, None, STABILITY + ["--restarts", "-1"],
             "restarts must be a non-negative integer, got -1", id="flag-restarts-negative",
         ),
         pytest.param(
-            {}, None, STABILITY + ["--iters", "-5"], {},
+            {}, None, STABILITY + ["--iters", "-5"],
             "iters must be a non-negative integer, got -5", id="flag-iters-negative",
         ),
         pytest.param(
-            {}, None, STABILITY + ["--probes", "-2"], {},
+            {}, None, STABILITY + ["--probes", "-2"],
             "probes must be a non-negative integer, got -2", id="flag-probes-negative",
         ),
         pytest.param(
-            {}, None, STABILITY + ["--tol", "nan"], {},
+            {}, None, STABILITY + ["--tol", "nan"],
             "tol must be a positive finite number, got nan", id="flag-tol-nan",
         ),
         pytest.param(
-            {}, {"matrices": [[1], EXACT_REP["matrices"][1]]}, STABILITY, {},
+            {}, {"matrices": [[1], EXACT_REP["matrices"][1]]}, STABILITY,
             "matrices[0] must be an object", id="matrix-entry-list",
         ),
         pytest.param(
-            {}, {"matrices": [{"x": [[1]]}, EXACT_REP["matrices"][1]]}, STABILITY, {},
+            {}, {"matrices": [{"x": [[1]]}, EXACT_REP["matrices"][1]]}, STABILITY,
             "matrices[0] must be an object with 'x' and 'y'", id="matrix-entry-no-y",
         ),
         pytest.param(
-            {}, {"n": [1]}, STABILITY, {},
+            {}, {"n": [1]}, STABILITY,
             "n must be a list of 2 non-negative integers", id="rep-n-length",
         ),
         pytest.param(
-            {}, {"n": [1, -1]}, STABILITY, {},
+            {}, {"n": [1, -1]}, STABILITY,
             "n must be a list of 2 non-negative integers", id="rep-n-negative",
         ),
         pytest.param(
-            {}, {"n": [1, "1"]}, STABILITY, {},
+            {}, {"n": [1, "1"]}, STABILITY,
             "n must be a list of 2 non-negative integers", id="rep-n-string",
         ),
         pytest.param(
             {}, {"matrices": [{"x": [[1, 0]], "y": [[0]]}, EXACT_REP["matrices"][1]]},
-            STABILITY, {}, "matrices[0].x must be a 1 x 1 matrix", id="exact-shape",
+            STABILITY, "matrices[0].x must be a 1 x 1 matrix", id="exact-shape",
         ),
         pytest.param(
             {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[1.0]]}, FLOAT_EDGE]},
-            STABILITY, {}, "[re, im] number pairs", id="float-entry-scalar",
+            STABILITY, "[re, im] number pairs", id="float-entry-scalar",
         ),
         pytest.param(
             {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[[1.0, "i"]]]}, FLOAT_EDGE]},
-            STABILITY, {}, "[re, im] number pairs", id="float-entry-string",
+            STABILITY, "[re, im] number pairs", id="float-entry-string",
         ),
         pytest.param(
             {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[[float("nan"), 0.0]]]},
                                                FLOAT_EDGE]},
-            STABILITY, {}, "float entries must be finite, got [nan, 0.0]", id="float-entry-nan",
+            STABILITY, "float entries must be finite, got [nan, 0.0]", id="float-entry-nan",
         ),
         pytest.param(
             {}, {"mode": "float", "matrices": [FLOAT_EDGE, {**FLOAT_EDGE, "y": [[[0.0, -1e999]]]}]},
-            STABILITY, {}, "float entries must be finite, got [0.0, -inf]", id="float-entry-inf",
+            STABILITY, "float entries must be finite, got [0.0, -inf]", id="float-entry-inf",
         ),
         pytest.param(
             {}, {"mode": "float", "matrices": [{**FLOAT_EDGE, "x": [[[10**400, 0]]]}, FLOAT_EDGE]},
-            STABILITY, {}, f"float entries must be finite, got [{10**400}, 0]",
+            STABILITY, f"float entries must be finite, got [{10**400}, 0]",
             id="float-entry-overflow",
         ),
         pytest.param(
-            {"mult": [HUGE, 1]}, None, ["summary", "--json"], {},
+            {"mult": [HUGE, 1]}, None, ["summary", "--json"],
             "invalid JSON: Exceeds the limit (4300 digits)", id="config-huge-integer",
         ),
         pytest.param(
             {}, {"matrices": [{"x": [[HUGE]], "y": [[0]]}, EXACT_REP["matrices"][1]]},
-            STABILITY, {}, "invalid representation JSON: Exceeds the limit (4300 digits)",
+            STABILITY, "invalid representation JSON: Exceeds the limit (4300 digits)",
             id="rep-huge-integer",
         ),
         pytest.param(
-            {}, None, ["stability", "--theta=1,1"], {},
+            {}, None, ["stability", "--theta=1,1"],
             "theta . n != 0", id="theta-not-orthogonal",
         ),
         pytest.param(
-            {}, None, ["roots", "--bound=-1,0"], {},
+            {}, None, ["roots", "--bound=-1,0"],
             "entries must be non-negative", id="roots-bound-negative",
         ),
         pytest.param(
-            {}, None, ["moment-verify", "--trials", "-3"], {},
+            {}, None, ["moment-verify", "--trials", "-3"],
             "--trials must be a non-negative integer, got -3", id="flag-trials-negative",
         ),
         pytest.param(
-            {}, None, ["moment-verify", "--tol", "nan"], {},
+            {}, None, ["moment-verify", "--tol", "nan"],
             "--tol must be a positive finite number, got nan", id="flag-residual-tol-nan",
         ),
         pytest.param(
-            {}, None, ["moment-verify", "--rank-tol", "-1"], {},
+            {}, None, ["moment-verify", "--rank-tol", "-1"],
             "--rank-tol must be a positive finite number, got -1.0", id="flag-rank-tol-negative",
         ),
         pytest.param(
-            {}, None, ["correspondence", "--samples", "-2"], {},
+            {}, None, ["correspondence", "--samples", "-2"],
             "--samples must be a non-negative integer, got -2", id="flag-samples-negative",
         ),
         pytest.param(
-            {"curves": [1, AFFINE_DOC["curves"][1]]}, None, ["summary"], {},
+            {"curves": [1, AFFINE_DOC["curves"][1]]}, None, ["summary"],
             "curves[0] must be an object", id="curve-not-object",
         ),
         pytest.param(
-            {"gram": [[-2, 2], [2, "-2"]]}, None, ["summary"], {},
+            {"gram": [[-2, 2], [2, "-2"]]}, None, ["summary"],
             "gram entries must be integers", id="gram-entry-string",
         ),
         pytest.param(
-            {"mult": [1]}, None, ["summary"], {},
+            {"mult": [1]}, None, ["summary"],
             "mult must be an integer list matching curves", id="mult-length",
         ),
         pytest.param(
-            {"options": [1]}, None, ["summary"], {},
+            {"options": [1]}, None, ["summary"],
             "options must be an object", id="options-list",
         ),
         pytest.param(
-            {"options": {"budget": [1]}}, None, ["summary"], {},
-            "options.budget must be an object", id="budget-list",
-        ),
-        pytest.param(
-            {}, [EXACT_REP], STABILITY, {},
+            {}, [EXACT_REP], STABILITY,
             "representation document must be a JSON object", id="rep-list",
         ),
         pytest.param(
-            {}, {"mode": "fuzzy"}, STABILITY, {},
+            {}, {"mode": "fuzzy"}, STABILITY,
             "unknown representation mode 'fuzzy'", id="rep-mode-unknown",
         ),
         pytest.param(
-            {}, None, ["roots", "--bound", "1,x"], {},
+            {}, None, ["roots", "--bound", "1,x"],
             "bad dimension vector '1,x': invalid literal for int()", id="roots-bound-string",
         ),
         pytest.param(
-            {}, None, ["stability", "--theta=1"], {},
+            {}, None, ["stability", "--theta=1"],
             "theta needs 2 entries, got 1", id="theta-length",
         ),
         # an error in the configuration comes before one in a flag
         pytest.param(
-            {"curves": []}, None, ["moment-verify", "--trials", "-1"], {},
+            {"curves": []}, None, ["moment-verify", "--trials", "-1"],
             "curves list is empty", id="config-before-trials",
         ),
         pytest.param(
-            {"curves": []}, None, ["correspondence", "--samples", "-1"], {},
+            {"curves": []}, None, ["correspondence", "--samples", "-1"],
             "curves list is empty", id="config-before-samples",
         ),
         pytest.param(
-            {"curves": []}, None, STABILITY + ["--probes", "-1"], {},
+            {"curves": []}, None, STABILITY + ["--probes", "-1"],
             "curves list is empty", id="config-before-probes",
         ),
     ],
 )
-def test_malformed_input_exits_2(
-    tmp_path, capsys, monkeypatch, config_edit, rep_edit, argv, env, diagnostic
-):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_malformed_input_exits_2(tmp_path, capsys, config_edit, rep_edit, argv, diagnostic):
     config = tmp_path / "config.json"
     config.write_text(_document({**AFFINE_DOC, **config_edit}))
     tail = argv[1:]
@@ -998,12 +979,12 @@ def test_parser_contract():
 
 def test_integer_budget_tol_reports_a_float(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**AFFINE_DOC, "options": {"budget": {"tol": 1}}}))
+    config.write_text(json.dumps(AFFINE_DOC))
     rep = tmp_path / "rep.json"
     # x and y both nonzero: the rep is simple, and the search finds nothing
     simple = [{"x": [[1]], "y": [[1]]}, {"x": [[0]], "y": [[0]]}]
     rep.write_text(json.dumps({**EXACT_REP, "matrices": simple}))
-    argv = ["stability", str(config), "--rep", str(rep), "--theta=-1,1", "--json"]
+    argv = ["stability", str(config), "--rep", str(rep), "--theta=-1,1", "--tol", "1", "--json"]
     assert dispatch(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert json.loads(out)["kind"] == "NoDestabilizerFound"
@@ -1036,7 +1017,6 @@ print(json.dumps(rows))
 
 def _loads_in_a_fresh_interpreter(argvs) -> list:
     env = dict(os.environ, PYTHONPATH=str(Path(quiverk3.__file__).parents[1]))
-    env.pop("QRL_SEED", None)
     proc = subprocess.run([sys.executable, "-c", LOADS_CHILD], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     return json.loads(proc.stdout)
@@ -1066,12 +1046,28 @@ def test_commands_without_a_representation_load_neither_numpy_nor_reps(
     assert rows[10:] == [["stability", 0, True, True], ["moment-verify", 0, True, True]]
 
 
-def test_a_budget_in_the_options_is_validated_without_loading_reps(tmp_path):
-    # its range checks are SearchBudget's, run without the representation layer
+def test_a_budget_in_the_options_is_validated_without_loading_reps(tmp_path, capsys):
+    """Every command refuses a budget in the options with exit 2 before its
+    handler runs, so none loads numpy or the representation layer."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**AFFINE_DOC, "options": {"budget": {"probes": 2}}}))
-    rows = _loads_in_a_fresh_interpreter([["quiver", str(config), "--json"]])
-    assert rows == [["import quiverk3", 0, False, False], ["quiver", 0, False, False]]
+    argvs = [
+        [name, str(config), "--json", *extra]
+        for name, extra in (
+            ("quiver", ()), ("roots", ()), ("walls", ()), ("chambers", ()),
+            ("character", ("--pol", "H")), ("correspondence", ()), ("strata", ()),
+            ("cb-check", ()), ("moment-verify", ()),
+            ("stability", ("--rep", str(tmp_path / "absent.json"), "--theta=-1,1")),
+            ("summary", ()),
+        )
+    ]
+    assert [argv[0] for argv in argvs] == list(cli.COMMANDS)
+    for argv in argvs:
+        assert dispatch(argv) == EXIT_SCHEMA, argv
+        assert capsys.readouterr().err == f"schema error: {BUDGET_REFUSAL}\n", argv
+    rows = _loads_in_a_fresh_interpreter(argvs)
+    assert rows == [["import quiverk3", 0, False, False]] + [
+        [argv[0], EXIT_SCHEMA, False, False] for argv in argvs]
 
 
 def test_the_package_serves_the_representation_names_from_reps():

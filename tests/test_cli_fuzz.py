@@ -34,7 +34,7 @@ from helpers import config_document
 
 BASES = [
     config_document(cfg, {"H1": [d + 1 for d in cfg.h0deg]},
-                    {"ell": 3, "seed": 1, "budget": {"probes": 2, "tol": 1e-8}})
+                    {"ell": 3, "seed": 1})
     for cfg in (
         CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1)),
         CurveConfig(((-2, 2), (2, -2)), (1, 1), (2, 2), (1, 1)),
@@ -59,6 +59,7 @@ COMMANDS = (
 # an integer nudged to another small integer is three times as likely as each
 # other edit, so that many documents stay well-formed and reach the maths
 KINDS = ("nudge", "nudge", "nudge", "replace", "delete", "duplicate")
+# no base carries a budget: only a mutation adds one, which the CLI refuses
 KEYS = ("curves", "gram", "mult", "chi", "h0deg", "name", "polarizations", "H0",
         "options", "seed", "ell", "budget", "probes", "restarts", "iters", "tol")
 SCALARS = st.one_of(
@@ -122,6 +123,15 @@ def _run(argv, text):
     finally:
         sys.stdin = stdin
     return code, err.getvalue()
+
+
+def test_every_base_reaches_the_maths():
+    """Unmutated, each base passes every command: a base that a command
+    refuses would leave the mutations below testing only that refusal."""
+    for base in BASES:
+        for cmd in COMMANDS:
+            code, err = _run([cmd[0], "-", "--json", *cmd[1:]], json.dumps(base))
+            assert code == EXIT_OK, (cmd, base, err)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
