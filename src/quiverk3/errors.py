@@ -39,6 +39,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
+def _check_same_length(name: str, seq, other: str, size: int) -> None:
+    # zip would truncate the longer side and answer for a shorter input
+    if len(seq) != size:
+        raise ValueError(f"{name} has length {len(seq)}, but {other} has length {size}")
+
+
 def _check_tol(name: str, value) -> None:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value}")

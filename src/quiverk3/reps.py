@@ -9,8 +9,8 @@ One graded span closure (``_closure``) serves both of the last two: it
 closes e_i for ``is_simple`` and a probe vector for ``_cyclic_spans``.
 It takes one adder per vertex, of three kinds: ``linalg.Span().add``, the
 exact span; ``_block_adder``, float mode's orthonormal basis; and
-``_mod_adder``, a span over Z/P in int64 arrays for the modular pass
-(``_uncertified``) that ``is_simple`` and exact ``check_stability`` share.
+``_mod_adder``, a span over Z/P in int64 arrays for the modular pass of
+exact ``is_simple`` (``_exact_simple``).
 
 Scalars are either exact rationals ("exact" mode) or complex doubles
 ("float" mode); the mode is chosen at construction and is uniform across a
@@ -21,10 +21,10 @@ never passes through a float. An exact representation holds read-only
 copies of its matrices; a float one views the arrays it was given.
 
 A representation owns the arrow lists derived from it
-(``Representation._arrows``) and, in exact mode, the modular pass's
-outcome per vertex (``Representation._mod_passes``) and the cyclic spans
-of its coordinate vectors (``Representation._probe_spans``), all built on
-first use and kept.
+(``Representation._arrows``) and, in exact mode, its simplicity verdict
+(``Representation._simple``) and the cyclic spans of its coordinate
+vectors (``Representation._probe_spans``), all built on first use and
+kept.
 
 The exact closures and invariance checks multiply no ``Fraction``: each
 arrow is cleared once per representation, that is multiplied by the lcm of
@@ -37,12 +37,12 @@ closes each vertex on the cleared arrows reduced mod a prime P < 2**25:
 a closure that is full mod P certifies the vertex, since a rank over Z/P
 is never above the rank over Q. At every other vertex the cyclic spans of
 the coordinate vectors come first: a proper one makes the verdict False.
-Only where none is proper does the exact closure of e_i decide. The pass
-runs only where no int64 sum of its products can wrap around (max(n)**2
-<= 2**13). Exact ``check_stability`` runs the same pass first: a
-representation it certifies at every vertex is simple, so the search is
-skipped. The pass's outcome per vertex is kept on the representation
-(``Representation._mod_passes``), so it runs once per representation.
+Only where none is proper, and n_i > 1, does the exact closure of e_i
+decide. The pass runs only where no int64 sum of its products can wrap
+around (max(n)**2 <= 2**13). The verdict is decided once per exact
+representation and kept; exact ``check_stability`` reads it and skips
+its search exactly when the representation is simple, which has no proper
+nonzero subrepresentation to find.
 
 The linearization d(mu) is assembled by scatter, not entry by entry:
 ``_differential_pattern(q, n)`` records where each entry of the flat
@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import InvariantError, MathAssertionError, _check_count, _check_tol
+from .errors import InvariantError, MathAssertionError, _check_count, _check_same_length, _check_tol
 from .quiver import (
     DimVector, Quiver, cb_simple_exists, checked_box, mu_zero_expected_dim, rep_space_dim
 )
@@ -188,19 +188,18 @@ class Representation:
         return arrows
 
     @cached_property
-    def _mod_passes(self) -> dict[tuple[int, int], bool]:
-        """(vertex, prime) -> whether the modular pass (``_uncertified``)
-        found the closure of e_vertex full mod that prime, filled lazily;
-        only an exact representation within the pass's bound fills it. Its
-        matrices are read-only, so no entry can go stale."""
-        return {}
+    def _simple(self) -> bool:
+        """The exact ``is_simple`` verdict (``_exact_simple``), decided on
+        first use; read-only matrices keep it current. Float mode, whose
+        matrices can change under it, never reads it."""
+        return _exact_simple(self)
 
     @cached_property
     def _probe_spans(self) -> dict[tuple[int, int], list]:
         """(vertex, k) -> ``_cyclic_spans`` of the k-th coordinate vector
         of V_vertex, filled lazily by ``_coordinate_spans`` (exact mode);
-        read-only matrices keep it current, as ``_mod_passes``, and nothing
-        adds to a kept span."""
+        read-only matrices keep it current, and nothing adds to a kept
+        span."""
         return {}
 
     def to_float(self) -> "Representation":
@@ -633,68 +632,50 @@ def _closure(n: DimVector, arrows, vertex: int, seed: np.ndarray, adders, mod=No
     return dim
 
 
-def _uncertified(rep: Representation):
-    """The support vertices whose closure of e_i the modular pass does not
-    find full, lazily, one vertex's pass at a time: in exact mode with
-    max(n)**2 <= ``_MOD_TERMS`` (the overflow bound above ``_mod_adder``),
-    e_i is closed mod the prime ``_P`` on the cleared arrows reduced mod
-    ``_P`` in int64 arrays; in float mode, or past that bound, every
-    support vertex. Each vector of the pass is the reduction of an integer
-    path product, and a rank over Z/P is never above the rank over Q, so a
-    closure that is full mod P certifies vertex i exactly. Each vertex's
-    outcome is kept in ``Representation._mod_passes`` under (i, ``_P``), so
-    the pass runs once per vertex and representation, whichever of
-    ``is_simple`` and ``check_stability`` asks first."""
-    n = rep.n
-    if rep.mode != EXACT or max(n) ** 2 > _MOD_TERMS:
-        yield from (i for i, ni in enumerate(n) if ni)
-        return
-    passes, mod_arrows = rep._mod_passes, None
-    for i, ni in enumerate(n):
-        if ni == 0:
-            continue
-        if (i, _P) not in passes:
-            if mod_arrows is None:
-                mod_arrows = [[(k, (a % _P).astype(np.int64)) for k, a in outs]
-                              for outs in rep._arrows]
-            adders = [_mod_adder(nk * ni, _P) for nk in n]
-            dim = _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P)
-            passes[i, _P] = dim == ni * sum(n)
-        if not passes[i, _P]:
-            yield i
-
-
 def is_simple(rep: Representation) -> bool:
     """Block-graded Burnside/density test: the image of the path algebra is
     graded by pairs of vertices, so the representation is simple exactly
     when, for each vertex i of the support, the paths out of i (the closure
     of e_i under left multiplication by the arrows) span Hom(V_i, V_j) for
     every j in the support. Float mode takes the rank per block with the
-    relative tolerance 1e-8.
+    relative tolerance 1e-8, on every call.
 
-    Exact mode first runs the modular pass (``_uncertified``), which
-    certifies vertices. At a vertex it leaves uncertified with n_i > 1, the
-    cyclic span (``_cyclic_spans``) of each coordinate vector of V_i is
-    closed first: one whose dimension vector is not n is a proper nonzero
-    subrepresentation, and the verdict is False. Only then does the vertex
-    run the exact ``linalg.Span`` closure of e_i, which decides (at n_i = 1
-    it is the closure of the one coordinate vector)."""
-    n = rep.n
-    N = sum(n)
-    if N == 0:
-        return False
-    for i in _uncertified(rep):
-        ni = n[i]
-        if rep.mode == EXACT and ni > 1:
-            for k in range(ni):
-                if tuple(sp.dim for sp in _coordinate_spans(rep, i, k)) != n:
-                    return False
-        adders = [linalg.Span().add if rep.mode == EXACT else _block_adder(1e-8) for _ in n]
-        # np.eye of dtype object holds the Python ints 0 and 1
-        e_i = np.eye(ni, dtype=_DTYPE[rep.mode])
-        if _closure(n, rep._arrows, i, e_i, adders) < ni * N:
+    Exact mode decides once per representation (``_exact_simple``, kept in
+    ``Representation._simple``), and exact ``check_stability`` reads the
+    same verdict: the matrices are read-only, so it cannot go stale."""
+    if rep.mode == EXACT:
+        return rep._simple
+    n, N = rep.n, sum(rep.n)
+    return N > 0 and all(_closure(n, rep._arrows, i, np.eye(ni, dtype=complex),
+                                  [_block_adder(1e-8) for _ in n]) == ni * N
+                         for i, ni in enumerate(n) if ni)
+
+
+def _exact_simple(rep: Representation) -> bool:
+    """The exact ``is_simple`` verdict, vertex by vertex over the support:
+    within the int64 bound above ``_mod_adder``, e_i closed mod the prime
+    ``_P``, which certifies the vertex when full (each vector reduces an
+    integer path product, and a rank over Z/P is never above the rank over
+    Q); at a vertex left uncertified, the coordinate probes
+    (``_coordinate_spans``), a proper one deciding False; then at n_i > 1
+    the exact closure of e_i (at n_i = 1 the probe is that closure)."""
+    n, N = rep.n, sum(rep.n)
+    mod_arrows = ([[(k, (a % _P).astype(np.int64)) for k, a in outs] for outs in rep._arrows]
+                  if max(n) ** 2 <= _MOD_TERMS else None)
+    for i, ni in enumerate(n):
+        if ni == 0:
+            continue
+        if mod_arrows is not None:
+            adders = [_mod_adder(nk * ni, _P) for nk in n]
+            if _closure(n, mod_arrows, i, np.eye(ni, dtype=np.int64), adders, _P) == ni * N:
+                continue
+        if any(tuple(sp.dim for sp in _coordinate_spans(rep, i, k)) != n for k in range(ni)):
             return False
-    return True
+        # np.eye of dtype object holds the Python ints 0 and 1
+        if ni > 1 and _closure(n, rep._arrows, i, np.eye(ni, dtype=object),
+                               [linalg.Span().add for _ in n]) < ni * N:
+            return False
+    return N > 0
 
 
 def _graded(spans: Sequence[linalg.Span]) -> tuple[DimVector, tuple]:
@@ -719,6 +700,8 @@ def cyclic_subrep(
     ``_graded`` of ``_cyclic_spans``."""
     if rep.mode != EXACT:
         raise ValueError("cyclic_subrep requires exact mode")
+    if not 0 <= vertex < len(rep.n):
+        raise ValueError(f"vertex {vertex} is not in 0..{len(rep.n) - 1}")
     if len(vector) != rep.n[vertex]:
         raise ValueError("seed vector has wrong length for its vertex")
     return _graded(_cyclic_spans(rep, vertex, vector))
@@ -745,7 +728,8 @@ def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequen
 
 
 def slope_theta(theta: Sequence, beta: Sequence[int]) -> Fraction:
-    """(theta . beta) / sum(beta); beta must be nonzero."""
+    """(theta . beta) / sum(beta); beta must be nonzero, of theta's length."""
+    _check_same_length("theta", theta, "beta", len(beta))
     tot = sum(beta)
     if tot == 0:
         raise ValueError("slope of the zero dimension vector is undefined")
@@ -816,8 +800,9 @@ class StrictlySemistableWitness:
 @dataclass(frozen=True)
 class NoDestabilizerFound:
     """Records the search budget only. Not a proof of semistability, except
-    from exact ``check_stability`` on a representation that the modular
-    pass certifies simple, which has no destabilizer."""
+    from exact ``check_stability`` on a representation where ``is_simple``
+    holds: it has no proper nonzero subrepresentation, so no destabilizer
+    for any theta."""
 
     probes: int
     restarts: int
@@ -1094,15 +1079,13 @@ def check_stability(
     one ``Fraction``, equal to ``slope_theta``'s.
 
     Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE`` before any probe
-    (``InvariantError("search-size")``). A representation that the modular
-    pass of ``is_simple`` (``_uncertified``) certifies simple has no proper
-    subrepresentation, so the search, which would find nothing, is skipped
-    and ``NoDestabilizerFound`` is exact there. The pass runs once per
-    representation: a vertex that ``is_simple`` already passed or failed
-    on the same representation is read from its record, not closed again.
+    (``InvariantError("search-size")``). It skips the search exactly when
+    ``is_simple`` holds, reading the verdict kept on the representation or
+    deciding it there: a simple representation has no proper nonzero
+    subrepresentation, so ``NoDestabilizerFound`` is exact there.
     Otherwise it searches (``_exact_invariant_spans``): cyclic
     subrepresentations from coordinate and seeded random probe vectors,
-    the coordinate ones read from the record ``is_simple``'s probes left
+    the coordinate ones read from the spans ``is_simple``'s probes left
     on the representation, then their closure under pairwise sums on
     interned subspaces, each sum of two subspaces at a vertex worked out
     once per call, and eliminated only when neither side is full or a
@@ -1117,8 +1100,7 @@ def check_stability(
     budget = budget or SearchBudget()
     theta = tuple(Fraction(t) for t in theta)
     n = rep.n
-    if len(theta) != len(n):
-        raise ValueError(f"theta has length {len(theta)}, but n has length {len(n)}")
+    _check_same_length("theta", theta, "n", len(n))
     den, itheta = linalg.cleared(theta)
     if sum(map(operator.mul, itheta, n)) != 0:
         raise ValueError("theta . n != 0: not a valid stability parameter")
@@ -1142,7 +1124,7 @@ def check_stability(
                 f"the exact stability search at n = {n} has total dimension "
                 f"{sum(n)}, more than {MAX_SEARCH_SIZE}",
             )
-        if sum(n) and next(_uncertified(rep), None) is None:  # simple: nothing to find
+        if is_simple(rep):  # no proper subrepresentation: nothing to find
             return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
         found = []
         for rows in _exact_invariant_spans(rep, budget):

@@ -34,7 +34,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .errors import InvariantError, MathAssertionError, _check_count
+from .errors import InvariantError, MathAssertionError, _check_count, _check_same_length
 from .lattice import CurveConfig, DegreeVector, RationalVector
 from .linalg import cleared, primitive
 from .quiver import (
@@ -56,6 +56,7 @@ IntVector = tuple[int, ...]
 
 
 def theta_dot(theta: Sequence, beta: Sequence) -> Fraction:
+    _check_same_length("theta", theta, "beta", len(beta))
     return sum((Fraction(t) * b for t, b in zip(theta, beta)), Fraction(0))
 
 
@@ -131,8 +132,7 @@ class GenericityVerdict:
 
 def is_generic(theta: Sequence, q: Quiver, n: DimVector) -> GenericityVerdict:
     """theta is n-generic iff theta . alpha != 0 for every alpha in R_+(n)."""
-    if len(theta) != len(n):
-        raise ValueError(f"theta has length {len(theta)}, but n has length {len(n)}")
+    _check_same_length("theta", theta, "n", len(n))
     return _genericity(theta, n, bounded_roots(q, n))
 
 
@@ -147,7 +147,8 @@ def _genericity(theta: Sequence, n: DimVector, roots: Sequence[DimVector]) -> Ge
 
 
 def chamber_signature(theta: Sequence, walls: Sequence[QuiverWall]) -> tuple[int, ...]:
-    """Sign of theta against each canonical wall normal; 0 marks wall points."""
+    """Sign of theta against each canonical wall normal; 0 marks wall points.
+    A normal of another length than theta is refused (``theta_dot``)."""
     out = []
     for w in walls:
         v = theta_dot(theta, w.normal)
@@ -819,9 +820,11 @@ def restrict_weights_to_type(
     """Block weights of a decomposition: part (k, beta) acts with weight
     sum_l beta_l * weights_l, which must equal ell * (beta . a) + beta . chi.
 
-    The identity is asserted exactly; a failure is an internal bug.
+    Weights of another length than mult are refused (``ValueError``); the
+    identity is asserted exactly, and a failure is an internal bug.
     """
     weights = tuple(Fraction(w) for w in weights)
+    _check_same_length("weights", weights, "mult", len(cfg.mult))
     if tau.total != cfg.mult:
         raise ValueError(f"decomposition total {tau.total} != mult {cfg.mult}")
     out = []

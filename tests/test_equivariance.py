@@ -10,6 +10,12 @@ verdict on both sides, and ``check_stability`` the same verdict kind and
 slope under a relabelling. The draws are seeded exact representations:
 random ones, y = 0 ones and direct sums, on the fixtures and on
 ``random_config`` draws with two to four curves.
+
+On the configurations, relabelling keeps the roots, walls, chambers,
+strata and v-walls (mapped back), the ``cb-check`` verdict and the
+relabelling-invariant data of the ``correspondence`` report. Chamber
+representatives and wall normals are never compared: ``nperp_basis``
+depends on the curve order, and a normal is defined only modulo n.
 """
 
 from __future__ import annotations
@@ -21,11 +27,14 @@ from conftest import random_config
 from quiverk3 import (
     CurveConfig,
     LocalModel,
+    cb_simple_exists,
     chamber_signature,
     quiver_from_config,
     random_representation,
     v_walls,
+    verify_correspondence,
 )
+from quiverk3.quiver import is_positive_root, p_of
 from quiverk3.reps import Representation, check_stability, direct_sum, dual, is_simple
 from quiverk3.strata import _strata
 from quiverk3.walls import _sign_insensitive_key
@@ -206,3 +215,75 @@ def test_relabelling_keeps_the_v_walls_of_the_degree_cone():
 
         got = hyperplanes(v_walls(relabelled_config(cfg, perm)), perm)
         assert got == hyperplanes(v_walls(cfg), range(cfg.s)), (cfg, perm)
+
+
+def _relabelled_draws(seed: int, configs) -> list[tuple[CurveConfig, CurveConfig, object]]:
+    """(configuration, relabelled configuration, back) for a seeded random
+    permutation of each configuration's curves; back maps a vector of the
+    relabelled side back to the original labels."""
+    rng, out = random.Random(seed), []
+    for cfg in configs:
+        perm = list(range(cfg.s))
+        rng.shuffle(perm)
+        out.append((cfg, relabelled_config(cfg, perm),
+                    lambda v, perm=perm: tuple(v[p] for p in perm)))
+    return out
+
+
+def test_the_cb_check_verdict_is_invariant_under_relabelling():
+    """``cb-check``'s verdict: exists and is_root agree, and the violating
+    decomposition, mapped back, is the same multiset of roots, or, where
+    several decompositions reach the greatest sum of p, one of them: a
+    decomposition of n into positive roots with the same sum of p. Which
+    one of a tie is reported depends on the labels (the chain reversed
+    reports (0, 1, 1) + (1, 0, 0) for (0, 0, 1) + (1, 1, 0))."""
+    configs = [AFFINE, ELLIPTIC, CHAIN] + _walled_draws(1, 60, 16, 3) + _walled_draws(3, 20, 19, 4)
+    same = tied = 0
+    for cfg, pcfg, back in _relabelled_draws(113, configs):
+        q = quiver_from_config(cfg)
+        got = cb_simple_exists(q, cfg.mult)
+        pgot = cb_simple_exists(quiver_from_config(pcfg), pcfg.mult)
+        assert (pgot.exists, pgot.is_root) == (got.exists, got.is_root), (cfg, pcfg)
+        assert (pgot.violation is None) == (got.violation is None), (cfg, pcfg)
+        if got.violation is None:
+            continue
+        parts, want = sorted(map(back, pgot.violation)), sorted(got.violation)
+        if parts == want:
+            same += 1
+            continue
+        assert all(is_positive_root(q, beta) for beta in parts), (cfg, pcfg)
+        assert tuple(map(sum, zip(*parts))) == cfg.mult, (cfg, pcfg)
+        p_sum = sum(p_of(q, beta) for beta in want)
+        assert sum(p_of(q, beta) for beta in parts) == p_sum, (cfg, pcfg)
+        tied += 1
+    assert same >= 10 and tied >= 1
+
+
+def test_the_correspondence_report_is_invariant_under_relabelling():
+    """The ``correspondence`` report's relabelling-invariant data: the
+    chamber count; per wall its hyperplane of degree vectors, as the
+    sign-insensitive key of chi * beta - chi_beta * n mapped back, with its
+    vertex and sample counts; per chamber ``generic`` and the violators
+    mapped back; each compared as a multiset. A wall's (beta, chi_beta) is
+    not compared: it names the first root in box order of those that cut
+    the hyperplane, and that order depends on the labels."""
+    configs = [AFFINE, ELLIPTIC, CHAIN] + _walled_draws(1, 30, 16, 3)
+    walls = nongeneric = 0
+    for cfg, pcfg, back in _relabelled_draws(127, configs):
+
+        def facts(c, f):
+            report, chi = verify_correspondence(c, samples_per_wall=2), c.total_euler
+            hyperplanes = sorted(
+                (_sign_insensitive_key(f(tuple(chi * b - w.chi_beta * m
+                                               for b, m in zip(w.beta, c.mult)))),
+                 w.vertex_count, w.sample_count)
+                for w in report.walls)
+            chambers = sorted((ch.generic, sorted(map(f, ch.violators)))
+                              for ch in report.chambers)
+            return len(report.chambers), hyperplanes, chambers
+
+        got = facts(cfg, lambda v: v)
+        assert facts(pcfg, back) == got, (cfg, pcfg)
+        walls += len(got[1])
+        nongeneric += any(not generic for generic, _ in got[2])
+    assert walls >= 100 and nongeneric >= 1

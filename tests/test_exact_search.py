@@ -20,13 +20,14 @@ Both are checked again mod two primes, by ``helpers.mod_p_is_simple`` and
 simplicity verdicts on the cases past dimension 3, and the dimension
 vector and invariance of every exact stability witness.
 
-Exact ``check_stability`` runs the modular pass of ``is_simple`` first and
-skips the search on a representation it certifies simple, where the search
-finds nothing; its verdicts are those with the pass switched off.
+Exact ``check_stability`` skips the search exactly where ``is_simple`` is
+True, where the search finds nothing: with the modular pass, without it
+and at a prime where it falls short, with the same verdicts.
 
 ``is_simple`` first closes each vertex mod a prime. Where that pass falls
 short it closes the cyclic span of each coordinate vector (a probe), and a
-proper one decides False; only then does the exact closure decide. On
+proper one decides False. At n_i = 1 that probe is the closure of e_i and
+decides; at n_i > 1 the exact closure of e_i decides after the probes. On
 seeded draws up to total dimension 8 its verdicts equal those with the
 pass switched off and those of the reference; with the prime set to 2,
 which misses simple representations, and with the int64 bound lowered
@@ -35,10 +36,10 @@ probe decides carries a proper invariant span, and on the ``reps-exact``
 benchmark's inputs at seed 0 the verdicts equal those with every probe's
 span made full.
 
-The pass runs once per representation: its outcome per vertex is recorded
-on it, so ``check_stability`` after ``is_simple`` passes no vertex again,
-a new prime passes them again, and with the int64 bound at 0 the record
-is not read. So are the spans of each probe: on the benchmark's
+The exact verdict is decided once per representation and kept on it, by
+whichever of ``is_simple`` and ``check_stability`` asks first; a later
+prime or int64 bound does not reach it, and a float representation keeps
+none. The spans of each probe are kept too: on the benchmark's
 ``check_stability`` inputs the search after ``is_simple`` closes no
 coordinate vector again and finds the same spans.
 
@@ -301,7 +302,7 @@ def test_every_found_span_is_checked_for_invariance(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the search skipped on representations certified simple
+# the search skipped on simple representations
 
 
 RANDOM_SHORTCUT_CASES = 28
@@ -321,42 +322,63 @@ def _shortcut_cases():
     yield from _search_cases()
 
 
+def _spied_searches(monkeypatch) -> list:
+    """Patch ``reps._exact_invariant_spans`` to record the representation
+    of each search."""
+    searched = []
+    real = reps._exact_invariant_spans
+    monkeypatch.setattr(reps, "_exact_invariant_spans",
+                        lambda rep, budget: searched.append(rep) or real(rep, budget))
+    return searched
+
+
 def test_the_search_finds_nothing_on_simple_representations():
     # the premise of the shortcut: on a simple representation every probe's
     # cyclic span is all of it, so the search records nothing to join
     simple = []
     for rep, budget in _shortcut_cases():
-        certified = next(reps._uncertified(rep), None) is None
-        assert certified == is_simple(rep) == reference_is_simple(rep)
-        if certified:
+        simple.append(is_simple(rep))
+        assert simple[-1] == reference_is_simple(rep)
+        if simple[-1]:
             assert reps._exact_invariant_spans(rep, budget) == []
-        simple.append(certified)
     assert 18 <= sum(simple) == sum(simple[:RANDOM_SHORTCUT_CASES]) < RANDOM_SHORTCUT_CASES
 
 
 def test_check_stability_skips_the_search_on_simple_representations(monkeypatch):
-    searched = []
-    real = reps._exact_invariant_spans
-    monkeypatch.setattr(reps, "_exact_invariant_spans",
-                        lambda rep, budget: searched.append(rep) or real(rep, budget))
+    # the search runs exactly where is_simple is False, whatever the
+    # modular pass does: with it, with it switched off, and at the prime 2,
+    # where it falls short on simple representations too
     rng = random.Random(79)
     cases = [(rep, _theta(rep.n, rng), budget) for rep, budget in _shortcut_cases()]
-    verdicts, simple = [], []
-    for rep, theta, budget in cases:
-        searched.clear()
-        verdicts.append(check_stability(rep, theta, budget))
-        simple.append(is_simple(rep))
-        assert searched == ([] if simple[-1] else [rep])
-        if simple[-1]:
-            assert verdicts[-1] == NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
-    # the y = 0 representations and direct sums are searched
-    assert 18 <= sum(simple) == sum(simple[:RANDOM_SHORTCUT_CASES])
-    kinds = {type(v).__name__ for v in verdicts[RANDOM_SHORTCUT_CASES:]}
+    want = [check_stability(_fresh(rep), theta, budget) for rep, theta, budget in cases]
+    kinds = {type(v).__name__ for v in want[RANDOM_SHORTCUT_CASES:]}
     assert {"CertifiedUnstable", "StrictlySemistableWitness", "NoDestabilizerFound"} <= kinds
-    monkeypatch.setattr(reps, "_MOD_TERMS", 0)  # no modular pass, so no shortcut
-    searched.clear()
-    assert [check_stability(rep, theta, budget) for rep, theta, budget in cases] == verdicts
-    assert len(searched) == len(cases)
+    searched = _spied_searches(monkeypatch)
+    closures = _spied_closures(monkeypatch)
+    missed = {}
+    for setting, name, value in (("pass", "_P", reps._P), ("no pass", "_MOD_TERMS", 0),
+                                 ("prime 2", "_P", 2)):
+        with monkeypatch.context() as patch:
+            patch.setattr(reps, name, value)
+            simple, missed[setting] = [], 0
+            for (rep, theta, budget), verdict in zip(cases, want):
+                rep = _fresh(rep)
+                searched.clear()
+                closures.clear()
+                assert check_stability(rep, theta, budget) == verdict
+                simple.append(is_simple(rep))
+                assert searched == ([] if simple[-1] else [rep])
+                if simple[-1]:
+                    assert verdict == NoDestabilizerFound(budget.probes, budget.restarts,
+                                                          budget.tol)
+                    passes = _passes(closures)
+                    missed[setting] += not (passes and all(passes))
+                if setting == "no pass":
+                    assert _passes(closures) == []
+            assert 18 <= sum(simple) == sum(simple[:RANDOM_SHORTCUT_CASES])
+    # the default prime certifies every simple case; without the pass, or
+    # where it falls short, the probes and the exact closure decide
+    assert missed == {"pass": 0, "no pass": sum(simple), "prime 2": 17}
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +622,7 @@ def test_representations_past_the_int64_bound_skip_the_pass(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the modular pass recorded on the representation
+# the simplicity verdict kept on the representation
 
 
 def _spied_passes(monkeypatch) -> list:
@@ -612,80 +634,89 @@ def _spied_passes(monkeypatch) -> list:
     return widths
 
 
+def _spied_decisions(monkeypatch) -> list:
+    """Patch ``reps._exact_simple`` to record the representation of each
+    exact simplicity decision."""
+    decided = []
+    real = reps._exact_simple
+    monkeypatch.setattr(reps, "_exact_simple", lambda rep: decided.append(rep) or real(rep))
+    return decided
+
+
 def test_is_simple_and_check_stability_share_one_pass(monkeypatch):
-    widths = _spied_passes(monkeypatch)
+    # the exact verdict is decided once per representation, by whichever of
+    # is_simple and check_stability asks first; after it only the search
+    # closes anything, one vector at a time, and on a simple representation
+    # nothing is closed
+    decided = _spied_decisions(monkeypatch)
+    closures = _spied_closures(monkeypatch)
     rng = random.Random(113)
     kinds = set()
     for rep, budget in _shortcut_cases():
-        theta, support = _theta(rep.n, rng), [i for i, ni in enumerate(rep.n) if ni]
-        widths.clear()
-        simple = is_simple(rep)
-        passed = len(widths)
-        assert passed == len(rep._mod_passes) * len(rep.n) > 0
-        assert {i for i, _ in rep._mod_passes} <= set(support)
-        assert all(p == reps._P for _, p in rep._mod_passes)
-        assert all(rep._mod_passes.values()) == simple
-        verdict = check_stability(rep, theta, budget)
-        assert is_simple(rep) == simple
-        assert len(widths) == passed  # neither call passed a vertex again
-        # stability first on a fresh copy: the same verdicts, one pass per vertex
-        fresh = Representation(rep.quiver, rep.n, rep.mode, rep.mats)
-        widths.clear()
-        assert check_stability(fresh, theta, budget) == verdict and is_simple(fresh) == simple
-        assert len(widths) == len(fresh._mod_passes) * len(rep.n) <= len(support) * len(rep.n)
+        theta = _theta(rep.n, rng)
+        first = _fresh(rep)
+        decided.clear()
+        simple = is_simple(first)
+        closures.clear()
+        verdict = check_stability(first, theta, budget)
+        assert is_simple(first) == simple and decided == [first]
+        assert all(not modular and width == 1 for modular, _, width, _, _ in closures)
+        assert bool(closures) != simple
+        # stability first on a fresh copy: the same verdicts, decided once
+        other = _fresh(rep)
+        decided.clear()
+        assert check_stability(other, theta, budget) == verdict
+        closures.clear()
+        assert is_simple(other) == simple and decided == [other] and closures == []
         kinds.add(type(verdict).__name__)
     assert len(kinds) == 3
 
 
-def test_a_new_prime_runs_the_pass_again(monkeypatch):
+def test_a_changed_pass_leaves_the_kept_verdict(monkeypatch):
+    # a verdict once decided is read, whatever the pass would do later: at
+    # the prime 2, which misses the even representation below, and with the
+    # int64 bound at 0. A fresh copy decides again, exactly, and alike
     widths = _spied_passes(monkeypatch)
-    searched = []
-    real = reps._exact_invariant_spans
-    monkeypatch.setattr(reps, "_exact_invariant_spans",
-                        lambda rep, budget: searched.append(rep) or real(rep, budget))
+    searched = _spied_searches(monkeypatch)
     rep = _rand(OGRADY, (3,), 17)
     # even integer arrows: the default prime certifies the vertex, 2 does not
     even = Representation(rep.quiver, rep.n, EXACT,
                           tuple((2 * reps._cleared(x), 2 * reps._cleared(y)) for x, y in rep.mats))
-    assert is_simple(even) and even._mod_passes == {(0, reps._P): True}
     nothing = NoDestabilizerFound(4, 6, 1e-8)
-    assert check_stability(even, (0,)) == nothing and searched == [] and len(widths) == 1
-    monkeypatch.setattr(reps, "_P", 2)
-    assert check_stability(even, (0,)) == nothing and searched == [even] and len(widths) == 2
-    assert even._mod_passes == {(0, 33554393): True, (0, 2): False}
-    assert is_simple(even) and len(widths) == 2  # the record of the prime 2 is read
+    for rep, theta, name, value, fresh_passes in ((even, (0,), "_P", 2, 1),
+                                                  (_rand(AFFINE, (2, 2), 3), (1, -1),
+                                                   "_MOD_TERMS", 0, 0)):
+        widths.clear()
+        assert is_simple(rep) and len(widths) == len(rep.n) ** 2  # a full pass per vertex
+        passed = len(widths)
+        with monkeypatch.context() as patch:
+            patch.setattr(reps, name, value)
+            assert check_stability(rep, theta) == nothing and is_simple(rep)
+            assert searched == [] and len(widths) == passed
+            fresh = _fresh(rep)
+            assert check_stability(fresh, theta) == nothing and is_simple(fresh)
+            assert searched == [] and len(widths) == passed + fresh_passes
 
 
-def test_the_bound_turns_a_recorded_pass_off(monkeypatch):
-    widths = _spied_passes(monkeypatch)
-    searched = []
-    real = reps._exact_invariant_spans
-    monkeypatch.setattr(reps, "_exact_invariant_spans",
-                        lambda rep, budget: searched.append(rep) or real(rep, budget))
-    rep = _rand(AFFINE, (2, 2), 3)
-    nothing = NoDestabilizerFound(4, 6, 1e-8)
-    assert is_simple(rep) and all(rep._mod_passes.values()) and len(widths) == 4
-    assert check_stability(rep, (1, -1)) == nothing and searched == []
-    monkeypatch.setattr(reps, "_MOD_TERMS", 0)  # no pass, so no shortcut
-    assert list(reps._uncertified(rep)) == [0, 1]
-    assert check_stability(rep, (1, -1)) == nothing and searched == [rep]
-    assert is_simple(rep) and len(widths) == 4
-
-
-def test_the_recorded_pass_cannot_go_stale():
+def test_the_kept_verdict_cannot_go_stale():
     source = np.array([[F(1), F(2)], [F(0), F(1)]], dtype=object)
     q = quiver_from_config(AFFINE)
     rep = Representation(q, (2, 2), EXACT, ((source, source), (source, source.T)))
-    simple = is_simple(rep)
-    record = dict(rep._mod_passes)
+    assert is_simple(rep) and vars(rep)["_simple"] and reference_is_simple(rep)
     for pair in rep.mats:
         for m in pair:
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = F(7)
     source[1, 0] = F(5)  # the arrays it was built from no longer reach it
-    assert rep.mats[0][0][1, 0] == 0 and is_simple(rep) == simple and rep._mod_passes == record
-    float_rep = rep.to_float()  # float mode has no pass and keeps no record
-    assert is_simple(float_rep) == simple and "_mod_passes" not in vars(float_rep)
+    assert rep.mats[0][0][1, 0] == 0 and is_simple(rep)
+    # a float representation views the arrays it was given: it keeps no
+    # verdict, and the next call follows a write into them
+    arrays = [m.astype(complex) for pair in rep.mats for m in pair]
+    float_rep = Representation(q, (2, 2), "float", (tuple(arrays[:2]), tuple(arrays[2:])))
+    assert is_simple(float_rep) and "_simple" not in vars(float_rep)
+    for a in arrays:
+        a[:] = 0
+    assert not is_simple(float_rep) and "_simple" not in vars(float_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +750,15 @@ def test_a_probe_decides_false_only_on_a_proper_subrepresentation(monkeypatch):
         assert all(dims == rep.n for _, _, dims, _ in graded[:-1])
         if graded and graded[-1][2] != rep.n:
             vertex, vec, dims, bases = graded[-1]
-            assert not got and 0 < sum(dims) and rep.n[vertex] > 1
+            assert not got and 0 < sum(dims)
             assert graded_invariance_holds(rep, bases)
             assert (dims, bases) == reference_cyclic_subrep(rep, vertex, vec)
             by_probe += 1
         else:
             by_closure += not got
-    assert by_probe >= 30 and by_closure >= 3  # probes decide most, not all
+    # probes decide most, the one at n_i = 1 being the closure of e_i; the
+    # exact closure at n_i > 1 decides the rest
+    assert by_probe >= 30 and by_closure >= 1
 
 
 def _reps_exact_cells(kind: str) -> list[dict]:

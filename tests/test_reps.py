@@ -727,6 +727,14 @@ def test_cyclic_subrep(affine_a1):
     assert cyclic_subrep(rep, 0, ()) == ((0, 0), ((), ()))
 
 
+def test_cyclic_subrep_refuses_a_vertex_outside_the_quiver(affine_a1):
+    # a negative index read n[-1] and answered for the last vertex
+    rep = simple_affine_rep(affine_a1)
+    for vertex in (-1, 2):
+        with pytest.raises(ValueError, match=f"vertex {vertex} is not in 0..1"):
+            cyclic_subrep(rep, vertex, (F(1),))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cyclic_subrep_matches_reference(affine_a1, ogrady, seed):
     """Seeded exact representations at total dimension 3-6, also with their
@@ -776,6 +784,13 @@ def test_slope_theta():
     assert slope_theta((-1, 1), (0, 1)) == 1
     with pytest.raises(ValueError):
         slope_theta((-1, 1), (0, 0))
+
+
+def test_slope_theta_refuses_vectors_of_different_lengths():
+    # zipped, (1, -1, 7) against (1, 0) read a slope of 1
+    for theta in ((1, -1, 7), (1,)):
+        with pytest.raises(ValueError, match=f"theta has length {len(theta)}, but beta has length 2"):
+            slope_theta(theta, (1, 0))
 
 
 def test_check_stability_unstable(affine_a1):

@@ -38,6 +38,7 @@ from quiverk3 import (
 from quiverk3.cli import EXIT_ASSERTION, dispatch
 from quiverk3.walls import (
     ChamberSet,
+    QuiverWall,
     _FM_LIMIT,
     _FMBlowup,
     _RowTable,
@@ -101,6 +102,22 @@ def test_wall_complement_identity():
         for alpha in bounded_roots(q, n):
             comp = tuple(a - b for a, b in zip(n, alpha))
             assert theta_dot(theta, comp) == -theta_dot(theta, alpha)
+
+
+def test_theta_dot_refuses_vectors_of_different_lengths():
+    # zipped, the longer side would be truncated silently: (1, 2, 3) . (1, 1) read 3
+    for theta, beta in (((1, 2, 3), (1, 1)), ((1,), (1, 1))):
+        message = f"theta has length {len(theta)}, but beta has length {len(beta)}"
+        with pytest.raises(ValueError, match=message):
+            theta_dot(theta, beta)
+
+
+def test_chamber_signature_refuses_a_normal_of_another_length():
+    # a truncated theta . (1, 0) read (1,) for the theta (1, -1, 5)
+    wall = QuiverWall((1, 0), ((1, 0),))
+    assert chamber_signature((1, -1), [wall]) == (1,)
+    with pytest.raises(ValueError, match="theta has length 3, but beta has length 2"):
+        chamber_signature((1, -1, 5), [wall])
 
 
 def test_is_generic(affine_a1, elliptic_pair):
@@ -660,6 +677,17 @@ def test_restrict_weights_detects_corruption(elliptic_pair):
     broken = (weights[0] + 1, weights[1])
     with pytest.raises(MathAssertionError):
         restrict_weights_to_type(broken, dec, elliptic_pair, a, 5)
+
+
+def test_restrict_weights_refuses_weights_of_the_wrong_length(elliptic_pair):
+    # a short vector, zipped against a part, failed the identity as an
+    # internal bug (MathAssertionError) on what is bad input
+    dec = decompositions(quiver_from_config(elliptic_pair), (1, 1))[0]
+    a = DegreeVector((1, 2))
+    weights = det_weight_vector(elliptic_pair, a, 5)
+    for bad in (weights[:1], (*weights, 0)):
+        with pytest.raises(ValueError, match=f"weights has length {len(bad)}, but mult has"):
+            restrict_weights_to_type(bad, dec, elliptic_pair, a, 5)
 
 
 def test_restrict_weights_wrong_total(elliptic_pair, affine_a1_22):

@@ -40,7 +40,7 @@ on a fresh copy of the representation of each of the 418 exact
 ``check_stability`` operations of ``reps-exact`` at seed 0, with the
 operation's theta (its TEXT is the verdict's ``repr``), and on the 242
 of them that reach the search (``reps-exact-search``: the y = 0 and wall
-direct-sum operations; the other 176 are certified simple and skip it,
+direct-sum operations; the other 176 are simple and skip it,
 so this row's ratio is the search's own), the same 418 as a pair,
 ``is_simple`` and then exact ``check_stability`` on one fresh copy per run, as a ``reps-exact`` round calls them (its TEXT is the
 ``repr`` of both verdicts; the ``check_stability`` row alone cannot show
@@ -80,8 +80,16 @@ fraction-free simplex on the same VM, one per tree, beside its A/B, read
 chamber-like200. One same-tree run of the interned exact search on the
 same VM read 0.992 on check_stability reps-exact-seed0, 0.994 on
 reps-exact-search, 1.004 on is_simple+check_stability and 1.004 on
-is_simple reps-exact-seed0. Rows whose best times sum to
-under about 0.1 s of CPU swing the most.
+is_simple reps-exact-seed0. The one exact simplicity verdict per
+representation, two A/B runs beside one same-tree run in one session on
+the same VM: is_simple reps-exact-seed0 0.995 and 0.996 (same tree
+0.999); check_stability reps-exact-seed0 1.021 and 1.020 (0.999) and
+reps-exact-search 1.036 and 1.019 (0.997), since a fresh non-simple copy
+now decides simplicity before its search, which adds the exact closure of
+e_i on the 35 whose coordinate probes all span everything; and
+is_simple+check_stability, the benchmark's traffic, 0.996 and 0.998
+(0.997), within 0.001 of the same-tree run, which shows nothing. Rows
+whose best times sum to under about 0.1 s of CPU swing the most.
 """
 
 import hashlib
