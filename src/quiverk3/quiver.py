@@ -242,19 +242,22 @@ def decompositions(q: Quiver, n: DimVector) -> list[Decomposition]:
 
     Parts aggregate multiplicity per root, mirroring the type of a semisimple
     representation. Returned in a canonical deterministic order, trivial
-    decomposition (when n is a root) first.
+    decomposition (when n is a root) first. n must be non-negative and
+    nonzero.
     """
-    _check_length(q, n)
+    n = check_bound(q, n)
+    if not any(n):
+        raise ValueError(f"n must have a nonzero entry, got {n}")
     import warnings as _w
 
     if not is_positive_root(q, n):
         _w.warn(f"n = {n} is not a positive root", stacklevel=2)
-    n = tuple(n)
     return list(_decompositions(n, _roots_upto(q, n)))
 
 
 def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decomposition, ...]:
-    """``decompositions`` of n, given the roots <= n in lexicographic order.
+    """``decompositions`` of the nonzero n, given the roots <= n in
+    lexicographic order.
 
     Remainders are packed vectors (``_packing``), so each fit test and each
     subtraction is one int operation. ``rec`` memoizes on (first root index,
@@ -288,7 +291,7 @@ def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decompo
             )
         return out
 
-    found = rec(0, _pack(n, w)) if any(n) else [()]
+    found = rec(0, _pack(n, w))
     rec.cache_clear()
     found.sort()
     if roots and roots[-1] == n:  # the trivial decomposition goes first

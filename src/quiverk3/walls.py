@@ -161,7 +161,9 @@ def chamber_signature(theta: Sequence, walls: Sequence[QuiverWall]) -> tuple[int
 
 
 def nperp_basis(n: DimVector) -> list[IntVector]:
-    """Integer basis of {x : n . x = 0}, assuming n has a nonzero entry."""
+    """Integer basis of {x : n . x = 0}; n must have a nonzero entry."""
+    if not any(n):
+        raise ValueError(f"n must have a nonzero entry, got {tuple(n)}")
     j0 = next(i for i, x in enumerate(n) if x != 0)
     basis = []
     for i in range(len(n)):

@@ -41,8 +41,7 @@ vertices, with its checks through ``DegreeVector``, ``xi_map`` and
 ``v_walls_bounded_scan`` is the candidate v-wall scan over |chi_Gamma| <= B
 that ``walls.v_walls`` replaced, with no bound on its work.
 ``config_document`` is the one builder of CLI config documents for the
-tests, and ``report_digests`` and ``record_golden`` the one harness of the
-``test_golden_*`` files.
+tests and for ``tools/report_digests.py``.
 ``reference_moment_differential`` assembles d(mu) one entry at a time, as
 ``reps.moment_differential`` did before it became a scatter,
 ``reference_random_float`` draws a float representation one matrix at a
@@ -53,14 +52,10 @@ both, which builds a new ``Representation`` at every accepted step, and
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import math
-import pathlib
 import random
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -70,7 +65,6 @@ from sympy.polys.orderings import grevlex
 from sympy.polys.rings import ring
 
 from quiverk3 import linalg
-from quiverk3.cli import EXIT_OK, dispatch
 from quiverk3.quiver import (
     Decomposition,
     SimpleExistence,
@@ -322,7 +316,8 @@ def reference_is_simple(rep: Representation, tol: float = 1e-8) -> bool:
 
 def unipotent_conjugate(rep: Representation, seed: int) -> Representation:
     """rep conjugated by seeded unipotent blocks (lower times upper
-    triangular), so that its invariant subspaces are not coordinate ones."""
+    triangular), so that its invariant subspaces are not coordinate ones.
+    A vertex with n_i = 0 gets the 0 x 0 block."""
     rng = random.Random(seed)
 
     def block(k):
@@ -330,7 +325,8 @@ def unipotent_conjugate(rep: Representation, seed: int) -> Representation:
                            for j in range(k)] for i in range(k)], dtype=object)
         upper = np.array([[Fraction(int(i == j)) if i >= j else Fraction(rng.randint(-2, 2))
                            for j in range(k)] for i in range(k)], dtype=object)
-        return lower @ upper
+        # at k = 0 both are 1-D and empty, and their product is the scalar 0
+        return lower.reshape(k, k) @ upper.reshape(k, k)
 
     return act(GroupElement(tuple(block(k) for k in rep.n)), rep)
 
@@ -1136,7 +1132,7 @@ def mod_p_witness_holds(rep: Representation, beta, basis, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# CLI config documents and golden report digests
+# CLI config documents
 
 
 def config_document(cfg, polarizations=None, options=None) -> dict:
@@ -1153,32 +1149,3 @@ def config_document(cfg, polarizations=None, options=None) -> dict:
         doc["options"] = options
     return doc
 
-
-def report_digests(cfg, tmp_dir, commands, polarizations=None, options=None,
-                   extra=None) -> dict[str, str]:
-    """sha256 of the stdout of ``dispatch([name, CONFIG, "--json", *flags])``
-    for each command line ``"name flags..."`` of ``commands``, keyed by the
-    line. CONFIG is ``config_document(cfg, polarizations, options)``, written
-    to ``tmp_dir``; ``extra`` maps a line to arguments put after its flags.
-    Every call must exit 0."""
-    cpath = tmp_dir / "config.json"
-    cpath.write_text(json.dumps(config_document(cfg, polarizations, options)))
-    out = {}
-    for line in commands:
-        name, *flags = line.split()
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = dispatch([name, str(cpath), "--json", *flags, *(extra or {}).get(line, ())])
-        assert code == EXIT_OK, (line, code)
-        out[line] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    return out
-
-
-def record_golden(cases, digests) -> None:
-    """Print the ``GOLDEN`` dict of a golden test: ``digests(cfg, tmp_dir)``
-    for each key -> cfg of ``cases``, each in a fresh temporary directory."""
-    golden = {}
-    for key, cfg in cases.items():
-        with tempfile.TemporaryDirectory() as d:
-            golden[key] = digests(cfg, pathlib.Path(d))
-    print("GOLDEN = " + json.dumps(golden, indent=4))

@@ -7,9 +7,10 @@ i < j) may then run an edge the other way, and such an edge's x and y
 change places. Duality transposes every matrix and swaps x and y. Neither
 changes the image of the path algebra, so ``is_simple`` must give the same
 verdict on both sides, and ``check_stability`` the same verdict kind and
-slope under a relabelling. The draws are seeded exact representations:
-random ones, y = 0 ones and direct sums, on the fixtures and on
-``random_config`` draws with two to four curves.
+slope under a relabelling. ``is_simple`` must also keep its verdict under a
+change of basis at each vertex (``helpers.unipotent_conjugate``). The draws
+are seeded exact representations: random ones, y = 0 ones and direct sums,
+on the fixtures and on ``random_config`` draws with two to four curves.
 
 On the configurations, relabelling keeps the roots, walls, chambers,
 strata and v-walls (mapped back), the ``cb-check`` verdict and the
@@ -38,6 +39,7 @@ from quiverk3.quiver import is_positive_root, p_of
 from quiverk3.reps import Representation, check_stability, direct_sum, dual, is_simple
 from quiverk3.strata import _strata
 from quiverk3.walls import _sign_insensitive_key
+from helpers import unipotent_conjugate
 
 AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))
 ELLIPTIC = CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1))
@@ -89,9 +91,10 @@ def _draws():
 def test_is_simple_is_invariant_under_duality_and_relabelling():
     rng = random.Random(89)
     verdicts = []
-    for cfg, rep in _draws():
+    for k, (cfg, rep) in enumerate(_draws()):
         got = is_simple(rep)
         assert is_simple(dual(rep)) == got, (rep.n, rep.mats)
+        assert is_simple(unipotent_conjugate(rep, k)) == got, (k, rep.n, rep.mats)
         for _ in range(2):
             perm = list(range(cfg.s))
             rng.shuffle(perm)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import warnings
 
@@ -279,6 +280,16 @@ def test_decompositions_warns_on_non_root():
         decompositions(q, (2, 0))
 
 
+def test_decompositions_refuses_a_negative_or_zero_vector(affine_a1):
+    # (-1, 2) gave [], where bounded_roots refuses it; (0, 0) gave one empty
+    # Decomposition whose .total raised IndexError
+    q = quiver_from_config(affine_a1)
+    for n, message in (((-1, 2), "n must be non-negative"),
+                       ((0, 0), "n must have a nonzero entry, got (0, 0)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decompositions(q, n)
+
+
 def test_cb_simple_exists(elliptic_pair, affine_a1, affine_a1_22):
     qe = quiver_from_config(elliptic_pair)
     qa = quiver_from_config(affine_a1)
@@ -388,3 +399,4 @@ def test_dot_output(elliptic_pair):
     assert "0:1 loops" in dot and "1:1 loops" in dot
     assert 'v0 -- v1 [label="2"]' in dot
     assert "schema_version=1" in dot
+

@@ -10,6 +10,7 @@ import pytest
 from quiverk3 import (
     MathAssertionError,
     NonPrimitivityWarning,
+    decompositions,
     quiver_from_config,
     singular_model_summary,
     strata_report,
@@ -134,6 +135,16 @@ def _assert_strata_assertion(cfg, match, tmp_path, capsys):
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(["strata", str(cpath), "--json"]) == EXIT_ASSERTION
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, count", [(9, 212), (11, 269)])
+def test_strata_heavy_draws_keep_their_decomposition_counts(seed, count):
+    # the strata-heavy cases of tools/report_digests.py, mult (3, 4, 1) and
+    # (2, 2, 4): reports of 0.36-0.52 MB that repeat each root's stratum part
+    cfg = random_config(random.Random(seed), s_min=3, s_max=3, mult_max=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert len(decompositions(quiver_from_config(cfg), cfg.mult)) == count
 
 
 def test_lattice_and_quiver_out_of_sync_is_an_assertion(

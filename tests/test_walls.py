@@ -158,6 +158,26 @@ def test_enumerate_chambers_one_vertex(ogrady):
     assert LocalModel(ogrady).chambers is None
 
 
+ZERO_N = re.escape("n must have a nonzero entry, got (0, 0)")
+
+
+def test_nperp_basis_refuses_the_zero_vector():
+    # the first nonzero entry was taken by a bare next(): StopIteration
+    with pytest.raises(ValueError, match=ZERO_N):
+        walls_module.nperp_basis((0, 0))
+    assert walls_module.nperp_basis((0, 2)) == [(2, 0)]
+
+
+def test_quiver_walls_refuses_the_zero_vector(affine_a1):
+    with pytest.raises(ValueError, match=ZERO_N):
+        quiver_walls(quiver_from_config(affine_a1), (0, 0))
+
+
+def test_enumerate_chambers_refuses_the_zero_vector(affine_a1):
+    with pytest.raises(ValueError, match=ZERO_N):
+        enumerate_chambers(quiver_from_config(affine_a1), (0, 0))
+
+
 def test_enumerate_chambers_no_walls(affine_a1):
     q = quiver_from_config(affine_a1)
     ch = enumerate_chambers(q, (1, 0))

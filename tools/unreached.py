@@ -23,8 +23,10 @@ How it backs a simplicity change: a change that deletes an option or a
 branch as unused shows, from this tool's output on the parent tree, that
 the statements it deletes are listed, so no test reaches them; the callers
 outside the tests (the CLI, the benchmark's workloads, ``tools/``) are
-then checked by search, and ``tools/report_digests.py`` shows that the
-reports of the CLI ladder stay byte-identical. A statement that only a
+then checked by search, and ``tests/test_report_ladder.py``, which
+compares the output of ``tools/report_digests.py`` with
+``tests/report_digests.txt``, shows that the reports of the CLI ladder stay
+byte-identical. A statement that only a
 test reaches is not listed here; whether its option has a caller outside
 the tests is for that search to settle.
 """
