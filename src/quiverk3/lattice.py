@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvariantError, NonPrimitivityWarning
+from .errors import InvariantError, NonPrimitivityWarning, _check_same_length
 
 IntVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
@@ -210,9 +210,11 @@ def vector_of_beta(cfg: CurveConfig, beta: Sequence[int]) -> MukaiVector:
 
 
 def slope(v: MukaiVector, a: DegreeVector) -> Fraction:
-    """mu_H = chi / (c_1 . H) for a rank-zero vector."""
+    """mu_H = chi / (c_1 . H) for a rank-zero vector; degrees a of another
+    length than c_1 are refused (``ValueError``)."""
     if v.rank != 0:
         raise ValueError("slope is defined for rank-zero vectors only")
+    _check_same_length("a", a.a, "div", len(v.div))
     den = sum(Fraction(x) * y for x, y in zip(v.div, a.a))
     if den == 0:
         raise ZeroDivisionError("c_1(v) . H = 0")

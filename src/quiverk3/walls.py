@@ -11,7 +11,10 @@ decompositions and simple-existence verdicts, for one configuration.
 
 Everything is exact, and nothing is floating point. The chamber path runs in
 integers over common denominators: the cone cuts, the interior points, the
-sign certificates, the characters and the per-chamber probes. Both point
+sign certificates, the characters and the per-chamber probes. Each cell's
+cone carries integer generators that hold their values on every wall, with
+bitmasks of the signs of those values, so a cell is split only at the walls
+that cut it, and a wall that does not cut it is read off the masks. Both point
 solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
 return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
 The simplex takes over only from an elimination past its row bound; it
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -445,62 +449,88 @@ class ChamberSet:
         return tuple(tuple(Fraction(x, m) for x in itheta) for m, itheta in self.points)
 
 
-# A closed polyhedral cone, exactly: integer lineality lines, and primitive
-# extreme rays, each with the bitmask of processed functionals vanishing on it.
-# The axes start as tuples; a generator that a cut makes is a list.
-Ray = tuple[Sequence[int], int]
-Generators = tuple[list[Sequence[int]], list[Ray]]
+# A closed polyhedral cone, exactly: integer lineality lines and primitive
+# extreme rays. A generator is (vec, pos, neg). vec is one integer vector: the
+# generator's values on the W wall functionals, then its d coordinates, so
+# that wall k's value is vec[k]; one integer combination of two vectors makes
+# both parts of the new generator, and the gcd of vec is that of its
+# coordinates, the values being integer forms in them. pos and neg are the
+# bitmasks of the walls where the value is positive and negative.
+Generator = tuple[Sequence[int], int, int]
+Generators = tuple[list[Generator], list[Generator]]
+
+
+def _generator(vec: Sequence[int], bits: list[int]) -> Generator:
+    """vec with its sign masks; ``bits[k]`` is wall k's bit, 1 << k, and
+    the masks read the first ``len(bits)`` entries of vec, the wall values."""
+    return (vec, sum(compress(bits, map((0).__lt__, vec))),
+            sum(compress(bits, map((0).__gt__, vec))))
 
 
 def _cut(
-    f: IntVector, bit: int, lines: list[Sequence[int]], rays: list[Ray]
-) -> tuple[Generators | None, Generators | None]:
-    """Generators of the cone's halves {f >= 0} and {f <= 0}, with None for
-    a half whose open part {f > 0} (resp. {f < 0}) misses the cone.
+    k: int, bits: list[int], lines: list[Generator], rays: list[Generator]
+) -> tuple[Generators, Generators]:
+    """Generators of the cone's halves {f >= 0} and {f <= 0}, f wall k's
+    functional, which must cut the cone: a line has a nonzero value on f,
+    or one ray a positive and another a negative one.
 
-    This is one double-description step (Fukuda & Prodon 1996). ``bit`` is
-    f's place in the zero masks; all lower bits are the functionals already
-    processed, which vanish on every line.
+    This is one double-description step (Fukuda & Prodon 1996). The cone
+    lies on one side of every wall below k, and every line vanishes on
+    those walls; f's values are read at index k, and its bit is
+    ``bits[k]``.
     """
-    for k, line in enumerate(lines):
-        a = _dot(f, line)
+    for i, (line, lpos, lneg) in enumerate(lines):
+        a = line[k]
         if a:
             # a line crossing f: it becomes each half's new ray, and the
             # other generators are projected along it onto ker f
-            l0 = line if a > 0 else tuple(-x for x in line)
+            l0 = (line, lpos, lneg) if a > 0 else (tuple([-x for x in line]), lneg, lpos)
             a = abs(a)
 
             def along(g):  # a * g - (f . g) * l0, with f . l0 = a > 0
-                b = _dot(f, g)
-                return primitive([a * x - b * y for x, y in zip(g, l0)]) if b else g
+                b = g[0][k]
+                return _generator(primitive([a * x - b * y for x, y in zip(g[0], l0[0])]),
+                                  bits) if b else g
 
-            kept = [along(g) for i, g in enumerate(lines) if i != k]
-            proj = [(along(r), z | bit) for r, z in rays]
-            return ((kept, proj + [(l0, bit - 1)]),
-                    (kept, proj + [(tuple(-x for x in l0), bit - 1)]))
-    # the rays strictly on each side, with their values of f in pv and nv
-    pos, neg, zero, pv, nv = [], [], [], [], []
+            kept = [along(g) for j, g in enumerate(lines) if j != i]
+            proj = [along(r) for r in rays]
+            return ((kept, proj + [l0]),
+                    (kept, proj + [(tuple([-x for x in l0[0]]), l0[2], l0[1])]))
+    bit = bits[k]
+    pos, neg, zero = [], [], []
     for ray in rays:
-        v = sum(map(mul, f, ray[0]))
-        if v > 0:
+        if ray[1] & bit:
             pos.append(ray)
-            pv.append(v)
-        elif v < 0:
+        elif ray[2] & bit:
             neg.append(ray)
-            nv.append(v)
         else:
-            zero.append((ray[0], ray[1] | bit))
-    if not (pos and neg):
-        return (lines, pos + zero) if pos else None, (lines, neg + zero) if neg else None
-    # adjacent (+, -) pairs: no third ray vanishes on all that vanishes on both
-    masks = [z for _, z in rays]
+            zero.append(ray)
+    # adjacent (+, -) pairs: no third ray vanishes on every wall below k that
+    # vanishes on both
+    low = bit - 1
+    zeros = [low & ~(p | q) for _, p, q in rays]
     crossing = []
-    for (rp, zp), vp in zip(pos, pv):
-        for (rn, zn), vn in zip(neg, nv):
-            common = zp & zn
-            if sum(common & z == common for z in masks) == 2:
+    for rp, pp, qp in pos:
+        zp, vp = low & ~(pp | qp), rp[k]
+        for rn, pn, qn in neg:
+            common = zp & ~(pn | qn)
+            if sum(common & z == common for z in zeros) == 2:
+                vn = rn[k]
                 ray = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
-                crossing.append((ray, common | bit))
+                # a positive combination of the pair: its sign is theirs where
+                # they agree, and is read from its value only where they have
+                # opposite signs, at walls other than f
+                cp, cq = (pp | pn) & ~(qp | qn), (qp | qn) & ~(pp | pn)
+                split = (pp & qn | qp & pn) ^ bit
+                while split:
+                    b = split & -split
+                    split ^= b
+                    v = ray[b.bit_length() - 1]
+                    if v > 0:
+                        cp |= b
+                    elif v < 0:
+                        cq |= b
+                crossing.append((ray, cp, cq))
     shared = zero + crossing
     return (lines, pos + shared), (lines, neg + shared)
 
@@ -519,14 +549,20 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     """Exact enumeration of the full-dimensional sign cells of the wall
     arrangement in n-perp, with one interior rational point per cell.
 
-    Cells are split one wall functional at a time. Each cell carries the
-    exact integer generators of its closed cone, and a side of a split is
-    nonempty iff some generator is strictly on that side: the cell is open
-    and homogeneous, so it meets {sgn f > 0} iff its closure does. The
-    generators decide every split; Fourier-Motzkin (the exact simplex on a
-    blowup) only produces an interior point, for a side proven nonempty
-    whose parent's point fails. A solve that finds no point on such a side
-    is a broken identity and raises ``MathAssertionError``.
+    Each cell carries the exact integer generators of its closed cone, each
+    with its values on every wall functional and the bitmasks of their
+    signs. A side of a wall is nonempty iff some generator is strictly on
+    that side: the cell is open and homogeneous, so it meets {sgn f > 0}
+    iff its closure does. So the masks decide every wall. A cell is split,
+    by one double-description step (``_cut``), only at the next wall that
+    cuts it, and takes its sign on each wall before that one from the
+    masks: one ``_cut`` per split, count - 1 in all. Fourier-Motzkin (the
+    exact simplex on a blowup) only produces an interior point, for a side
+    proven nonempty whose parent's point fails. A solve that finds no point
+    on such a side is a broken identity and raises ``MathAssertionError``.
+
+    The chambers are listed in lexicographic order of their signatures,
+    +1 before -1: the cells are walked depth first, the + side first.
 
     The solves of one enumeration share one ``_RowTable``, so each row of
     their systems is normalized, and each pair eliminated, once. The table
@@ -590,26 +626,42 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
             )
         return found
 
-    # cells: (signs so far, a strictly interior point ipt / m as m and ipt,
-    # generators). By homogeneity a point with all processed functionals
-    # strictly of the right sign certifies the open cell, so it is reused
-    # until it fails.
-    axes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    cells = [((), 1, axes[0], axes, [])]
-    for k, f in enumerate(functionals):
-        new_cells = []
-        for signs, m, ipt, lines, rays in cells:
-            val = sum(map(mul, f, ipt))
-            for sgn, half in zip((1, -1), _cut(f, 1 << k, lines, rays)):
-                if half is None:
-                    continue
-                child = signs + (sgn,)
-                point = (m, ipt) if sgn * val > 0 else solve(child)
-                new_cells.append((child, *point, *half))
-        cells = new_cells
+    # a cell on the stack: (signs so far, a strictly interior point ipt / m
+    # as m and ipt, lines, rays); a finished one in cells: (signs, m, ipt).
+    # By homogeneity a point with all processed functionals strictly of the
+    # right sign certifies the open cell, so it is reused until it fails.
+    # The walk is depth first, the + side first, so the chambers come out in
+    # lexicographic order of their signatures, +1 before -1.
+    nwalls, bits = len(functionals), [1 << k for k in range(len(functionals))]
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    axes = [_generator(tuple(f[i] for f in functionals) + unit[i], bits) for i in range(d)]
+    cells, stack = [], [((), 1, unit[0], axes, [])]
+    while stack:
+        signs, m, ipt, lines, rays = stack.pop()
+        pos = neg = moving = 0
+        for _, p, q in rays:
+            pos |= p
+            neg |= q
+        for _, p, q in lines:
+            moving |= p | q
+        # the lowest wall that cuts the closed cone; every wall below it
+        # leaves the cone, and so the open cell, on the side of its rays
+        cut = pos & neg | moving
+        k = (cut & -cut).bit_length() - 1 if cut else nwalls
+        signs += tuple([1 if pos >> i & 1 else -1 for i in range(len(signs), k)])
+        if k == nwalls:
+            cells.append((signs, m, ipt))
+            continue
+        val = sum(map(mul, functionals[k], ipt))
+        (plines, prays), (nlines, nrays) = _cut(k, bits, lines, rays)
+        plus, minus = signs + (1,), signs + (-1,)
+        pm, pipt = (m, ipt) if val > 0 else solve(plus)
+        nm, nipt = (m, ipt) if val < 0 else solve(minus)
+        stack.append((minus, nm, nipt, nlines, nrays))
+        stack.append((plus, pm, pipt, plines, prays))
     columns = list(zip(*basis))
     points = []
-    for signs, m, ipt, *_ in cells:
+    for signs, m, ipt in cells:
         den, *itheta = primitive([m, *(_dot(col, ipt) for col in columns)])
         # f . ipt == m * (theta . normal) exactly: the signature test on theta
         if any(sgn * sum(map(mul, f, ipt)) <= 0 for sgn, f in zip(signs, functionals)):
@@ -822,11 +874,13 @@ def restrict_weights_to_type(
     """Block weights of a decomposition: part (k, beta) acts with weight
     sum_l beta_l * weights_l, which must equal ell * (beta . a) + beta . chi.
 
-    Weights of another length than mult are refused (``ValueError``); the
-    identity is asserted exactly, and a failure is an internal bug.
+    Weights or degrees a of another length than mult are refused
+    (``ValueError``); the identity is asserted exactly, and a failure is an
+    internal bug.
     """
     weights = tuple(Fraction(w) for w in weights)
     _check_same_length("weights", weights, "mult", len(cfg.mult))
+    _check_same_length("a", a.a, "mult", len(cfg.mult))
     if tau.total != cfg.mult:
         raise ValueError(f"decomposition total {tau.total} != mult {cfg.mult}")
     out = []

@@ -41,7 +41,9 @@ vertices, with its checks through ``DegreeVector``, ``xi_map`` and
 ``v_walls_bounded_scan`` is the candidate v-wall scan over |chi_Gamma| <= B
 that ``walls.v_walls`` replaced, with no bound on its work.
 ``config_document`` is the one builder of CLI config documents for the
-tests and for ``tools/report_digests.py``.
+tests and for ``tools/report_digests.py``, and ``benchmark_workloads``
+loads the benchmark's ``perfbench/workloads.py`` for the tests that read
+its inputs.
 ``reference_moment_differential`` assembles d(mu) one entry at a time, as
 ``reps.moment_differential`` did before it became a scatter,
 ``reference_random_float`` draws a float representation one matrix at a
@@ -53,9 +55,12 @@ both, which builds a new ``Representation`` at every accepted step, and
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -1133,6 +1138,21 @@ def mod_p_witness_holds(rep: Representation, beta, basis, p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # CLI config documents
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py`` as a module, loaded from its file; the
+    module is in ``sys.modules`` only while it runs, as its dataclasses
+    look it up there."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
 
 
 def config_document(cfg, polarizations=None, options=None) -> dict:

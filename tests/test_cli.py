@@ -172,6 +172,44 @@ def test_chambers_command(affine_path, capsys):
     assert payload["count"] == 2
 
 
+def test_correspondence_and_strata_text(elliptic_path, capsys):
+    """The text reports, in process: the report ladder runs them only in a
+    subprocess."""
+    assert dispatch(["correspondence", elliptic_path]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "walls checked: 1 (counts match: True)",
+        "  beta [0, 1]: 4 samples, on image wall: True",
+        "adjacent chambers probed: 2",
+        "  signature [1] generic: True",
+        "  signature [-1] generic: True",
+    ]
+    assert dispatch(["strata", elliptic_path]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "strata: 2",
+        "  dim 6/6 (open) parts [(1, [1, 1])]",
+        "  dim 4/6 parts [(1, [0, 1]), (1, [1, 0])]",
+    ]
+
+
+def test_an_asymmetric_gram_exits_3(tmp_path, capsys):
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({**ELLIPTIC_DOC, "gram": [[0, 1], [2, 0]]}))
+    assert dispatch(["summary", str(path)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant violation [gram-symmetric]: gram not symmetric at (0,1)\n")
+
+
+def test_cb_check_text_when_n_is_not_a_root(tmp_path, capsys):
+    # two disjoint (-2)-curves: n = (1, 1) has disconnected support
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps({**AFFINE_DOC, "gram": [[-2, 0], [0, -2]]}))
+    assert dispatch(["cb-check", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "simple representation in mu^-1(0) for n=[1, 1]: False",
+        "  n is not a positive root",
+    ]
+
+
 def test_walls_one_vertex(tmp_path, capsys):
     p = tmp_path / "og.json"
     p.write_text(json.dumps(OGRADY_DOC))

@@ -59,12 +59,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
 import inspect
 import json
-import pathlib
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +87,7 @@ from quiverk3.walls import nperp_basis
 from helpers import (
     MOD_PRIMES,
     ModSpan,
+    benchmark_workloads,
     graded_invariant_spans,
     mod_p,
     mod_p_is_simple,
@@ -764,14 +762,7 @@ def test_a_probe_decides_false_only_on_a_proper_subrepresentation(monkeypatch):
 def _reps_exact_cells(kind: str) -> list[dict]:
     """The closure variables of the ``reps-exact`` benchmark's operations of
     this kind at seed 0, in batch order."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
+    workloads = benchmark_workloads()
     return [inspect.getclosurevars(op.call).nonlocals
             for ops in workloads.build("reps-exact", 0).rounds for op in ops if op.kind == kind]
 

@@ -104,6 +104,15 @@ def test_slope_examples(elliptic_pair):
         slope(MukaiVector(1, (1, 0), 1), a)
 
 
+def test_slope_refuses_degrees_of_another_length():
+    # zipped against c_1, a long a was cut short and a short one dropped terms:
+    # (1, 1, 5) read slope 1 for (0, (1, 1), 2)
+    v = MukaiVector(0, (1, 1), 2)
+    for a in ((1,), (1, 1, 5)):
+        with pytest.raises(ValueError, match=f"a has length {len(a)}, but div has length 2"):
+            slope(v, DegreeVector(a))
+
+
 def test_slope_zero_denominator():
     cfg = CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1))
     # degree vectors are strictly positive, so force the zero denominator

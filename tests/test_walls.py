@@ -35,7 +35,7 @@ from quiverk3 import (
     verify_correspondence,
     xi_map,
 )
-from quiverk3.cli import EXIT_ASSERTION, dispatch
+from quiverk3.cli import EXIT_ASSERTION, dispatch, parse_config_document
 from quiverk3.walls import (
     ChamberSet,
     QuiverWall,
@@ -52,6 +52,7 @@ from quiverk3.walls import (
 )
 from conftest import random_config
 from helpers import (
+    benchmark_workloads,
     chamber_set_digest,
     config_document,
     fraction_fm_core,
@@ -492,6 +493,48 @@ def test_chamber_set_of_the_3300_chamber_draw_is_pinned(monkeypatch):
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the table was never reset"
 
 
+def test_one_cut_per_split(monkeypatch):
+    """A wall that leaves a cell's closed cone on one side cannot split it,
+    so ``_cut`` runs only at a wall that cuts its cell: once per split, and
+    count - 1 times in all. One call per cell and wall made 26197 on the
+    3300-chamber draw and 20076 on the 32 configurations of the
+    ``chambers`` benchmark at seed 0."""
+    real_cut, calls = walls_module._cut, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_cut(*args)
+
+    def cuts(cfg):
+        calls.clear()
+        count = enumerate_chambers(quiver_from_config(cfg), cfg.mult).count
+        assert len(calls) == count - 1, cfg
+        return len(calls)
+
+    monkeypatch.setattr(walls_module, "_cut", counted)
+    assert cuts(random_config(random.Random(5), 5, 5, gram_bound=4, mult_max=2)) == 3299
+    rng = random.Random(40)
+    for s in (3, 4, 5):
+        for cfg in _draws_up_to(rng, 3, 16, s_min=s, s_max=s, gram_bound=4, mult_max=2):
+            cuts(cfg)
+    inputs = benchmark_workloads().build("chambers", 0).inputs
+    assert len(inputs) == 32
+    assert sum(cuts(parse_config_document(json.loads(doc))[0]) for doc, _ in inputs) == 4014
+
+
+def test_chambers_are_listed_in_lexicographic_signature_order():
+    """``enumerate_chambers`` lists the chambers in lexicographic order of
+    their signatures, +1 before -1, and the correspondence report probes
+    them in that order."""
+    rng = random.Random(41)
+    for s in (2, 3, 4, 5):
+        for cfg in _draws_up_to(rng, 4, 16, s_min=s, s_max=s, gram_bound=4, mult_max=2):
+            chambers = enumerate_chambers(quiver_from_config(cfg), cfg.mult)
+            assert list(chambers.signatures) == sorted(chambers.signatures, reverse=True), cfg
+            report = verify_correspondence(cfg)
+            assert [c.signature for c in report.chambers] == list(chambers.signatures), cfg
+
+
 def test_lp_matches_fm_on_random_systems():
     # two independent exact feasibility routes must agree, and any point
     # returned must actually satisfy its system
@@ -708,6 +751,17 @@ def test_restrict_weights_refuses_weights_of_the_wrong_length(elliptic_pair):
     for bad in (weights[:1], (*weights, 0)):
         with pytest.raises(ValueError, match=f"weights has length {len(bad)}, but mult has"):
             restrict_weights_to_type(bad, dec, elliptic_pair, a, 5)
+
+
+def test_restrict_weights_refuses_degrees_of_the_wrong_length(elliptic_pair):
+    # a short a failed the identity as an internal bug (MathAssertionError),
+    # and a long one was cut short by zip and accepted
+    dec = next(d for d in decompositions(quiver_from_config(elliptic_pair), (1, 1))
+               if len(d.parts) == 2)
+    weights = det_weight_vector(elliptic_pair, DegreeVector((1, 2)), 5)
+    for bad in ((1,), (1, 2, 7)):
+        with pytest.raises(ValueError, match=f"a has length {len(bad)}, but mult has length 2"):
+            restrict_weights_to_type(weights, dec, elliptic_pair, DegreeVector(bad), 5)
 
 
 def test_restrict_weights_wrong_total(elliptic_pair, affine_a1_22):

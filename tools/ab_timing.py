@@ -88,8 +88,16 @@ reps-exact-search 1.036 and 1.019 (0.997), since a fresh non-simple copy
 now decides simplicity before its search, which adds the exact closure of
 e_i on the 35 whose coordinate probes all span everything; and
 is_simple+check_stability, the benchmark's traffic, 0.996 and 0.998
-(0.997), within 0.001 of the same-tree run, which shows nothing. Rows
-whose best times sum to under about 0.1 s of CPU swing the most.
+(0.997), within 0.001 of the same-tree run, which shows nothing. The chamber
+enumeration that splits each cell only at the walls that cut it, one A/B
+run beside one same-tree run, minutes apart on the same VM:
+enumerate_chambers s5-7 0.849 (same tree 1.085), 3300 0.756 (0.956) and
+chambers-seed0 0.885 (0.979); verify_correspondence 3300 0.703 (0.987)
+and chambers-seed0 0.909 (0.996); cli._dumps 3300-chambers 0.999 (0.998),
+3300-correspondence 1.009 (1.036) and chambers-seed0 1.000 (1.005). The
+encoder did not change, so the cli._dumps rows show nothing, and every
+row printed one digest. Rows whose best times sum to under about 0.1 s
+of CPU swing the most.
 """
 
 import hashlib

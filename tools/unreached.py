@@ -11,7 +11,9 @@ statement as ``  line: source``. Docstrings, bare annotations and
 compound statement counts as run when its header or its first body
 statement ran. Module-level and class-level statements run on import and
 are not listed. The last line gives pytest's exit code. Nothing under
-<tree> is written to.
+<tree> is written to. The tracer sees only this process: a statement that
+a test runs only in a subprocess, such as the CLI reports of
+``tests/test_report_ladder.py``, is listed as unreached.
 
 Tracing makes the suite about three times slower (some 120 s on one core),
 so a test with a wall-time budget, such as the simplicity-oracle criterion
