@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the checks
-of count and tolerance options that every layer shares."""
+"""Exception and warning types shared across the package, and the input
+checks that every layer shares: integer vectors, lengths, counts, tolerances."""
 
 import math
 import numbers
@@ -37,6 +37,17 @@ def _check_count(name: str, value) -> None:
     # negative budget would end a search before it starts
     if not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
+
+
+def _as_int_vector(entries) -> tuple[int, ...]:
+    """The entries as Python ints, else ``InvariantError("integrality")``."""
+    out = tuple(entries)
+    if all(type(e) is int for e in out):
+        return out
+    for e in out:
+        if isinstance(e, bool) or not isinstance(e, numbers.Integral):
+            raise InvariantError("integrality", f"expected integer entry, got {e!r}")
+    return tuple(map(int, out))
 
 
 def _check_same_length(name: str, seq, other: str, size: int) -> None:

@@ -15,21 +15,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import InvariantError, NonPrimitivityWarning, _check_same_length
+from .errors import InvariantError, NonPrimitivityWarning, _as_int_vector, _check_same_length
 
 IntVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
-
-
-def _as_int_vector(entries: Iterable) -> IntVector:
-    out = []
-    for e in entries:
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise InvariantError("integrality", f"expected integer entry, got {e!r}")
-        out.append(e)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,7 @@ class MukaiVector:
     euler: int
 
     def __post_init__(self):
-        object.__setattr__(self, "div", tuple(int(x) for x in self.div))
+        object.__setattr__(self, "div", _as_int_vector(self.div))
 
 
 @dataclass(frozen=True)
@@ -153,10 +144,8 @@ def mukai_pairing(v: MukaiVector, w: MukaiVector, cfg: CurveConfig) -> int:
 
     Symmetric, bilinear, integral; chi(F,G) = -v.w holds by construction.
     """
-    if len(v.div) != cfg.s or len(w.div) != cfg.s:
-        raise ValueError(
-            f"div length mismatch: {len(v.div)}, {len(w.div)} vs s = {cfg.s}"
-        )
+    _check_same_length("v.div", v.div, "mult", cfg.s)
+    _check_same_length("w.div", w.div, "mult", cfg.s)
     c1 = sum(
         v.div[i] * cfg.gram[i][j] * w.div[j]
         for i in range(cfg.s)
@@ -191,9 +180,8 @@ def vector_of_beta(cfg: CurveConfig, beta: Sequence[int]) -> MukaiVector:
     proxy for non-primitivity; divisor-class primitivity itself is invisible
     here.
     """
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != cfg.s:
-        raise ValueError(f"beta length {len(beta)} != s = {cfg.s}")
+    beta = _as_int_vector(beta)
+    _check_same_length("beta", beta, "mult", cfg.s)
     if any(b < 0 for b in beta):
         raise ValueError("beta must be non-negative")
     if all(b == 0 for b in beta):

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InvariantError
+from .errors import InvariantError, _as_int_vector, _check_same_length
 from .lattice import CurveConfig, IntVector
 
 DimVector = tuple[int, ...]
@@ -36,12 +36,15 @@ MAX_ROOT_BOX = 4096
 
 @dataclass(frozen=True)
 class Quiver:
+    """Loop counts and a symmetric edge matrix with zero diagonal, as Python
+    ints; a non-integer entry raises ``InvariantError("integrality")``."""
+
     loops: IntVector
     edges: tuple[IntVector, ...]
 
     def __post_init__(self):
-        loops = tuple(int(x) for x in self.loops)
-        edges = tuple(tuple(int(x) for x in row) for row in self.edges)
+        loops = _as_int_vector(self.loops)
+        edges = tuple(_as_int_vector(row) for row in self.edges)
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "edges", edges)
         s = len(loops)
@@ -105,14 +108,9 @@ def quiver_from_config(cfg: CurveConfig) -> Quiver:
     return Quiver(loops, edges)
 
 
-def _check_length(q: Quiver, beta: DimVector):
-    if len(beta) != q.s:
-        raise ValueError(f"dimension vector length {len(beta)} != s = {q.s}")
-
-
 def d_form(q: Quiver, beta: DimVector) -> int:
     """d(beta) = beta^t (-C) beta; always even."""
-    _check_length(q, beta)
+    _check_same_length("beta", beta, "loops", q.s)
     return sum(b * sum(map(operator.mul, row, beta)) for b, row in zip(beta, q.form))
 
 
@@ -137,7 +135,7 @@ def _support_connected(q: Quiver, alpha: DimVector) -> bool:
 
 def is_positive_root(q: Quiver, alpha: DimVector) -> bool:
     """alpha != 0, alpha >= 0, connected support, and d(alpha) >= -2."""
-    _check_length(q, alpha)
+    _check_same_length("alpha", alpha, "loops", q.s)
     if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
         return False
     if not _support_connected(q, alpha):
@@ -198,11 +196,13 @@ def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
 
 
 def check_bound(q: Quiver, n: DimVector) -> DimVector:
-    """n as a tuple, after checking its length and signs."""
-    _check_length(q, n)
+    """n as Python ints (``_as_int_vector``), one per vertex and none negative:
+    the check of each entry point (``d_form``, ``is_positive_root``: length only)."""
+    n = _as_int_vector(n)
+    _check_same_length("n", n, "loops", q.s)
     if any(x < 0 for x in n):
         raise ValueError("n must be non-negative")
-    return tuple(n)
+    return n
 
 
 def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
@@ -334,8 +334,7 @@ def cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
     On failure, reports a decomposition maximizing sum p (found by exact
     dynamic programming over the box 0 <= r <= n).
     """
-    _check_length(q, n)
-    n = tuple(n)
+    n = _as_int_vector(n)
     if not is_positive_root(q, n):
         return SimpleExistence(False, False, None)
     return _simple_table(q, n, _roots_upto(q, n))[n]
@@ -393,7 +392,7 @@ def mu_zero_expected_dim(q: Quiver, n: DimVector) -> int:
 
 def rep_space_dim(q: Quiver, n: DimVector) -> int:
     """dim Rep(doubled quiver, n) = 2 sum_e n_s(e) n_t(e)."""
-    _check_length(q, n)
+    _check_same_length("n", n, "loops", q.s)
     return 2 * sum(n[s] * n[t] for s, t, _ in q.orientation)
 
 

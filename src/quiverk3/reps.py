@@ -70,7 +70,8 @@ import numpy as np
 from . import linalg
 from .errors import InvariantError, MathAssertionError, _check_count, _check_same_length, _check_tol
 from .quiver import (
-    DimVector, Quiver, cb_simple_exists, checked_box, mu_zero_expected_dim, rep_space_dim
+    DimVector, Quiver, cb_simple_exists, check_bound, checked_box, mu_zero_expected_dim,
+    rep_space_dim,
 )
 
 EXACT = "exact"
@@ -130,8 +131,7 @@ class Representation:
     ``Fraction``s in exact mode and of complex doubles in float mode. Exact
     matrices are read-only copies; a complex array is stored as given, so
     the representation follows later writes into it. Equality compares the
-    entries.
-    """
+    entries. ``n`` must pass ``check_bound`` (one integer >= 0 per vertex)."""
 
     quiver: Quiver
     n: DimVector
@@ -139,7 +139,7 @@ class Representation:
     mats: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        n = tuple(int(x) for x in self.n)
+        n = check_bound(self.quiver, self.n)
         object.__setattr__(self, "n", n)
         if self.mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {self.mode!r}")
@@ -217,18 +217,20 @@ class GroupElement:
 
 
 def zero_representation(q: Quiver, n: DimVector, mode: str = EXACT) -> Representation:
+    n = check_bound(q, n)
     zero = _ZERO[mode]
     mats = tuple(
         (np.full((n[t], n[s]), zero), np.full((n[s], n[t]), zero))
         for s, t, _ in q.orientation
     )
-    return Representation(q, tuple(n), mode, mats)
+    return Representation(q, n, mode, mats)
 
 
 def random_representation(
     q: Quiver, n: DimVector, seed: int = 0, mode: str = EXACT
 ) -> Representation:
     """Seeded random representation; exact mode draws small rationals."""
+    n = check_bound(q, n)
     if mode == EXACT:
         rng = random.Random(seed)
 
@@ -242,8 +244,8 @@ def random_representation(
             )
             for s, t, _ in q.orientation
         )
-        return Representation(q, tuple(n), EXACT, mats)
-    return Representation(q, tuple(n), FLOAT, _unflatten_mats(q, n, _float_draw(q, n, seed)))
+        return Representation(q, n, EXACT, mats)
+    return Representation(q, n, FLOAT, _unflatten_mats(q, n, _float_draw(q, n, seed)))
 
 
 def moment_map(rep: Representation) -> tuple:
@@ -265,7 +267,8 @@ def _moment_blocks(q: Quiver, n: DimVector, mats, zero) -> tuple:
 
 
 def act(g: GroupElement, rep: Representation) -> Representation:
-    """x_e -> g_t x_e g_s^-1, y_e -> g_s y_e g_t^-1."""
+    """x_e -> g_t x_e g_s^-1, y_e -> g_s y_e g_t^-1; one block per vertex."""
+    _check_same_length("blocks", g.blocks, "n", len(rep.n))
     blocks = [_matrix(b, ni, ni, rep.mode) for b, ni in zip(g.blocks, rep.n)]
     if rep.mode == EXACT:
         inv = [_matrix(linalg.mat_inv(b), len(b), len(b), EXACT) for b in blocks]
@@ -493,6 +496,13 @@ class CiDimReport:
     failures: tuple[str, ...] = ()
 
 
+# the most trials of ``verify_ci_dim``, checked before the first one: each
+# trial runs one Gauss-Newton search and adds one entry to the report (400
+# trials on the elliptic pair took 0.2-0.45 s and 49 KB of JSON). Every
+# test, ladder and benchmark caller asks for at most 20
+MAX_TRIALS = 1024
+
+
 def verify_ci_dim(
     q: Quiver,
     n: DimVector,
@@ -506,8 +516,12 @@ def verify_ci_dim(
     intersection dimension 2p(n) + n^t n - 1. One d(mu) scatter pattern,
     built per call, serves every trial's steps and final rank; a trial's
     residual is its search's last norm. Refuses a negative ``trials`` or
-    ``seed`` and a tolerance that is not positive and finite."""
+    ``seed`` and a tolerance that is not positive and finite
+    (``ValueError``), and more than ``MAX_TRIALS`` trials
+    (``InvariantError("ci-trials")``)."""
     _check_count("trials", trials)
+    if trials > MAX_TRIALS:
+        raise InvariantError("ci-trials", f"{trials} trials, more than {MAX_TRIALS}")
     _check_tol("rank_tol", rank_tol)
     _check_tol("residual_tol", residual_tol)
     _check_count("seed", seed)
@@ -702,8 +716,7 @@ def cyclic_subrep(
         raise ValueError("cyclic_subrep requires exact mode")
     if not 0 <= vertex < len(rep.n):
         raise ValueError(f"vertex {vertex} is not in 0..{len(rep.n) - 1}")
-    if len(vector) != rep.n[vertex]:
-        raise ValueError("seed vector has wrong length for its vertex")
+    _check_same_length("vector", vector, f"V_{vertex}", rep.n[vertex])
     return _graded(_cyclic_spans(rep, vertex, vector))
 
 
@@ -724,6 +737,7 @@ def _invariance_holds(rep: Representation, spans: Sequence[linalg.Span]) -> bool
 
 def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequence]]) -> bool:
     """``_invariance_holds`` on the spans of the given bases, one per vertex."""
+    _check_same_length("bases", bases, "n", len(rep.n))
     return _invariance_holds(rep, [linalg.Span(vecs) for vecs in bases])
 
 
@@ -1189,11 +1203,13 @@ def annihilator_witness(
 ) -> tuple[DimVector, tuple]:
     """Convert an invariant graded subspace of rep into the annihilator
     witness for dual(rep): dimension vector n - beta, verified invariant.
-    Raises ValueError when the bases do not have dimension vector beta or
-    do not span an invariant subspace of rep."""
+    Raises ValueError unless beta and the bases have one entry per vertex,
+    and the bases have dimension vector beta and span an invariant subspace."""
     if rep.mode != EXACT:
         raise ValueError("annihilator conversion implemented for exact mode")
     n = rep.n
+    _check_same_length("beta", beta, "n", len(n))
+    _check_same_length("bases", bases, "n", len(n))
     comp = tuple(ni - bi for ni, bi in zip(n, beta))
     out_bases = tuple(
         tuple(linalg.nullspace(vecs or np.empty((0, ni), dtype=object)))

@@ -828,8 +828,7 @@ class LocalModel:
 
 def xi_map(cfg: CurveConfig, a: DegreeVector) -> RationalVector:
     """theta_i = a_i - d_i, for a on the slice sum n_i a_i = d_0."""
-    if len(a.a) != cfg.s:
-        raise ValueError("degree vector has wrong length")
+    _check_same_length("a", a.a, "mult", cfg.s)
     if sum(n * x for n, x in zip(cfg.mult, a.a)) != cfg.total_h0deg:
         raise ValueError("degree vector is off the slice sum n_i a_i = d_0")
     return tuple(x - d for x, d in zip(a.a, cfg.h0deg))
@@ -838,8 +837,7 @@ def xi_map(cfg: CurveConfig, a: DegreeVector) -> RationalVector:
 def character_general(cfg: CurveConfig, a: DegreeVector) -> RationalVector:
     """theta_i = d_0 a_i - d d_i with d = sum n_i a_i: the ample-side
     character of a polarization, exact, with theta . n = 0 for every a."""
-    if len(a.a) != cfg.s:
-        raise ValueError("degree vector has wrong length")
+    _check_same_length("a", a.a, "mult", cfg.s)
     den, ia = cleared(a.a)
     return tuple(Fraction(x, den) for x in _character(cfg.total_h0deg, cfg.mult, cfg.h0deg, ia))
 
@@ -859,8 +857,7 @@ def _xi(h0deg: IntVector, den: int, ia: Sequence[int]) -> IntVector:
 
 def det_weight_vector(cfg: CurveConfig, a: DegreeVector, ell: int) -> RationalVector:
     """Per-vertex determinant weights (a_i * ell + chi_i)."""
-    if len(a.a) != cfg.s:
-        raise ValueError("degree vector has wrong length")
+    _check_same_length("a", a.a, "mult", cfg.s)
     return tuple(x * ell + c for x, c in zip(a.a, cfg.chi))
 
 

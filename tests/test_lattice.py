@@ -196,7 +196,7 @@ def test_config_shape_and_entry_errors(args, invariant):
 
 
 def test_vector_of_beta_length_must_be_s(elliptic_pair):
-    with pytest.raises(ValueError, match="beta length 3 != s = 2"):
+    with pytest.raises(ValueError, match="beta has length 3, but mult has length 2"):
         vector_of_beta(elliptic_pair, (1, 0, 1))
 
 def test_total_euler_zero_rejected():

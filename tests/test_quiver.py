@@ -87,7 +87,7 @@ def test_d_form_examples(elliptic_pair, affine_a1):
     assert p_of(qe, (1, 1)) == 3
     assert p_of(qa, (1, 0)) == 0
     assert p_of(qa, (0, 0)) == 1
-    with pytest.raises(ValueError, match="dimension vector length 3 != s = 2"):
+    with pytest.raises(ValueError, match="beta has length 3, but loops has length 2"):
         d_form(qa, (1, 1, 1))
 
 

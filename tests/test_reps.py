@@ -312,6 +312,33 @@ def test_broken_ci_dimension_identity_is_an_assertion(affine_a1, monkeypatch, tm
     assert "internal assertion failed: dim Rep - (n.n - 1)" in captured.err
 
 
+def test_trials_past_the_bound_are_refused_before_the_first(affine_a1, monkeypatch, tmp_path,
+                                                            capsys):
+    """Each trial runs one Gauss-Newton search and adds a line to the report;
+    past ``reps.MAX_TRIALS`` the library and ``moment-verify`` (exit 3)
+    refuse before the first search. 10^9 trials would run for days."""
+    q = quiver_from_config(affine_a1)
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(config_document(affine_a1)))
+
+    def no_search(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(reps, "_gauss_newton", no_search)
+    assert cli.dispatch(["moment-verify", str(path), "--trials", str(10**9)]) == cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"[ci-trials]: {10**9} trials, more than {reps.MAX_TRIALS}" in captured.err
+    monkeypatch.undo()
+    monkeypatch.setattr(reps, "MAX_TRIALS", 2)
+    assert cli.dispatch(["moment-verify", str(path), "--json", "--trials", "2"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["report"]["matching_trials"] == 2
+    monkeypatch.setattr(reps, "_gauss_newton", no_search)
+    with pytest.raises(InvariantError, match="3 trials, more than 2") as e:
+        verify_ci_dim(q, (1, 1), trials=3)
+    assert e.value.invariant == "ci-trials"
+
+
 def test_verify_ci_dim_names_a_negative_seed(affine_a1):
     q = quiver_from_config(affine_a1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
