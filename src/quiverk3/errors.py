@@ -1,8 +1,11 @@
-"""Exception and warning types shared across the package, and the input
-checks that every layer shares: integer vectors, lengths, counts, tolerances."""
+"""Exception and warning types shared across the package, and the input checks
+every layer shares: integers, rationals, stability parameters, lengths, counts."""
 
 import math
 import numbers
+from fractions import Fraction
+
+from .linalg import cleared
 
 
 class SchemaError(ValueError):
@@ -48,6 +51,28 @@ def _as_int_vector(entries) -> tuple[int, ...]:
         if isinstance(e, bool) or not isinstance(e, numbers.Integral):
             raise InvariantError("integrality", f"expected integer entry, got {e!r}")
     return tuple(map(int, out))
+
+
+def _as_rational(e, what: str):
+    """e as an int or a Fraction (a numpy integer as a Python int, a sympy Rational as
+    a Fraction); a bool, float, string or None raises ``InvariantError("rationality")``."""
+    if type(e) is int or type(e) is Fraction:
+        return e
+    if isinstance(e, numbers.Rational) and not isinstance(e, bool):
+        if isinstance(e, numbers.Integral):
+            return int(e)
+        return Fraction(int(e.numerator), int(e.denominator))
+    raise InvariantError("rationality", f"{what} must have rational entries, got {e!r}")
+
+
+def _stability_parameter(theta, n) -> tuple[int, list[int]]:
+    """theta (``_as_rational``, of n's length, theta . n = 0) as (den, den * theta)."""
+    theta = [_as_rational(t, "theta") for t in theta]
+    _check_same_length("theta", theta, "n", len(n))
+    den, itheta = cleared(theta)
+    if sum(t * x for t, x in zip(itheta, n)):
+        raise ValueError("theta . n != 0: not a valid stability parameter")
+    return den, itheta
 
 
 def _check_same_length(name: str, seq, other: str, size: int) -> None:

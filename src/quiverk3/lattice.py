@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantError, NonPrimitivityWarning, _as_int_vector, _check_same_length
+from .errors import (InvariantError, NonPrimitivityWarning, _as_int_vector, _as_rational,
+                     _check_same_length)
 
 IntVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
@@ -121,12 +122,13 @@ class MukaiVector:
 
 @dataclass(frozen=True)
 class DegreeVector:
-    """Projection of an ample class: a_i = H . D_i, all positive rationals."""
+    """Projection of an ample class: a_i = H . D_i, all positive rationals, each
+    taken by ``_as_rational`` and stored as a ``Fraction``."""
 
     a: RationalVector
 
     def __post_init__(self):
-        a = tuple(Fraction(x) for x in self.a)
+        a = tuple(Fraction(_as_rational(x, "a")) for x in self.a)
         object.__setattr__(self, "a", a)
         if any(x <= 0 for x in a):
             raise InvariantError(
@@ -136,7 +138,7 @@ class DegreeVector:
 
 def degrees(cfg: CurveConfig) -> DegreeVector:
     """The base polarization H_0 as a degree vector."""
-    return DegreeVector(tuple(Fraction(d) for d in cfg.h0deg))
+    return DegreeVector(cfg.h0deg)
 
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector, cfg: CurveConfig) -> int:

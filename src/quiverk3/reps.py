@@ -56,7 +56,6 @@ runs on flat vectors and on one pattern, built per call of
 
 from __future__ import annotations
 
-import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -68,11 +67,13 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import InvariantError, MathAssertionError, _check_count, _check_same_length, _check_tol
+from .errors import (InvariantError, MathAssertionError, _as_rational, _check_count,
+                     _check_same_length, _check_tol, _stability_parameter)
 from .quiver import (
     DimVector, Quiver, cb_simple_exists, check_bound, checked_box, mu_zero_expected_dim,
     rep_space_dim,
 )
+from .walls import theta_dot
 
 EXACT = "exact"
 FLOAT = "float"
@@ -82,27 +83,12 @@ _ZERO = {EXACT: Fraction(0), FLOAT: 0j}
 _DTYPE = {EXACT: object, FLOAT: complex}
 
 
-def _exact_entry(e, what: str):
-    """e as an exact scalar, an int or a Fraction: an integer of any other
-    type (a numpy integer, a bool) becomes a Python int, so that no product
-    of stored entries runs in fixed width, and any other rational (a sympy
-    Rational, a Fraction subclass) becomes a Fraction; a non-rational entry
-    is refused."""
-    if isinstance(e, numbers.Integral):
-        return int(e)
-    if isinstance(e, numbers.Rational):
-        return Fraction(int(e.numerator), int(e.denominator))
-    raise ValueError(f"{what} must have rational entries")
-
-
 def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndarray:
     """m as a rows x cols array of the mode's dtype. The shape is checked on
     the nested rows first, so a transposed or ragged input cannot be hidden
     by a reshape; a matrix with no rows carries no column count. Exact mode
-    refuses entries that are not rational instead of converting them, and
-    stores integers as Python ints, in a read-only copy that the input can
-    no longer change. Float mode returns a complex array of the right shape
-    as it is."""
+    takes each entry by ``errors._as_rational``, in a read-only copy that the
+    input can no longer change. Float mode returns a complex array as it is."""
     if isinstance(m, np.ndarray) and m.ndim == 2:
         ok = m.shape == (rows, cols)
     else:
@@ -114,7 +100,7 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
         raise ValueError(f"{what} must be {rows} x {cols}")
     out = np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
     if mode == EXACT:
-        entries = [e if type(e) in (Fraction, int) else _exact_entry(e, what) for e in out.flat]
+        entries = [e if type(e) in (Fraction, int) else _as_rational(e, what) for e in out.flat]
         out = np.empty((rows, cols), dtype=object)
         out.flat[:] = entries
         out.flags.writeable = False
@@ -460,8 +446,9 @@ def solve_moment_zero(
     one Representation, viewing the final iterate, is built at the end.
     Deterministic given the seed. Refuses a negative ``seed`` and a ``tol``
     that is not positive and finite; raises RuntimeError (carrying the
-    final residual) on non-convergence.
+    final residual) on non-convergence. n must pass ``check_bound``.
     """
+    n = check_bound(q, n)
     _check_count("seed", seed)
     _check_tol("tol", tol)
     z, _ = _gauss_newton(q, n, _differential_pattern(q, n), seed, tol)
@@ -518,7 +505,8 @@ def verify_ci_dim(
     residual is its search's last norm. Refuses a negative ``trials`` or
     ``seed`` and a tolerance that is not positive and finite
     (``ValueError``), and more than ``MAX_TRIALS`` trials
-    (``InvariantError("ci-trials")``)."""
+    (``InvariantError("ci-trials")``). n must pass ``check_bound``."""
+    n = check_bound(q, n)
     _check_count("trials", trials)
     if trials > MAX_TRIALS:
         raise InvariantError("ci-trials", f"{trials} trials, more than {MAX_TRIALS}")
@@ -702,7 +690,7 @@ def _cyclic_spans(rep: Representation, vertex: int, vector: Sequence) -> list[li
     """The spans, one per vertex, of the closure of the cleared vector, as
     an n_vertex x 1 block, under the representation's cleared arrows."""
     spans = [linalg.Span() for _ in rep.n]
-    seed = np.array(linalg.cleared(map(Fraction, vector))[1], dtype=object).reshape(-1, 1)
+    seed = np.array(linalg.cleared(vector)[1], dtype=object).reshape(-1, 1)
     _closure(rep.n, rep._arrows, vertex, seed, [sp.add for sp in spans])
     return spans
 
@@ -717,7 +705,7 @@ def cyclic_subrep(
     if not 0 <= vertex < len(rep.n):
         raise ValueError(f"vertex {vertex} is not in 0..{len(rep.n) - 1}")
     _check_same_length("vector", vector, f"V_{vertex}", rep.n[vertex])
-    return _graded(_cyclic_spans(rep, vertex, vector))
+    return _graded(_cyclic_spans(rep, vertex, [_as_rational(x, "vector") for x in vector]))
 
 
 def _invariance_holds(rep: Representation, spans: Sequence[linalg.Span]) -> bool:
@@ -742,12 +730,11 @@ def graded_invariance_holds(rep: Representation, bases: Sequence[Sequence[Sequen
 
 
 def slope_theta(theta: Sequence, beta: Sequence[int]) -> Fraction:
-    """(theta . beta) / sum(beta); beta must be nonzero, of theta's length."""
-    _check_same_length("theta", theta, "beta", len(beta))
+    """``theta_dot(theta, beta) / sum(beta)``, for a nonzero beta of theta's length."""
+    num = theta_dot(theta, beta)
     tot = sum(beta)
     if tot == 0:
         raise ValueError("slope of the zero dimension vector is undefined")
-    num = sum((Fraction(t) * b for t, b in zip(theta, beta)), Fraction(0))
     return num / tot
 
 
@@ -1089,8 +1076,8 @@ def check_stability(
     ``StrictlySemistableWitness``. Absence of a witness is reported as
     NoDestabilizerFound and is in general not a semistability proof.
 
-    Both modes clear theta to integers once, so each candidate's slope is
-    one ``Fraction``, equal to ``slope_theta``'s.
+    Both modes take theta by ``_stability_parameter``, cleared to integers
+    once, so each candidate's slope is one ``Fraction``, ``slope_theta``'s.
 
     Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE`` before any probe
     (``InvariantError("search-size")``). It skips the search exactly when
@@ -1112,12 +1099,8 @@ def check_stability(
     order, and the first it certifies wins.
     """
     budget = budget or SearchBudget()
-    theta = tuple(Fraction(t) for t in theta)
     n = rep.n
-    _check_same_length("theta", theta, "n", len(n))
-    den, itheta = linalg.cleared(theta)
-    if sum(map(operator.mul, itheta, n)) != 0:
-        raise ValueError("theta . n != 0: not a valid stability parameter")
+    den, itheta = _stability_parameter(theta, n)
 
     def ranked(candidates):
         """The (slope, beta, x) of the candidates (beta, x) of slope >= 0, by

@@ -25,7 +25,7 @@ points, and a wall slice its vertices, in integers over one denominator, and
 the correspondence's samples, probes and genericity test run on them. A
 ``Fraction`` is made only where a report spells a value (representatives,
 characters, a probe's a and theta), or where a public function reads
-rational input (``theta_dot``, ``is_generic``, ``restrict_weights_to_type``).
+rational input (``errors._as_rational``: ``theta_dot``, ``restrict_weights_to_type``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from itertools import compress
 from operator import mul
 from typing import Sequence
 
-from .errors import InvariantError, MathAssertionError, _check_count, _check_same_length
+from .errors import (InvariantError, MathAssertionError, _as_rational, _check_count,
+                     _check_same_length, _stability_parameter)
 from .lattice import CurveConfig, DegreeVector, RationalVector
 from .linalg import cleared, primitive
 from .quiver import (
@@ -50,9 +51,9 @@ from .quiver import (
     check_bound,
     checked_box,
     Decomposition,
-    is_positive_root,
     quiver_from_config,
     _decompositions,
+    _roots_upto,
     _simple_table,
 )
 
@@ -60,8 +61,9 @@ IntVector = tuple[int, ...]
 
 
 def theta_dot(theta: Sequence, beta: Sequence) -> Fraction:
+    """theta . beta as a ``Fraction``, theta's entries taken by ``_as_rational``."""
     _check_same_length("theta", theta, "beta", len(beta))
-    return sum((Fraction(t) * b for t, b in zip(theta, beta)), Fraction(0))
+    return sum((_as_rational(t, "theta") * b for t, b in zip(theta, beta)), Fraction(0))
 
 
 def _sign_insensitive_key(coeffs: Sequence[int]) -> IntVector | None:
@@ -135,29 +137,25 @@ class GenericityVerdict:
 
 
 def is_generic(theta: Sequence, q: Quiver, n: DimVector) -> GenericityVerdict:
-    """theta is n-generic iff theta . alpha != 0 for every alpha in R_+(n)."""
-    _check_same_length("theta", theta, "n", len(n))
-    return _genericity(theta, n, bounded_roots(q, n))
+    """The stability parameter theta (``_stability_parameter``) is n-generic iff
+    theta . alpha != 0 for every alpha in R_+(n)."""
+    return _genericity(theta, check_bound(q, n), bounded_roots(q, n))
 
 
 def _genericity(theta: Sequence, n: DimVector, roots: Sequence[DimVector]) -> GenericityVerdict:
     """``is_generic`` at n, given R_+(n): theta cleared to integers once,
     then one integer dot per root."""
-    _, itheta = cleared([Fraction(t) for t in theta])
-    if sum(map(mul, itheta, n)):
-        raise ValueError("theta . n != 0: not a valid stability parameter")
+    _, itheta = _stability_parameter(theta, n)
     violators = tuple(alpha for alpha in roots if not sum(map(mul, itheta, alpha)))
     return GenericityVerdict(not violators, violators)
 
 
 def chamber_signature(theta: Sequence, walls: Sequence[QuiverWall]) -> tuple[int, ...]:
     """Sign of theta against each canonical wall normal; 0 marks wall points.
-    A normal of another length than theta is refused (``theta_dot``)."""
-    out = []
-    for w in walls:
-        v = theta_dot(theta, w.normal)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
+    theta's entries are taken by ``_as_rational`` once, also where there is
+    no wall; a normal of another length than theta is refused (``theta_dot``)."""
+    theta = [_as_rational(t, "theta") for t in theta]
+    return tuple((v > 0) - (v < 0) for v in (theta_dot(theta, w.normal) for w in walls))
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +583,7 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     A one-vertex n has no wall structure: it raises ``ValueError``, where
     ``LocalModel.chambers`` is None.
     """
+    n = check_bound(q, n)
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
     return _chambers(n, quiver_walls(q, n))
@@ -779,15 +778,15 @@ class LocalModel:
         return self.cfg.mult
 
     @cached_property
-    def roots(self) -> tuple[DimVector, ...]:
-        """R_+(n): the model's one root scan."""
-        return tuple(bounded_roots(self.quiver, self.n))
+    def roots_upto(self) -> tuple[DimVector, ...]:
+        """The roots 0 < alpha <= n in lexicographic order, n last when it is
+        a root: the model's one root scan."""
+        return _roots_upto(self.quiver, self.n)
 
     @cached_property
-    def roots_upto(self) -> tuple[DimVector, ...]:
-        """The roots 0 < alpha <= n in lexicographic order: R_+(n), then n
-        when it is a root."""
-        return self.roots + ((self.n,) if is_positive_root(self.quiver, self.n) else ())
+    def roots(self) -> tuple[DimVector, ...]:
+        """R_+(n): ``roots_upto`` without n."""
+        return tuple(alpha for alpha in self.roots_upto if alpha != self.n)
 
     @cached_property
     def quiver_walls(self) -> tuple[QuiverWall, ...]:
@@ -871,21 +870,19 @@ def restrict_weights_to_type(
     """Block weights of a decomposition: part (k, beta) acts with weight
     sum_l beta_l * weights_l, which must equal ell * (beta . a) + beta . chi.
 
-    Weights or degrees a of another length than mult are refused
-    (``ValueError``); the identity is asserted exactly, and a failure is an
-    internal bug.
+    Each weight is taken by ``_as_rational``, and weights or degrees a of
+    another length than mult are refused (``ValueError``); the identity is
+    asserted exactly, and a failure is an internal bug.
     """
-    weights = tuple(Fraction(w) for w in weights)
+    weights = tuple(_as_rational(w, "weights") for w in weights)
     _check_same_length("weights", weights, "mult", len(cfg.mult))
     _check_same_length("a", a.a, "mult", len(cfg.mult))
     if tau.total != cfg.mult:
         raise ValueError(f"decomposition total {tau.total} != mult {cfg.mult}")
     out = []
     for _, beta in tau.parts:
-        got = sum((Fraction(b) * w for b, w in zip(beta, weights)), Fraction(0))
-        expected = ell * sum(
-            (Fraction(b) * x for b, x in zip(beta, a.a)), Fraction(0)
-        ) + sum(b * c for b, c in zip(beta, cfg.chi))
+        got = sum((b * w for b, w in zip(beta, weights)), Fraction(0))
+        expected = ell * _dot(beta, a.a) + _dot(beta, cfg.chi)
         if got != expected:
             raise MathAssertionError(
                 f"block weight {got} != {expected} for part {beta}"

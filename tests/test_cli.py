@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1115,3 +1116,19 @@ def test_the_package_serves_the_representation_names_from_reps():
     assert {"cli", "LocalModel", "__version__"} <= set(dir(quiverk3))
     with pytest.raises(AttributeError, match="no_such_name"):
         quiverk3.no_such_name  # noqa: B018
+
+
+def test_every_invariant_name_is_documented():
+    """Each ``InvariantError`` name raised in ``src/`` is documented: as
+    ``[name]`` in docs/schema.md, the CLI's exit-3 diagnostics, or in
+    README.md, which names those the library alone raises, as ``name`` or
+    ``InvariantError("name")``."""
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    for path in (root / "src").rglob("*.py"):
+        names.update(re.findall(r'InvariantError\(\s*"([a-z0-9-]+)"', path.read_text()))
+    schema = (root / "docs" / "schema.md").read_text()
+    readme = (root / "README.md").read_text()
+    missing = [n for n in sorted(names) if f"[{n}]" not in schema
+               and f"`{n}`" not in readme and f'InvariantError("{n}")' not in readme]
+    assert len(names) >= 20 and not missing, missing

@@ -1,33 +1,57 @@
 """Per-vertex input is refused by one rule per kind of check.
 
 ``errors._as_int_vector`` decides whether entries are integers,
+``errors._as_rational`` whether they are exact rationals,
+``errors._stability_parameter`` whether theta is a stability parameter,
 ``errors._check_same_length`` whether a vector has one entry per vertex,
 and ``quiver.check_bound`` whether a dimension vector fits its quiver.
 Hypothesis draws a valid per-vertex vector for one of the public entry
-points and spoils it once: one entry becomes a float, a string, a bool or
-None, an entry is dropped or added, or an entry turns negative where
-negatives are not allowed. Each spoiled input must raise ``ValueError``
-(``InvariantError`` is one), never ``TypeError`` or ``IndexError``, and
-never return a value.
+points and spoils it once: one entry becomes a float, a string, a bool,
+None, inf or nan, an entry is dropped or added, or an entry turns negative
+where negatives are not allowed. Each spoiled input must raise
+``ValueError`` (``InvariantError`` is one), never ``TypeError``,
+``IndexError``, ``OverflowError`` or ``MathAssertionError``, and never
+return a value. A rational entry respelled as a numpy integer or a sympy
+``Rational`` of the same value must give the same answer.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverk3 import (
     CurveConfig,
+    DegreeVector,
     GroupElement,
+    InvariantError,
     Quiver,
     Representation,
+    SearchBudget,
     act,
     annihilator_witness,
     bounded_roots,
+    chamber_signature,
+    check_stability,
+    cyclic_subrep,
+    decompositions,
+    degrees,
+    det_weight_vector,
+    enumerate_chambers,
+    is_generic,
+    quiver_walls,
+    random_representation,
+    restrict_weights_to_type,
+    slope_theta,
+    solve_moment_zero,
+    theta_dot,
+    verify_ci_dim,
     zero_representation,
 )
 from quiverk3.lattice import MukaiVector
@@ -91,6 +115,12 @@ def _bounded_roots(draw, q):
     return bounded_roots(q, draw(spoiled(n, (ENTRY, SHORT, LONG, NEGATIVE))))
 
 
+def _dimension_vector(call):
+    def case(draw, q):
+        return call(q, draw(spoiled((1,) * q.s, (ENTRY, SHORT, LONG, NEGATIVE))))
+    return case
+
+
 def _act(draw, q):
     rep = zero_representation(q, (1,) * q.s)
     blocks = draw(spoiled(((Fraction(1),),) * q.s, LENGTHS))
@@ -109,8 +139,19 @@ def _annihilator(draw, q):
     return annihilator_witness(rep, beta, draw(spoiled(bases, LENGTHS)))
 
 
+def verify_ci_dim_once(q, n):
+    return verify_ci_dim(q, n, trials=1)
+
+
+def is_generic_at_large_theta(q, n):
+    # past int64, so that a numpy n would overflow theta . n
+    return is_generic((10**20, -10**20) + (0,) * (q.s - 2), q, n)
+
+
+DIMENSION_CALLS = (enumerate_chambers, verify_ci_dim_once, solve_moment_zero,
+                   is_generic_at_large_theta)
 CALLS = (_quiver, _representation, _curve_config, _mukai_vector, _bounded_roots, _act,
-         _graded_invariance, _annihilator)
+         _graded_invariance, _annihilator, *map(_dimension_vector, DIMENSION_CALLS))
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,3 +178,128 @@ def test_numpy_integers_are_stored_as_python_ints():
     assert all(map(python_ints, (*cfg.gram, cfg.chi, cfg.mult, cfg.h0deg)))
     assert python_ints(MukaiVector(0, np.array([1, -1]), 0).div)
     assert bounded_roots(q, np.array([1, 1])) == bounded_roots(q, (1, 1))
+
+
+@pytest.mark.parametrize("call", DIMENSION_CALLS)
+def test_numpy_dimension_vectors_are_accepted(call):
+    for q in QUIVERS[1:]:
+        n = (1,) * q.s
+        assert repr(call(q, np.array(n))) == repr(call(q, n))
+
+
+# rational input: theta, degree vectors, weights, cyclic_subrep's vector and
+# exact matrix entries
+AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))  # QUIVERS[1] at n = (1, 1)
+RATIONALS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2))
+EXACT, INEXACT = "exact", "inexact"
+
+
+def _inexact_spellings(x: Fraction) -> list:
+    """Spellings of x that are not exact rationals; the float, string and
+    bool ones keep its value."""
+    out = [float(x), str(x), None, math.inf, math.nan]
+    return out + [bool(x)] if x in (0, 1) else out
+
+
+def _exact_spellings(x: Fraction) -> list:
+    out = [sympy.Rational(x.numerator, x.denominator)]
+    return out + [np.int64(x.numerator)] if x.denominator == 1 else out
+
+
+def _theta(draw, q):
+    """A stability parameter at n = (1, ..., 1): (x, -x, 0, ...)."""
+    x = draw(st.sampled_from(RATIONALS))
+    return (x, -x) + (Fraction(0),) * (q.s - 2)
+
+
+def _is_generic(draw, q):
+    return lambda t: is_generic(t, q, (1,) * q.s), _theta(draw, q)
+
+
+def _check_stability_exact(draw, q):
+    rep = random_representation(q, (1,) * q.s, seed=1)
+    return lambda t: check_stability(rep, t), _theta(draw, q)
+
+
+def _check_stability_float(draw, q):
+    rep = random_representation(q, (1,) * q.s, seed=1, mode="float")
+    budget = SearchBudget(restarts=1, iters=5)
+    return lambda t: check_stability(rep, t, budget), _theta(draw, q)
+
+
+def _theta_dot(draw, q):
+    return lambda t: theta_dot(t, (1, 2, 3)[:q.s]), _theta(draw, q)
+
+
+def _slope_theta(draw, q):
+    return lambda t: slope_theta(t, (1, 2, 3)[:q.s]), _theta(draw, q)
+
+
+def _chamber_signature(draw, q):
+    walls = quiver_walls(q, (1,) * q.s)
+    return lambda t: chamber_signature(t, walls), _theta(draw, q)
+
+
+def _cyclic_subrep(draw, q):
+    rep = random_representation(q, (2,) + (1,) * (q.s - 1), seed=draw(st.integers(0, 3)))
+    return lambda v: cyclic_subrep(rep, 0, v), tuple(draw(st.sampled_from(RATIONALS)) for _ in range(2))
+
+
+def _degree_vector(draw, q):
+    return DegreeVector, tuple(draw(st.sampled_from(RATIONALS[1::2])) for _ in range(q.s))
+
+
+def _restrict_weights(draw, q):
+    a, ell = degrees(AFFINE), draw(st.integers(-2, 2))
+    tau = decompositions(QUIVERS[1], AFFINE.mult)[0]
+    weights = det_weight_vector(AFFINE, a, ell)
+    return lambda w: restrict_weights_to_type(w, tau, AFFINE, a, ell), weights
+
+
+def _matrix_entries(draw, q):
+    """The 1 x 1 arrows of a representation at n = (1, ..., 1), as one vector;
+    the call rebuilds the representation and compares it with the original."""
+    rep = random_representation(q, (1,) * q.s, seed=draw(st.integers(0, 3)))
+
+    def build(entries):
+        pairs = zip(*[iter(entries)] * 2)
+        return Representation(q, rep.n, "exact", tuple(([[x]], [[y]]) for x, y in pairs)) == rep
+
+    return build, tuple(e for x, y in rep.mats for e in (x[0, 0], y[0, 0]))
+
+
+# the cases whose vector has a fixed length, one entry per vertex or per
+# dimension of V_0, so that a dropped or added entry is refused
+FIXED_LENGTH_CASES = (_is_generic, _check_stability_exact, _check_stability_float, _theta_dot,
+                      _slope_theta, _chamber_signature, _restrict_weights, _cyclic_subrep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_input_is_taken_by_one_rule(data):
+    """A rational vector respelled in one entry: an exact spelling gives the
+    answer of the valid vector, and any other spelling, or a dropped or
+    added entry of a vector of fixed length, raises ``ValueError``."""
+    case = data.draw(st.sampled_from(FIXED_LENGTH_CASES + (_degree_vector, _matrix_entries)),
+                     label="case")
+    q = data.draw(st.sampled_from(QUIVERS[1:]), label="quiver")
+    call, valid = case(data.draw, q)
+    kinds = (EXACT, INEXACT, *LENGTHS) if case in FIXED_LENGTH_CASES else (EXACT, INEXACT)
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind in LENGTHS:
+        spelled = data.draw(spoiled(valid, (kind,)))
+    else:
+        i = data.draw(st.integers(0, len(valid) - 1))
+        spellings = (_exact_spellings if kind == EXACT else _inexact_spellings)(Fraction(valid[i]))
+        spelled = (*valid[:i], data.draw(st.sampled_from(spellings)), *valid[i + 1:])
+    if kind == EXACT:
+        assert repr(call(spelled)) == repr(call(valid))
+    else:
+        with pytest.raises(ValueError):
+            call(spelled)
+
+
+def test_chamber_signature_takes_theta_without_walls():
+    with pytest.raises(InvariantError) as err:
+        chamber_signature((None,), [])
+    assert err.value.invariant == "rationality"

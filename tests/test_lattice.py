@@ -213,7 +213,10 @@ def test_total_euler_zero_rejected():
 def test_degree_vector_positive():
     with pytest.raises(InvariantError):
         DegreeVector((1, 0))
-    dv = DegreeVector(("1/2", 2))
+    with pytest.raises(InvariantError) as err:  # the CLI parses "p/q" strings, the library does not
+        DegreeVector(("1/2", 2))
+    assert err.value.invariant == "rationality"
+    dv = DegreeVector((Fraction(1, 2), 2))
     assert dv.a == (Fraction(1, 2), Fraction(2))
 
 

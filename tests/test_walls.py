@@ -918,12 +918,12 @@ def test_integer_wall_samples_match_the_fraction_loop():
 
 def test_genericity_matches_the_fraction_reference():
     """``_genericity`` clears theta to integers once; on seeded thetas with
-    int, ``Fraction``, float and "p/q" entries, on walls, off them and off
-    n-perp, it gives the verdict, or the ``ValueError``, of the ``Fraction``
-    reference."""
+    int and ``Fraction`` entries, on walls, off them and off n-perp, it gives
+    the verdict, or the ``ValueError``, of the ``Fraction`` reference. A
+    float or "p/q" entry is refused with ``InvariantError("rationality")``."""
     rng = random.Random(2502)
-    spellings = [lambda x: x, str, lambda x: float(x) if x.denominator in (1, 2, 4, 8) else x]
-    verdicts = raised = with_violators = 0
+    spellings = [lambda x: x, lambda x: x.numerator if x.denominator == 1 else x]
+    verdicts = raised = with_violators = refused = 0
     for _ in range(8):
         cfg = random_config(rng, s_min=2, s_max=4, mult_max=2, gram_bound=4)
         n, roots = cfg.mult, LocalModel(cfg).roots
@@ -945,6 +945,10 @@ def test_genericity_matches_the_fraction_reference():
         thetas.append([Fraction(1, 10)] * len(n))
         for theta in thetas:
             spelled = [rng.choice(spellings)(Fraction(x)) for x in theta]
+            for bad in (float, str):
+                with pytest.raises(InvariantError) as err:
+                    _genericity([bad(spelled[0]), *spelled[1:]], n, roots)
+                refused += err.value.invariant == "rationality"
             try:
                 want = reference_genericity(spelled, n, roots)
             except ValueError as err:
@@ -957,6 +961,7 @@ def test_genericity_matches_the_fraction_reference():
             with_violators += bool(want.violators)
     assert verdicts >= 150 and raised >= 100 and with_violators >= 100, (
         verdicts, raised, with_violators)
+    assert refused == 2 * (verdicts + raised)
 
 
 def test_correspondence_chamber_facts_match_per_chamber_oracle(affine_a1_22):
