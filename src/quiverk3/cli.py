@@ -15,7 +15,7 @@ import functools
 import json
 import operator
 import sys
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable
@@ -273,22 +273,21 @@ def _dumps(obj) -> str:
 
     The text is written in one pass onto one list of pieces, joined once.
     In a container's loop scalars, lists and tuples of scalars (one piece
-    each) and memo hits take no call. Two memos work per depth. A
-    dataclass instance met again at the same depth (the ``StratumPart``s
-    that strata records share) is encoded once: one memo maps its (id,
-    depth) to the instance, which the entry keeps alive so that the id is
-    not reused, and its text. A decomposition part ``(k, beta)`` is encoded
-    once per value and depth; that memo admits only exact ints, since
-    ``1 == True == 1.0`` spell differently.
+    each) and memo hits take no call. One memo works per depth: an object
+    met again at the same depth is spelled once. It maps the (id, depth) of
+    each object ``write`` spells to the object, which the entry keeps alive
+    so that the id is not reused, and the range of its pieces, joined on
+    the first reuse. The strata records share their ``StratumPart``s and
+    their decompositions' parts ``(k, beta)``, one object per value.
     """
-    memo = {}  # (id, depth) -> (dataclass instance, text)
-    pairs = defaultdict(dict)  # depth -> {(k, beta): text}
+    memo = {}  # (id, depth) -> (obj, start, end), then (obj, text) once reused
     out = []
     append = out.append
 
     def write(obj, indent: str) -> None:
-        """Append obj's text; the loop below reads the memos' hits."""
-        t, inner, layout = type(obj), indent + "  ", None
+        """Append obj's text and record its pieces; the loop below reads
+        the memo's hits."""
+        t, inner, start = type(obj), indent + "  ", len(out)
         if t is list or t is tuple:
             pre, values, close = chain(("[" + inner,), repeat("," + inner)), obj, indent + "]"
         elif t is dict:  # sorted as json sorts; a key that is no str raises here
@@ -297,50 +296,40 @@ def _dumps(obj) -> str:
         elif (layout := _layout(t, inner)) is not None:
             get, pre = layout
             values, close = get(obj) if get else (), indent + "}"
-        elif t is complex:
-            write(_complex_to_json(obj), indent)
-            return
-        elif (np := sys.modules.get("numpy")) and t is np.ndarray and obj.ndim == 2:
-            # an array exists only once numpy is loaded, so the test loads nothing
-            write([[_complex_to_json(complex(e)) for e in row] for row in obj.tolist()], indent)
-            return
         elif (spell := _SCALAR.get(t)) is not None:
             append(spell(obj))
             return
         else:
-            raise TypeError(f"cannot encode {t.__name__}")
+            if t is complex:
+                values = _complex_to_json(obj)
+            elif (np := sys.modules.get("numpy")) and t is np.ndarray and obj.ndim == 2:
+                # an array exists only once numpy is loaded, so the test loads nothing
+                values = [[_complex_to_json(complex(e)) for e in row] for row in obj.tolist()]
+            else:
+                raise TypeError(f"cannot encode {t.__name__}")
+            t, pre, close = list, chain(("[" + inner,), repeat("," + inner)), indent + "]"
         if not values:
             append("[]" if t is list or t is tuple else "{}")
             return
-        start, depth, deeper = len(out), len(inner), inner + "  "
-        isep, memo_d = "," + deeper, pairs[depth]
+        depth, deeper = len(inner), inner + "  "
+        isep = "," + deeper
         for p, v in zip(pre, values):
             tv = type(v)
             if (spell := _SCALAR.get(tv)) is not None:
                 append(p + spell(v))
-            elif (tv is tuple and len(v) == 2 and type(v[1]) is tuple and type(v[0]) is int
-                    and _INT.issuperset(map(type, v[1]))):  # a part (k, beta)
-                text = memo_d.get(v)
-                if text is None:
-                    at = len(out)
-                    write(v, inner)
-                    text = memo_d[v] = "".join(out[at:])
-                    del out[at:]
-                append(p + text)
+            elif (hit := memo.get((id(v), depth))) is not None:
+                if len(hit) == 3:
+                    hit = memo[id(v), depth] = (v, "".join(out[hit[1]:hit[2]]))
+                append(p + hit[1])
             elif (tv is tuple or tv is list) and v and _INT.issuperset(map(type, v)):  # no bools
                 append(p + "[" + deeper + isep.join(map(int.__repr__, v)) + inner + "]")
             elif (tv is tuple or tv is list) and v and _SCALARS.issuperset(map(type, v)):
                 append(p + "[" + deeper + isep.join([_SCALAR[type(x)](x) for x in v]) + inner + "]")
-            elif (hit := memo.get((id(v), depth))) is not None:
-                append(p + hit[1])
             else:
                 append(p)
                 write(v, inner)
         append(close)
-        if layout is not None:
-            text = "".join(out[start:])
-            out[start:] = (text,)
-            memo[id(obj), len(indent)] = (obj, text)
+        memo[id(obj), len(indent)] = (obj, start, len(out))
 
     try:
         write(obj, "\n")

@@ -209,7 +209,11 @@ def bounded_roots(q: Quiver, n: DimVector) -> list[DimVector]:
     """R_+(n): positive roots alpha <= n componentwise, excluding 0 and n.
     Raises ``InvariantError("root-box")`` when the box 0 <= alpha <= n holds
     more than ``MAX_ROOT_BOX`` vectors."""
-    n = check_bound(q, n)
+    return _roots_below(q, check_bound(q, n))
+
+
+def _roots_below(q: Quiver, n: DimVector) -> list[DimVector]:
+    """``bounded_roots`` of an n that passed ``check_bound``."""
     return [alpha for alpha in _roots_upto(q, n) if alpha != n]
 
 
@@ -262,9 +266,13 @@ def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decompo
     Remainders are packed vectors (``_packing``), so each fit test and each
     subtraction is one int operation. ``rec`` memoizes on (first root index,
     remainder) and each of its levels takes one part, so its depth is
-    bounded by the number of parts, not of roots."""
+    bounded by the number of parts, not of roots. Each part (k, root) is
+    made once, so equal parts are one object, which the report encoder
+    spells once."""
     w, guard = _packing(n)
     keys = [_pack(g, w) for g in roots]
+    # the part (k, roots[i]): ones[i] for k = 1, made[k, i] for k > 1
+    ones, made = [(1, r) for r in roots], {}
 
     @lru_cache(maxsize=None)
     def rec(j: int, rem: int) -> list[tuple[tuple[int, DimVector], ...]]:
@@ -279,7 +287,7 @@ def _decompositions(n: DimVector, roots: tuple[DimVector, ...]) -> tuple[Decompo
             k, d = 1, (rem | guard) - g
             while d & guard == guard:  # k * roots[i] <= rem
                 rest = d ^ guard
-                part = (k, roots[i])
+                part = ones[i] if k == 1 else made.setdefault((k, i), (k, roots[i]))
                 out += [(part,) + tail for tail in rec(i + 1, rest)] if rest else [(part,)]
                 k, d = k + 1, (rest | guard) - g
         # each entry completes this call's path to a distinct decomposition

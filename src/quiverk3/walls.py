@@ -53,6 +53,7 @@ from .quiver import (
     Decomposition,
     quiver_from_config,
     _decompositions,
+    _roots_below,
     _roots_upto,
     _simple_table,
 )
@@ -117,7 +118,8 @@ def _merge_by_hyperplane(
 
 def quiver_walls(q: Quiver, n: DimVector) -> list[QuiverWall]:
     """One wall per distinct proper hyperplane of n-perp cut by R_+(n)."""
-    return list(_nperp_walls(check_bound(q, n), bounded_roots(q, n)))
+    n = check_bound(q, n)
+    return list(_nperp_walls(n, _roots_below(q, n)))
 
 
 def _nperp_walls(n: DimVector, roots: Sequence[DimVector]) -> tuple[QuiverWall, ...]:
@@ -139,7 +141,8 @@ class GenericityVerdict:
 def is_generic(theta: Sequence, q: Quiver, n: DimVector) -> GenericityVerdict:
     """The stability parameter theta (``_stability_parameter``) is n-generic iff
     theta . alpha != 0 for every alpha in R_+(n)."""
-    return _genericity(theta, check_bound(q, n), bounded_roots(q, n))
+    n = check_bound(q, n)
+    return _genericity(theta, n, _roots_below(q, n))
 
 
 def _genericity(theta: Sequence, n: DimVector, roots: Sequence[DimVector]) -> GenericityVerdict:
@@ -586,7 +589,7 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     n = check_bound(q, n)
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
-    return _chambers(n, quiver_walls(q, n))
+    return _chambers(n, _nperp_walls(n, _roots_below(q, n)))
 
 
 def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:

@@ -316,10 +316,11 @@ class Parts:
 
 
 def test_value_equal_parts_of_other_types_keep_their_spelling():
-    """Decomposition parts ``(k, beta)`` are spelled once per value and
-    depth, yet ``1 == True == 1.0 == Fraction(1)`` spell differently: a part
-    that holds a bool or a float must not take the text of an equal part
-    of ints, nor the other way round, at the same depth or another."""
+    """The memo is keyed on identity, never on value: ``1 == True == 1.0 ==
+    Fraction(1)`` spell differently, so a decomposition part ``(k, beta)``
+    that holds a bool or a float must not take the text of an equal part of
+    ints, nor the other way round, at the same depth or another, while one
+    list of them met again is spelled from its first text."""
     same = [(1, (1, 2)), (1, (True, 2)), (True, (1, 2)), (1, (1.0, 2)), (1, (Fraction(1), 2))]
     for parts in (same, same[::-1]):
         assert_same_text({"a": Parts(tuple(parts)), "b": [Parts(tuple(parts)), parts],

@@ -224,6 +224,20 @@ def test_decompositions_recurse_once_per_part_not_per_root():
     assert len(decs) == 4140  # the Bell number B_8
 
 
+def test_equal_parts_are_one_object():
+    """Each part (k, beta) of a model's decompositions is made once, so the
+    report encoder's identity memo spells each value once: the 8-curve
+    clique's 4140 decompositions hold 17007 parts of 255 values, one object
+    each; so on seeded draws with multiplicities above 1."""
+    rng = random.Random(43)
+    cfgs = [_clique(8)] + [random_config(rng, 1, 4, mult_max=3) for _ in range(40)]
+    for cfg in cfgs:
+        parts = [p for d in LocalModel(cfg).decompositions for p in d.parts]
+        assert len({id(p) for p in parts}) == len(set(parts)), cfg
+    parts = [p for d in LocalModel(cfgs[0]).decompositions for p in d.parts]
+    assert (len(parts), len(set(parts))) == (17007, 255)
+
+
 def test_nine_curve_clique_strata():
     # 511 roots, 21147 = B_9 decompositions, one stratum record each
     cfg = _clique(9)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverk3 import quiver as quiver_module
 from quiverk3 import walls as walls_module
 from quiverk3.linalg import cleared
 from quiverk3 import (
@@ -36,6 +37,7 @@ from quiverk3 import (
     xi_map,
 )
 from quiverk3.cli import EXIT_ASSERTION, dispatch, parse_config_document
+from quiverk3.quiver import Quiver, check_bound
 from quiverk3.walls import (
     ChamberSet,
     QuiverWall,
@@ -148,6 +150,28 @@ def test_enumerate_chambers_fixtures(affine_a1, elliptic_pair):
         assert is_generic(r, qa, (1, 1)).generic
     qe = quiver_from_config(elliptic_pair)
     assert enumerate_chambers(qe, (1, 1)).count == 2
+
+
+def test_each_entry_point_checks_n_once(monkeypatch):
+    """``enumerate_chambers``, ``quiver_walls`` and ``is_generic`` each run
+    ``check_bound`` once per call and read one root scan of the checked n."""
+    calls = []
+
+    def spy(q, n):
+        calls.append(n)
+        return check_bound(q, n)
+
+    monkeypatch.setattr(walls_module, "check_bound", spy)
+    monkeypatch.setattr(quiver_module, "check_bound", spy)
+    q, n = Quiver((0, 0), ((0, 2), (2, 0))), (1, 1)
+    counts = []
+    for call in (lambda: enumerate_chambers(q, n), lambda: quiver_walls(q, n),
+                 lambda: is_generic((1, -1), q, n)):
+        calls.clear()
+        call()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+    assert enumerate_chambers(q, n).count == 2 and len(quiver_walls(q, n)) == 1
 
 
 def test_enumerate_chambers_one_vertex(ogrady):
