@@ -220,15 +220,20 @@ def _roots_below(q: Quiver, n: DimVector) -> list[DimVector]:
 @dataclass(frozen=True)
 class Decomposition:
     """A multiset of (k, beta) parts with pairwise distinct root beta,
-    sum k*beta = n. The trivial decomposition is the single part (1, n)."""
+    sum k*beta = n. The trivial decomposition is the single part (1, n).
+    Each beta is taken through ``_as_int_vector`` and each k must be a
+    positive integer (not a bool), else ``ValueError``."""
 
     parts: tuple[tuple[int, DimVector], ...]
 
     def __post_init__(self):
-        parts = tuple(
-            sorted(((int(k), tuple(b)) for k, b in self.parts), key=lambda p: (p[1], p[0]))
-        )
-        object.__setattr__(self, "parts", parts)
+        parts = []
+        for k, b in self.parts:
+            (k,) = _as_int_vector((k,))
+            if k < 1:
+                raise ValueError(f"a part's multiplicity must be positive, got {k}")
+            parts.append((k, _as_int_vector(b)))
+        object.__setattr__(self, "parts", tuple(sorted(parts, key=lambda p: (p[1], p[0]))))
 
     @property
     def total(self) -> DimVector:

@@ -61,7 +61,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -242,8 +242,10 @@ def moment_map(rep: Representation) -> tuple:
     return _moment_blocks(rep.quiver, rep.n, rep.mats, rep.zero)
 
 
-def _moment_blocks(q: Quiver, n: DimVector, mats, zero) -> tuple:
-    blocks = [np.full((ni, ni), zero) for ni in n]
+def _moment_blocks(q: Quiver, n: DimVector, mats, zero, lead: tuple = ()) -> tuple:
+    """The blocks of ``moment_map`` at the (x_e, y_e) pairs ``mats``; with
+    ``lead`` a stack's leading shape, one stacked block per vertex."""
+    blocks = [np.full((*lead, ni, ni), zero) for ni in n]
     for (s, t, _), (x, y) in zip(q.orientation, mats):
         if n[s] == 0 or n[t] == 0:
             continue  # contributions through a zero space vanish
@@ -370,13 +372,14 @@ def _flatten_mats(rep: Representation) -> np.ndarray:
 
 
 def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> tuple:
-    """The (x_e, y_e) pairs of a flat vector, as views into it."""
+    """The (x_e, y_e) pairs of a flat vector, as views into it; of a stack
+    of flat vectors (its last axis), the stacked pairs."""
     mats = []
-    pos = 0
+    pos, lead = 0, vec.shape[:-1]
     for s, t, _ in q.orientation:
-        x = vec[pos : pos + n[t] * n[s]].reshape(n[t], n[s])
+        x = vec[..., pos : pos + n[t] * n[s]].reshape(*lead, n[t], n[s])
         pos += n[t] * n[s]
-        y = vec[pos : pos + n[s] * n[t]].reshape(n[s], n[t])
+        y = vec[..., pos : pos + n[s] * n[t]].reshape(*lead, n[s], n[t])
         pos += n[s] * n[t]
         mats.append((x, y))
     return tuple(mats)
@@ -384,15 +387,40 @@ def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> tuple:
 
 def _float_draw(q: Quiver, n: DimVector, seed: int) -> np.ndarray:
     """The flat vector of ``random_representation(q, n, seed, "float")``:
-    block by block, standard normal real parts, then imaginary parts."""
-    rng = np.random.default_rng(seed)
-    parts = [rng.standard_normal(k) + 1j * rng.standard_normal(k)
-             for s, t, _ in q.orientation for k in (n[s] * n[t],) * 2]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    block by block, standard normal real parts, then imaginary parts. All
+    2N normals come from one ``standard_normal(2N)`` call, the stream of
+    one call per block, and each block's real and imaginary parts are
+    gathered from it by index."""
+    sizes = np.array([k for s, t, _ in q.orientation for k in (n[s] * n[t],) * 2], dtype=np.intp)
+    # the block at offset o of size k drew its real parts at 2o..2o+k-1
+    # and its imaginary parts at 2o+k..2o+2k-1: entry p of it at p + o
+    re = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    re += np.arange(len(re))
+    g = np.random.default_rng(seed).standard_normal(2 * len(re))
+    return g[re] + 1j * g[re + np.repeat(sizes, sizes)]
 
 
 def _residual(blocks) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in blocks])
+    """The blocks laid end to end, each row-major; stacked blocks give one
+    residual per stack entry."""
+    return np.concatenate([b.reshape(*b.shape[:-2], -1) for b in blocks], axis=-1)
+
+
+def _residuals(q: Quiver, n: DimVector, Z: np.ndarray) -> np.ndarray:
+    """The residual of each row of Z, a stack of flat vectors, in one
+    stacked pass. Each edge does one stacked x @ y and y @ x, which
+    multiply each slice as the 2-D product does, added into zero blocks in
+    orientation order: row i is ``_residual(_moment_blocks(...))`` at
+    Z[i], bit for bit."""
+    return _residual(_moment_blocks(q, n, _unflatten_mats(q, n, Z), 0j, Z.shape[:-1]))
+
+
+def _norm(r: np.ndarray) -> float:
+    """``np.linalg.norm`` of the 1-D complex r by its own formula,
+    sqrt(re . re + im . im), bit for bit; ``norm(axis=1)`` of a stack sums
+    in another order."""
+    re, im = r.real, r.imag
+    return sqrt(re.dot(re) + im.dot(im))
 
 
 def moment_residual_norm(rep: Representation) -> float:
@@ -400,34 +428,65 @@ def moment_residual_norm(rep: Representation) -> float:
     return float(np.linalg.norm(_residual(moment_map(rep))))
 
 
-def _gauss_newton(q: Quiver, n: DimVector, pattern: tuple, seed: int, tol: float) -> tuple:
-    """The search of ``solve_moment_zero`` on the d(mu) ``pattern`` of (q,
-    n): the final flat iterate and its residual norm, a float. Each of 101
-    passes checks the residual, and the first 100 take a step."""
+def _gauss_newton(q: Quiver, n: DimVector, pattern: tuple, seeds: Sequence[int],
+                  tol: float) -> list:
+    """The searches of ``solve_moment_zero`` from each of ``seeds`` (at
+    least one) on the d(mu) ``pattern`` of (q, n), run as one batch: per
+    seed, its final flat iterate and residual norm (a float), or the text
+    of the ``RuntimeError`` its search ends with. Each seed's trajectory is
+    bit for bit that of a search run alone.
+
+    The iterates of the live seeds are the rows of one array, and their
+    residuals come from one stacked pass (``_residuals``). Each of 101
+    passes checks each live seed's norm, and the first 100 take a step: a
+    seed gets its own scatter and its own 2-D least-squares solve (numpy
+    refuses a 3-D ``lstsq``, and a stacked pinv is not bit-identical), and
+    then every searching seed backtracks at once, each with its own step,
+    its candidate z + step * delta judged in one stacked pass per halving.
+    A seed leaves the batch when its norm reaches tol, when its step falls
+    below 2^-40, or at the 101st check."""
+    out = [None] * len(seeds)
+    live = list(range(len(seeds)))  # the position in seeds of each row of Z and R
+
+    def unsolved(row: int, rnorm: float) -> None:
+        out[live[row]] = (f"moment-map solver did not reach tol={tol:g}; "
+                          f"final residual {rnorm:.3e}")
+
     # mild scaling keeps the start in the basin without landing on 0
-    z = _float_draw(q, n, seed) * 0.5
-    r = _residual(_moment_blocks(q, n, _unflatten_mats(q, n, z), 0j))
+    Z = np.stack([_float_draw(q, n, s) for s in seeds]) * 0.5
+    R = _residuals(q, n, Z)
     for k in range(101):
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol:
-            return z, float(rnorm)
-        if k == 100:
+        norms, search = [_norm(r) for r in R], []
+        for row, rnorm in enumerate(norms):
+            if rnorm <= tol:
+                out[live[row]] = (Z[row], rnorm)
+            elif k == 100:
+                unsolved(row, rnorm)
+            else:
+                search.append(row)
+        delta = {row: np.linalg.lstsq(_scatter(pattern, Z[row], 0j), -R[row], rcond=None)[0]
+                 for row in search}
+        step, moved = dict.fromkeys(search, 1.0), {}
+        while search:
+            cand = np.stack([Z[row] + step[row] * delta[row] for row in search])
+            cand_r, left = _residuals(q, n, cand), []
+            for j, row in enumerate(search):
+                if _norm(cand_r[j]) < norms[row]:
+                    moved[row] = cand[j], cand_r[j]
+                    continue
+                step[row] *= 0.5
+                if step[row] >= 2.0**-40:
+                    left.append(row)
+                else:  # no step lowered the residual
+                    unsolved(row, norms[row])
+            search = left
+        if not moved:
             break
-        J = _scatter(pattern, z, 0j)
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        step = 1.0
-        while step >= 2.0**-40:
-            cand_z = z + step * delta
-            cand_r = _residual(_moment_blocks(q, n, _unflatten_mats(q, n, cand_z), 0j))
-            if np.linalg.norm(cand_r) < rnorm:
-                break
-            step *= 0.5
-        else:  # no step lowered the residual
-            break
-        z, r = cand_z, cand_r
-    raise RuntimeError(
-        f"moment-map solver did not reach tol={tol:g}; final residual {float(rnorm):.3e}"
-    )
+        rows = sorted(moved)
+        live = [live[row] for row in rows]
+        Z = np.stack([moved[row][0] for row in rows])
+        R = np.stack([moved[row][1] for row in rows])
+    return out
 
 
 def solve_moment_zero(
@@ -441,22 +500,27 @@ def solve_moment_zero(
 
     Each step solves the complex least-squares linearization and backtracks
     until the residual drops; a backtracking candidate is judged on its flat
-    vector. The search runs on flat vectors alone: the d(mu) scatter
-    pattern of (q, n) is built once per call and serves every step, and
-    one Representation, viewing the final iterate, is built at the end.
-    Deterministic given the seed. Refuses a negative ``seed`` and a ``tol``
-    that is not positive and finite; raises RuntimeError (carrying the
-    final residual) on non-convergence. n must pass ``check_bound``.
+    vector. The search runs on flat vectors alone, as a batch of one seed
+    of ``_gauss_newton``: the d(mu) scatter pattern of (q, n) is built once
+    per call and serves every step, and one Representation, viewing the
+    final iterate, is built at the end. Deterministic given the seed.
+    Refuses a negative ``seed`` and a ``tol`` that is not positive and
+    finite; raises RuntimeError (carrying the final residual) on
+    non-convergence. n must pass ``check_bound``.
     """
     n = check_bound(q, n)
     _check_count("seed", seed)
     _check_tol("tol", tol)
-    z, _ = _gauss_newton(q, n, _differential_pattern(q, n), seed, tol)
-    return Representation(q, n, FLOAT, _unflatten_mats(q, n, z))
+    (got,) = _gauss_newton(q, n, _differential_pattern(q, n), (seed,), tol)
+    if isinstance(got, str):
+        raise RuntimeError(got)
+    return Representation(q, n, FLOAT, _unflatten_mats(q, n, got[0]))
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Singular values below tol * (largest singular value) count as zero."""
+    """Singular values below tol * (largest singular value) count as zero.
+    Refuses a ``tol`` that is not positive and finite (``ValueError``)."""
+    _check_tol("tol", tol)
     sv = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
@@ -502,7 +566,12 @@ def verify_ci_dim(
     n^t n - 1, making the local dimension dim Rep - rank the complete
     intersection dimension 2p(n) + n^t n - 1. One d(mu) scatter pattern,
     built per call, serves every trial's steps and final rank; a trial's
-    residual is its search's last norm. Refuses a negative ``trials`` or
+    residual is its search's last norm. The trials' searches run in
+    batches of ``_gauss_newton``, each of at most ``MAX_DIFFERENTIAL //
+    max(N, m)`` seeds (at least one), N and m the columns and rows of
+    d(mu), so no stacked array holds more entries than one d(mu) may; the
+    report is the one of searches run one by one. Each trial's rank is its
+    own. ``trials=0`` runs no search. Refuses a negative ``trials`` or
     ``seed`` and a tolerance that is not positive and finite
     (``ValueError``), and more than ``MAX_TRIALS`` trials
     (``InvariantError("ci-trials")``). n must pass ``check_bound``."""
@@ -518,15 +587,17 @@ def verify_ci_dim(
     if rep_space_dim(q, n) - expected_rank != expected_dim:
         raise MathAssertionError("dim Rep - (n.n - 1) != 2p(n) + n.n - 1")
     pattern, results, failures = _differential_pattern(q, n), [], []
-    for t in range(trials):
-        s = seed + t
-        try:
-            z, res = _gauss_newton(q, n, pattern, s, residual_tol)
-        except RuntimeError as exc:
-            failures.append(f"seed {s}: {exc}")
-            continue
-        rank = numeric_rank(_scatter(pattern, z, 0j), tol=rank_tol)
-        results.append(CiTrial(s, res, rank, rep_space_dim(q, n) - rank))
+    seeds = range(seed, seed + trials)
+    size = max(1, MAX_DIFFERENTIAL // max(*pattern[-1], 1))
+    for b in range(0, trials, size):
+        batch = seeds[b : b + size]
+        for s, got in zip(batch, _gauss_newton(q, n, pattern, batch, residual_tol)):
+            if isinstance(got, str):
+                failures.append(f"seed {s}: {got}")
+                continue
+            z, res = got
+            rank = numeric_rank(_scatter(pattern, z, 0j), tol=rank_tol)
+            results.append(CiTrial(s, res, rank, rep_space_dim(q, n) - rank))
     matching = sum(
         1 for r in results if r.rank == expected_rank and r.residual <= residual_tol
     )

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from quiverk3 import (
     CurveConfig,
+    Decomposition,
     DegreeVector,
     GroupElement,
     InvariantError,
@@ -186,6 +187,20 @@ def test_numpy_dimension_vectors_are_accepted(call):
         n = (1,) * q.s
         assert repr(call(q, np.array(n))) == repr(call(q, n))
 
+
+
+def test_decomposition_parts_are_taken_by_the_integer_rule():
+    # each beta goes through _as_int_vector and each k must be a positive
+    # integer; int(k) used to take 1.9 as 1 and True as 1, and a beta entry
+    # 0.5 passed unchecked
+    parts = Decomposition(((np.int64(2), np.array([1, 0])), (1, (0, 1)))).parts
+    assert parts == ((1, (0, 1)), (2, (1, 0)))
+    assert all(type(k) is int and all(type(e) is int for e in b) for k, b in parts)
+    for bad in (((1.9, (1, 0)),), ((True, (1, 0)),), (("1", (1, 0)),), ((None, (1, 0)),),
+                ((0, (1, 0)),), ((-1, (1, 0)),), ((1, (0.5, 1)),), ((1, (True, 1)),),
+                ((1.9, (1, 0)), (True, (0.5, 1)))):
+        with pytest.raises(ValueError):
+            Decomposition(bad)
 
 # rational input: theta, degree vectors, weights, cyclic_subrep's vector and
 # exact matrix entries

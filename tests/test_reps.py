@@ -15,6 +15,7 @@ from quiverk3 import (
     GroupElement,
     MathAssertionError,
     NoDestabilizerFound,
+    Quiver,
     Representation,
     SearchBudget,
     StrictlySemistableWitness,
@@ -541,6 +542,117 @@ def test_the_solver_steps_at_most_100_times(ogrady, monkeypatch):
     with pytest.raises(RuntimeError, match="did not reach tol=1e-300; final residual"):
         solve_moment_zero(q, (2,), seed=1, tol=1e-300)
     assert len(calls) == 100
+
+
+def test_a_batch_is_its_seeds_searched_alone(affine_a1_22, monkeypatch):
+    # on the affine (2, 2) at tol 1e-15, seeds 0-11 end every way a search
+    # ends: converged after different numbers of steps, a step that ran out
+    # (a failure before the 100th step) and the 100-step failure; one batch
+    # of all twelve gives each seed the bytes of its flat iterate, or the
+    # text of its error, that solve_moment_zero gives it alone. So does a
+    # batch at 1e-300, where every seed fails
+    q, n = quiver_from_config(affine_a1_22), (2, 2)
+    pattern = reps._differential_pattern(q, n)
+    lstsq, steps = np.linalg.lstsq, []
+
+    def counted(a, b, rcond=None):
+        steps.append(1)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for tol, seeds in ((1e-15, range(12)), (1e-300, range(3))):
+        want, ends = [], []
+        for s in seeds:
+            steps.clear()
+            try:
+                want.append(_flatten_mats(solve_moment_zero(q, n, seed=s, tol=tol)).tobytes())
+            except RuntimeError as exc:
+                want.append(str(exc))
+            ends.append((isinstance(want[-1], str), len(steps)))
+        got = reps._gauss_newton(q, n, pattern, seeds, tol)
+        assert [g if isinstance(g, str) else g[0].tobytes() for g in got] == want
+        failed = [k for fails, k in ends if fails]
+        if tol == 1e-15:
+            assert len({k for fails, k in ends if not fails}) > 1
+            assert 100 in failed and min(failed) < 100
+        else:
+            assert len(failed) == 3 and min(failed) < 100
+
+
+def _batch_sizes(monkeypatch) -> list:
+    """The number of seeds of each ``_gauss_newton`` batch from now on."""
+    sizes, search = [], reps._gauss_newton
+
+    def counted(q, n, pattern, seeds, tol):
+        sizes.append(len(seeds))
+        return search(q, n, pattern, seeds, tol)
+
+    monkeypatch.setattr(reps, "_gauss_newton", counted)
+    return sizes
+
+
+def test_verify_ci_dim_reports_alike_in_any_batches(monkeypatch):
+    # a batch holds at most MAX_DIFFERENTIAL // max(N, m) seeds; at m * N,
+    # the least bound that lets d(mu) be built, that is min(N, m), and the
+    # trials run in several batches with the report of one batch, failure
+    # texts included
+    sizes, split, bound = _batch_sizes(monkeypatch), 0, reps.MAX_DIFFERENTIAL
+    for cfg, n in _float_cases():
+        q = quiver_from_config(cfg)
+        m, N = reps._differential_pattern(q, n)[-1]
+        for tol, trials in ((1e-10, 20), (1e-300, 3)):
+            sizes.clear()
+            want = verify_ci_dim(q, n, trials=trials, seed=3, residual_tol=tol)
+            assert sizes == [trials]
+            sizes.clear()
+            monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", m * N)
+            assert verify_ci_dim(q, n, trials=trials, seed=3, residual_tol=tol) == want
+            monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", bound)
+            size = min(m, N)
+            assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+            split += len(sizes) > 1
+    assert split > 8
+
+
+def test_a_batch_holds_one_seed_at_least(monkeypatch):
+    # on a vertex without arrows d(mu) has no columns: at n = (3,) its 9
+    # rows pass a bound of 8, and each batch holds one seed; at n = (0,) it
+    # has neither rows nor columns, and one batch holds every seed
+    q, sizes = Quiver((0,), ((0,),)), _batch_sizes(monkeypatch)
+    monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", 8)
+    for n, batches in (((3,), [1, 1]), ((0,), [2])):
+        sizes.clear()
+        report = verify_ci_dim(q, n, trials=2)
+        assert sizes == batches and [t.residual for t in report.trials] == [0.0, 0.0]
+
+
+def test_no_trials_run_no_search(affine_a1, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(reps, "_gauss_newton", no_search)
+    report = verify_ci_dim(quiver_from_config(affine_a1), (1, 1), trials=0)
+    assert report.trials == () and report.failures == () and report.matching_trials == 0
+
+
+def test_verify_ci_dim_is_the_reference_report_on_the_benchmark_traffic():
+    # the reps-float benchmark asks moment-verify for 20 trials on its
+    # eight cases: one batch of 20 gives the reference report at two seeds
+    for cfg, n in _float_cases():
+        q = quiver_from_config(cfg)
+        for seed in (0, 20):
+            got = verify_ci_dim(q, n, trials=20, seed=seed)
+            assert got == _reference_ci_report(q, n, trials=20, seed=seed)
+            assert len(got.trials) + len(got.failures) == 20
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_numeric_rank_refuses_a_bad_tol(tol):
+    # diag(1, 0) has rank 1; tol = -1 counted 2 and tol = nan 0
+    m = np.diag([1.0, 0.0])
+    assert numeric_rank(m) == 1
+    with pytest.raises(ValueError, match=f"tol must be a positive finite number, got {tol}"):
+        numeric_rank(m, tol=tol)
 
 
 def test_exact_matrices_are_read_only_copies(affine_a1):

@@ -74,7 +74,12 @@ s11-summary 1.007-1.020, s11-strata 0.988-1.002, 3300-chambers
 0.999-1.001, 3300-correspondence 0.928-0.971, chambers-seed0 0.978-1.032,
 strata-seed0 0.987-0.997, clique8-strata 0.989-0.992. Two same-tree runs
 of the one-plan Gauss-Newton search, in one session on the same VM, read
-0.981 and 1.001 on the verify_ci_dim row. Two same-tree runs of the
+0.981 and 1.001 on the verify_ci_dim row. The Gauss-Newton trials run
+as one stacked batch, two A/B runs beside one same-tree run (change on
+both sides), minutes apart on the same VM: verify_ci_dim
+reps-float-seed0 0.721 and 0.722 (same tree 0.999), every run printing
+the one digest 721741ecc2a2d8d1, so the residual floats did not move.
+Two same-tree runs of the
 fraction-free simplex on the same VM, one per tree, beside its A/B, read
 1.001 and 0.998 on lp_feasible_point pinned600 and 1.011 and 1.002 on
 chamber-like200. One same-tree run of the interned exact search on the
