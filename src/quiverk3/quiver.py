@@ -222,7 +222,8 @@ class Decomposition:
     """A multiset of (k, beta) parts with pairwise distinct root beta,
     sum k*beta = n. The trivial decomposition is the single part (1, n).
     Each beta is taken through ``_as_int_vector`` and each k must be a
-    positive integer (not a bool), else ``ValueError``."""
+    positive integer (not a bool); the betas must share one length and be
+    nonzero, non-negative and pairwise distinct; else ``ValueError``."""
 
     parts: tuple[tuple[int, DimVector], ...]
 
@@ -232,7 +233,14 @@ class Decomposition:
             (k,) = _as_int_vector((k,))
             if k < 1:
                 raise ValueError(f"a part's multiplicity must be positive, got {k}")
-            parts.append((k, _as_int_vector(b)))
+            b = _as_int_vector(b)
+            if parts:
+                _check_same_length("a part's beta", b, "the first part's", len(parts[0][1]))
+            if not any(b) or min(b) < 0:
+                raise ValueError(f"a part's beta must be nonzero and non-negative, got {b}")
+            parts.append((k, b))
+        if len({b for _, b in parts}) < len(parts):
+            raise ValueError("the parts' betas must be pairwise distinct")
         object.__setattr__(self, "parts", tuple(sorted(parts, key=lambda p: (p[1], p[0]))))
 
     @property

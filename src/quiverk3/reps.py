@@ -872,9 +872,9 @@ class StrictlySemistableWitness:
 @dataclass(frozen=True)
 class NoDestabilizerFound:
     """Records the search budget only. Not a proof of semistability, except
-    from exact ``check_stability`` on a representation where ``is_simple``
-    holds: it has no proper nonzero subrepresentation, so no destabilizer
-    for any theta."""
+    where ``is_simple`` holds (in float mode, its rank test), which
+    ``check_stability`` tests first: a simple representation has no proper
+    nonzero subrepresentation, so no destabilizer for any theta."""
 
     probes: int
     restarts: int
@@ -1150,12 +1150,15 @@ def check_stability(
     Both modes take theta by ``_stability_parameter``, cleared to integers
     once, so each candidate's slope is one ``Fraction``, ``slope_theta``'s.
 
-    Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE`` before any probe
-    (``InvariantError("search-size")``). It skips the search exactly when
-    ``is_simple`` holds, reading the verdict kept on the representation or
-    deciding it there: a simple representation has no proper nonzero
-    subrepresentation, so ``NoDestabilizerFound`` is exact there.
-    Otherwise it searches (``_exact_invariant_spans``): cyclic
+    Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE``
+    (``InvariantError("search-size")``), float mode a box past
+    ``MAX_ROOT_BOX`` (``checked_box``). Then both skip the search exactly
+    when ``is_simple`` holds, the verdict kept on an exact representation
+    and a rank test at relative tol 1e-8 on each float call: a simple
+    representation has no proper nonzero subrepresentation. A float one
+    near a reducible one that passes the rank test gets
+    ``NoDestabilizerFound`` where its search would certify a witness.
+    Otherwise exact mode searches (``_exact_invariant_spans``): cyclic
     subrepresentations from coordinate and seeded random probe vectors,
     the coordinate ones read from the spans ``is_simple``'s probes left
     on the representation, then their closure under pairwise sums on
@@ -1185,15 +1188,14 @@ def check_stability(
             return CertifiedUnstable(beta, sl, basis, defect)
         return StrictlySemistableWitness(beta, basis, defect)
 
+    if rep.mode != EXACT:
+        box = checked_box(n)
+    elif sum(n) > MAX_SEARCH_SIZE:
+        raise InvariantError("search-size", f"the exact stability search at n = {n} has "
+                             f"total dimension {sum(n)}, more than {MAX_SEARCH_SIZE}")
+    if is_simple(rep):  # no proper subrepresentation: nothing to find
+        return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
     if rep.mode == EXACT:
-        if sum(n) > MAX_SEARCH_SIZE:
-            raise InvariantError(
-                "search-size",
-                f"the exact stability search at n = {n} has total dimension "
-                f"{sum(n)}, more than {MAX_SEARCH_SIZE}",
-            )
-        if is_simple(rep):  # no proper subrepresentation: nothing to find
-            return NoDestabilizerFound(budget.probes, budget.restarts, budget.tol)
         found = []
         for rows in _exact_invariant_spans(rep, budget):
             spans = [linalg.Span.echelon(r) for r in rows]
@@ -1207,7 +1209,7 @@ def check_stability(
     else:  # a numeric subspace search per candidate dimension vector
         rng = np.random.default_rng(budget.seed)
         groups = _arrow_groups(rep)
-        for sl, beta, _ in ranked((b, None) for b in checked_box(n) if any(b) and b != n):
+        for sl, beta, _ in ranked((b, None) for b in box if any(b) and b != n):
             best = _minimize_defect(rep, beta, budget, rng, groups)
             if best is not None and best[0] < budget.tol:
                 defect = _projector_defect(rep, best[1])  # rechecked without the kernel

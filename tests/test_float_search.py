@@ -1,7 +1,9 @@
 """The float stability search: its batched kernel, its verdicts and its witnesses.
 
-``check_stability`` in float mode runs every restart of a candidate beta
-together through one stacked kernel. It is pinned against
+``check_stability`` in float mode skips its search, as exact mode does, on
+a representation that ``is_simple`` calls simple, after its root-box bound.
+Otherwise it runs every restart of a candidate beta together through one
+stacked kernel. It is pinned against
 ``helpers.reference_float_search``, the search run one restart and one arrow
 at a time on projector matrices: the verdict type and beta must be the
 same on seeded representations of every shape the search meets (generic
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from quiverk3 import CurveConfig, quiver_from_config, random_representation
-from quiverk3 import reps
+from quiverk3 import InvariantError, reps
 from quiverk3.quiver import boxed_vectors
 from quiverk3.reps import (
     GroupElement,
@@ -37,6 +39,7 @@ F = Fraction
 AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))
 ELLIPTIC = CurveConfig(((0, 2), (2, 0)), (1, 1), (1, 1), (1, 1))
 OGRADY = CurveConfig(((2,),), (1,), (2,), (1,))
+DISJOINT = CurveConfig(((-2, 0), (0, 0)), (1, 1), (1, 1), (1, 1))  # one loop, at curve 1
 
 
 def _rand(cfg, n, seed):
@@ -171,29 +174,124 @@ def test_descent_skips_a_candidate_with_no_moving_frame(monkeypatch):
     assert len(calls) == 1
 
 
+def _candidates(n, theta) -> int:
+    """The number of candidate dimension vectors of slope >= 0 at theta."""
+    return sum(1 for b in boxed_vectors(n) if any(b) and b != n
+               and sum(t * x for t, x in zip(theta, b)) >= 0)
+
+
 def test_search_groups_the_arrows_once(monkeypatch):
-    # no destabilizer is found, so every candidate beta is descended on, all
-    # on the same arrow groups
-    group, calls = reps._arrow_groups, []
+    # y = 0 makes V_1 a subrepresentation, so the representation is not
+    # simple and the search runs; at theta = (1, -1) its slope is negative,
+    # and no candidate of slope >= 0 is a subrepresentation, so every
+    # candidate beta is descended on, all on the same arrow groups
+    rep, theta = _zero_y(_rand(ELLIPTIC, (2, 2), 5)), (F(1), F(-1))
+    assert not reps.is_simple(rep)
+    group, minimize, calls, descents = reps._arrow_groups, reps._minimize_defect, [], []
 
     def counted(r):
         calls.append(1)
         return group(r)
 
+    def descended(rep, beta, *args):
+        descents.append(beta)
+        return minimize(rep, beta, *args)
+
     monkeypatch.setattr(reps, "_arrow_groups", counted)
-    verdict = check_stability(_rand(ELLIPTIC, (2, 2), 5), (F(-1), F(1)), SearchBudget())
+    monkeypatch.setattr(reps, "_minimize_defect", descended)
+    verdict = check_stability(rep, theta, SearchBudget())
     assert isinstance(verdict, NoDestabilizerFound)
     assert len(calls) == 1
+    assert len(descents) == len(set(descents)) == _candidates(rep.n, theta) == 4
 
 
 def test_witness_recheck_does_not_trust_the_kernel(monkeypatch):
-    # a kernel that calls every frame invariant must not certify a witness
-    # on a representation with no proper subrepresentation
-    rep = _rand(AFFINE, (2, 2), 5)
-    assert isinstance(check_stability(rep, (F(-1), F(1))), NoDestabilizerFound)
+    # a kernel that calls every frame invariant must not certify a witness:
+    # on a direct sum at its wall the search runs, the blind kernel proposes
+    # its random start frames for every candidate, and the projector recheck
+    # refuses each of them
+    rep, theta = direct_sum(_rand(AFFINE, (1, 1), 5), _rand(AFFINE, (1, 1), 6)), (F(-1), F(1))
+    assert not reps.is_simple(rep)
+    assert type(check_stability(rep, theta)).__name__ == "StrictlySemistableWitness"
+    kernel_calls, rechecked = [], []
 
     def blind(groups, frames):
+        kernel_calls.append(1)
         return np.zeros(len(frames[0])), [np.zeros_like(u) for u in frames]
 
+    recheck = reps._projector_defect
+
+    def spied(rep, frames):
+        rechecked.append(recheck(rep, frames))
+        return rechecked[-1]
+
     monkeypatch.setattr(reps, "_defect_and_grad", blind)
-    assert isinstance(check_stability(rep, (F(-1), F(1))), NoDestabilizerFound)
+    monkeypatch.setattr(reps, "_projector_defect", spied)
+    assert isinstance(check_stability(rep, theta), NoDestabilizerFound)
+    assert kernel_calls
+    assert len(rechecked) == _candidates(rep.n, theta) == 4
+    assert all(defect >= SearchBudget().tol for defect in rechecked)
+
+
+# ---------------------------------------------------------------------------
+# the search skipped on simple representations
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return refused
+
+
+def test_check_stability_skips_the_search_on_simple_float_representations(monkeypatch):
+    # a simple representation has no proper subrepresentation, so neither
+    # the arrow groups nor a descent is needed: the verdict is the budget
+    simple = [(rep, theta, budget) for rep, theta, budget in _cases() if reps.is_simple(rep)]
+    assert len(simple) >= 10
+    monkeypatch.setattr(reps, "_arrow_groups", _refuse("_arrow_groups"))
+    monkeypatch.setattr(reps, "_minimize_defect", _refuse("_minimize_defect"))
+    for rep, theta, budget in simple:
+        assert check_stability(rep, theta, budget) == NoDestabilizerFound(
+            budget.probes, budget.restarts, budget.tol)
+
+
+def _near_reducible(eps: float) -> Representation:
+    """The direct sum of two affine (1, 1) representations with every
+    matrix moved by eps times complex normals, in orientation order, x
+    before y."""
+    q = quiver_from_config(AFFINE)
+    wall = direct_sum(*(random_representation(q, (1, 1), seed=s, mode="float") for s in (1, 2)))
+    rng = np.random.default_rng(3)
+    mats = tuple(tuple(m + eps * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+                       for m in pair) for pair in wall.mats)
+    return Representation(q, wall.n, "float", mats)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_a_near_reducible_representation_called_simple_gets_no_witness(eps, monkeypatch):
+    # the rank test calls it simple, so the search is skipped; the search
+    # itself would certify the summand (1, 1) to a defect below tol, which
+    # contradicted the float is_simple verdict before the skip
+    rep, theta = _near_reducible(eps), (F(-1), F(1))
+    assert reps.is_simple(rep)
+    assert isinstance(check_stability(rep, theta), NoDestabilizerFound)
+    monkeypatch.setattr(reps, "is_simple", lambda rep: False)
+    verdict = check_stability(rep, theta)
+    assert type(verdict).__name__ == "StrictlySemistableWitness" and verdict.beta == (1, 1)
+    assert verdict.defect < SearchBudget().tol
+
+
+def test_the_size_bounds_come_before_is_simple(monkeypatch):
+    # float: the box 0 <= beta <= n past MAX_ROOT_BOX; exact: sum(n) past
+    # MAX_SEARCH_SIZE. Each is refused before is_simple runs
+    q = quiver_from_config(DISJOINT)
+    monkeypatch.setattr(reps, "is_simple", _refuse("is_simple"))
+    big = Representation(q, (5000, 1), "float", (([[0]], [[0]]),))
+    with pytest.raises(InvariantError) as err:
+        check_stability(big, (F(1), F(-5000)))
+    assert err.value.invariant == "root-box"
+    n = (reps.MAX_SEARCH_SIZE, 1)
+    big = Representation(q, n, "exact", (([[0]], [[0]]),))
+    with pytest.raises(InvariantError) as err:
+        check_stability(big, (F(1), F(-n[0])))
+    assert err.value.invariant == "search-size"

@@ -202,6 +202,20 @@ def test_decomposition_parts_are_taken_by_the_integer_rule():
         with pytest.raises(ValueError):
             Decomposition(bad)
 
+
+def test_decomposition_betas_share_a_length_and_are_distinct_nonzero_and_non_negative():
+    # the docstring's pairwise distinct roots: each of these was accepted,
+    # the first with total (0, 0)
+    assert Decomposition(((1, (1, 0)), (2, (0, 1)))).total == (1, 2)
+    for bad in (((1, (1, 0)), (1, (1, 0)), (2, (-1, 0))),  # repeated and negative
+                ((1, (1, 0)), (2, (1, 0))),  # repeated
+                ((1, (2, -1)),), ((1, (-1, 0)), (1, (1, 1))),  # a negative entry
+                ((1, ()),),  # empty
+                ((1, (0, 0)),), ((1, (1, 0)), (1, (0, 0))),  # zero
+                ((1, (1, 0)), (1, (1,))), ((1, (1,)), (1, (0, 1)))):  # lengths differ
+        with pytest.raises(ValueError):
+            Decomposition(bad)
+
 # rational input: theta, degree vectors, weights, cyclic_subrep's vector and
 # exact matrix entries
 AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))  # QUIVERS[1] at n = (1, 1)

@@ -41,7 +41,11 @@ on a fresh copy of the representation of each of the 418 exact
 operation's theta (its TEXT is the verdict's ``repr``), and on the 242
 of them that reach the search (``reps-exact-search``: the y = 0 and wall
 direct-sum operations; the other 176 are simple and skip it,
-so this row's ratio is the search's own), the same 418 as a pair,
+so this row's ratio is the search's own), float ``check_stability`` on
+a fresh copy of the representation of each of the 120 float
+``check_stability`` operations of ``reps-float`` at seed 0, with the
+operation's theta (``reps-float-seed0``: its TEXT is the verdict kind and
+beta, since a float witness's frames are floats), the same 418 as a pair,
 ``is_simple`` and then exact ``check_stability`` on one fresh copy per run, as a ``reps-exact`` round calls them (its TEXT is the
 ``repr`` of both verdicts; the ``check_stability`` row alone cannot show
 what the second call reuses from the first), and ``verify_ci_dim`` at
@@ -101,8 +105,12 @@ chambers-seed0 0.885 (0.979); verify_correspondence 3300 0.703 (0.987)
 and chambers-seed0 0.909 (0.996); cli._dumps 3300-chambers 0.999 (0.998),
 3300-correspondence 1.009 (1.036) and chambers-seed0 1.000 (1.005). The
 encoder did not change, so the cli._dumps rows show nothing, and every
-row printed one digest. Rows whose best times sum to under about 0.1 s
-of CPU swing the most.
+row printed one digest. Float ``check_stability`` skipping its search
+where ``is_simple`` holds, two A/B runs beside one same-tree run (change
+on both sides) in one session on the same VM: check_stability
+reps-float-seed0 0.282 and 0.281 (same tree 0.945), every run printing
+the one digest 49fb702a688dc42c, so no verdict kind or beta moved. Rows
+whose best times sum to under about 0.1 s of CPU swing the most.
 """
 
 import hashlib
@@ -188,12 +196,11 @@ def drawn(gram, n, seeds=range(3)):
     return build
 
 
-def bench_cells(t, kind: str, suffixes=("",)) -> list[dict]:
-    """The closure variables of the ``reps-exact`` benchmark's operations of
-    this kind at seed 0 whose id ends in one of ``suffixes``, in batch
-    order."""
+def bench_cells(t, kind: str, suffixes=("",), workload="reps-exact") -> list[dict]:
+    """The closure variables of the workload's operations of this kind at
+    seed 0 whose id ends in one of ``suffixes``, in batch order."""
     with mock.patch.dict(sys.modules, t.modules):  # cli.rep_from_dict imports reps
-        rounds = t.workloads.build("reps-exact", 0).rounds
+        rounds = t.workloads.build(workload, 0).rounds
     return [inspect.getclosurevars(op.call).nonlocals
             for ops in rounds for op in ops if op.kind == kind and op.id.endswith(suffixes)]
 
@@ -224,6 +231,14 @@ def bench_search(t) -> list:
     simple: the y = 0 (``.unstable``) and wall direct-sum (``.wall``)
     operations."""
     return bench_stability(t, (".unstable", ".wall"))
+
+
+def bench_float_stability(t) -> list:
+    """(representation, theta) of the 120 float ``check_stability``
+    operations of the ``reps-float`` benchmark at seed 0, built as in
+    ``bench_simple``."""
+    return [(cell["make_rep"](), cell["theta"])
+            for cell in bench_cells(t, "reps.check_stability.float", workload="reps-float")]
 
 
 def stability(t, case) -> list:
@@ -303,7 +318,7 @@ def dumps(*commands: str):
     return lambda t, cfg: [partial(partial, t.cli._dumps, document(t, cfg, c)) for c in commands]
 
 
-TEXT = {  # layer -> the text of one result of a tree, for the digest
+TEXT = {  # layer, or layer/name for one row, -> the text of one result of a tree
     "enumerate_chambers": lambda t, c: json.dumps([
         c.count, [[str(x) for x in theta] for theta in c.representatives],
         [list(sig) for sig in c.signatures]]),
@@ -314,6 +329,9 @@ TEXT = {  # layer -> the text of one result of a tree, for the digest
     "cli._dumps": lambda t, text: text,
     "is_simple": lambda t, verdict: json.dumps(verdict),
     "check_stability": lambda t, verdict: repr(verdict),
+    # a float witness's frames are floats: the verdict kind and beta only
+    "check_stability/reps-float-seed0": lambda t, verdict: json.dumps(
+        [type(verdict).__name__, getattr(verdict, "beta", None)]),
     "is_simple+check_stability": lambda t, verdicts: repr(verdicts),
     "lp_feasible_point": lambda t, point: json.dumps(point),
     "verify_ci_dim": lambda t, report: json.dumps([[c.seed, repr(c.residual), c.rank]
@@ -345,6 +363,7 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
     ("check_stability", "reps-exact-seed0", bench_stability, stability),
     ("check_stability", "reps-exact-search", bench_search, stability),
+    ("check_stability", "reps-float-seed0", bench_float_stability, stability),
     ("is_simple+check_stability", "reps-exact-seed0", bench_stability, simple_then_stability),
     ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
     ("lp_feasible_point", "pinned600", lp_pinned, lp),
@@ -396,7 +415,7 @@ def main(argv: list[str]) -> int:
     print("layer name inputs parent_s change_s ratio sha256")
     for layer, name, cfgs, inputs in rows:
         sides = [[thunk for cfg in cfgs(t) for thunk in inputs(t, cfg)] for t in trees]
-        texts = [partial(TEXT[layer], t) for t in trees]
+        texts = [partial(TEXT.get(f"{layer}/{name}") or TEXT[layer], t) for t in trees]
         (tp, tc), (dp, dc) = measure(list(zip(*sides)), texts)
         differed |= dp != dc
         print(layer, name, len(sides[0]), f"{tp:.4f}", f"{tc:.4f}", f"{tc / tp:.3f}",
