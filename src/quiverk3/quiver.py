@@ -222,8 +222,9 @@ class Decomposition:
     """A multiset of (k, beta) parts with pairwise distinct root beta,
     sum k*beta = n. The trivial decomposition is the single part (1, n).
     Each beta is taken through ``_as_int_vector`` and each k must be a
-    positive integer (not a bool); the betas must share one length and be
-    nonzero, non-negative and pairwise distinct; else ``ValueError``."""
+    positive integer (not a bool); there must be at least one part, and the
+    betas must share one length and be nonzero, non-negative and pairwise
+    distinct; else ``ValueError``."""
 
     parts: tuple[tuple[int, DimVector], ...]
 
@@ -239,6 +240,8 @@ class Decomposition:
             if not any(b) or min(b) < 0:
                 raise ValueError(f"a part's beta must be nonzero and non-negative, got {b}")
             parts.append((k, b))
+        if not parts:
+            raise ValueError("a decomposition needs at least one part")
         if len({b for _, b in parts}) < len(parts):
             raise ValueError("the parts' betas must be pairwise distinct")
         object.__setattr__(self, "parts", tuple(sorted(parts, key=lambda p: (p[1], p[0]))))

@@ -1063,6 +1063,27 @@ def _arrow_groups(rep: Representation) -> list:
     return [(s, t, np.stack(a), np.stack(a).conj().swapaxes(1, 2)) for (s, t), a in groups.items()]
 
 
+def _singular_tails(groups) -> list:
+    """(s, t, tail) per arrow group with s != t (a loop bounds nothing): tail[i]
+    sums sigma_k(A)^2 over its arrows A and k > i, 1-indexed, down to
+    tail[min(n_s, n_t)] = 0. NaN where an entry is not finite."""
+    tails = []
+    for s, t, A, _ in groups:
+        if s != t:
+            sq = ((np.linalg.svd(A, compute_uv=False) ** 2).sum(axis=0) if np.isfinite(A).all()
+                  else np.full(min(A.shape[1:]), np.nan))
+            tails.append((s, t, np.append(np.cumsum(sq[::-1])[::-1], 0.0)))
+    return tails
+
+
+def _defect_floor(tails, n, beta) -> float:
+    """A floor on the defect of every frame tuple of dimensions beta: per
+    arrow, sigma_k(A)^2 summed over n_s - beta_s + beta_t < k <= n_s. By
+    Cauchy interlacing sigma_j(A U_s) >= sigma_(j + n_s - beta_s)(A), and by
+    Eckart-Young P_t A U_s has rank at most beta_t."""
+    return sum(tail[min(n[s] - beta[s] + beta[t], len(tail) - 1)] for s, t, tail in tails)
+
+
 def _defect_and_grad(groups, frames):
     """The defect sum |(1 - P_t) A P_s|^2 over the arrows, P_i = U_i U_i^H,
     and its gradient in every moving frame (None in the others), for R
@@ -1084,14 +1105,15 @@ def _defect_and_grad(groups, frames):
     return defect, grads
 
 
-def _minimize_defect(rep, beta, budget, rng, groups):
+def _minimize_defect(rep, beta, budget, rng, groups, ruled_out=False):
     """Projected gradient descent on the frames from ``budget.restarts``
     random starts, run as one batch: each restart keeps its own step size
     and stops at ``tol``, after ``iters`` steps or when its step size
     underflows. ``groups`` are the representation's ``_arrow_groups``, built
     once per search. Returns (defect, frames) of the first restart below
     ``tol``, else of the first with the least defect; None without
-    restarts."""
+    restarts or, once its start frames are drawn (so that every later
+    candidate meets the same rng stream), when ``ruled_out`` by its floor."""
     R = budget.restarts
     if R == 0:
         return None
@@ -1101,6 +1123,8 @@ def _minimize_defect(rep, beta, budget, rng, groups):
     # the draws of one restart after another, as the sequential search made them
     draws = [[rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in shapes]
              for _ in range(R)]
+    if ruled_out:
+        return None
     for k, i in enumerate(moving):
         frames[i] = np.linalg.qr(np.array([d[k] for d in draws]))[0]
     defect, grads = _defect_and_grad(groups, frames)
@@ -1170,7 +1194,9 @@ def check_stability(
     the winner is read out as ``Fraction`` bases. Float mode runs a
     gradient-descent search over graded projection frames for each
     dimension vector of the box 0 <= beta <= n (``checked_box``) in rank
-    order, and the first it certifies wins.
+    order, and the first it certifies wins. It skips a beta whose
+    singular-value floor (``_defect_floor``) no frame could get under tol,
+    which changes no verdict.
     """
     budget = budget or SearchBudget()
     n = rep.n
@@ -1209,8 +1235,12 @@ def check_stability(
     else:  # a numeric subspace search per candidate dimension vector
         rng = np.random.default_rng(budget.seed)
         groups = _arrow_groups(rep)
+        tails = _singular_tails(groups)
+        # no frame whose floor passes this gets both defects below tol, rounding included
+        slack = 2 * budget.tol + 1e-12 * sum(np.vdot(a, a).real for _, _, a, _ in groups)
         for sl, beta, _ in ranked((b, None) for b in box if any(b) and b != n):
-            best = _minimize_defect(rep, beta, budget, rng, groups)
+            best = _minimize_defect(rep, beta, budget, rng, groups,
+                                    _defect_floor(tails, n, beta) > slack)
             if best is not None and best[0] < budget.tol:
                 defect = _projector_defect(rep, best[1])  # rechecked without the kernel
                 if defect < budget.tol:

@@ -9,7 +9,11 @@ at a time on projector matrices: the verdict type and beta must be the
 same on seeded representations of every shape the search meets (generic
 ones, y = 0 ones, direct sums at a wall, and direct sums hidden by a random
 change of basis), and the kernel's defect and gradient must equal
-``helpers.reference_defect_and_grad`` on random frames for every beta.
+``helpers.reference_defect_and_grad`` on random frames for every beta. A
+candidate beta whose singular-value floor no frame can get under tol is
+skipped after its start frames are drawn; the floor is checked against the
+projector defect of random frames, and the verdicts and witness frames
+against a search that skips nothing.
 """
 
 from __future__ import annotations
@@ -125,6 +129,11 @@ def _stacked_frames(n, beta, R, rng):
     return frames
 
 
+def _scale(rep) -> float:
+    """|A|^2 summed over the arrows: the size of the data, for rounding."""
+    return sum(float(np.linalg.norm(a) ** 2) for pair in rep.mats for a in pair)
+
+
 @pytest.mark.parametrize("cfg, n", [
     (AFFINE, (2, 3)), (AFFINE, (0, 2)), (ELLIPTIC, (2, 2)), (ELLIPTIC, (3, 1)), (OGRADY, (4,)),
 ])
@@ -132,8 +141,7 @@ def test_fused_kernel_matches_the_reference_defect_and_gradient(cfg, n):
     rng = np.random.default_rng(sum(n) * 7 + len(n))
     rep = _rand(cfg, n, 11)
     groups = reps._arrow_groups(rep)
-    # 1e-12 relative to the size of the data: |A|^2 summed over the arrows
-    scale = sum(float(np.linalg.norm(a) ** 2) for pair in rep.mats for a in pair)
+    scale = _scale(rep)  # 1e-12 relative to the size of the data
     for beta in boxed_vectors(n):  # includes 0 and n, and full and empty vertices
         R = 3
         frames = _stacked_frames(n, beta, R, rng)
@@ -209,8 +217,9 @@ def test_witness_recheck_does_not_trust_the_kernel(monkeypatch):
     # a kernel that calls every frame invariant must not certify a witness:
     # on a direct sum at its wall the search runs, the blind kernel proposes
     # its random start frames for every candidate, and the projector recheck
-    # refuses each of them
-    rep, theta = direct_sum(_rand(AFFINE, (1, 1), 5), _rand(AFFINE, (1, 1), 6)), (F(-1), F(1))
+    # refuses each of them. The O'Grady quiver has only loops, so the
+    # singular-value floor rules no candidate out and each reaches the kernel
+    rep, theta = direct_sum(_rand(OGRADY, (1,), 5), _rand(OGRADY, (2,), 6)), (F(0),)
     assert not reps.is_simple(rep)
     assert type(check_stability(rep, theta)).__name__ == "StrictlySemistableWitness"
     kernel_calls, rechecked = [], []
@@ -229,8 +238,113 @@ def test_witness_recheck_does_not_trust_the_kernel(monkeypatch):
     monkeypatch.setattr(reps, "_projector_defect", spied)
     assert isinstance(check_stability(rep, theta), NoDestabilizerFound)
     assert kernel_calls
-    assert len(rechecked) == _candidates(rep.n, theta) == 4
+    assert len(rechecked) == _candidates(rep.n, theta) == 2
     assert all(defect >= SearchBudget().tol for defect in rechecked)
+
+
+# ---------------------------------------------------------------------------
+# the singular-value floor
+
+
+def _spy_ruled_out(monkeypatch) -> list:
+    """Records (beta, ruled_out) of every ``_minimize_defect`` call."""
+    minimize, tried = reps._minimize_defect, []
+
+    def spied(rep, beta, budget, rng, groups, ruled_out=False):
+        tried.append((beta, bool(ruled_out)))
+        return minimize(rep, beta, budget, rng, groups, ruled_out)
+
+    monkeypatch.setattr(reps, "_minimize_defect", spied)
+    return tried
+
+
+def test_the_floor_is_below_the_defect_of_every_frame():
+    # soundness: no orthonormal frame tuple of dimensions beta gets a
+    # projector defect below the floor of beta, up to rounding
+    rng = np.random.default_rng(46)
+    positive = 0
+    for rep, _, _ in _cases():
+        tails = reps._singular_tails(reps._arrow_groups(rep))
+        for beta in boxed_vectors(rep.n):
+            floor = reps._defect_floor(tails, rep.n, beta)
+            positive += floor > 1e-6
+            frames = _stacked_frames(rep.n, beta, 4, rng)
+            for r in range(4):
+                defect = reps._projector_defect(rep, [f[r] for f in frames])
+                assert defect >= floor - 1e-12 * _scale(rep)
+    assert positive >= 50  # the floor is not vacuous
+
+
+def _result(verdict):
+    """A verdict's kind, beta, defect and the bytes of its witness frames."""
+    return (type(verdict).__name__, getattr(verdict, "beta", None),
+            getattr(verdict, "defect", None),
+            tuple(u.tobytes() for u in getattr(verdict, "basis", ())))
+
+
+def test_the_floor_changes_no_verdict_and_no_witness(monkeypatch):
+    # the same search with a floor that rules nothing out gives the same
+    # verdicts and the same witness frames, bit for bit: a ruled-out
+    # candidate draws its start frames as a descent would
+    tried = _spy_ruled_out(monkeypatch)
+    with_floor = [_result(check_stability(rep, theta, budget)) for rep, theta, budget in _cases()]
+    assert sum(out for _, out in tried) >= 20  # candidates the floor ruled out
+    monkeypatch.setattr(reps, "_defect_floor", lambda tails, n, beta: -np.inf)
+    tried.clear()
+    without = [_result(check_stability(rep, theta, budget)) for rep, theta, budget in _cases()]
+    assert not any(out for _, out in tried)
+    assert with_floor == without
+    assert sum(r[0] != "NoDestabilizerFound" for r in with_floor) >= 10
+
+
+def test_a_ruled_out_candidate_never_reaches_the_kernel(monkeypatch):
+    # at the wall theta = (-1, 1) of the affine (1, 1) + (1, 1) sum, every
+    # beta with beta_0 != beta_1 has a positive floor: its arrows have full
+    # rank 2. Only (1, 1) is descended on, and it is certified
+    rep, theta = direct_sum(_rand(AFFINE, (1, 1), 5), _rand(AFFINE, (1, 1), 6)), (F(-1), F(1))
+    tried, kernel, kernel_betas = _spy_ruled_out(monkeypatch), reps._defect_and_grad, set()
+
+    def spied_kernel(groups, frames):
+        kernel_betas.add(tuple(f.shape[2] for f in frames))
+        return kernel(groups, frames)
+
+    monkeypatch.setattr(reps, "_defect_and_grad", spied_kernel)
+    verdict = check_stability(rep, theta)
+    assert type(verdict).__name__ == "StrictlySemistableWitness" and verdict.beta == (1, 1)
+    assert len(tried) == _candidates(rep.n, theta) == 4
+    assert {beta for beta, out in tried if out} == {(0, 1), (0, 2), (1, 2)}
+    assert kernel_betas == {(1, 1)}
+
+
+def test_the_floor_costs_a_loops_only_search_no_svd(monkeypatch):
+    # one O'Grady vertex: every arrow is a loop, which bounds nothing; the
+    # affine sum, whose arrows join two vertices, takes one SVD per group
+    svd, shapes = np.linalg.svd, []
+
+    def spied(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    check_stability(direct_sum(_rand(OGRADY, (1,), 5), _rand(OGRADY, (2,), 6)), (F(0),))
+    assert shapes == []
+    check_stability(direct_sum(_rand(AFFINE, (1, 1), 5), _rand(AFFINE, (1, 1), 6)), (F(-1), F(1)))
+    assert shapes == [(2, 2, 2), (2, 2, 2)]
+
+
+def test_a_floor_that_is_not_finite_rules_nothing_out(monkeypatch):
+    # an entry that is not finite gets its group NaN tails instead of an
+    # SVD, which would raise, and a NaN slack: no candidate is ruled out,
+    # and the search runs as before
+    rep = direct_sum(_rand(AFFINE, (1, 1), 5), _rand(AFFINE, (1, 1), 6))
+    mats = [[m.copy() for m in pair] for pair in rep.mats]
+    mats[0][0][0, 0] = np.nan
+    rep = Representation(rep.quiver, rep.n, "float", tuple(map(tuple, mats)))
+    tails = reps._singular_tails(reps._arrow_groups(rep))
+    assert np.isnan(reps._defect_floor(tails, rep.n, (1, 0)))
+    tried = _spy_ruled_out(monkeypatch)
+    assert isinstance(check_stability(rep, (F(-1), F(1))), NoDestabilizerFound)
+    assert len(tried) == 4 and not any(out for _, out in tried)
 
 
 # ---------------------------------------------------------------------------

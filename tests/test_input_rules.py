@@ -216,6 +216,13 @@ def test_decomposition_betas_share_a_length_and_are_distinct_nonzero_and_non_neg
         with pytest.raises(ValueError):
             Decomposition(bad)
 
+
+def test_decomposition_of_no_parts_is_refused():
+    # it was accepted, and its total then raised IndexError on parts[0]
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="at least one part"):
+            Decomposition(empty)
+
 # rational input: theta, degree vectors, weights, cyclic_subrep's vector and
 # exact matrix entries
 AFFINE = CurveConfig(((-2, 2), (2, -2)), (1, 1), (1, 1), (1, 1))  # QUIVERS[1] at n = (1, 1)

@@ -31,6 +31,18 @@ def test_pairing_examples(elliptic_pair):
     assert mukai_pairing(a, b, elliptic_pair) == 2
 
 
+def test_pairing_signs_of_the_rank_terms(elliptic_pair):
+    # the structure sheaf v(O_S) = (1, 0, 1) is spherical: v.v = -2. Every
+    # other example has a rank or an Euler entry 0 on one side, or pairs a
+    # vector with itself through a symmetric form, so a pairing with both
+    # rank terms' signs flipped passed them all
+    o_s = MukaiVector(1, (0, 0), 1)
+    assert mukai_pairing(o_s, o_s, elliptic_pair) == -2
+    # rank 1 against rank 0: c_1 . c_1 = 2 through the gram, minus 1 * 3
+    u, w = MukaiVector(1, (1, 0), 1), MukaiVector(0, (0, 1), 3)
+    assert mukai_pairing(u, w, elliptic_pair) == mukai_pairing(w, u, elliptic_pair) == -1
+
+
 def test_pairing_dimension_mismatch(elliptic_pair):
     with pytest.raises(ValueError):
         mukai_pairing(MukaiVector(0, (1,), 1), MukaiVector(0, (1, 1), 1), elliptic_pair)

@@ -109,8 +109,12 @@ row printed one digest. Float ``check_stability`` skipping its search
 where ``is_simple`` holds, two A/B runs beside one same-tree run (change
 on both sides) in one session on the same VM: check_stability
 reps-float-seed0 0.282 and 0.281 (same tree 0.945), every run printing
-the one digest 49fb702a688dc42c, so no verdict kind or beta moved. Rows
-whose best times sum to under about 0.1 s of CPU swing the most.
+the one digest 49fb702a688dc42c, so no verdict kind or beta moved. The
+float search skipping the candidates its singular-value floor rules out,
+two A/B runs beside one same-tree run (change on both sides), one after
+another on the same VM: check_stability reps-float-seed0 0.415 and 0.419
+(same tree 1.002), every run printing the same digest 49fb702a688dc42c.
+Rows whose best times sum to under about 0.1 s of CPU swing the most.
 """
 
 import hashlib
