@@ -17,14 +17,14 @@ Scalars are either exact rationals ("exact" mode) or complex doubles
 representation. Matrices are numpy arrays in both modes: dtype ``object``
 holding ``Fraction`` entries in exact mode, dtype ``complex`` in float mode.
 So ``@``, ``+``, ``-``, ``.T`` and slicing serve both, and exact arithmetic
-never passes through a float. An exact representation holds read-only
-copies of its matrices; a float one views the arrays it was given.
+never passes through a float. Both modes hold read-only copies of the
+matrices (``_matrix``), and float entries are finite.
 
 A representation owns the arrow lists derived from it
-(``Representation._arrows``) and, in exact mode, its simplicity verdict
-(``Representation._simple``) and the cyclic spans of its coordinate
-vectors (``Representation._probe_spans``), all built on first use and
-kept.
+(``Representation._arrows``), its simplicity verdict
+(``Representation._simple``) and, in exact mode, the cyclic spans of its
+coordinate vectors (``Representation._probe_spans``), all built on first
+use and kept.
 
 The exact closures and invariance checks multiply no ``Fraction``: each
 arrow is cleared once per representation, that is multiplied by the lcm of
@@ -39,9 +39,9 @@ is never above the rank over Q. At every other vertex the cyclic spans of
 the coordinate vectors come first: a proper one makes the verdict False.
 Only where none is proper, and n_i > 1, does the exact closure of e_i
 decide. The pass runs only where no int64 sum of its products can wrap
-around (max(n)**2 <= 2**13). The verdict is decided once per exact
-representation and kept; exact ``check_stability`` reads it and skips
-its search exactly when the representation is simple, which has no proper
+around (max(n)**2 <= 2**13). In both modes the verdict is decided once
+per representation and kept; ``check_stability`` reads it and skips its
+search exactly when the representation is simple, which has no proper
 nonzero subrepresentation to find.
 
 The linearization d(mu) is assembled by scatter, not entry by entry:
@@ -84,11 +84,11 @@ _DTYPE = {EXACT: object, FLOAT: complex}
 
 
 def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndarray:
-    """m as a rows x cols array of the mode's dtype. The shape is checked on
-    the nested rows first, so a transposed or ragged input cannot be hidden
-    by a reshape; a matrix with no rows carries no column count. Exact mode
-    takes each entry by ``errors._as_rational``, in a read-only copy that the
-    input can no longer change. Float mode returns a complex array as it is."""
+    """m as a fresh read-only rows x cols array of the mode's dtype. The shape
+    is checked on the nested rows first, so a transposed or ragged input
+    cannot be hidden by a reshape; a matrix with no rows carries no column
+    count. Exact mode takes each entry by ``errors._as_rational``; float mode
+    refuses one that is not finite (``ValueError``), as the CLI does."""
     if isinstance(m, np.ndarray) and m.ndim == 2:
         ok = m.shape == (rows, cols)
     else:
@@ -98,12 +98,12 @@ def _matrix(m, rows: int, cols: int, mode: str, what: str = "matrix") -> np.ndar
             ok = False
     if not ok:
         raise ValueError(f"{what} must be {rows} x {cols}")
-    out = np.asarray(m, dtype=_DTYPE[mode]).reshape(rows, cols)
+    out = np.array(m, dtype=_DTYPE[mode]).reshape(rows, cols)
     if mode == EXACT:
-        entries = [e if type(e) in (Fraction, int) else _as_rational(e, what) for e in out.flat]
-        out = np.empty((rows, cols), dtype=object)
-        out.flat[:] = entries
-        out.flags.writeable = False
+        out.flat[:] = [e if type(e) in (Fraction, int) else _as_rational(e, what) for e in out.flat]
+    elif not np.isfinite(out).all():
+        raise ValueError(f"{what} must have finite entries")
+    out.flags.writeable = False
     return out
 
 
@@ -113,10 +113,9 @@ class Representation:
 
     x_e maps V_s(e) -> V_t(e) (shape n_t x n_s), y_e goes back.
     ``mats`` is aligned with ``quiver.orientation``. Matrices may be given as
-    nested rows or arrays; they are stored as numpy arrays, of ints and
-    ``Fraction``s in exact mode and of complex doubles in float mode. Exact
-    matrices are read-only copies; a complex array is stored as given, so
-    the representation follows later writes into it. Equality compares the
+    nested rows or arrays; ``_matrix`` stores read-only copies, of ints and
+    ``Fraction``s in exact mode and of finite complex doubles in float mode,
+    so what a representation keeps decided stays true. Equality compares the
     entries. ``n`` must pass ``check_bound`` (one integer >= 0 per vertex)."""
 
     quiver: Quiver
@@ -175,10 +174,10 @@ class Representation:
 
     @cached_property
     def _simple(self) -> bool:
-        """The exact ``is_simple`` verdict (``_exact_simple``), decided on
-        first use; read-only matrices keep it current. Float mode, whose
-        matrices can change under it, never reads it."""
-        return _exact_simple(self)
+        """The ``is_simple`` verdict of the mode (``_exact_simple`` or
+        ``_float_simple``), decided on first use; read-only matrices keep it
+        current."""
+        return _exact_simple(self) if self.mode == EXACT else _float_simple(self)
 
     @cached_property
     def _probe_spans(self) -> dict[tuple[int, int], list]:
@@ -189,10 +188,7 @@ class Representation:
         return {}
 
     def to_float(self) -> "Representation":
-        mats = tuple(
-            (x.astype(complex, copy=False), y.astype(complex, copy=False)) for x, y in self.mats
-        )
-        return Representation(self.quiver, self.n, FLOAT, mats)
+        return Representation(self.quiver, self.n, FLOAT, self.mats)
 
 
 @dataclass(frozen=True)
@@ -255,13 +251,17 @@ def _moment_blocks(q: Quiver, n: DimVector, mats, zero, lead: tuple = ()) -> tup
 
 
 def act(g: GroupElement, rep: Representation) -> Representation:
-    """x_e -> g_t x_e g_s^-1, y_e -> g_s y_e g_t^-1; one block per vertex."""
+    """x_e -> g_t x_e g_s^-1, y_e -> g_s y_e g_t^-1; one block per vertex, by
+    ``_matrix``. A singular block raises ``ValueError`` naming its vertex."""
     _check_same_length("blocks", g.blocks, "n", len(rep.n))
-    blocks = [_matrix(b, ni, ni, rep.mode) for b, ni in zip(g.blocks, rep.n)]
-    if rep.mode == EXACT:
-        inv = [_matrix(linalg.mat_inv(b), len(b), len(b), EXACT) for b in blocks]
-    else:
-        inv = [np.linalg.inv(b) for b in blocks]
+    blocks, inv = [], []
+    for i, (b, ni) in enumerate(zip(g.blocks, rep.n)):
+        blocks.append(_matrix(b, ni, ni, rep.mode, f"block for vertex {i}"))
+        try:
+            inv.append(_matrix(linalg.mat_inv(blocks[i]), ni, ni, EXACT) if rep.mode == EXACT
+                       else np.linalg.inv(blocks[i]))
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            raise ValueError(f"block for vertex {i} is singular") from None
     mats = tuple(
         (blocks[t] @ x @ inv[s], blocks[s] @ y @ inv[t])
         for (s, t, _), (x, y) in zip(rep.quiver.orientation, rep.mats)
@@ -502,9 +502,9 @@ def solve_moment_zero(
     until the residual drops; a backtracking candidate is judged on its flat
     vector. The search runs on flat vectors alone, as a batch of one seed
     of ``_gauss_newton``: the d(mu) scatter pattern of (q, n) is built once
-    per call and serves every step, and one Representation, viewing the
-    final iterate, is built at the end. Deterministic given the seed.
-    Refuses a negative ``seed`` and a ``tol`` that is not positive and
+    per call and serves every step, and one Representation, a read-only
+    copy of the final iterate, is built at the end. Deterministic given the
+    seed. Refuses a negative ``seed`` and a ``tol`` that is not positive and
     finite; raises RuntimeError (carrying the final residual) on
     non-convergence. n must pass ``check_bound``.
     """
@@ -710,14 +710,14 @@ def is_simple(rep: Representation) -> bool:
     graded by pairs of vertices, so the representation is simple exactly
     when, for each vertex i of the support, the paths out of i (the closure
     of e_i under left multiplication by the arrows) span Hom(V_i, V_j) for
-    every j in the support. Float mode takes the rank per block with the
-    relative tolerance 1e-8, on every call.
+    every j in the support (``_exact_simple``; ``_float_simple`` takes the
+    rank per block with the relative tolerance 1e-8). The verdict is kept in
+    ``Representation._simple``, which ``check_stability`` reads too."""
+    return rep._simple
 
-    Exact mode decides once per representation (``_exact_simple``, kept in
-    ``Representation._simple``), and exact ``check_stability`` reads the
-    same verdict: the matrices are read-only, so it cannot go stale."""
-    if rep.mode == EXACT:
-        return rep._simple
+
+def _float_simple(rep: Representation) -> bool:
+    """The float ``is_simple`` verdict: e_i closed on ``_block_adder`` spans."""
     n, N = rep.n, sum(rep.n)
     return N > 0 and all(_closure(n, rep._arrows, i, np.eye(ni, dtype=complex),
                                   [_block_adder(1e-8) for _ in n]) == ni * N
@@ -1066,12 +1066,11 @@ def _arrow_groups(rep: Representation) -> list:
 def _singular_tails(groups) -> list:
     """(s, t, tail) per arrow group with s != t (a loop bounds nothing): tail[i]
     sums sigma_k(A)^2 over its arrows A and k > i, 1-indexed, down to
-    tail[min(n_s, n_t)] = 0. NaN where an entry is not finite."""
+    tail[min(n_s, n_t)] = 0."""
     tails = []
     for s, t, A, _ in groups:
         if s != t:
-            sq = ((np.linalg.svd(A, compute_uv=False) ** 2).sum(axis=0) if np.isfinite(A).all()
-                  else np.full(min(A.shape[1:]), np.nan))
+            sq = (np.linalg.svd(A, compute_uv=False) ** 2).sum(axis=0)
             tails.append((s, t, np.append(np.cumsum(sq[::-1])[::-1], 0.0)))
     return tails
 
@@ -1111,7 +1110,8 @@ def _minimize_defect(rep, beta, budget, rng, groups, ruled_out=False):
     and stops at ``tol``, after ``iters`` steps or when its step size
     underflows. ``groups`` are the representation's ``_arrow_groups``, built
     once per search. Returns (defect, frames) of the first restart below
-    ``tol``, else of the first with the least defect; None without
+    ``tol``, else of the first with the least defect, the frames as
+    read-only copies (``_matrix``) that keep no stack alive; None without
     restarts or, once its start frames are drawn (so that every later
     candidate meets the same rng stream), when ``ruled_out`` by its floor."""
     R = budget.restarts
@@ -1146,7 +1146,7 @@ def _minimize_defect(rep, beta, budget, rng, groups, ruled_out=False):
         eta = np.where(take, np.minimum(eta * 1.25, 1.0), np.where(live, eta * 0.5, eta))
         live &= eta >= 1e-12
     r = int(np.argmin(np.where(defect < budget.tol, -1.0, defect)))
-    return defect[r], [f[r] for f in frames]
+    return defect[r], [_matrix(f[r], *f.shape[1:], FLOAT) for f in frames]
 
 
 def _projector_defect(rep: Representation, frames) -> float:
@@ -1177,8 +1177,8 @@ def check_stability(
     Exact mode refuses sum(n) past ``MAX_SEARCH_SIZE``
     (``InvariantError("search-size")``), float mode a box past
     ``MAX_ROOT_BOX`` (``checked_box``). Then both skip the search exactly
-    when ``is_simple`` holds, the verdict kept on an exact representation
-    and a rank test at relative tol 1e-8 on each float call: a simple
+    when ``is_simple`` holds, the verdict kept on the representation (in
+    float mode a rank test at relative tol 1e-8): a simple
     representation has no proper nonzero subrepresentation. A float one
     near a reducible one that passes the rank test gets
     ``NoDestabilizerFound`` where its search would certify a witness.
@@ -1196,7 +1196,7 @@ def check_stability(
     dimension vector of the box 0 <= beta <= n (``checked_box``) in rank
     order, and the first it certifies wins. It skips a beta whose
     singular-value floor (``_defect_floor``) no frame could get under tol,
-    which changes no verdict.
+    which changes no verdict. Its witness frames are read-only copies.
     """
     budget = budget or SearchBudget()
     n = rep.n

@@ -707,14 +707,19 @@ def test_the_kept_verdict_cannot_go_stale():
                 m[0, 0] = F(7)
     source[1, 0] = F(5)  # the arrays it was built from no longer reach it
     assert rep.mats[0][0][1, 0] == 0 and is_simple(rep)
-    # a float representation views the arrays it was given: it keeps no
-    # verdict, and the next call follows a write into them
+    # a float representation keeps its copies and its verdict the same way:
+    # zeroing the arrays it was built from reaches neither
     arrays = [m.astype(complex) for pair in rep.mats for m in pair]
     float_rep = Representation(q, (2, 2), "float", (tuple(arrays[:2]), tuple(arrays[2:])))
-    assert is_simple(float_rep) and "_simple" not in vars(float_rep)
+    assert is_simple(float_rep) and vars(float_rep)["_simple"]
+    for pair in float_rep.mats:
+        for m in pair:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 7
     for a in arrays:
         a[:] = 0
-    assert not is_simple(float_rep) and "_simple" not in vars(float_rep)
+    assert float_rep.mats[0][0][0, 0] == 1 and is_simple(float_rep)
+    assert not is_simple(Representation(q, (2, 2), "float", (tuple(arrays[:2]), tuple(arrays[2:]))))
 
 
 # ---------------------------------------------------------------------------

@@ -333,18 +333,21 @@ def test_the_floor_costs_a_loops_only_search_no_svd(monkeypatch):
 
 
 def test_a_floor_that_is_not_finite_rules_nothing_out(monkeypatch):
-    # an entry that is not finite gets its group NaN tails instead of an
-    # SVD, which would raise, and a NaN slack: no candidate is ruled out,
-    # and the search runs as before
+    # an entry that is not finite is refused when the representation is
+    # built, so every floor the search meets is finite: on the wall sum the
+    # floor rules out the 3 candidates with beta_0 != beta_1, and a NaN,
+    # inf or -inf entry never reaches a search
     rep = direct_sum(_rand(AFFINE, (1, 1), 5), _rand(AFFINE, (1, 1), 6))
-    mats = [[m.copy() for m in pair] for pair in rep.mats]
-    mats[0][0][0, 0] = np.nan
-    rep = Representation(rep.quiver, rep.n, "float", tuple(map(tuple, mats)))
     tails = reps._singular_tails(reps._arrow_groups(rep))
-    assert np.isnan(reps._defect_floor(tails, rep.n, (1, 0)))
+    assert all(np.isfinite(reps._defect_floor(tails, rep.n, b)) for b in boxed_vectors(rep.n))
     tried = _spy_ruled_out(monkeypatch)
-    assert isinstance(check_stability(rep, (F(-1), F(1))), NoDestabilizerFound)
-    assert len(tried) == 4 and not any(out for _, out in tried)
+    assert not isinstance(check_stability(rep, (F(-1), F(1))), NoDestabilizerFound)
+    assert sorted(tried) == [((0, 1), True), ((0, 2), True), ((1, 1), False), ((1, 2), True)]
+    for bad in (np.nan, np.inf, -np.inf):
+        mats = [[m.copy() for m in pair] for pair in rep.mats]
+        mats[0][0][0, 0] = bad
+        with pytest.raises(ValueError, match="x matrix for edge 0->1 must have finite entries"):
+            Representation(rep.quiver, rep.n, "float", tuple(map(tuple, mats)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +370,46 @@ def test_check_stability_skips_the_search_on_simple_float_representations(monkey
     for rep, theta, budget in simple:
         assert check_stability(rep, theta, budget) == NoDestabilizerFound(
             budget.probes, budget.restarts, budget.tol)
+
+
+def test_one_float_verdict_serves_is_simple_and_check_stability(monkeypatch):
+    # is_simple then check_stability on one float representation, as a
+    # benchmark round calls them, run the rank test once; so does the
+    # other order, and a second representation of the same matrices runs
+    # its own
+    calls = []
+    real = reps._float_simple
+
+    def spied(rep):
+        calls.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(reps, "_float_simple", spied)
+    verdicts = set()
+    for rep, theta, budget in _cases():
+        verdicts.add(reps.is_simple(rep))
+        check_stability(rep, theta, budget)
+        assert calls == [rep]
+        twin = Representation(rep.quiver, rep.n, rep.mode, rep.mats)
+        check_stability(twin, theta, budget)
+        assert reps.is_simple(twin) == reps.is_simple(rep) and calls == [rep, twin]
+        calls.clear()
+    assert verdicts == {True, False}
+
+
+def test_witness_frames_are_read_only_copies():
+    # a certified frame is a value: it cannot be written into, and it holds
+    # no more memory than its own entries, not the restarts' stack
+    witnesses = 0
+    for rep, theta, budget in _cases():
+        verdict = check_stability(rep, theta, budget)
+        for u in getattr(verdict, "basis", ()):
+            witnesses += 1
+            owner = u if u.base is None else u.base
+            assert not u.flags.writeable and owner.nbytes == u.nbytes
+            with pytest.raises(ValueError, match="read-only"):
+                u[...] = 0
+    assert witnesses >= 10
 
 
 def _near_reducible(eps: float) -> Representation:

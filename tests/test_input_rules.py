@@ -44,6 +44,7 @@ from quiverk3 import (
     decompositions,
     degrees,
     det_weight_vector,
+    direct_sum,
     enumerate_chambers,
     is_generic,
     quiver_walls,
@@ -222,6 +223,47 @@ def test_decomposition_of_no_parts_is_refused():
     for empty in ((), []):
         with pytest.raises(ValueError, match="at least one part"):
             Decomposition(empty)
+
+# float matrix entries and act's blocks
+
+
+def test_float_entries_must_be_finite():
+    # the CLI's rule for float entries, owned by the library: a NaN, inf or
+    # -inf real or imaginary part is refused where a float representation
+    # is built (the affine (1, 1) + (1, 1) wall sum among them) and in a
+    # block of act, naming the matrix
+    q = QUIVERS[1]
+    one = random_representation(q, (1, 1), seed=1, mode="float")
+    wall = direct_sum(one, random_representation(q, (1, 1), seed=2, mode="float"))
+    for bad in (math.nan, math.inf, -math.inf):
+        for z in (complex(bad, 0), complex(0, bad)):
+            for rep in (one, wall):
+                for e, (s, t, _) in enumerate(q.orientation):
+                    for k, name in enumerate("xy"):
+                        mats = [list(pair) for pair in rep.mats]
+                        mats[e][k] = mats[e][k].copy()
+                        mats[e][k][0, 0] = z
+                        with pytest.raises(ValueError, match=f"{name} matrix for edge {s}->{t} "
+                                                             "must have finite entries"):
+                            Representation(q, rep.n, "float", tuple(map(tuple, mats)))
+            with pytest.raises(ValueError, match="block for vertex 1 must have finite entries"):
+                act(GroupElement((((1,),), ((z,),))), one)
+
+
+def test_act_refuses_a_singular_block_by_its_vertex():
+    # one refusal in both modes, naming the vertex whose block has no inverse
+    q = QUIVERS[1]
+    for mode in ("exact", "float"):
+        rep = random_representation(q, (2, 2), seed=3, mode=mode)
+        for i in range(2):
+            blocks = [((1, 0), (0, 1))] * 2
+            blocks[i] = ((1, 2), (2, 4))
+            with pytest.raises(ValueError, match=f"block for vertex {i} is singular"):
+                act(GroupElement(tuple(blocks)), rep)
+            blocks[i] = ((0, 0), (0, 0))
+            with pytest.raises(ValueError, match=f"block for vertex {i} is singular"):
+                act(GroupElement(tuple(blocks)), rep)
+
 
 # rational input: theta, degree vectors, weights, cyclic_subrep's vector and
 # exact matrix entries

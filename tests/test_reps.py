@@ -164,7 +164,7 @@ def test_act_equivariance_exact():
 def test_act_rejects_singular(affine_a1):
     rep = simple_affine_rep(affine_a1)
     g = GroupElement((((F(0),),), ((F(1),),)))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="block for vertex 0 is singular"):
         act(g, rep)
 
 
@@ -670,9 +670,52 @@ def test_exact_matrices_are_read_only_copies(affine_a1):
     for rep in (queried, fresh):
         assert rep == simple_affine_rep(affine_a1)
         assert is_simple(rep) and cyclic_subrep(rep, 1, (F(1),))[0] == (1, 1)
-    # a float representation views the complex arrays it was given
+    # a float representation copies the complex arrays it was given too
     x = np.ones((1, 1), dtype=complex)
-    assert np.shares_memory(Representation(q, (1, 1), "float", ((x, x), (x, x))).mats[0][0], x)
+    stored = Representation(q, (1, 1), "float", ((x, x), (x, x))).mats[0][0]
+    assert not np.shares_memory(stored, x) and not stored.flags.writeable
+
+
+def test_float_matrices_are_read_only_copies(affine_a1, elliptic_pair):
+    # every way of building a float representation stores fresh read-only
+    # arrays: none shares memory with what it was built from
+    q = quiver_from_config(affine_a1)
+    x = np.ones((1, 1), dtype=complex)
+    rep = Representation(q, (1, 1), "float", ((x, x), ([[2j]], [[3]])))
+    exact = simple_affine_rep(affine_a1)
+    e = quiver_from_config(elliptic_pair)
+    drawn = random_representation(e, (2, 2), seed=5, mode="float")
+    g = GroupElement(tuple(np.eye(2, dtype=complex) * (k + 1) for k in range(2)))
+    sources = [x, *(m for r in (exact, drawn) for pair in r.mats for m in pair)]
+    for r in (rep, exact.to_float(), drawn, solve_moment_zero(q, (1, 1), seed=0),
+              dual(drawn), direct_sum(drawn, drawn), act(g, drawn)):
+        for pair in r.mats:
+            for m in pair:
+                assert m.dtype == complex and not m.flags.writeable
+                assert not any(np.shares_memory(m, src) for src in sources if src is not m)
+                with pytest.raises(ValueError, match="read-only"):
+                    m[...] = 0
+    x[0, 0] = 5  # a write into the input reaches no representation
+    assert rep.mats[0][0][0, 0] == 1 and rep.mats[0][1][0, 0] == 1
+
+
+def test_to_float_is_the_complex_cast_bit_for_bit(affine_a1):
+    # to_float converts nothing itself: _matrix's complex copy of each exact
+    # matrix holds the bytes of astype(complex), signed zeros included
+    q = quiver_from_config(affine_a1)
+    entries = [F(1, 3), F(-2, 7), F(10**30 + 1, 3), 2**62 + 1, 0, F(-1, 10**20), -5]
+    for k in range(len(entries)):
+        r = entries[k:] + entries[:k]
+        rep = Representation(q, (1, 2), "exact", (([[r[0]], [r[1]]], [[r[2], r[3]]]),
+                                                  ([[r[4]], [r[5]]], [[r[6], r[0]]])))
+        for pe, pf in zip(rep.mats, rep.to_float().mats):
+            for a, b in zip(pe, pf):
+                assert b.dtype == complex and b.tobytes() == a.astype(complex).tobytes()
+    for seed in range(3):
+        rep = random_representation(quiver_from_config(affine_a1), (2, 2), seed=seed)
+        fl = rep.to_float()
+        assert all(b.tobytes() == a.astype(complex).tobytes()
+                   for pe, pf in zip(rep.mats, fl.mats) for a, b in zip(pe, pf))
 
 
 def test_exact_rep_stores_numpy_integers_as_python_ints(affine_a1):

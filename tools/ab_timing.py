@@ -45,10 +45,15 @@ so this row's ratio is the search's own), float ``check_stability`` on
 a fresh copy of the representation of each of the 120 float
 ``check_stability`` operations of ``reps-float`` at seed 0, with the
 operation's theta (``reps-float-seed0``: its TEXT is the verdict kind and
-beta, since a float witness's frames are floats), the same 418 as a pair,
-``is_simple`` and then exact ``check_stability`` on one fresh copy per run, as a ``reps-exact`` round calls them (its TEXT is the
-``repr`` of both verdicts; the ``check_stability`` row alone cannot show
-what the second call reuses from the first), and ``verify_ci_dim`` at
+beta, since a float witness's frames are floats), float ``is_simple`` on
+a fresh copy of the representation of each of the 120 float ``is_simple``
+operations of ``reps-float`` at seed 0 (its TEXT is the verdict), the same
+418 exact and 120 float ``check_stability`` inputs as a pair,
+``is_simple`` and then ``check_stability`` on one fresh copy per run, as a
+``reps-exact`` or ``reps-float`` round calls them (its TEXT is the
+``repr`` of both verdicts, and for the float row the simplicity verdict,
+kind and beta; the ``check_stability`` row alone cannot show what the
+second call reuses from the first), and ``verify_ci_dim`` at
 20 trials and seed 0 on the eight (fixture, n) cases of the ``reps-float``
 benchmark (its TEXT is each trial's seed, ``repr`` of its residual and
 rank, so the digest also covers the residual floats), and
@@ -114,6 +119,17 @@ float search skipping the candidates its singular-value floor rules out,
 two A/B runs beside one same-tree run (change on both sides), one after
 another on the same VM: check_stability reps-float-seed0 0.415 and 0.419
 (same tree 1.002), every run printing the same digest 49fb702a688dc42c.
+Float representations copying their matrices and keeping their
+simplicity verdict, as exact ones do, two A/B runs beside one same-tree
+run (change on both sides), one after another on the same VM:
+is_simple+check_stability reps-float-seed0 0.866 and 0.868 (same tree
+0.998), since ``check_stability`` reads the verdict ``is_simple`` kept;
+is_simple reps-float-seed0 1.018 and 1.017 (1.000), a first call that
+stores its verdict through the ``cached_property`` (not profiled
+further); check_stability reps-float-seed0 1.007 and 1.009 (1.000);
+verify_ci_dim 0.995 and 0.996 (0.997); the exact is_simple,
+check_stability and is_simple+check_stability rows 0.987-1.011 (same
+tree 0.990-1.003). Every row printed one digest on every run.
 Rows whose best times sum to under about 0.1 s of CPU swing the most.
 """
 
@@ -237,6 +253,13 @@ def bench_search(t) -> list:
     return bench_stability(t, (".unstable", ".wall"))
 
 
+def bench_float_simple(t) -> list:
+    """The representations of the 120 float ``is_simple`` operations of
+    the ``reps-float`` benchmark at seed 0, built as in ``bench_simple``."""
+    return [cell["make_rep"]() for cell in bench_cells(t, "reps.is_simple.float",
+                                                        workload="reps-float")]
+
+
 def bench_float_stability(t) -> list:
     """(representation, theta) of the 120 float ``check_stability``
     operations of the ``reps-float`` benchmark at seed 0, built as in
@@ -253,9 +276,9 @@ def stability(t, case) -> list:
 
 
 def simple_then_stability(t, case) -> list:
-    """``is_simple``, then exact ``check_stability`` with the operation's
-    theta, on one fresh copy of the representation per run, as a
-    ``reps-exact`` round calls them: the second call may reuse what the
+    """``is_simple``, then ``check_stability`` with the operation's theta,
+    on one fresh copy of the representation per run, as a ``reps-exact``
+    or ``reps-float`` round calls them: the second call may reuse what the
     first kept on the representation."""
     rep, theta = case
 
@@ -337,6 +360,8 @@ TEXT = {  # layer, or layer/name for one row, -> the text of one result of a tre
     "check_stability/reps-float-seed0": lambda t, verdict: json.dumps(
         [type(verdict).__name__, getattr(verdict, "beta", None)]),
     "is_simple+check_stability": lambda t, verdicts: repr(verdicts),
+    "is_simple+check_stability/reps-float-seed0": lambda t, verdicts: json.dumps(
+        [verdicts[0], type(verdicts[1]).__name__, getattr(verdicts[1], "beta", None)]),
     "lp_feasible_point": lambda t, point: json.dumps(point),
     "verify_ci_dim": lambda t, report: json.dumps([[c.seed, repr(c.residual), c.rank]
                                                    for c in report.trials]),
@@ -365,10 +390,13 @@ ROWS = [  # (layer, name, configurations or representations, inputs of one of th
     *[("is_simple", f"genus2-{m}", drawn(GENUS2, (m,)), simple) for m in (5, 6, 7, 8)],
     *[("is_simple", f"affine{m}{m}", drawn(AFFINE, (m, m)), simple) for m in (4, 5)],
     ("is_simple", "reps-exact-seed0", bench_simple, simple),
+    ("is_simple", "reps-float-seed0", bench_float_simple, simple),
     ("check_stability", "reps-exact-seed0", bench_stability, stability),
     ("check_stability", "reps-exact-search", bench_search, stability),
     ("check_stability", "reps-float-seed0", bench_float_stability, stability),
     ("is_simple+check_stability", "reps-exact-seed0", bench_stability, simple_then_stability),
+    ("is_simple+check_stability", "reps-float-seed0", bench_float_stability,
+     simple_then_stability),
     ("verify_ci_dim", "reps-float-seed0", float_cases, ci_dim),
     ("lp_feasible_point", "pinned600", lp_pinned, lp),
     ("lp_feasible_point", "chamber-like200", lp_chamber_like, lp),
