@@ -1194,9 +1194,12 @@ def check_stability(
     the winner is read out as ``Fraction`` bases. Float mode runs a
     gradient-descent search over graded projection frames for each
     dimension vector of the box 0 <= beta <= n (``checked_box``) in rank
-    order, and the first it certifies wins. It skips a beta whose
-    singular-value floor (``_defect_floor``) no frame could get under tol,
-    which changes no verdict. Its witness frames are read-only copies.
+    order, and the first it certifies wins; below a sum |A|_F^2 of 1 over
+    all arrows, on the representation scaled to 1, as the absolute tol would
+    pass a small one's non-invariant subspace (a scalar moves no
+    subrepresentation). It skips a beta whose singular-value floor
+    (``_defect_floor``) no frame could get under tol, which changes no
+    verdict. Its witness frames are read-only copies.
     """
     budget = budget or SearchBudget()
     n = rep.n
@@ -1234,6 +1237,9 @@ def check_stability(
             return verdict(sl, *_graded(spans))
     else:  # a numeric subspace search per candidate dimension vector
         rng = np.random.default_rng(budget.seed)
+        norm = sqrt(sum(np.vdot(a, a).real for pair in rep.mats for a in pair))
+        if 0 < norm < 1:  # searched at unit scale, which moves no subrepresentation
+            rep = Representation(rep.quiver, n, FLOAT, [(x / norm, y / norm) for x, y in rep.mats])
         groups = _arrow_groups(rep)
         tails = _singular_tails(groups)
         # no frame whose floor passes this gets both defects below tol, rounding included

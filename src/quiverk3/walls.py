@@ -14,13 +14,12 @@ integers over common denominators: the cone cuts, the interior points, the
 sign certificates, the characters and the per-chamber probes. Each cell's
 cone carries integer generators that hold their values on every wall, with
 bitmasks of the signs of those values, so a cell is split only at the walls
-that cut it, and a wall that does not cut it is read off the masks. Both point
-solvers, Fourier-Motzkin and the exact simplex, take integer constraints and
-return a point ipt / m as (m, ipt), m the lcm of its reduced denominators.
-The simplex takes over only from an elimination past its row bound; it
-pivots fraction-free, every tableau entry over one positive denominator.
-The Fourier-Motzkin solves of one chamber enumeration share one bounded
-row table, which changes no point and no blowup. A ``ChamberSet`` keeps its
+that cut it, and a wall that does not cut it is read off the masks. A new
+interior point is Fourier-Motzkin's, from integer constraints, as (m, ipt)
+for ipt / m, m the lcm of its reduced denominators; past FM's row bound it
+is the sum of the side's extreme rays. The FM solves of one chamber
+enumeration share one bounded row table, which changes no point and no
+blowup. A ``ChamberSet`` keeps its
 points, and a wall slice its vertices, in integers over one denominator, and
 the correspondence's samples, probes and genericity test run on them. A
 ``Fraction`` is made only where a report spells a value (representatives,
@@ -272,12 +271,11 @@ class _RowTable:
 
 
 def _fm_core(
-    cons: list[Constraint], nvars: int, limit: int, table: _RowTable | None = None
+    cons: list[Constraint], nvars: int, limit: int, table: _RowTable
 ) -> tuple[int, IntVector] | None:
     """Fourier-Motzkin over integer constraints, with back-substitution in
     integers: a point ipt / m as (m, ipt), m the lcm of its reduced
-    denominators, or None when there is none (``lp_feasible_point``'s
-    contract too).
+    denominators, or None when there is none.
 
     Each coordinate is the midpoint of its fiber interval over the point of
     the eliminated system, lo + 1 or hi - 1 on a half-line, and 0 on the
@@ -285,17 +283,14 @@ def _fm_core(
     elimination grows doubly exponentially with the variable count;
     exceeding it raises ``_FMBlowup``.
 
-    The rows live in a ``_RowTable``: a fresh one, or ``table``, which the
-    solves of one chamber enumeration share so that each row is normalized,
-    and each pair of rows eliminated, once. A level is the set of its rows'
-    ids, and the point depends only on the set of distinct normalized rows
-    at each level, as the blowup depends only on its size; so a shared table
-    gives every solve the point and the blowup of a fresh one. A table that
-    holds more than ``_FM_LIMIT`` entries after a solve is cleared, which
-    bounds its memory.
+    The rows live in ``table``, which the solves of one chamber enumeration
+    share so that each row is normalized, and each pair of rows eliminated,
+    once. A level is the set of its rows' ids, and the point depends only on
+    the set of distinct normalized rows at each level, as the blowup depends
+    only on its size; so a shared table gives every solve the point and the
+    blowup of a fresh one. A table that holds more than ``_FM_LIMIT``
+    entries after a solve is cleared, which bounds its memory.
     """
-    if table is None:
-        table = _RowTable()
     try:
         # rows seen before cost one dict lookup each; a new row takes ``intern``
         keys = [(tuple(c), b) for c, b in cons]
@@ -372,8 +367,8 @@ def _fm_level(
 
 def lp_feasible_point(cons: list[Constraint], nvars: int) -> tuple[int, IntVector] | None:
     """Exact phase-1 simplex for {x free : coeffs . x >= rhs} over integer
-    constraints, with ``_fm_core``'s contract: a point ipt / m as (m, ipt),
-    m the lcm of its reduced denominators, or None when there is none.
+    constraints, with ``_fm_core``'s contract, (m, ipt) for ipt / m or None;
+    not called by the package; kept for the tests and the tracer.
 
     Writes x = x+ - x- and subtracts slacks, then minimizes the sum of
     artificials with Bland's rule, which terminates. The artificials start
@@ -557,21 +552,18 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     iff its closure does. So the masks decide every wall. A cell is split,
     by one double-description step (``_cut``), only at the next wall that
     cuts it, and takes its sign on each wall before that one from the
-    masks: one ``_cut`` per split, count - 1 in all. Fourier-Motzkin (the
-    exact simplex on a blowup) only produces an interior point, for a side
-    proven nonempty whose parent's point fails. A solve that finds no point
-    on such a side is a broken identity and raises ``MathAssertionError``.
+    masks: one ``_cut`` per split, count - 1 in all. Fourier-Motzkin only
+    produces an interior point, for a side proven nonempty whose parent's
+    point fails, and past its row budget the side's ray sum does, strictly
+    inside its full-dimensional cone. A solve that finds no point on such a
+    side is a broken identity and raises ``MathAssertionError``.
 
     The chambers are listed in lexicographic order of their signatures,
     +1 before -1: the cells are walked depth first, the + side first.
 
-    The solves of one enumeration share one ``_RowTable``, so each row of
-    their systems is normalized, and each pair eliminated, once. The table
-    is bounded, and every point is that of a fresh solve (``_fm_core``).
-
-    A cell's point is kept as either solver returns it: (m, ipt), an integer
-    vector ipt over one denominator m, in the coordinates of ``nperp_basis``;
-    the sign certificate is taken on ipt. The chamber's point is theta =
+    A cell's point is kept as it is found: (m, ipt), an integer vector ipt
+    over one denominator m, in the coordinates of ``nperp_basis``; the
+    sign certificate is taken on ipt. The chamber's point is theta =
     (sum_k ipt[k] * basis[k]) / m, over n's coordinates, in lowest terms.
 
     Past ``MAX_CHAMBERS`` on the Buck-Zaslavsky bound of the walls it raises
@@ -613,14 +605,15 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
     rows = [(g, tuple([-x for x in g])) for g in functionals]
     table = _RowTable()
 
-    def solve(signs):
-        # the cell's system, rebuilt in processing order. Fourier-Motzkin with
-        # dedup is fast on it; the exact simplex takes over on a blowup
+    def solve(signs, rays):
+        # the cell's system, rebuilt in processing order. Past FM's budget the
+        # point is the sum of the side's rays: each is on the side's sign up to
+        # the cut, the lines vanish there, and the open side is nonempty
         ext = [(pair[s < 0], 1) for s, pair in zip(signs, rows)]
         try:
             found = _fm_core(ext, d, _FM_LIMIT, table)
         except _FMBlowup:
-            found = lp_feasible_point(ext, d)
+            return 1, tuple(primitive([sum(x) for x in zip(*(v[nwalls:] for v, _, _ in rays))]))
         if found is None:
             raise MathAssertionError(
                 f"no interior point found for sign cell {signs}, "
@@ -657,8 +650,8 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
         val = sum(map(mul, functionals[k], ipt))
         (plines, prays), (nlines, nrays) = _cut(k, bits, lines, rays)
         plus, minus = signs + (1,), signs + (-1,)
-        pm, pipt = (m, ipt) if val > 0 else solve(plus)
-        nm, nipt = (m, ipt) if val < 0 else solve(minus)
+        pm, pipt = (m, ipt) if val > 0 else solve(plus, prays)
+        nm, nipt = (m, ipt) if val < 0 else solve(minus, nrays)
         stack.append((minus, nm, nipt, nlines, nrays))
         stack.append((plus, pm, pipt, plines, prays))
     columns = list(zip(*basis))

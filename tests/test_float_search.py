@@ -13,7 +13,8 @@ change of basis), and the kernel's defect and gradient must equal
 candidate beta whose singular-value floor no frame can get under tol is
 skipped after its start frames are drawn; the floor is checked against the
 projector defect of random frames, and the verdicts and witness frames
-against a search that skips nothing.
+against a search that skips nothing. A representation whose sum |A|_F^2 is
+below 1 is judged at unit scale; every case above is at or past it.
 """
 
 from __future__ import annotations
@@ -452,3 +453,31 @@ def test_the_size_bounds_come_before_is_simple(monkeypatch):
     with pytest.raises(InvariantError) as err:
         check_stability(big, (F(1), F(-n[0])))
     assert err.value.invariant == "search-size"
+
+
+def _norm2(rep: Representation) -> float:
+    """sum |A|_F^2 over the arrows x and y."""
+    return sum(np.vdot(a, a).real for pair in rep.mats for a in pair)
+
+
+def test_every_case_is_searched_at_its_own_scale():
+    # at sum |A|_F^2 >= 1 the search runs on the representation as given,
+    # so the unit-scale rule moves none of these verdicts
+    assert min(_norm2(rep) for rep, _, _ in _cases()) >= 1
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e-5, 1e-8])
+def test_a_small_wall_sum_is_judged_at_unit_scale(scale):
+    # at 1e-5 the absolute tol certified V_1 alone, no subrepresentation, as
+    # CertifiedUnstable (0, 1) with defect 2.7e-10; at 1e-2 it found nothing
+    q = quiver_from_config(AFFINE)
+    wall = direct_sum(*(random_representation(q, (1, 1), seed=s, mode="float") for s in (1, 2)))
+    theta = (F(-1), F(1))
+    want = check_stability(wall, theta)
+    assert type(want).__name__ == "StrictlySemistableWitness" and want.beta == (1, 1)
+    small = Representation(q, wall.n, "float",
+                           tuple(tuple(scale * m for m in pair) for pair in wall.mats))
+    got = check_stability(small, theta)
+    assert (type(got), got.beta) == (type(want), want.beta)
+    # the witness spans a subrepresentation of the small sum as given
+    assert reps._projector_defect(small, got.basis) < SearchBudget().tol * _norm2(small)

@@ -243,7 +243,7 @@ def fm_on_every_split(q, n) -> ChamberSet:
         ext = [(tuple(s * x for x in g), 1) for s, g in zip(signs, functionals)]
         ext.append((tuple(sgn * x for x in f), 1))
         try:
-            return walls_module._fm_core(ext, d, limit=4000)
+            return walls_module._fm_core(ext, d, 4000, _RowTable())
         except _FMBlowup:
             return walls_module.lp_feasible_point(ext, d)
 
@@ -297,36 +297,54 @@ def test_enumerate_chambers_matches_fm_on_every_split(
         assert enumerate_chambers(q, cfg.mult) == fm_on_every_split(q, cfg.mult), cfg
 
 
-def test_simplex_fallback_inside_enumerate_chambers(monkeypatch):
-    """With the Fourier-Motzkin budget cut to 6 constraints, most interior
-    points of ``enumerate_chambers`` come from the exact simplex. The chamber
-    set must still equal the reference under the same budget, and its count
-    and signatures those of the unpatched enumeration."""
+def _solver_spies(patch, limit=None):
+    """Counters of the ``_fm_core`` blowups and the ``lp_feasible_point``
+    calls that follow, with the Fourier-Motzkin budget cut to ``limit`` if
+    one is given."""
     real_fm, real_lp = walls_module._fm_core, walls_module.lp_feasible_point
-    lp_calls = []
+    counts = {"blowups": 0, "simplex": 0}
 
-    def tight_fm(cons, nvars, limit, table=None):
-        return real_fm(cons, nvars, 6, table)
+    def counted_fm(cons, nvars, budget, table):
+        try:
+            return real_fm(cons, nvars, limit or budget, table)
+        except _FMBlowup:
+            counts["blowups"] += 1
+            raise
 
     def counted_lp(constraints, nvars):
-        lp_calls.append(nvars)
+        counts["simplex"] += 1
         return real_lp(constraints, nvars)
 
+    patch.setattr(walls_module, "_fm_core", counted_fm)
+    patch.setattr(walls_module, "lp_feasible_point", counted_lp)
+    return counts
+
+
+def test_budget_fallback_inside_enumerate_chambers(monkeypatch):
+    """With the Fourier-Motzkin budget cut to 6 constraints, most interior
+    points of ``enumerate_chambers`` come from the ray sum of their side's
+    cone, and none from the simplex. The count and signatures must be those
+    of the unpatched enumeration and of the reference, and every
+    representative must lie in its own sign cell. The blowup count moves
+    with the points, since a point is reused until it fails: the simplex
+    took 606 of them before the ray sum."""
     rng = random.Random(11)
-    from_enumeration = 0
+    blowups = 0
     for _ in range(10):
         cfg = random_config(rng, 3, 4, gram_bound=4, mult_max=2)
         q = quiver_from_config(cfg)
         plain = enumerate_chambers(q, cfg.mult)
+        reference = fm_on_every_split(q, cfg.mult)
         with monkeypatch.context() as patch:
-            patch.setattr(walls_module, "_fm_core", tight_fm)
-            patch.setattr(walls_module, "lp_feasible_point", counted_lp)
-            before = len(lp_calls)
+            counts = _solver_spies(patch, limit=6)
             patched = enumerate_chambers(q, cfg.mult)
-            from_enumeration += len(lp_calls) - before
-            assert patched == fm_on_every_split(q, cfg.mult), cfg
-        assert (patched.count, patched.signatures) == (plain.count, plain.signatures), cfg
-    assert from_enumeration == 606, from_enumeration
+        assert counts["simplex"] == 0, cfg
+        blowups += counts["blowups"]
+        for chambers in (plain, reference):
+            assert (patched.count, patched.signatures) == (chambers.count, chambers.signatures), cfg
+        for theta, signs in zip(patched.representatives, patched.signatures):
+            assert chamber_signature(theta, patched.walls) == signs, cfg
+    assert blowups == 604, blowups
 
 
 def test_chamber_count_matches_zaslavsky(monkeypatch):
@@ -357,7 +375,7 @@ def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_p
     q = quiver_from_config(affine_a1)
     calls = []
 
-    def first_solve_fails(cons, nvars, limit, table=None):
+    def first_solve_fails(cons, nvars, limit, table):
         calls.append(nvars)
         return None if len(calls) == 1 else _fm_core(cons, nvars, limit, table)
 
@@ -376,13 +394,18 @@ def test_no_point_on_a_proven_side_is_an_assertion(affine_a1, monkeypatch, tmp_p
     assert enumerate_chambers(q, (1, 1)).count == 2
 
 
+def fresh_fm(cons, nvars, limit):
+    """``_fm_core`` on a row table of its own."""
+    return _fm_core(cons, nvars, limit, _RowTable())
+
+
 def test_fm_feasible_point_basics():
     """``_fm_core`` finds no point of an infeasible system and a feasible
     point, as (m, ipt) for ipt / m, of a feasible one."""
     # x >= 1, -x >= 1 infeasible
-    assert _fm_core([((1,), 1), ((-1,), 1)], 1, 4000) is None
+    assert fresh_fm([((1,), 1), ((-1,), 1)], 1, 4000) is None
     # x + y >= 1 and x - y >= 1 at the point ipt / m
-    m, ipt = _fm_core([((1, 1), 1), ((1, -1), 1)], 2, 4000)
+    m, ipt = fresh_fm([((1, 1), 1), ((1, -1), 1)], 2, 4000)
     assert m > 0 and ipt[0] + ipt[1] >= m and ipt[0] - ipt[1] >= m
 
 
@@ -408,12 +431,12 @@ def test_integer_fm_matches_fraction_fm():
             for _ in range(rng.randint(1, 14))
         ]
         tight = outcome(fraction_fm_core, cons, nvars, 6) is _FMBlowup
-        assert (outcome(_fm_core, cons, nvars, 6) is _FMBlowup) == tight, cons
+        assert (outcome(fresh_fm, cons, nvars, 6) is _FMBlowup) == tight, cons
         blowups += tight
         # systems that grow past 200 constraints are left uncompared, to keep
         # the test fast; both must blow up on them
         ref = outcome(fraction_fm_core, cons, nvars, 200)
-        got = outcome(_fm_core, cons, nvars, 200)
+        got = outcome(fresh_fm, cons, nvars, 200)
         if ref is _FMBlowup:
             assert got is _FMBlowup, cons
             continue
@@ -434,7 +457,7 @@ def _sign_cell_systems(cfg, rng, monkeypatch):
     its walls, mostly infeasible."""
     real_fm, systems = walls_module._fm_core, []
 
-    def recorded(cons, nvars, limit, table=None):
+    def recorded(cons, nvars, limit, table):
         systems.append((cons, nvars))
         return real_fm(cons, nvars, limit, table)
 
@@ -477,7 +500,7 @@ def test_shared_row_table_matches_fresh_tables(monkeypatch):
             assert len(shared) > 0
             shared.clear()
         got = outcome(_fm_core, cons, nvars, 4000, shared)
-        assert got == outcome(_fm_core, cons, nvars, 4000), cons
+        assert got == outcome(fresh_fm, cons, nvars, 4000), cons
         ref = fraction_fm_core(cons, nvars)
         if ref is None:
             assert got is None, cons
@@ -487,7 +510,7 @@ def test_shared_row_table_matches_fresh_tables(monkeypatch):
             assert tuple(Fraction(x, m) for x in ipt) == ref, cons
             points += 1
         tight = outcome(_fm_core, cons, nvars, 6, shared)
-        assert tight == outcome(_fm_core, cons, nvars, 6), cons
+        assert tight == outcome(fresh_fm, cons, nvars, 6), cons
         assert (tight is _FMBlowup) == (outcome(fraction_fm_core, cons, nvars, 6) is _FMBlowup)
         blowups += tight is _FMBlowup
     assert min(points, infeasible, blowups, len(systems) - blowups) >= 100, (
@@ -501,7 +524,7 @@ def test_chamber_set_of_the_3300_chamber_draw_is_pinned(monkeypatch):
     is reset on the way."""
     real_fm, sizes = walls_module._fm_core, []
 
-    def sized(cons, nvars, limit, table=None):
+    def sized(cons, nvars, limit, table):
         try:
             return real_fm(cons, nvars, limit, table)
         finally:
@@ -522,7 +545,8 @@ def test_one_cut_per_split(monkeypatch):
     so ``_cut`` runs only at a wall that cuts its cell: once per split, and
     count - 1 times in all. One call per cell and wall made 26197 on the
     3300-chamber draw and 20076 on the 32 configurations of the
-    ``chambers`` benchmark at seed 0."""
+    ``chambers`` benchmark at seed 0. No Fourier-Motzkin solve of these
+    inputs blows up, so none calls the simplex."""
     real_cut, calls = walls_module._cut, []
 
     def counted(*args):
@@ -536,6 +560,7 @@ def test_one_cut_per_split(monkeypatch):
         return len(calls)
 
     monkeypatch.setattr(walls_module, "_cut", counted)
+    solvers = _solver_spies(monkeypatch)
     assert cuts(random_config(random.Random(5), 5, 5, gram_bound=4, mult_max=2)) == 3299
     rng = random.Random(40)
     for s in (3, 4, 5):
@@ -544,6 +569,8 @@ def test_one_cut_per_split(monkeypatch):
     inputs = benchmark_workloads().build("chambers", 0).inputs
     assert len(inputs) == 32
     assert sum(cuts(parse_config_document(json.loads(doc))[0]) for doc, _ in inputs) == 4014
+    # every point of these inputs is a Fourier-Motzkin point within its budget
+    assert solvers == {"blowups": 0, "simplex": 0}
 
 
 def test_chambers_are_listed_in_lexicographic_signature_order():
@@ -573,7 +600,7 @@ def test_lp_matches_fm_on_random_systems():
             )
             for _ in range(m)
         ]
-        fm = _fm_core(cons, nvars, 4000)
+        fm = fresh_fm(cons, nvars, 4000)
         lp = lp_feasible_point(cons, nvars)
         assert (fm is None) == (lp is None), cons
         for found in (fm, lp):
@@ -832,7 +859,7 @@ def test_chamber_point_off_its_sign_cell_is_an_assertion(affine_a1, monkeypatch,
     (exit 4)."""
     q = quiver_from_config(affine_a1)
     monkeypatch.setattr(walls_module, "_fm_core",
-                        lambda cons, nvars, limit, table=None: (1, (0,) * nvars))
+                        lambda cons, nvars, limit, table: (1, (0,) * nvars))
     with pytest.raises(MathAssertionError, match="does not realize its sign cell"):
         enumerate_chambers(q, (1, 1))
     cpath = tmp_path / "config.json"
