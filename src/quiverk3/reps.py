@@ -51,7 +51,9 @@ the vector along it into a matrix of zeros. Each cell takes at most one
 added and one subtracted term, in that order, so the result is bit for bit
 that of the entrywise loop. The Gauss-Newton search (``_gauss_newton``)
 runs on flat vectors and on one pattern, built per call of
-``solve_moment_zero`` or ``verify_ci_dim`` and dropped with it.
+``solve_moment_zero`` or ``verify_ci_dim`` and dropped with it; it scatters
+a stack of iterates at once and solves their steps in one LAPACK call
+(``_stacked_lstsq``).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from math import lcm, sqrt
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .errors import (InvariantError, MathAssertionError, _as_rational, _check_count,
@@ -357,13 +360,35 @@ def moment_differential(rep: Representation) -> np.ndarray:
 
 def _scatter(pattern: tuple, z: np.ndarray, zero) -> np.ndarray:
     """d(mu) at the flat vector z: a matrix of ``zero``s, the shape the
-    pattern gives, with z scattered in along it."""
+    pattern gives, with z scattered in along it. A stack of flat vectors
+    (z's last axis) gives the stack of their d(mu)s, each slice the
+    matrix of its vector alone."""
     plus_pos, plus_src, minus_pos, minus_src, shape = pattern
-    J = np.full(shape, zero)
-    flat = J.reshape(-1)  # a view: J is contiguous
-    flat[plus_pos] += z[plus_src]
-    flat[minus_pos] -= z[minus_src]
+    lead = z.shape[:-1]
+    J = np.full((*lead, *shape), zero)
+    flat = J.reshape(*lead, -1)  # a view: J is contiguous
+    flat[..., plus_pos] += z[..., plus_src]
+    flat[..., minus_pos] -= z[..., minus_src]
     return J
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _stacked_lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution x[i] of J[i] x = b[i] for each slice of
+    the complex stacks J (k, m, N) and b (k, m), m >= 1, in one call: bit
+    for bit ``np.linalg.lstsq(J[i], b[i], rcond=None)[0]``. That wrapper
+    refuses a 3-D J, so this calls the gufunc behind it, which runs LAPACK's
+    gelsd on each slice with the same rcond and workspace, under the same
+    error contract: a slice that gelsd cannot solve, a NaN one say, raises
+    ``LinAlgError``. The one use of numpy's private ``_umath_linalg``."""
+    rcond = np.finfo(float).eps * max(J.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        x = _umath_linalg.lstsq(J, b[..., None], rcond, signature="DDd->Ddid")[0]
+    return x[..., 0]
 
 
 def _flatten_mats(rep: Representation) -> np.ndarray:
@@ -438,13 +463,13 @@ def _gauss_newton(q: Quiver, n: DimVector, pattern: tuple, seeds: Sequence[int],
 
     The iterates of the live seeds are the rows of one array, and their
     residuals come from one stacked pass (``_residuals``). Each of 101
-    passes checks each live seed's norm, and the first 100 take a step: a
-    seed gets its own scatter and its own 2-D least-squares solve (numpy
-    refuses a 3-D ``lstsq``, and a stacked pinv is not bit-identical), and
-    then every searching seed backtracks at once, each with its own step,
-    its candidate z + step * delta judged in one stacked pass per halving.
-    A seed leaves the batch when its norm reaches tol, when its step falls
-    below 2^-40, or at the 101st check."""
+    passes checks each live seed's norm, and the first 100 take a step:
+    one scatter builds the d(mu)s of all searching seeds and one
+    ``_stacked_lstsq`` call solves all their steps, each slice as a 2-D
+    ``lstsq`` solves it; then every searching seed backtracks at once, each
+    with its own step, its candidate z + step * delta judged in one stacked
+    pass per halving. A seed leaves the batch when its norm reaches tol,
+    when its step falls below 2^-40, or at the 101st check."""
     out = [None] * len(seeds)
     live = list(range(len(seeds)))  # the position in seeds of each row of Z and R
 
@@ -464,22 +489,27 @@ def _gauss_newton(q: Quiver, n: DimVector, pattern: tuple, seeds: Sequence[int],
                 unsolved(row, rnorm)
             else:
                 search.append(row)
-        delta = {row: np.linalg.lstsq(_scatter(pattern, Z[row], 0j), -R[row], rcond=None)[0]
-                 for row in search}
-        step, moved = dict.fromkeys(search, 1.0), {}
-        while search:
-            cand = np.stack([Z[row] + step[row] * delta[row] for row in search])
+        if not search:
+            break
+        # the rows of Z0, D and step are those of search, in its order;
+        # backtracking keeps the positions in them of the rows still searching
+        Z0 = Z[search]
+        D = _stacked_lstsq(_scatter(pattern, Z0, 0j), -R[search])
+        step, moved, at = np.ones(len(search)), {}, list(range(len(search)))
+        while at:
+            cand = Z0[at] + step[at, None] * D[at]
             cand_r, left = _residuals(q, n, cand), []
-            for j, row in enumerate(search):
+            for j, i in enumerate(at):
+                row = search[i]
                 if _norm(cand_r[j]) < norms[row]:
                     moved[row] = cand[j], cand_r[j]
                     continue
-                step[row] *= 0.5
-                if step[row] >= 2.0**-40:
-                    left.append(row)
+                step[i] *= 0.5
+                if step[i] >= 2.0**-40:
+                    left.append(i)
                 else:  # no step lowered the residual
                     unsolved(row, norms[row])
-            search = left
+            at = left
         if not moved:
             break
         rows = sorted(moved)
@@ -517,14 +547,20 @@ def solve_moment_zero(
     return Representation(q, n, FLOAT, _unflatten_mats(q, n, got[0]))
 
 
+def _ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
+    """The numerical rank of each matrix of a stack (of one 2-D matrix, an
+    array of shape ()), from one stacked SVD: the singular values above tol
+    times the largest. A matrix without entries, or of zeros, has rank 0."""
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    return (sv > tol * sv[..., :1]).sum(axis=-1)
+
+
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Singular values below tol * (largest singular value) count as zero.
-    Refuses a ``tol`` that is not positive and finite (``ValueError``)."""
+    """Singular values below tol * (largest singular value) count as zero
+    (``_ranks``, the rule ``verify_ci_dim`` applies to a stack). Refuses a
+    ``tol`` that is not positive and finite (``ValueError``)."""
     _check_tol("tol", tol)
-    sv = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int((sv > tol * sv[0]).sum())
+    return int(_ranks(np.asarray(matrix, dtype=complex), tol))
 
 
 @dataclass(frozen=True)
@@ -568,10 +604,13 @@ def verify_ci_dim(
     built per call, serves every trial's steps and final rank; a trial's
     residual is its search's last norm. The trials' searches run in
     batches of ``_gauss_newton``, each of at most ``MAX_DIFFERENTIAL //
-    max(N, m)`` seeds (at least one), N and m the columns and rows of
-    d(mu), so no stacked array holds more entries than one d(mu) may; the
-    report is the one of searches run one by one. Each trial's rank is its
-    own. ``trials=0`` runs no search. Refuses a negative ``trials`` or
+    (m N)`` seeds (at least one), m and N the rows and columns of d(mu),
+    each counted as at least 1, so no stack of d(mu)s, iterates or
+    residuals holds more entries than one d(mu) may. A batch's converged
+    iterates are scattered as one stack, and one stacked SVD gives their
+    ranks, each by ``numeric_rank``'s rule on its own slice. The report is
+    the one of searches run one by one. ``trials=0`` runs no search.
+    Refuses a negative ``trials`` or
     ``seed`` and a tolerance that is not positive and finite
     (``ValueError``), and more than ``MAX_TRIALS`` trials
     (``InvariantError("ci-trials")``). n must pass ``check_bound``."""
@@ -588,16 +627,17 @@ def verify_ci_dim(
         raise MathAssertionError("dim Rep - (n.n - 1) != 2p(n) + n.n - 1")
     pattern, results, failures = _differential_pattern(q, n), [], []
     seeds = range(seed, seed + trials)
-    size = max(1, MAX_DIFFERENTIAL // max(*pattern[-1], 1))
+    m, N = pattern[-1]
+    size = max(1, MAX_DIFFERENTIAL // (max(m, 1) * max(N, 1)))
     for b in range(0, trials, size):
         batch = seeds[b : b + size]
-        for s, got in zip(batch, _gauss_newton(q, n, pattern, batch, residual_tol)):
-            if isinstance(got, str):
-                failures.append(f"seed {s}: {got}")
-                continue
-            z, res = got
-            rank = numeric_rank(_scatter(pattern, z, 0j), tol=rank_tol)
-            results.append(CiTrial(s, res, rank, rep_space_dim(q, n) - rank))
+        got = list(zip(batch, _gauss_newton(q, n, pattern, batch, residual_tol)))
+        failures += [f"seed {s}: {g}" for s, g in got if isinstance(g, str)]
+        solved = [(s, g) for s, g in got if not isinstance(g, str)]
+        if solved:
+            Z = np.stack([z for _, (z, _) in solved])
+            for (s, (_, res)), rank in zip(solved, _ranks(_scatter(pattern, Z, 0j), rank_tol)):
+                results.append(CiTrial(s, res, int(rank), N - int(rank)))
     matching = sum(
         1 for r in results if r.rank == expected_rank and r.residual <= residual_tol
     )

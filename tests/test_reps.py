@@ -530,14 +530,13 @@ def test_the_pattern_is_built_once_per_solve(affine_a1, monkeypatch):
 def test_the_solver_steps_at_most_100_times(ogrady, monkeypatch):
     # a tenth of each least-squares step lowers the residual every time but
     # never to tol: the 101st residual check ends the search with the error
-    lstsq, calls = np.linalg.lstsq, []
+    lstsq, calls = reps._stacked_lstsq, []
 
-    def short(a, b, rcond=None):
-        calls.append(1)
-        delta, *rest = lstsq(a, b, rcond=rcond)
-        return (delta * 0.1, *rest)
+    def short(J, b):
+        calls.extend(range(len(J)))
+        return lstsq(J, b) * 0.1
 
-    monkeypatch.setattr(np.linalg, "lstsq", short)
+    monkeypatch.setattr(reps, "_stacked_lstsq", short)
     q = quiver_from_config(ogrady)
     with pytest.raises(RuntimeError, match="did not reach tol=1e-300; final residual"):
         solve_moment_zero(q, (2,), seed=1, tol=1e-300)
@@ -553,13 +552,13 @@ def test_a_batch_is_its_seeds_searched_alone(affine_a1_22, monkeypatch):
     # batch at 1e-300, where every seed fails
     q, n = quiver_from_config(affine_a1_22), (2, 2)
     pattern = reps._differential_pattern(q, n)
-    lstsq, steps = np.linalg.lstsq, []
+    lstsq, steps = reps._stacked_lstsq, []
 
-    def counted(a, b, rcond=None):
-        steps.append(1)
-        return lstsq(a, b, rcond=rcond)
+    def counted(J, b):
+        steps.extend(range(len(J)))  # one step per slice
+        return lstsq(J, b)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(reps, "_stacked_lstsq", counted)
     for tol, seeds in ((1e-15, range(12)), (1e-300, range(3))):
         want, ends = [], []
         for s in seeds:
@@ -592,10 +591,11 @@ def _batch_sizes(monkeypatch) -> list:
 
 
 def test_verify_ci_dim_reports_alike_in_any_batches(monkeypatch):
-    # a batch holds at most MAX_DIFFERENTIAL // max(N, m) seeds; at m * N,
-    # the least bound that lets d(mu) be built, that is min(N, m), and the
-    # trials run in several batches with the report of one batch, failure
-    # texts included
+    # a batch holds at most MAX_DIFFERENTIAL // (m * N) seeds, so its stack
+    # of d(mu)s holds no more entries than one d(mu) may; at m * N, the
+    # least bound that lets d(mu) be built, each batch holds one seed, and
+    # at 7 m N seven. The trials run in several batches with the report of
+    # one batch, failure texts included
     sizes, split, bound = _batch_sizes(monkeypatch), 0, reps.MAX_DIFFERENTIAL
     for cfg, n in _float_cases():
         q = quiver_from_config(cfg)
@@ -604,14 +604,68 @@ def test_verify_ci_dim_reports_alike_in_any_batches(monkeypatch):
             sizes.clear()
             want = verify_ci_dim(q, n, trials=trials, seed=3, residual_tol=tol)
             assert sizes == [trials]
-            sizes.clear()
-            monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", m * N)
-            assert verify_ci_dim(q, n, trials=trials, seed=3, residual_tol=tol) == want
-            monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", bound)
-            size = min(m, N)
-            assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
-            split += len(sizes) > 1
+            for size in (1, 7):
+                sizes.clear()
+                monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", size * m * N)
+                assert verify_ci_dim(q, n, trials=trials, seed=3, residual_tol=tol) == want
+                monkeypatch.setattr(reps, "MAX_DIFFERENTIAL", bound)
+                assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+                split += len(sizes) > 1
     assert split > 8
+
+
+def _stacked_differentials(q, n, seeds):
+    """d(mu) at the halved start draw of each seed, as one stack, and a
+    right-hand side per slice: minus the residual there."""
+    Z = np.stack([reps._float_draw(q, n, s) for s in seeds]) * 0.5
+    return reps._scatter(reps._differential_pattern(q, n), Z, 0j), -reps._residuals(q, n, Z)
+
+
+def test_the_stacked_solve_is_lstsq_slice_by_slice():
+    # on d(mu) of every reps-float case, each of rank below its n . n rows
+    # (the trace of mu vanishes), every slice of one stacked solve has the
+    # bytes of np.linalg.lstsq on that slice alone
+    for cfg, n in _float_cases():
+        q = quiver_from_config(cfg)
+        J, b = _stacked_differentials(q, n, range(5))
+        assert J.shape == (5, *reps._differential_pattern(q, n)[-1])
+        x = reps._stacked_lstsq(J, b)
+        for i in range(len(J)):
+            assert numeric_rank(J[i]) < len(J[i])
+            assert x[i].tobytes() == np.linalg.lstsq(J[i], b[i], rcond=None)[0].tobytes()
+
+
+def test_the_stacked_solve_refuses_a_nan_as_lstsq_does(affine_a1):
+    # one NaN entry in one slice: np.linalg.lstsq refuses that slice, and
+    # the stacked solve refuses the stack, with the same error
+    J, b = _stacked_differentials(quiver_from_config(affine_a1), (2, 2), range(3))
+    J[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least"):
+        np.linalg.lstsq(J[1], b[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least"):
+        reps._stacked_lstsq(J, b)
+
+
+def test_the_stacked_rank_is_numeric_rank_of_each_matrix():
+    # one stacked SVD gives each slice the rank that numeric_rank gives it
+    # alone and that the rule applied to its own singular values gives: at
+    # start draws, at a solution of mu = 0, at zero (rank 0), and on a stack
+    # of matrices without columns
+    def rule(matrix, tol):
+        sv = np.linalg.svd(matrix, compute_uv=False)
+        return 0 if sv.size == 0 or sv[0] == 0.0 else int((sv > tol * sv[0]).sum())
+
+    for cfg, n in _float_cases():
+        q = quiver_from_config(cfg)
+        J, _ = _stacked_differentials(q, n, range(3))
+        sol = moment_differential(solve_moment_zero(q, n, seed=0))
+        J = np.concatenate([J, sol[None], np.zeros_like(J[:1])])
+        for tol in (1e-8, 1e-3, 0.5):
+            got = reps._ranks(J, tol)
+            assert got.shape == (len(J),)
+            assert list(got) == [numeric_rank(j, tol=tol) for j in J] == [rule(j, tol) for j in J]
+        assert got[-1] == 0 and 0 < got[-2] < sum(x * x for x in n)
+    assert list(reps._ranks(np.zeros((2, 9, 0), dtype=complex), 1e-8)) == [0, 0]
 
 
 def test_a_batch_holds_one_seed_at_least(monkeypatch):

@@ -107,6 +107,29 @@ MUTANTS = (
     Mutant("float-search-at-given-scale", "src/quiverk3/reps.py",
            "if 0 < norm < 1:", "if False:",
            ("tests/test_float_search.py::test_a_small_wall_sum_is_judged_at_unit_scale",)),
+    Mutant("stacked-lstsq-ignores-invalid", "src/quiverk3/reps.py",
+           'with np.errstate(call=_lstsq_failed, invalid="call",',
+           'with np.errstate(call=_lstsq_failed, invalid="ignore",',
+           ("tests/test_reps.py::test_the_stacked_solve_refuses_a_nan_as_lstsq_does",)),
+    Mutant("tol-check-admits-zero", "src/quiverk3/errors.py",
+           "if not 0 < value < math.inf:", "if not 0 <= value < math.inf:",
+           ("tests/test_reps.py::test_verify_ci_dim_refuses_a_bad_budget",)),
+    Mutant("span-pivot-sign-kept", "src/quiverk3/linalg.py",
+           "v = [-x for x in v] if v[p] < 0 else v", "v = list(v)",
+           ("tests/test_linalg.py::test_span_residues_rows_and_pivots_match_the_per_step_reduce",)),
+    Mutant("cli-io-error-exit-3", "src/quiverk3/cli.py",
+           'print(f"i/o error: {exc}", file=sys.stderr)\n        return EXIT_SCHEMA',
+           'print(f"i/o error: {exc}", file=sys.stderr)\n        return EXIT_INVARIANT',
+           ("tests/test_cli.py::test_exit_codes",)),
+    # exit-4 identities: each check must fire when its identity breaks
+    Mutant("chamber-certificate-non-strict", "src/quiverk3/walls.py",
+           "if any(sgn * sum(map(mul, f, ipt)) <= 0 for sgn, f in zip(signs, functionals)):",
+           "if any(sgn * sum(map(mul, f, ipt)) < 0 for sgn, f in zip(signs, functionals)):",
+           ("tests/test_walls.py::test_chamber_point_off_its_sign_cell_is_an_assertion",)),
+    Mutant("ci-dim-identity-one-sided", "src/quiverk3/reps.py",
+           "if rep_space_dim(q, n) - expected_rank != expected_dim:",
+           "if rep_space_dim(q, n) - expected_rank > expected_dim:",
+           ("tests/test_reps.py::test_broken_ci_dimension_identity_is_an_assertion",)),
     Mutant("strata-ambient-guard-equality", "src/quiverk3/strata.py",
            "if simple_at_n and (dim > ambient or (dim == ambient and not trivial)):",
            "if simple_at_n and dim > ambient:", (),
