@@ -197,7 +197,9 @@ def _roots_upto(q: Quiver, n: DimVector) -> tuple[DimVector, ...]:
 
 def check_bound(q: Quiver, n: DimVector) -> DimVector:
     """n as Python ints (``_as_int_vector``), one per vertex and none negative:
-    the check of each entry point (``d_form``, ``is_positive_root``: length only)."""
+    the check of each entry point that takes a dimension vector
+    (``bounded_roots``, ``cb_simple_exists``, ``mu_zero_expected_dim``,
+    ``rep_space_dim``, ...; ``d_form``, ``is_positive_root``: length only)."""
     n = _as_int_vector(n)
     _check_same_length("n", n, "loops", q.s)
     if any(x < 0 for x in n):
@@ -356,9 +358,10 @@ def cb_simple_exists(q: Quiver, n: DimVector) -> SimpleExistence:
     r >= 2, into positive roots (repetitions allowed).
 
     On failure, reports a decomposition maximizing sum p (found by exact
-    dynamic programming over the box 0 <= r <= n).
+    dynamic programming over the box 0 <= r <= n). n must pass
+    ``check_bound``.
     """
-    n = _as_int_vector(n)
+    n = check_bound(q, n)
     if not is_positive_root(q, n):
         return SimpleExistence(False, False, None)
     return _simple_table(q, n, _roots_upto(q, n))[n]
@@ -410,13 +413,16 @@ def _simple_table(
 
 
 def mu_zero_expected_dim(q: Quiver, n: DimVector) -> int:
-    """dim mu^-1(0) = 2p(n) + n^t n - 1 when the simple criterion holds."""
+    """dim mu^-1(0) = 2p(n) + n^t n - 1 when the simple criterion holds;
+    n must pass ``check_bound``."""
+    n = check_bound(q, n)
     return 2 * p_of(q, n) + sum(x * x for x in n) - 1
 
 
 def rep_space_dim(q: Quiver, n: DimVector) -> int:
-    """dim Rep(doubled quiver, n) = 2 sum_e n_s(e) n_t(e)."""
-    _check_same_length("n", n, "loops", q.s)
+    """dim Rep(doubled quiver, n) = 2 sum_e n_s(e) n_t(e); n must pass
+    ``check_bound``."""
+    n = check_bound(q, n)
     return 2 * sum(n[s] * n[t] for s, t, _ in q.orientation)
 
 

@@ -51,8 +51,12 @@ the vector along it into a matrix of zeros. Each cell takes at most one
 added and one subtracted term, in that order, so the result is bit for bit
 that of the entrywise loop. The Gauss-Newton search (``_gauss_newton``)
 runs on flat vectors and on one pattern, built per call of
-``solve_moment_zero`` or ``verify_ci_dim`` and dropped with it; it scatters
-a stack of iterates at once and solves their steps in one LAPACK call
+``solve_moment_zero`` or ``verify_ci_dim`` and dropped with it. It runs a
+batch of seeds on arrays: their start draws come as the rows of one array
+(``_float_draws``), the live seeds are the rows of the iterates, residuals
+and residual norms (``_norms``, one stacked norm) under one row index, and
+masks retire rows and pick those still backtracking. Each pass scatters
+the stack of iterates at once and solves their steps in one LAPACK call
 (``_stacked_lstsq``).
 """
 
@@ -230,7 +234,7 @@ def random_representation(
             for s, t, _ in q.orientation
         )
         return Representation(q, n, EXACT, mats)
-    return Representation(q, n, FLOAT, _unflatten_mats(q, n, _float_draw(q, n, seed)))
+    return Representation(q, n, FLOAT, _unflatten_mats(q, n, _float_draws(q, n, (seed,))[0]))
 
 
 def moment_map(rep: Representation) -> tuple:
@@ -410,19 +414,20 @@ def _unflatten_mats(q: Quiver, n: DimVector, vec: np.ndarray) -> tuple:
     return tuple(mats)
 
 
-def _float_draw(q: Quiver, n: DimVector, seed: int) -> np.ndarray:
-    """The flat vector of ``random_representation(q, n, seed, "float")``:
-    block by block, standard normal real parts, then imaginary parts. All
-    2N normals come from one ``standard_normal(2N)`` call, the stream of
-    one call per block, and each block's real and imaginary parts are
-    gathered from it by index."""
+def _float_draws(q: Quiver, n: DimVector, seeds: Sequence[int]) -> np.ndarray:
+    """The flat vector of ``random_representation(q, n, seed, "float")``
+    for each seed, as the rows of one array: block by block, standard
+    normal real parts, then imaginary parts. A seed's 2N normals come from
+    one ``standard_normal(2N)`` call of its own generator, the stream of one
+    call per block, and each block's real and imaginary parts are gathered
+    from it by one index, built once for all seeds."""
     sizes = np.array([k for s, t, _ in q.orientation for k in (n[s] * n[t],) * 2], dtype=np.intp)
     # the block at offset o of size k drew its real parts at 2o..2o+k-1
     # and its imaginary parts at 2o+k..2o+2k-1: entry p of it at p + o
     re = np.repeat(np.cumsum(sizes) - sizes, sizes)
     re += np.arange(len(re))
-    g = np.random.default_rng(seed).standard_normal(2 * len(re))
-    return g[re] + 1j * g[re + np.repeat(sizes, sizes)]
+    G = np.stack([np.random.default_rng(s).standard_normal(2 * len(re)) for s in seeds])
+    return G[:, re] + 1j * G[:, re + np.repeat(sizes, sizes)]
 
 
 def _residual(blocks) -> np.ndarray:
@@ -440,12 +445,11 @@ def _residuals(q: Quiver, n: DimVector, Z: np.ndarray) -> np.ndarray:
     return _residual(_moment_blocks(q, n, _unflatten_mats(q, n, Z), 0j, Z.shape[:-1]))
 
 
-def _norm(r: np.ndarray) -> float:
-    """``np.linalg.norm`` of the 1-D complex r by its own formula,
-    sqrt(re . re + im . im), bit for bit; ``norm(axis=1)`` of a stack sums
-    in another order."""
-    re, im = r.real, r.imag
-    return sqrt(re.dot(re) + im.dot(im))
+def _norms(R: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of the complex R, bit for bit: its
+    1-D formula sqrt(re . re + im . im), with ``np.vecdot``'s row sums;
+    ``norm(axis=1)`` sums in another order."""
+    return np.sqrt(np.vecdot(R.real, R.real) + np.vecdot(R.imag, R.imag))
 
 
 def moment_residual_norm(rep: Representation) -> float:
@@ -461,61 +465,51 @@ def _gauss_newton(q: Quiver, n: DimVector, pattern: tuple, seeds: Sequence[int],
     of the ``RuntimeError`` its search ends with. Each seed's trajectory is
     bit for bit that of a search run alone.
 
-    The iterates of the live seeds are the rows of one array, and their
-    residuals come from one stacked pass (``_residuals``). Each of 101
-    passes checks each live seed's norm, and the first 100 take a step:
-    one scatter builds the d(mu)s of all searching seeds and one
-    ``_stacked_lstsq`` call solves all their steps, each slice as a 2-D
-    ``lstsq`` solves it; then every searching seed backtracks at once, each
-    with its own step, its candidate z + step * delta judged in one stacked
-    pass per halving. A seed leaves the batch when its norm reaches tol,
-    when its step falls below 2^-40, or at the 101st check."""
+    The live seeds are the rows of the iterates Z, their residuals R and
+    residual norms N (``_norms``), and ``live`` holds each row's position
+    in seeds. Each of 101 passes retires by one mask the rows at tol and
+    the rows whose step ran out, and the first 100 step the others: one
+    scatter builds their d(mu)s and one ``_stacked_lstsq`` call solves all
+    their steps, each slice as a 2-D ``lstsq`` solves it. Then the rows at
+    ``at`` backtrack at once, each with its own step: one stacked pass per
+    halving judges the candidates z + step * delta, a row whose candidate
+    lowers its norm takes it in place and leaves ``at``, and a row whose
+    step falls below 2^-40 leaves with its failure. The 101st pass fails
+    the rows still searching."""
     out = [None] * len(seeds)
-    live = list(range(len(seeds)))  # the position in seeds of each row of Z and R
 
-    def unsolved(row: int, rnorm: float) -> None:
-        out[live[row]] = (f"moment-map solver did not reach tol={tol:g}; "
-                          f"final residual {rnorm:.3e}")
+    def unsolved(rows) -> None:
+        for i in rows:
+            out[live[i]] = (f"moment-map solver did not reach tol={tol:g}; "
+                            f"final residual {N[i]:.3e}")
 
     # mild scaling keeps the start in the basin without landing on 0
-    Z = np.stack([_float_draw(q, n, s) for s in seeds]) * 0.5
+    Z = _float_draws(q, n, seeds) * 0.5
     R = _residuals(q, n, Z)
+    N, live, step = _norms(R), np.arange(len(seeds)), np.ones(len(seeds))
+    least = 2.0**-40  # the smallest step tried
     for k in range(101):
-        norms, search = [_norm(r) for r in R], []
-        for row, rnorm in enumerate(norms):
-            if rnorm <= tol:
-                out[live[row]] = (Z[row], rnorm)
-            elif k == 100:
-                unsolved(row, rnorm)
-            else:
-                search.append(row)
-        if not search:
+        done = N <= tol
+        for i in np.flatnonzero(done):
+            out[live[i]] = (Z[i], float(N[i]))
+        keep = ~done & (step >= least)  # a row whose step ran out has failed
+        live, Z, R, N = live[keep], Z[keep], R[keep], N[keep]
+        if k == 100 or not len(live):
+            unsolved(range(len(live)))  # the 101st check fails every row left
             break
-        # the rows of Z0, D and step are those of search, in its order;
-        # backtracking keeps the positions in them of the rows still searching
-        Z0 = Z[search]
-        D = _stacked_lstsq(_scatter(pattern, Z0, 0j), -R[search])
-        step, moved, at = np.ones(len(search)), {}, list(range(len(search)))
-        while at:
-            cand = Z0[at] + step[at, None] * D[at]
-            cand_r, left = _residuals(q, n, cand), []
-            for j, i in enumerate(at):
-                row = search[i]
-                if _norm(cand_r[j]) < norms[row]:
-                    moved[row] = cand[j], cand_r[j]
-                    continue
-                step[i] *= 0.5
-                if step[i] >= 2.0**-40:
-                    left.append(i)
-                else:  # no step lowered the residual
-                    unsolved(row, norms[row])
-            at = left
-        if not moved:
-            break
-        rows = sorted(moved)
-        live = [live[row] for row in rows]
-        Z = np.stack([moved[row][0] for row in rows])
-        R = np.stack([moved[row][1] for row in rows])
+        D = _stacked_lstsq(_scatter(pattern, Z, 0j), -R)
+        step, at = np.ones(len(live)), np.arange(len(live))
+        while len(at):
+            cand = Z[at] + step[at, None] * D[at]
+            cand_r = _residuals(q, n, cand)
+            cand_n = _norms(cand_r)
+            won = cand_n < N[at]
+            Z[at[won]], R[at[won]], N[at[won]] = cand[won], cand_r[won], cand_n[won]
+            at = at[~won]
+            step[at] *= 0.5
+            ran_out = step[at] < least
+            unsolved(at[ran_out])  # no step lowered the residual
+            at = at[~ran_out]
     return out
 
 
@@ -558,9 +552,13 @@ def _ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
     """Singular values below tol * (largest singular value) count as zero
     (``_ranks``, the rule ``verify_ci_dim`` applies to a stack). Refuses a
-    ``tol`` that is not positive and finite (``ValueError``)."""
+    ``matrix`` that is not 2-D and a ``tol`` that is not positive and
+    finite (``ValueError``)."""
     _check_tol("tol", tol)
-    return int(_ranks(np.asarray(matrix, dtype=complex), tol))
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got an array of shape {matrix.shape}")
+    return int(_ranks(matrix, tol))
 
 
 @dataclass(frozen=True)

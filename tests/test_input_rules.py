@@ -38,6 +38,7 @@ from quiverk3 import (
     act,
     annihilator_witness,
     bounded_roots,
+    cb_simple_exists,
     chamber_signature,
     check_stability,
     cyclic_subrep,
@@ -47,8 +48,10 @@ from quiverk3 import (
     direct_sum,
     enumerate_chambers,
     is_generic,
+    mu_zero_expected_dim,
     quiver_walls,
     random_representation,
+    rep_space_dim,
     restrict_weights_to_type,
     slope_theta,
     solve_moment_zero,
@@ -151,7 +154,8 @@ def is_generic_at_large_theta(q, n):
 
 
 DIMENSION_CALLS = (enumerate_chambers, verify_ci_dim_once, solve_moment_zero,
-                   is_generic_at_large_theta)
+                   is_generic_at_large_theta, cb_simple_exists, rep_space_dim,
+                   mu_zero_expected_dim)
 CALLS = (_quiver, _representation, _curve_config, _mukai_vector, _bounded_roots, _act,
          _graded_invariance, _annihilator, *map(_dimension_vector, DIMENSION_CALLS))
 
@@ -188,6 +192,20 @@ def test_numpy_dimension_vectors_are_accepted(call):
         n = (1,) * q.s
         assert repr(call(q, np.array(n))) == repr(call(q, n))
 
+
+@pytest.mark.parametrize("call", [cb_simple_exists, rep_space_dim, mu_zero_expected_dim])
+def test_dimension_formulas_take_n_by_the_bound_rule(call):
+    # each used to answer for a negative or fractional n: cb_simple_exists
+    # (-1, 2) with "not a root", rep_space_dim -2 and mu_zero_expected_dim
+    # -6 at (-1, 2), rep_space_dim 7.5 at (1.5, 1); and cb_simple_exists
+    # called a wrong-length n "alpha"
+    q = Quiver((1, 0), ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        call(q, (-1, 2))
+    with pytest.raises(ValueError, match="integer"):
+        call(q, (1.5, 1))
+    with pytest.raises(ValueError, match="^n has length 3, but loops has length 2$"):
+        call(q, (1, 1, 1))
 
 
 def test_decomposition_parts_are_taken_by_the_integer_rule():

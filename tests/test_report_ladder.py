@@ -3,9 +3,10 @@ tree prints the lines of ``tests/report_digests.txt``.
 
 The tool runs once, as a subprocess, and each case of the ladder is one
 test, so a failure names its case and shows its changed lines. The
-``moment-verify`` lines are not compared: their reports carry float
-residuals, which vary with the BLAS build. Every other line, exit code
-included, must match. To re-record after an intended report change, run
+text-mode ``moment-verify`` lines are not compared: they print float
+residuals, which vary with the BLAS build. A ``moment-verify --json`` line
+digests the report without its residuals, so it is compared with every
+other line, exit code included. To re-record after an intended report change, run
 ``python tools/report_digests.py . > tests/report_digests.txt`` from the
 repository root; ``git diff`` then lists every changed line.
 """
@@ -26,8 +27,9 @@ def by_case(lines) -> dict[int, list[str]]:
     cases: dict[int, list[str]] = {}
     for line in lines:
         fields = line.split()
-        case, command = fields[1:3] if fields[0] == "text" else fields[:2]
-        if command != "moment-verify":
+        text = fields[0] == "text"
+        case, command = fields[1:3] if text else fields[:2]
+        if not (text and command == "moment-verify"):
             cases.setdefault(int(case), []).append(line)
     return cases
 

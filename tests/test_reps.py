@@ -617,7 +617,7 @@ def test_verify_ci_dim_reports_alike_in_any_batches(monkeypatch):
 def _stacked_differentials(q, n, seeds):
     """d(mu) at the halved start draw of each seed, as one stack, and a
     right-hand side per slice: minus the residual there."""
-    Z = np.stack([reps._float_draw(q, n, s) for s in seeds]) * 0.5
+    Z = reps._float_draws(q, n, seeds) * 0.5
     return reps._scatter(reps._differential_pattern(q, n), Z, 0j), -reps._residuals(q, n, Z)
 
 
@@ -633,6 +633,19 @@ def test_the_stacked_solve_is_lstsq_slice_by_slice():
         for i in range(len(J)):
             assert numeric_rank(J[i]) < len(J[i])
             assert x[i].tobytes() == np.linalg.lstsq(J[i], b[i], rcond=None)[0].tobytes()
+
+
+def test_the_stacked_norms_are_the_norms_of_each_row():
+    # one stacked _norms gives each row of a complex stack the bytes of
+    # np.linalg.norm on that row alone, for rows of 0-512 entries at
+    # magnitudes 1e-9 to 1e3, on the stack and on rows picked out of it
+    rng = np.random.default_rng(0)
+    for m in range(513):
+        for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3):
+            R = (rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))) * scale
+            want = [np.float64(np.linalg.norm(r)).tobytes() for r in R]
+            assert [x.tobytes() for x in reps._norms(R)] == want
+            assert [x.tobytes() for x in reps._norms(R[[2, 0]])] == [want[2], want[0]]
 
 
 def test_the_stacked_solve_refuses_a_nan_as_lstsq_does(affine_a1):
@@ -707,6 +720,15 @@ def test_numeric_rank_refuses_a_bad_tol(tol):
     assert numeric_rank(m) == 1
     with pytest.raises(ValueError, match=f"tol must be a positive finite number, got {tol}"):
         numeric_rank(m, tol=tol)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+def test_numeric_rank_refuses_an_array_that_is_not_a_matrix(shape):
+    # a vector raised numpy's LinAlgError and a stack of matrices a
+    # TypeError from int() of the stack's ranks
+    want = f"matrix must be 2-D, got an array of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        numeric_rank(np.ones(shape))
 
 
 def test_exact_matrices_are_read_only_copies(affine_a1):

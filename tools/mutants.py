@@ -121,7 +121,28 @@ MUTANTS = (
            'print(f"i/o error: {exc}", file=sys.stderr)\n        return EXIT_SCHEMA',
            'print(f"i/o error: {exc}", file=sys.stderr)\n        return EXIT_INVARIANT',
            ("tests/test_cli.py::test_exit_codes",)),
+    # the Gauss-Newton batch: norms, backtracking and the row index
+    Mutant("norms-without-imaginary-part", "src/quiverk3/reps.py",
+           "np.sqrt(np.vecdot(R.real, R.real) + np.vecdot(R.imag, R.imag))",
+           "np.sqrt(np.vecdot(R.real, R.real))",
+           ("tests/test_reps.py::test_the_stacked_norms_are_the_norms_of_each_row",
+            "tests/test_reps.py::test_solver_trajectory_is_the_reference_one")),
+    Mutant("backtracking-quarters", "src/quiverk3/reps.py",
+           "step[at] *= 0.5", "step[at] *= 0.25",
+           ("tests/test_reps.py::test_solver_trajectory_is_the_reference_one",)),
+    Mutant("result-at-row-not-seed", "src/quiverk3/reps.py",
+           "out[live[i]] = (Z[i], float(N[i]))", "out[i] = (Z[i], float(N[i]))",
+           ("tests/test_reps.py::test_a_batch_is_its_seeds_searched_alone",
+            "tests/test_reps.py"
+            "::test_verify_ci_dim_is_the_reference_report_on_the_benchmark_traffic")),
+    Mutant("rep-space-dim-unbounded", "src/quiverk3/quiver.py",
+           "    n = check_bound(q, n)\n    return 2 * sum(", "    return 2 * sum(",
+           ("tests/test_input_rules.py"
+            "::test_dimension_formulas_take_n_by_the_bound_rule[rep_space_dim]",)),
     # exit-4 identities: each check must fire when its identity breaks
+    Mutant("cyclic-span-invariance-unchecked", "src/quiverk3/reps.py",
+           "if not _invariance_holds(rep, spans):", "if False:",
+           ("tests/test_exact_search.py::test_every_found_span_is_checked_for_invariance",)),
     Mutant("chamber-certificate-non-strict", "src/quiverk3/walls.py",
            "if any(sgn * sum(map(mul, f, ipt)) <= 0 for sgn, f in zip(signs, functionals)):",
            "if any(sgn * sum(map(mul, f, ipt)) < 0 for sgn, f in zip(signs, functionals)):",
