@@ -552,7 +552,10 @@ def enumerate_chambers(q: Quiver, n: DimVector) -> ChamberSet:
     iff its closure does. So the masks decide every wall. A cell is split,
     by one double-description step (``_cut``), only at the next wall that
     cuts it, and takes its sign on each wall before that one from the
-    masks: one ``_cut`` per split, count - 1 in all. Fourier-Motzkin only
+    masks: one ``_cut`` per split. The arrangement is central: when the
+    first point lies on the first wall, the minus side's cells are the plus
+    side's negated, in reverse order, and count // 2 cuts are made in all;
+    else count - 1 (always at dim n-perp = 1). Fourier-Motzkin only
     produces an interior point, for a side proven nonempty whose parent's
     point fails, and past its row budget the side's ray sum does, strictly
     inside its full-dimensional cone. A solve that finds no point on such a
@@ -627,10 +630,13 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
     # right sign certifies the open cell, so it is reused until it fails.
     # The walk is depth first, the + side first, so the chambers come out in
     # lexicographic order of their signatures, +1 before -1.
+    # Every step (point, ray sum, cut, reuse test) is odd under x -> -x, so
+    # when the root point lies on the first wall the minus side's cells are
+    # the plus side's negated, in reverse order: they are mirrored, not walked.
     nwalls, bits = len(functionals), [1 << k for k in range(len(functionals))]
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     axes = [_generator(tuple(f[i] for f in functionals) + unit[i], bits) for i in range(d)]
-    cells, stack = [], [((), 1, unit[0], axes, [])]
+    cells, stack, mirror = [], [((), 1, unit[0], axes, [])], False
     while stack:
         signs, m, ipt, lines, rays = stack.pop()
         pos = neg = moving = 0
@@ -651,9 +657,15 @@ def _chambers(n: DimVector, walls: Sequence[QuiverWall]) -> ChamberSet:
         (plines, prays), (nlines, nrays) = _cut(k, bits, lines, rays)
         plus, minus = signs + (1,), signs + (-1,)
         pm, pipt = (m, ipt) if val > 0 else solve(plus, prays)
-        nm, nipt = (m, ipt) if val < 0 else solve(minus, nrays)
-        stack.append((minus, nm, nipt, nlines, nrays))
+        if signs or val:
+            nm, nipt = (m, ipt) if val < 0 else solve(minus, nrays)
+            stack.append((minus, nm, nipt, nlines, nrays))
+        else:
+            mirror = True
         stack.append((plus, pm, pipt, plines, prays))
+    if mirror:
+        cells += [(tuple([-s for s in signs]), m, tuple([-x for x in ipt]))
+                  for signs, m, ipt in reversed(cells)]
     columns = list(zip(*basis))
     points = []
     for signs, m, ipt in cells:

@@ -526,11 +526,13 @@ def reference_random_float(q, n, seed=0) -> Representation:
     return Representation(q, tuple(n), FLOAT, mats)
 
 
-def reference_solve_moment_zero(q, n, seed=0, tol=1e-12):
+def reference_solve_moment_zero(q, n, seed=0, tol=1e-12, rejected=None):
     """The damped Gauss-Newton search of ``reps.solve_moment_zero`` from
     ``reference_random_float``, with d(mu) from
     ``reference_moment_differential`` and a new iterate array and
-    ``Representation`` at every accepted step."""
+    ``Representation`` at every accepted step. Each step length that the
+    backtracking rejects is appended to the list ``rejected`` if one is
+    given."""
     z = _flatten_mats(reference_random_float(q, n, seed=seed)) * 0.5
     mats = _unflatten_mats(q, n, z)
     rep = Representation(q, n, FLOAT, mats)
@@ -547,6 +549,8 @@ def reference_solve_moment_zero(q, n, seed=0, tol=1e-12):
             cand_r = _moment_residual(_moment_blocks(q, n, cand_mats, 0j))
             if np.linalg.norm(cand_r) < rnorm:
                 break
+            if rejected is not None:
+                rejected.append(step)
             step *= 0.5
         else:
             break

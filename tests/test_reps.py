@@ -428,6 +428,23 @@ def test_solver_trajectory_is_the_reference_one(affine_a1, elliptic_pair, ogrady
             assert _flatten_mats(got).tobytes() == want
 
 
+def test_a_search_that_backtracks_is_the_reference_one():
+    """The ``reps-float`` case of the affine pair at n = (2, 3), seed 25,
+    rejects candidate steps near tol before it converges (14 of them on
+    x86-64): each rejected step is halved, and ``solve_moment_zero`` takes
+    the reference trajectory bit for bit, so a backtracking that shrinks
+    the step by another factor shows here."""
+    cfg, n = _float_cases()[2]
+    assert n == (2, 3)
+    q, rejected = quiver_from_config(cfg), []
+    want = reference_solve_moment_zero(q, n, seed=25, rejected=rejected)
+    assert rejected and rejected[0] == 1.0
+    # within one step's backtracking each rejected length halves the last
+    assert all(b == a / 2 for a, b in zip(rejected, rejected[1:]) if b != 1.0)
+    got = solve_moment_zero(q, n, seed=25)
+    assert _flatten_mats(got).tobytes() == _flatten_mats(want).tobytes()
+
+
 def _float_cases():
     """The eight (configuration, n) cases of the ``reps-float`` benchmark:
     ``FIXTURES`` and ``FLOAT_CASES`` read from the source of

@@ -221,17 +221,19 @@ def test_chambers_match_sweep_oracle():
         assert set(ch.signatures) == sigs
 
 
-def fm_on_every_split(q, n) -> ChamberSet:
+def fm_on_every_split(q, n, walls=None) -> ChamberSet:
     """Reference enumeration: every split whose reused point fails is decided
     by a Fourier-Motzkin solve (the exact simplex on a blowup), and a side
     with no point is dropped. ``enumerate_chambers`` decides splits from
     extreme rays instead and solves only on sides they prove nonempty.
     Points are (m, ipt) for ipt / m, as both solvers return them; the
     solvers are read from the module, so a test's patch reaches them. Each
-    chamber's point is its representative in ``Fraction``s, cleared."""
+    chamber's point is its representative in ``Fraction``s, cleared. The
+    walls are split in the order of ``walls``, ``quiver_walls(q, n)`` if
+    none are given; every side of every wall is walked, none mirrored."""
     if len(n) == 1:
         raise ValueError("no wall structure; non-primitive one-vertex case")
-    walls = quiver_walls(q, n)
+    walls = quiver_walls(q, n) if walls is None else walls
     basis = nperp_basis(n)
     d = len(basis)
     functionals = [
@@ -327,12 +329,16 @@ def test_budget_fallback_inside_enumerate_chambers(monkeypatch):
     of the unpatched enumeration and of the reference, and every
     representative must lie in its own sign cell. The blowup count moves
     with the points, since a point is reused until it fails: the simplex
-    took 606 of them before the ray sum."""
+    took 606 of them before the ray sum, and the ray sum 604 before the
+    walk mirrored its minus half. Every draw here has its first point on
+    its first wall, so the walk solves on that wall's plus side alone, and
+    the count is exactly halved."""
     rng = random.Random(11)
     blowups = 0
     for _ in range(10):
         cfg = random_config(rng, 3, 4, gram_bound=4, mult_max=2)
         q = quiver_from_config(cfg)
+        assert _root_on_first_wall(cfg.mult, quiver_walls(q, cfg.mult)), cfg
         plain = enumerate_chambers(q, cfg.mult)
         reference = fm_on_every_split(q, cfg.mult)
         with monkeypatch.context() as patch:
@@ -344,7 +350,7 @@ def test_budget_fallback_inside_enumerate_chambers(monkeypatch):
             assert (patched.count, patched.signatures) == (chambers.count, chambers.signatures), cfg
         for theta, signs in zip(patched.representatives, patched.signatures):
             assert chamber_signature(theta, patched.walls) == signs, cfg
-    assert blowups == 604, blowups
+    assert blowups == 302, blowups
 
 
 def test_chamber_count_matches_zaslavsky(monkeypatch):
@@ -536,41 +542,93 @@ def test_chamber_set_of_the_3300_chamber_draw_is_pinned(monkeypatch):
     assert (chambers.count, len(chambers.walls)) == (3300, 32)
     digest = "8c90cfda3e4fdee254da99f103bdd10150a9401657c86d8af97161976b14429e"
     assert chamber_set_digest(chambers) == digest
+    # the walk mirrors its minus half: the second half of the chambers is
+    # the first half negated, in reverse order
+    half = chambers.count // 2
+    assert chambers.signatures[half:] == tuple(
+        tuple(-s for s in signs) for signs in reversed(chambers.signatures[:half]))
+    assert chambers.points[half:] == tuple(
+        (m, tuple(-x for x in itheta)) for m, itheta in reversed(chambers.points[:half]))
     assert max(sizes) <= _FM_LIMIT
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the table was never reset"
 
 
-def test_one_cut_per_split(monkeypatch):
-    """A wall that leaves a cell's closed cone on one side cannot split it,
-    so ``_cut`` runs only at a wall that cuts its cell: once per split, and
-    count - 1 times in all. One call per cell and wall made 26197 on the
-    3300-chamber draw and 20076 on the 32 configurations of the
-    ``chambers`` benchmark at seed 0. No Fourier-Motzkin solve of these
-    inputs blows up, so none calls the simplex."""
+def _root_on_first_wall(n, walls):
+    """Whether the first point of ``_chambers``, the first vector of
+    ``nperp_basis(n)``, lies on the first of ``walls``: then the walk takes
+    the plus side of that wall alone and mirrors it."""
+    return bool(walls) and sum(map(operator.mul, nperp_basis(n)[0], walls[0].normal)) == 0
+
+
+def _cut_spy(patch):
+    """The list of the wall index of every ``_cut`` call, patched in."""
     real_cut, calls = walls_module._cut, []
 
     def counted(*args):
         calls.append(args[0])
         return real_cut(*args)
 
+    patch.setattr(walls_module, "_cut", counted)
+    return calls
+
+
+def test_one_cut_per_split(monkeypatch):
+    """A wall that leaves a cell's closed cone on one side cannot split it,
+    so ``_cut`` runs only at a wall that cuts its cell: once per split. A
+    walk that mirrors its minus half makes count // 2 cuts, the first
+    wall's and count // 2 - 1 on its plus side; one that walks both sides
+    makes count - 1. The walk mirrors at dim n-perp >= 2 on every input
+    here, and never at dim n-perp = 1, where the first point lies on no
+    wall. Before the mirror the 3300-chamber draw took 3299 cuts and the
+    32 configurations of the ``chambers`` benchmark at seed 0 took 4014;
+    one call per cell and wall made 26197 and 20076. No Fourier-Motzkin
+    solve of these inputs blows up, so none calls the simplex."""
+    calls = _cut_spy(monkeypatch)
+
     def cuts(cfg):
         calls.clear()
-        count = enumerate_chambers(quiver_from_config(cfg), cfg.mult).count
-        assert len(calls) == count - 1, cfg
+        q = quiver_from_config(cfg)
+        mirrored = _root_on_first_wall(cfg.mult, quiver_walls(q, cfg.mult))
+        assert mirrored == (len(cfg.mult) > 2), cfg
+        count = enumerate_chambers(q, cfg.mult).count
+        assert len(calls) == (count // 2 if mirrored else count - 1), cfg
         return len(calls)
 
-    monkeypatch.setattr(walls_module, "_cut", counted)
     solvers = _solver_spies(monkeypatch)
-    assert cuts(random_config(random.Random(5), 5, 5, gram_bound=4, mult_max=2)) == 3299
+    assert cuts(random_config(random.Random(5), 5, 5, gram_bound=4, mult_max=2)) == 1650
     rng = random.Random(40)
     for s in (3, 4, 5):
         for cfg in _draws_up_to(rng, 3, 16, s_min=s, s_max=s, gram_bound=4, mult_max=2):
             cuts(cfg)
+    for cfg in _draws_up_to(random.Random(41), 3, 16, s_min=2, s_max=2, gram_bound=4,
+                            mult_max=3):
+        cuts(cfg)
     inputs = benchmark_workloads().build("chambers", 0).inputs
     assert len(inputs) == 32
-    assert sum(cuts(parse_config_document(json.loads(doc))[0]) for doc, _ in inputs) == 4014
+    assert sum(cuts(parse_config_document(json.loads(doc))[0]) for doc, _ in inputs) == 2023
     # every point of these inputs is a Fourier-Motzkin point within its budget
     assert solvers == {"blowups": 0, "simplex": 0}
+
+
+def test_a_walk_whose_first_point_is_off_its_first_wall_walks_both_sides(monkeypatch):
+    """With the walls reordered so that the first point of ``_chambers``
+    lies off the first wall, the walk mirrors nothing: it cuts count - 1
+    times, and its ``ChamberSet`` is the reference's on the same wall
+    order. In the order of ``quiver_walls`` these draws mirror."""
+    calls = _cut_spy(monkeypatch)
+    rng = random.Random(2027)
+    for s in (3, 4, 5):
+        for cfg in _draws_up_to(rng, 2, 16, s_min=s, s_max=s, gram_bound=4, mult_max=2):
+            q, n = quiver_from_config(cfg), cfg.mult
+            walls = quiver_walls(q, n)
+            assert _root_on_first_wall(n, walls), cfg
+            first = next(i for i, w in enumerate(walls) if not _root_on_first_wall(n, [w]))
+            reordered = [walls[first]] + [w for i, w in enumerate(walls) if i != first]
+            calls.clear()
+            got = walls_module._chambers(n, reordered)
+            assert len(calls) == got.count - 1, cfg
+            assert got == fm_on_every_split(q, n, reordered), cfg
+            assert got.count == enumerate_chambers(q, n).count, cfg
 
 
 def test_chambers_are_listed_in_lexicographic_signature_order():

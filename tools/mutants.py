@@ -101,6 +101,16 @@ MUTANTS = (
            "return c1 - v.rank * w.euler - v.euler * w.rank",
            "return c1 + v.rank * w.euler + v.euler * w.rank",
            ("tests/test_lattice.py::test_pairing_signs_of_the_rank_terms",)),
+    # the chamber walk's mirrored minus half
+    Mutant("chamber-mirror-unreversed", "src/quiverk3/walls.py",
+           "for signs, m, ipt in reversed(cells)]", "for signs, m, ipt in cells]",
+           ("tests/test_walls.py::test_chamber_set_of_the_3300_chamber_draw_is_pinned",
+            "tests/test_walls.py::test_chambers_are_listed_in_lexicographic_signature_order")),
+    Mutant("chamber-mirror-at-any-root-value", "src/quiverk3/walls.py",
+           "        if signs or val:\n", "        if signs:\n",
+           ("tests/test_walls.py"
+            "::test_a_walk_whose_first_point_is_off_its_first_wall_walks_both_sides",
+            "tests/test_walls.py::test_enumerate_chambers_matches_fm_on_every_split")),
     Mutant("chamber-budget-fallback-first-ray", "src/quiverk3/walls.py",
            "for v, _, _ in rays))", "for v, _, _ in rays[:1]))",
            ("tests/test_walls.py::test_budget_fallback_inside_enumerate_chambers",)),
@@ -129,7 +139,8 @@ MUTANTS = (
             "tests/test_reps.py::test_solver_trajectory_is_the_reference_one")),
     Mutant("backtracking-quarters", "src/quiverk3/reps.py",
            "step[at] *= 0.5", "step[at] *= 0.25",
-           ("tests/test_reps.py::test_solver_trajectory_is_the_reference_one",)),
+           ("tests/test_reps.py::test_solver_trajectory_is_the_reference_one",
+            "tests/test_reps.py::test_a_search_that_backtracks_is_the_reference_one")),
     Mutant("result-at-row-not-seed", "src/quiverk3/reps.py",
            "out[live[i]] = (Z[i], float(N[i]))", "out[i] = (Z[i], float(N[i]))",
            ("tests/test_reps.py::test_a_batch_is_its_seeds_searched_alone",
